@@ -18,6 +18,10 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>\*\*|[-+*/^()]))"
 )
+# Deepest nesting of parentheses and prefix minus signs the parser accepts;
+# each level costs a few Python frames, so this keeps far below the
+# interpreter's recursion limit.
+_MAX_NESTING = 100
 
 
 class ArithError(ValueError):
@@ -376,6 +380,7 @@ class _Parser:
         self.text = text
         self.tokens = self._tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def _tokenize(self, text: str) -> list[str]:
         tokens = []
@@ -449,13 +454,18 @@ class _Parser:
 
     def _atom(self) -> Poly:
         tok = self._next()
-        if tok == "(":
-            p = self._expr()
-            if self._next() != ")":
-                raise ArithError(f"unbalanced parentheses in {self.text!r}")
+        if tok in ("(", "-"):
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ArithError(f"polynomial nested deeper than {_MAX_NESTING} levels")
+            if tok == "(":
+                p = self._expr()
+                if self._next() != ")":
+                    raise ArithError(f"unbalanced parentheses in {self.text!r}")
+            else:
+                p = -self._atom()
+            self.depth -= 1
             return p
-        if tok == "-":
-            return -self._atom()
         if tok.isdigit():
             return self.ring.const(int(tok))
         if tok in self.ring._index:

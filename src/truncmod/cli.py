@@ -634,7 +634,8 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         job = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # json.loads raises RecursionError on documents nested too deeply
         _emit({"error": {"kind": "schema", "message": f"cannot read job: {exc}"}})
         return 2
 

@@ -106,9 +106,6 @@ class PresMod:
         v = vec_from_polys(vec) if isinstance(vec, tuple) else vec
         return self.rel_span().contains(v)
 
-    def elements_equal(self, a: Column, b: Column) -> bool:
-        return self.element_is_zero(tuple(p - q for p, q in zip(a, b)))
-
     def is_zero_module(self) -> bool:
         return all(self.element_is_zero(self.gen_column(i)) for i in range(self.ngens))
 
@@ -202,9 +199,6 @@ class Submodule:
         met = intersect_spans(ring.S, self.ambient.ngens, a, b)
         return [vec_to_polys(ring.S, self.ambient.ngens, v) for v in met]
 
-    def sum_gens(self, other: Submodule) -> list[Column]:
-        return list(self.gens) + list(other.gens)
-
 
 class FiltrationChain:
     """A descending chain of submodules from the ambient module to zero."""
@@ -258,12 +252,6 @@ def subquotient(M: PresMod, a_gens: list[Column], b_gens: list[Column]) -> PresM
 def quotient_by_submodule(M: PresMod, gens: list[Column]) -> PresMod:
     """M / span(gens): same generators, extra relations."""
     return PresMod(M.ring, M.ngens, M.relations + [tuple(g) for g in gens], M.grading)
-
-
-def restrict_to_base(M: PresMod) -> PresMod:
-    """M/tM with the t-action killed; still presented over the same ring."""
-    t_gens = [tuple(M.ring.t * p for p in M.gen_column(i)) for i in range(M.ngens)]
-    return quotient_by_submodule(M, t_gens)
 
 
 # -- canonical filtrations ------------------------------------------------

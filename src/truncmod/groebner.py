@@ -6,7 +6,10 @@ dominate every term in a later block, which turns syzygy computation into an
 elimination problem: the basis of the span of ``(v_i, e_i)`` in S^(r+k),
 with the first r positions dominant, contains in its second block a
 generating set for the syzygies of ``(v_1..v_k)``, and its mixed elements
-carry division lifts.
+carry division lifts.  This graph basis costs several times a plain reduced
+basis, so it is built only for lifts and syzygies: ``SpanGB`` computes the
+plain basis up front and the graph basis on first use, and
+``syzygy_basis`` builds the graph basis alone.
 
 Within a block, terms compare by the ring's monomial order with ties broken
 toward earlier positions.
@@ -264,15 +267,34 @@ def is_groebner(basis: list[VecT], morder: ModuleOrder) -> bool:
 # -- spans with membership, lifts and syzygies ---------------------------
 
 
+def _graph_basis(rank: int, vecs: list[VecT], morder: ModuleOrder,
+                 nvars: int) -> tuple[list[VecT], list[VecT]]:
+    """Reduced basis of span{(v_i, e_i)} in S^(rank+k) under ``morder``,
+    whose first ``rank`` positions must form the dominant block, and the
+    syzygies of ``vecs`` it contains, as vectors in S^k."""
+    unit = (0,) * nvars
+    graph = []
+    for i, v in enumerate(vecs):
+        g = dict(v)
+        g[(rank + i, unit)] = Fraction(1)
+        graph.append(g)
+    gb = interreduce(buchberger(graph, morder), morder)
+    syz = [{(pos - rank, e): c for (pos, e), c in g.items()}
+           for g in gb if all(pos >= rank for pos, _e in g)]
+    return gb, syz
+
+
 class SpanGB:
     """Groebner data for the span of ``vecs`` inside S^rank.
 
-    Built on the graph trick: a basis of span{(v_i, e_i)} in S^(rank+k) with
-    the first block dominant yields, in one computation, a GB of the span,
-    normal forms with lifts, and a generating set of syzygies.  Every
-    element ``(h, c)`` of the graph span satisfies ``h = sum(c_i * v_i) +
-    (v-part of the original combination)``; concretely reduction of ``(v,
-    0)`` to ``(h, c)`` certifies ``v = h - sum(c_i * v_i)``.
+    ``gb`` is the reduced Groebner basis of the span, computed on
+    construction; ``normal_form`` and ``contains`` use only it.  Lifts and
+    syzygies come from the graph trick: a basis of span{(v_i, e_i)} in
+    S^(rank+k) with the first block dominant.  Every element ``(h, c)`` of
+    the graph span satisfies ``h = sum(c_i * v_i)``, so reduction of ``(v,
+    0)`` to ``(0, c)`` certifies ``v = -sum(c_i * v_i)``, and the elements
+    with ``h = 0`` generate the syzygies.  The graph basis is built the
+    first time ``nf_with_lift``, ``lift`` or ``syzygies`` needs it, and kept.
     """
 
     def __init__(self, ring: PolyRing, rank: int, vecs: list[VecT],
@@ -280,28 +302,20 @@ class SpanGB:
         self.ring = ring
         self.rank = rank
         self.vecs = list(vecs)
-        k = len(vecs)
-        blocks = (0,) * rank + (1,) * k
-        self.morder = ModuleOrder(order or ring.order, blocks)
-        graph = []
-        for i, v in enumerate(vecs):
-            g = dict(v)
-            g[(rank + i, (0,) * ring.nvars)] = Fraction(1)
-            graph.append(g)
-        gb = buchberger(graph, self.morder)
-        gb = interreduce(gb, self.morder)
-        self._graph_gb = gb
-        self._graph_leads = [vec_lead(g, self.morder) for g in gb]
-        self.gb = []         # GB of the span itself
-        self._syz: list[VecT] = []  # syzygies, as vectors in S^k
-        for g in gb:
-            first = {t: c for t, c in g.items() if t[0] < rank}
-            second = {(t[0] - rank, t[1]): c for t, c in g.items() if t[0] >= rank}
-            if first:
-                self.gb.append(first)
-            else:
-                self._syz.append(second)
+        order = order or ring.order
+        # The graph order; on the first block it is the plain one.
+        self.morder = ModuleOrder(order, (0,) * rank + (1,) * len(self.vecs))
+        self.gb = reduced_groebner(self.vecs, ModuleOrder(order, (0,) * rank),
+                                   rank_one=(rank == 1))
         self.gb_leads = [vec_lead(v, self.morder) for v in self.gb]
+        self._graph: tuple[list[VecT], list[Term], list[VecT]] | None = None
+
+    def _graph_data(self) -> tuple[list[VecT], list[Term], list[VecT]]:
+        """Graph basis, its leads and the syzygies, built on first use."""
+        if self._graph is None:
+            gb, syz = _graph_basis(self.rank, self.vecs, self.morder, self.ring.nvars)
+            self._graph = (gb, [vec_lead(g, self.morder) for g in gb], syz)
+        return self._graph
 
     def normal_form(self, v: VecT) -> VecT:
         return vec_reduce(v, self.gb, self.morder, self.gb_leads)
@@ -312,8 +326,8 @@ class SpanGB:
     def nf_with_lift(self, v: VecT) -> tuple[VecT, list[VecT] | None]:
         """Normal form plus, when the remainder is zero, coefficients
         ``c`` with ``v = sum(c_i * v_i)`` (``c_i`` as rank-one VecT)."""
-        work = dict(v)
-        r = vec_reduce(work, self._graph_gb, self.morder, self._graph_leads)
+        graph_gb, graph_leads, _syz = self._graph_data()
+        r = vec_reduce(v, graph_gb, self.morder, graph_leads)
         first = {t: c for t, c in r.items() if t[0] < self.rank}
         if first:
             return first, None
@@ -330,12 +344,14 @@ class SpanGB:
 
     def syzygies(self) -> list[VecT]:
         """Generators of {c in S^k : sum(c_i * v_i) = 0}."""
-        return [dict(s) for s in self._syz]
+        return [dict(s) for s in self._graph_data()[2]]
 
 
 def syzygy_basis(ring: PolyRing, rank: int, vecs: list[VecT],
                  order: MonomialOrder | None = None) -> list[VecT]:
-    return SpanGB(ring, rank, vecs, order=order).syzygies()
+    """Generators of the syzygies of ``vecs``, from the graph basis alone."""
+    morder = ModuleOrder(order or ring.order, (0,) * rank + (1,) * len(vecs))
+    return _graph_basis(rank, vecs, morder, ring.nvars)[1]
 
 
 def kernel_through(ring: PolyRing, source_count: int, columns: list[VecT],

@@ -137,11 +137,9 @@ def _validate_weights(ring: PolyRing, weights: tuple[int, ...] | None) -> tuple[
 def hilbert_series_ideal(ring: PolyRing, gens: list[Poly],
                          weights: tuple[int, ...] | None = None) -> HilbertSeries:
     """Series of S/(gens); a reduced Groebner basis is computed internally."""
-    from .groebner import reduced_groebner
-
     weights = _validate_weights(ring, weights)
     vecs = [vec_from_polys((g,)) for g in gens if not g.is_zero()]
-    gb = reduced_groebner(vecs, module_order(ring, 1), rank_one=True)
+    gb = SpanGB(ring, 1, vecs).gb
     leads = [vec_lead(v, module_order(ring, 1))[1] for v in gb]
     num = monomial_quotient_numerator(leads, weights)
     return HilbertSeries.make(num, weights)

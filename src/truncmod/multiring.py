@@ -256,9 +256,6 @@ class AutMap:
         table[T_NAME] = self.t_image
         return ring.truncate(p.substitute(table))
 
-    def apply_elem(self, u: TruncElem) -> TruncElem:
-        return TruncElem(self.ring, self.apply(u.poly))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, AutMap)

@@ -351,6 +351,23 @@ def test_schema_errors_exit_two():
     assert out["error"]["kind"] == "schema"
 
 
+def test_deep_nesting_is_a_json_error():
+    ring = {"variables": ["x"], "n": 1}
+    for text in ("(" * 1200 + "x" + ")" * 1200, "x*" + "-" * 1200 + "x"):
+        code, out = run("gb", {"ring": ring, "payload": {"generators": [text]}})
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        assert "nested deeper" in out["error"]["message"]
+
+    code, out = run("gb", {"ring": ring, "payload": {"generators": ["(" * 50 + "x" + ")" * 50]}})
+    assert code == 0
+    assert out["basis"] == [["x"], ["t"]]
+
+    code, out = run("gb", "[" * 100000 + "]" * 100000)
+    assert code == 2
+    assert out["error"]["kind"] == "schema"
+
+
 def test_math_errors_exit_three():
     code, out = run("hilbert.poly", {
         "ring": RING_DOUBLE,

@@ -1,0 +1,80 @@
+"""Property tests for SpanGB: the plain reduced basis computed up front
+agrees with the graph basis that is built only for lifts and syzygies."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from truncmod.arith import Poly, grevlex, lex
+from truncmod.groebner import (
+    ModuleOrder,
+    SpanGB,
+    _graph_basis,
+    is_groebner,
+    vec_add,
+    vec_from_polys,
+    vec_mul_poly,
+    vec_reduce,
+)
+from truncmod.multiring import TruncRing
+
+# exponents of (x, y, t); t stays below the smallest truncation order used
+EXPONENTS = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+COEFFS = st.integers(-3, 3).filter(bool)
+
+
+def terms(max_size):
+    return st.dictionaries(EXPONENTS, COEFFS, min_size=1, max_size=max_size)
+
+
+@st.composite
+def spans(draw):
+    """(ring, rank, vecs, element, multipliers) with vecs including t^n e_i."""
+    order = draw(st.sampled_from([lex(), grevlex()]))
+    tr = TruncRing(("x", "y"), draw(st.integers(2, 3)), order)
+    rank = draw(st.integers(1, 2))
+    # The graph basis grows fast with rank and generator count; these sizes
+    # keep each example well under a second.
+    size = 3 if rank == 1 else 2
+
+    def poly():
+        return Poly(tr.S, {e: Fraction(c) for e, c in draw(terms(size)).items()})
+
+    def vector():
+        return vec_from_polys(tuple(poly() for _ in range(rank)))
+
+    vecs = [vector() for _ in range(draw(st.integers(1, size)))]
+    vecs += tr.t_power_relations(rank)
+    element = vector()
+    multipliers = [poly() for _ in vecs]
+    return tr, rank, vecs, element, multipliers
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spans())
+def test_plain_basis_matches_graph_basis(case):
+    tr, rank, vecs, element, multipliers = case
+    span = SpanGB(tr.S, rank, vecs)
+    graph_gb, _syz = _graph_basis(rank, vecs, span.morder, tr.S.nvars)
+
+    first_parts = [{t: c for t, c in g.items() if t[0] < rank} for g in graph_gb]
+    assert span.gb == [f for f in first_parts if f]
+    assert is_groebner(span.gb, ModuleOrder(tr.S.order, (0,) * rank))
+
+    graph_nf = vec_reduce(element, graph_gb, span.morder)
+    assert span.normal_form(element) == {t: c for t, c in graph_nf.items() if t[0] < rank}
+
+    member = {}
+    for v, p in zip(vecs, multipliers):
+        member = vec_add(member, vec_mul_poly(v, p))
+    assert span.contains(member)
+    assert span._graph is None
+
+    coeffs = span.lift(member)
+    assert span._graph is not None
+    assert coeffs is not None
+    combo = {}
+    for v, c in zip(vecs, coeffs):
+        combo = vec_add(combo, vec_mul_poly(v, c))
+    assert combo == member
