@@ -5,12 +5,21 @@ Polynomials are stored sparsely as a mapping from exponent tuples to
 names and the active monomial order; every :class:`Poly` carries a reference
 to its ring.  The canonical text form (descending terms, reduced fraction
 coefficients, ``x^2*y`` monomials) round-trips through :meth:`PolyRing.parse`.
+
+Products are computed on integers: each factor is written as an integer
+polynomial over the lcm of its denominators, the integer numerators are
+convolved, and each nonzero output coefficient becomes one normalised
+``Fraction`` over the product of the two denominators.  Integer arithmetic is
+exact, so the result equals the term-by-term ``Fraction`` product.  Powers
+use binary exponentiation and square only while exponent bits remain.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from operator import add, le, neg, sub
 
 Exponents = tuple[int, ...]
 
@@ -31,7 +40,7 @@ class ArithError(ValueError):
 def _grevlex_key(exps: Exponents) -> tuple:
     # Larger total degree wins; ties broken by the smaller exponent at the
     # last position where they differ (classic graded reverse lex).
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 class MonomialOrder:
@@ -85,20 +94,27 @@ def elim_block(split: int) -> MonomialOrder:
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
     """True when the monomial with exponents ``a`` divides the one with ``b``."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+def _numerators(terms: dict[Exponents, Fraction]) -> tuple[int, list[tuple[Exponents, int]]]:
+    """``(d, [(exps, c * d), ...])`` where ``d`` is the lcm of the
+    denominators, so every ``c * d`` is an integer."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
 
 
 class PolyRing:
@@ -249,29 +265,34 @@ class Poly:
         other = self._coerce(other)
         if not self.terms or not other.terms:
             return self.ring.zero()
-        terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
-        return Poly(self.ring, terms)
+        # (p1 / d1) * (p2 / d2) with integer polynomials p1, p2: convolve the
+        # integer numerators exactly, then divide once per output term.
+        d1, nums1 = _numerators(self.terms)
+        d2, nums2 = _numerators(other.terms)
+        acc: dict[Exponents, int] = {}
+        get = acc.get
+        for e1, c1 in nums1:
+            for e2, c2 in nums2:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+        d = d1 * d2
+        return Poly(self.ring, {e: Fraction(c, d) for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> Poly:
         if not isinstance(k, int) or k < 0:
             raise ArithError(f"polynomial power must be a nonnegative int, got {k!r}")
+        # Right-to-left binary method: bit_length(k) - 1 squarings and one
+        # product per set bit; the square after the top bit would go unread.
         result = self.ring.one()
         base = self
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def scale(self, c) -> Poly:

@@ -8,8 +8,9 @@ with the first r positions dominant, contains in its second block a
 generating set for the syzygies of ``(v_1..v_k)``, and its mixed elements
 carry division lifts.  This graph basis costs several times a plain reduced
 basis, so it is built only for lifts and syzygies: ``SpanGB`` computes the
-plain basis up front and the graph basis on first use, and
-``syzygy_basis`` builds the graph basis alone.
+plain basis the first time ``gb`` is read and the graph basis the first
+time a lift or syzygy is asked for, and ``syzygy_basis`` builds the graph
+basis alone.
 
 Within a block, terms compare by the ring's monomial order with ties broken
 toward earlier positions.
@@ -18,6 +19,7 @@ toward earlier positions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import (
     Exponents,
@@ -287,8 +289,8 @@ def _graph_basis(rank: int, vecs: list[VecT], morder: ModuleOrder,
 class SpanGB:
     """Groebner data for the span of ``vecs`` inside S^rank.
 
-    ``gb`` is the reduced Groebner basis of the span, computed on
-    construction; ``normal_form`` and ``contains`` use only it.  Lifts and
+    ``gb`` is the reduced Groebner basis of the span, computed on first
+    use and kept; ``normal_form`` and ``contains`` use only it.  Lifts and
     syzygies come from the graph trick: a basis of span{(v_i, e_i)} in
     S^(rank+k) with the first block dominant.  Every element ``(h, c)`` of
     the graph span satisfies ``h = sum(c_i * v_i)``, so reduction of ``(v,
@@ -302,13 +304,19 @@ class SpanGB:
         self.ring = ring
         self.rank = rank
         self.vecs = list(vecs)
-        order = order or ring.order
+        self.order = order or ring.order
         # The graph order; on the first block it is the plain one.
-        self.morder = ModuleOrder(order, (0,) * rank + (1,) * len(self.vecs))
-        self.gb = reduced_groebner(self.vecs, ModuleOrder(order, (0,) * rank),
-                                   rank_one=(rank == 1))
-        self.gb_leads = [vec_lead(v, self.morder) for v in self.gb]
+        self.morder = ModuleOrder(self.order, (0,) * rank + (1,) * len(self.vecs))
         self._graph: tuple[list[VecT], list[Term], list[VecT]] | None = None
+
+    @cached_property
+    def gb(self) -> list[VecT]:
+        return reduced_groebner(self.vecs, ModuleOrder(self.order, (0,) * self.rank),
+                                rank_one=(self.rank == 1))
+
+    @cached_property
+    def gb_leads(self) -> list[Term]:
+        return [vec_lead(v, self.morder) for v in self.gb]
 
     def _graph_data(self) -> tuple[list[VecT], list[Term], list[VecT]]:
         """Graph basis, its leads and the syzygies, built on first use."""

@@ -169,3 +169,14 @@ def test_spans_equal_is_an_equivalence():
     assert spans_equal(R, 1, a, b)
     assert spans_equal(R, 1, b, a)
     assert not spans_equal(R, 1, a, c)
+
+
+def test_lift_leaves_the_plain_basis_unbuilt():
+    R = PolyRing(("x", "y"))
+    x, y = R.gens()
+    S = SpanGB(R, 1, [vec(x * x - y), vec(x * y)])
+    assert "gb" not in S.__dict__
+    coeffs = S.lift(vec(x * x * y))
+    assert coeffs is not None and "gb" not in S.__dict__
+    assert S.syzygies() and "gb" not in S.__dict__
+    assert S.contains(vec(x * x * y)) and "gb" in S.__dict__
