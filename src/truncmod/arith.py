@@ -110,6 +110,28 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
+def matrix_rank(rows: list[list[Fraction]]) -> int:
+    """Rank over Q of a dense matrix given as a list of rows.
+
+    The rows must all have the same length and exact entries (``Fraction``
+    or ``int``); they are not modified.  Each row is reduced against the
+    pivot rows found so far, and one that does not reduce to zero becomes a
+    pivot row, scaled to 1 at its first nonzero entry.  Rank is invariant
+    under transposition, so a matrix may equally be passed by its columns.
+    """
+    pivots: list[tuple[int, list[Fraction]]] = []
+    for row in rows:
+        for pc, pr in pivots:
+            if row[pc] != 0:
+                f = row[pc]
+                row = [a - f * b for a, b in zip(row, pr)]
+        lead = next((i for i, v in enumerate(row) if v != 0), None)
+        if lead is not None:
+            inv = Fraction(1) / row[lead]
+            pivots.append((lead, [v * inv for v in row]))
+    return len(pivots)
+
+
 def _numerators(terms: dict[Exponents, Fraction]) -> tuple[int, list[tuple[Exponents, int]]]:
     """``(d, [(exps, c * d), ...])`` where ``d`` is the lcm of the
     denominators, so every ``c * d`` is an integer."""

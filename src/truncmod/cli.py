@@ -70,17 +70,6 @@ from .multiring import (
 )
 from .regseq import ideal_presentation, is_regular_sequence, shadow_membership
 
-COMMANDS = (
-    "gb", "nf", "syz", "ring.zerodivisor", "aut.compose", "aut.cocycle",
-    "module.filtration", "module.balanced", "module.quasifree",
-    "module.generictype", "module.torsion", "module.dual", "module.ext1",
-    "module.extend", "module.refine", "regseq.check", "regseq.shadow",
-    "ideal.tau", "ideal.eq", "ideal.lambda", "ideal.chart",
-    "ideal.resolution", "ideal.extcheck", "ideal.extend", "ideal.recover",
-    "hilbert.poly", "hilbert.pred",
-)
-
-
 class SchemaError(Exception):
     """Bad job document: missing fields, wrong shapes, unparsable strings."""
 
@@ -110,6 +99,14 @@ def _parse_frac(value, where: str) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _parse_int(value, where: str) -> int:
+    """``int(value)``, with what ``int`` rejects reported as a schema error."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{where}: expected an integer, got {value!r}") from exc
 
 
 def _ser_frac(q: Fraction):
@@ -205,8 +202,11 @@ def _parse_presmod(tr: TruncRing, payload: dict, where: str = "payload") -> Pres
             degrees = pres["degrees"]
             if not isinstance(degrees, list) or len(degrees) != ngens:
                 raise SchemaError(f"{where}.degrees must list {ngens} integers")
-            grading = Grading(tuple(int(d) for d in degrees),
-                              int(pres.get("t_weight", 1)))
+            grading = Grading(
+                tuple(_parse_int(d, f"{where}.presentation.degrees")
+                      for d in degrees),
+                _parse_int(pres.get("t_weight", 1),
+                           f"{where}.presentation.t_weight"))
         try:
             return PresMod(tr, ngens, rels, grading)
         except ArithError as exc:
@@ -215,14 +215,20 @@ def _parse_presmod(tr: TruncRing, payload: dict, where: str = "payload") -> Pres
         shape = payload["free"]
         rank = _require(shape, "rank", f"{where}.free")
         degrees = shape.get("degrees")
-        return free_module(tr, int(rank),
-                           tuple(int(d) for d in degrees) if degrees else None,
-                           int(shape.get("t_weight", 1)))
+        if degrees and not isinstance(degrees, list):
+            raise SchemaError(f"{where}.free.degrees must be a list of integers")
+        return free_module(
+            tr, _parse_int(rank, f"{where}.free.rank"),
+            tuple(_parse_int(d, f"{where}.free.degrees") for d in degrees)
+            if degrees else None,
+            _parse_int(shape.get("t_weight", 1), f"{where}.free.t_weight"))
     if "truncated_free" in payload:
         shape = payload["truncated_free"]
         level = _require(shape, "level", f"{where}.truncated_free")
-        return truncated_free(tr, int(level), int(shape.get("degree", 0)),
-                              int(shape.get("t_weight", 1)))
+        return truncated_free(
+            tr, _parse_int(level, f"{where}.truncated_free.level"),
+            _parse_int(shape.get("degree", 0), f"{where}.truncated_free.degree"),
+            _parse_int(shape.get("t_weight", 1), f"{where}.truncated_free.t_weight"))
     raise SchemaError(
         f"{where}: expected one of 'ideal', 'presentation', 'free', "
         "'truncated_free'")
@@ -600,7 +606,7 @@ _HANDLERS = {
     "hilbert.pred": _cmd_hilbert_pred,
 }
 
-assert set(_HANDLERS) == set(COMMANDS)
+COMMANDS = tuple(_HANDLERS)
 
 
 def _emit(doc: dict) -> None:

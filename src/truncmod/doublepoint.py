@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ArithError, Poly
+from .arith import ArithError, Poly, matrix_rank
 from .fpmod import (
     Column,
     ExtensionResult,
@@ -375,29 +375,6 @@ def _double_monomials(d: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    mat = [row[:] for row in rows]
-    ncols = len(mat[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][c] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = Fraction(1) / mat[rank][c]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c] != 0:
-                f = mat[r][c]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def _degree_matrix(ring: LocalDoubleRing, cols: list[Column],
                    src_degs: tuple[int, ...], tgt_degs: tuple[int, ...],
                    d: int, target_mod_t: bool = False
@@ -506,12 +483,12 @@ def verify_maximal_ideal_resolution(ring: LocalDoubleRing, degree_bound: int,
     for d in range(2, degree_bound + 1):
         rows0, n0 = _degree_matrix(ring, phi0_cols, (1, 1), (0,), d,
                                    target_mod_t=True)
-        dim_ker0 = n0 - _rank(rows0)
+        dim_ker0 = n0 - matrix_rank(rows0)
         rows1, n1 = _degree_matrix(ring, phi1, (2, 2, 2), (1, 1), d)
-        dim_im1 = _rank(rows1)
+        dim_im1 = matrix_rank(rows1)
         dim_ker1 = n1 - dim_im1
         rows2, _n2 = _degree_matrix(ring, phi2, (3, 3, 3), (2, 2, 2), d)
-        dim_im2 = _rank(rows2)
+        dim_im2 = matrix_rank(rows2)
         table.append((d, dim_ker0, dim_im1, dim_ker1, dim_im2))
         if dim_ker0 != dim_im1:
             failures.append(
@@ -651,9 +628,9 @@ def ext_complex_check(ring: LocalDoubleRing, degree_bound: int,
             basis_d = [(i, d - 1 - i, 1) for i in range(d)]
             basis_prev = [(i, d - 2 - i, 1) for i in range(d - 1)] if d >= 3 else []
             rows2, n2 = _psi_slice(psi2, 3, basis_d)
-            dim_ker = n2 - _rank(rows2)
+            dim_ker = n2 - matrix_rank(rows2)
             rows1, _n1 = _psi_slice(psi1, 2, basis_prev)
-            dim_im = _rank(rows1)
+            dim_im = matrix_rank(rows1)
             via_pres = presmod_dimension_by_enumeration(quotient, d)
             expected = (2 if d == 2 else 0) + (d - 1)
             table.append((d, dim_ker, dim_im, via_pres, expected))

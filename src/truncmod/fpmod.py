@@ -19,10 +19,11 @@ coinciding.  A module where they coincide is called balanced here.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import ArithError, Poly, mono_div, mono_divides
+from .arith import ArithError, Poly, matrix_rank, mono_div, mono_divides
 from .groebner import (
     SpanGB,
     VecT,
@@ -835,6 +836,40 @@ def _block_relations(N: PresMod, blocks: int) -> list[VecT]:
     return out
 
 
+def _pullback_columns(rows: int, columns: list[VecT], p: int) -> list[VecT]:
+    """One flat column for each pair (i, l), i < rows and l < p, in that
+    order: entry i of ``columns[k]`` goes to slot ``k*p + l``.  This is the
+    matrix of ``columns`` pulled back to N^len(columns) for an N with p
+    generators.  Columns are not filtered, so column ``i*p + l`` belongs to
+    the pair (i, l); entries at positions ``>= rows`` are dropped."""
+    out: list[VecT] = []
+    for i in range(rows):
+        for l in range(p):
+            out.append({(k * p + l, e): c for k, col in enumerate(columns)
+                        for (pos, e), c in col.items() if pos == i})
+    return out
+
+
+def infer_grading(ring: TruncRing, vecs: list[VecT], t_weight: int,
+                  slot_degree: Callable[[int], int]) -> Grading | None:
+    """The grading that makes every flat vector of ``vecs`` a homogeneous
+    generator, or None when some vector is inhomogeneous.
+
+    A term ``x^e t^k`` at position ``pos`` has degree ``|e| + t_weight * k +
+    slot_degree(pos)``; ``slot_degree`` must accept every position that
+    occurs in ``vecs``.  A zero vector gets degree 0, so a caller that must
+    not grade zero generators checks for them first."""
+    weights = (1,) * ring.base.nvars + (t_weight,)
+    degs: list[int] = []
+    for v in vecs:
+        ds = {sum(w * x for w, x in zip(weights, e)) + slot_degree(pos)
+              for pos, e in v}
+        if len(ds) > 1:
+            return None
+        degs.append(ds.pop() if ds else 0)
+    return Grading(tuple(degs), t_weight)
+
+
 @dataclass
 class HomModule:
     """Hom(M, N) presented as an R[n]-module; generators are stored as flat
@@ -867,21 +902,11 @@ def hom_module(M: PresMod, N: PresMod) -> HomModule:
     ring = M.ring
     g, p = M.ngens, N.ngens
     flat = g * p
-
-    def flat_pos(i: int, l: int) -> int:
-        return i * p + l
-
-    cond_cols: list[VecT] = []
-    for i in range(g):
-        for l in range(p):
-            col: VecT = {}
-            for k, rel in enumerate(M.relations):
-                for e, c in rel[i].terms.items():
-                    col[(k * p + l, e)] = col.get((k * p + l, e), Fraction(0)) + c
-            cond_cols.append(col)
-    target_rels = _block_relations(N, len(M.relations)) if M.relations else []
     if M.relations:
-        gens_flat = kernel_through(ring.S, flat, cond_cols, target_rels)
+        cond_cols = _pullback_columns(
+            g, [vec_from_polys(c) for c in M.relations], p)
+        gens_flat = kernel_through(ring.S, flat, cond_cols,
+                                   _block_relations(N, len(M.relations)))
     else:
         unit = (0,) * ring.S.nvars
         gens_flat = [{(a, unit): Fraction(1)} for a in range(flat)]
@@ -892,31 +917,15 @@ def hom_module(M: PresMod, N: PresMod) -> HomModule:
     gen_matrices: list[list[Column]] = []
     for gf in gens_flat:
         polys = vec_to_polys(ring.S, flat, gf)
-        gen_matrices.append([tuple(polys[flat_pos(i, l)] for l in range(p))
-                             for i in range(g)])
+        gen_matrices.append([polys[i * p:(i + 1) * p] for i in range(g)])
 
     grading = None
     if M.grading is not None and N.grading is not None \
             and M.grading.t_weight == N.grading.t_weight:
-        weights = (1,) * ring.base.nvars + (M.grading.t_weight,)
-        degs = []
-        ok = True
-        for gf in gens_flat:
-            d: int | None = None
-            for (pos, e), _c in gf.items():
-                i, l = divmod(pos, p)
-                dd = (sum(w * x for w, x in zip(weights, e))
-                      + N.grading.gen_degrees[l] - M.grading.gen_degrees[i])
-                if d is None:
-                    d = dd
-                elif d != dd:
-                    ok = False
-                    break
-            degs.append(0 if d is None else d)
-            if not ok:
-                break
-        if ok:
-            grading = Grading(tuple(degs), M.grading.t_weight)
+        grading = infer_grading(
+            ring, gens_flat, M.grading.t_weight,
+            lambda pos: (N.grading.gen_degrees[pos % p]
+                         - M.grading.gen_degrees[pos // p]))
 
     pres = PresMod(ring, len(gens_flat),
                    [vec_to_polys(ring.S, len(gens_flat), rc) for rc in rel_cols],
@@ -939,68 +948,30 @@ def ext1_module(M: PresMod, N: PresMod) -> PresMod:
 
     flat = q * p
     if q2:
-        cond_cols: list[VecT] = []
-        for j in range(q):
-            for l in range(p):
-                col: VecT = {}
-                for k, syz in enumerate(phi2):
-                    for (pos, e), c in syz.items():
-                        if pos == j:
-                            key = (k * p + l, e)
-                            col[key] = col.get(key, Fraction(0)) + c
-                cond_cols.append(col)
-        z_gens = kernel_through(ring.S, flat, cond_cols, _block_relations(N, q2))
+        z_gens = kernel_through(ring.S, flat, _pullback_columns(q, phi2, p),
+                                _block_relations(N, q2))
     else:
         unit = (0,) * ring.S.nvars
         z_gens = [{(a, unit): Fraction(1)} for a in range(flat)]
 
-    b_cols: list[VecT] = []
-    for i in range(g):
-        for l in range(p):
-            col: VecT = {}
-            for j, rel in enumerate(M.relations):
-                for e, c in rel[i].terms.items():
-                    key = (j * p + l, e)
-                    col[key] = col.get(key, Fraction(0)) + c
-            if col:
-                b_cols.append(col)
-
+    b_cols = [col for col in _pullback_columns(g, phi1, p) if col]
     rel_cols = kernel_through(ring.S, len(z_gens), z_gens,
                               b_cols + _block_relations(N, q))
+    relations = [vec_to_polys(ring.S, len(z_gens), rc) for rc in rel_cols]
 
     # Grade as a subquotient of N^(number of relations): flat slot (j, l)
     # carries the degree of N's generator l.  Attached only when every
     # generator comes out homogeneous under that convention.
-    grading = None
     if M.grading is not None and N.grading is not None \
             and M.grading.t_weight == N.grading.t_weight:
-        weights = (1,) * ring.base.nvars + (M.grading.t_weight,)
-        degs = []
-        ok = True
-        for zg in z_gens:
-            d: int | None = None
-            for (pos, e), _c in zg.items():
-                l = pos % p
-                dd = (sum(w * x for w, x in zip(weights, e))
-                      + N.grading.gen_degrees[l])
-                if d is None:
-                    d = dd
-                elif d != dd:
-                    ok = False
-                    break
-            degs.append(0 if d is None else d)
-            if not ok:
-                break
-        if ok:
-            grading = Grading(tuple(degs), M.grading.t_weight)
+        grading = infer_grading(ring, z_gens, M.grading.t_weight,
+                                lambda pos: N.grading.gen_degrees[pos % p])
+        if grading is not None:
             try:
-                return PresMod(ring, len(z_gens),
-                               [vec_to_polys(ring.S, len(z_gens), rc)
-                                for rc in rel_cols], grading)
+                return PresMod(ring, len(z_gens), relations, grading)
             except ModuleError:
                 pass
-    return PresMod(ring, len(z_gens),
-                   [vec_to_polys(ring.S, len(z_gens), rc) for rc in rel_cols])
+    return PresMod(ring, len(z_gens), relations)
 
 
 # -- reduction-to-base surjectivity test ----------------------------------
@@ -1034,36 +1005,8 @@ def vanishes_locally(Q: PresMod) -> bool:
     """Whether Q localizes to zero at the origin: by the finitely generated
     module version of Nakayama, Q_(x..,t) = 0 iff the constant-term matrix
     of the relation columns has full row rank."""
-    g = Q.ngens
-    if g == 0:
-        return True
-    cols = []
-    for col in Q.relations:
-        vec = [p.constant_term() for p in col]
-        if any(vec):
-            cols.append(vec)
-    # rank over Q of the g x len(cols) matrix
-    matrix = [[cols[c][r] for c in range(len(cols))] for r in range(g)]
-    rank = 0
-    rows = [row[:] for row in matrix]
-    ncols = len(cols)
-    r0 = 0
-    for c in range(ncols):
-        piv = next((r for r in range(r0, g) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r0], rows[piv] = rows[piv], rows[r0]
-        inv = Fraction(1) / rows[r0][c]
-        rows[r0] = [v * inv for v in rows[r0]]
-        for r in range(g):
-            if r != r0 and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[r0])]
-        rank += 1
-        r0 += 1
-        if r0 >= g:
-            break
-    return rank == g
+    return matrix_rank([[p.constant_term() for p in col]
+                        for col in Q.relations]) == Q.ngens
 
 
 # -- presentation obfuscation (for type-recovery tests) -------------------

@@ -280,7 +280,7 @@ def _graph_basis(rank: int, vecs: list[VecT], morder: ModuleOrder,
         g = dict(v)
         g[(rank + i, unit)] = Fraction(1)
         graph.append(g)
-    gb = interreduce(buchberger(graph, morder), morder)
+    gb = reduced_groebner(graph, morder)
     syz = [{(pos - rank, e): c for (pos, e), c in g.items()}
            for g in gb if all(pos >= rank for pos, _e in g)]
     return gb, syz
@@ -387,14 +387,10 @@ def kernel_through(ring: PolyRing, source_count: int, columns: list[VecT],
     return out
 
 
-def span_contains_all(span: SpanGB, vecs: list[VecT]) -> bool:
-    return all(span.contains(v) for v in vecs)
-
-
 def spans_equal(ring: PolyRing, rank: int, a: list[VecT], b: list[VecT]) -> bool:
     sa = SpanGB(ring, rank, a)
     sb = SpanGB(ring, rank, b)
-    return span_contains_all(sa, b) and span_contains_all(sb, a)
+    return all(sa.contains(v) for v in b) and all(sb.contains(v) for v in a)
 
 
 def intersect_spans(ring: PolyRing, rank: int, a: list[VecT], b: list[VecT]) -> list[VecT]:
@@ -428,6 +424,6 @@ def saturate_by_poly(ring: PolyRing, rank: int, span: list[VecT], f: Poly) -> li
     while True:
         bigger = quotient_by_poly(ring, rank, current, f)
         cur_gb = SpanGB(ring, rank, current)
-        if span_contains_all(cur_gb, bigger):
+        if all(cur_gb.contains(v) for v in bigger):
             return current
         current = bigger

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .arith import ArithError, Exponents, Poly, PolyRing
+from .arith import ArithError, Exponents, Poly, PolyRing, matrix_rank
 from .groebner import SpanGB, VecT, module_order, vec_from_polys, vec_lead
 from . import fpmod
 
@@ -440,22 +440,7 @@ def dimension_by_enumeration(ring: PolyRing, rank: int, columns: list[VecT],
                 shifted = tuple(a + b for a, b in zip(e, m))
                 row[index[(pos, shifted)]] += c
             span_rows.append(row)
-
-    rank_rows = 0
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for row in span_rows:
-        for pc, pr in pivots:
-            if row[pc] != 0:
-                f = row[pc]
-                row = [a - f * b for a, b in zip(row, pr)]
-        lead = next((i for i, v in enumerate(row) if v != 0), None)
-        if lead is None:
-            continue
-        inv = Fraction(1) / row[lead]
-        row = [v * inv for v in row]
-        pivots.append((lead, row))
-        rank_rows += 1
-    return len(basis) - rank_rows
+    return len(basis) - matrix_rank(span_rows)
 
 
 def presmod_dimension_by_enumeration(M, d: int) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import ArithError, Poly, PolyRing
-from .fpmod import Grading, PresMod, is_balanced
+from .fpmod import PresMod, infer_grading, is_balanced
 from .groebner import (
     SpanGB,
     VecT,
@@ -157,18 +157,11 @@ def ideal_presentation(seq: list[TruncElem]) -> PresMod:
     syz = kernel_through(ring.S, len(seq), cols, ring.t_power_relations(1))
     relations = [vec_to_polys(ring.S, len(seq), v) for v in syz]
 
-    grading = None
-    weights = (1,) * ring.base.nvars + (1,)
-    degs = []
-    for u in seq:
-        ds = {sum(w * e for w, e in zip(weights, exp)) for exp in u.poly.terms}
-        if len(ds) != 1:
-            degs = None
-            break
-        degs.append(ds.pop())
-    if degs is not None:
+    # a zero element leaves the ideal ungraded
+    grading = infer_grading(ring, cols, 1, lambda pos: 0) if all(cols) else None
+    if grading is not None:
         try:
-            return PresMod(ring, len(seq), relations, Grading(tuple(degs), 1))
+            return PresMod(ring, len(seq), relations, grading)
         except ArithError:
             pass
     return PresMod(ring, len(seq), relations)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import tempfile
 
+import pytest
+
 from truncmod.cli import main
 
 
@@ -388,3 +390,31 @@ def test_stdin_and_output_format():
     parsed = json.loads(proc.stdout)
     assert parsed["tau"] == [0, -1]
     assert proc.stdout == json.dumps(parsed, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("module, field", [
+    ({"free": {"rank": "abc"}}, "free.rank"),
+    ({"free": {"rank": float("inf")}}, "free.rank"),
+    ({"free": {"rank": 2, "degrees": ["a", 0]}}, "free.degrees"),
+    ({"free": {"rank": 1, "degrees": 5}}, "free.degrees"),
+    ({"free": {"rank": 1, "t_weight": [1]}}, "free.t_weight"),
+    ({"presentation": {"generators": 1, "degrees": ["a"]}}, "presentation.degrees"),
+    ({"presentation": {"generators": 1, "degrees": [0], "t_weight": "w"}},
+     "presentation.t_weight"),
+    ({"truncated_free": {"level": "one"}}, "truncated_free.level"),
+    ({"truncated_free": {"level": 1, "degree": None}}, "truncated_free.degree"),
+    ({"truncated_free": {"level": 1, "t_weight": {}}}, "truncated_free.t_weight"),
+])
+def test_non_integer_shape_fields_are_schema_errors(module, field):
+    code, out = run("module.filtration", {"ring": RING_DOUBLE, "payload": module})
+    assert code == 2
+    assert out["error"]["kind"] == "schema"
+    assert f"payload.{field}" in out["error"]["message"]
+
+
+def test_shape_fields_accept_integer_strings_and_floats():
+    code, out = run("module.filtration", {
+        "ring": RING_DOUBLE,
+        "payload": {"free": {"rank": "2", "degrees": ["0", 1.0], "t_weight": True}},
+    })
+    assert code == 0

@@ -1,0 +1,80 @@
+"""Pinned gradings of the modules that infer one: Hom (and the dual), Ext^1
+and ideal presentations, on homogeneous, inhomogeneous and zero-element
+inputs, plus the shared rule ``fpmod.infer_grading`` itself."""
+
+from fractions import Fraction
+
+import pytest
+
+from truncmod.dualtor import dual
+from truncmod.fpmod import (
+    Grading,
+    ext1_module,
+    free_module,
+    hom_module,
+    infer_grading,
+    truncated_free,
+)
+from truncmod.multiring import TruncRing
+from truncmod.regseq import ideal_presentation
+
+TR = TruncRing(("x", "y"), 2)
+
+
+def ideal(*gens):
+    return ideal_presentation([TR.elem(TR.S.parse(g)) for g in gens])
+
+
+def grading_of(M):
+    return None if M.grading is None else (M.grading.gen_degrees, M.grading.t_weight)
+
+
+@pytest.mark.parametrize("gens, expected", [
+    (("x", "y^2"), ((1, 2), 1)),
+    (("x", "t"), ((1, 1), 1)),
+    (("x*y", "x^2 + t*y"), ((2, 2), 1)),
+    (("x + y^2",), None),
+    (("x", "0"), None),
+])
+def test_ideal_presentation_grading(gens, expected):
+    assert grading_of(ideal(*gens)) == expected
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: dual(ideal("x", "y^2")), ((0, 1, 0), 1)),
+    (lambda: dual(ideal("x", "t")), ((1, 0, 0), 1)),
+    (lambda: dual(ideal("x + y^2")), None),
+    (lambda: dual(ideal("x", "0")), None),
+    (lambda: hom_module(free_module(TR, 2, (0, 1)),
+                        truncated_free(TR, 1, 2)).presentation, ((2, 1), 1)),
+    (lambda: hom_module(truncated_free(TR, 1, 1),
+                        free_module(TR, 2, (0, 3))).presentation, ((0, 3), 1)),
+    (lambda: hom_module(free_module(TR, 1, (0,), 2),
+                        free_module(TR, 1, (0,), 1)).presentation, None),
+])
+def test_hom_grading(make, expected):
+    assert grading_of(make()) == expected
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: ext1_module(ideal("x", "y^2"), free_module(TR, 1)), ((0,), 1)),
+    (lambda: ext1_module(truncated_free(TR, 1, 1), free_module(TR, 2, (0, 2))),
+     ((1, 3), 1)),
+    (lambda: ext1_module(ideal("x", "t"), truncated_free(TR, 1)), ((2, 1, 0), 1)),
+    (lambda: ext1_module(ideal("x + y^2", "y"), free_module(TR, 1)), None),
+])
+def test_ext1_grading(make, expected):
+    assert grading_of(make()) == expected
+
+
+def test_infer_grading_rule():
+    one = Fraction(1)
+    x, xt = (1, 0, 0), (1, 0, 1)
+    # slot 0 weighs 5, slot 1 weighs 2; t weighs 3
+    slots = (5, 2)
+    homogeneous = {(0, x): one, (1, (4, 0, 0)): one, (1, xt): one}
+    mixed = {(0, x): one, (0, xt): one}
+    assert infer_grading(TR, [homogeneous, {}], 3, slots.__getitem__) \
+        == Grading((6, 0), 3)
+    assert infer_grading(TR, [homogeneous, mixed], 3, slots.__getitem__) is None
+    assert infer_grading(TR, [], 1, slots.__getitem__) == Grading((), 1)
