@@ -37,6 +37,19 @@ class ArithError(ValueError):
     """Raised for malformed polynomial input or ring mismatches."""
 
 
+def agree(error: type[ArithError], question: str, **answers):
+    """The common answer of independent routes to one question.
+
+    Each keyword names a route and carries that route's answer.  When any
+    two answers differ, ``error`` is raised naming the question, every
+    route and what each route answered."""
+    first, *rest = answers.values()
+    if any(answer != first for answer in rest):
+        said = ", ".join(f"{route}={answer}" for route, answer in answers.items())
+        raise error(f"{question}: routes disagree: {said}")
+    return first
+
+
 def _grevlex_key(exps: Exponents) -> tuple:
     # Larger total degree wins; ties broken by the smaller exponent at the
     # last position where they differ (classic graded reverse lex).

@@ -213,12 +213,15 @@ def _parse_presmod(tr: TruncRing, payload: dict, where: str = "payload") -> Pres
             raise SchemaError(f"{where}: {exc}") from exc
     if "free" in payload:
         shape = payload["free"]
-        rank = _require(shape, "rank", f"{where}.free")
+        rank = _parse_int(_require(shape, "rank", f"{where}.free"),
+                          f"{where}.free.rank")
+        if rank < 0:
+            raise SchemaError(f"{where}.free.rank must be >= 0")
         degrees = shape.get("degrees")
         if degrees and not isinstance(degrees, list):
             raise SchemaError(f"{where}.free.degrees must be a list of integers")
         return free_module(
-            tr, _parse_int(rank, f"{where}.free.rank"),
+            tr, rank,
             tuple(_parse_int(d, f"{where}.free.degrees") for d in degrees)
             if degrees else None,
             _parse_int(shape.get("t_weight", 1), f"{where}.free.t_weight"))
@@ -434,7 +437,7 @@ def _cmd_extend(job, payload, options):
     level = _require(payload, "level", "payload")
     if not isinstance(level, int):
         raise SchemaError("payload.level must be an integer")
-    res = extension_R_by_Ri(tr, sigma, level, verify=options.get("verify", False))
+    res = extension_R_by_Ri(tr, sigma, level)
     return {"module": _ser_presmod(res.module),
             "generic_type": list(generic_type(res.module))}
 
@@ -542,8 +545,7 @@ def _cmd_ideal_extend(job, payload, options):
     ring = _double_ring(job, options)
     tau_data = _parse_tau(ring, _require(payload, "tau", "payload"), "tau")
     rho = _parse_poly(ring.base, _require(payload, "rho", "payload"), "rho")
-    res = extension_module(ring, tau_data, rho,
-                           verify=options.get("verify", False))
+    res = extension_module(ring, tau_data, rho)
     return {"module": _ser_presmod(res.module),
             "balanced": is_balanced_extension(ring, tau_data, rho)}
 
@@ -568,7 +570,7 @@ def _cmd_hilbert_pred(job, payload, options):
     tr = _build_ring(job, options)
     M = _parse_presmod(tr, payload)
     p = reduced_hilbert_polynomial(M)
-    rd = rank_degree_reduced(M)
+    rd = rank_degree_reduced(p)
     return {"coefficients": [_ser_frac(c) for c in p.coeffs],
             "degree": p.degree(),
             "support_dimension": rd.support_dimension,
@@ -629,8 +631,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="monomial order for all rings")
     parser.add_argument("--degree-bound", type=int, default=None,
                         help="bound for degree-by-degree checks")
-    parser.add_argument("--verify", action="store_true", default=None,
-                        help="enable all internal cross-check assertions")
     args = parser.parse_args(argv)
 
     try:
@@ -656,8 +656,7 @@ def main(argv: list[str] | None = None) -> int:
         options = dict(job.get("options") or {})
         for key, value in (("jet_order", args.jet_order),
                            ("order", args.order),
-                           ("degree_bound", args.degree_bound),
-                           ("verify", args.verify)):
+                           ("degree_bound", args.degree_bound)):
             if value is not None:
                 options[key] = value
         if options.get("order") not in (None, "grevlex", "lex"):

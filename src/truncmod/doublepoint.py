@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ArithError, Poly, matrix_rank
+from .arith import ArithError, Poly, agree, matrix_rank
 from .fpmod import (
     Column,
     ExtensionResult,
@@ -196,14 +196,11 @@ def tau(J: PointIdeal) -> TauClass:
     the constant terms and re-derived by normal-form reduction; the two must
     agree."""
     ring = J.ring
-    closed = (J.b.constant_term(), -J.a.constant_term())
     tr = ring.trunc
     omega = (-ring.y * tr.inject(J.a) + ring.x * tr.inject(J.b)) * ring.t
-    reduced = ring.class_coords(omega)
-    if reduced != closed:
-        raise DoublePointError(
-            f"class routes disagree: closed form {closed}, reduction {reduced}")
-    return TauClass(*closed)
+    return TauClass(*agree(DoublePointError, "class of the point ideal",
+                           closed_form=(J.b.constant_term(), -J.a.constant_term()),
+                           reduction=ring.class_coords(omega)))
 
 
 def ideals_equal(J: PointIdeal, K: PointIdeal) -> bool:
@@ -220,16 +217,11 @@ def ideals_equal(J: PointIdeal, K: PointIdeal) -> bool:
               [J.gen_x, J.gen_y, t2] + jets]
     span_k = [vec_from_polys((p,)) for p in
               [K.gen_x, K.gen_y, t2] + jets]
-    by_groebner = spans_equal(ring.S, 1, span_j, span_k)
-    by_class = tau(J).as_pair() == tau(K).as_pair()
-    da = (K.a - J.a).constant_term()
-    db = (K.b - J.b).constant_term()
-    by_constants = da == 0 and db == 0
-    if not (by_groebner == by_class == by_constants):
-        raise DoublePointError(
-            f"equality routes disagree: groebner {by_groebner}, "
-            f"class {by_class}, constants {by_constants}")
-    return by_groebner
+    return agree(DoublePointError, "are the ideals equal",
+                 groebner=spans_equal(ring.S, 1, span_j, span_k),
+                 classes=tau(J).as_pair() == tau(K).as_pair(),
+                 constants=(K.a - J.a).constant_term() == 0
+                 and (K.b - J.b).constant_term() == 0)
 
 
 @dataclass(frozen=True)
@@ -258,8 +250,8 @@ def lambda_to_ideal(ring: LocalDoubleRing, coords) -> PointIdeal:
     lx, ly = (Fraction(c) for c in coords)
     J = PointIdeal(ring, Poly(ring.base, {(0, 0): -lx} if lx else {}),
                    Poly(ring.base, {(0, 0): -ly} if ly else {}))
-    if lambda_coord(J).coords != (lx, ly):
-        raise DoublePointError("roundtrip through the inverse construction failed")
+    agree(DoublePointError, "tangent coordinates of the constructed ideal",
+          requested=(lx, ly), recomputed=lambda_coord(J).coords)
     return J
 
 
@@ -334,10 +326,8 @@ def change_chart(J: PointIdeal, ch: ChartChange) -> LambdaCoord:
     law = (m0[0][0] * shifted[0] + m0[0][1] * shifted[1],
            m0[1][0] * shifted[0] + m0[1][1] * shifted[1])
 
-    if direct != law:
-        raise DoublePointError(
-            f"chart routes disagree: direct {direct}, law {law}")
-    return LambdaCoord(direct, chart="chart")
+    return LambdaCoord(agree(DoublePointError, "coordinates in the new chart",
+                             direct=direct, law=law), chart="chart")
 
 
 def affine_difference(J1: PointIdeal, J2: PointIdeal,
@@ -355,9 +345,8 @@ def affine_difference(J1: PointIdeal, J2: PointIdeal,
         dp = (p1[0] - p2[0], p1[1] - p2[1])
         back = (m0_inv[0][0] * dp[0] + m0_inv[0][1] * dp[1],
                 m0_inv[1][0] * dp[0] + m0_inv[1][1] * dp[1])
-        if back != diff:
-            raise DoublePointError(
-                f"difference is not chart invariant: {back} vs {diff}")
+        agree(DoublePointError, "difference of tangent coordinates",
+              standard_chart=diff, new_chart_pulled_back=back)
     return diff
 
 
@@ -378,10 +367,11 @@ def _double_monomials(d: int) -> list[tuple[int, int, int]]:
 def _degree_matrix(ring: LocalDoubleRing, cols: list[Column],
                    src_degs: tuple[int, ...], tgt_degs: tuple[int, ...],
                    d: int, target_mod_t: bool = False
-                   ) -> tuple[list[list[Fraction]], int]:
-    """Dense matrix of the degree-d piece of the map given by the columns
-    (rows indexed by target monomial basis, one matrix column per source
-    basis element); returns (rows, number of source basis elements)."""
+                   ) -> list[list[Fraction]]:
+    """Dense matrix of the degree-d piece of the map given by the columns,
+    returned as its list of columns: one per source basis element, with
+    entries indexed by the target monomial basis.  A rank taken of this
+    list is the rank of the map, since rank ignores transposition."""
     tr = ring.trunc
     row_index: dict[tuple[int, tuple[int, int, int]], int] = {}
     for l, gd in enumerate(tgt_degs):
@@ -402,9 +392,7 @@ def _degree_matrix(ring: LocalDoubleRing, cols: list[Column],
                         continue
                     col[row_index[(l, ee)]] = col[row_index[(l, ee)]] + c
             columns.append(col)
-    rows = [[columns[c][r] for c in range(len(columns))]
-            for r in range(len(row_index))]
-    return rows, len(columns)
+    return columns
 
 
 def _phi_defaults(ring: LocalDoubleRing):
@@ -481,14 +469,13 @@ def verify_maximal_ideal_resolution(ring: LocalDoubleRing, degree_bound: int,
     table: list[tuple[int, int, int, int, int]] = []
     phi0_cols: list[Column] = [(x,), (y,)]
     for d in range(2, degree_bound + 1):
-        rows0, n0 = _degree_matrix(ring, phi0_cols, (1, 1), (0,), d,
-                                   target_mod_t=True)
-        dim_ker0 = n0 - matrix_rank(rows0)
-        rows1, n1 = _degree_matrix(ring, phi1, (2, 2, 2), (1, 1), d)
-        dim_im1 = matrix_rank(rows1)
-        dim_ker1 = n1 - dim_im1
-        rows2, _n2 = _degree_matrix(ring, phi2, (3, 3, 3), (2, 2, 2), d)
-        dim_im2 = matrix_rank(rows2)
+        cols0 = _degree_matrix(ring, phi0_cols, (1, 1), (0,), d,
+                               target_mod_t=True)
+        dim_ker0 = len(cols0) - matrix_rank(cols0)
+        cols1 = _degree_matrix(ring, phi1, (2, 2, 2), (1, 1), d)
+        dim_im1 = matrix_rank(cols1)
+        dim_ker1 = len(cols1) - dim_im1
+        dim_im2 = matrix_rank(_degree_matrix(ring, phi2, (3, 3, 3), (2, 2, 2), d))
         table.append((d, dim_ker0, dim_im1, dim_ker1, dim_im2))
         if dim_ker0 != dim_im1:
             failures.append(
@@ -663,12 +650,11 @@ def _resolve_tau(ring: LocalDoubleRing, tau_data) -> tuple[Poly, Poly]:
     raise DoublePointError("class data must be a TauClass, an element, or a pair")
 
 
-def extension_module(ring: LocalDoubleRing, tau_data, rho,
-                     verify: bool = False) -> ExtensionResult:
+def extension_module(ring: LocalDoubleRing, tau_data, rho) -> ExtensionResult:
     """The module extending the reduced maximal ideal by its twisted
     conormal part, presented on four generators (two covering the maximal
     ideal, two spanning the m*I part), with the inclusion and projection
-    exhibited.  ``verify`` re-checks exactness of the pair of maps."""
+    exhibited.  Exactness of the pair of maps is checked on every call."""
     tr = ring.trunc
     tau_a, tau_b = _resolve_tau(ring, tau_data)
     rho_p = ring.coerce_base(rho)
@@ -696,21 +682,20 @@ def extension_module(ring: LocalDoubleRing, tau_data, rho,
     projection = ModMap(M, maxideal,
                         [maxideal.gen_column(0), maxideal.gen_column(1),
                          maxideal.zero_column(), maxideal.zero_column()])
-    if verify:
-        if not inclusion.is_injective():
-            raise DoublePointError("conormal part fails to inject")
-        if not projection.is_surjective():
-            raise DoublePointError("projection to the maximal ideal not onto")
-        comp = projection.compose(inclusion)
-        if any(not maxideal.element_is_zero(c) for c in comp.columns):
-            raise DoublePointError("composite of the extension maps is nonzero")
-        ker = projection.kernel_gens()
-        if not spans_equal(
-                ring.S, 4,
-                [vec_from_polys(g) for g in ker] + M.effective_relations(),
-                [vec_from_polys(c) for c in inclusion.columns]
-                + M.effective_relations()):
-            raise DoublePointError("kernel of the projection is not the image")
+    if not inclusion.is_injective():
+        raise DoublePointError("conormal part fails to inject")
+    if not projection.is_surjective():
+        raise DoublePointError("projection to the maximal ideal not onto")
+    comp = projection.compose(inclusion)
+    if any(not maxideal.element_is_zero(c) for c in comp.columns):
+        raise DoublePointError("composite of the extension maps is nonzero")
+    ker = projection.kernel_gens()
+    if not spans_equal(
+            ring.S, 4,
+            [vec_from_polys(g) for g in ker] + M.effective_relations(),
+            [vec_from_polys(c) for c in inclusion.columns]
+            + M.effective_relations()):
+        raise DoublePointError("kernel of the projection is not the image")
     return ExtensionResult(M, inclusion, projection)
 
 
@@ -732,17 +717,12 @@ def is_balanced_extension(ring: LocalDoubleRing, tau_data, rho) -> bool:
     ann_t = annihilator_kernel(M, 1)
     t_gens = [tuple(ring.t * p for p in M.gen_column(j)) for j in range(M.ngens)]
     gap = subquotient(M, ann_t + t_gens, t_gens)
-    by_local = vanishes_locally(gap)
-    if primary != by_local:
-        raise DoublePointError(
-            f"balance routes disagree: formula {primary}, local test {by_local}")
+    agree(DoublePointError, "is the extension balanced at the origin",
+          formula=primary, local_test=vanishes_locally(gap))
 
     rho_constant = all(sum(e) == 0 for e in rho_p.terms)
-    expected_global = primary and rho_constant
-    by_module = is_balanced(M).balanced
-    if by_module != expected_global:
-        raise DoublePointError(
-            f"global balance test gave {by_module}, expected {expected_global}")
+    agree(DoublePointError, "is the extension balanced on the whole plane",
+          formula=primary and rho_constant, module_test=is_balanced(M).balanced)
     return primary
 
 
@@ -755,6 +735,6 @@ def recover_ideal(ring: LocalDoubleRing, tau_data) -> PointIdeal:
     J = PointIdeal(ring,
                    Poly(ring.base, {(0, 0): -c_y} if c_y else {}),
                    Poly(ring.base, {(0, 0): c_x} if c_x else {}))
-    if tau(J).as_pair() != (c_x, c_y):
-        raise DoublePointError("recovered ideal has the wrong class")
+    agree(DoublePointError, "class of the recovered ideal",
+          requested=(c_x, c_y), recomputed=tau(J).as_pair())
     return J

@@ -23,7 +23,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import ArithError, Poly, matrix_rank, mono_div, mono_divides
+from .arith import ArithError, Poly, agree, matrix_rank, mono_div, mono_divides
 from .groebner import (
     SpanGB,
     VecT,
@@ -460,45 +460,32 @@ def is_balanced(M: PresMod) -> BalancedReport:
     """Two independent routes: surjectivity of the composite of all
     annihilator layer injections, and levelwise equality t^i M = ann(t^(n-i));
     the routes must agree."""
-    ring = M.ring
-    n = ring.n
-
-    data = comparison_maps(M) if n >= 2 else None
+    n = M.ring.n
     if n <= 1:
-        by_composite = True
-    else:
-        composite = data.lambdas[0]
-        for lam in data.lambdas[1:]:
-            composite = composite.compose(lam)
-        # composite: layer^(n) -> layer^(1)
-        by_composite = composite.is_surjective()
+        return BalancedReport(True, True, True,
+                              note="all comparison kernels and cokernels vanish")
+    data = comparison_maps(M)
+    composite = data.lambdas[0]
+    for lam in data.lambdas[1:]:
+        composite = composite.compose(lam)
+    # composite: layer^(n) -> layer^(1)
+    by_composite = composite.is_surjective()
 
-    by_filtration = True
     witness_level = None
     witness = None
-    first_members = (data.lower_members if data is not None
-                     else first_canonical_filtration(M).members)
-    upper_members = (data.upper_members if data is not None
-                     else list(reversed(second_canonical_filtration(M).members)))
     for i in range(1, n):
-        lower = Submodule(M, first_members[i].gens)
-        for g in upper_members[n - i].gens:
-            if not lower.contains(g):
-                by_filtration = False
-                witness_level = i
-                witness = g
-                break
-        if not by_filtration:
+        lower = data.lower_members[i]
+        witness = next((g for g in data.upper_members[n - i].gens
+                        if not lower.contains(g)), None)
+        if witness is not None:
+            witness_level = i
             break
 
-    if by_composite != by_filtration:
-        raise ModuleError(
-            f"balanced criteria disagree (composite={by_composite}, filtration={by_filtration})"
-        )
-    note = ("all comparison kernels and cokernels vanish" if by_composite
-            else f"ann(t^{n - (witness_level or 0)}) exceeds t^{witness_level} M")
-    return BalancedReport(by_composite, by_composite, by_filtration,
-                          witness_level, witness, note)
+    balanced = agree(ModuleError, "is the module balanced",
+                     composite=by_composite, filtration=witness is None)
+    note = ("all comparison kernels and cokernels vanish" if balanced
+            else f"ann(t^{n - witness_level}) exceeds t^{witness_level} M")
+    return BalancedReport(balanced, balanced, balanced, witness_level, witness, note)
 
 
 # -- freeness and types ---------------------------------------------------
@@ -666,14 +653,15 @@ class ExtensionResult:
     projection: ModMap    # module -> M
 
 
-def build_extension(N: PresMod, M: PresMod, f1_columns: list[Column],
-                    verify: bool = False) -> ExtensionResult:
+def build_extension(N: PresMod, M: PresMod, f1_columns: list[Column]
+                    ) -> ExtensionResult:
     """Glue N below M along a map from M's relation cover into N.
 
     M's presentation is read as a two-step cover F1 -> F0 -> M with F1 free
     on the relation columns; f1_columns gives the image in N of each F1
     basis vector.  The result is the cokernel of the combined map into
-    N ⊕ F0, with its inclusion of N and projection onto M.
+    N ⊕ F0, with its inclusion of N and projection onto M; exactness of
+    0 -> N -> result -> M -> 0 is checked on every call.
     """
     ring = M.ring
     if N.ring != ring:
@@ -721,23 +709,21 @@ def build_extension(N: PresMod, M: PresMod, f1_columns: list[Column],
     incl = ModMap(N, P, [P.gen_column(k) for k in range(N.ngens)], check=False)
     proj = ModMap(P, M, [M.zero_column()] * N.ngens
                   + [M.gen_column(i) for i in range(M.ngens)], check=False)
-    if verify:
-        if not incl.is_injective():
-            raise ModuleError("extension inclusion failed injectivity")
-        if not proj.is_surjective():
-            raise ModuleError("extension projection failed surjectivity")
-        for k in range(N.ngens):
-            if not M.element_is_zero(proj.apply_cover(incl.columns[k])):
-                raise ModuleError("extension composite is nonzero")
-        img = incl.image_submodule()
-        for g in proj.kernel_gens():
-            if not img.contains(g):
-                raise ModuleError("extension kernel exceeds the included copy")
+    if not incl.is_injective():
+        raise ModuleError("extension inclusion failed injectivity")
+    if not proj.is_surjective():
+        raise ModuleError("extension projection failed surjectivity")
+    for k in range(N.ngens):
+        if not M.element_is_zero(proj.apply_cover(incl.columns[k])):
+            raise ModuleError("extension composite is nonzero")
+    img = incl.image_submodule()
+    for g in proj.kernel_gens():
+        if not img.contains(g):
+            raise ModuleError("extension kernel exceeds the included copy")
     return ExtensionResult(P, incl, proj)
 
 
-def extension_R_by_Ri(ring: TruncRing, sigma: Poly, i: int,
-                      verify: bool = False) -> ExtensionResult:
+def extension_R_by_Ri(ring: TruncRing, sigma: Poly, i: int) -> ExtensionResult:
     """The extension of R = R[n]/(t) by R[i] classified by sigma: cokernel
     of (sigma, t) together with the truncation relation t^i on the lower
     generator.  Unit sigma at the origin gives R[i+1]; sigma = 0 splits."""
@@ -752,7 +738,7 @@ def extension_R_by_Ri(ring: TruncRing, sigma: Poly, i: int,
     if not graded:
         N = PresMod(ring, 1, N.relations, None)
         M = PresMod(ring, 1, M.relations, None)
-    return build_extension(N, M, [(sigma,)], verify=verify)
+    return build_extension(N, M, [(sigma,)])
 
 
 # -- filtration refinement ------------------------------------------------
@@ -802,11 +788,9 @@ def refine_filtrations(D: FiltrationChain, F: FiltrationChain
                              d_chain[d_index[(i, j)] + 1].gens)
             fq = subquotient(M, f_chain[f_index[(j, i)]].gens,
                              f_chain[f_index[(j, i)] + 1].gens)
-            hs_d = hilbert_series_presmod(dq)
-            hs_f = hilbert_series_presmod(fq)
-            if hs_d != hs_f:
-                raise ModuleError(
-                    f"crosswise layers ({i},{j}) disagree: {hs_d} vs {hs_f}")
+            hs_d = agree(ModuleError, f"series of crosswise layer ({i},{j})",
+                         first_chain=hilbert_series_presmod(dq),
+                         second_chain=hilbert_series_presmod(fq))
             if hs_d.numerator_coeffs:
                 pairing.append(((i, j), hs_d))
 
@@ -993,9 +977,8 @@ def surjective_iff_restriction(phi: ModMap) -> bool:
     via_reduction = all(
         reduced_span.contains(vec_from_polys(phi.target.gen_column(j)))
         for j in range(phi.target.ngens))
-    if direct != via_reduction:
-        raise ModuleError("surjectivity criteria disagree (reduction vs direct)")
-    return direct
+    return agree(ModuleError, "is the map surjective",
+                 direct=direct, reduction=via_reduction)
 
 
 # -- local (at the origin) vanishing --------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .arith import ArithError, Exponents, Poly, PolyRing, matrix_rank
+from .arith import ArithError, Exponents, Poly, PolyRing, agree, matrix_rank
 from .groebner import SpanGB, VecT, module_order, vec_from_polys, vec_lead
 from . import fpmod
 
@@ -39,10 +39,6 @@ class HilbertSeries:
     def make(num: dict[int, int], weights: tuple[int, ...]) -> HilbertSeries:
         cleaned = tuple(sorted((d, c) for d, c in num.items() if c))
         return HilbertSeries(cleaned, tuple(sorted(weights)))
-
-    def shifted(self, k: int) -> HilbertSeries:
-        return HilbertSeries(tuple((d + k, c) for d, c in self.numerator_coeffs),
-                             self.weights)
 
     def dimensions(self, up_to: int) -> list[int]:
         arr = [0] * (up_to + 1)
@@ -301,11 +297,10 @@ def hilbert_polynomial(M) -> HilbertPolynomial:
     poly = polynomial_from_series(hs)
     start = max([j for j, _ in hs.numerator_coeffs] + [0])
     for d in range(start, start + 3):
-        counted = dimension_by_enumeration(base_ring, rank, cols, degrees,
-                                           weights, d)
-        if poly.evaluate(d) != counted:
-            raise HilbertError(
-                f"series polynomial disagrees with the direct count in degree {d}")
+        agree(HilbertError, f"dimension in degree {d}",
+              series_polynomial=poly.evaluate(d),
+              direct_count=dimension_by_enumeration(base_ring, rank, cols,
+                                                    degrees, weights, d))
     return poly
 
 
@@ -324,11 +319,18 @@ def layer_base_series(G) -> HilbertSeries:
                          (1,) * ring.base.nvars)
 
 
-def reduced_hilbert_polynomial(M, filtration=None,
-                               verify: bool = True) -> HilbertPolynomial:
+def _layer_sum(layers) -> HilbertPolynomial:
+    """Sum of the base-ring polynomials of t-annihilated graded layers."""
+    total = HilbertPolynomial.make([])
+    for layer in layers:
+        total = total + polynomial_from_series(layer_base_series(layer))
+    return total
+
+
+def reduced_hilbert_polynomial(M, filtration=None) -> HilbertPolynomial:
     """Hilbert polynomial through the t-power layer decomposition: the sum of
-    the base-ring polynomials of the image-filtration layers.  With verify,
-    the annihilator-filtration layers and the direct restriction of scalars
+    the base-ring polynomials of the image-filtration layers.  The
+    annihilator-filtration layers and the direct restriction of scalars
     must give the same answer.
 
     A caller-supplied FiltrationChain may be passed as well; its quotients
@@ -336,32 +338,22 @@ def reduced_hilbert_polynomial(M, filtration=None,
     canonical value."""
     if M.grading is None:
         raise HilbertError("reduced hilbert polynomial needs grading data")
-    chain = fpmod.first_canonical_filtration(M)
-    total = HilbertPolynomial.make([])
-    for i in range(M.ring.n):
-        layer = chain.quotient(i)
-        total = total + polynomial_from_series(layer_base_series(layer))
-    if verify:
-        chain2 = fpmod.second_canonical_filtration(M)
-        alt = HilbertPolynomial.make([])
-        for k in range(len(chain2.members) - 1):
-            layer = chain2.quotient(k)
-            alt = alt + polynomial_from_series(layer_base_series(layer))
-        direct = hilbert_polynomial(M)
-        if not (total == alt == direct):
-            raise HilbertError(
-                f"layer polynomials disagree: {total} vs {alt} vs {direct}")
+    image = fpmod.first_canonical_filtration(M)
+    annihilator = fpmod.second_canonical_filtration(M)
+    total = agree(
+        HilbertError, "reduced hilbert polynomial",
+        image_layers=_layer_sum(image.quotient(i) for i in range(M.ring.n)),
+        annihilator_layers=_layer_sum(
+            annihilator.quotient(k) for k in range(len(annihilator.members) - 1)),
+        restriction=hilbert_polynomial(M))
     if filtration is not None:
-        supplied = HilbertPolynomial.make([])
-        for k in range(len(filtration.members) - 1):
-            layer = filtration.quotient(k)
+        layers = [filtration.quotient(k) for k in range(len(filtration.members) - 1)]
+        for k, layer in enumerate(layers):
             if not layer.is_t_annihilated():
                 raise HilbertError(
                     f"supplied filtration quotient {k} is not annihilated by t")
-            supplied = supplied + polynomial_from_series(layer_base_series(layer))
-        if supplied != total:
-            raise HilbertError(
-                f"supplied filtration sums to {supplied}, canonical value is {total}")
+        agree(HilbertError, "layer sum of the supplied filtration",
+              supplied=_layer_sum(layers), canonical=total)
     return total
 
 
@@ -372,8 +364,9 @@ class ReducedRankDegree:
     degree_coefficient: Fraction    # next coefficient times (m-1)!
 
 
-def rank_degree_reduced(M) -> ReducedRankDegree:
-    p = reduced_hilbert_polynomial(M)
+def rank_degree_reduced(p: HilbertPolynomial) -> ReducedRankDegree:
+    """Support dimension, rank and degree coefficients read off a reduced
+    Hilbert polynomial."""
     m = p.degree()
     if m < 0:
         return ReducedRankDegree(-1, Fraction(0), Fraction(0))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ArithError, Poly, PolyRing
+from .arith import ArithError, Poly, PolyRing, agree
 from .fpmod import PresMod, infer_grading, is_balanced
 from .groebner import (
     SpanGB,
@@ -96,14 +96,10 @@ def is_regular_sequence(seq: list[TruncElem],
     ambient = [ring.t ** ring.n] + [ring.inject(m) for m in base_jets]
     k_direct, witness = _ladder(ring.S, [u.poly for u in seq], ambient)
 
-    if (k_base is None) != (k_direct is None):
-        raise SequenceError(
-            f"regularity routes disagree: base ladder "
-            f"{'passes' if k_base is None else f'fails at {k_base + 1}'}, "
-            f"direct ladder "
-            f"{'passes' if k_direct is None else f'fails at {k_direct + 1}'}")
-
-    if k_direct is None:
+    # the verdicts must agree; the failure positions may differ
+    regular = agree(SequenceError, "is the sequence regular",
+                    base_ladder=k_base is None, direct_ladder=k_direct is None)
+    if regular:
         return SequenceReport(list(seq), reductions, True)
 
     # re-verify the witness by explicit membership
@@ -140,13 +136,9 @@ def shadow_membership(y: Poly, seq: list[TruncElem],
     base_span = SpanGB(ring.base, 1,
                        [vec_from_polys((p,)) for p in report.reductions]
                        + [vec_from_polys((m,)) for m in base_jets])
-    in_shadow = base_span.contains(vec_from_polys((y,)))
-
-    if in_ideal != in_shadow:
-        raise SequenceError(
-            f"shadow routes disagree: t-power membership {in_ideal}, "
-            f"reduction membership {in_shadow}")
-    return in_ideal
+    return agree(SequenceError, "is t^(n-1)*y in the sequence ideal",
+                 t_power_membership=in_ideal,
+                 reduction_membership=base_span.contains(vec_from_polys((y,))))
 
 
 def ideal_presentation(seq: list[TruncElem]) -> PresMod:

@@ -502,10 +502,10 @@ def test_criterion_11_extension_classification_and_ext_dimensions():
     for tr, i in ((A, 1), (C, 1), (C, 2)):
         one = tr.base.parse("1")
         zero = tr.base.parse("0")
-        joined = extension_R_by_Ri(tr, one, i, verify=True).module
+        joined = extension_R_by_Ri(tr, one, i).module
         target = truncated_free(tr, i + 1)
         assert quasi_free_type(joined).type_vector == quasi_free_type(target).type_vector
-        split = extension_R_by_Ri(tr, zero, i, verify=True).module
+        split = extension_R_by_Ri(tr, zero, i).module
         model = direct_sum(truncated_free(tr, 1), truncated_free(tr, i))
         assert quasi_free_type(split).type_vector == quasi_free_type(model).type_vector
 

@@ -412,6 +412,15 @@ def test_non_integer_shape_fields_are_schema_errors(module, field):
     assert f"payload.{field}" in out["error"]["message"]
 
 
+def test_negative_free_rank_is_a_schema_error():
+    code, out = run("module.filtration", {
+        "ring": RING_DOUBLE, "payload": {"free": {"rank": -1}},
+    })
+    assert code == 2
+    assert out["error"]["kind"] == "schema"
+    assert "payload.free.rank" in out["error"]["message"]
+
+
 def test_shape_fields_accept_integer_strings_and_floats():
     code, out = run("module.filtration", {
         "ring": RING_DOUBLE,

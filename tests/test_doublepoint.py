@@ -254,7 +254,7 @@ def test_ext_complex_negative_control():
 
 def test_extension_module_exactness():
     ring = the_ring()
-    res = extension_module(ring, (1, 0), "-1", verify=True)
+    res = extension_module(ring, (1, 0), "-1")
     assert res.inclusion.is_injective()
     assert res.projection.is_surjective()
     comp = res.projection.compose(res.inclusion)
@@ -293,7 +293,7 @@ def test_unit_multiplier_extension_matches_point_ideal():
         a = ring.base.parse(a_txt)
         b = ring.base.parse(b_txt)
         J = PointIdeal(ring, a_txt, b_txt)
-        M = extension_module(ring, (b, -a), "-1", verify=True).module
+        M = extension_module(ring, (b, -a), "-1").module
         F = free_module(tr, 1)
         x, y, t = S.parse("x"), S.parse("y"), S.parse("t")
         cols = [

@@ -246,33 +246,33 @@ def test_extension_with_zero_cocycle_splits():
     tr = ring(2)
     N = truncated_free(tr, 1)
     F = free_module(tr, 1)
-    res = build_extension(N, F, [N.zero_column() for _ in F.relations], verify=True)
+    res = build_extension(N, F, [N.zero_column() for _ in F.relations])
     assert dims(res.module) == dims(direct_sum(N, F))
     assert quasi_free_type(res.module).type_vector == (1, 1)
 
 
 def test_extension_of_line_by_layer_unit_case():
     tr = ring(2)
-    res = extension_R_by_Ri(tr, tr.base.parse("1"), 1, verify=True)
+    res = extension_R_by_Ri(tr, tr.base.parse("1"), 1)
     assert quasi_free_type(res.module).type_vector == (0, 1)
 
 
 def test_extension_of_line_by_layer_zero_case():
     tr = ring(2)
-    res = extension_R_by_Ri(tr, tr.base.parse("0"), 1, verify=True)
+    res = extension_R_by_Ri(tr, tr.base.parse("0"), 1)
     assert quasi_free_type(res.module).type_vector == (2, 0)
 
 
 def test_extension_of_line_by_layer_degenerate_case():
     tr = ring(2)
-    res = extension_R_by_Ri(tr, tr.base.parse("x"), 1, verify=True)
+    res = extension_R_by_Ri(tr, tr.base.parse("x"), 1)
     rep = quasi_free_type(res.module)
     assert rep.type_vector is None
 
 
 def test_extension_maps_form_exact_sequence():
     tr = ring(3)
-    res = extension_R_by_Ri(tr, tr.base.parse("1"), 2, verify=True)
+    res = extension_R_by_Ri(tr, tr.base.parse("1"), 2)
     assert res.inclusion.is_injective()
     assert res.projection.is_surjective()
     comp = res.projection.compose(res.inclusion)

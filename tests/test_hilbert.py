@@ -184,13 +184,13 @@ def test_reduced_polynomial_with_trivial_t_weight_matches_plain():
 
 
 def test_rank_of_double_structure_sheaf():
-    rd = rank_degree_reduced(free_module(plane(2), 1))
+    rd = rank_degree_reduced(reduced_hilbert_polynomial(free_module(plane(2), 1)))
     assert rd.support_dimension == 2
     assert rd.rank_coefficient == 2
 
 
 def test_rank_of_plane_is_one():
-    rd = rank_degree_reduced(free_module(plane(), 1))
+    rd = rank_degree_reduced(reduced_hilbert_polynomial(free_module(plane(), 1)))
     assert rd.support_dimension == 2
     assert rd.rank_coefficient == 1
     assert rd.degree_coefficient == Fraction(3, 2)
@@ -205,7 +205,7 @@ def test_rank_of_finite_length_module_is_zero():
         [(S.parse("x0"),), (S.parse("x1"),), (S.parse("x2"),)],
         grading=Grading((0,), 1),
     )
-    rd = rank_degree_reduced(fin)
+    rd = rank_degree_reduced(reduced_hilbert_polynomial(fin))
     assert rd.support_dimension == -1
     assert rd.rank_coefficient == 0
 
