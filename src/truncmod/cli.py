@@ -42,6 +42,7 @@ from .dualtor import dual, torsion
 from .fpmod import (
     Grading,
     PresMod,
+    Submodule,
     extension_R_by_Ri,
     ext1_module,
     first_canonical_filtration,
@@ -53,7 +54,7 @@ from .fpmod import (
     second_canonical_filtration,
     truncated_free,
 )
-from .groebner import SpanGB, kernel_through, vec_from_polys, vec_to_polys
+from .groebner import vec_from_polys, vec_to_polys
 from .hilbert import (
     hilbert_polynomial,
     presmod_dimension_by_enumeration,
@@ -153,25 +154,23 @@ def _double_ring(job: dict, options: dict) -> LocalDoubleRing:
 
 
 def _parse_span(tr: TruncRing, payload: dict) -> tuple[int, list]:
-    """Rank and vectors of a span: either 'generators' (rank 1 strings) or
+    """Rank and columns of a span: either 'generators' (rank 1 strings) or
     'vectors' (lists of strings, one entry per component)."""
     if "generators" in payload:
         gens = payload["generators"]
         if not isinstance(gens, list):
             raise SchemaError("payload.generators must be a list")
-        vecs = [vec_from_polys((_parse_poly(tr, g, "generators"),)) for g in gens]
-        return 1, vecs
+        return 1, [(_parse_poly(tr, g, "generators"),) for g in gens]
     vectors = _require(payload, "vectors", "payload")
     if not isinstance(vectors, list) or not vectors:
         raise SchemaError("payload.vectors must be a nonempty list")
     rank = payload.get("rank", len(vectors[0]))
-    vecs = []
+    cols = []
     for row in vectors:
         if not isinstance(row, list) or len(row) != rank:
             raise SchemaError(f"every vector must have {rank} components")
-        vecs.append(vec_from_polys(tuple(
-            _parse_poly(tr, p, "vectors") for p in row)))
-    return rank, vecs
+        cols.append(tuple(_parse_poly(tr, p, "vectors") for p in row))
+    return rank, cols
 
 
 def _parse_presmod(tr: TruncRing, payload: dict, where: str = "payload") -> PresMod:
@@ -297,33 +296,31 @@ def _point_ideal(ring: LocalDoubleRing, doc: dict, where: str) -> PointIdeal:
 
 def _cmd_gb(job, payload, options):
     tr = _build_ring(job, options)
-    rank, vecs = _parse_span(tr, payload)
-    span = SpanGB(tr.S, rank, vecs + tr.t_power_relations(rank))
+    rank, cols = _parse_span(tr, payload)
+    span = Submodule(free_module(tr, rank), cols).span()
     basis = [_ser_col(vec_to_polys(tr.S, rank, v)) for v in span.gb]
     return {"basis": basis, "rank": rank}
 
 
 def _cmd_nf(job, payload, options):
     tr = _build_ring(job, options)
-    rank, vecs = _parse_span(tr, payload)
+    rank, cols = _parse_span(tr, payload)
     elem = payload.get("element")
     if isinstance(elem, str):
         elem = [elem]
     if not isinstance(elem, list) or len(elem) != rank:
         raise SchemaError(f"payload.element must have {rank} components")
     vec = vec_from_polys(tuple(_parse_poly(tr, p, "element") for p in elem))
-    span = SpanGB(tr.S, rank, vecs + tr.t_power_relations(rank))
-    nf = span.normal_form(vec)
+    nf = Submodule(free_module(tr, rank), cols).span().normal_form(vec)
     return {"normal_form": _ser_col(vec_to_polys(tr.S, rank, nf)),
             "member": not nf}
 
 
 def _cmd_syz(job, payload, options):
     tr = _build_ring(job, options)
-    rank, vecs = _parse_span(tr, payload)
-    syz = kernel_through(tr.S, len(vecs), vecs, tr.t_power_relations(rank))
-    return {"syzygies": [_ser_col(vec_to_polys(tr.S, len(vecs), v))
-                         for v in syz]}
+    rank, cols = _parse_span(tr, payload)
+    syz = Submodule(free_module(tr, rank), []).kernel_through(cols)
+    return {"syzygies": [_ser_col(c) for c in syz]}
 
 
 def _cmd_zerodivisor(job, payload, options):
@@ -513,6 +510,8 @@ def _cmd_resolution(job, payload, options):
     overrides = {}
     for key, width in (("phi1", 2), ("phi2", 3)):
         if key in payload:
+            if not isinstance(payload[key], list) or len(payload[key]) != 3:
+                raise SchemaError(f"payload.{key} needs 3 columns")
             cols = []
             for row in payload[key]:
                 if not isinstance(row, list) or len(row) != width:
@@ -530,6 +529,8 @@ def _cmd_extcheck(job, payload, options):
     overrides = {}
     for key, width in (("psi1", 2), ("psi2", 3)):
         if key in payload:
+            if not isinstance(payload[key], list) or len(payload[key]) != 3:
+                raise SchemaError(f"payload.{key} needs 3 rows")
             matrix = []
             for row in payload[key]:
                 if not isinstance(row, list) or len(row) != width:
@@ -545,9 +546,8 @@ def _cmd_ideal_extend(job, payload, options):
     ring = _double_ring(job, options)
     tau_data = _parse_tau(ring, _require(payload, "tau", "payload"), "tau")
     rho = _parse_poly(ring.base, _require(payload, "rho", "payload"), "rho")
-    res = extension_module(ring, tau_data, rho)
-    return {"module": _ser_presmod(res.module),
-            "balanced": is_balanced_extension(ring, tau_data, rho)}
+    M = extension_module(ring, tau_data, rho).module
+    return {"module": _ser_presmod(M), "balanced": is_balanced_extension(ring, M, rho)}
 
 
 def _cmd_recover(job, payload, options):

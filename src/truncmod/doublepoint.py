@@ -30,18 +30,13 @@ from .fpmod import (
     PresMod,
     Submodule,
     annihilator_kernel,
+    free_module,
     is_balanced,
     subquotient,
+    truncated_free,
     vanishes_locally,
 )
-from .groebner import (
-    SpanGB,
-    VecT,
-    kernel_through,
-    spans_equal,
-    vec_from_polys,
-    vec_to_polys,
-)
+from .groebner import vec_from_polys
 from .hilbert import monomials_of_weighted_degree, presmod_dimension_by_enumeration
 from .multiring import TruncRing
 
@@ -70,12 +65,9 @@ class LocalDoubleRing:
         self.y = self.S.gen("y")
         self.t = self.trunc.t
         # reduction basis for classes in m*I/m^2*I
-        self._class_span = SpanGB(self.S, 1, [
-            vec_from_polys((self.x * self.x * self.t,)),
-            vec_from_polys((self.x * self.y * self.t,)),
-            vec_from_polys((self.y * self.y * self.t,)),
-            vec_from_polys((self.t * self.t,)),
-        ])
+        self._class_span = Submodule(free_module(self.trunc, 1), [
+            (self.x * self.x * self.t,), (self.x * self.y * self.t,),
+            (self.y * self.y * self.t,)]).span()
 
     def coerce_base(self, value) -> Poly:
         if isinstance(value, Poly):
@@ -144,17 +136,12 @@ class PointIdeal:
         tr = ring.trunc
         self.gen_x = tr.truncate(ring.x + tr.inject(self.a) * ring.t)
         self.gen_y = tr.truncate(ring.y + tr.inject(self.b) * ring.t)
-        span = SpanGB(ring.S, 1, [
-            vec_from_polys((self.gen_x,)),
-            vec_from_polys((self.gen_y,)),
-            vec_from_polys((ring.t * ring.t,)),
-        ])
+        self._ideal = Submodule(free_module(tr, 1), [(self.gen_x,), (self.gen_y,)])
         x, y, t = ring.x, ring.y, ring.t
         for probe in (x * x, x * y, y * y, x * t, y * t):
-            if not span.contains(vec_from_polys((probe,))):
+            if not self._ideal.contains((probe,)):
                 raise DoublePointError(
                     f"ideal misses {probe}: not a double-point ideal")
-        self._span = span
 
     def __repr__(self) -> str:
         return f"PointIdeal(a={self.a}, b={self.b})"
@@ -163,14 +150,13 @@ class PointIdeal:
         return self.gen_x, self.gen_y
 
     def contains(self, elem: Poly) -> bool:
-        return self._span.contains(vec_from_polys((self.ring.trunc.truncate(elem),)))
+        return self._ideal.contains((self.ring.trunc.truncate(elem),))
 
     def presentation(self) -> PresMod:
         """The ideal as a presented module: two generators, syzygy relations."""
         ring = self.ring
-        cols = [vec_from_polys((self.gen_x,)), vec_from_polys((self.gen_y,))]
-        syz = kernel_through(ring.S, 2, cols, ring.trunc.t_power_relations(1))
-        rels = [vec_to_polys(ring.S, 2, v) for v in syz]
+        rels = Submodule(free_module(ring.trunc, 1), []).kernel_through(
+            [(self.gen_x,), (self.gen_y,)])
         try:
             return PresMod(ring.trunc, 2, rels, Grading((1, 1), 1))
         except ModuleError:
@@ -211,14 +197,12 @@ def ideals_equal(J: PointIdeal, K: PointIdeal) -> bool:
     if J.ring is not K.ring:
         raise DoublePointError("ideals over different rings")
     ring = J.ring
-    t2 = ring.t * ring.t
-    jets = ring.jet_polys()
-    span_j = [vec_from_polys((p,)) for p in
-              [J.gen_x, J.gen_y, t2] + jets]
-    span_k = [vec_from_polys((p,)) for p in
-              [K.gen_x, K.gen_y, t2] + jets]
+    F = free_module(ring.trunc, 1)
+    jets = [(p,) for p in ring.jet_polys()]
+    local_j = Submodule(F, [(J.gen_x,), (J.gen_y,)] + jets)
+    local_k = Submodule(F, [(K.gen_x,), (K.gen_y,)] + jets)
     return agree(DoublePointError, "are the ideals equal",
-                 groebner=spans_equal(ring.S, 1, span_j, span_k),
+                 groebner=local_j.equals(local_k),
                  classes=tau(J).as_pair() == tau(K).as_pair(),
                  constants=(K.a - J.a).constant_term() == 0
                  and (K.b - J.b).constant_term() == 0)
@@ -390,7 +374,13 @@ def _degree_matrix(ring: LocalDoubleRing, cols: list[Column],
                 for ee, c in img.terms.items():
                     if target_mod_t and ee[2]:
                         continue
-                    col[row_index[(l, ee)]] = col[row_index[(l, ee)]] + c
+                    row = row_index.get((l, ee))
+                    if row is None:
+                        term = Poly(ring.S, {tuple(a - b for a, b in zip(ee, e)): c})
+                        raise DoublePointError(
+                            f"column {i}: the term {term} of entry {l} maps outside "
+                            f"the degree-{d} target basis")
+                    col[row] = col[row] + c
             columns.append(col)
     return columns
 
@@ -425,7 +415,7 @@ def verify_maximal_ideal_resolution(ring: LocalDoubleRing, degree_bound: int,
     if degree_bound < 2:
         raise DoublePointError("degree bound must be at least 2")
     tr = ring.trunc
-    x, y, t = ring.x, ring.y, ring.t
+    x, y = ring.x, ring.y
     default1, default2 = _phi_defaults(ring)
     phi1 = [tuple(tr.truncate(p) for p in c) for c in (phi1_cols or default1)]
     phi2 = [tuple(tr.truncate(p) for p in c) for c in (phi2_cols or default2)]
@@ -442,28 +432,20 @@ def verify_maximal_ideal_resolution(ring: LocalDoubleRing, degree_bound: int,
         if any(p.terms for p in out):
             failures.append(f"phi1*phi2 nonzero at column {idx}")
 
-    t2_1 = [vec_from_polys((t * t,))]
-    ker0 = kernel_through(ring.S, 2,
-                          [vec_from_polys((x,)), vec_from_polys((y,))],
-                          [vec_from_polys((t,))] + t2_1)
-    phi1_vecs = [vec_from_polys(c) for c in phi1]
-    if not spans_equal(ring.S, 2, ker0 + tr.t_power_relations(2),
-                       phi1_vecs + tr.t_power_relations(2)):
+    F2, F3 = free_module(tr, 2), free_module(tr, 3)
+    # phi0 maps onto the reduced ring R[2]/(t)
+    ker0 = Submodule(F2, Submodule(truncated_free(tr, 1), []).kernel_through([(x,), (y,)]))
+    if not ker0.equals(Submodule(F2, phi1)):
         failures.append("ker(phi0) differs from im(phi1)")
 
-    displayed = [vec_from_polys((y, -x)), vec_from_polys((t, ring.S.zero())),
-                 vec_from_polys((ring.S.zero(), t))]
-    disp_span = SpanGB(ring.S, 2, displayed + tr.t_power_relations(2))
-    ker_span = SpanGB(ring.S, 2, ker0 + tr.t_power_relations(2))
-    if not all(disp_span.contains(v) for v in ker0):
+    displayed = Submodule(F2, default1)
+    if not displayed.contains_submodule(ker0):
         failures.append("computed kernel of phi0 exceeds the displayed kernel")
-    if not all(ker_span.contains(v) for v in displayed):
+    if not ker0.contains_submodule(displayed):
         failures.append("displayed kernel not inside the computed kernel")
 
-    ker1 = kernel_through(ring.S, 3, phi1_vecs, tr.t_power_relations(2))
-    phi2_vecs = [vec_from_polys(c) for c in phi2]
-    if not spans_equal(ring.S, 3, ker1 + tr.t_power_relations(3),
-                       phi2_vecs + tr.t_power_relations(3)):
+    ker1 = Submodule(F2, []).kernel_through(phi1)
+    if not Submodule(F3, ker1).equals(Submodule(F3, phi2)):
         failures.append("ker(phi1) differs from im(phi2)")
 
     table: list[tuple[int, int, int, int, int]] = []
@@ -522,19 +504,14 @@ def _psi_slice(mat: list[list[Poly]], slots: int,
     return rows, len(cols)
 
 
-def _mi_cube_presentation(ring: LocalDoubleRing, slots: int
-                          ) -> tuple[PresMod, list[VecT]]:
-    """(m*I)^slots presented on the generators x*t, y*t per slot; returns
-    the presentation and the ambient generator vectors."""
+def _mi_cube_presentation(ring: LocalDoubleRing, slots: int) -> PresMod:
+    """(m*I)^slots presented on the generators x*t, y*t per slot."""
     tr = ring.trunc
-    gens: list[VecT] = []
-    for s in range(slots):
-        gens.append({(s, (1, 0, 1)): Fraction(1)})
-        gens.append({(s, (0, 1, 1)): Fraction(1)})
-    rels = kernel_through(ring.S, 2 * slots, gens, tr.t_power_relations(slots))
-    cols = [vec_to_polys(ring.S, 2 * slots, v) for v in rels]
-    pres = PresMod(tr, 2 * slots, cols, Grading((2,) * (2 * slots), 1))
-    return pres, gens
+    zero = ring.S.zero()
+    gens = [tuple(m if r == s else zero for r in range(slots))
+            for s in range(slots) for m in (ring.x * ring.t, ring.y * ring.t)]
+    rels = Submodule(free_module(tr, slots), []).kernel_through(gens)
+    return PresMod(tr, 2 * slots, rels, Grading((2,) * (2 * slots), 1))
 
 
 def _psi_map(ring: LocalDoubleRing, matrix: list[list[Poly]],
@@ -577,8 +554,8 @@ def ext_complex_check(ring: LocalDoubleRing, degree_bound: int,
     psi2 = [[ring.coerce_base(e) for e in row] for row in psi2]
     failures: list[str] = []
 
-    pair, _pair_gens = _mi_cube_presentation(ring, 2)
-    triple, _triple_gens = _mi_cube_presentation(ring, 3)
+    pair = _mi_cube_presentation(ring, 2)
+    triple = _mi_cube_presentation(ring, 3)
     map1 = _psi_map(ring, psi1, pair, triple)
     map2 = _psi_map(ring, psi2, triple, triple)
 
@@ -689,19 +666,15 @@ def extension_module(ring: LocalDoubleRing, tau_data, rho) -> ExtensionResult:
     comp = projection.compose(inclusion)
     if any(not maxideal.element_is_zero(c) for c in comp.columns):
         raise DoublePointError("composite of the extension maps is nonzero")
-    ker = projection.kernel_gens()
-    if not spans_equal(
-            ring.S, 4,
-            [vec_from_polys(g) for g in ker] + M.effective_relations(),
-            [vec_from_polys(c) for c in inclusion.columns]
-            + M.effective_relations()):
+    if not Submodule(M, projection.kernel_gens()).equals(inclusion.image_submodule()):
         raise DoublePointError("kernel of the projection is not the image")
     return ExtensionResult(M, inclusion, projection)
 
 
-def is_balanced_extension(ring: LocalDoubleRing, tau_data, rho) -> bool:
-    """Whether the extension module is balanced at the origin: true exactly
-    when rho does not vanish there.
+def is_balanced_extension(ring: LocalDoubleRing, M: PresMod, rho) -> bool:
+    """Whether ``M``, the module of ``extension_module(ring, tau, rho)`` for
+    some class tau, is balanced at the origin: true exactly when rho does
+    not vanish there.
 
     Two independent cross-checks run on every call.  The annihilator gap
     ann(t)/tM is computed by syzygies and tested for local vanishing, which
@@ -712,7 +685,6 @@ def is_balanced_extension(ring: LocalDoubleRing, tau_data, rho) -> bool:
     constant or vanishes at the origin."""
     rho_p = ring.coerce_base(rho)
     primary = rho_p.constant_term() != 0
-    M = extension_module(ring, tau_data, rho).module
 
     ann_t = annihilator_kernel(M, 1)
     t_gens = [tuple(ring.t * p for p in M.gen_column(j)) for j in range(M.ngens)]

@@ -23,14 +23,7 @@ from .fpmod import (
     free_module,
     hom_module,
 )
-from .groebner import (
-    SpanGB,
-    kernel_through,
-    saturate_by_poly,
-    spans_equal,
-    vec_from_polys,
-    vec_to_polys,
-)
+from .groebner import saturate_by_poly, vec_to_polys
 
 
 def _rank_one_target(M: PresMod) -> PresMod:
@@ -51,23 +44,20 @@ def dual(M: PresMod) -> PresMod:
 
 def natural_map(M: PresMod) -> ModMap:
     """The comparison map M -> dual(dual(M)) sending m to evaluation at m."""
-    ring = M.ring
     dh = dual_hom(M)
     D = dh.presentation
     ddh = hom_module(D, _rank_one_target(M))
     h = D.ngens
-    # evaluation at generator i, as a functional on D in flat coordinates
-    ev = [vec_from_polys(tuple(dh.gen_matrices[a][i][0] for a in range(h)))
-          for i in range(M.ngens)]
-    gens_flat = [vec_from_polys(tuple(mat[a][0] for a in range(h)))
-                 for mat in ddh.gen_matrices]
-    span = SpanGB(ring.S, h, gens_flat + ring.t_power_relations(h))
+    # the double dual's generators as functionals on D, in flat coordinates
+    functionals = Submodule(free_module(M.ring, h),
+                            [tuple(mat[a][0] for a in range(h)) for mat in ddh.gen_matrices])
     cols: list[Column] = []
-    for v in ev:
-        lifted = span.lift(v)
+    for i in range(M.ngens):
+        # evaluation at generator i
+        lifted = functionals.lift(tuple(dh.gen_matrices[a][i][0] for a in range(h)))
         if lifted is None:
             raise ModuleError("evaluation functional escaped the double dual")
-        cols.append(tuple(ring.truncate(p) for p in lifted[: len(gens_flat)]))
+        cols.append(lifted)
     return ModMap(M, ddh.presentation, cols)
 
 
@@ -86,10 +76,7 @@ class TorsionReport:
 
 def annihilator_ideal(M: PresMod, g: Column) -> list[Poly]:
     """Generators of {s : s*g = 0 in M}, by a syzygy computation."""
-    ring = M.ring
-    vecs = kernel_through(ring.S, 1, [vec_from_polys(g)],
-                          M.effective_relations())
-    return [vec_to_polys(ring.S, 1, v)[0] for v in vecs]
+    return [c[0] for c in Submodule(M, []).kernel_through([g])]
 
 
 def torsion(M: PresMod) -> TorsionReport:
@@ -120,13 +107,13 @@ def torsion(M: PresMod) -> TorsionReport:
     s_star = ring.S.one()
     for _g, s in witnesses:
         s_star = ring.truncate(s_star * s)
-    eff = M.effective_relations()
-    saturated = saturate_by_poly(ring.S, M.ngens, eff, s_star)
-    ker_span = [vec_from_polys(g) for g in ker] + eff
-    if not spans_equal(ring.S, M.ngens, saturated, ker_span):
+    saturated = saturate_by_poly(ring.S, M.ngens, M.rel_span().vecs, s_star)
+    submodule = Submodule(M, ker)
+    if not submodule.equals(
+            Submodule(M, [vec_to_polys(ring.S, M.ngens, v) for v in saturated])):
         raise ModuleError("saturation oracle disagrees with the double-dual kernel")
 
-    return TorsionReport(Submodule(M, ker), witnesses, not ker)
+    return TorsionReport(submodule, witnesses, not ker)
 
 
 def is_torsion_free(M: PresMod) -> bool:

@@ -1,9 +1,14 @@
 """Finitely presented modules over the truncated ring R[n] = Q[x..][t]/(t^n).
 
 A module is a cokernel presentation: a free cover S^g together with relation
-columns; the truncation relations t^n*e_i are adjoined silently everywhere,
-so callers work with honest R[n]-modules while all Groebner computations run
-over the plain polynomial ring S = Q[x.., t].
+columns.  This module is the one owner of the R[n] encoding: an R[n]-module
+is an S-module plus the truncation relations t^n*e_i, where S = Q[x.., t] is
+the plain polynomial ring all Groebner computations run over, and
+``PresMod.effective_relations`` is the one place those relations are
+adjoined.  Every truncated span, lift and kernel goes through ``Submodule``,
+which pairs generators with its ambient module's relations and builds their
+Groebner data once; where no module exists yet, ``free_module`` or
+``truncated_free`` serves as the ambient one.
 
 The t-power filtrations are the organizing structure:
 
@@ -27,8 +32,8 @@ from .arith import ArithError, Poly, agree, matrix_rank, mono_div, mono_divides
 from .groebner import (
     SpanGB,
     VecT,
+    intersect_spans,
     kernel_through,
-    module_order,
     vec_from_polys,
     vec_to_polys,
 )
@@ -170,17 +175,34 @@ class Submodule:
         self.gens = [tuple(ambient.ring.truncate(p) for p in g) for g in gens]
         self._span: SpanGB | None = None
 
-    def span(self) -> SpanGB:
-        # Span of the generators together with the ambient relations: the
+    def _vecs(self) -> list[VecT]:
+        # The generators, then the ambient relations: together they span the
         # full preimage of the submodule in the free cover.
+        return [vec_from_polys(g) for g in self.gens] + self.ambient.effective_relations()
+
+    def span(self) -> SpanGB:
         if self._span is None:
-            vecs = [vec_from_polys(g) for g in self.gens]
-            self._span = SpanGB(self.ambient.ring.S, self.ambient.ngens,
-                                vecs + self.ambient.effective_relations())
+            self._span = SpanGB(self.ambient.ring.S, self.ambient.ngens, self._vecs())
         return self._span
 
     def contains(self, vec: Column) -> bool:
         return self.span().contains(vec_from_polys(vec))
+
+    def lift(self, vec: Column) -> Column | None:
+        """Coefficients writing ``vec`` as a combination of the generators
+        modulo the ambient relations; None when vec is not in the submodule."""
+        lifted = self.span().lift(vec_from_polys(vec))
+        if lifted is None:
+            return None
+        return tuple(self.ambient.ring.truncate(p) for p in lifted[: len(self.gens)])
+
+    def kernel_through(self, columns: list[Column]) -> list[Column]:
+        """Generators of {c : sum(c_i * columns_i) lies in the submodule},
+        the columns given in the ambient free cover."""
+        S = self.ambient.ring.S
+        ker = kernel_through(S, len(columns), [vec_from_polys(c) for c in columns],
+                             self._vecs())
+        return [vec_to_polys(S, len(columns), v) for v in ker]
 
     def contains_submodule(self, other: Submodule) -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -192,13 +214,9 @@ class Submodule:
         return all(self.ambient.element_is_zero(g) for g in self.gens)
 
     def intersection_gens(self, other: Submodule) -> list[Column]:
-        from .groebner import intersect_spans
-
-        ring = self.ambient.ring
-        a = [vec_from_polys(g) for g in self.gens] + self.ambient.effective_relations()
-        b = [vec_from_polys(g) for g in other.gens] + self.ambient.effective_relations()
-        met = intersect_spans(ring.S, self.ambient.ngens, a, b)
-        return [vec_to_polys(ring.S, self.ambient.ngens, v) for v in met]
+        S, rank = self.ambient.ring.S, self.ambient.ngens
+        met = intersect_spans(S, rank, self._vecs(), other._vecs())
+        return [vec_to_polys(S, rank, v) for v in met]
 
 
 class FiltrationChain:
@@ -232,11 +250,7 @@ def subquotient(M: PresMod, a_gens: list[Column], b_gens: list[Column]) -> PresM
     """Present span(a_gens)/(span(b_gens) + 0) inside M; generators are the
     classes of a_gens, relations are complete by the syzygy computation."""
     ring = M.ring
-    a_vecs = [vec_from_polys(g) for g in a_gens]
-    b_vecs = [vec_from_polys(g) for g in b_gens]
-    rel_cols = kernel_through(ring.S, len(a_vecs), a_vecs,
-                              b_vecs + M.effective_relations())
-    cols = [vec_to_polys(ring.S, len(a_vecs), v) for v in rel_cols]
+    cols = Submodule(M, b_gens).kernel_through(a_gens)
     grading = None
     if M.grading is not None:
         try:
@@ -247,7 +261,7 @@ def subquotient(M: PresMod, a_gens: list[Column], b_gens: list[Column]) -> PresM
             grading = Grading(tuple(degs), M.grading.t_weight)
         except ModuleError:
             grading = None
-    return PresMod(ring, len(a_vecs), cols, grading)
+    return PresMod(ring, len(a_gens), cols, grading)
 
 
 def quotient_by_submodule(M: PresMod, gens: list[Column]) -> PresMod:
@@ -270,11 +284,9 @@ def first_canonical_filtration(M: PresMod) -> FiltrationChain:
 
 def annihilator_kernel(M: PresMod, i: int) -> list[Column]:
     """Generators of {m in M : t^i m = 0}, via a syzygy computation."""
-    ring = M.ring
-    cols = [vec_from_polys(tuple(ring.t ** i * p for p in M.gen_column(j)))
-            for j in range(M.ngens)]
-    ker = kernel_through(ring.S, M.ngens, cols, M.effective_relations())
-    return [vec_to_polys(ring.S, M.ngens, v) for v in ker]
+    t_i = M.ring.t ** i
+    return Submodule(M, []).kernel_through(
+        [tuple(t_i * p for p in M.gen_column(j)) for j in range(M.ngens)])
 
 
 def second_canonical_filtration(M: PresMod) -> FiltrationChain:
@@ -327,11 +339,7 @@ class ModMap:
         return ModMap(inner.source, self.target, cols, check=False)
 
     def kernel_gens(self) -> list[Column]:
-        ring = self.target.ring
-        cols = [vec_from_polys(c) for c in self.columns]
-        ker = kernel_through(ring.S, self.source.ngens, cols,
-                             self.target.effective_relations())
-        return [vec_to_polys(ring.S, self.source.ngens, v) for v in ker]
+        return Submodule(self.target, []).kernel_through(self.columns)
 
     def kernel_presentation(self) -> PresMod:
         return subquotient(self.source, self.kernel_gens(), [])
@@ -346,21 +354,9 @@ class ModMap:
         return quotient_by_submodule(self.target, list(self.columns))
 
     def is_surjective(self) -> bool:
-        span = self.image_submodule().span()
-        return all(span.contains(vec_from_polys(self.target.gen_column(j)))
+        image = self.image_submodule()
+        return all(image.contains(self.target.gen_column(j))
                    for j in range(self.target.ngens))
-
-
-def express_in_submodule(M: PresMod, sub_gens: list[Column], vec: Column) -> Column | None:
-    """Coefficients writing ``vec`` as a combination of ``sub_gens`` modulo
-    the relations of M; None when vec is not in the submodule."""
-    ring = M.ring
-    vecs = [vec_from_polys(g) for g in sub_gens] + M.effective_relations()
-    span = SpanGB(ring.S, M.ngens, vecs)
-    lifted = span.lift(vec_from_polys(vec))
-    if lifted is None:
-        return None
-    return tuple(ring.truncate(p) for p in lifted[: len(sub_gens)])
 
 
 # -- comparison maps between filtration layers ----------------------------
@@ -408,8 +404,7 @@ def comparison_maps(M: PresMod) -> ComparisonData:
         tgt = upper_layer(i)
         cols = []
         for g in upper_members[i + 1].gens:
-            tg = tuple(ring.t * p for p in g)
-            lifted = express_in_submodule(M, upper_members[i].gens, tg)
+            lifted = upper_members[i].lift(tuple(ring.t * p for p in g))
             if lifted is None:
                 raise ModuleError("t-image escaped the next annihilator (presentation bug)")
             cols.append(lifted)
@@ -671,10 +666,8 @@ def build_extension(N: PresMod, M: PresMod, f1_columns: list[Column]
         raise ModuleError(f"need one image per relation column ({q}), got {len(f1_columns)}")
     # The map must kill the relations among the relation columns, computed
     # over R[n]; otherwise it does not descend to im(F1 -> F0).
-    phi1 = [vec_from_polys(c) for c in M.relations]
-    syz2 = kernel_through(ring.S, q, phi1, ring.t_power_relations(M.ngens)) if q else []
-    for s in syz2:
-        polys = vec_to_polys(ring.S, q, s)
+    syz2 = Submodule(free_module(ring, M.ngens), []).kernel_through(M.relations) if q else []
+    for polys in syz2:
         img = [ring.S.zero()] * N.ngens
         for r, coeff in enumerate(polys):
             if coeff.is_zero():
@@ -770,11 +763,9 @@ def refine_filtrations(D: FiltrationChain, F: FiltrationChain
         index: dict[tuple[int, int], int] = {}
         for i in range(len(outer) - 1):
             for j in range(len(inner)):
-                inter = Submodule(M, outer[i].gens).intersection_gens(inner[j])
-                gens = list(outer[i + 1].gens) + inter
-                sub = Submodule(M, gens)
+                inter = outer[i].intersection_gens(inner[j])
                 index[(i, j)] = len(chain)
-                chain.append(sub)
+                chain.append(Submodule(M, list(outer[i + 1].gens) + inter))
         chain.append(outer[-1])
         return chain, index
 
@@ -927,7 +918,8 @@ def ext1_module(M: PresMod, N: PresMod) -> PresMod:
     if q == 0:
         return PresMod(ring, 0, [])
     phi1 = [vec_from_polys(c) for c in M.relations]
-    phi2 = kernel_through(ring.S, q, phi1, ring.t_power_relations(g))
+    phi2 = [vec_from_polys(c) for c in
+            Submodule(free_module(ring, g), []).kernel_through(M.relations)]
     q2 = len(phi2)
 
     flat = q * p
@@ -966,17 +958,10 @@ def surjective_iff_restriction(phi: ModMap) -> bool:
     against the direct cokernel test; the two must agree (t is nilpotent,
     so a map onto M/tM is onto M)."""
     direct = phi.is_surjective()
-    ring = phi.target.ring
-    t_cols = [tuple(ring.t * p for p in phi.target.gen_column(j))
-              for j in range(phi.target.ngens)]
-    reduced_span = SpanGB(
-        ring.S, phi.target.ngens,
-        [vec_from_polys(c) for c in phi.columns]
-        + [vec_from_polys(c) for c in t_cols]
-        + phi.target.effective_relations())
-    via_reduction = all(
-        reduced_span.contains(vec_from_polys(phi.target.gen_column(j)))
-        for j in range(phi.target.ngens))
+    N = phi.target
+    t_cols = [tuple(N.ring.t * p for p in N.gen_column(j)) for j in range(N.ngens)]
+    image_mod_t = Submodule(N, list(phi.columns) + t_cols)
+    via_reduction = all(image_mod_t.contains(N.gen_column(j)) for j in range(N.ngens))
     return agree(ModuleError, "is the map surjective",
                  direct=direct, reduction=via_reduction)
 

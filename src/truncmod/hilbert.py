@@ -141,22 +141,16 @@ def hilbert_series_ideal(ring: PolyRing, gens: list[Poly],
     return HilbertSeries.make(num, weights)
 
 
-def module_series(ring: PolyRing, rank: int, columns: list[VecT],
-                  gen_degrees: tuple[int, ...],
+def module_series(span: SpanGB, gen_degrees: tuple[int, ...],
                   weights: tuple[int, ...]) -> HilbertSeries:
-    """Series of ring^rank (with generator degree shifts) modulo the span of
-    the given vector columns."""
-    weights = _validate_weights(ring, weights)
-    morder = module_order(ring, rank)
-    leads_by_pos: dict[int, list[Exponents]] = {j: [] for j in range(rank)}
-    if columns:
-        span = SpanGB(ring, rank, columns)
-        for v in span.gb:
-            pos, exps = vec_lead(v, morder)
-            leads_by_pos[pos].append(exps)
+    """Series of ring^rank (with generator degree shifts) modulo the span."""
+    weights = _validate_weights(span.ring, weights)
+    leads_by_pos: dict[int, list[Exponents]] = {j: [] for j in range(span.rank)}
+    for pos, exps in span.gb_leads:
+        leads_by_pos[pos].append(exps)
     num: dict[int, int] = {}
     memo: dict = {}
-    for j in range(rank):
+    for j in range(span.rank):
         kj = monomial_quotient_numerator(leads_by_pos[j], weights, memo)
         for d, c in kj.items():
             dd = d + gen_degrees[j]
@@ -173,10 +167,9 @@ def hilbert_series_presmod(M) -> HilbertSeries:
     ring = M.ring
     if w >= 1:
         weights = (1,) * ring.base.nvars + (w,)
-        return module_series(ring.S, M.ngens, M.effective_relations(),
-                             M.grading.gen_degrees, weights)
+        return module_series(M.rel_span(), M.grading.gen_degrees, weights)
     base_ring, rank, cols, degrees = restricted_base_data(M)
-    return module_series(base_ring, rank, cols, degrees, (1,) * base_ring.nvars)
+    return module_series(SpanGB(base_ring, rank, cols), degrees, (1,) * base_ring.nvars)
 
 
 def restricted_base_data(M) -> tuple[PolyRing, int, list[VecT], tuple[int, ...]]:
@@ -293,7 +286,7 @@ def hilbert_polynomial(M) -> HilbertPolynomial:
     at three degrees past the point where the series becomes polynomial."""
     base_ring, rank, cols, degrees = restricted_base_data(M)
     weights = (1,) * base_ring.nvars
-    hs = module_series(base_ring, rank, cols, degrees, weights)
+    hs = module_series(SpanGB(base_ring, rank, cols), degrees, weights)
     poly = polynomial_from_series(hs)
     start = max([j for j, _ in hs.numerator_coeffs] + [0])
     for d in range(start, start + 3):
@@ -315,7 +308,7 @@ def layer_base_series(G) -> HilbertSeries:
         reduced = tuple(ring.drop_t(p) for p in col)
         if any(p.terms for p in reduced):
             cols.append(vec_from_polys(reduced))
-    return module_series(ring.base, G.ngens, cols, G.grading.gen_degrees,
+    return module_series(SpanGB(ring.base, G.ngens, cols), G.grading.gen_degrees,
                          (1,) * ring.base.nvars)
 
 
@@ -444,7 +437,7 @@ def presmod_dimension_by_enumeration(M, d: int) -> int:
     ring = M.ring
     if w >= 1:
         weights = (1,) * ring.base.nvars + (w,)
-        return dimension_by_enumeration(ring.S, M.ngens, M.effective_relations(),
+        return dimension_by_enumeration(ring.S, M.ngens, M.rel_span().vecs,
                                         M.grading.gen_degrees, weights, d)
     base_ring, rank, cols, degrees = restricted_base_data(M)
     return dimension_by_enumeration(base_ring, rank, cols, degrees,

@@ -18,15 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import ArithError, Poly, PolyRing, agree
-from .fpmod import PresMod, infer_grading, is_balanced
-from .groebner import (
-    SpanGB,
-    VecT,
-    kernel_through,
-    quotient_by_poly,
-    vec_from_polys,
-    vec_to_polys,
-)
+from .fpmod import PresMod, Submodule, free_module, infer_grading, is_balanced
+from .groebner import SpanGB, VecT, quotient_by_poly, vec_from_polys, vec_to_polys
 from .hilbert import monomials_of_weighted_degree
 from .multiring import TruncElem, TruncRing
 
@@ -103,12 +96,10 @@ def is_regular_sequence(seq: list[TruncElem],
         return SequenceReport(list(seq), reductions, True)
 
     # re-verify the witness by explicit membership
-    prior = ([vec_from_polys((p,)) for p in ambient]
-             + [vec_from_polys((u.poly,)) for u in seq[:k_direct]])
-    span = SpanGB(ring.S, 1, prior)
+    prior = Submodule(free_module(ring, 1), [(ring.inject(m),) for m in base_jets]
+                      + [(u.poly,) for u in seq[:k_direct]])
     w = ring.truncate(witness)
-    if span.contains(vec_from_polys((w,))) \
-            or not span.contains(vec_from_polys((ring.truncate(w * seq[k_direct].poly),))):
+    if prior.contains((w,)) or not prior.contains((ring.truncate(w * seq[k_direct].poly),)):
         raise SequenceError("failure witness does not verify")
     return SequenceReport(list(seq), reductions, False, k_direct + 1, w)
 
@@ -126,12 +117,10 @@ def shadow_membership(y: Poly, seq: list[TruncElem],
         raise SequenceError("shadow test requires a regular sequence")
 
     base_jets = _jet_monomials(ring.base, jet_order)
-    direct_span = SpanGB(ring.S, 1,
-                         [vec_from_polys((u.poly,)) for u in seq]
-                         + [vec_from_polys((ring.t ** ring.n,))]
-                         + [vec_from_polys((ring.inject(m),)) for m in base_jets])
+    ideal = Submodule(free_module(ring, 1), [(u.poly,) for u in seq]
+                      + [(ring.inject(m),) for m in base_jets])
     probe = ring.truncate(ring.t ** (ring.n - 1) * ring.inject(y))
-    in_ideal = direct_span.contains(vec_from_polys((probe,)))
+    in_ideal = ideal.contains((probe,))
 
     base_span = SpanGB(ring.base, 1,
                        [vec_from_polys((p,)) for p in report.reductions]
@@ -146,8 +135,7 @@ def ideal_presentation(seq: list[TruncElem]) -> PresMod:
     element, relations the complete syzygy module over R[n]."""
     ring = _common_ring(seq)
     cols = [vec_from_polys((u.poly,)) for u in seq]
-    syz = kernel_through(ring.S, len(seq), cols, ring.t_power_relations(1))
-    relations = [vec_to_polys(ring.S, len(seq), v) for v in syz]
+    relations = Submodule(free_module(ring, 1), []).kernel_through([(u.poly,) for u in seq])
 
     # a zero element leaves the ideal ungraded
     grading = infer_grading(ring, cols, 1, lambda pos: 0) if all(cols) else None
@@ -182,16 +170,9 @@ def koszul_h1_vanishes(seq: list[TruncElem]) -> bool:
     sequences."""
     ring = _common_ring(seq)
     p = len(seq)
-    cols = [vec_from_polys((u.poly,)) for u in seq]
-    cycles = kernel_through(ring.S, p, cols, ring.t_power_relations(1))
-    boundary: list[VecT] = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            col: VecT = {}
-            for e, c in seq[i].poly.terms.items():
-                col[(j, e)] = col.get((j, e), Fraction(0)) + c
-            for e, c in seq[j].poly.terms.items():
-                col[(i, e)] = col.get((i, e), Fraction(0)) - c
-            boundary.append(col)
-    span = SpanGB(ring.S, p, boundary + ring.t_power_relations(p))
-    return all(span.contains(z) for z in cycles)
+    cycles = Submodule(free_module(ring, 1), []).kernel_through([(u.poly,) for u in seq])
+    zero = ring.S.zero()
+    boundaries = Submodule(free_module(ring, p), [
+        tuple(seq[i].poly if k == j else -seq[j].poly if k == i else zero for k in range(p))
+        for i in range(p) for j in range(i + 1, p)])
+    return all(boundaries.contains(z) for z in cycles)

@@ -426,8 +426,8 @@ def test_criterion_09_extension_balance_grid_and_recovery():
     cells = 0
     for tau_pair in ((1, 0), (0, 0)):
         for rho, expected, global_expected in grid:
-            flag = is_balanced_extension(ring, tau_pair, rho)
             module = extension_module(ring, tau_pair, rho).module
+            flag = is_balanced_extension(ring, module, rho)
             data = comparison_maps(module)
             local = all(vanishes_locally(g) for g in data.gamma_ker) and all(
                 vanishes_locally(g) for g in data.gamma_coker

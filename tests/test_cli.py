@@ -298,6 +298,49 @@ def test_resolution_and_ext_tables():
     assert out["table"] == [[2, 3, 0, 3, 3], [3, 5, 3, 2, 2]]
 
 
+def test_resolution_map_outside_the_degree_basis_is_a_math_error():
+    code, out = run("ideal.resolution", {
+        "options": {"degree_bound": 5},
+        "payload": {"phi1": [["y", "-x"], ["t", "0"], ["0", "x*t"]]},
+    })
+    assert code == 3
+    assert out["error"]["kind"] == "DoublePointError"
+    message = out["error"]["message"]
+    assert "column 2" in message
+    assert "x*t" in message
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("ideal.resolution", {"phi1": [["y", "-x"]]}),
+    ("ideal.resolution", {"phi2": 5}),
+    ("ideal.extcheck", {"psi1": 3}),
+    ("ideal.extcheck", {"psi2": [["0", "y", "-x"], ["0", "0", "0"], ["0", "0", "0"],
+                                 ["0", "x", "0"]]}),
+])
+def test_resolution_maps_of_the_wrong_shape_are_schema_errors(command, payload):
+    code, out = run(command, {"payload": payload})
+    assert code == 2
+    assert out["error"]["kind"] == "schema"
+
+
+def test_ideal_extend_builds_its_extension_module_once(monkeypatch):
+    from truncmod import cli, doublepoint
+
+    calls = []
+    build = doublepoint.extension_module
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(doublepoint, "extension_module", counted)
+    monkeypatch.setattr(cli, "extension_module", counted)
+    code, out = run("ideal.extend", {"payload": {"tau": [1, 0], "rho": "-1"}})
+    assert code == 0
+    assert out["balanced"] is True
+    assert len(calls) == 1
+
+
 def test_double_point_extension_balance():
     code, out = run("ideal.extend", {"payload": {"tau": [1, 0], "rho": "-1"}})
     assert code == 0

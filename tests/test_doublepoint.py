@@ -273,8 +273,9 @@ def test_balance_of_extension_grid():
         "y^2": False,
     }
     for rho, expected in grid.items():
-        assert is_balanced_extension(ring, (1, 0), rho) == expected
-        assert is_balanced_extension(ring, (0, 0), rho) == expected
+        for tau_pair in ((1, 0), (0, 0)):
+            module = extension_module(ring, tau_pair, rho).module
+            assert is_balanced_extension(ring, module, rho) == expected
 
 
 def test_zero_multiplier_extension_is_t_annihilated():

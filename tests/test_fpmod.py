@@ -15,7 +15,6 @@ from truncmod.fpmod import (
     build_extension,
     comparison_maps,
     direct_sum,
-    express_in_submodule,
     ext1_module,
     extension_R_by_Ri,
     first_canonical_filtration,
@@ -425,13 +424,49 @@ def test_membership_coefficients_reconstruct_element():
     tr = ring(2)
     S = tr.S
     F = free_module(tr, 1)
-    coeffs = express_in_submodule(
-        F, [(S.parse("x"),), (S.parse("y"),)], (S.parse("x*y"),)
-    )
+    coeffs = Submodule(F, [(S.parse("x"),), (S.parse("y"),)]).lift((S.parse("x*y"),))
     assert coeffs is not None
     value = tr.truncate(coeffs[0] * S.parse("x") + coeffs[1] * S.parse("y"))
     assert value == S.parse("x*y")
-    assert express_in_submodule(F, [(S.parse("x"),)], (S.parse("1"),)) is None
+    assert Submodule(F, [(S.parse("x"),)]).lift((S.parse("1"),)) is None
+
+
+def test_lifts_through_one_submodule_share_one_graph_basis(monkeypatch):
+    from truncmod import groebner
+
+    builds = []
+    graph_basis = groebner._graph_basis
+
+    def counted(*args):
+        builds.append(args)
+        return graph_basis(*args)
+
+    monkeypatch.setattr(groebner, "_graph_basis", counted)
+    tr = ring(2)
+    S = tr.S
+    sub = Submodule(free_module(tr, 1), [(S.parse("x"),), (S.parse("y"),)])
+    for text in ("x*y", "x^2 + y", "x*t", "y^3"):
+        assert sub.lift((S.parse(text),)) is not None
+    assert sub.lift((S.parse("1"),)) is None
+    assert len(builds) == 1
+
+
+def test_comparison_maps_build_each_lifted_through_span_once(monkeypatch):
+    from truncmod import groebner
+
+    built = []
+    graph_data = groebner.SpanGB._graph_data
+
+    def counted(self):
+        if self._graph is None:
+            built.append((self.rank, tuple(tuple(sorted(v.items())) for v in self.vecs)))
+        return graph_data(self)
+
+    monkeypatch.setattr(groebner.SpanGB, "_graph_data", counted)
+    tr = ring(3)
+    comparison_maps(flag_ideal(tr, ("x", "y")))
+    assert built
+    assert len(built) == len(set(built))
 
 
 def test_quotient_and_subquotient_shapes():
