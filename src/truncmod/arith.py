@@ -56,6 +56,20 @@ def _grevlex_key(exps: Exponents) -> tuple:
     return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
+def _descending_key(order: MonomialOrder):
+    """A key function on exponents that sorts ascending exactly when
+    ``order.key`` sorts descending, so a ``heapq`` keyed by it pops the
+    leading monomial first.  Each branch mirrors the matching branch of
+    ``MonomialOrder.key`` with every comparison reversed."""
+    if order.kind == "lex":
+        return lambda exps: tuple(map(neg, exps))
+    if order.kind == "grevlex":
+        return lambda exps: (-sum(exps), exps[::-1])
+    k = order.block_split
+    return lambda exps: ((-sum(exps[:k]), exps[:k][::-1]),
+                         (-sum(exps[k:]), exps[k:][::-1]))
+
+
 class MonomialOrder:
     """A monomial order: ``lex``, ``grevlex``, or a two-block elimination
     order (grevlex within each block, first block dominant).

@@ -14,12 +14,23 @@ basis alone.
 
 Within a block, terms compare by the ring's monomial order with ties broken
 toward earlier positions.
+
+Every normal form, lift quotient and S-pair reduction runs through
+``vec_reduce``.  It keeps the working vector as a dict updated in place and
+a heap (``heapq``) of descending order keys of its terms, so the leading term
+is popped, not searched for; a popped term that has cancelled since it was
+pushed is skipped.  Each step subtracts a multiple of a basis element whose
+lead is the popped term, so every term it adds is smaller and the terms come
+off the heap in the order repeated ``max`` would take them (Monagan and
+Pearce, J. Symb. Comput. 46, 2011).  The remainder is built in descending
+order, so its first key is its lead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 from .arith import (
     Exponents,
@@ -30,6 +41,7 @@ from .arith import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    _descending_key,
 )
 
 Term = tuple[int, Exponents]
@@ -40,10 +52,16 @@ class ModuleOrder:
     def __init__(self, order: MonomialOrder, blocks: tuple[int, ...]):
         self.order = order
         self.blocks = blocks
+        self._descending = _descending_key(order)
 
     def key(self, term: Term):
         pos, exps = term
         return (-self.blocks[pos], self.order.key(exps), -pos)
+
+    def _heap_key(self, term: Term):
+        """Sorts ascending exactly when ``key`` sorts descending."""
+        pos, exps = term
+        return (self.blocks[pos], self._descending(exps), pos)
 
 
 def module_order(ring: PolyRing, rank: int, blocks: tuple[int, ...] | None = None,
@@ -116,8 +134,8 @@ def vec_mul_poly(v: VecT, p: Poly) -> VecT:
     return out
 
 
-def _monic(v: VecT, morder: ModuleOrder) -> VecT:
-    c = v[vec_lead(v, morder)]
+def _monic(v: VecT, lead: Term) -> VecT:
+    c = v[lead]
     return v if c == 1 else vec_scale(v, Fraction(1) / c)
 
 
@@ -131,15 +149,22 @@ def vec_reduce(v: VecT, basis: list[VecT], morder: ModuleOrder,
 
     Returns ``remainder`` or, with ``with_lift``, ``(remainder, quotients)``
     where ``v = sum(quotients[i] * basis[i]) + remainder`` and each quotient
-    is a ``dict[Exponents, Fraction]``.
+    is a ``dict[Exponents, Fraction]``.  The remainder's terms are in
+    descending order, so its first key is its lead.
     """
     if leads is None:
         leads = [vec_lead(g, morder) for g in basis]
     quotients: list[dict[Exponents, Fraction]] = [{} for _ in basis] if with_lift else []
     remainder: VecT = {}
     work = dict(v)
+    heap_key = morder._heap_key
+    heap = [(heap_key(t), t) for t in work]
+    heapify(heap)
     while work:
-        t = max(work, key=morder.key)
+        t = heappop(heap)[1]
+        c = work.get(t)
+        if c is None:
+            continue  # cancelled since it was pushed
         pos, exps = t
         hit = -1
         for i, (lp, le) in enumerate(leads):
@@ -151,8 +176,20 @@ def vec_reduce(v: VecT, basis: list[VecT], morder: ModuleOrder,
             continue
         g = basis[hit]
         mono = mono_div(exps, leads[hit][1])
-        coeff = work[t] / g[leads[hit]]
-        work = vec_sub_scaled(work, g, mono, coeff)
+        coeff = c / g[leads[hit]]
+        # work -= coeff * x^mono * g, in place; this cancels t.
+        for (p, e), gc in g.items():
+            s = (p, mono_mul(e, mono))
+            old = work.get(s)
+            if old is None:
+                work[s] = -coeff * gc
+                heappush(heap, (heap_key(s), s))
+                continue
+            old -= coeff * gc
+            if old:
+                work[s] = old
+            else:
+                del work[s]
         if with_lift:
             q = quotients[hit]
             q[mono] = q.get(mono, Fraction(0)) + coeff
@@ -178,10 +215,9 @@ def buchberger(vecs: list[VecT], morder: ModuleOrder, rank_one: bool = False) ->
     leads: list[Term] = []
     pairs: dict[tuple[int, int], tuple[int, Exponents]] = {}
 
-    def add(v: VecT) -> None:
-        v = _monic(v, morder)
+    def add(v: VecT, lnew: Term) -> None:
+        v = _monic(v, lnew)
         new = len(basis)
-        lnew = vec_lead(v, morder)
         # Gebauer-Moeller B: discard old pairs strictly refined by the newcomer.
         for (i, j) in list(pairs):
             if leads[i][0] != lnew[0]:
@@ -212,7 +248,7 @@ def buchberger(vecs: list[VecT], morder: ModuleOrder, rank_one: bool = False) ->
 
     for v in vecs:
         if v:
-            add(v)
+            add(v, vec_lead(v, morder))
     while pairs:
         (i, j) = min(pairs, key=lambda ij: (morder.key(pairs[ij]), ij))
         del pairs[(i, j)]
@@ -221,30 +257,32 @@ def buchberger(vecs: list[VecT], morder: ModuleOrder, rank_one: bool = False) ->
             continue
         r = vec_reduce(s, basis, morder, leads)
         if r:
-            add(r)
+            add(r, next(iter(r)))
     return basis
 
 
 def interreduce(basis: list[VecT], morder: ModuleOrder) -> list[VecT]:
     """Minimal, tail-reduced, monic basis (the unique reduced GB when the
     input is a GB)."""
-    order_key = lambda v: morder.key(vec_lead(v, morder))
-    work = sorted((v for v in basis if v), key=order_key)
+    work = sorted(((vec_lead(v, morder), v) for v in basis if v),
+                  key=lambda lv: morder.key(lv[0]))
     kept: list[VecT] = []
     kept_leads: list[Term] = []
-    for v in work:
-        pos, exps = vec_lead(v, morder)
+    for (pos, exps), v in work:
         if any(lp == pos and mono_divides(le, exps) for lp, le in kept_leads):
             continue
         kept.append(v)
         kept_leads.append((pos, exps))
+    # No other kept lead divides v's lead, so it stays the lead of v's
+    # remainder; the leads are distinct and ascending, so reversing the list
+    # puts the basis in descending order.
     reduced = []
-    for i, v in enumerate(kept):
+    for i, (v, lead) in enumerate(zip(kept, kept_leads)):
         others = kept[:i] + kept[i + 1 :]
         lothers = kept_leads[:i] + kept_leads[i + 1 :]
         r = vec_reduce(v, others, morder, lothers) if others else v
-        reduced.append(_monic(r, morder))
-    reduced.sort(key=lambda v: morder.key(vec_lead(v, morder)), reverse=True)
+        reduced.append(_monic(r, lead))
+    reduced.reverse()
     return reduced
 
 
@@ -380,7 +418,8 @@ def kernel_through(ring: PolyRing, source_count: int, columns: list[VecT],
     for s in syz:
         proj = {t: c for t, c in s.items() if t[0] < source_count}
         if proj:
-            sig = frozenset((t, c) for t, c in _monic(proj, module_order(ring, source_count)).items())
+            lead = vec_lead(proj, module_order(ring, source_count))
+            sig = frozenset(_monic(proj, lead).items())
             if sig not in seen:
                 seen.add(sig)
                 out.append(proj)
