@@ -31,6 +31,10 @@ _TOKEN_RE = re.compile(
 # each level costs a few Python frames, so this keeps far below the
 # interpreter's recursion limit.
 _MAX_NESTING = 100
+# Largest exponent the parser accepts.  A power is computed in full, so an
+# unbounded exponent would run without bound; the largest exponent any test
+# or benchmark job uses is 12.
+_MAX_EXPONENT = 1000
 
 
 class ArithError(ValueError):
@@ -519,7 +523,10 @@ class _Parser:
                 raise ArithError(f"exponent must be an integer, got {k!r}")
             if sign < 0:
                 raise ArithError("negative exponents are not supported")
-            p = p ** int(k)
+            digits = k.lstrip("0") or "0"
+            if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+                raise ArithError(f"exponent above the limit {_MAX_EXPONENT}")
+            p = p ** int(digits)
         return p
 
     def _atom(self) -> Poly:
@@ -537,7 +544,10 @@ class _Parser:
             self.depth -= 1
             return p
         if tok.isdigit():
-            return self.ring.const(int(tok))
+            try:
+                return self.ring.const(int(tok))
+            except ValueError as exc:  # more digits than int() converts
+                raise ArithError(f"integer constant of {len(tok)} digits") from exc
         if tok in self.ring._index:
             return self.ring.gen(tok)
         raise ArithError(f"unknown symbol {tok!r} (variables are {self.ring.variables})")

@@ -653,7 +653,10 @@ def main(argv: list[str] | None = None) -> int:
         if declared is not None and declared != args.command:
             raise SchemaError(
                 f"document says command {declared!r}, invoked as {args.command!r}")
-        options = dict(job.get("options") or {})
+        options = {} if job.get("options") is None else job["options"]
+        if not isinstance(options, dict):
+            raise SchemaError("options must be an object")
+        options = dict(options)
         for key, value in (("jet_order", args.jet_order),
                            ("order", args.order),
                            ("degree_bound", args.degree_bound)):
@@ -661,6 +664,10 @@ def main(argv: list[str] | None = None) -> int:
                 options[key] = value
         if options.get("order") not in (None, "grevlex", "lex"):
             raise SchemaError("options.order must be 'grevlex' or 'lex'")
+        for key in ("jet_order", "degree_bound"):
+            value = options.get(key)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise SchemaError(f"options.{key} must be an integer, got {value!r}")
         payload = job.get("payload")
         if payload is None:
             raise SchemaError("job document needs a payload")

@@ -5,10 +5,12 @@ columns.  This module is the one owner of the R[n] encoding: an R[n]-module
 is an S-module plus the truncation relations t^n*e_i, where S = Q[x.., t] is
 the plain polynomial ring all Groebner computations run over, and
 ``PresMod.effective_relations`` is the one place those relations are
-adjoined.  Every truncated span, lift and kernel goes through ``Submodule``,
-which pairs generators with its ambient module's relations and builds their
-Groebner data once; where no module exists yet, ``free_module`` or
-``truncated_free`` serves as the ambient one.
+adjoined.  Every truncated span, lift, kernel and intersection goes through
+``Submodule``, which pairs generators with its ambient module's relations
+and builds their Groebner data once; ``Submodule.kernel_through`` is the one
+kernel route.  Where no module exists yet, ``free_module`` or
+``truncated_free`` serves as the ambient one, and Hom and Ext take their
+kernels inside a direct sum of copies of the target.
 
 The t-power filtrations are the organizing structure:
 
@@ -29,14 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import ArithError, Poly, agree, matrix_rank, mono_div, mono_divides
-from .groebner import (
-    SpanGB,
-    VecT,
-    intersect_spans,
-    kernel_through,
-    vec_from_polys,
-    vec_to_polys,
-)
+from .groebner import SpanGB, VecT, kernel_through, vec_from_polys, vec_to_polys
 from .multiring import TruncRing
 
 Column = tuple[Poly, ...]
@@ -214,9 +209,22 @@ class Submodule:
         return all(self.ambient.element_is_zero(g) for g in self.gens)
 
     def intersection_gens(self, other: Submodule) -> list[Column]:
-        S, rank = self.ambient.ring.S, self.ambient.ngens
-        met = intersect_spans(S, rank, self._vecs(), other._vecs())
-        return [vec_to_polys(S, rank, v) for v in met]
+        """Generators of the intersection: the combinations of this
+        submodule's generators that lie in ``other``."""
+        ring, width = self.ambient.ring, self.ambient.ngens
+        met = [_combine(ring, c, self.gens, width) for c in other.kernel_through(self.gens)]
+        return [g for g in met if any(g)]
+
+
+def _combine(ring: TruncRing, coeffs: Column, columns: list[Column], width: int) -> Column:
+    """sum(coeffs[i] * columns[i]) truncated, for columns of ``width`` entries."""
+    out = [ring.S.zero()] * width
+    for coeff, col in zip(coeffs, columns):
+        if coeff.is_zero():
+            continue
+        for j, p in enumerate(col):
+            out[j] = out[j] + coeff * p
+    return tuple(ring.truncate(p) for p in out)
 
 
 class FiltrationChain:
@@ -322,14 +330,7 @@ class ModMap:
 
     def apply_cover(self, vec: Column) -> Column:
         """Image of an element given in source free-cover coordinates."""
-        ring = self.target.ring
-        out = [ring.S.zero()] * self.target.ngens
-        for i, coeff in enumerate(vec):
-            if coeff.is_zero():
-                continue
-            for j, p in enumerate(self.columns[i]):
-                out[j] = out[j] + coeff * p
-        return tuple(ring.truncate(p) for p in out)
+        return _combine(self.target.ring, vec, self.columns, self.target.ngens)
 
     def compose(self, inner: ModMap) -> ModMap:
         """self after inner (inner acts first)."""
@@ -668,13 +669,7 @@ def build_extension(N: PresMod, M: PresMod, f1_columns: list[Column]
     # over R[n]; otherwise it does not descend to im(F1 -> F0).
     syz2 = Submodule(free_module(ring, M.ngens), []).kernel_through(M.relations) if q else []
     for polys in syz2:
-        img = [ring.S.zero()] * N.ngens
-        for r, coeff in enumerate(polys):
-            if coeff.is_zero():
-                continue
-            for l, p in enumerate(f1_columns[r]):
-                img[l] = img[l] + coeff * p
-        if not N.element_is_zero(tuple(img)):
+        if not N.element_is_zero(_combine(ring, polys, f1_columns, N.ngens)):
             raise ModuleError("descent condition fails: images do not kill relation syzygies")
 
     total = N.ngens + M.ngens
@@ -800,29 +795,34 @@ def refine_filtrations(D: FiltrationChain, F: FiltrationChain
 # -- Hom and Ext ----------------------------------------------------------
 
 
-def _block_relations(N: PresMod, blocks: int) -> list[VecT]:
-    """Effective relations of N^blocks in flat coordinates (block b spans
-    positions b*N.ngens .. (b+1)*N.ngens - 1)."""
-    out: list[VecT] = []
+def _power(N: PresMod, k: int) -> PresMod:
+    """N^k; copy b holds slots b*N.ngens .. (b+1)*N.ngens - 1."""
+    return direct_sum(*[N] * k) if k else PresMod(N.ring, 0, [])
+
+
+def _pullback_columns(N: PresMod, rows: int, columns: list[Column]) -> list[Column]:
+    """The matrix of ``columns`` pulled back to N^len(columns): one column for
+    each pair (i, l), i < rows and l < N.ngens, in that order, whose slot
+    ``k*N.ngens + l`` holds entry i of ``columns[k]``.  Column ``i*N.ngens +
+    l`` belongs to the pair (i, l) even when it is zero."""
     p = N.ngens
-    for b in range(blocks):
-        for rel in N.effective_relations():
-            out.append({(b * p + pos, e): c for (pos, e), c in rel.items()})
-    return out
-
-
-def _pullback_columns(rows: int, columns: list[VecT], p: int) -> list[VecT]:
-    """One flat column for each pair (i, l), i < rows and l < p, in that
-    order: entry i of ``columns[k]`` goes to slot ``k*p + l``.  This is the
-    matrix of ``columns`` pulled back to N^len(columns) for an N with p
-    generators.  Columns are not filtered, so column ``i*p + l`` belongs to
-    the pair (i, l); entries at positions ``>= rows`` are dropped."""
-    out: list[VecT] = []
+    zero = N.ring.S.zero()
+    out: list[Column] = []
     for i in range(rows):
         for l in range(p):
-            out.append({(k * p + l, e): c for k, col in enumerate(columns)
-                        for (pos, e), c in col.items() if pos == i})
+            col = [zero] * (len(columns) * p)
+            for k, c in enumerate(columns):
+                col[k * p + l] = c[i]
+            out.append(tuple(col))
     return out
+
+
+def _maps_into(N: PresMod, rows: int, relations: list[Column]) -> list[Column]:
+    """Generators of Hom(coker(relations), N) for relation columns of
+    ``rows`` entries, as tuples in N^rows (slot i*N.ngens + l is entry l of
+    the image of generator i) that every relation sends to zero."""
+    return Submodule(_power(N, len(relations)), []).kernel_through(
+        _pullback_columns(N, rows, relations))
 
 
 def infer_grading(ring: TruncRing, vecs: list[VecT], t_weight: int,
@@ -872,75 +872,46 @@ class HomModule:
 
 
 def hom_module(M: PresMod, N: PresMod) -> HomModule:
-    """Present Hom_{R[n]}(M, N): solutions of the relation conditions inside
-    N^(number of M generators), modulo maps with all images zero in N."""
+    """Present Hom_{R[n]}(M, N): the maps from coker(M's relations) into N,
+    inside N^(number of M generators), modulo maps with all images zero."""
     ring = M.ring
     g, p = M.ngens, N.ngens
-    flat = g * p
-    if M.relations:
-        cond_cols = _pullback_columns(
-            g, [vec_from_polys(c) for c in M.relations], p)
-        gens_flat = kernel_through(ring.S, flat, cond_cols,
-                                   _block_relations(N, len(M.relations)))
-    else:
-        unit = (0,) * ring.S.nvars
-        gens_flat = [{(a, unit): Fraction(1)} for a in range(flat)]
-
-    zero_rels = _block_relations(N, g)
-    rel_cols = kernel_through(ring.S, len(gens_flat), gens_flat, zero_rels)
-
-    gen_matrices: list[list[Column]] = []
-    for gf in gens_flat:
-        polys = vec_to_polys(ring.S, flat, gf)
-        gen_matrices.append([polys[i * p:(i + 1) * p] for i in range(g)])
+    gens = _maps_into(N, g, M.relations)
+    relations = Submodule(_power(N, g), []).kernel_through(gens)
+    gen_matrices = [[gf[i * p:(i + 1) * p] for i in range(g)] for gf in gens]
 
     grading = None
     if M.grading is not None and N.grading is not None \
             and M.grading.t_weight == N.grading.t_weight:
         grading = infer_grading(
-            ring, gens_flat, M.grading.t_weight,
+            ring, [vec_from_polys(gf) for gf in gens], M.grading.t_weight,
             lambda pos: (N.grading.gen_degrees[pos % p]
                          - M.grading.gen_degrees[pos // p]))
-
-    pres = PresMod(ring, len(gens_flat),
-                   [vec_to_polys(ring.S, len(gens_flat), rc) for rc in rel_cols],
-                   grading)
-    return HomModule(pres, M, N, gen_matrices)
+    return HomModule(PresMod(ring, len(gens), relations, grading), M, N, gen_matrices)
 
 
 def ext1_module(M: PresMod, N: PresMod) -> PresMod:
     """Ext^1_{R[n]}(M, N) from the start of a free resolution of M: the
     relation columns give F1 -> F0, their syzygies over R[n] give F2 -> F1,
-    and Ext^1 is ker(Hom(F1,N) -> Hom(F2,N)) / im(Hom(F0,N) -> Hom(F1,N))."""
+    and Ext^1 is ker(Hom(F1,N) -> Hom(F2,N)) / im(Hom(F0,N) -> Hom(F1,N)).
+    The cycles are Hom(coker(F2 -> F1), N), found as in ``hom_module``."""
     ring = M.ring
     g, p = M.ngens, N.ngens
     q = len(M.relations)
     if q == 0:
         return PresMod(ring, 0, [])
-    phi1 = [vec_from_polys(c) for c in M.relations]
-    phi2 = [vec_from_polys(c) for c in
-            Submodule(free_module(ring, g), []).kernel_through(M.relations)]
-    q2 = len(phi2)
-
-    flat = q * p
-    if q2:
-        z_gens = kernel_through(ring.S, flat, _pullback_columns(q, phi2, p),
-                                _block_relations(N, q2))
-    else:
-        unit = (0,) * ring.S.nvars
-        z_gens = [{(a, unit): Fraction(1)} for a in range(flat)]
-
-    b_cols = [col for col in _pullback_columns(g, phi1, p) if col]
-    rel_cols = kernel_through(ring.S, len(z_gens), z_gens,
-                              b_cols + _block_relations(N, q))
-    relations = [vec_to_polys(ring.S, len(z_gens), rc) for rc in rel_cols]
+    phi2 = Submodule(free_module(ring, g), []).kernel_through(M.relations)
+    z_gens = _maps_into(N, q, phi2)
+    b_cols = [col for col in _pullback_columns(N, g, M.relations) if any(col)]
+    relations = Submodule(_power(N, q), b_cols).kernel_through(z_gens)
 
     # Grade as a subquotient of N^(number of relations): flat slot (j, l)
     # carries the degree of N's generator l.  Attached only when every
     # generator comes out homogeneous under that convention.
     if M.grading is not None and N.grading is not None \
             and M.grading.t_weight == N.grading.t_weight:
-        grading = infer_grading(ring, z_gens, M.grading.t_weight,
+        grading = infer_grading(ring, [vec_from_polys(z) for z in z_gens],
+                                M.grading.t_weight,
                                 lambda pos: N.grading.gen_degrees[pos % p])
         if grading is not None:
             try:

@@ -9,8 +9,8 @@ generating set for the syzygies of ``(v_1..v_k)``, and its mixed elements
 carry division lifts.  This graph basis costs several times a plain reduced
 basis, so it is built only for lifts and syzygies: ``SpanGB`` computes the
 plain basis the first time ``gb`` is read and the graph basis the first
-time a lift or syzygy is asked for, and ``syzygy_basis`` builds the graph
-basis alone.
+time a lift or syzygy is asked for.  ``SpanGB`` is the one builder of graph
+bases: ``kernel_through`` reads its syzygies.
 
 Within a block, terms compare by the ring's monomial order with ties broken
 toward earlier positions.
@@ -64,9 +64,8 @@ class ModuleOrder:
         return (self.blocks[pos], self._descending(exps), pos)
 
 
-def module_order(ring: PolyRing, rank: int, blocks: tuple[int, ...] | None = None,
-                 order: MonomialOrder | None = None) -> ModuleOrder:
-    return ModuleOrder(order or ring.order, blocks or (0,) * rank)
+def module_order(ring: PolyRing, rank: int) -> ModuleOrder:
+    return ModuleOrder(ring.order, (0,) * rank)
 
 
 # -- vector helpers ------------------------------------------------------
@@ -207,10 +206,11 @@ def _spair(f: VecT, g: VecT, lf: Term, lg: Term) -> VecT:
     return vec_sub_scaled(a, g, mono_div(lcm, lg[1]), Fraction(1) / g[lg])
 
 
-def buchberger(vecs: list[VecT], morder: ModuleOrder, rank_one: bool = False) -> list[VecT]:
+def buchberger(vecs: list[VecT], morder: ModuleOrder) -> list[VecT]:
     """Groebner basis of the span, via normal pair selection with the
     Gebauer-Moeller update.  The coprime-lead shortcut is sound only in
-    ambient rank one, so callers must flag that case explicitly."""
+    ambient rank one, that is when the order has a single position."""
+    rank_one = len(morder.blocks) == 1
     basis: list[VecT] = []
     leads: list[Term] = []
     pairs: dict[tuple[int, int], tuple[int, Exponents]] = {}
@@ -286,8 +286,8 @@ def interreduce(basis: list[VecT], morder: ModuleOrder) -> list[VecT]:
     return reduced
 
 
-def reduced_groebner(vecs: list[VecT], morder: ModuleOrder, rank_one: bool = False) -> list[VecT]:
-    return interreduce(buchberger(vecs, morder, rank_one=rank_one), morder)
+def reduced_groebner(vecs: list[VecT], morder: ModuleOrder) -> list[VecT]:
+    return interreduce(buchberger(vecs, morder), morder)
 
 
 def is_groebner(basis: list[VecT], morder: ModuleOrder) -> bool:
@@ -334,7 +334,7 @@ class SpanGB:
     the graph span satisfies ``h = sum(c_i * v_i)``, so reduction of ``(v,
     0)`` to ``(0, c)`` certifies ``v = -sum(c_i * v_i)``, and the elements
     with ``h = 0`` generate the syzygies.  The graph basis is built the
-    first time ``nf_with_lift``, ``lift`` or ``syzygies`` needs it, and kept.
+    first time ``lift`` or ``syzygies`` needs it, and kept.
     """
 
     def __init__(self, ring: PolyRing, rank: int, vecs: list[VecT],
@@ -349,8 +349,7 @@ class SpanGB:
 
     @cached_property
     def gb(self) -> list[VecT]:
-        return reduced_groebner(self.vecs, ModuleOrder(self.order, (0,) * self.rank),
-                                rank_one=(self.rank == 1))
+        return reduced_groebner(self.vecs, ModuleOrder(self.order, (0,) * self.rank))
 
     @cached_property
     def gb_leads(self) -> list[Term]:
@@ -369,35 +368,21 @@ class SpanGB:
     def contains(self, v: VecT) -> bool:
         return not self.normal_form(v)
 
-    def nf_with_lift(self, v: VecT) -> tuple[VecT, list[VecT] | None]:
-        """Normal form plus, when the remainder is zero, coefficients
-        ``c`` with ``v = sum(c_i * v_i)`` (``c_i`` as rank-one VecT)."""
+    def lift(self, v: VecT) -> list[Poly] | None:
+        """Coefficients ``c`` with ``v = sum(c_i * v_i)``, or None when ``v``
+        is not in the span."""
         graph_gb, graph_leads, _syz = self._graph_data()
         r = vec_reduce(v, graph_gb, self.morder, graph_leads)
-        first = {t: c for t, c in r.items() if t[0] < self.rank}
-        if first:
-            return first, None
-        coeffs: list[VecT] = [{} for _ in self.vecs]
-        for (pos, e), c in r.items():
-            coeffs[pos - self.rank][(0, e)] = -c
-        return {}, coeffs
-
-    def lift(self, v: VecT) -> list[Poly] | None:
-        rem, coeffs = self.nf_with_lift(v)
-        if rem:
+        if any(pos < self.rank for pos, _e in r):
             return None
-        return [vec_to_polys(self.ring, 1, c)[0] for c in coeffs]
+        coeffs: list[dict[Exponents, Fraction]] = [{} for _ in self.vecs]
+        for (pos, e), c in r.items():
+            coeffs[pos - self.rank][e] = -c
+        return [Poly(self.ring, c) for c in coeffs]
 
     def syzygies(self) -> list[VecT]:
         """Generators of {c in S^k : sum(c_i * v_i) = 0}."""
         return [dict(s) for s in self._graph_data()[2]]
-
-
-def syzygy_basis(ring: PolyRing, rank: int, vecs: list[VecT],
-                 order: MonomialOrder | None = None) -> list[VecT]:
-    """Generators of the syzygies of ``vecs``, from the graph basis alone."""
-    morder = ModuleOrder(order or ring.order, (0,) * rank + (1,) * len(vecs))
-    return _graph_basis(rank, vecs, morder, ring.nvars)[1]
 
 
 def kernel_through(ring: PolyRing, source_count: int, columns: list[VecT],
@@ -412,7 +397,7 @@ def kernel_through(ring: PolyRing, source_count: int, columns: list[VecT],
     for v in combined:
         for (pos, _e) in v:
             ambient_rank = max(ambient_rank, pos + 1)
-    syz = syzygy_basis(ring, ambient_rank, combined)
+    syz = SpanGB(ring, ambient_rank, combined).syzygies()
     out: list[VecT] = []
     seen = set()
     for s in syz:
@@ -430,21 +415,6 @@ def spans_equal(ring: PolyRing, rank: int, a: list[VecT], b: list[VecT]) -> bool
     sa = SpanGB(ring, rank, a)
     sb = SpanGB(ring, rank, b)
     return all(sa.contains(v) for v in b) and all(sb.contains(v) for v in a)
-
-
-def intersect_spans(ring: PolyRing, rank: int, a: list[VecT], b: list[VecT]) -> list[VecT]:
-    """Generators of span(a) ∩ span(b): for each syzygy of a++b, the a-part
-    combination lands in both spans."""
-    syz = syzygy_basis(ring, rank, list(a) + list(b))
-    out = []
-    for s in syz:
-        u: VecT = {}
-        for (pos, e), c in s.items():
-            if pos < len(a):
-                u = vec_add(u, vec_mul_poly(a[pos], Poly(ring, {e: c})))
-        if u:
-            out.append(u)
-    return out
 
 
 def quotient_by_poly(ring: PolyRing, rank: int, span: list[VecT], f: Poly) -> list[VecT]:

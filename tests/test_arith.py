@@ -94,6 +94,17 @@ def test_parse_rejects_bad_input():
         R.parse("z")
 
 
+def test_parse_bounds_exponents_and_constants():
+    R = ring2()
+    x, _ = R.gens()
+    assert R.parse("x^1000") == x ** 1000
+    assert R.parse("x^0002") == x * x
+    for text in ("x^1001", "(1+x)^99999999999999999999", "x^" + "9" * 5000,
+                 "9" * 5000 + "*x"):
+        with pytest.raises(ArithError):
+            R.parse(text)
+
+
 def test_substitution_is_a_ring_map():
     R = ring2()
     x, y = R.gens()

@@ -455,6 +455,34 @@ def test_non_integer_shape_fields_are_schema_errors(module, field):
     assert f"payload.{field}" in out["error"]["message"]
 
 
+@pytest.mark.parametrize("command, document", [
+    ("regseq.check", {"ring": RING_DOUBLE, "payload": {"sequence": ["x", "y"]},
+                      "options": {"jet_order": "a"}}),
+    ("regseq.check", {"ring": RING_DOUBLE, "payload": {"sequence": ["x", "y"]},
+                      "options": {"jet_order": True}}),
+    ("ideal.resolution", {"payload": {}, "options": {"degree_bound": "a"}}),
+    ("module.ext1", {"ring": RING_DOUBLE,
+                     "payload": {"source": {"truncated_free": {"level": 1}},
+                                 "target": {"truncated_free": {"level": 1}}},
+                     "options": {"degree_bound": "2"}}),
+    ("module.balanced", {"ring": RING_DOUBLE, "payload": {"ideal": ["x", "y"]},
+                         "options": [1]}),
+])
+def test_bad_options_are_schema_errors(command, document):
+    code, out = run(command, document)
+    assert code == 2
+    assert out["error"]["kind"] == "schema"
+    assert "options" in out["error"]["message"]
+
+
+def test_huge_exponent_is_a_schema_error():
+    for text in ("x^99999999999999999999", "(1+x)^99999999999999999999"):
+        code, out = run("gb", {"ring": RING_DOUBLE, "payload": {"generators": [text]}})
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        assert "exponent" in out["error"]["message"]
+
+
 def test_negative_free_rank_is_a_schema_error():
     code, out = run("module.filtration", {
         "ring": RING_DOUBLE, "payload": {"free": {"rank": -1}},

@@ -454,19 +454,48 @@ def test_lifts_through_one_submodule_share_one_graph_basis(monkeypatch):
 def test_comparison_maps_build_each_lifted_through_span_once(monkeypatch):
     from truncmod import groebner
 
-    built = []
-    graph_data = groebner.SpanGB._graph_data
+    lifted = {}
+    lift = groebner.SpanGB.lift
 
-    def counted(self):
-        if self._graph is None:
-            built.append((self.rank, tuple(tuple(sorted(v.items())) for v in self.vecs)))
-        return graph_data(self)
+    def counted(self, v):
+        lifted[self] = (self.rank, tuple(tuple(sorted(w.items())) for w in self.vecs))
+        return lift(self, v)
 
-    monkeypatch.setattr(groebner.SpanGB, "_graph_data", counted)
+    monkeypatch.setattr(groebner.SpanGB, "lift", counted)
     tr = ring(3)
     comparison_maps(flag_ideal(tr, ("x", "y")))
-    assert built
-    assert len(built) == len(set(built))
+    keys = list(lifted.values())
+    assert keys
+    assert len(keys) == len(set(keys))
+
+
+def test_intersection_of_principal_spans():
+    tr = ring(2)
+    S = tr.S
+    F = free_module(tr, 1)
+    met = Submodule(F, [(S.parse("x"),)]).intersection_gens(Submodule(F, [(S.parse("y"),)]))
+    assert Submodule(F, met).equals(Submodule(F, [(S.parse("x*y"),)]))
+
+
+def test_intersection_modulo_ambient_relations():
+    tr = ring(2)
+    S = tr.S
+    x, y, t, one, zero = (S.parse(v) for v in ("x", "y", "t", "1", "0"))
+    M = PresMod(tr, 2, [(x, y), (t, zero)])
+    A = Submodule(M, [(x, zero), (zero, t)])
+    B = Submodule(M, [(y, zero), (t, x)])
+    met = A.intersection_gens(B)
+    assert all(A.contains(g) and B.contains(g) for g in met)
+    both = Submodule(M, met)
+    in_both = 0
+    monomials = [one, x, y, t, x * y, x * t, y * t, x * x, y * y]
+    for a in monomials:
+        for b in monomials:
+            probe = (a, b)
+            if A.contains(probe) and B.contains(probe):
+                assert both.contains(probe)
+                in_both += not M.element_is_zero(probe)
+    assert in_both
 
 
 def test_quotient_and_subquotient_shapes():
