@@ -610,6 +610,12 @@ _HANDLERS = {
 
 COMMANDS = tuple(_HANDLERS)
 
+# Largest ``options.jet_order`` and ``options.degree_bound`` accepted.  The
+# work grows steeply with either: ``module.ext1`` enumerates a dimension for
+# every degree up to the bound, so without a limit one job runs without
+# bound.  The largest value any test or benchmark job uses is 5.
+MAX_OPTION_BOUND = 16
+
 
 def _emit(doc: dict) -> None:
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
@@ -666,8 +672,13 @@ def main(argv: list[str] | None = None) -> int:
             raise SchemaError("options.order must be 'grevlex' or 'lex'")
         for key in ("jet_order", "degree_bound"):
             value = options.get(key)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise SchemaError(f"options.{key} must be an integer, got {value!r}")
+            if not 0 <= value <= MAX_OPTION_BOUND:
+                raise SchemaError(
+                    f"options.{key} must lie in 0..{MAX_OPTION_BOUND}, got {value}")
         payload = job.get("payload")
         if payload is None:
             raise SchemaError("job document needs a payload")

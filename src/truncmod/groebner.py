@@ -24,6 +24,18 @@ lead is the popped term, so every term it adds is smaller and the terms come
 off the heap in the order repeated ``max`` would take them (Monagan and
 Pearce, J. Symb. Comput. 46, 2011).  The remainder is built in descending
 order, so its first key is its lead.
+
+Reductions are computed on integers: the working vector holds each
+coefficient as a numerator/denominator pair in lowest terms, a basis
+element's coefficients are read as such pairs the first time it is hit, and
+each updated coefficient costs a few integer products and one ``gcd``.  The
+step coefficient is the popped coefficient itself when the lead coefficient
+is 1, as it is for every element ``buchberger`` and ``interreduce`` hold.
+A ``Fraction`` is built only for a term that moves into the remainder and
+for each lift quotient.  Integer arithmetic is exact, so the result equals
+the term-by-term ``Fraction`` reduction.  ``_spair`` builds the S-vector
+from shifted copies of its two elements and divides by a lead coefficient
+only when it is not 1.
 """
 
 from __future__ import annotations
@@ -31,6 +43,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from math import gcd
+from operator import add
 
 from .arith import (
     Exponents,
@@ -90,34 +104,10 @@ def vec_lead(v: VecT, morder: ModuleOrder) -> Term:
     return max(v, key=morder.key)
 
 
-def vec_sub_scaled(v: VecT, w: VecT, mono: Exponents, coeff: Fraction) -> VecT:
-    """v - coeff * x^mono * w, computed sparsely."""
-    out = dict(v)
-    for (pos, e), c in w.items():
-        t = (pos, mono_mul(e, mono))
-        s = out.get(t, 0) - coeff * c
-        if s:
-            out[t] = s
-        else:
-            out.pop(t, None)
-    return out
-
-
 def vec_scale(v: VecT, coeff: Fraction) -> VecT:
     if coeff == 0:
         return {}
     return {t: coeff * c for t, c in v.items()}
-
-
-def vec_add(v: VecT, w: VecT) -> VecT:
-    out = dict(v)
-    for t, c in w.items():
-        s = out.get(t, 0) + c
-        if s:
-            out[t] = s
-        else:
-            out.pop(t, None)
-    return out
 
 
 def vec_mul_poly(v: VecT, p: Poly) -> VecT:
@@ -155,10 +145,14 @@ def vec_reduce(v: VecT, basis: list[VecT], morder: ModuleOrder,
         leads = [vec_lead(g, morder) for g in basis]
     quotients: list[dict[Exponents, Fraction]] = [{} for _ in basis] if with_lift else []
     remainder: VecT = {}
-    work = dict(v)
+    # term -> (numerator, denominator), in lowest terms, denominator > 0
+    work = {t: (c.numerator, c.denominator) for t, c in v.items()}
     heap_key = morder._heap_key
     heap = [(heap_key(t), t) for t in work]
     heapify(heap)
+    # basis index -> (lead numerator, lead denominator, [(pos, exps, n, d)]
+    # over the non-lead terms), read the first time that element is hit
+    split: dict[int, tuple[int, int, list[tuple[int, Exponents, int, int]]]] = {}
     while work:
         t = heappop(heap)[1]
         c = work.get(t)
@@ -171,27 +165,49 @@ def vec_reduce(v: VecT, basis: list[VecT], morder: ModuleOrder,
                 hit = i
                 break
         if hit < 0:
-            remainder[t] = work.pop(t)
+            remainder[t] = Fraction(*work.pop(t))
             continue
-        g = basis[hit]
-        mono = mono_div(exps, leads[hit][1])
-        coeff = c / g[leads[hit]]
-        # work -= coeff * x^mono * g, in place; this cancels t.
-        for (p, e), gc in g.items():
-            s = (p, mono_mul(e, mono))
+        lead = leads[hit]
+        gdata = split.get(hit)
+        if gdata is None:
+            g = basis[hit]
+            lc = g[lead]
+            gdata = split[hit] = (lc.numerator, lc.denominator,
+                                  [(p, e, gc.numerator, gc.denominator)
+                                   for (p, e), gc in g.items() if (p, e) != lead])
+        ln, ld, tail = gdata
+        qn, qd = c
+        if ln != 1 or ld != 1:
+            qn *= ld
+            qd *= ln
+            if qd < 0:
+                qn, qd = -qn, -qd
+            k = gcd(qn, qd)
+            qn //= k
+            qd //= k
+        mono = mono_div(exps, lead[1])
+        # work -= (qn/qd) * x^mono * g, in place; the lead term cancels t.
+        del work[t]
+        for p, e, gn, gd in tail:
+            s = (p, tuple(map(add, e, mono)))
             old = work.get(s)
             if old is None:
-                work[s] = -coeff * gc
+                n = -qn * gn
+                d = qd * gd
                 heappush(heap, (heap_key(s), s))
-                continue
-            old -= coeff * gc
-            if old:
-                work[s] = old
             else:
-                del work[s]
+                on, od = old
+                m = qd * gd
+                n = on * m - qn * gn * od
+                if not n:
+                    del work[s]
+                    continue
+                d = od * m
+            k = gcd(n, d)
+            work[s] = (n // k, d // k)
         if with_lift:
-            q = quotients[hit]
-            q[mono] = q.get(mono, Fraction(0)) + coeff
+            # Popped terms strictly decrease, so each monomial is hit once.
+            quotients[hit][mono] = Fraction(qn, qd)
     if with_lift:
         return remainder, quotients
     return remainder
@@ -201,9 +217,30 @@ def vec_reduce(v: VecT, basis: list[VecT], morder: ModuleOrder,
 
 
 def _spair(f: VecT, g: VecT, lf: Term, lg: Term) -> VecT:
+    """x^a f / f[lf] - x^b g / g[lg], where x^a lf = x^b lg is the lcm of the
+    leads; the two lead terms cancel and are left out."""
     lcm = mono_lcm(lf[1], lg[1])
-    a = vec_sub_scaled({}, f, mono_div(lcm, lf[1]), Fraction(-1) / f[lf])
-    return vec_sub_scaled(a, g, mono_div(lcm, lg[1]), Fraction(1) / g[lg])
+    a = mono_div(lcm, lf[1])
+    cf = f[lf]
+    out: VecT = {}
+    for t, c in f.items():
+        if t != lf:
+            out[(t[0], tuple(map(add, t[1], a)))] = c if cf == 1 else c / cf
+    b = mono_div(lcm, lg[1])
+    cg = g[lg]
+    for t, c in g.items():
+        if t == lg:
+            continue
+        s = (t[0], tuple(map(add, t[1], b)))
+        old = out.get(s)
+        c = c if cg == 1 else c / cg
+        if old is None:
+            out[s] = -c
+        elif old == c:
+            del out[s]
+        else:
+            out[s] = old - c
+    return out
 
 
 def buchberger(vecs: list[VecT], morder: ModuleOrder) -> list[VecT]:

@@ -467,6 +467,13 @@ def test_non_integer_shape_fields_are_schema_errors(module, field):
                      "options": {"degree_bound": "2"}}),
     ("module.balanced", {"ring": RING_DOUBLE, "payload": {"ideal": ["x", "y"]},
                          "options": [1]}),
+    # out of 0..cli.MAX_OPTION_BOUND: the first would run without bound
+    ("module.ext1", {"ring": RING_DOUBLE,
+                     "payload": {"source": {"truncated_free": {"level": 1}},
+                                 "target": {"truncated_free": {"level": 1}}},
+                     "options": {"degree_bound": 100000}}),
+    ("regseq.check", {"ring": RING_DOUBLE, "payload": {"sequence": ["x", "y"]},
+                      "options": {"jet_order": -3}}),
 ])
 def test_bad_options_are_schema_errors(command, document):
     code, out = run(command, document)

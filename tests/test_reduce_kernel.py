@@ -1,23 +1,51 @@
-"""Property tests for the reduction kernel ``groebner.vec_reduce``.
+"""Property tests for the reduction kernel ``groebner.vec_reduce`` and the
+S-vectors of ``groebner._spair``.
 
-The kernel takes terms from a heap of descending order keys and updates the
-working vector in place.  The oracle below is the plain loop it replaced:
-take the ``max`` term under ``ModuleOrder.key`` and subtract a scaled copy.
-Both must take the same terms in the same order, so remainders and
-quotients agree as dicts and in key order, on plain module orders and on
-the blocked orders of the graph basis."""
+The kernel takes terms from a heap of descending order keys and works on
+integer numerator/denominator pairs.  The oracle below is the plain loop it
+replaced: take the ``max`` term under ``ModuleOrder.key`` and subtract a
+scaled copy in ``Fraction`` arithmetic, with a local helper that shares no
+code with the kernel.  Both must take the same terms in the same order, so
+remainders and quotients agree as dicts and in key order, on plain module
+orders and on the blocked orders of the graph basis."""
 
+from copy import deepcopy
 from fractions import Fraction
+from itertools import cycle
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from truncmod.arith import MonomialOrder, elim_block, grevlex, lex, mono_div, mono_divides
-from truncmod.groebner import ModuleOrder, vec_lead, vec_reduce, vec_sub_scaled
+from truncmod.groebner import (
+    ModuleOrder,
+    _spair,
+    is_groebner,
+    reduced_groebner,
+    vec_lead,
+    vec_reduce,
+)
 
 COEFFS = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+# Numerators and denominators up to 10^12, so products pass 2^64.
+BIG_COEFFS = st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool),
+                       st.integers(1, 10**12))
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+def sub_scaled(v, w, mono, coeff):
+    """v - coeff * x^mono * w, term by term in ``Fraction`` arithmetic."""
+    out = dict(v)
+    for (pos, e), c in w.items():
+        t = (pos, tuple(a + b for a, b in zip(e, mono)))
+        s = out.get(t, 0) - coeff * c
+        if s:
+            out[t] = s
+        else:
+            out.pop(t, None)
+    return out
 
 
 def oracle_reduce(v, basis, morder):
@@ -36,34 +64,35 @@ def oracle_reduce(v, basis, morder):
             continue
         mono = mono_div(exps, leads[hit][1])
         coeff = work[t] / basis[hit][leads[hit]]
-        work = vec_sub_scaled(work, basis[hit], mono, coeff)
+        work = sub_scaled(work, basis[hit], mono, coeff)
         q = quotients[hit]
         q[mono] = q.get(mono, Fraction(0)) + coeff
     return remainder, quotients
 
 
-def vectors(nvars, npos, max_terms):
+def vectors(nvars, npos, max_terms, coeffs=COEFFS):
     terms = st.tuples(st.integers(0, npos - 1),
                       st.tuples(*[st.integers(0, 3)] * nvars))
-    return st.dictionaries(terms, COEFFS, min_size=1, max_size=max_terms)
+    return st.dictionaries(terms, coeffs, min_size=1, max_size=max_terms)
 
 
 @st.composite
-def problems(draw):
+def problems(draw, coeffs=COEFFS):
     """(v, basis, morder): rank 1 or 2, lex or grevlex, and either a plain
-    order or a graph order with up to two dominated tag positions."""
+    order or a graph order with up to two dominated tag positions.  The
+    basis elements are not monic."""
     nvars = draw(st.integers(1, 3))
     rank = draw(st.integers(1, 2))
     tags = draw(st.integers(0, 2))
     order = draw(st.sampled_from([lex(), grevlex()]))
     morder = ModuleOrder(order, (0,) * rank + (1,) * tags)
     npos = rank + tags
-    basis = draw(st.lists(vectors(nvars, npos, 4), min_size=0, max_size=4))
-    return draw(vectors(nvars, npos, 8)), basis, morder
+    basis = draw(st.lists(vectors(nvars, npos, 4, coeffs), min_size=0, max_size=4))
+    return draw(vectors(nvars, npos, 8, coeffs)), basis, morder
 
 
 @SETTINGS
-@given(problems())
+@given(st.one_of(problems(), problems(BIG_COEFFS)))
 def test_kernel_matches_max_scan_oracle(case):
     v, basis, morder = case
     want_r, want_q = oracle_reduce(v, basis, morder)
@@ -82,13 +111,81 @@ def test_division_identity_and_reduced_remainder(case):
     total = dict(r)
     for g, qi in zip(basis, q):
         for mono, c in qi.items():
-            total = vec_sub_scaled(total, g, mono, -c)
+            total = sub_scaled(total, g, mono, -c)
     assert total == v
     leads = [vec_lead(g, morder) for g in basis]
     for pos, exps in r:
         assert not any(lp == pos and mono_divides(le, exps) for lp, le in leads)
     if r:
         assert next(iter(r)) == vec_lead(r, morder)
+
+
+def assert_exact_fractions(v):
+    for c in v.values():
+        assert type(c) is Fraction
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+@SETTINGS
+@given(st.one_of(problems(), problems(BIG_COEFFS)))
+def test_kernel_returns_fractions_in_lowest_terms(case):
+    v, basis, morder = case
+    r, q = vec_reduce(v, basis, morder, with_lift=True)
+    for part in [r, vec_reduce(v, basis, morder), *q]:
+        assert_exact_fractions(part)
+
+
+@SETTINGS
+@given(st.one_of(problems(), problems(BIG_COEFFS)))
+def test_kernel_leaves_its_inputs_alone(case):
+    v, basis, morder = case
+    v_before, basis_before = deepcopy(v), deepcopy(basis)
+    vec_reduce(v, basis, morder, with_lift=True)
+    vec_reduce(v, basis, morder)
+    assert v == v_before and list(v) == list(v_before)
+    assert basis == basis_before
+    assert [list(g) for g in basis] == [list(g) for g in basis_before]
+
+
+@st.composite
+def pairs(draw):
+    """(f, g, morder) with f and g not monic and their leads at one position."""
+    coeffs = draw(st.sampled_from([COEFFS, BIG_COEFFS]))
+    nvars = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 2))
+    order = draw(st.sampled_from([lex(), grevlex()]))
+    morder = ModuleOrder(order, (0,) * rank)
+    f = draw(vectors(nvars, rank, 5, coeffs))
+    g = draw(vectors(nvars, rank, 5, coeffs))
+    assume(vec_lead(f, morder)[0] == vec_lead(g, morder)[0])
+    return f, g, morder
+
+
+@SETTINGS
+@given(pairs())
+def test_spair_is_the_cancelling_combination(case):
+    f, g, morder = case
+    lf, lg = vec_lead(f, morder), vec_lead(g, morder)
+    lcm = tuple(map(max, lf[1], lg[1]))
+    want = sub_scaled({}, f, mono_div(lcm, lf[1]), Fraction(-1) / f[lf])
+    want = sub_scaled(want, g, mono_div(lcm, lg[1]), Fraction(1) / g[lg])
+    s = _spair(f, g, lf, lg)
+    assert s == want
+    assert_exact_fractions(s)
+
+
+@SETTINGS
+@given(st.lists(vectors(2, 2, 3), min_size=1, max_size=3),
+       st.sampled_from([lex(), grevlex()]),
+       st.lists(BIG_COEFFS, min_size=1, max_size=4))
+def test_is_groebner_ignores_scaling(vecs, order, scales):
+    """``is_groebner`` takes S-vectors of the elements as given, so scaling
+    them by constants must not change its verdict."""
+    morder = ModuleOrder(order, (0, 0))
+    basis = reduced_groebner(vecs, morder)
+    for candidate, verdict in ((basis, True), (vecs, is_groebner(vecs, morder))):
+        scaled = [{t: k * c for t, c in v.items()} for v, k in zip(candidate, cycle(scales))]
+        assert is_groebner(scaled, morder) is verdict
 
 
 @st.composite
