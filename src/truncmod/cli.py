@@ -143,6 +143,13 @@ def _build_ring(job: dict, options: dict) -> TruncRing:
         raise SchemaError(f"ring: {exc}") from exc
 
 
+def _option(options: dict, key: str, default: int) -> int:
+    """``options[key]``, or ``default`` when it is absent or null; an
+    explicit 0 is kept."""
+    value = options.get(key)
+    return default if value is None else value
+
+
 def _double_ring(job: dict, options: dict) -> LocalDoubleRing:
     ring_doc = job.get("ring")
     if ring_doc is not None:
@@ -150,7 +157,7 @@ def _double_ring(job: dict, options: dict) -> LocalDoubleRing:
             raise SchemaError("point-ideal commands fix the ring Q[x,y][t]/(t^2)")
         if ring_doc.get("n") not in (None, 2):
             raise SchemaError("point-ideal commands require n = 2")
-    return LocalDoubleRing(jet_order=options.get("jet_order") or 6)
+    return LocalDoubleRing(jet_order=_option(options, "jet_order", 6))
 
 
 def _parse_span(tr: TruncRing, payload: dict) -> tuple[int, list]:
@@ -506,7 +513,7 @@ def _cmd_chart(job, payload, options):
 
 def _cmd_resolution(job, payload, options):
     ring = _double_ring(job, options)
-    bound = options.get("degree_bound") or 4
+    bound = _option(options, "degree_bound", 4)
     overrides = {}
     for key, width in (("phi1", 2), ("phi2", 3)):
         if key in payload:
@@ -525,7 +532,7 @@ def _cmd_resolution(job, payload, options):
 
 def _cmd_extcheck(job, payload, options):
     ring = _double_ring(job, options)
-    bound = options.get("degree_bound") or 4
+    bound = _option(options, "degree_bound", 4)
     overrides = {}
     for key, width in (("psi1", 2), ("psi2", 3)):
         if key in payload:

@@ -36,6 +36,18 @@ for each lift quotient.  Integer arithmetic is exact, so the result equals
 the term-by-term ``Fraction`` reduction.  ``_spair`` builds the S-vector
 from shifted copies of its two elements and divides by a lead coefficient
 only when it is not 1.
+
+``buchberger`` takes S-pairs by the sugar strategy (Giovini, Mora, Niesi,
+Robbiano and Traverso, ISSAC 1991), with the Gebauer-Moeller criteria.  An
+input element's sugar is its largest term degree, a pair's is the larger
+of ``s_i + deg lcm - deg lead_i`` over its two elements, and a new element's
+is the larger of its pair's and its own largest term degree; positions add
+no weight.  Each pair's selection key, ``(sugar, order key of the lcm term,
+i, j)``, is computed once when the pair is made and stored in the pair
+dict, so selection is ``min`` over its values.  Every element ``buchberger``
+and ``interreduce`` return has its lead as its first key: input elements
+are reordered once, and remainders come out of ``vec_reduce`` that way.
+So ``next(iter(v))`` reads the lead of any basis element, without a scan.
 """
 
 from __future__ import annotations
@@ -243,23 +255,32 @@ def _spair(f: VecT, g: VecT, lf: Term, lg: Term) -> VecT:
     return out
 
 
+def _top_degree(v: VecT) -> int:
+    """Largest total degree among the terms of ``v``; positions add nothing."""
+    return max(sum(e) for _pos, e in v)
+
+
 def buchberger(vecs: list[VecT], morder: ModuleOrder) -> list[VecT]:
-    """Groebner basis of the span, via normal pair selection with the
-    Gebauer-Moeller update.  The coprime-lead shortcut is sound only in
+    """Groebner basis of the span, via sugar pair selection with the
+    Gebauer-Moeller update.  Every returned element is monic and has its
+    lead as its first key.  The coprime-lead shortcut is sound only in
     ambient rank one, that is when the order has a single position."""
     rank_one = len(morder.blocks) == 1
     basis: list[VecT] = []
     leads: list[Term] = []
-    pairs: dict[tuple[int, int], tuple[int, Exponents]] = {}
+    sugars: list[int] = []
+    # (i, j) -> (sugar, order key of the lcm term, i, j, lcm); the first four
+    # entries are the selection key and are unique, so ``min`` never compares
+    # two lcms.
+    pairs: dict[tuple[int, int], tuple] = {}
 
-    def add(v: VecT, lnew: Term) -> None:
+    def add(v: VecT, lnew: Term, sugar: int) -> None:
         v = _monic(v, lnew)
         new = len(basis)
         # Gebauer-Moeller B: discard old pairs strictly refined by the newcomer.
-        for (i, j) in list(pairs):
+        for _sugar, _key, i, j, lcm_ij in list(pairs.values()):
             if leads[i][0] != lnew[0]:
                 continue
-            lcm_ij = pairs[(i, j)][1]
             if (
                 mono_divides(lnew[1], lcm_ij)
                 and mono_lcm(leads[i][1], lnew[1]) != lcm_ij
@@ -276,32 +297,38 @@ def buchberger(vecs: list[VecT], morder: ModuleOrder) -> list[VecT]:
             if any(mono_divides(k_lcm, lcm) for _, k_lcm in kept):
                 continue
             kept.append((i, lcm))
+        dnew = sum(lnew[1])
         for i, lcm in kept:
             if rank_one and mono_mul(leads[i][1], lnew[1]) == lcm:
                 continue  # coprime leads, S-pair reduces to zero
-            pairs[(i, new)] = (lnew[0], lcm)
+            d = sum(lcm)
+            pair_sugar = max(sugars[i] + d - sum(leads[i][1]), sugar + d - dnew)
+            pairs[(i, new)] = (pair_sugar, morder.key((lnew[0], lcm)), i, new, lcm)
         basis.append(v)
         leads.append(lnew)
+        sugars.append(sugar)
 
     for v in vecs:
         if v:
-            add(v, vec_lead(v, morder))
+            lead = vec_lead(v, morder)
+            add({lead: v[lead], **v}, lead, _top_degree(v))
     while pairs:
-        (i, j) = min(pairs, key=lambda ij: (morder.key(pairs[ij]), ij))
+        sugar, _key, i, j, _lcm = min(pairs.values())
         del pairs[(i, j)]
         s = _spair(basis[i], basis[j], leads[i], leads[j])
         if not s:
             continue
         r = vec_reduce(s, basis, morder, leads)
         if r:
-            add(r, next(iter(r)))
+            add(r, next(iter(r)), max(sugar, _top_degree(r)))
     return basis
 
 
 def interreduce(basis: list[VecT], morder: ModuleOrder) -> list[VecT]:
     """Minimal, tail-reduced, monic basis (the unique reduced GB when the
-    input is a GB)."""
-    work = sorted(((vec_lead(v, morder), v) for v in basis if v),
+    input is a GB).  Every input element must have its lead as its first
+    key, as ``buchberger``'s do, and every returned element has too."""
+    work = sorted(((next(iter(v)), v) for v in basis if v),
                   key=lambda lv: morder.key(lv[0]))
     kept: list[VecT] = []
     kept_leads: list[Term] = []
@@ -390,13 +417,13 @@ class SpanGB:
 
     @cached_property
     def gb_leads(self) -> list[Term]:
-        return [vec_lead(v, self.morder) for v in self.gb]
+        return [next(iter(v)) for v in self.gb]
 
     def _graph_data(self) -> tuple[list[VecT], list[Term], list[VecT]]:
         """Graph basis, its leads and the syzygies, built on first use."""
         if self._graph is None:
             gb, syz = _graph_basis(self.rank, self.vecs, self.morder, self.ring.nvars)
-            self._graph = (gb, [vec_lead(g, self.morder) for g in gb], syz)
+            self._graph = (gb, [next(iter(g)) for g in gb], syz)
         return self._graph
 
     def normal_form(self, v: VecT) -> VecT:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from .arith import ArithError, Exponents, Poly, PolyRing, agree, matrix_rank
-from .groebner import SpanGB, VecT, module_order, vec_from_polys, vec_lead
+from .groebner import SpanGB, VecT, vec_from_polys
 from . import fpmod
 
 
@@ -136,7 +136,7 @@ def hilbert_series_ideal(ring: PolyRing, gens: list[Poly],
     weights = _validate_weights(ring, weights)
     vecs = [vec_from_polys((g,)) for g in gens if not g.is_zero()]
     gb = SpanGB(ring, 1, vecs).gb
-    leads = [vec_lead(v, module_order(ring, 1))[1] for v in gb]
+    leads = [next(iter(v))[1] for v in gb]
     num = monomial_quotient_numerator(leads, weights)
     return HilbertSeries.make(num, weights)
 

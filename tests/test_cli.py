@@ -482,6 +482,21 @@ def test_bad_options_are_schema_errors(command, document):
     assert "options" in out["error"]["message"]
 
 
+@pytest.mark.parametrize("command, document, message", [
+    ("ideal.tau", {"payload": {"a": "1", "b": "0"}, "options": {"jet_order": 0}},
+     "jet order below 3"),
+    ("ideal.resolution", {"payload": {}, "options": {"degree_bound": 0}},
+     "degree bound must be at least 2"),
+    ("ideal.extcheck", {"payload": {}, "options": {"degree_bound": 0}},
+     "degree bound must be at least 2"),
+])
+def test_explicit_zero_option_is_not_the_default(command, document, message):
+    code, out = run(command, document)
+    assert code == 3
+    assert out["error"]["kind"] == "DoublePointError"
+    assert message in out["error"]["message"]
+
+
 def test_huge_exponent_is_a_schema_error():
     for text in ("x^99999999999999999999", "(1+x)^99999999999999999999"):
         code, out = run("gb", {"ring": RING_DOUBLE, "payload": {"generators": [text]}})

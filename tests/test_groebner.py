@@ -1,10 +1,22 @@
 """Module Groebner bases, normal forms, syzygies, and span calculus."""
 
+import contextlib
+import io
+import json
 import random
+from fractions import Fraction
 
-from truncmod.arith import PolyRing, lex
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from truncmod import groebner
+from truncmod.arith import PolyRing, grevlex, lex
+from truncmod.cli import main
 from truncmod.groebner import (
+    ModuleOrder,
     SpanGB,
+    _graph_basis,
+    buchberger,
     is_groebner,
     kernel_through,
     module_order,
@@ -13,8 +25,23 @@ from truncmod.groebner import (
     saturate_by_poly,
     spans_equal,
     vec_from_polys,
+    vec_lead,
+    vec_reduce,
     vec_to_polys,
 )
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+COEFFS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+SCALES = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+# Rank-2 vectors over Q[x, y, t]: terms are (position, (a, b, c)).
+TERMS = st.tuples(st.integers(0, 1),
+                  st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)))
+VECTOR = st.dictionaries(TERMS, COEFFS, min_size=1, max_size=3)
+VECS = st.lists(VECTOR, min_size=1, max_size=4)
+# Graph bases of four such vectors in lex can take minutes, so the graph
+# basis check draws at most three.
+FEW_VECS = st.lists(VECTOR, min_size=1, max_size=3)
+ORDERS = st.sampled_from([lex, grevlex])
 
 
 def vec(*polys):
@@ -171,3 +198,54 @@ def test_lift_leaves_the_plain_basis_unbuilt():
     assert coeffs is not None and "gb" not in S.__dict__
     assert S.syzygies() and "gb" not in S.__dict__
     assert S.contains(vec(x * x * y)) and "gb" in S.__dict__
+
+
+@SETTINGS
+@given(ORDERS, VECS, st.randoms(use_true_random=False), st.lists(SCALES, min_size=4, max_size=4))
+def test_reduced_basis_ignores_order_and_scaling_of_generators(order, vecs, rng, scales):
+    morder = ModuleOrder(order(), (0, 0))
+    first = reduced_groebner(vecs, morder)
+    leads = [vec_lead(g, morder) for g in first]
+    for v in vecs:
+        assert not vec_reduce(v, first, morder, leads)
+    again = [{t: c * k for t, c in v.items()} for v, k in zip(vecs, scales)]
+    rng.shuffle(again)
+    assert reduced_groebner(again, morder) == first
+
+
+@SETTINGS
+@given(ORDERS, FEW_VECS)
+def test_every_returned_element_has_its_lead_first(order, vecs):
+    morder = ModuleOrder(order(), (0, 0))
+    graph_order = ModuleOrder(order(), (0, 0) + (1,) * len(vecs))
+    returned = (buchberger(vecs, morder) + reduced_groebner(vecs, morder)
+                + SpanGB(PolyRing(("x", "y", "t"), order=order()), 2, vecs).gb)
+    for v in returned:
+        assert next(iter(v)) == vec_lead(v, morder)
+    for g in _graph_basis(2, vecs, graph_order, 3)[0]:
+        assert next(iter(g)) == vec_lead(g, graph_order)
+
+
+CYCLIC4 = ["z0 + z1 + z2 + z3", "z0*z1 + z1*z2 + z2*z3 + z3*z0",
+           "z0*z1*z2 + z1*z2*z3 + z2*z3*z0 + z3*z0*z1", "z0*z1*z2*z3 - 1"]
+
+
+def test_syzygies_of_cyclic4_take_few_spairs(monkeypatch, tmp_path):
+    """Sugar selection keeps the graph basis of cyclic-4 in lex at n = 2
+    small: normal selection made 221 S-pairs here."""
+    made = []
+    spair = groebner._spair
+
+    def counting(*args):
+        made.append(1)
+        return spair(*args)
+
+    monkeypatch.setattr(groebner, "_spair", counting)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "ring": {"variables": ["z0", "z1", "z2", "z3"], "n": 2},
+        "payload": {"generators": CYCLIC4}, "options": {"order": "lex"}}))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["syz", str(path)]) == 0
+    assert json.loads(out.getvalue())["syzygies"]
+    assert 0 < len(made) <= 100
