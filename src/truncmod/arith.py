@@ -12,6 +12,11 @@ convolved, and each nonzero output coefficient becomes one normalised
 ``Fraction`` over the product of the two denominators.  Integer arithmetic is
 exact, so the result equals the term-by-term ``Fraction`` product.  Powers
 use binary exponentiation and square only while exponent bits remain.
+
+A product, a power, a substitution and a parse can be bounded by
+``(variable index, bound)``: terms whose exponent at that variable reaches
+the bound are never formed.  This is how the truncated ring ``R[t]/(t^n)``
+multiplies without building the terms it would drop.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from math import lcm
 from operator import add, le, neg, sub
 
 Exponents = tuple[int, ...]
+# (variable index, bound): a product bounded by it keeps only the terms whose
+# exponent at that variable stays below the bound.
+Bound = tuple[int, int]
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -255,10 +263,13 @@ class PolyRing:
                 parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(parts)
 
-    def parse(self, text: str) -> Poly:
+    def parse(self, text: str, below: Bound | None = None) -> Poly:
         """Parse ``+ - * / ^`` expressions (also ``**``) over the ring
-        variables; division is only by nonzero constants."""
-        return _Parser(self, text).parse()
+        variables; division is only by nonzero constants.  Every product
+        and power is bounded by ``below`` as in :meth:`Poly.times`.  Terms
+        that come from no product, such as a lone variable, are kept, so a
+        caller that needs the bound everywhere still drops those."""
+        return _Parser(self, text, below).parse()
 
 
 class Poly:
@@ -314,7 +325,12 @@ class Poly:
     def __rsub__(self, other) -> Poly:
         return self._coerce(other) - self
 
-    def __mul__(self, other) -> Poly:
+    def times(self, other, below: Bound | None = None) -> Poly:
+        """The product with ``other``; with ``below = (i, b)`` every term
+        whose exponent at variable ``i`` would reach ``b`` is left out, and
+        no pair of factor terms that would make one is ever formed.  This
+        is ``p * q`` followed by dropping those terms, with the kept terms
+        in the same order."""
         other = self._coerce(other)
         if not self.terms or not other.terms:
             return self.ring.zero()
@@ -322,18 +338,38 @@ class Poly:
         # integer numerators exactly, then divide once per output term.
         d1, nums1 = _numerators(self.terms)
         d2, nums2 = _numerators(other.terms)
+        if below is None:
+            rows = [(e1, c1, nums2) for e1, c1 in nums1]
+        else:
+            # Each left term meets only the right terms with room left below
+            # the bound, an order-keeping sublist shared by every left term
+            # with the same exponent at ``i``.
+            i, b = below
+            right: dict[int, list[tuple[Exponents, int]]] = {}
+            rows = []
+            for e1, c1 in nums1:
+                room = b - e1[i]
+                if room > 0:
+                    if room not in right:
+                        right[room] = [t for t in nums2 if t[0][i] < room]
+                    rows.append((e1, c1, right[room]))
         acc: dict[Exponents, int] = {}
         get = acc.get
-        for e1, c1 in nums1:
-            for e2, c2 in nums2:
+        for e1, c1, terms2 in rows:
+            for e2, c2 in terms2:
                 e = tuple(map(add, e1, e2))
                 acc[e] = get(e, 0) + c1 * c2
         d = d1 * d2
         return Poly(self.ring, {e: Fraction(c, d) for e, c in acc.items() if c})
 
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = times
 
     def __pow__(self, k: int) -> Poly:
+        return self.power(k)
+
+    def power(self, k: int, below: Bound | None = None) -> Poly:
+        """``self ** k``, every product bounded by ``below`` as in
+        :meth:`times`."""
         if not isinstance(k, int) or k < 0:
             raise ArithError(f"polynomial power must be a nonnegative int, got {k!r}")
         # Right-to-left binary method: bit_length(k) - 1 squarings and one
@@ -342,10 +378,10 @@ class Poly:
         base = self
         while k:
             if k & 1:
-                result = result * base
+                result = result.times(base, below)
             k >>= 1
             if k:
-                base = base * base
+                base = base.times(base, below)
         return result
 
     def scale(self, c) -> Poly:
@@ -380,25 +416,6 @@ class Poly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.ring.nvars, Fraction(0))
 
-    def degree_in(self, var: str) -> int:
-        """Largest exponent of ``var``; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        i = self.ring._index[var]
-        return max(e[i] for e in self.terms)
-
-    def coefficient_in(self, var: str, k: int) -> Poly:
-        """The coefficient of ``var^k``, as a polynomial with that variable's
-        exponent zeroed out (it stays a member of the same ring)."""
-        i = self.ring._index[var]
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                reduced = list(e)
-                reduced[i] = 0
-                terms[tuple(reduced)] = c
-        return Poly(self.ring, terms)
-
     def is_homogeneous(self, weights: tuple[int, ...] | None = None) -> bool:
         if not self.terms:
             return True
@@ -408,21 +425,28 @@ class Poly:
 
     # -- substitution --------------------------------------------------
 
-    def substitute(self, images: dict[str, Poly]) -> Poly:
+    def substitute(self, images: dict[str, Poly], below: Bound | None = None) -> Poly:
         """Evaluate the polynomial at ``var -> image`` (images live in the
-        target ring; unmapped variables must not occur)."""
+        target ring; unmapped variables must not occur).  Each image's
+        powers are built once, and every product is bounded by ``below`` as
+        in :meth:`times`."""
         if not self.terms:
             return next(iter(images.values())).ring.zero() if images else self
         target = next(iter(images.values())).ring if images else self.ring
         for v in self.ring.variables:
             if v not in images and any(e[self.ring._index[v]] for e in self.terms):
                 raise ArithError(f"no image supplied for variable {v!r}")
+        # powers[v][k - 1] is images[v] ** k, built up to the largest k needed
+        powers: dict[str, list[Poly]] = {}
         out = target.zero()
         for e, c in self.terms.items():
             term = target.const(c)
             for v, k in zip(self.ring.variables, e):
                 if k:
-                    term = term * images[v] ** k
+                    ladder = powers.setdefault(v, [images[v]])
+                    while len(ladder) < k:
+                        ladder.append(ladder[-1].times(ladder[0], below))
+                    term = term.times(ladder[k - 1], below)
             out = out + term
         return out
 
@@ -436,9 +460,6 @@ class Poly:
             total += v
         return total
 
-    def evaluate_at_origin(self) -> Fraction:
-        return self.constant_term()
-
     def __str__(self) -> str:
         return self.ring.format(self)
 
@@ -449,9 +470,10 @@ class Poly:
 class _Parser:
     """Recursive-descent parser for the canonical polynomial text form."""
 
-    def __init__(self, ring: PolyRing, text: str):
+    def __init__(self, ring: PolyRing, text: str, below: Bound | None = None):
         self.ring = ring
         self.text = text
+        self.below = below
         self.tokens = self._tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -503,7 +525,7 @@ class _Parser:
             op = self._next()
             q = self._factor()
             if op == "*":
-                p = p * q
+                p = p.times(q, self.below)
             else:
                 if q.total_degree() > 0 or q.is_zero():
                     raise ArithError(f"division only by nonzero constants in {self.text!r}")
@@ -526,7 +548,7 @@ class _Parser:
             digits = k.lstrip("0") or "0"
             if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
                 raise ArithError(f"exponent above the limit {_MAX_EXPONENT}")
-            p = p ** int(digits)
+            p = p.power(int(digits), self.below)
         return p
 
     def _atom(self) -> Poly:

@@ -37,6 +37,8 @@ class TruncRing:
         self.base = PolyRing(base_vars, order or grevlex())
         self.S = PolyRing(base_vars + (T_NAME,), order or grevlex())
         self.t = self.S.gen(T_NAME)
+        # the bound every product in R[n] passes to arith: t-degree below n
+        self.below = (self.S._index[T_NAME], n)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TruncRing) and self.S == other.S and self.n == other.n
@@ -78,7 +80,10 @@ class TruncRing:
         return [{(i, exps): Fraction(1)} for i in range(rank)]
 
     def parse(self, text: str) -> Poly:
-        return self.truncate(self.S.parse(text))
+        """Parse over S with every product truncated as it is formed; the
+        final ``truncate`` drops what no product made, such as ``t`` when
+        n = 1."""
+        return self.truncate(self.S.parse(text, self.below))
 
     def elem(self, value) -> TruncElem:
         if isinstance(value, TruncElem):
@@ -91,14 +96,6 @@ class TruncRing:
             return TruncElem(self, self.truncate(value))
         return TruncElem(self, self.S.const(value))
 
-    def from_coeffs(self, coeffs: list[Poly]) -> TruncElem:
-        if len(coeffs) > self.n:
-            raise ArithError(f"at most {self.n} t-coefficients, got {len(coeffs)}")
-        p = self.S.zero()
-        for k, c in enumerate(coeffs):
-            p = p + self.inject(c) * self.t ** k
-        return TruncElem(self, p)
-
 
 class TruncElem:
     """An element of R[n], kept reduced mod t^n."""
@@ -108,9 +105,6 @@ class TruncElem:
     def __init__(self, ring: TruncRing, poly: Poly):
         self.ring = ring
         self.poly = ring.truncate(poly)
-
-    def coeffs(self) -> list[Poly]:
-        return [self.ring.t_coefficient(self.poly, k) for k in range(self.ring.n)]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TruncElem):
@@ -135,12 +129,12 @@ class TruncElem:
         return TruncElem(self.ring, self._coerce(other).poly - self.poly)
 
     def __mul__(self, other):
-        return TruncElem(self.ring, self.poly * self._coerce(other).poly)
+        return TruncElem(self.ring, self.poly.times(self._coerce(other).poly, self.ring.below))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        return TruncElem(self.ring, self.poly ** k)
+        return TruncElem(self.ring, self.poly.power(k, self.ring.below))
 
     def is_zero(self) -> bool:
         return self.poly.is_zero()
@@ -254,7 +248,7 @@ class AutMap:
             p = ring.inject(p)
         table = dict(self.var_images)
         table[T_NAME] = self.t_image
-        return ring.truncate(p.substitute(table))
+        return p.substitute(table, ring.below)
 
     def __eq__(self, other: object) -> bool:
         return (

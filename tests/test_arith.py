@@ -53,7 +53,6 @@ def test_multiplication_by_zero_annihilates():
 def test_constant_term_examples():
     R = ring2()
     assert R.parse("x^2 + 3").constant_term() == 3
-    assert R.parse("5*x*y + 7").evaluate_at_origin() == 7
     assert R.zero().constant_term() == 0
 
 
@@ -128,7 +127,6 @@ def test_degree_helpers():
     R = ring2()
     p = R.parse("x*y^2")
     assert p.total_degree() == 3
-    assert p.degree_in("y") == 2
     assert p.weighted_degree((1, 2)) == 5
     assert R.parse("x^2 + y^2").is_homogeneous()
     assert not R.parse("x + 1").is_homogeneous()
@@ -138,7 +136,6 @@ def test_coefficient_extraction():
     R = ring2()
     p = R.parse("3*x*y + 2*x + 5")
     assert p.coefficient((1, 1)) == 3
-    assert p.coefficient_in("x", 1) == R.parse("3*y + 2")
     assert p.scale(2) == R.parse("6*x*y + 4*x + 10")
 
 

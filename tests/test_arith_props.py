@@ -81,13 +81,14 @@ def test_power_makes_no_unread_products(monkeypatch):
     R = PolyRing(("x", "y"))
     p = R.parse("1 + x - 2/3*y")
     calls = []
-    product = Poly.__mul__
+    product = Poly.times
 
-    def counted(self, other):
+    def counted(self, other, below=None):
         calls.append(None)
-        return product(self, other)
+        return product(self, other, below)
 
-    monkeypatch.setattr(Poly, "__mul__", counted)
+    # every product, ``*`` and the power loop alike, goes through times
+    monkeypatch.setattr(Poly, "times", counted)
     for k in range(1, 17):
         calls.clear()
         p ** k

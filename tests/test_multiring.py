@@ -98,12 +98,6 @@ def test_truncation_and_projection():
     assert tr.t_coefficient(tr.S.parse("x + 3*y*t"), 1) == tr.base.parse("3*y")
 
 
-def test_elem_round_trip_through_coefficients():
-    tr = ring(3)
-    u = tr.elem("1 + x*t + y^2*t^2")
-    assert tr.from_coeffs(u.coeffs()).poly == u.poly
-
-
 def test_compose_combines_derivations():
     tr = ring()
     B = tr.base
