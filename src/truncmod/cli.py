@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -70,6 +71,10 @@ from .multiring import (
     zero_divisor_witness,
 )
 from .regseq import ideal_presentation, is_regular_sequence, shadow_membership
+
+# Exit code of a job that hit a fault of the program rather than of its input.
+EXIT_INTERNAL = 4
+
 
 class SchemaError(Exception):
     """Bad job document: missing fields, wrong shapes, unparsable strings."""
@@ -184,6 +189,8 @@ def _parse_presmod(tr: TruncRing, payload: dict, where: str = "payload") -> Pres
     """A module from one of the accepted shapes: an ideal (syzygy
     presentation built here), an explicit presentation, a free module, or a
     truncated free module."""
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{where} must be an object")
     if "ideal" in payload:
         gens = payload["ideal"]
         if not isinstance(gens, list) or not gens:
@@ -196,6 +203,8 @@ def _parse_presmod(tr: TruncRing, payload: dict, where: str = "payload") -> Pres
         if not isinstance(ngens, int) or ngens < 0:
             raise SchemaError(f"{where}.presentation.generators must be >= 0")
         rel_rows = pres.get("relations", [])
+        if not isinstance(rel_rows, list):
+            raise SchemaError(f"{where}.presentation.relations must be a list of rows")
         rels = []
         for row in rel_rows:
             if not isinstance(row, list) or len(row) != ngens:
@@ -625,8 +634,9 @@ MAX_OPTION_BOUND = 16
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # Serialised in full before anything is written, so a document that
+    # fails to serialise leaves no partial output.
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -645,7 +655,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--degree-bound", type=int, default=None,
                         help="bound for degree-by-degree checks")
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:  # noqa: BLE001 - a fault of the program, reported as one
+        # imported here, not at startup, which it would slow by milliseconds
+        import traceback
 
+        # the innermost frame locates the fault without printing a traceback
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        _emit({"error": {"kind": "internal",
+                         "message": f"{type(exc).__name__}: {exc} ({where})"}})
+        return EXIT_INTERNAL
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Read, answer and emit one job; the exit code of ``main``."""
     try:
         if args.input == "-":
             text = sys.stdin.read()
@@ -687,8 +712,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise SchemaError(
                     f"options.{key} must lie in 0..{MAX_OPTION_BOUND}, got {value}")
         payload = job.get("payload")
-        if payload is None:
-            raise SchemaError("job document needs a payload")
+        if not isinstance(payload, dict):
+            raise SchemaError("job document needs a payload object")
         result = _HANDLERS[args.command](job, payload, options)
     except SchemaError as exc:
         _emit({"error": {"kind": "schema", "message": str(exc)}})

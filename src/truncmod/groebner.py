@@ -25,10 +25,21 @@ off the heap in the order repeated ``max`` would take them (Monagan and
 Pearce, J. Symb. Comput. 46, 2011).  The remainder is built in descending
 order, so its first key is its lead.
 
+``vec_reduce`` finds divisors through a ``_LeadIndex``, built once per
+basis and extended in place as the basis grows.  It buckets the leads by
+module position, in basis order within each bucket, so a term is tested
+only against the leads at its own position and the first divisor found is
+the first in the basis, as a scan over every lead would find.  The index
+also keeps each element split into integer lead and tail coefficients,
+made the first time the element is hit.  ``buchberger`` holds one index
+for its whole run, ``interreduce`` one over the elements it keeps (its
+minimality test is a lookup in it), and ``SpanGB`` one for ``gb`` and one
+for the graph basis, so no reduction re-reads a basis it has read before.
+
 Reductions are computed on integers: the working vector holds each
-coefficient as a numerator/denominator pair in lowest terms, a basis
-element's coefficients are read as such pairs the first time it is hit, and
-each updated coefficient costs a few integer products and one ``gcd``.  The
+coefficient as a numerator/denominator pair in lowest terms, the index
+holds each basis element's coefficients as such pairs, and each updated
+coefficient costs a few integer products and one ``gcd``.  The
 step coefficient is the popped coefficient itself when the lead coefficient
 is 1, as it is for every element ``buchberger`` and ``interreduce`` hold.
 A ``Fraction`` is built only for a term that moves into the remainder and
@@ -43,8 +54,12 @@ input element's sugar is its largest term degree, a pair's is the larger
 of ``s_i + deg lcm - deg lead_i`` over its two elements, and a new element's
 is the larger of its pair's and its own largest term degree; positions add
 no weight.  Each pair's selection key, ``(sugar, order key of the lcm term,
-i, j)``, is computed once when the pair is made and stored in the pair
-dict, so selection is ``min`` over its values.  Every element ``buchberger``
+i, j)``, is computed once when the pair is made, from the same order key of
+the lcm that sorted the new pairs, and stored in the pair dict, so
+selection is ``min`` over its values.  Pairs are also held by position:
+pairs form only between leads at one position, so a newcomer is paired
+with its bucket of the index, and the Gebauer-Moeller B update walks only
+the pending pairs at its position.  Every element ``buchberger``
 and ``interreduce`` return has its lead as its first key: input elements
 are reordered once, and remainders come out of ``vec_reduce`` that way.
 So ``next(iter(v))`` reads the lead of any basis element, without a scan.
@@ -55,6 +70,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import gcd
 from operator import add
 
@@ -143,51 +159,83 @@ def _monic(v: VecT, lead: Term) -> VecT:
 # -- division ------------------------------------------------------------
 
 
-def vec_reduce(v: VecT, basis: list[VecT], morder: ModuleOrder,
-               leads: list[Term] | None = None,
+class _LeadIndex:
+    """The leads of a basis, bucketed by module position, for finding a
+    divisor of a term.
+
+    Each bucket lists ``(lead exponents, basis index)`` in basis order, so
+    the first divisor found is the first one in the basis.  The index grows
+    with ``append`` and never reorders.  ``splits[i]`` is element ``i`` read
+    as ``(lead numerator, lead denominator, [(pos, exps, n, d)] over the
+    non-lead terms)``; it is made the first time the element is hit and kept
+    as long as the index."""
+
+    __slots__ = ("basis", "leads", "buckets", "splits")
+
+    def __init__(self, elements=()):
+        """``elements`` yields ``(vector, lead)`` pairs."""
+        self.basis: list[VecT] = []
+        self.leads: list[Term] = []
+        self.buckets: dict[int, list[tuple[Exponents, int]]] = {}
+        self.splits: list[tuple[int, int, list[tuple[int, Exponents, int, int]]] | None] = []
+        for g, lead in elements:
+            self.append(g, lead)
+
+    def append(self, g: VecT, lead: Term) -> None:
+        self.buckets.setdefault(lead[0], []).append((lead[1], len(self.basis)))
+        self.basis.append(g)
+        self.leads.append(lead)
+        self.splits.append(None)
+
+    def divisor(self, pos: int, exps: Exponents) -> int:
+        """Index of the first element whose lead divides ``(pos, exps)``,
+        or -1."""
+        for le, i in self.buckets.get(pos, ()):
+            if mono_divides(le, exps):
+                return i
+        return -1
+
+    def split(self, i: int) -> tuple[int, int, list[tuple[int, Exponents, int, int]]]:
+        lead = self.leads[i]
+        g = self.basis[i]
+        lc = g[lead]
+        out = self.splits[i] = (lc.numerator, lc.denominator,
+                                [(p, e, gc.numerator, gc.denominator)
+                                 for (p, e), gc in g.items() if (p, e) != lead])
+        return out
+
+
+def vec_reduce(v: VecT, basis: list[VecT] | _LeadIndex, morder: ModuleOrder, *,
                with_lift: bool = False):
     """Full normal form of ``v`` modulo ``basis``.
 
-    Returns ``remainder`` or, with ``with_lift``, ``(remainder, quotients)``
-    where ``v = sum(quotients[i] * basis[i]) + remainder`` and each quotient
-    is a ``dict[Exponents, Fraction]``.  The remainder's terms are in
-    descending order, so its first key is its lead.
+    ``basis`` is a ``_LeadIndex`` or a list of vectors, which is indexed for
+    this call only.  Returns ``remainder`` or, with ``with_lift``,
+    ``(remainder, quotients)`` where ``v = sum(quotients[i] * basis[i]) +
+    remainder`` and each quotient is a ``dict[Exponents, Fraction]``.  The
+    remainder's terms are in descending order, so its first key is its lead.
     """
-    if leads is None:
-        leads = [vec_lead(g, morder) for g in basis]
-    quotients: list[dict[Exponents, Fraction]] = [{} for _ in basis] if with_lift else []
+    index = (basis if isinstance(basis, _LeadIndex)
+             else _LeadIndex((g, vec_lead(g, morder)) for g in basis))
+    divisor, splits, leads = index.divisor, index.splits, index.leads
+    quotients: list[dict[Exponents, Fraction]] = [{} for _ in leads] if with_lift else []
     remainder: VecT = {}
     # term -> (numerator, denominator), in lowest terms, denominator > 0
     work = {t: (c.numerator, c.denominator) for t, c in v.items()}
     heap_key = morder._heap_key
     heap = [(heap_key(t), t) for t in work]
     heapify(heap)
-    # basis index -> (lead numerator, lead denominator, [(pos, exps, n, d)]
-    # over the non-lead terms), read the first time that element is hit
-    split: dict[int, tuple[int, int, list[tuple[int, Exponents, int, int]]]] = {}
     while work:
         t = heappop(heap)[1]
         c = work.get(t)
         if c is None:
             continue  # cancelled since it was pushed
         pos, exps = t
-        hit = -1
-        for i, (lp, le) in enumerate(leads):
-            if lp == pos and mono_divides(le, exps):
-                hit = i
-                break
+        hit = divisor(pos, exps)
         if hit < 0:
             remainder[t] = Fraction(*work.pop(t))
             continue
-        lead = leads[hit]
-        gdata = split.get(hit)
-        if gdata is None:
-            g = basis[hit]
-            lc = g[lead]
-            gdata = split[hit] = (lc.numerator, lc.denominator,
-                                  [(p, e, gc.numerator, gc.denominator)
-                                   for (p, e), gc in g.items() if (p, e) != lead])
-        ln, ld, tail = gdata
+        ln, ld, tail = splits[hit] or index.split(hit)
         qn, qd = c
         if ln != 1 or ld != 1:
             qn *= ld
@@ -197,7 +245,7 @@ def vec_reduce(v: VecT, basis: list[VecT], morder: ModuleOrder,
             k = gcd(qn, qd)
             qn //= k
             qd //= k
-        mono = mono_div(exps, lead[1])
+        mono = mono_div(exps, leads[hit][1])
         # work -= (qn/qd) * x^mono * g, in place; the lead term cancels t.
         del work[t]
         for p, e, gn, gd in tail:
@@ -266,46 +314,50 @@ def buchberger(vecs: list[VecT], morder: ModuleOrder) -> list[VecT]:
     lead as its first key.  The coprime-lead shortcut is sound only in
     ambient rank one, that is when the order has a single position."""
     rank_one = len(morder.blocks) == 1
-    basis: list[VecT] = []
-    leads: list[Term] = []
+    blocks, okey = morder.blocks, morder.order.key
+    index = _LeadIndex()
+    basis, leads, buckets = index.basis, index.leads, index.buckets
     sugars: list[int] = []
     # (i, j) -> (sugar, order key of the lcm term, i, j, lcm); the first four
     # entries are the selection key and are unique, so ``min`` never compares
-    # two lcms.
+    # two lcms.  ``pairs_at`` holds the same entries by the pair's position.
     pairs: dict[tuple[int, int], tuple] = {}
+    pairs_at: dict[int, dict[tuple[int, int], tuple]] = {}
 
     def add(v: VecT, lnew: Term, sugar: int) -> None:
         v = _monic(v, lnew)
         new = len(basis)
+        pos, enew = lnew
+        here = pairs_at.setdefault(pos, {})
         # Gebauer-Moeller B: discard old pairs strictly refined by the newcomer.
-        for _sugar, _key, i, j, lcm_ij in list(pairs.values()):
-            if leads[i][0] != lnew[0]:
-                continue
+        for _sugar, _key, i, j, lcm_ij in list(here.values()):
             if (
-                mono_divides(lnew[1], lcm_ij)
-                and mono_lcm(leads[i][1], lnew[1]) != lcm_ij
-                and mono_lcm(leads[j][1], lnew[1]) != lcm_ij
+                mono_divides(enew, lcm_ij)
+                and mono_lcm(leads[i][1], enew) != lcm_ij
+                and mono_lcm(leads[j][1], enew) != lcm_ij
             ):
+                del here[(i, j)]
                 del pairs[(i, j)]
+        # (deg lcm, order key of lcm, i, lcm) with every element at the
+        # newcomer's position; i is unique, so sorting never compares lcms.
         fresh = []
-        for i in range(new):
-            if leads[i][0] == lnew[0]:
-                fresh.append((i, mono_lcm(leads[i][1], lnew[1])))
-        fresh.sort(key=lambda item: (sum(item[1]), morder.order.key(item[1]), item[0]))
-        kept: list[tuple[int, Exponents]] = []
-        for i, lcm in fresh:
-            if any(mono_divides(k_lcm, lcm) for _, k_lcm in kept):
+        for e, i in buckets.get(pos, ()):
+            lcm = mono_lcm(e, enew)
+            fresh.append((sum(lcm), okey(lcm), i, lcm))
+        fresh.sort()
+        kept: list[Exponents] = []
+        dnew = sum(enew)
+        for d, lcm_key, i, lcm in fresh:
+            if any(mono_divides(k, lcm) for k in kept):
                 continue
-            kept.append((i, lcm))
-        dnew = sum(lnew[1])
-        for i, lcm in kept:
-            if rank_one and mono_mul(leads[i][1], lnew[1]) == lcm:
+            kept.append(lcm)
+            if rank_one and mono_mul(leads[i][1], enew) == lcm:
                 continue  # coprime leads, S-pair reduces to zero
-            d = sum(lcm)
             pair_sugar = max(sugars[i] + d - sum(leads[i][1]), sugar + d - dnew)
-            pairs[(i, new)] = (pair_sugar, morder.key((lnew[0], lcm)), i, new, lcm)
-        basis.append(v)
-        leads.append(lnew)
+            # ``morder.key((pos, lcm))``, from the order key made for sorting
+            here[(i, new)] = pairs[(i, new)] = (
+                pair_sugar, (-blocks[pos], lcm_key, -pos), i, new, lcm)
+        index.append(v, lnew)
         sugars.append(sugar)
 
     for v in vecs:
@@ -315,10 +367,11 @@ def buchberger(vecs: list[VecT], morder: ModuleOrder) -> list[VecT]:
     while pairs:
         sugar, _key, i, j, _lcm = min(pairs.values())
         del pairs[(i, j)]
+        del pairs_at[leads[i][0]][(i, j)]
         s = _spair(basis[i], basis[j], leads[i], leads[j])
         if not s:
             continue
-        r = vec_reduce(s, basis, morder, leads)
+        r = vec_reduce(s, index, morder)
         if r:
             add(r, next(iter(r)), max(sugar, _top_degree(r)))
     return basis
@@ -330,22 +383,22 @@ def interreduce(basis: list[VecT], morder: ModuleOrder) -> list[VecT]:
     key, as ``buchberger``'s do, and every returned element has too."""
     work = sorted(((next(iter(v)), v) for v in basis if v),
                   key=lambda lv: morder.key(lv[0]))
-    kept: list[VecT] = []
-    kept_leads: list[Term] = []
-    for (pos, exps), v in work:
-        if any(lp == pos and mono_divides(le, exps) for lp, le in kept_leads):
-            continue
-        kept.append(v)
-        kept_leads.append((pos, exps))
-    # No other kept lead divides v's lead, so it stays the lead of v's
-    # remainder; the leads are distinct and ascending, so reversing the list
-    # puts the basis in descending order.
+    # An element is kept when no kept lead at its position divides its lead.
+    kept = _LeadIndex()
+    for lead, v in work:
+        if kept.divisor(*lead) < 0:
+            kept.append(v, lead)
+    if len(kept.basis) == 1:
+        # nothing to reduce against: the element keeps its own key order
+        return [_monic(kept.basis[0], kept.leads[0])]
+    # Only v's own lead divides v's lead, and no lead divides a term below
+    # its own, so reducing v's tail against every kept element keeps v's lead
+    # as its lead.  The leads are distinct and ascending, so reversing the
+    # list puts the basis in descending order.
     reduced = []
-    for i, (v, lead) in enumerate(zip(kept, kept_leads)):
-        others = kept[:i] + kept[i + 1 :]
-        lothers = kept_leads[:i] + kept_leads[i + 1 :]
-        r = vec_reduce(v, others, morder, lothers) if others else v
-        reduced.append(_monic(r, lead))
+    for v, lead in zip(kept.basis, kept.leads):
+        tail = vec_reduce(dict(islice(v.items(), 1, None)), kept, morder)
+        reduced.append(_monic({lead: v[lead], **tail}, lead))
     reduced.reverse()
     return reduced
 
@@ -356,14 +409,14 @@ def reduced_groebner(vecs: list[VecT], morder: ModuleOrder) -> list[VecT]:
 
 def is_groebner(basis: list[VecT], morder: ModuleOrder) -> bool:
     """Direct Buchberger-criterion check; used by tests as an oracle."""
-    basis = [v for v in basis if v]
-    leads = [vec_lead(v, morder) for v in basis]
+    index = _LeadIndex((v, vec_lead(v, morder)) for v in basis if v)
+    basis, leads = index.basis, index.leads
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             if leads[i][0] != leads[j][0]:
                 continue
             s = _spair(basis[i], basis[j], leads[i], leads[j])
-            if s and vec_reduce(s, basis, morder, leads):
+            if s and vec_reduce(s, index, morder):
                 return False
     return True
 
@@ -409,25 +462,29 @@ class SpanGB:
         self.order = order or ring.order
         # The graph order; on the first block it is the plain one.
         self.morder = ModuleOrder(self.order, (0,) * rank + (1,) * len(self.vecs))
-        self._graph: tuple[list[VecT], list[Term], list[VecT]] | None = None
+        self._graph: tuple[_LeadIndex, list[VecT]] | None = None
 
     @cached_property
     def gb(self) -> list[VecT]:
         return reduced_groebner(self.vecs, ModuleOrder(self.order, (0,) * self.rank))
 
     @cached_property
-    def gb_leads(self) -> list[Term]:
-        return [next(iter(v)) for v in self.gb]
+    def _gb_index(self) -> _LeadIndex:
+        return _LeadIndex((v, next(iter(v))) for v in self.gb)
 
-    def _graph_data(self) -> tuple[list[VecT], list[Term], list[VecT]]:
-        """Graph basis, its leads and the syzygies, built on first use."""
+    @property
+    def gb_leads(self) -> list[Term]:
+        return self._gb_index.leads
+
+    def _graph_data(self) -> tuple[_LeadIndex, list[VecT]]:
+        """The graph basis, indexed, and the syzygies, built on first use."""
         if self._graph is None:
             gb, syz = _graph_basis(self.rank, self.vecs, self.morder, self.ring.nvars)
-            self._graph = (gb, [next(iter(g)) for g in gb], syz)
+            self._graph = (_LeadIndex((g, next(iter(g))) for g in gb), syz)
         return self._graph
 
     def normal_form(self, v: VecT) -> VecT:
-        return vec_reduce(v, self.gb, self.morder, self.gb_leads)
+        return vec_reduce(v, self._gb_index, self.morder)
 
     def contains(self, v: VecT) -> bool:
         return not self.normal_form(v)
@@ -435,8 +492,7 @@ class SpanGB:
     def lift(self, v: VecT) -> list[Poly] | None:
         """Coefficients ``c`` with ``v = sum(c_i * v_i)``, or None when ``v``
         is not in the span."""
-        graph_gb, graph_leads, _syz = self._graph_data()
-        r = vec_reduce(v, graph_gb, self.morder, graph_leads)
+        r = vec_reduce(v, self._graph_data()[0], self.morder)
         if any(pos < self.rank for pos, _e in r):
             return None
         coeffs: list[dict[Exponents, Fraction]] = [{} for _ in self.vecs]
@@ -446,7 +502,7 @@ class SpanGB:
 
     def syzygies(self) -> list[VecT]:
         """Generators of {c in S^k : sum(c_i * v_i) = 0}."""
-        return [dict(s) for s in self._graph_data()[2]]
+        return [dict(s) for s in self._graph_data()[1]]
 
 
 def kernel_through(ring: PolyRing, source_count: int, columns: list[VecT],
@@ -473,12 +529,6 @@ def kernel_through(ring: PolyRing, source_count: int, columns: list[VecT],
                 seen.add(sig)
                 out.append(proj)
     return out
-
-
-def spans_equal(ring: PolyRing, rank: int, a: list[VecT], b: list[VecT]) -> bool:
-    sa = SpanGB(ring, rank, a)
-    sb = SpanGB(ring, rank, b)
-    return all(sa.contains(v) for v in b) and all(sb.contains(v) for v in a)
 
 
 def quotient_by_poly(ring: PolyRing, rank: int, span: list[VecT], f: Poly) -> list[VecT]:

@@ -520,3 +520,42 @@ def test_shape_fields_accept_integer_strings_and_floats():
         "payload": {"free": {"rank": "2", "degrees": ["0", 1.0], "t_weight": True}},
     })
     assert code == 0
+
+
+@pytest.mark.parametrize("relations", [5, "x", {"0": ["x"]}, None])
+def test_non_list_relations_are_schema_errors(relations):
+    code, out = run("module.filtration", {
+        "ring": RING_DOUBLE,
+        "payload": {"presentation": {"generators": 1, "relations": relations}},
+    })
+    assert code == 2
+    assert out["error"]["kind"] == "schema"
+    assert "payload.presentation.relations" in out["error"]["message"]
+
+
+@pytest.mark.parametrize("command, payload, where", [
+    ("module.filtration", 5, "payload"),
+    ("gb", ["x"], "payload"),
+    ("module.ext1", {"source": 5, "target": {"truncated_free": {"level": 1}}}, "source"),
+])
+def test_non_object_payloads_are_schema_errors(command, payload, where):
+    code, out = run(command, {"ring": RING_DOUBLE, "payload": payload})
+    assert code == 2
+    assert out["error"]["kind"] == "schema"
+    assert where in out["error"]["message"]
+
+
+def test_a_fault_of_the_program_is_an_internal_error(monkeypatch):
+    """No exception leaves ``main``: one that no schema or math check
+    names becomes an ``internal`` error document with its own exit code."""
+    from truncmod import cli
+
+    def broken(job, payload, options):
+        return {}["missing"]
+
+    monkeypatch.setitem(cli._HANDLERS, "gb", broken)
+    code, out = run("gb", {"ring": RING_PLAIN, "payload": {"generators": ["x"]}})
+    assert code == cli.EXIT_INTERNAL == 4
+    assert set(out) == {"error"} and out["error"]["kind"] == "internal"
+    assert out["error"]["message"].startswith("KeyError: 'missing' (test_cli.py:")
+    assert out["error"]["message"].endswith(" in broken)")

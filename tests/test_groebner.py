@@ -1,10 +1,12 @@
 """Module Groebner bases, normal forms, syzygies, and span calculus."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,13 +19,13 @@ from truncmod.groebner import (
     SpanGB,
     _graph_basis,
     buchberger,
+    interreduce,
     is_groebner,
     kernel_through,
     module_order,
     quotient_by_poly,
     reduced_groebner,
     saturate_by_poly,
-    spans_equal,
     vec_from_polys,
     vec_lead,
     vec_reduce,
@@ -46,6 +48,13 @@ ORDERS = st.sampled_from([lex, grevlex])
 
 def vec(*polys):
     return vec_from_polys(polys)
+
+
+def spans_equal(ring, rank, a, b):
+    """True when ``a`` and ``b`` span the same submodule of S^rank."""
+    sa = SpanGB(ring, rank, a)
+    sb = SpanGB(ring, rank, b)
+    return all(sa.contains(v) for v in b) and all(sb.contains(v) for v in a)
 
 
 def fmt_span(ring, rank, vecs):
@@ -205,9 +214,8 @@ def test_lift_leaves_the_plain_basis_unbuilt():
 def test_reduced_basis_ignores_order_and_scaling_of_generators(order, vecs, rng, scales):
     morder = ModuleOrder(order(), (0, 0))
     first = reduced_groebner(vecs, morder)
-    leads = [vec_lead(g, morder) for g in first]
     for v in vecs:
-        assert not vec_reduce(v, first, morder, leads)
+        assert not vec_reduce(v, first, morder)
     again = [{t: c * k for t, c in v.items()} for v, k in zip(vecs, scales)]
     rng.shuffle(again)
     assert reduced_groebner(again, morder) == first
@@ -249,3 +257,70 @@ def test_syzygies_of_cyclic4_take_few_spairs(monkeypatch, tmp_path):
         assert main(["syz", str(path)]) == 0
     assert json.loads(out.getvalue())["syzygies"]
     assert 0 < len(made) <= 100
+
+
+def _load_benchmark_checker():
+    """``perfbench/check.py``, loaded read-only: its ``reduced_basis`` is a
+    Groebner routine that shares no code with ``groebner``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CHECK = _load_benchmark_checker()
+
+
+@st.composite
+def grevlex_spans(draw):
+    """(rank, vectors) in rank 2 or 3 over Q[x, y, t]."""
+    rank = draw(st.integers(2, 3))
+    terms = st.tuples(st.integers(0, rank - 1),
+                      st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)))
+    vector = st.dictionaries(terms, COEFFS, min_size=1, max_size=3)
+    return rank, draw(st.lists(vector, min_size=1, max_size=4))
+
+
+@SETTINGS
+@given(grevlex_spans())
+def test_reduced_basis_matches_the_benchmark_routine(case):
+    """Same elements, in the same order and with the same key order, as the
+    benchmark's independent routine, which scans every lead of every
+    position."""
+    rank, vecs = case
+    ours = reduced_groebner(vecs, ModuleOrder(grevlex(), (0,) * rank))
+    theirs = CHECK.reduced_basis(vecs)
+    assert ours == theirs
+    assert [list(g) for g in ours] == [list(g) for g in theirs]
+
+
+def test_interreduce_drops_duplicate_leads_at_one_position_only():
+    morder = ModuleOrder(grevlex(), (0, 0))
+    x, y = (0, (1, 0)), (0, (0, 1))
+    x1 = (1, (1, 0))
+    one = Fraction(1)
+    basis = [
+        {x: one, y: one},                # x + y
+        {x: one, y: Fraction(2)},        # x + 2y: the same lead, dropped
+        {y: one},
+        {x: one, y: one},                # a repeat, dropped
+        {x1: one},                       # x e_1: kept, x e_0 is at another position
+        {x: one, x1: Fraction(3)},       # x + 3x e_1: lead x e_0, dropped
+    ]
+    assert interreduce(basis, morder) == [{x: one}, {x1: one}, {y: one}]
+    # the two leads with one monomial at two positions both stay
+    mixed = [{x: one, x1: one}, {x1: one}]
+    assert interreduce(mixed, morder) == [{x: one}, {x1: one}]
+
+
+@SETTINGS
+@given(VECTOR, SCALES)
+def test_interreduce_of_one_element_keeps_its_key_order(v, scale):
+    morder = ModuleOrder(lex(), (0, 0))
+    lead = vec_lead(v, morder)
+    v = {t: c * scale for t, c in v.items()}
+    v = {lead: v[lead], **v}
+    [out] = interreduce([v], morder)
+    assert list(out) == list(v)
+    assert out == {t: c / v[lead] for t, c in v.items()}

@@ -7,7 +7,8 @@ replaced: take the ``max`` term under ``ModuleOrder.key`` and subtract a
 scaled copy in ``Fraction`` arithmetic, with a local helper that shares no
 code with the kernel.  Both must take the same terms in the same order, so
 remainders and quotients agree as dicts and in key order, on plain module
-orders and on the blocked orders of the graph basis."""
+orders and on the blocked orders of the graph basis, and when one
+``_LeadIndex`` serves every reduction while its basis grows."""
 
 from copy import deepcopy
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from truncmod.arith import MonomialOrder, elim_block, grevlex, lex, mono_div, mono_divides
 from truncmod.groebner import (
     ModuleOrder,
+    _LeadIndex,
     _spair,
     is_groebner,
     reduced_groebner,
@@ -77,12 +79,12 @@ def vectors(nvars, npos, max_terms, coeffs=COEFFS):
 
 
 @st.composite
-def problems(draw, coeffs=COEFFS):
-    """(v, basis, morder): rank 1 or 2, lex or grevlex, and either a plain
-    order or a graph order with up to two dominated tag positions.  The
-    basis elements are not monic."""
+def problems(draw, coeffs=COEFFS, max_rank=2):
+    """(v, basis, morder): rank 1 to ``max_rank``, lex or grevlex, and
+    either a plain order or a graph order with up to two dominated tag
+    positions.  The basis elements are not monic."""
     nvars = draw(st.integers(1, 3))
-    rank = draw(st.integers(1, 2))
+    rank = draw(st.integers(1, max_rank))
     tags = draw(st.integers(0, 2))
     order = draw(st.sampled_from([lex(), grevlex()]))
     morder = ModuleOrder(order, (0,) * rank + (1,) * tags)
@@ -145,6 +147,37 @@ def test_kernel_leaves_its_inputs_alone(case):
     assert v == v_before and list(v) == list(v_before)
     assert basis == basis_before
     assert [list(g) for g in basis] == [list(g) for g in basis_before]
+
+
+@st.composite
+def growing(draw):
+    """(basis, probes, morder): a basis to append one element at a time and
+    a vector to reduce before each append and after the last."""
+    v, basis, morder = draw(problems(draw(st.sampled_from([COEFFS, BIG_COEFFS])), max_rank=3))
+    nvars = len(next(iter(v))[1])
+    more = draw(st.lists(vectors(nvars, len(morder.blocks), 8), min_size=len(basis),
+                         max_size=len(basis)))
+    return basis, [v, *more], morder
+
+
+@SETTINGS
+@given(growing())
+def test_one_index_matches_the_oracle_while_it_grows(case):
+    """One ``_LeadIndex`` serves every reduction as the basis grows; the
+    splits it keeps from earlier calls must not change a later answer."""
+    basis, probes, morder = case
+    index = _LeadIndex()
+    for k, probe in enumerate(probes):
+        for w in (probe, probes[0]):
+            want_r, want_q = oracle_reduce(w, basis[:k], morder)
+            r, q = vec_reduce(w, index, morder, with_lift=True)
+            assert r == want_r and list(r) == list(want_r)
+            assert q == want_q and [list(qi) for qi in q] == [list(qi) for qi in want_q]
+            plain = vec_reduce(w, index, morder)
+            assert plain == want_r and list(plain) == list(want_r)
+        if k < len(basis):
+            index.append(basis[k], vec_lead(basis[k], morder))
+    assert index.basis == basis
 
 
 @st.composite
