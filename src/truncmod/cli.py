@@ -6,8 +6,9 @@ subcommand on the command line picks the operation.  Polynomials travel as
 strings in the canonical grammar, so any result can be fed back in.
 
 Exit codes: 0 when the computation completed (a false verdict is still 0),
-2 for schema or parse problems, 3 for computation errors.  Errors are
-reported as a JSON document with an "error" object.
+2 for schema or parse problems, 3 for computation errors, 4
+(``EXIT_INTERNAL``) for a fault of the program rather than of its input.
+Errors are reported as a JSON document with an "error" object.
 """
 
 from __future__ import annotations
@@ -81,12 +82,45 @@ class SchemaError(Exception):
 
 
 # -- document plumbing ------------------------------------------------------
+#
+# Every value read from a job document goes through these readers, so a
+# value of the wrong JSON shape is a schema error naming its field.
+
+_ABSENT = object()
 
 
-def _require(doc: dict, key: str, where: str):
-    if not isinstance(doc, dict) or key not in doc:
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where} must be an object")
+    return value
+
+
+def _require(doc, key: str, where: str, default=_ABSENT):
+    """``doc[key]`` of the object ``doc``, or ``default`` when the key is
+    absent and a default is given."""
+    value = _object(doc, where).get(key, default)
+    if value is _ABSENT:
         raise SchemaError(f"{where}: missing field {key!r}")
-    return doc[key]
+    return value
+
+
+def _list(value, where: str, length: int | None = None,
+          nonempty: bool = False) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{where} must be a list")
+    if length is not None and len(value) != length:
+        raise SchemaError(f"{where} must have {length} entries, got {len(value)}")
+    if nonempty and not value:
+        raise SchemaError(f"{where} must be a nonempty list")
+    return value
+
+
+def _rows(value, where: str, count: int | None, width: int, ring) -> list[tuple]:
+    """A list of ``count`` rows (any number when None), each a list of
+    ``width`` polynomial strings parsed in ``ring``."""
+    return [tuple(_parse_poly(ring, p, where)
+                  for p in _list(row, f"{where}[{i}]", width))
+            for i, row in enumerate(_list(value, where, count))]
 
 
 def _parse_poly(ring, text, where: str) -> Poly:
@@ -138,9 +172,9 @@ def _build_ring(job: dict, options: dict) -> TruncRing:
     if (not isinstance(variables, list) or not variables
             or not all(isinstance(v, str) for v in variables)):
         raise SchemaError("ring.variables must be a nonempty list of names")
-    n = ring_doc.get("n", 1)
-    if not isinstance(n, int) or n < 1:
-        raise SchemaError("ring.n must be a positive integer")
+    n = _require(ring_doc, "n", "ring", 1)
+    if not isinstance(n, int) or not 1 <= n <= MAX_RING_N:
+        raise SchemaError(f"ring.n must be an integer in 1..{MAX_RING_N}, got {n!r}")
     order = lex() if options.get("order") == "lex" else grevlex()
     try:
         return TruncRing(tuple(variables), n, order)
@@ -158,9 +192,9 @@ def _option(options: dict, key: str, default: int) -> int:
 def _double_ring(job: dict, options: dict) -> LocalDoubleRing:
     ring_doc = job.get("ring")
     if ring_doc is not None:
-        if ring_doc.get("variables") not in (None, ["x", "y"]):
+        if _require(ring_doc, "variables", "ring", None) not in (None, ["x", "y"]):
             raise SchemaError("point-ideal commands fix the ring Q[x,y][t]/(t^2)")
-        if ring_doc.get("n") not in (None, 2):
+        if _require(ring_doc, "n", "ring", None) not in (None, 2):
             raise SchemaError("point-ideal commands require n = 2")
     return LocalDoubleRing(jet_order=_option(options, "jet_order", 6))
 
@@ -169,103 +203,76 @@ def _parse_span(tr: TruncRing, payload: dict) -> tuple[int, list]:
     """Rank and columns of a span: either 'generators' (rank 1 strings) or
     'vectors' (lists of strings, one entry per component)."""
     if "generators" in payload:
-        gens = payload["generators"]
-        if not isinstance(gens, list):
-            raise SchemaError("payload.generators must be a list")
-        return 1, [(_parse_poly(tr, g, "generators"),) for g in gens]
-    vectors = _require(payload, "vectors", "payload")
-    if not isinstance(vectors, list) or not vectors:
-        raise SchemaError("payload.vectors must be a nonempty list")
-    rank = payload.get("rank", len(vectors[0]))
-    cols = []
-    for row in vectors:
-        if not isinstance(row, list) or len(row) != rank:
-            raise SchemaError(f"every vector must have {rank} components")
-        cols.append(tuple(_parse_poly(tr, p, "vectors") for p in row))
-    return rank, cols
+        return 1, [(_parse_poly(tr, g, "payload.generators"),)
+                   for g in _list(payload["generators"], "payload.generators")]
+    vectors = _list(_require(payload, "vectors", "payload"), "payload.vectors",
+                    nonempty=True)
+    rank = _require(payload, "rank", "payload", None)
+    rank = (len(_list(vectors[0], "payload.vectors[0]")) if rank is None
+            else _parse_int(rank, "payload.rank"))
+    return rank, _rows(vectors, "payload.vectors", None, rank, tr)
 
 
 def _parse_presmod(tr: TruncRing, payload: dict, where: str = "payload") -> PresMod:
     """A module from one of the accepted shapes: an ideal (syzygy
     presentation built here), an explicit presentation, a free module, or a
     truncated free module."""
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{where} must be an object")
+    _object(payload, where)
     if "ideal" in payload:
-        gens = payload["ideal"]
-        if not isinstance(gens, list) or not gens:
-            raise SchemaError(f"{where}.ideal must be a nonempty list")
-        seq = [tr.elem(_parse_poly(tr, g, f"{where}.ideal")) for g in gens]
-        return ideal_presentation(seq)
+        gens = _list(payload["ideal"], f"{where}.ideal", nonempty=True)
+        return ideal_presentation(
+            [tr.elem(_parse_poly(tr, g, f"{where}.ideal")) for g in gens])
     if "presentation" in payload:
-        pres = payload["presentation"]
-        ngens = _require(pres, "generators", f"{where}.presentation")
+        pres, where = payload["presentation"], f"{where}.presentation"
+        ngens = _require(pres, "generators", where)
         if not isinstance(ngens, int) or ngens < 0:
-            raise SchemaError(f"{where}.presentation.generators must be >= 0")
-        rel_rows = pres.get("relations", [])
-        if not isinstance(rel_rows, list):
-            raise SchemaError(f"{where}.presentation.relations must be a list of rows")
-        rels = []
-        for row in rel_rows:
-            if not isinstance(row, list) or len(row) != ngens:
-                raise SchemaError(
-                    f"{where}: every relation needs {ngens} entries")
-            rels.append(tuple(_parse_poly(tr, p, f"{where}.relations")
-                              for p in row))
-        grading = None
-        if pres.get("degrees") is not None:
-            degrees = pres["degrees"]
-            if not isinstance(degrees, list) or len(degrees) != ngens:
-                raise SchemaError(f"{where}.degrees must list {ngens} integers")
-            grading = Grading(
-                tuple(_parse_int(d, f"{where}.presentation.degrees")
-                      for d in degrees),
-                _parse_int(pres.get("t_weight", 1),
-                           f"{where}.presentation.t_weight"))
+            raise SchemaError(f"{where}.generators must be >= 0")
+        rels = _rows(_require(pres, "relations", where, []), f"{where}.relations",
+                     None, ngens, tr)
+        degrees = _require(pres, "degrees", where, None)
+        grading = None if degrees is None else Grading(
+            tuple(_parse_int(d, f"{where}.degrees")
+                  for d in _list(degrees, f"{where}.degrees", ngens)),
+            _parse_int(pres.get("t_weight", 1), f"{where}.t_weight"))
         try:
             return PresMod(tr, ngens, rels, grading)
         except ArithError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     if "free" in payload:
-        shape = payload["free"]
-        rank = _parse_int(_require(shape, "rank", f"{where}.free"),
-                          f"{where}.free.rank")
+        shape, where = payload["free"], f"{where}.free"
+        rank = _parse_int(_require(shape, "rank", where), f"{where}.rank")
         if rank < 0:
-            raise SchemaError(f"{where}.free.rank must be >= 0")
+            raise SchemaError(f"{where}.rank must be >= 0")
         degrees = shape.get("degrees")
-        if degrees and not isinstance(degrees, list):
-            raise SchemaError(f"{where}.free.degrees must be a list of integers")
         return free_module(
             tr, rank,
-            tuple(_parse_int(d, f"{where}.free.degrees") for d in degrees)
-            if degrees else None,
-            _parse_int(shape.get("t_weight", 1), f"{where}.free.t_weight"))
+            tuple(_parse_int(d, f"{where}.degrees")
+                  for d in _list(degrees, f"{where}.degrees")) if degrees else None,
+            _parse_int(shape.get("t_weight", 1), f"{where}.t_weight"))
     if "truncated_free" in payload:
-        shape = payload["truncated_free"]
-        level = _require(shape, "level", f"{where}.truncated_free")
+        shape, where = payload["truncated_free"], f"{where}.truncated_free"
+        level = _require(shape, "level", where)
         return truncated_free(
-            tr, _parse_int(level, f"{where}.truncated_free.level"),
-            _parse_int(shape.get("degree", 0), f"{where}.truncated_free.degree"),
-            _parse_int(shape.get("t_weight", 1), f"{where}.truncated_free.t_weight"))
+            tr, _parse_int(level, f"{where}.level"),
+            _parse_int(shape.get("degree", 0), f"{where}.degree"),
+            _parse_int(shape.get("t_weight", 1), f"{where}.t_weight"))
     raise SchemaError(
         f"{where}: expected one of 'ideal', 'presentation', 'free', "
         "'truncated_free'")
 
 
-def _parse_aut(tr: TruncRing, doc: dict, where: str) -> AutMap:
-    if "deriv" in doc:
-        d_coeffs = {v: _parse_poly(tr.base, p, f"{where}.deriv")
-                    for v, p in _require(doc, "deriv", where).items()}
-        alpha = _parse_poly(tr.base, doc.get("alpha", "1"), f"{where}.alpha")
-        try:
-            return AutMap.from_deriv(tr, d_coeffs, alpha)
-        except ArithError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
-    images = {v: _parse_poly(tr, p, f"{where}.images")
-              for v, p in _require(doc, "images", where).items()}
-    t_image = _parse_poly(tr, _require(doc, "t_image", where), f"{where}.t_image")
+def _parse_aut(tr: TruncRing, doc, where: str) -> AutMap:
+    deriv = _require(doc, "deriv", where, None)
     try:
-        return AutMap(tr, images, t_image)
+        if deriv is not None:
+            return AutMap.from_deriv(
+                tr, {v: _parse_poly(tr.base, p, f"{where}.deriv")
+                     for v, p in _object(deriv, f"{where}.deriv").items()},
+                _parse_poly(tr.base, doc.get("alpha", "1"), f"{where}.alpha"))
+        images = _object(_require(doc, "images", where), f"{where}.images")
+        return AutMap(tr, {v: _parse_poly(tr, p, f"{where}.images")
+                           for v, p in images.items()},
+                      _parse_poly(tr, _require(doc, "t_image", where), f"{where}.t_image"))
     except ArithError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -292,80 +299,80 @@ def _parse_tau(ring: LocalDoubleRing, data, where: str):
     raise SchemaError(f"{where}: expected a class element string or a pair")
 
 
-def _parse_chart(ring: LocalDoubleRing, doc: dict) -> ChartChange:
-    fields = {}
-    for name, default in (("alpha", "1"), ("beta", "0"), ("gamma", "0"),
-                          ("delta", "1"), ("u", "0"), ("v", "0")):
-        fields[name] = _parse_poly(ring.base, doc.get(name, default),
-                                   f"chart.{name}")
-    return make_chart(ring, **fields)
+def _parse_chart(ring: LocalDoubleRing, doc) -> ChartChange:
+    return make_chart(ring, **{
+        name: _parse_poly(ring.base, _require(doc, name, "payload.chart", default),
+                          f"payload.chart.{name}")
+        for name, default in (("alpha", "1"), ("beta", "0"), ("gamma", "0"),
+                              ("delta", "1"), ("u", "0"), ("v", "0"))})
 
 
-def _point_ideal(ring: LocalDoubleRing, doc: dict, where: str) -> PointIdeal:
+def _point_ideal(ring: LocalDoubleRing, doc, where: str) -> PointIdeal:
     a = _parse_poly(ring.base, _require(doc, "a", where), f"{where}.a")
     b = _parse_poly(ring.base, _require(doc, "b", where), f"{where}.b")
     return PointIdeal(ring, a, b)
 
 
+def _sequence(tr: TruncRing, payload: dict) -> list:
+    seq = _list(_require(payload, "sequence", "payload"), "payload.sequence",
+                nonempty=True)
+    return [tr.elem(_parse_poly(tr, s, "payload.sequence")) for s in seq]
+
+
 # -- command handlers -------------------------------------------------------
+#
+# Each takes the ring ``_run`` built for the job, the payload object and
+# the options.
 
 
-def _cmd_gb(job, payload, options):
-    tr = _build_ring(job, options)
-    rank, cols = _parse_span(tr, payload)
-    span = Submodule(free_module(tr, rank), cols).span()
-    basis = [_ser_col(vec_to_polys(tr.S, rank, v)) for v in span.gb]
+def _cmd_gb(ring, payload, options):
+    rank, cols = _parse_span(ring, payload)
+    span = Submodule(free_module(ring, rank), cols).span()
+    basis = [_ser_col(vec_to_polys(ring.S, rank, v)) for v in span.gb]
     return {"basis": basis, "rank": rank}
 
 
-def _cmd_nf(job, payload, options):
-    tr = _build_ring(job, options)
-    rank, cols = _parse_span(tr, payload)
+def _cmd_nf(ring, payload, options):
+    rank, cols = _parse_span(ring, payload)
     elem = payload.get("element")
     if isinstance(elem, str):
         elem = [elem]
-    if not isinstance(elem, list) or len(elem) != rank:
-        raise SchemaError(f"payload.element must have {rank} components")
-    vec = vec_from_polys(tuple(_parse_poly(tr, p, "element") for p in elem))
-    nf = Submodule(free_module(tr, rank), cols).span().normal_form(vec)
-    return {"normal_form": _ser_col(vec_to_polys(tr.S, rank, nf)),
+    vec = vec_from_polys(tuple(_parse_poly(ring, p, "payload.element")
+                               for p in _list(elem, "payload.element", rank)))
+    nf = Submodule(free_module(ring, rank), cols).span().normal_form(vec)
+    return {"normal_form": _ser_col(vec_to_polys(ring.S, rank, nf)),
             "member": not nf}
 
 
-def _cmd_syz(job, payload, options):
-    tr = _build_ring(job, options)
-    rank, cols = _parse_span(tr, payload)
-    syz = Submodule(free_module(tr, rank), []).kernel_through(cols)
+def _cmd_syz(ring, payload, options):
+    rank, cols = _parse_span(ring, payload)
+    syz = Submodule(free_module(ring, rank), []).kernel_through(cols)
     return {"syzygies": [_ser_col(c) for c in syz]}
 
 
-def _cmd_zerodivisor(job, payload, options):
-    tr = _build_ring(job, options)
-    u = tr.elem(_parse_poly(tr, _require(payload, "element", "payload"),
-                            "element"))
+def _cmd_zerodivisor(ring, payload, options):
+    u = ring.elem(_parse_poly(ring, _require(payload, "element", "payload"),
+                              "element"))
     witness = zero_divisor_witness(u)
     return {"zerodivisor": is_zero_divisor(u),
             "witness": str(witness.poly) if witness is not None else None}
 
 
-def _cmd_aut_compose(job, payload, options):
-    tr = _build_ring(job, options)
-    first = _parse_aut(tr, _require(payload, "first", "payload"), "first")
-    second = _parse_aut(tr, _require(payload, "second", "payload"), "second")
+def _cmd_aut_compose(ring, payload, options):
+    first = _parse_aut(ring, _require(payload, "first", "payload"), "first")
+    second = _parse_aut(ring, _require(payload, "second", "payload"), "second")
     return {"composite": _ser_aut(compose(first, second))}
 
 
-def _cmd_aut_cocycle(job, payload, options):
-    tr = _build_ring(job, options)
-    ij = _parse_aut(tr, _require(payload, "ij", "payload"), "ij")
-    jk = _parse_aut(tr, _require(payload, "jk", "payload"), "jk")
-    ik = _parse_aut(tr, _require(payload, "ik", "payload"), "ik")
+def _cmd_aut_cocycle(ring, payload, options):
+    ij = _parse_aut(ring, _require(payload, "ij", "payload"), "ij")
+    jk = _parse_aut(ring, _require(payload, "jk", "payload"), "jk")
+    ik = _parse_aut(ring, _require(payload, "ik", "payload"), "ik")
     return {"consistent": verify_cocycle(ij, jk, ik)}
 
 
-def _cmd_filtration(job, payload, options):
-    tr = _build_ring(job, options)
-    M = _parse_presmod(tr, payload)
+def _cmd_filtration(ring, payload, options):
+    M = _parse_presmod(ring, payload)
 
     def chain_doc(chain):
         layers = []
@@ -382,18 +389,17 @@ def _cmd_filtration(job, payload, options):
             "second": chain_doc(second_canonical_filtration(M))}
 
 
-def _cmd_balanced(job, payload, options):
-    tr = _build_ring(job, options)
-    M = _parse_presmod(tr, payload)
+def _cmd_balanced(ring, payload, options):
+    M = _parse_presmod(ring, payload)
     rep = is_balanced(M)
     witness = None
     if rep.witness is not None:
         if "ideal" in payload:
-            gens = [tr.parse(g) for g in payload["ideal"]]
-            elem = tr.S.zero()
+            gens = [ring.parse(g) for g in payload["ideal"]]
+            elem = ring.S.zero()
             for c, g in zip(rep.witness, gens):
                 elem = elem + c * g
-            witness = str(tr.truncate(elem))
+            witness = str(ring.truncate(elem))
         else:
             witness = _ser_col(rep.witness)
     return {"balanced": rep.balanced, "by_composite": rep.by_composite,
@@ -401,23 +407,20 @@ def _cmd_balanced(job, payload, options):
             "witness_level": rep.witness_level, "note": rep.note}
 
 
-def _cmd_quasifree(job, payload, options):
-    tr = _build_ring(job, options)
-    rep = quasi_free_type(_parse_presmod(tr, payload))
+def _cmd_quasifree(ring, payload, options):
+    rep = quasi_free_type(_parse_presmod(ring, payload))
     return {"quasi_free": rep.type_vector is not None,
             "type": list(rep.type_vector) if rep.type_vector else None,
             "layer_ranks": rep.layer_ranks, "first_nonfree": rep.first_nonfree,
             "note": rep.note}
 
 
-def _cmd_generictype(job, payload, options):
-    tr = _build_ring(job, options)
-    return {"type": list(generic_type(_parse_presmod(tr, payload)))}
+def _cmd_generictype(ring, payload, options):
+    return {"type": list(generic_type(_parse_presmod(ring, payload)))}
 
 
-def _cmd_torsion(job, payload, options):
-    tr = _build_ring(job, options)
-    rep = torsion(_parse_presmod(tr, payload))
+def _cmd_torsion(ring, payload, options):
+    rep = torsion(_parse_presmod(ring, payload))
     return {
         "torsion_free": rep.is_torsion_free,
         "generators": [_ser_col(g) for g in rep.submodule.gens],
@@ -426,15 +429,13 @@ def _cmd_torsion(job, payload, options):
     }
 
 
-def _cmd_dual(job, payload, options):
-    tr = _build_ring(job, options)
-    return {"dual": _ser_presmod(dual(_parse_presmod(tr, payload)))}
+def _cmd_dual(ring, payload, options):
+    return {"dual": _ser_presmod(dual(_parse_presmod(ring, payload)))}
 
 
-def _cmd_ext1(job, payload, options):
-    tr = _build_ring(job, options)
-    M = _parse_presmod(tr, _require(payload, "source", "payload"), "source")
-    N = _parse_presmod(tr, _require(payload, "target", "payload"), "target")
+def _cmd_ext1(ring, payload, options):
+    M = _parse_presmod(ring, _require(payload, "source", "payload"), "source")
+    N = _parse_presmod(ring, _require(payload, "target", "payload"), "target")
     E = ext1_module(M, N)
     out = {"ext1": _ser_presmod(E)}
     bound = options.get("degree_bound")
@@ -444,20 +445,18 @@ def _cmd_ext1(job, payload, options):
     return out
 
 
-def _cmd_extend(job, payload, options):
-    tr = _build_ring(job, options)
-    sigma = _parse_poly(tr, _require(payload, "sigma", "payload"), "sigma")
+def _cmd_extend(ring, payload, options):
+    sigma = _parse_poly(ring, _require(payload, "sigma", "payload"), "sigma")
     level = _require(payload, "level", "payload")
     if not isinstance(level, int):
         raise SchemaError("payload.level must be an integer")
-    res = extension_R_by_Ri(tr, sigma, level)
+    res = extension_R_by_Ri(ring, sigma, level)
     return {"module": _ser_presmod(res.module),
             "generic_type": list(generic_type(res.module))}
 
 
-def _cmd_refine(job, payload, options):
-    tr = _build_ring(job, options)
-    M = _parse_presmod(tr, payload)
+def _cmd_refine(ring, payload, options):
+    M = _parse_presmod(ring, payload)
     D = first_canonical_filtration(M)
     F = second_canonical_filtration(M)
     Dr, Fr, pairs = refine_filtrations(D, F)
@@ -466,50 +465,39 @@ def _cmd_refine(job, payload, options):
             "matched_layers": [list(p[0]) for p in pairs]}
 
 
-def _cmd_regseq_check(job, payload, options):
-    tr = _build_ring(job, options)
-    seq_doc = _require(payload, "sequence", "payload")
-    if not isinstance(seq_doc, list) or not seq_doc:
-        raise SchemaError("payload.sequence must be a nonempty list")
-    seq = [tr.elem(_parse_poly(tr, s, "sequence")) for s in seq_doc]
-    rep = is_regular_sequence(seq, jet_order=options.get("jet_order"))
+def _cmd_regseq_check(ring, payload, options):
+    rep = is_regular_sequence(_sequence(ring, payload),
+                              jet_order=options.get("jet_order"))
     return {"regular": rep.regular,
             "witness_index": rep.witness_index,
             "witness": str(rep.witness) if rep.witness is not None else None,
             "reductions": [str(p) for p in rep.reductions]}
 
 
-def _cmd_regseq_shadow(job, payload, options):
-    tr = _build_ring(job, options)
-    y = _parse_poly(tr.base, _require(payload, "element", "payload"), "element")
-    seq_doc = _require(payload, "sequence", "payload")
-    seq = [tr.elem(_parse_poly(tr, s, "sequence")) for s in seq_doc]
-    member = shadow_membership(y, seq, jet_order=options.get("jet_order"))
+def _cmd_regseq_shadow(ring, payload, options):
+    y = _parse_poly(ring.base, _require(payload, "element", "payload"), "element")
+    member = shadow_membership(y, _sequence(ring, payload),
+                               jet_order=options.get("jet_order"))
     return {"member": member}
 
 
-def _cmd_tau(job, payload, options):
-    ring = _double_ring(job, options)
-    J = _point_ideal(ring, payload, "payload")
-    cls = tau(J)
+def _cmd_tau(ring, payload, options):
+    cls = tau(_point_ideal(ring, payload, "payload"))
     return {"tau": [_ser_frac(cls.c_x), _ser_frac(cls.c_y)]}
 
 
-def _cmd_ideal_eq(job, payload, options):
-    ring = _double_ring(job, options)
+def _cmd_ideal_eq(ring, payload, options):
     J = _point_ideal(ring, _require(payload, "first", "payload"), "first")
     K = _point_ideal(ring, _require(payload, "second", "payload"), "second")
     return {"equal": ideals_equal(J, K)}
 
 
-def _cmd_lambda(job, payload, options):
-    ring = _double_ring(job, options)
+def _cmd_lambda(ring, payload, options):
     lam = lambda_coord(_point_ideal(ring, payload, "payload"))
     return {"lambda": [_ser_frac(c) for c in lam.coords], "chart": lam.chart}
 
 
-def _cmd_chart(job, payload, options):
-    ring = _double_ring(job, options)
+def _cmd_chart(ring, payload, options):
     J = _point_ideal(ring, payload, "payload")
     ch = _parse_chart(ring, _require(payload, "chart", "payload"))
     if "difference_with" in payload:
@@ -520,72 +508,46 @@ def _cmd_chart(job, payload, options):
     return {"lambda": [_ser_frac(c) for c in lam.coords], "chart": lam.chart}
 
 
-def _cmd_resolution(job, payload, options):
-    ring = _double_ring(job, options)
-    bound = _option(options, "degree_bound", 4)
-    overrides = {}
-    for key, width in (("phi1", 2), ("phi2", 3)):
-        if key in payload:
-            if not isinstance(payload[key], list) or len(payload[key]) != 3:
-                raise SchemaError(f"payload.{key} needs 3 columns")
-            cols = []
-            for row in payload[key]:
-                if not isinstance(row, list) or len(row) != width:
-                    raise SchemaError(f"payload.{key} columns need {width} entries")
-                cols.append(tuple(_parse_poly(ring.trunc, p, key) for p in row))
-            overrides[key + "_cols"] = cols
-    rep = verify_maximal_ideal_resolution(ring, bound, **overrides)
+def _cmd_resolution(ring, payload, options):
+    overrides = {f"{key}_cols": _rows(payload[key], f"payload.{key}", 3, width,
+                                      ring.trunc)
+                 for key, width in (("phi1", 2), ("phi2", 3)) if key in payload}
+    rep = verify_maximal_ideal_resolution(
+        ring, _option(options, "degree_bound", 4), **overrides)
     return {"ok": rep.ok, "failures": rep.failures,
             "table": [list(r) for r in rep.dimension_table]}
 
 
-def _cmd_extcheck(job, payload, options):
-    ring = _double_ring(job, options)
-    bound = _option(options, "degree_bound", 4)
-    overrides = {}
-    for key, width in (("psi1", 2), ("psi2", 3)):
-        if key in payload:
-            if not isinstance(payload[key], list) or len(payload[key]) != 3:
-                raise SchemaError(f"payload.{key} needs 3 rows")
-            matrix = []
-            for row in payload[key]:
-                if not isinstance(row, list) or len(row) != width:
-                    raise SchemaError(f"payload.{key} rows need {width} entries")
-                matrix.append([_parse_poly(ring.base, p, key) for p in row])
-            overrides[key] = matrix
-    rep = ext_complex_check(ring, bound, **overrides)
+def _cmd_extcheck(ring, payload, options):
+    overrides = {key: _rows(payload[key], f"payload.{key}", 3, width, ring.base)
+                 for key, width in (("psi1", 2), ("psi2", 3)) if key in payload}
+    rep = ext_complex_check(ring, _option(options, "degree_bound", 4), **overrides)
     return {"ok": rep.ok, "failures": rep.failures,
             "table": [list(r) for r in rep.dimension_table]}
 
 
-def _cmd_ideal_extend(job, payload, options):
-    ring = _double_ring(job, options)
+def _cmd_ideal_extend(ring, payload, options):
     tau_data = _parse_tau(ring, _require(payload, "tau", "payload"), "tau")
     rho = _parse_poly(ring.base, _require(payload, "rho", "payload"), "rho")
     M = extension_module(ring, tau_data, rho).module
     return {"module": _ser_presmod(M), "balanced": is_balanced_extension(ring, M, rho)}
 
 
-def _cmd_recover(job, payload, options):
-    ring = _double_ring(job, options)
+def _cmd_recover(ring, payload, options):
     tau_data = _parse_tau(ring, _require(payload, "tau", "payload"), "tau")
     J = recover_ideal(ring, tau_data)
     return {"a": str(J.a), "b": str(J.b),
             "generators": [str(J.gen_x), str(J.gen_y)]}
 
 
-def _cmd_hilbert_poly(job, payload, options):
-    tr = _build_ring(job, options)
-    M = _parse_presmod(tr, payload)
-    p = hilbert_polynomial(M)
+def _cmd_hilbert_poly(ring, payload, options):
+    p = hilbert_polynomial(_parse_presmod(ring, payload))
     return {"coefficients": [_ser_frac(c) for c in p.coeffs],
             "degree": p.degree()}
 
 
-def _cmd_hilbert_pred(job, payload, options):
-    tr = _build_ring(job, options)
-    M = _parse_presmod(tr, payload)
-    p = reduced_hilbert_polynomial(M)
+def _cmd_hilbert_pred(ring, payload, options):
+    p = reduced_hilbert_polynomial(_parse_presmod(ring, payload))
     rd = rank_degree_reduced(p)
     return {"coefficients": [_ser_frac(c) for c in p.coeffs],
             "degree": p.degree(),
@@ -631,6 +593,11 @@ COMMANDS = tuple(_HANDLERS)
 # every degree up to the bound, so without a limit one job runs without
 # bound.  The largest value any test or benchmark job uses is 5.
 MAX_OPTION_BOUND = 16
+
+# Largest ``ring.n`` accepted.  Module questions walk every power of t up to
+# n, so without a limit one job runs without bound.  The largest value any
+# test or benchmark job uses is 3.
+MAX_RING_N = 16
 
 
 def _emit(doc: dict) -> None:
@@ -678,8 +645,10 @@ def _run(args: argparse.Namespace) -> int:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         job = json.loads(text)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         # json.loads raises RecursionError on documents nested too deeply
+        # and ValueError on an integer literal longer than int() converts;
+        # a file that is not UTF-8 raises UnicodeDecodeError, a ValueError
         _emit({"error": {"kind": "schema", "message": f"cannot read job: {exc}"}})
         return 2
 
@@ -691,10 +660,8 @@ def _run(args: argparse.Namespace) -> int:
         if declared is not None and declared != args.command:
             raise SchemaError(
                 f"document says command {declared!r}, invoked as {args.command!r}")
-        options = {} if job.get("options") is None else job["options"]
-        if not isinstance(options, dict):
-            raise SchemaError("options must be an object")
-        options = dict(options)
+        options = job.get("options")
+        options = {} if options is None else dict(_object(options, "options"))
         for key, value in (("jet_order", args.jet_order),
                            ("order", args.order),
                            ("degree_bound", args.degree_bound)):
@@ -711,10 +678,10 @@ def _run(args: argparse.Namespace) -> int:
             if not 0 <= value <= MAX_OPTION_BOUND:
                 raise SchemaError(
                     f"options.{key} must lie in 0..{MAX_OPTION_BOUND}, got {value}")
-        payload = job.get("payload")
-        if not isinstance(payload, dict):
-            raise SchemaError("job document needs a payload object")
-        result = _HANDLERS[args.command](job, payload, options)
+        payload = _object(job.get("payload"), "payload")
+        # the point-ideal commands are exactly the ideal.* ones
+        build = _double_ring if args.command.startswith("ideal.") else _build_ring
+        result = _HANDLERS[args.command](build(job, options), payload, options)
     except SchemaError as exc:
         _emit({"error": {"kind": "schema", "message": str(exc)}})
         return 2

@@ -454,19 +454,17 @@ class SpanGB:
     first time ``lift`` or ``syzygies`` needs it, and kept.
     """
 
-    def __init__(self, ring: PolyRing, rank: int, vecs: list[VecT],
-                 order: MonomialOrder | None = None):
+    def __init__(self, ring: PolyRing, rank: int, vecs: list[VecT]):
         self.ring = ring
         self.rank = rank
         self.vecs = list(vecs)
-        self.order = order or ring.order
         # The graph order; on the first block it is the plain one.
-        self.morder = ModuleOrder(self.order, (0,) * rank + (1,) * len(self.vecs))
+        self.morder = ModuleOrder(ring.order, (0,) * rank + (1,) * len(self.vecs))
         self._graph: tuple[_LeadIndex, list[VecT]] | None = None
 
     @cached_property
     def gb(self) -> list[VecT]:
-        return reduced_groebner(self.vecs, ModuleOrder(self.order, (0,) * self.rank))
+        return reduced_groebner(self.vecs, module_order(self.ring, self.rank))
 
     @cached_property
     def _gb_index(self) -> _LeadIndex:
