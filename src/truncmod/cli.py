@@ -149,6 +149,15 @@ def _parse_int(value, where: str) -> int:
         raise SchemaError(f"{where}: expected an integer, got {value!r}") from exc
 
 
+def _parse_degree(value, where: str) -> int:
+    """A generator degree or a ``t_weight``: an integer of magnitude at most
+    ``MAX_DEGREE``."""
+    degree = _parse_int(value, where)
+    if abs(degree) > MAX_DEGREE:
+        raise SchemaError(f"{where} must lie in -{MAX_DEGREE}..{MAX_DEGREE}, got {degree}")
+    return degree
+
+
 def _ser_frac(q: Fraction):
     return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -225,15 +234,16 @@ def _parse_presmod(tr: TruncRing, payload: dict, where: str = "payload") -> Pres
     if "presentation" in payload:
         pres, where = payload["presentation"], f"{where}.presentation"
         ngens = _require(pres, "generators", where)
-        if not isinstance(ngens, int) or ngens < 0:
-            raise SchemaError(f"{where}.generators must be >= 0")
+        if not isinstance(ngens, int) or not 0 <= ngens <= MAX_RANK:
+            raise SchemaError(
+                f"{where}.generators must be an integer in 0..{MAX_RANK}, got {ngens!r}")
         rels = _rows(_require(pres, "relations", where, []), f"{where}.relations",
                      None, ngens, tr)
         degrees = _require(pres, "degrees", where, None)
         grading = None if degrees is None else Grading(
-            tuple(_parse_int(d, f"{where}.degrees")
+            tuple(_parse_degree(d, f"{where}.degrees")
                   for d in _list(degrees, f"{where}.degrees", ngens)),
-            _parse_int(pres.get("t_weight", 1), f"{where}.t_weight"))
+            _parse_degree(pres.get("t_weight", 1), f"{where}.t_weight"))
         try:
             return PresMod(tr, ngens, rels, grading)
         except ArithError as exc:
@@ -241,21 +251,21 @@ def _parse_presmod(tr: TruncRing, payload: dict, where: str = "payload") -> Pres
     if "free" in payload:
         shape, where = payload["free"], f"{where}.free"
         rank = _parse_int(_require(shape, "rank", where), f"{where}.rank")
-        if rank < 0:
-            raise SchemaError(f"{where}.rank must be >= 0")
+        if not 0 <= rank <= MAX_RANK:
+            raise SchemaError(f"{where}.rank must lie in 0..{MAX_RANK}, got {rank}")
         degrees = shape.get("degrees")
         return free_module(
             tr, rank,
-            tuple(_parse_int(d, f"{where}.degrees")
+            tuple(_parse_degree(d, f"{where}.degrees")
                   for d in _list(degrees, f"{where}.degrees")) if degrees else None,
-            _parse_int(shape.get("t_weight", 1), f"{where}.t_weight"))
+            _parse_degree(shape.get("t_weight", 1), f"{where}.t_weight"))
     if "truncated_free" in payload:
         shape, where = payload["truncated_free"], f"{where}.truncated_free"
         level = _require(shape, "level", where)
         return truncated_free(
             tr, _parse_int(level, f"{where}.level"),
-            _parse_int(shape.get("degree", 0), f"{where}.degree"),
-            _parse_int(shape.get("t_weight", 1), f"{where}.t_weight"))
+            _parse_degree(shape.get("degree", 0), f"{where}.degree"),
+            _parse_degree(shape.get("t_weight", 1), f"{where}.t_weight"))
     raise SchemaError(
         f"{where}: expected one of 'ideal', 'presentation', 'free', "
         "'truncated_free'")
@@ -593,6 +603,20 @@ COMMANDS = tuple(_HANDLERS)
 # every degree up to the bound, so without a limit one job runs without
 # bound.  The largest value any test or benchmark job uses is 5.
 MAX_OPTION_BOUND = 16
+
+# Largest ``free.rank`` and ``presentation.generators`` accepted.  Every
+# filtration and refinement builds bases over that many generators, so
+# without a limit one job runs without bound; ``module.refine`` on 64 free
+# generators at n = 2 takes about a second.  The largest value any test or
+# benchmark job uses is 4.
+MAX_RANK = 64
+
+# Largest magnitude accepted for a generator degree (a ``degrees`` entry or
+# ``truncated_free.degree``) and for a ``t_weight``.  ``hilbert.poly``
+# checks its answer on every degree up to the spread of the generator
+# degrees, so without a limit one job runs without bound.  The largest
+# value any test or benchmark job uses is 2.
+MAX_DEGREE = 64
 
 # Largest ``ring.n`` accepted.  Module questions walk every power of t up to
 # n, so without a limit one job runs without bound.  The largest value any

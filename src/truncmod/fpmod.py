@@ -365,7 +365,8 @@ class ModMap:
 
 @dataclass
 class ComparisonData:
-    """Layer data of both t-power filtrations.
+    """Members and comparison maps of both t-power filtrations; the layers
+    are the maps' sources and targets.
 
     lambdas[i] is the injection layer^(i+2) -> layer^(i+1) of the annihilator
     filtration (multiplication by t), mus[i] the surjection layer_i ->
@@ -373,8 +374,6 @@ class ComparisonData:
     gamma_coker[i] = coker(lambdas[i]); all lists run over i = 0..n-2.
     """
 
-    lower_layers: list[PresMod]      # G_i, i = 0..n-1
-    upper_layers: list[PresMod]      # G^(i), i = 1..n
     lower_members: list[Submodule]   # M_i, i = 0..n
     upper_members: list[Submodule]   # ann(t^i), i = 0..n
     lambdas: list[ModMap]
@@ -383,59 +382,48 @@ class ComparisonData:
     gamma_coker: list[PresMod]
 
 
-def comparison_maps(M: PresMod) -> ComparisonData:
-    ring = M.ring
-    n = ring.n
-    first = first_canonical_filtration(M)
-    lower_members = first.members
-    upper_members_desc = second_canonical_filtration(M).members
-    upper_members = list(reversed(upper_members_desc))  # index i = ann(t^i)
-
-    lower_layers = [subquotient(M, lower_members[i].gens, lower_members[i + 1].gens)
-                    for i in range(n)]
-    upper_layers = [subquotient(M, upper_members[i + 1].gens, upper_members[i].gens)
-                    for i in range(n)]  # entry i = layer^(i+1)
-
-    def upper_layer(i: int) -> PresMod:
-        return upper_layers[i - 1]
-
+def _annihilator_side(M: PresMod) -> tuple[list[Submodule], list[ModMap]]:
+    """The annihilator filtration read ascending: the members ann(t^i)
+    (i = 0..n) and the injections lambdas, each checked injective; the
+    layers G^(i) are the lambdas' sources and targets."""
+    second = second_canonical_filtration(M)
+    members = second.members[::-1]       # index i = ann(t^i)
+    layers = second.quotients()[::-1]    # index i = layer^(i+1)
+    t = M.ring.t
     lambdas: list[ModMap] = []
-    for i in range(1, n):
-        src = upper_layer(i + 1)
-        tgt = upper_layer(i)
+    for i in range(1, M.ring.n):
         cols = []
-        for g in upper_members[i + 1].gens:
-            lifted = upper_members[i].lift(tuple(ring.t * p for p in g))
+        for g in members[i + 1].gens:
+            lifted = members[i].lift(tuple(t * p for p in g))
             if lifted is None:
                 raise ModuleError("t-image escaped the next annihilator (presentation bug)")
             cols.append(lifted)
-        lam = ModMap(src, tgt, cols)
+        lam = ModMap(layers[i], layers[i - 1], cols)
         if not lam.is_injective():
             raise ModuleError("annihilator layer map failed injectivity")
         lambdas.append(lam)
+    return members, lambdas
+
+
+def comparison_maps(M: PresMod) -> ComparisonData:
+    upper_members, lambdas = _annihilator_side(M)
+    first = first_canonical_filtration(M)
+    lower_layers = first.quotients()
 
     mus: list[ModMap] = []
-    for i in range(n - 1):
-        src = lower_layers[i]
-        tgt = lower_layers[i + 1]
-        cols = [tgt.gen_column(j) for j in range(tgt.ngens)]
-        mu = ModMap(src, tgt, cols)
+    for src, tgt in zip(lower_layers, lower_layers[1:]):
+        mu = ModMap(src, tgt, [tgt.gen_column(j) for j in range(tgt.ngens)])
         if not mu.is_surjective():
             raise ModuleError("image layer map failed surjectivity")
         mus.append(mu)
 
-    gamma_ker = [mu.kernel_presentation() for mu in mus]
-    gamma_coker = [lam.cokernel_presentation() for lam in lambdas]
-
     return ComparisonData(
-        lower_layers=lower_layers,
-        upper_layers=upper_layers,
-        lower_members=lower_members,
+        lower_members=first.members,
         upper_members=upper_members,
         lambdas=lambdas,
         mus=mus,
-        gamma_ker=gamma_ker,
-        gamma_coker=gamma_coker,
+        gamma_ker=[mu.kernel_presentation() for mu in mus],
+        gamma_coker=[lam.cokernel_presentation() for lam in lambdas],
     )
 
 
@@ -455,14 +443,16 @@ class BalancedReport:
 def is_balanced(M: PresMod) -> BalancedReport:
     """Two independent routes: surjectivity of the composite of all
     annihilator layer injections, and levelwise equality t^i M = ann(t^(n-i));
-    the routes must agree."""
+    the routes must agree.  Only the annihilator side of ``comparison_maps``
+    is built; of the image filtration only its members are read."""
     n = M.ring.n
     if n <= 1:
         return BalancedReport(True, True, True,
                               note="all comparison kernels and cokernels vanish")
-    data = comparison_maps(M)
-    composite = data.lambdas[0]
-    for lam in data.lambdas[1:]:
+    upper_members, lambdas = _annihilator_side(M)
+    lower_members = first_canonical_filtration(M).members
+    composite = lambdas[0]
+    for lam in lambdas[1:]:
         composite = composite.compose(lam)
     # composite: layer^(n) -> layer^(1)
     by_composite = composite.is_surjective()
@@ -470,8 +460,8 @@ def is_balanced(M: PresMod) -> BalancedReport:
     witness_level = None
     witness = None
     for i in range(1, n):
-        lower = data.lower_members[i]
-        witness = next((g for g in data.upper_members[n - i].gens
+        lower = lower_members[i]
+        witness = next((g for g in upper_members[n - i].gens
                         if not lower.contains(g)), None)
         if witness is not None:
             witness_level = i
@@ -741,6 +731,11 @@ def refine_filtrations(D: FiltrationChain, F: FiltrationChain
     match up pairwise (Zassenhaus), which is checked by comparing graded
     Hilbert series; the returned pairing lists ((i,j), series) entries for
     the nonzero layers.
+
+    Both chains must run from the whole module to zero, as
+    ``FiltrationChain`` validates: then member (i, 0) is D_i and member
+    (i, m) is D_{i+1}, so only the inner members F_1 .. F_(m-1) are
+    intersected.
     """
     from .hilbert import hilbert_series_presmod
 
@@ -753,27 +748,27 @@ def refine_filtrations(D: FiltrationChain, F: FiltrationChain
     d_members = D.members
     f_members = F.members
 
-    def thread(outer: list[Submodule], inner: list[Submodule]) -> tuple[list[Submodule], dict]:
+    def thread(outer: list[Submodule], inner: list[Submodule]) -> list[Submodule]:
+        # member (i, j) sits at index i*m + j, for m = len(inner) - 1
         chain: list[Submodule] = []
-        index: dict[tuple[int, int], int] = {}
         for i in range(len(outer) - 1):
-            for j in range(len(inner)):
+            chain.append(outer[i])
+            for j in range(1, len(inner) - 1):
                 inter = outer[i].intersection_gens(inner[j])
-                index[(i, j)] = len(chain)
                 chain.append(Submodule(M, list(outer[i + 1].gens) + inter))
         chain.append(outer[-1])
-        return chain, index
+        return chain
 
-    d_chain, d_index = thread(d_members, f_members)
-    f_chain, f_index = thread(f_members, d_members)
+    d_chain = thread(d_members, f_members)
+    f_chain = thread(f_members, d_members)
+    m_d, m_f = len(d_members) - 1, len(f_members) - 1
 
     pairing = []
-    for i in range(len(d_members) - 1):
-        for j in range(len(f_members) - 1):
-            dq = subquotient(M, d_chain[d_index[(i, j)]].gens,
-                             d_chain[d_index[(i, j)] + 1].gens)
-            fq = subquotient(M, f_chain[f_index[(j, i)]].gens,
-                             f_chain[f_index[(j, i)] + 1].gens)
+    for i in range(m_d):
+        for j in range(m_f):
+            k, l = i * m_f + j, j * m_d + i
+            dq = subquotient(M, d_chain[k].gens, d_chain[k + 1].gens)
+            fq = subquotient(M, f_chain[l].gens, f_chain[l + 1].gens)
             hs_d = agree(ModuleError, f"series of crosswise layer ({i},{j})",
                          first_chain=hilbert_series_presmod(dq),
                          second_chain=hilbert_series_presmod(fq))

@@ -238,3 +238,41 @@ def test_unreadable_input_is_a_schema_error(tmp_path, capsys):
     path.write_bytes(b'{"payload": {"a": "\xff"}}')
     assert main(["ideal.tau", str(path)]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "schema"
+
+
+# Sizes: the fuzz above never grows a number in place, so each size field
+# of a module document has an explicit case beyond its bound, answered as a
+# schema error naming the field, and one at its bound, answered.
+HUGE = 10 ** 30
+
+
+@pytest.mark.parametrize("command, payload, field", [
+    ("module.filtration", {"free": {"rank": HUGE}}, "free.rank"),
+    ("module.filtration", {"free": {"rank": 65}}, "free.rank"),
+    ("module.filtration", {"presentation": {"generators": HUGE, "relations": []}},
+     "presentation.generators"),
+    ("hilbert.poly", {"free": {"rank": 1, "t_weight": HUGE}}, "free.t_weight"),
+    ("hilbert.poly", {"free": {"rank": 2, "degrees": [0, HUGE]}}, "free.degrees"),
+    ("hilbert.poly", {"free": {"rank": 2, "degrees": [0, -65]}}, "free.degrees"),
+    ("hilbert.poly", {"presentation": {"generators": 1, "degrees": [0], "t_weight": -65}},
+     "presentation.t_weight"),
+    ("hilbert.pred", {"truncated_free": {"level": 1, "degree": 65}},
+     "truncated_free.degree"),
+])
+def test_a_size_beyond_its_bound_is_a_schema_error(command, payload, field):
+    code, answer = check_answer(command, {"ring": RING, "payload": payload})
+    assert code == 2
+    assert field in answer["error"]["message"]
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("module.filtration", {"free": {"rank": 64}}),
+    ("module.filtration", {"presentation": {"generators": 64, "relations": []}}),
+    ("hilbert.poly", {"free": {"rank": 2, "degrees": [-64, 64], "t_weight": 64}}),
+    ("hilbert.pred", {"presentation": {"generators": 2, "relations": [["x", "y"]],
+                                       "degrees": [64, 64], "t_weight": -64}}),
+    ("hilbert.poly", {"truncated_free": {"level": 1, "degree": -64, "t_weight": 64}}),
+])
+def test_a_size_at_its_bound_is_answered(command, payload):
+    code, _ = check_answer(command, {"ring": RING, "payload": payload})
+    assert code == 0

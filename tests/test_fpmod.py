@@ -469,6 +469,50 @@ def test_comparison_maps_build_each_lifted_through_span_once(monkeypatch):
     assert len(keys) == len(set(keys))
 
 
+def test_balance_builds_only_the_annihilator_layers(monkeypatch):
+    from truncmod import fpmod
+
+    calls = []
+    subquotient_ = fpmod.subquotient
+
+    def counted(*args):
+        calls.append(args)
+        return subquotient_(*args)
+
+    monkeypatch.setattr(fpmod, "subquotient", counted)
+    rep = is_balanced(flag_ideal(ring(3), ("x^2", "y^2", "x*y")))
+    assert rep.balanced and rep.witness_level is None
+    # the n layers of the annihilator filtration, and nothing of the images
+    assert len(calls) == 3
+
+
+def test_refinement_intersects_only_inner_members(monkeypatch):
+    calls = []
+    intersection_gens = Submodule.intersection_gens
+
+    def counted(self, other):
+        calls.append(other)
+        return intersection_gens(self, other)
+
+    monkeypatch.setattr(Submodule, "intersection_gens", counted)
+    tr = ring(3)
+    I = flag_ideal(tr, ("x^2", "y^2", "x*y"))
+    F = free_module(tr, 1)
+    line = FiltrationChain(F, [Submodule(F, [F.gen_column(0)]),
+                               Submodule(F, [(tr.S.parse("x"),)]),
+                               Submodule(F, [F.zero_column()])])
+    counts = []
+    for D, E in ((first_canonical_filtration(I), second_canonical_filtration(I)),
+                 (line, first_canonical_filtration(F))):
+        before = len(calls)
+        refine_filtrations(D, E)
+        counts.append(len(calls) - before)
+        # the first and last member of each chain are the whole module and zero
+        a, b = len(D), len(E)
+        assert counts[-1] == (a - 1) * (b - 2) + (b - 1) * (a - 2)
+    assert counts == [12, 7]
+
+
 def test_intersection_of_principal_spans():
     tr = ring(2)
     S = tr.S

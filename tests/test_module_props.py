@@ -1,0 +1,96 @@
+"""Property tests for the t-power filtrations of small graded modules.
+
+Random presentations over R[2] and R[3] (one or two generators, up to three
+homogeneous relations of degree at most 2 in x, y, t) are checked against
+answers that do not depend on the generating set:
+
+* a presentation of the same module from ``transformed_presentation`` gives
+  the same balance verdict and witness level, and the same refined member
+  counts and matched layers;
+* the refined chains pass ``FiltrationChain``'s own validation, and the
+  matched layers add up to the Hilbert series of the module;
+* at n = 2, ``is_balanced`` agrees with the definition: every kernel and
+  cokernel of ``comparison_maps`` vanishes.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from truncmod.fpmod import (
+    FiltrationChain,
+    Grading,
+    PresMod,
+    comparison_maps,
+    first_canonical_filtration,
+    is_balanced,
+    refine_filtrations,
+    second_canonical_filtration,
+    transformed_presentation,
+)
+from truncmod.hilbert import hilbert_series_presmod
+from truncmod.multiring import TruncRing
+
+RINGS = {n: TruncRing(("x", "y"), n) for n in (2, 3)}
+# t-multiples first: a relation in t is what makes a module unbalanced
+MONOMIALS = {0: ("1",), 1: ("t", "x", "y"),
+             2: ("x*t", "t^2", "y*t", "x^2", "x*y", "y^2")}
+THROUGH = 6
+
+
+@st.composite
+def presentations(draw, n=None):
+    tr = RINGS[draw(st.sampled_from([2, 3])) if n is None else n]
+    degrees = draw(st.sampled_from([(0,), (1,), (0, 0), (0, 1)]))
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        # every entry of the column is homogeneous of degree 0..2
+        column_degree = draw(st.integers(max(degrees), min(degrees) + 2))
+        column = []
+        for d in degrees:
+            terms = draw(st.lists(st.tuples(st.integers(-2, 2).filter(bool),
+                                            st.sampled_from(MONOMIALS[column_degree - d])),
+                                  max_size=2))
+            column.append(tr.S.parse(" + ".join(f"({c})*{m}" for c, m in terms) or "0"))
+        relations.append(tuple(column))
+    return PresMod(tr, len(degrees), relations, Grading(degrees, 1))
+
+
+def refined(M):
+    return refine_filtrations(first_canonical_filtration(M),
+                              second_canonical_filtration(M))
+
+
+def balance(M):
+    rep = is_balanced(M)
+    return rep.balanced, rep.witness_level
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(M=presentations(), seed=st.integers(0, 2 ** 16))
+def test_another_presentation_gives_the_same_answers(M, seed):
+    N = transformed_presentation(M, seed)
+    assert balance(N) == balance(M)
+    D, F, pairs = refined(M)
+    D2, F2, pairs2 = refined(N)
+    assert (len(D2), len(F2)) == (len(D), len(F))
+    assert [p[0] for p in pairs2] == [p[0] for p in pairs]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(M=presentations())
+def test_refined_chains_are_filtrations_whose_layers_add_up(M):
+    D, F, pairs = refined(M)
+    for chain in (D, F):
+        FiltrationChain(M, chain.members)
+    total = [0] * (THROUGH + 1)
+    for _, series in pairs:
+        total = [a + b for a, b in zip(total, series.dimensions(THROUGH))]
+    assert total == hilbert_series_presmod(M).dimensions(THROUGH)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(M=presentations(n=2))
+def test_balance_is_the_vanishing_of_every_comparison_kernel(M):
+    data = comparison_maps(M)
+    vanish = all(G.is_zero_module() for G in data.gamma_ker + data.gamma_coker)
+    assert is_balanced(M).balanced == vanish
