@@ -30,8 +30,16 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import ArithError, Poly, agree, matrix_rank, mono_div, mono_divides
-from .groebner import SpanGB, VecT, kernel_through, vec_from_polys, vec_to_polys
+from .arith import ArithError, Poly, agree, grevlex, matrix_rank
+from .groebner import (
+    ModuleOrder,
+    SpanGB,
+    VecT,
+    kernel_through,
+    reduced_groebner,
+    vec_from_polys,
+    vec_to_polys,
+)
 from .multiring import TruncRing
 
 Column = tuple[Poly, ...]
@@ -491,46 +499,6 @@ def base_relation_matrix(Q: PresMod) -> list[list[Poly]]:
     return rows
 
 
-def minimal_graded_presentation(gen_degrees: list[int], matrix: list[list[Poly]]
-                                ) -> tuple[list[int], list[list[Poly]]]:
-    """Iteratively split off generators hit by unit (constant) relation
-    entries; on homogeneous data the result is the minimal presentation."""
-    degs = list(gen_degrees)
-    rows = [list(r) for r in matrix]
-    while True:
-        ncols = len(rows[0]) if rows else 0
-        pivot = None
-        for j in range(ncols):
-            for k in range(len(rows)):
-                p = rows[k][j]
-                if p.terms and p.total_degree() == 0:
-                    pivot = (k, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        k, j = pivot
-        c = rows[k][j].constant_term()
-        col_j = [rows[r][j].scale(Fraction(1) / c) for r in range(len(rows))]
-        for jj in range(ncols):
-            if jj == j:
-                continue
-            factor = rows[k][jj]
-            if factor.is_zero():
-                continue
-            for r in range(len(rows)):
-                rows[r][jj] = rows[r][jj] - factor * col_j[r]
-        del degs[k]
-        rows = [row for r, row in enumerate(rows) if r != k]
-        rows = [[row[jj] for jj in range(ncols) if jj != j] for row in rows]
-        if rows:
-            keep = [jj for jj in range(len(rows[0]))
-                    if any(rows[r][jj].terms for r in range(len(rows)))]
-            rows = [[row[jj] for jj in keep] for row in rows]
-    return degs, rows
-
-
 @dataclass
 class QuasiFreeReport:
     type_vector: tuple[int, ...] | None
@@ -541,8 +509,10 @@ class QuasiFreeReport:
 
 def quasi_free_type(M: PresMod) -> QuasiFreeReport:
     """Type (m_1..m_n) when every image-filtration layer is a free base
-    module; requires grading data (freeness is decided through the minimal
-    graded presentation)."""
+    module; requires grading data.  A graded layer is free exactly when its
+    generator count at the origin equals its rank over the fraction field
+    (graded Nakayama: the kernel of a minimal free cover of that rank is
+    torsion inside a free module, so it is zero)."""
     if M.grading is None:
         raise ModuleError("quasi_free_type needs grading data")
     n = M.ring.n
@@ -552,12 +522,11 @@ def quasi_free_type(M: PresMod) -> QuasiFreeReport:
         layer = chain.quotient(i)
         if layer.grading is None:
             raise ModuleError("filtration layer lost its grading")
-        degs, rows = minimal_graded_presentation(
-            list(layer.grading.gen_degrees), base_relation_matrix(layer))
-        if rows and rows[0]:
+        rank = generators_at_origin(layer)
+        if rank != layer.ngens - generic_rank(base_relation_matrix(layer)):
             return QuasiFreeReport(None, None, i,
                                    note=f"layer {i} of the image filtration is not free")
-        ranks.append(len(degs))
+        ranks.append(rank)
     ranks.append(0)
     mvec = tuple(ranks[i - 1] - ranks[i] for i in range(1, n + 1))
     if any(m < 0 for m in mvec):
@@ -566,54 +535,20 @@ def quasi_free_type(M: PresMod) -> QuasiFreeReport:
     return QuasiFreeReport(mvec, ranks[:-1], None, note="all layers free")
 
 
-def _exact_div(p: Poly, q: Poly) -> Poly:
-    ring = p.ring
-    out = ring.zero()
-    r = p
-    while r.terms:
-        le, lc = r.leading()
-        qe, qc = q.leading()
-        if not mono_divides(qe, le):
-            raise ModuleError("inexact division in fraction-free elimination")
-        m = ring.monomial(mono_div(le, qe), lc / qc)
-        out = out + m
-        r = r - m * q
-    return out
-
-
 def generic_rank(matrix: list[list[Poly]]) -> int:
-    """Rank over the fraction field of the base ring, by fraction-free
-    (Bareiss) Gaussian elimination with exact polynomial division."""
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
+    """Rank over the fraction field K of the base ring: the number of
+    distinct lead positions in the reduced Groebner basis of the columns
+    under a position-over-term order.  Leads at distinct positions are in
+    echelon form over K, and two leads at one position cancel over K into
+    later positions, so the lead positions are the pivots of an echelon
+    form of the matrix over K.  The rank does not depend on the monomial
+    order, so grevlex orders the terms at each position whatever the base
+    ring's order: under lex this basis can grow far larger."""
+    if not matrix or not matrix[0]:
         return 0
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    prev = None
-    r0 = 0
-    for c in range(ncols):
-        pivot_row = None
-        for r in range(r0, nrows):
-            if rows[r][c].terms:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[r0], rows[pivot_row] = rows[pivot_row], rows[r0]
-        piv = rows[r0][c]
-        for r in range(r0 + 1, nrows):
-            for cc in range(ncols):
-                if cc == c:
-                    continue
-                num = rows[r][cc] * piv - rows[r][c] * rows[r0][cc]
-                rows[r][cc] = _exact_div(num, prev) if prev is not None and num.terms else num
-            rows[r][c] = rows[r][c].ring.zero()
-        prev = piv
-        rank += 1
-        r0 += 1
-        if r0 >= nrows:
-            break
-    return rank
+    order = ModuleOrder(grevlex(), tuple(range(len(matrix))))
+    basis = reduced_groebner([vec_from_polys(col) for col in zip(*matrix)], order)
+    return len({next(iter(g))[0] for g in basis})
 
 
 def generic_type(M: PresMod) -> tuple[int, ...]:
@@ -935,12 +870,17 @@ def surjective_iff_restriction(phi: ModMap) -> bool:
 # -- local (at the origin) vanishing --------------------------------------
 
 
+def generators_at_origin(Q: PresMod) -> int:
+    """Minimal number of generators of Q localized at the origin: the
+    generator count less the rank of the constant terms of the relations
+    (Nakayama).  For a graded Q this is its minimal generator count."""
+    return Q.ngens - matrix_rank([[p.constant_term() for p in col]
+                                  for col in Q.relations])
+
+
 def vanishes_locally(Q: PresMod) -> bool:
-    """Whether Q localizes to zero at the origin: by the finitely generated
-    module version of Nakayama, Q_(x..,t) = 0 iff the constant-term matrix
-    of the relation columns has full row rank."""
-    return matrix_rank([[p.constant_term() for p in col]
-                        for col in Q.relations]) == Q.ngens
+    """Whether Q localizes to zero at the origin (x.., t)."""
+    return generators_at_origin(Q) == 0
 
 
 # -- presentation obfuscation (for type-recovery tests) -------------------

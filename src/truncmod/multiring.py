@@ -205,6 +205,10 @@ class AutMap:
 
     def __init__(self, ring: TruncRing, var_images: dict[str, Poly], t_image: Poly):
         self.ring = ring
+        for v in var_images:
+            if v not in ring.base.variables:
+                raise ArithError(f"image given for {v!r}, which is not a base "
+                                 f"variable of {ring.base.variables}")
         images: dict[str, Poly] = {}
         for v in ring.base.variables:
             img = ring.truncate(var_images.get(v, ring.S.gen(v)))

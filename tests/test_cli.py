@@ -106,6 +106,20 @@ def test_automorphism_composition():
     assert composite["t_image"] == "t"
 
 
+@pytest.mark.parametrize("first, key", [
+    ({"images": {"t": "x"}, "t_image": "t"}, "t"),
+    ({"images": {"q": "x^2"}, "t_image": "2*t"}, "q"),
+    ({"deriv": {"t": "1"}}, "t"),
+])
+def test_an_image_keyed_by_a_name_that_is_not_a_base_variable_is_refused(first, key):
+    # these once composed to the identity, the stray image silently dropped
+    code, out = run("aut.compose", {"ring": RING_DOUBLE, "payload": {
+        "first": first, "second": {"images": {}, "t_image": "t"}}})
+    assert code == 2
+    assert out["error"]["kind"] == "schema"
+    assert f"{key!r}" in out["error"]["message"]
+
+
 def test_cocycle_accept_and_reject():
     base = {
         "ij": {"deriv": {"x": "1", "y": "0"}, "alpha": "1"},

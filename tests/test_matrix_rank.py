@@ -1,5 +1,6 @@
-"""The exact rank helper ``arith.matrix_rank`` against sympy's rank, and its
-edge cases: empty matrices, zero rows, transposition and untouched input."""
+"""The exact rank helpers against sympy: ``arith.matrix_rank`` over Q, with
+its edge cases (empty matrices, zero rows, transposition and untouched
+input), and ``fpmod.generic_rank`` over the fraction field of Q[x, y]."""
 
 import copy
 from fractions import Fraction
@@ -8,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncmod.arith import matrix_rank
+from truncmod.arith import Poly, PolyRing, grevlex, lex, matrix_rank
+from truncmod.fpmod import generic_rank
 
 try:
     import sympy
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
 except ImportError:  # the sympy oracle is optional
     sympy = None
 
@@ -73,3 +77,68 @@ def test_identity_and_integer_entries():
     assert matrix_rank(identity) == 4
     assert matrix_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
     assert matrix_rank([[0, 1], [1, 0]]) == 2
+
+
+# -- generic rank over Frac(Q[x, y]) ---------------------------------------
+
+BASES = {"grevlex": PolyRing(("x", "y"), grevlex()), "lex": PolyRing(("x", "y"), lex())}
+EXPONENTS = [(a, b) for a in range(3) for b in range(3 - a)]
+COEFFS = st.integers(-2, 2).filter(bool)
+
+
+@st.composite
+def poly_matrices(draw):
+    """Matrices of base polynomials, 1-4 rows by 1-4 columns, entries of
+    degree at most 2.  Some rows are polynomial combinations of the rows
+    drawn freely, so that the rank over the fraction field drops: with
+    constant coefficients the free entries have degree at most 2, with
+    linear ones at most 1."""
+    base = BASES[draw(st.sampled_from(sorted(BASES)))]
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coeff_degree = draw(st.integers(0, 1))
+
+    def poly(degree):
+        terms = draw(st.dictionaries(
+            st.sampled_from([e for e in EXPONENTS if sum(e) <= degree]),
+            COEFFS.map(Fraction), max_size=3))
+        return Poly(base, terms)
+
+    nfree = draw(st.integers(1, nrows))
+    rows = [[poly(2 - coeff_degree) for _ in range(ncols)] for _ in range(nfree)]
+    for _ in range(nrows - nfree):
+        coeffs = [poly(coeff_degree) for _ in range(nfree)]
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, rows[:nfree])), base.zero())
+                     for j in range(ncols)])
+    order = draw(st.permutations(range(nrows)))
+    return [rows[i] for i in order]
+
+
+def fraction_field_rank(matrix) -> int:
+    x, y = sympy.symbols("x y")
+
+    def expr(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * x ** a * y ** b
+                    for (a, b), c in p.terms.items()), sympy.Integer(0))
+
+    dm = DomainMatrix.from_list_sympy(len(matrix), len(matrix[0]),
+                                      [[expr(p) for p in row] for row in matrix])
+    return dm.convert_to(QQ.frac_field(x, y)).rank()
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(poly_matrices())
+def test_generic_rank_matches_sympy_over_the_fraction_field(matrix):
+    assert generic_rank(matrix) == fraction_field_rank(matrix)
+
+
+def test_generic_rank_edge_cases():
+    base = BASES["grevlex"]
+    x, y, zero = base.gen("x"), base.gen("y"), base.zero()
+    assert generic_rank([]) == 0
+    assert generic_rank([[], []]) == 0
+    assert generic_rank([[zero, zero], [zero, zero]]) == 0
+    # two leads at one position: rank 1, not 2
+    assert generic_rank([[x, y]]) == 1
+    assert generic_rank([[x, x * y], [y, y * y]]) == 1
+    assert generic_rank([[x, y], [y, x]]) == 2

@@ -10,7 +10,12 @@ answers that do not depend on the generating set:
 * the refined chains pass ``FiltrationChain``'s own validation, and the
   matched layers add up to the Hilbert series of the module;
 * at n = 2, ``is_balanced`` agrees with the definition: every kernel and
-  cokernel of ``comparison_maps`` vanishes.
+  cokernel of ``comparison_maps`` vanishes;
+* the quasi-free type (with its layer ranks and first non-free layer), the
+  generic type and the reduced Hilbert polynomial do not change under
+  ``transformed_presentation``;
+* a quasi-free type, where one exists, is the generic type;
+* the reduced Hilbert polynomial is additive on direct sums.
 """
 
 from hypothesis import given, settings
@@ -21,13 +26,16 @@ from truncmod.fpmod import (
     Grading,
     PresMod,
     comparison_maps,
+    direct_sum,
     first_canonical_filtration,
+    generic_type,
     is_balanced,
+    quasi_free_type,
     refine_filtrations,
     second_canonical_filtration,
     transformed_presentation,
 )
-from truncmod.hilbert import hilbert_series_presmod
+from truncmod.hilbert import hilbert_series_presmod, reduced_hilbert_polynomial
 from truncmod.multiring import TruncRing
 
 RINGS = {n: TruncRing(("x", "y"), n) for n in (2, 3)}
@@ -94,3 +102,32 @@ def test_balance_is_the_vanishing_of_every_comparison_kernel(M):
     data = comparison_maps(M)
     vanish = all(G.is_zero_module() for G in data.gamma_ker + data.gamma_coker)
     assert is_balanced(M).balanced == vanish
+
+
+def types(M):
+    rep = quasi_free_type(M)
+    return (rep.type_vector, rep.layer_ranks, rep.first_nonfree, generic_type(M),
+            reduced_hilbert_polynomial(M))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(M=presentations(), seed=st.integers(0, 2 ** 16))
+def test_types_and_reduced_hilbert_polynomial_ignore_the_presentation(M, seed):
+    assert types(transformed_presentation(M, seed)) == types(M)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(M=presentations())
+def test_a_quasi_free_type_is_the_generic_type(M):
+    mvec = quasi_free_type(M).type_vector
+    if mvec is not None:
+        assert generic_type(M) == mvec
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(pair=st.sampled_from([2, 3]).flatmap(
+    lambda n: st.tuples(presentations(n=n), presentations(n=n))))
+def test_reduced_hilbert_polynomial_is_additive_on_direct_sums(pair):
+    M, N = pair
+    assert (reduced_hilbert_polynomial(direct_sum(M, N))
+            == reduced_hilbert_polynomial(M) + reduced_hilbert_polynomial(N))

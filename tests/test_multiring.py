@@ -91,6 +91,16 @@ def test_invert_local_rejects_non_units():
         invert_local(tr.elem("x"))
 
 
+def test_automorphism_rejects_images_of_names_that_are_not_base_variables():
+    tr = ring()
+    B = tr.base
+    for name in ("t", "q"):
+        with pytest.raises(ArithError, match=repr(name)):
+            AutMap(tr, {name: tr.S.parse("x")}, tr.t)
+    with pytest.raises(ArithError, match="'t'"):
+        AutMap.from_deriv(tr, {"t": B.parse("1")}, B.parse("1"))
+
+
 def test_truncation_and_projection():
     tr = ring()
     assert tr.truncate(tr.S.parse("t^2")).is_zero()
