@@ -253,11 +253,12 @@ def _parse_presmod(tr: TruncRing, payload: dict, where: str = "payload") -> Pres
         rank = _parse_int(_require(shape, "rank", where), f"{where}.rank")
         if not 0 <= rank <= MAX_RANK:
             raise SchemaError(f"{where}.rank must lie in 0..{MAX_RANK}, got {rank}")
+        # an empty or missing list means every degree is 0
         degrees = shape.get("degrees")
         return free_module(
             tr, rank,
             tuple(_parse_degree(d, f"{where}.degrees")
-                  for d in _list(degrees, f"{where}.degrees")) if degrees else None,
+                  for d in _list(degrees, f"{where}.degrees", rank)) if degrees else None,
             _parse_degree(shape.get("t_weight", 1), f"{where}.t_weight"))
     if "truncated_free" in payload:
         shape, where = payload["truncated_free"], f"{where}.truncated_free"

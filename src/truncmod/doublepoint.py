@@ -26,11 +26,12 @@ from .fpmod import (
     ExtensionResult,
     Grading,
     ModMap,
-    ModuleError,
     PresMod,
     Submodule,
     annihilator_kernel,
+    check_exact,
     free_module,
+    graded_or_plain,
     is_balanced,
     subquotient,
     truncated_free,
@@ -146,21 +147,8 @@ class PointIdeal:
     def __repr__(self) -> str:
         return f"PointIdeal(a={self.a}, b={self.b})"
 
-    def generators(self) -> tuple[Poly, Poly]:
-        return self.gen_x, self.gen_y
-
     def contains(self, elem: Poly) -> bool:
         return self._ideal.contains((self.ring.trunc.truncate(elem),))
-
-    def presentation(self) -> PresMod:
-        """The ideal as a presented module: two generators, syzygy relations."""
-        ring = self.ring
-        rels = Submodule(free_module(ring.trunc, 1), []).kernel_through(
-            [(self.gen_x,), (self.gen_y,)])
-        try:
-            return PresMod(ring.trunc, 2, rels, Grading((1, 1), 1))
-        except ModuleError:
-            return PresMod(ring.trunc, 2, rels, None)
 
 
 @dataclass(frozen=True)
@@ -172,9 +160,6 @@ class TauClass:
 
     def as_pair(self) -> tuple[Fraction, Fraction]:
         return self.c_x, self.c_y
-
-    def is_zero(self) -> bool:
-        return self.c_x == 0 and self.c_y == 0
 
 
 def tau(J: PointIdeal) -> TauClass:
@@ -646,11 +631,7 @@ def extension_module(ring: LocalDoubleRing, tau_data, rho) -> ExtensionResult:
         (zero, zero, t, zero),
         (zero, zero, zero, t),
     ]
-    grading = None
-    if all(len(p.terms) <= 1 and all(sum(e) == 0 for e in p.terms)
-           for p in (tau_a, tau_b, rho_p)):
-        grading = Grading((1, 1, 2, 2), 1)
-    M = PresMod(tr, 4, rels, grading)
+    M = graded_or_plain(tr, 4, rels, Grading((1, 1, 2, 2), 1))
 
     part_rels = [(y, -x), (t, zero), (zero, t)]
     conormal = PresMod(tr, 2, part_rels, Grading((2, 2), 1))
@@ -659,15 +640,7 @@ def extension_module(ring: LocalDoubleRing, tau_data, rho) -> ExtensionResult:
     projection = ModMap(M, maxideal,
                         [maxideal.gen_column(0), maxideal.gen_column(1),
                          maxideal.zero_column(), maxideal.zero_column()])
-    if not inclusion.is_injective():
-        raise DoublePointError("conormal part fails to inject")
-    if not projection.is_surjective():
-        raise DoublePointError("projection to the maximal ideal not onto")
-    comp = projection.compose(inclusion)
-    if any(not maxideal.element_is_zero(c) for c in comp.columns):
-        raise DoublePointError("composite of the extension maps is nonzero")
-    if not Submodule(M, projection.kernel_gens()).equals(inclusion.image_submodule()):
-        raise DoublePointError("kernel of the projection is not the image")
+    check_exact(inclusion, projection, DoublePointError)
     return ExtensionResult(M, inclusion, projection)
 
 

@@ -30,16 +30,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import ArithError, Poly, agree, grevlex, matrix_rank
-from .groebner import (
-    ModuleOrder,
-    SpanGB,
-    VecT,
-    kernel_through,
-    reduced_groebner,
-    vec_from_polys,
-    vec_to_polys,
-)
+from .arith import ArithError, Poly, PolyRing, agree, grevlex, matrix_rank
+from .groebner import SpanGB, VecT, kernel_through, vec_from_polys, vec_to_polys
 from .multiring import TruncRing
 
 Column = tuple[Poly, ...]
@@ -129,6 +121,18 @@ class PresMod:
 
     def zero_column(self) -> Column:
         return tuple(self.ring.S.zero() for _ in range(self.ngens))
+
+
+def graded_or_plain(ring: TruncRing, ngens: int, relations: list[Column],
+                    grading: Grading | None) -> PresMod:
+    """The presentation with ``grading`` when every relation is homogeneous
+    under it, and the ungraded presentation otherwise."""
+    if grading is not None:
+        try:
+            return PresMod(ring, ngens, relations, grading)
+        except ModuleError:
+            pass
+    return PresMod(ring, ngens, relations)
 
 
 def free_module(ring: TruncRing, rank: int, gen_degrees: tuple[int, ...] | None = None,
@@ -265,19 +269,11 @@ class FiltrationChain:
 def subquotient(M: PresMod, a_gens: list[Column], b_gens: list[Column]) -> PresMod:
     """Present span(a_gens)/(span(b_gens) + 0) inside M; generators are the
     classes of a_gens, relations are complete by the syzygy computation."""
-    ring = M.ring
     cols = Submodule(M, b_gens).kernel_through(a_gens)
-    grading = None
-    if M.grading is not None:
-        try:
-            degs = []
-            for g in a_gens:
-                d = column_degree(ring, g, M.grading)
-                degs.append(0 if d is None else d)
-            grading = Grading(tuple(degs), M.grading.t_weight)
-        except ModuleError:
-            grading = None
-    return PresMod(ring, len(a_gens), cols, grading)
+    grading = None if M.grading is None else infer_grading(
+        M.ring, [vec_from_polys(g) for g in a_gens], M.grading.t_weight,
+        M.grading.gen_degrees.__getitem__)
+    return PresMod(M.ring, len(a_gens), cols, grading)
 
 
 def quotient_by_submodule(M: PresMod, gens: list[Column]) -> PresMod:
@@ -536,19 +532,24 @@ def quasi_free_type(M: PresMod) -> QuasiFreeReport:
 
 
 def generic_rank(matrix: list[list[Poly]]) -> int:
-    """Rank over the fraction field K of the base ring: the number of
-    distinct lead positions in the reduced Groebner basis of the columns
-    under a position-over-term order.  Leads at distinct positions are in
-    echelon form over K, and two leads at one position cancel over K into
-    later positions, so the lead positions are the pivots of an echelon
-    form of the matrix over K.  The rank does not depend on the monomial
-    order, so grevlex orders the terms at each position whatever the base
-    ring's order: under lex this basis can grow far larger."""
+    """Rank over the fraction field K of the base ring S: the number of
+    module positions that carry a lead of the Groebner basis of the column
+    span N in S^r, under grevlex terms compared before positions.
+
+    The leading module is monomial, in(N) = J_1 e_1 + ... + J_r e_r.  For a
+    degree-compatible order, S^r/N and S^r/in(N) have the same Hilbert
+    function (Macaulay; Eisenbud, Commutative Algebra, Ch. 15), so they have
+    the same rank over K, and S/J_i has rank 1 when J_i = 0 and 0 otherwise.
+    So N has rank r minus the number of positions with J_i = 0.  The terms
+    are ordered by grevlex whatever the base ring's order: the argument
+    needs a degree-compatible order, and under lex the basis can grow far
+    larger."""
     if not matrix or not matrix[0]:
         return 0
-    order = ModuleOrder(grevlex(), tuple(range(len(matrix))))
-    basis = reduced_groebner([vec_from_polys(col) for col in zip(*matrix)], order)
-    return len({next(iter(g))[0] for g in basis})
+    base = matrix[0][0].ring
+    span = SpanGB(PolyRing(base.variables, grevlex()), len(matrix),
+                  [vec_from_polys(col) for col in zip(*matrix)])
+    return len({pos for pos, _e in span.gb_leads})
 
 
 def generic_type(M: PresMod) -> tuple[int, ...]:
@@ -572,6 +573,24 @@ class ExtensionResult:
     module: PresMod
     inclusion: ModMap     # N -> module
     projection: ModMap    # module -> M
+
+
+def check_exact(incl: ModMap, proj: ModMap, error: type[ArithError]) -> None:
+    """Raise ``error`` unless ``0 -> N -> E -> M -> 0`` is exact, for the
+    inclusion ``incl: N -> E`` and the projection ``proj: E -> M``: the
+    inclusion is injective, the projection surjective, their composite
+    zero, and the projection's kernel lies in the inclusion's image.  The
+    zero composite puts the image inside the kernel, so that inclusion
+    needs no check of its own."""
+    if not incl.is_injective():
+        raise error("extension inclusion failed injectivity")
+    if not proj.is_surjective():
+        raise error("extension projection failed surjectivity")
+    if not all(proj.target.element_is_zero(proj.apply_cover(c)) for c in incl.columns):
+        raise error("extension composite is nonzero")
+    image = incl.image_submodule()
+    if not all(image.contains(g) for g in proj.kernel_gens()):
+        raise error("extension kernel exceeds the included copy")
 
 
 def build_extension(N: PresMod, M: PresMod, f1_columns: list[Column]
@@ -608,31 +627,14 @@ def build_extension(N: PresMod, M: PresMod, f1_columns: list[Column]
     grading = None
     if N.grading is not None and M.grading is not None \
             and N.grading.t_weight == M.grading.t_weight:
-        candidate = Grading(N.grading.gen_degrees + M.grading.gen_degrees,
-                            N.grading.t_weight)
-        try:
-            probe = PresMod(ring, total, rels, candidate)
-            grading = candidate
-            P = probe
-        except ModuleError:
-            P = PresMod(ring, total, rels, None)
-    else:
-        P = PresMod(ring, total, rels, None)
+        grading = Grading(N.grading.gen_degrees + M.grading.gen_degrees,
+                          N.grading.t_weight)
+    P = graded_or_plain(ring, total, rels, grading)
 
     incl = ModMap(N, P, [P.gen_column(k) for k in range(N.ngens)], check=False)
     proj = ModMap(P, M, [M.zero_column()] * N.ngens
                   + [M.gen_column(i) for i in range(M.ngens)], check=False)
-    if not incl.is_injective():
-        raise ModuleError("extension inclusion failed injectivity")
-    if not proj.is_surjective():
-        raise ModuleError("extension projection failed surjectivity")
-    for k in range(N.ngens):
-        if not M.element_is_zero(proj.apply_cover(incl.columns[k])):
-            raise ModuleError("extension composite is nonzero")
-    img = incl.image_submodule()
-    for g in proj.kernel_gens():
-        if not img.contains(g):
-            raise ModuleError("extension kernel exceeds the included copy")
+    check_exact(incl, proj, ModuleError)
     return ExtensionResult(P, incl, proj)
 
 
@@ -643,15 +645,11 @@ def extension_R_by_Ri(ring: TruncRing, sigma: Poly, i: int) -> ExtensionResult:
     if not 1 <= i <= ring.n - 1:
         raise ModuleError(f"level must satisfy 1 <= i <= n-1, got {i}")
     sigma = ring.inject(sigma) if sigma.ring == ring.base else sigma
-    tw = 1
-    sdeg = sigma.weighted_degree((1,) * ring.base.nvars + (tw,))
-    graded = sigma.is_homogeneous((1,) * ring.base.nvars + (tw,))
-    N = truncated_free(ring, i, degree=(tw - sdeg) if graded and sigma.terms else 0)
-    M = truncated_free(ring, 1)
-    if not graded:
-        N = PresMod(ring, 1, N.relations, None)
-        M = PresMod(ring, 1, M.relations, None)
-    return build_extension(N, M, [(sigma,)])
+    # R[i] sits in the degree that makes the relation (sigma, t) homogeneous
+    # when sigma is; for any other sigma the extension comes out ungraded.
+    degree = 1 - sigma.weighted_degree((1,) * (ring.base.nvars + 1)) if sigma.terms else 0
+    return build_extension(truncated_free(ring, i, degree), truncated_free(ring, 1),
+                           [(sigma,)])
 
 
 # -- filtration refinement ------------------------------------------------
@@ -837,18 +835,15 @@ def ext1_module(M: PresMod, N: PresMod) -> PresMod:
 
     # Grade as a subquotient of N^(number of relations): flat slot (j, l)
     # carries the degree of N's generator l.  Attached only when every
-    # generator comes out homogeneous under that convention.
+    # generator and every relation comes out homogeneous under that
+    # convention.
+    grading = None
     if M.grading is not None and N.grading is not None \
             and M.grading.t_weight == N.grading.t_weight:
         grading = infer_grading(ring, [vec_from_polys(z) for z in z_gens],
                                 M.grading.t_weight,
                                 lambda pos: N.grading.gen_degrees[pos % p])
-        if grading is not None:
-            try:
-                return PresMod(ring, len(z_gens), relations, grading)
-            except ModuleError:
-                pass
-    return PresMod(ring, len(z_gens), relations)
+    return graded_or_plain(ring, len(z_gens), relations, grading)
 
 
 # -- reduction-to-base surjectivity test ----------------------------------

@@ -10,15 +10,16 @@ carry division lifts.  This graph basis costs several times a plain reduced
 basis, so it is built only for lifts and syzygies: ``SpanGB`` computes the
 plain basis the first time ``gb`` is read and the graph basis the first
 time a lift or syzygy is asked for.  ``SpanGB`` is the one builder of graph
-bases: ``kernel_through`` reads its syzygies.
+bases, ``kernel_through`` reads its syzygies, and no other module computes a
+basis except through ``SpanGB``.
 
 Within a block, terms compare by the ring's monomial order with ties broken
 toward earlier positions.
 
-Every normal form, lift quotient and S-pair reduction runs through
-``vec_reduce``.  It keeps the working vector as a dict updated in place and
-a heap (``heapq``) of descending order keys of its terms, so the leading term
-is popped, not searched for; a popped term that has cancelled since it was
+Every normal form, lift and S-pair reduction runs through ``vec_reduce``.
+It keeps the working vector as a dict updated in place and a heap
+(``heapq``) of descending order keys of its terms, so the leading term is
+popped, not searched for; a popped term that has cancelled since it was
 pushed is skipped.  Each step subtracts a multiple of a basis element whose
 lead is the popped term, so every term it adds is smaller and the terms come
 off the heap in the order repeated ``max`` would take them (Monagan and
@@ -42,11 +43,10 @@ holds each basis element's coefficients as such pairs, and each updated
 coefficient costs a few integer products and one ``gcd``.  The
 step coefficient is the popped coefficient itself when the lead coefficient
 is 1, as it is for every element ``buchberger`` and ``interreduce`` hold.
-A ``Fraction`` is built only for a term that moves into the remainder and
-for each lift quotient.  Integer arithmetic is exact, so the result equals
-the term-by-term ``Fraction`` reduction.  ``_spair`` builds the S-vector
-from shifted copies of its two elements and divides by a lead coefficient
-only when it is not 1.
+A ``Fraction`` is built only for a term that moves into the remainder.
+Integer arithmetic is exact, so the result equals the term-by-term
+``Fraction`` reduction.  ``_spair`` builds the S-vector from shifted copies
+of its two elements and divides by a lead coefficient only when it is not 1.
 
 ``buchberger`` takes S-pairs by the sugar strategy (Giovini, Mora, Niesi,
 Robbiano and Traverso, ISSAC 1991), with the Gebauer-Moeller criteria.  An
@@ -205,20 +205,16 @@ class _LeadIndex:
         return out
 
 
-def vec_reduce(v: VecT, basis: list[VecT] | _LeadIndex, morder: ModuleOrder, *,
-               with_lift: bool = False):
+def vec_reduce(v: VecT, basis: list[VecT] | _LeadIndex, morder: ModuleOrder) -> VecT:
     """Full normal form of ``v`` modulo ``basis``.
 
     ``basis`` is a ``_LeadIndex`` or a list of vectors, which is indexed for
-    this call only.  Returns ``remainder`` or, with ``with_lift``,
-    ``(remainder, quotients)`` where ``v = sum(quotients[i] * basis[i]) +
-    remainder`` and each quotient is a ``dict[Exponents, Fraction]``.  The
-    remainder's terms are in descending order, so its first key is its lead.
+    this call only.  The remainder's terms are in descending order, so its
+    first key is its lead.
     """
     index = (basis if isinstance(basis, _LeadIndex)
              else _LeadIndex((g, vec_lead(g, morder)) for g in basis))
     divisor, splits, leads = index.divisor, index.splits, index.leads
-    quotients: list[dict[Exponents, Fraction]] = [{} for _ in leads] if with_lift else []
     remainder: VecT = {}
     # term -> (numerator, denominator), in lowest terms, denominator > 0
     work = {t: (c.numerator, c.denominator) for t, c in v.items()}
@@ -265,11 +261,6 @@ def vec_reduce(v: VecT, basis: list[VecT] | _LeadIndex, morder: ModuleOrder, *,
                 d = od * m
             k = gcd(n, d)
             work[s] = (n // k, d // k)
-        if with_lift:
-            # Popped terms strictly decrease, so each monomial is hit once.
-            quotients[hit][mono] = Fraction(qn, qd)
-    if with_lift:
-        return remainder, quotients
     return remainder
 
 

@@ -57,9 +57,6 @@ class HilbertSeries:
             return 0
         return self.dimensions(d)[d]
 
-    def is_zero(self) -> bool:
-        return not self.numerator_coeffs
-
     def __str__(self) -> str:
         if not self.numerator_coeffs:
             return "0"
@@ -298,18 +295,15 @@ def hilbert_polynomial(M) -> HilbertPolynomial:
 
 
 def layer_base_series(G) -> HilbertSeries:
-    """Series of a t-annihilated graded layer as a base-ring module: kill t
-    in the relation columns and count over Q[x..] alone."""
+    """Series of a t-annihilated graded layer as a base-ring module: its
+    relations with t killed (``fpmod.base_relation_matrix``), counted over
+    Q[x..] alone."""
     if G.grading is None:
         raise HilbertError("layer series needs grading data")
-    ring = G.ring
-    cols: list[VecT] = []
-    for col in G.relations:
-        reduced = tuple(ring.drop_t(p) for p in col)
-        if any(p.terms for p in reduced):
-            cols.append(vec_from_polys(reduced))
-    return module_series(SpanGB(ring.base, G.ngens, cols), G.grading.gen_degrees,
-                         (1,) * ring.base.nvars)
+    base = G.ring.base
+    cols = [vec_from_polys(col) for col in zip(*fpmod.base_relation_matrix(G))]
+    return module_series(SpanGB(base, G.ngens, cols), G.grading.gen_degrees,
+                         (1,) * base.nvars)
 
 
 def _layer_sum(layers) -> HilbertPolynomial:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import ArithError, Poly, PolyRing, agree
-from .fpmod import PresMod, Submodule, free_module, infer_grading, is_balanced
+from .fpmod import (PresMod, Submodule, free_module, graded_or_plain, infer_grading,
+                    is_balanced)
 from .groebner import SpanGB, VecT, quotient_by_poly, vec_from_polys, vec_to_polys
 from .hilbert import monomials_of_weighted_degree
 from .multiring import TruncElem, TruncRing
@@ -139,12 +140,7 @@ def ideal_presentation(seq: list[TruncElem]) -> PresMod:
 
     # a zero element leaves the ideal ungraded
     grading = infer_grading(ring, cols, 1, lambda pos: 0) if all(cols) else None
-    if grading is not None:
-        try:
-            return PresMod(ring, len(seq), relations, grading)
-        except ArithError:
-            pass
-    return PresMod(ring, len(seq), relations)
+    return graded_or_plain(ring, len(seq), relations, grading)
 
 
 def balanced_ideal(seq: list[TruncElem],

@@ -461,12 +461,25 @@ def test_stdin_and_output_format():
     ({"truncated_free": {"level": "one"}}, "truncated_free.level"),
     ({"truncated_free": {"level": 1, "degree": None}}, "truncated_free.degree"),
     ({"truncated_free": {"level": 1, "t_weight": {}}}, "truncated_free.t_weight"),
+    # degree lists of the wrong length
+    ({"free": {"rank": 2, "degrees": [0]}}, "free.degrees"),
+    ({"free": {"rank": 1, "degrees": [0, 1, 2]}}, "free.degrees"),
 ])
 def test_non_integer_shape_fields_are_schema_errors(module, field):
     code, out = run("module.filtration", {"ring": RING_DOUBLE, "payload": module})
     assert code == 2
     assert out["error"]["kind"] == "schema"
     assert f"payload.{field}" in out["error"]["message"]
+
+
+def test_an_empty_degree_list_means_every_degree_is_0():
+    answers = []
+    for free in ({"rank": 2, "degrees": []}, {"rank": 2, "degrees": [0, 0]}):
+        code, out = run("hilbert.poly", {"ring": RING_DOUBLE, "payload": {"free": free}})
+        assert code == 0
+        out.pop("meta")
+        answers.append(out)
+    assert answers[0] == answers[1]
 
 
 @pytest.mark.parametrize("command, document", [

@@ -1,15 +1,18 @@
-"""Pinned gradings of the modules that infer one: Hom (and the dual), Ext^1
-and ideal presentations, on homogeneous, inhomogeneous and zero-element
-inputs, plus the shared rule ``fpmod.infer_grading`` itself."""
+"""Pinned gradings of the modules that infer one: Hom (and the dual), Ext^1,
+ideal presentations and both extension constructors, on homogeneous,
+inhomogeneous and zero-element inputs, plus the shared rule
+``fpmod.infer_grading`` itself."""
 
 from fractions import Fraction
 
 import pytest
 
+from truncmod.doublepoint import LocalDoubleRing, extension_module
 from truncmod.dualtor import dual
 from truncmod.fpmod import (
     Grading,
     ext1_module,
+    extension_R_by_Ri,
     free_module,
     hom_module,
     infer_grading,
@@ -65,6 +68,33 @@ def test_hom_grading(make, expected):
 ])
 def test_ext1_grading(make, expected):
     assert grading_of(make()) == expected
+
+
+@pytest.mark.parametrize("sigma, expected", [
+    ("1", ((1, 0), 1)),
+    ("x", ((0, 0), 1)),
+    ("x + t", ((0, 0), 1)),
+    ("0", ((0, 0), 1)),
+    ("x + 1", None),
+    ("x^2 + y", None),
+])
+def test_extension_R_by_Ri_grading(sigma, expected):
+    assert grading_of(extension_R_by_Ri(TR, TR.S.parse(sigma), 1).module) == expected
+
+
+DOUBLE = LocalDoubleRing()
+
+
+@pytest.mark.parametrize("tau, rho, expected", [
+    ((1, 0), "-1", ((1, 1, 2, 2), 1)),
+    ((0, 0), "0", ((1, 1, 2, 2), 1)),
+    ((2, -3), "5", ((1, 1, 2, 2), 1)),
+    ((1, 0), "x + 1", None),
+    (("x", "0"), "1", None),
+    ("x^2*t", "1", None),
+])
+def test_extension_module_grading(tau, rho, expected):
+    assert grading_of(extension_module(DOUBLE, tau, rho).module) == expected
 
 
 def test_infer_grading_rule():

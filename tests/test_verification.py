@@ -65,6 +65,23 @@ def test_double_point_extension_always_checks_exactness(monkeypatch):
         extension_module(ring, (1, 0), "-1")
 
 
+def _joined_extension():
+    tr = TruncRing(("x", "y"), 3)
+    return extension_R_by_Ri(tr, tr.base.parse("1"), 1)
+
+
+@pytest.mark.parametrize("build, error", [
+    (_joined_extension, ModuleError),
+    (lambda: extension_module(LocalDoubleRing(), (1, 0), "-1"), DoublePointError),
+])
+def test_each_extension_reports_a_failed_surjectivity_in_its_own_error(
+        monkeypatch, build, error):
+    monkeypatch.setattr(fpmod.ModMap, "is_surjective", lambda self: False)
+    with pytest.raises(ArithError) as caught:
+        build()
+    assert type(caught.value) is error
+
+
 def test_cli_reports_a_route_disagreement_as_a_math_error(monkeypatch):
     local_test = doublepoint.vanishes_locally
     monkeypatch.setattr(doublepoint, "vanishes_locally",
