@@ -20,7 +20,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .arith import ArithError, Poly, grevlex, lex
+from .arith import ArithError, MonomialOrder, Poly, grevlex, lex
 from .doublepoint import (
     ChartChange,
     LocalDoubleRing,
@@ -56,7 +56,6 @@ from .fpmod import (
     second_canonical_filtration,
     truncated_free,
 )
-from .groebner import vec_from_polys, vec_to_polys
 from .hilbert import (
     hilbert_polynomial,
     presmod_dimension_by_enumeration,
@@ -175,6 +174,10 @@ def _ser_presmod(P: PresMod) -> dict:
     }
 
 
+def _order(options: dict) -> MonomialOrder:
+    return lex() if options.get("order") == "lex" else grevlex()
+
+
 def _build_ring(job: dict, options: dict) -> TruncRing:
     ring_doc = _require(job, "ring", "job")
     variables = _require(ring_doc, "variables", "ring")
@@ -184,9 +187,8 @@ def _build_ring(job: dict, options: dict) -> TruncRing:
     n = _require(ring_doc, "n", "ring", 1)
     if not isinstance(n, int) or not 1 <= n <= MAX_RING_N:
         raise SchemaError(f"ring.n must be an integer in 1..{MAX_RING_N}, got {n!r}")
-    order = lex() if options.get("order") == "lex" else grevlex()
     try:
-        return TruncRing(tuple(variables), n, order)
+        return TruncRing(tuple(variables), n, _order(options))
     except ArithError as exc:
         raise SchemaError(f"ring: {exc}") from exc
 
@@ -205,7 +207,7 @@ def _double_ring(job: dict, options: dict) -> LocalDoubleRing:
             raise SchemaError("point-ideal commands fix the ring Q[x,y][t]/(t^2)")
         if _require(ring_doc, "n", "ring", None) not in (None, 2):
             raise SchemaError("point-ideal commands require n = 2")
-    return LocalDoubleRing(jet_order=_option(options, "jet_order", 6))
+    return LocalDoubleRing(_option(options, "jet_order", 6), _order(options))
 
 
 def _parse_span(tr: TruncRing, payload: dict) -> tuple[int, list]:
@@ -338,9 +340,8 @@ def _sequence(tr: TruncRing, payload: dict) -> list:
 
 def _cmd_gb(ring, payload, options):
     rank, cols = _parse_span(ring, payload)
-    span = Submodule(free_module(ring, rank), cols).span()
-    basis = [_ser_col(vec_to_polys(ring.S, rank, v)) for v in span.gb]
-    return {"basis": basis, "rank": rank}
+    basis = Submodule(free_module(ring, rank), cols).basis()
+    return {"basis": [_ser_col(c) for c in basis], "rank": rank}
 
 
 def _cmd_nf(ring, payload, options):
@@ -348,11 +349,10 @@ def _cmd_nf(ring, payload, options):
     elem = payload.get("element")
     if isinstance(elem, str):
         elem = [elem]
-    vec = vec_from_polys(tuple(_parse_poly(ring, p, "payload.element")
-                               for p in _list(elem, "payload.element", rank)))
-    nf = Submodule(free_module(ring, rank), cols).span().normal_form(vec)
-    return {"normal_form": _ser_col(vec_to_polys(ring.S, rank, nf)),
-            "member": not nf}
+    col = tuple(_parse_poly(ring, p, "payload.element")
+                for p in _list(elem, "payload.element", rank))
+    nf = Submodule(free_module(ring, rank), cols).normal_form(col)
+    return {"normal_form": _ser_col(nf), "member": not any(nf)}
 
 
 def _cmd_syz(ring, payload, options):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ArithError, Poly, agree, matrix_rank
+from .arith import ArithError, MonomialOrder, Poly, agree, matrix_rank
 from .fpmod import (
     Column,
     ExtensionResult,
@@ -37,7 +37,6 @@ from .fpmod import (
     truncated_free,
     vanishes_locally,
 )
-from .groebner import vec_from_polys
 from .hilbert import monomials_of_weighted_degree, presmod_dimension_by_enumeration
 from .multiring import TruncRing
 
@@ -52,13 +51,14 @@ class LocalDoubleRing:
     Global Groebner computations stay exact; whenever a statement is local
     (ideal equality, balancedness), monomials of total degree ``jet_order``
     are adjoined, which is harmless because every ideal in play contains all
-    monomials of degree two.
+    monomials of degree two.  ``order`` is the monomial order of the ring,
+    grevlex by default.
     """
 
-    def __init__(self, jet_order: int = 6):
+    def __init__(self, jet_order: int = 6, order: MonomialOrder | None = None):
         if jet_order < 3:
             raise DoublePointError("jet order below 3 cannot separate the invariants")
-        self.trunc = TruncRing(("x", "y"), 2)
+        self.trunc = TruncRing(("x", "y"), 2, order)
         self.jet_order = jet_order
         self.S = self.trunc.S
         self.base = self.trunc.base
@@ -66,9 +66,9 @@ class LocalDoubleRing:
         self.y = self.S.gen("y")
         self.t = self.trunc.t
         # reduction basis for classes in m*I/m^2*I
-        self._class_span = Submodule(free_module(self.trunc, 1), [
+        self._classes = Submodule(free_module(self.trunc, 1), [
             (self.x * self.x * self.t,), (self.x * self.y * self.t,),
-            (self.y * self.y * self.t,)]).span()
+            (self.y * self.y * self.t,)])
 
     def coerce_base(self, value) -> Poly:
         if isinstance(value, Poly):
@@ -92,10 +92,10 @@ class LocalDoubleRing:
     def class_coords(self, elem: Poly) -> tuple[Fraction, Fraction]:
         """Coordinates of an element of m*I in the basis (x*t, y*t) of
         m*I/m^2*I, by normal-form reduction."""
-        nf_vec = self._class_span.normal_form(vec_from_polys((self.trunc.truncate(elem),)))
+        (nf,) = self._classes.normal_form((self.trunc.truncate(elem),))
         c_x = Fraction(0)
         c_y = Fraction(0)
-        for (_pos, e), c in nf_vec.items():
+        for e, c in nf.terms.items():
             if e == (1, 0, 1):
                 c_x = c
             elif e == (0, 1, 1):

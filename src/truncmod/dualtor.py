@@ -23,7 +23,6 @@ from .fpmod import (
     free_module,
     hom_module,
 )
-from .groebner import saturate_by_poly, vec_to_polys
 
 
 def _rank_one_target(M: PresMod) -> PresMod:
@@ -107,10 +106,8 @@ def torsion(M: PresMod) -> TorsionReport:
     s_star = ring.S.one()
     for _g, s in witnesses:
         s_star = ring.truncate(s_star * s)
-    saturated = saturate_by_poly(ring.S, M.ngens, M.rel_span().vecs, s_star)
     submodule = Submodule(M, ker)
-    if not submodule.equals(
-            Submodule(M, [vec_to_polys(ring.S, M.ngens, v) for v in saturated])):
+    if not submodule.equals(Submodule(M, []).saturation(s_star)):
         raise ModuleError("saturation oracle disagrees with the double-dual kernel")
 
     return TorsionReport(submodule, witnesses, not ker)

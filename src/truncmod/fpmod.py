@@ -5,12 +5,14 @@ columns.  This module is the one owner of the R[n] encoding: an R[n]-module
 is an S-module plus the truncation relations t^n*e_i, where S = Q[x.., t] is
 the plain polynomial ring all Groebner computations run over, and
 ``PresMod.effective_relations`` is the one place those relations are
-adjoined.  Every truncated span, lift, kernel and intersection goes through
-``Submodule``, which pairs generators with its ambient module's relations
-and builds their Groebner data once; ``Submodule.kernel_through`` is the one
-kernel route.  Where no module exists yet, ``free_module`` or
-``truncated_free`` serves as the ambient one, and Hom and Ext take their
-kernels inside a direct sum of copies of the target.
+adjoined.  It is the one door to ``groebner`` for R[n]-module data: other
+modules work in columns and ask ``Submodule``, which pairs generators with
+its ambient module's relations and builds their Groebner data once, for
+membership, normal forms, reduced bases, lifts, kernels, intersections and
+saturations; ``Submodule.kernel_through`` is the one kernel route.  Where
+no module exists yet, ``free_module`` or ``truncated_free`` serves as the
+ambient one, and Hom and Ext take their kernels inside a direct sum of
+copies of the target.
 
 The t-power filtrations are the organizing structure:
 
@@ -50,19 +52,22 @@ class Grading:
     t_weight: int = 1
 
 
+def _term_degrees(ring: TruncRing, col: Column, t_weight: int,
+                  slot_degree: Callable[[int], int]) -> set[int]:
+    """The degrees of the terms of ``col``: a term ``x^e t^k`` in slot ``j``
+    has degree ``|e| + t_weight * k + slot_degree(j)``."""
+    weights = (1,) * ring.base.nvars + (t_weight,)
+    return {sum(w * x for w, x in zip(weights, e)) + slot_degree(j)
+            for j, p in enumerate(col) for e in p.terms}
+
+
 def column_degree(ring: TruncRing, col: Column, grading: Grading) -> int | None:
     """The common degree of all terms of a homogeneous relation column;
     None for a zero column.  Raises on inhomogeneous input."""
-    weights = (1,) * ring.base.nvars + (grading.t_weight,)
-    deg: int | None = None
-    for j, p in enumerate(col):
-        for e in p.terms:
-            d = sum(w * x for w, x in zip(weights, e)) + grading.gen_degrees[j]
-            if deg is None:
-                deg = d
-            elif d != deg:
-                raise ModuleError(f"inhomogeneous column {tuple(str(q) for q in col)}")
-    return deg
+    degs = _term_degrees(ring, col, grading.t_weight, grading.gen_degrees.__getitem__)
+    if len(degs) > 1:
+        raise ModuleError(f"inhomogeneous column {tuple(str(q) for q in col)}")
+    return degs.pop() if degs else None
 
 
 class PresMod:
@@ -103,9 +108,8 @@ class PresMod:
             self._span = SpanGB(self.ring.S, self.ngens, self.effective_relations())
         return self._span
 
-    def element_is_zero(self, vec: Column | VecT) -> bool:
-        v = vec_from_polys(vec) if isinstance(vec, tuple) else vec
-        return self.rel_span().contains(v)
+    def element_is_zero(self, vec: Column) -> bool:
+        return self.rel_span().contains(vec_from_polys(vec))
 
     def is_zero_module(self) -> bool:
         return all(self.element_is_zero(self.gen_column(i)) for i in range(self.ngens))
@@ -195,6 +199,17 @@ class Submodule:
     def contains(self, vec: Column) -> bool:
         return self.span().contains(vec_from_polys(vec))
 
+    def normal_form(self, vec: Column) -> Column:
+        """The remainder of ``vec`` modulo the reduced basis of the span."""
+        S = self.ambient.ring.S
+        return vec_to_polys(S, self.ambient.ngens, self.span().normal_form(vec_from_polys(vec)))
+
+    def basis(self) -> list[Column]:
+        """The reduced Groebner basis of the full preimage of the submodule
+        in the free cover, truncation relations included."""
+        S = self.ambient.ring.S
+        return [vec_to_polys(S, self.ambient.ngens, v) for v in self.span().gb]
+
     def lift(self, vec: Column) -> Column | None:
         """Coefficients writing ``vec`` as a combination of the generators
         modulo the ambient relations; None when vec is not in the submodule."""
@@ -210,6 +225,18 @@ class Submodule:
         ker = kernel_through(S, len(columns), [vec_from_polys(c) for c in columns],
                              self._vecs())
         return [vec_to_polys(S, len(columns), v) for v in ker]
+
+    def saturation(self, f: Poly) -> Submodule:
+        """(self : f^∞), the elements that some power of ``f`` moves into
+        the submodule: take the colon (. : f) until nothing new appears."""
+        M = self.ambient
+        current = self
+        while True:
+            colon = Submodule(M, current.kernel_through(
+                [tuple(f * p for p in M.gen_column(i)) for i in range(M.ngens)]))
+            if current.contains_submodule(colon):
+                return current
+            current = colon
 
     def contains_submodule(self, other: Submodule) -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -271,8 +298,7 @@ def subquotient(M: PresMod, a_gens: list[Column], b_gens: list[Column]) -> PresM
     classes of a_gens, relations are complete by the syzygy computation."""
     cols = Submodule(M, b_gens).kernel_through(a_gens)
     grading = None if M.grading is None else infer_grading(
-        M.ring, [vec_from_polys(g) for g in a_gens], M.grading.t_weight,
-        M.grading.gen_degrees.__getitem__)
+        M.ring, a_gens, M.grading.t_weight, M.grading.gen_degrees.__getitem__)
     return PresMod(M.ring, len(a_gens), cols, grading)
 
 
@@ -753,20 +779,18 @@ def _maps_into(N: PresMod, rows: int, relations: list[Column]) -> list[Column]:
         _pullback_columns(N, rows, relations))
 
 
-def infer_grading(ring: TruncRing, vecs: list[VecT], t_weight: int,
+def infer_grading(ring: TruncRing, columns: list[Column], t_weight: int,
                   slot_degree: Callable[[int], int]) -> Grading | None:
-    """The grading that makes every flat vector of ``vecs`` a homogeneous
-    generator, or None when some vector is inhomogeneous.
+    """The grading that makes every column of ``columns`` a homogeneous
+    generator, or None when some column is inhomogeneous.
 
-    A term ``x^e t^k`` at position ``pos`` has degree ``|e| + t_weight * k +
-    slot_degree(pos)``; ``slot_degree`` must accept every position that
-    occurs in ``vecs``.  A zero vector gets degree 0, so a caller that must
-    not grade zero generators checks for them first."""
-    weights = (1,) * ring.base.nvars + (t_weight,)
+    A term ``x^e t^k`` in slot ``j`` has degree ``|e| + t_weight * k +
+    slot_degree(j)``; ``slot_degree`` must accept every slot that carries a
+    term.  A zero column gets degree 0, so a caller that must not grade zero
+    generators checks for them first."""
     degs: list[int] = []
-    for v in vecs:
-        ds = {sum(w * x for w, x in zip(weights, e)) + slot_degree(pos)
-              for pos, e in v}
+    for col in columns:
+        ds = _term_degrees(ring, col, t_weight, slot_degree)
         if len(ds) > 1:
             return None
         degs.append(ds.pop() if ds else 0)
@@ -812,7 +836,7 @@ def hom_module(M: PresMod, N: PresMod) -> HomModule:
     if M.grading is not None and N.grading is not None \
             and M.grading.t_weight == N.grading.t_weight:
         grading = infer_grading(
-            ring, [vec_from_polys(gf) for gf in gens], M.grading.t_weight,
+            ring, gens, M.grading.t_weight,
             lambda pos: (N.grading.gen_degrees[pos % p]
                          - M.grading.gen_degrees[pos // p]))
     return HomModule(PresMod(ring, len(gens), relations, grading), M, N, gen_matrices)
@@ -840,8 +864,7 @@ def ext1_module(M: PresMod, N: PresMod) -> PresMod:
     grading = None
     if M.grading is not None and N.grading is not None \
             and M.grading.t_weight == N.grading.t_weight:
-        grading = infer_grading(ring, [vec_from_polys(z) for z in z_gens],
-                                M.grading.t_weight,
+        grading = infer_grading(ring, z_gens, M.grading.t_weight,
                                 lambda pos: N.grading.gen_degrees[pos % p])
     return graded_or_plain(ring, len(z_gens), relations, grading)
 

@@ -13,6 +13,9 @@ time a lift or syzygy is asked for.  ``SpanGB`` is the one builder of graph
 bases, ``kernel_through`` reads its syzygies, and no other module computes a
 basis except through ``SpanGB``.
 
+Nothing here knows about t: ``fpmod`` alone hands it R[n]-module data, with
+the truncation relations added and colons taken as kernels.
+
 Within a block, terms compare by the ring's monomial order with ties broken
 toward earlier positions.
 
@@ -136,19 +139,6 @@ def vec_scale(v: VecT, coeff: Fraction) -> VecT:
     if coeff == 0:
         return {}
     return {t: coeff * c for t, c in v.items()}
-
-
-def vec_mul_poly(v: VecT, p: Poly) -> VecT:
-    out: VecT = {}
-    for e1, c1 in p.terms.items():
-        for (pos, e2), c2 in v.items():
-            t = (pos, mono_mul(e1, e2))
-            s = out.get(t, 0) + c1 * c2
-            if s:
-                out[t] = s
-            else:
-                del out[t]
-    return out
 
 
 def _monic(v: VecT, lead: Term) -> VecT:
@@ -519,23 +509,3 @@ def kernel_through(ring: PolyRing, source_count: int, columns: list[VecT],
                 out.append(proj)
     return out
 
-
-def quotient_by_poly(ring: PolyRing, rank: int, span: list[VecT], f: Poly) -> list[VecT]:
-    """Generators of (span : f) = {u in S^rank : f*u in span}."""
-    unit = (0,) * ring.nvars
-    cols = []
-    for i in range(rank):
-        e_i: VecT = {(i, unit): Fraction(1)}
-        cols.append(vec_mul_poly(e_i, f))
-    return kernel_through(ring, rank, cols, span)
-
-
-def saturate_by_poly(ring: PolyRing, rank: int, span: list[VecT], f: Poly) -> list[VecT]:
-    """Generators of (span : f^infinity), by iterating (.: f) to stability."""
-    current = list(span)
-    while True:
-        bigger = quotient_by_poly(ring, rank, current, f)
-        cur_gb = SpanGB(ring, rank, current)
-        if all(cur_gb.contains(v) for v in bigger):
-            return current
-        current = bigger

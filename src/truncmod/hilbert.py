@@ -424,15 +424,10 @@ def dimension_by_enumeration(ring: PolyRing, rank: int, columns: list[VecT],
 
 
 def presmod_dimension_by_enumeration(M, d: int) -> int:
-    """Brute-force graded dimension of a PresMod at degree d."""
+    """Brute-force graded dimension of a PresMod at degree d, counted over
+    the base ring through restriction of scalars for every t-weight."""
     if M.grading is None:
         raise HilbertError("dimension count needs grading data")
-    w = M.grading.t_weight
-    ring = M.ring
-    if w >= 1:
-        weights = (1,) * ring.base.nvars + (w,)
-        return dimension_by_enumeration(ring.S, M.ngens, M.rel_span().vecs,
-                                        M.grading.gen_degrees, weights, d)
     base_ring, rank, cols, degrees = restricted_base_data(M)
     return dimension_by_enumeration(base_ring, rank, cols, degrees,
                                     (1,) * base_ring.nvars, d)

@@ -3,9 +3,9 @@
 A sequence is regular when each entry is a non zero divisor modulo its
 predecessors.  The verdict is computed twice: by running the colon-ideal
 ladder directly in R[n], and by reducing every entry mod t and running the
-same ladder over the base ring.  The two runs must agree; a failure comes
-with a witness element that multiplies into the partial ideal without
-belonging to it.
+same ladder in R[1] = R[n]/(t), the base ring; ``Submodule`` supplies t^n
+or t.  The two runs must agree; a failure comes with a witness element that
+multiplies into the partial ideal without belonging to it.
 
 Passing ``jet_order=N`` adjoins all base monomials of degree N to every
 ideal, which turns the global tests into tests at the origin up to N-jets;
@@ -20,7 +20,6 @@ from fractions import Fraction
 from .arith import ArithError, Poly, PolyRing, agree
 from .fpmod import (PresMod, Submodule, free_module, graded_or_plain, infer_grading,
                     is_balanced)
-from .groebner import SpanGB, VecT, quotient_by_poly, vec_from_polys, vec_to_polys
 from .hilbert import monomials_of_weighted_degree
 from .multiring import TruncElem, TruncRing
 
@@ -61,19 +60,20 @@ def _jet_monomials(ring: PolyRing, order: int | None) -> list[Poly]:
     return [Poly(ring, {e: Fraction(1)}) for e in exps]
 
 
-def _ladder(ring: PolyRing, gens: list[Poly], ambient: list[Poly]
+def _ladder(ring: TruncRing, gens: list[Poly], ambient: list[Poly]
             ) -> tuple[int | None, Poly | None]:
-    """First failure of the colon ladder: smallest 0-based k such that
-    ((ambient, x_1..x_k) : x_{k+1}) exceeds the ideal, with an offending
-    colon generator; (None, None) when every step passes."""
-    prior: list[VecT] = [vec_from_polys((p,)) for p in ambient]
-    for k, f in enumerate(gens):
-        colon = quotient_by_poly(ring, 1, prior, f)
-        span = SpanGB(ring, 1, prior)
-        for c in colon:
-            if not span.contains(c):
-                return k, vec_to_polys(ring, 1, c)[0]
-        prior.append(vec_from_polys((f,)))
+    """First failure of the colon ladder in ``ring``: smallest 0-based k
+    such that ((ambient, x_1..x_k) : x_{k+1}) exceeds the ideal, with an
+    offending colon generator; (None, None) when every step passes.  Base
+    polynomials are injected into ``ring``."""
+    free = free_module(ring, 1)
+    prior = [(ring.inject(p),) for p in ambient]
+    for k, f in enumerate(map(ring.inject, gens)):
+        ideal = Submodule(free, prior)
+        for c in ideal.kernel_through([(f,)]):
+            if not ideal.contains(c):
+                return k, c[0]
+        prior.append((f,))
     return None, None
 
 
@@ -85,10 +85,10 @@ def is_regular_sequence(seq: list[TruncElem],
     reductions = [ring.drop_t(u.poly) for u in seq]
 
     base_jets = _jet_monomials(ring.base, jet_order)
-    k_base, _ = _ladder(ring.base, reductions, base_jets)
-
-    ambient = [ring.t ** ring.n] + [ring.inject(m) for m in base_jets]
-    k_direct, witness = _ladder(ring.S, [u.poly for u in seq], ambient)
+    # the reductions run in R[1] = R[n]/(t), the base ring
+    k_base, _ = _ladder(TruncRing(ring.base.variables, 1, ring.base.order),
+                        reductions, base_jets)
+    k_direct, witness = _ladder(ring, [u.poly for u in seq], base_jets)
 
     # the verdicts must agree; the failure positions may differ
     regular = agree(SequenceError, "is the sequence regular",
@@ -123,23 +123,24 @@ def shadow_membership(y: Poly, seq: list[TruncElem],
     probe = ring.truncate(ring.t ** (ring.n - 1) * ring.inject(y))
     in_ideal = ideal.contains((probe,))
 
-    base_span = SpanGB(ring.base, 1,
-                       [vec_from_polys((p,)) for p in report.reductions]
-                       + [vec_from_polys((m,)) for m in base_jets])
+    r1 = TruncRing(ring.base.variables, 1, ring.base.order)
+    reduced_ideal = Submodule(free_module(r1, 1), [(r1.inject(p),) for p in
+                                                   report.reductions + base_jets])
     return agree(SequenceError, "is t^(n-1)*y in the sequence ideal",
                  t_power_membership=in_ideal,
-                 reduction_membership=base_span.contains(vec_from_polys((y,))))
+                 reduction_membership=reduced_ideal.contains((r1.inject(y),)))
 
 
 def ideal_presentation(seq: list[TruncElem]) -> PresMod:
     """The ideal generated by the sequence, as a module: one generator per
     element, relations the complete syzygy module over R[n]."""
     ring = _common_ring(seq)
-    cols = [vec_from_polys((u.poly,)) for u in seq]
-    relations = Submodule(free_module(ring, 1), []).kernel_through([(u.poly,) for u in seq])
+    cols = [(u.poly,) for u in seq]
+    relations = Submodule(free_module(ring, 1), []).kernel_through(cols)
 
     # a zero element leaves the ideal ungraded
-    grading = infer_grading(ring, cols, 1, lambda pos: 0) if all(cols) else None
+    grading = (infer_grading(ring, cols, 1, lambda pos: 0)
+               if all(u.poly for u in seq) else None)
     return graded_or_plain(ring, len(seq), relations, grading)
 
 

@@ -366,6 +366,20 @@ def test_double_point_extension_balance():
     assert out["balanced"] is False
 
 
+def test_ideal_commands_follow_the_ring_order():
+    doc = {"payload": {"tau": [1, 0], "rho": "x + y^2"}}
+    by_order = {}
+    for flags in ((), ("--order", "lex")):
+        code, out = run("ideal.extend", doc, *flags)
+        assert code == 0
+        by_order[flags] = out["module"]["relations"][1][2]
+    assert by_order[()] == "y^2 + x"
+    assert by_order[("--order", "lex")] == "x + y^2"
+    code, out = run("ideal.extend", {**doc, "options": {"order": "lex"}})
+    assert code == 0
+    assert out["module"]["relations"][1][2] == "x + y^2"
+
+
 def test_hilbert_commands():
     code, out = run("hilbert.poly", {
         "ring": {"variables": ["x0", "x1", "x2"], "n": 1},

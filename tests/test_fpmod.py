@@ -32,6 +32,7 @@ from truncmod.fpmod import (
     truncated_free,
     vanishes_locally,
 )
+from truncmod.groebner import vec_from_polys, vec_to_polys
 from truncmod.hilbert import hilbert_series_presmod
 from truncmod.regseq import ideal_presentation
 
@@ -540,6 +541,45 @@ def test_intersection_modulo_ambient_relations():
                 assert both.contains(probe)
                 in_both += not M.element_is_zero(probe)
     assert in_both
+
+
+def test_saturation_takes_colons_until_nothing_new_appears():
+    tr = ring(2)
+    S = tr.S
+    x, y, t, one, zero = (S.parse(v) for v in ("x", "y", "t", "1", "0"))
+    F = free_module(tr, 1)
+    I = Submodule(F, [(x * x * y,), (x * t,)])
+    once = Submodule(F, I.kernel_through([(x,)]))
+    # (I : x) = (x*y, t) falls short of (I : x^2) = (y, t), so the loop runs twice
+    assert once.equals(Submodule(F, [(x * y,), (t,)]))
+    assert I.saturation(x).equals(Submodule(F, [(y,), (t,)]))
+    # in M, x^2*e_0 = 0 and t*e_1 = -x*y*e_0, so e_0 and t*e_1 die under x^2
+    M = PresMod(tr, 2, [(x * x, zero), (x * y, t)])
+    sat = Submodule(M, []).saturation(x)
+    assert sat.equals(Submodule(M, [(one, zero), (zero, t)]))
+    assert all(M.element_is_zero(tuple(x * x * p for p in g)) for g in sat.gens)
+
+
+def test_normal_form_and_basis_read_the_span():
+    tr = ring(2)
+    S = tr.S
+    x, y, t, one, zero = (S.parse(v) for v in ("x", "y", "t", "1", "0"))
+    M = PresMod(tr, 2, [(x, y)])
+    sub = Submodule(M, [(y * y, zero), (t, x)])
+    basis = sub.basis()
+    assert basis == [vec_to_polys(S, 2, v) for v in sub.span().gb]
+    # the reduced basis is unique, so the span of the basis has the same one
+    assert Submodule(M, basis).basis() == basis
+    assert Submodule(M, basis).equals(sub)
+    monomials = [one, x, y, t, x * y, y * y, y * t, x * x * y]
+    for a in monomials:
+        for b in monomials:
+            probe = (a, b)
+            nf = sub.normal_form(probe)
+            assert nf == vec_to_polys(S, 2, sub.span().normal_form(vec_from_polys(probe)))
+            assert sub.contains(probe) == (not any(nf))
+            assert sub.contains(tuple(p - q for p, q in zip(probe, nf)))
+            assert sub.normal_form(nf) == nf
 
 
 def test_quotient_and_subquotient_shapes():

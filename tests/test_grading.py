@@ -3,8 +3,6 @@ ideal presentations and both extension constructors, on homogeneous,
 inhomogeneous and zero-element inputs, plus the shared rule
 ``fpmod.infer_grading`` itself."""
 
-from fractions import Fraction
-
 import pytest
 
 from truncmod.doublepoint import LocalDoubleRing, extension_module
@@ -98,13 +96,13 @@ def test_extension_module_grading(tau, rho, expected):
 
 
 def test_infer_grading_rule():
-    one = Fraction(1)
-    x, xt = (1, 0, 0), (1, 0, 1)
+    x, zero = TR.S.gen("x"), TR.S.zero()
+    xt = x * TR.t
     # slot 0 weighs 5, slot 1 weighs 2; t weighs 3
     slots = (5, 2)
-    homogeneous = {(0, x): one, (1, (4, 0, 0)): one, (1, xt): one}
-    mixed = {(0, x): one, (0, xt): one}
-    assert infer_grading(TR, [homogeneous, {}], 3, slots.__getitem__) \
+    homogeneous = (x, x ** 4 + xt)
+    mixed = (x + xt, zero)
+    assert infer_grading(TR, [homogeneous, (zero, zero)], 3, slots.__getitem__) \
         == Grading((6, 0), 3)
     assert infer_grading(TR, [homogeneous, mixed], 3, slots.__getitem__) is None
     assert infer_grading(TR, [], 1, slots.__getitem__) == Grading((), 1)

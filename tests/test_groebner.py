@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from truncmod import groebner
 from truncmod.arith import PolyRing, grevlex, lex
 from truncmod.cli import main
+from truncmod.fpmod import Submodule, free_module
 from truncmod.groebner import (
     ModuleOrder,
     SpanGB,
@@ -23,14 +24,13 @@ from truncmod.groebner import (
     is_groebner,
     kernel_through,
     module_order,
-    quotient_by_poly,
     reduced_groebner,
-    saturate_by_poly,
     vec_from_polys,
     vec_lead,
     vec_reduce,
     vec_to_polys,
 )
+from truncmod.multiring import TruncRing
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 COEFFS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
@@ -44,6 +44,7 @@ VECS = st.lists(VECTOR, min_size=1, max_size=4)
 # basis check draws at most three.
 FEW_VECS = st.lists(VECTOR, min_size=1, max_size=3)
 ORDERS = st.sampled_from([lex, grevlex])
+R1 = TruncRing(("x", "y"), 1)
 
 
 def vec(*polys):
@@ -145,23 +146,25 @@ def test_syzygy_columns_annihilate_generators():
         assert total.is_zero()
 
 
+def ideal_in_R1(*gens):
+    """The ideal of Q[x, y] = R[1] = Q[x, y][t]/(t), as a ``Submodule``."""
+    return Submodule(free_module(R1, 1), [(g,) for g in gens])
+
+
 def test_ideal_quotient_examples():
-    R = PolyRing(("x", "y"))
-    x, y = R.gens()
-    q = quotient_by_poly(R, 1, [vec(x * x), vec(x * y)], x)
-    assert spans_equal(R, 1, q, [vec(x), vec(y)])
+    x, y = R1.S.gen("x"), R1.S.gen("y")
+    # (I : f) is the kernel through f
+    q = ideal_in_R1(x * x, x * y).kernel_through([(x,)])
+    assert Submodule(free_module(R1, 1), q).equals(ideal_in_R1(x, y))
     # quotient of an ideal by a nonmember of its associated primes is itself
-    q2 = quotient_by_poly(R, 1, [vec(x)], y)
-    assert spans_equal(R, 1, q2, [vec(x)])
+    q2 = ideal_in_R1(x).kernel_through([(y,)])
+    assert Submodule(free_module(R1, 1), q2).equals(ideal_in_R1(x))
 
 
 def test_saturation_examples():
-    R = PolyRing(("x", "y"))
-    x, y = R.gens()
-    sat_x = saturate_by_poly(R, 1, [vec(x * x), vec(x * y)], x)
-    assert spans_equal(R, 1, sat_x, [vec(R.one())])
-    sat_y = saturate_by_poly(R, 1, [vec(x * x), vec(x * y)], y)
-    assert spans_equal(R, 1, sat_y, [vec(x)])
+    x, y = R1.S.gen("x"), R1.S.gen("y")
+    assert ideal_in_R1(x * x, x * y).saturation(x).equals(ideal_in_R1(R1.S.one()))
+    assert ideal_in_R1(x * x, x * y).saturation(y).equals(ideal_in_R1(x))
 
 
 def test_kernel_through_target_relations():

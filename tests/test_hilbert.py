@@ -82,6 +82,19 @@ def test_series_match_enumeration():
         assert hs.dimension(d) == presmod_dimension_by_enumeration(M, d)
 
 
+@pytest.mark.parametrize("t_weight, relations", [
+    (1, [("x*y", "t"), ("t^2", "x")]),
+    (2, [("x*y + t", "x"), ("t*x", "y^2")]),
+])
+def test_enumeration_over_the_base_matches_series(t_weight, relations):
+    # the series reads leads over Q[x, y, t]; the count restricts to Q[x, y]
+    tr = TruncRing(("x", "y"), 3)
+    M = PresMod(tr, 2, [tuple(tr.S.parse(p) for p in col) for col in relations],
+                grading=Grading((0, 1), t_weight))
+    hs = hilbert_series_presmod(M)
+    assert [presmod_dimension_by_enumeration(M, d) for d in range(8)] == hs.dimensions(7)
+
+
 # ---------------------------------------------------------------- polynomials
 
 
