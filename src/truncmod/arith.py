@@ -22,6 +22,7 @@ multiplies without building the terms it would drop.
 from __future__ import annotations
 
 import re
+from collections.abc import Hashable, Iterable
 from fractions import Fraction
 from math import lcm
 from operator import add, le, neg, sub
@@ -149,25 +150,33 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, a, b))
 
 
-def matrix_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over Q of a dense matrix given as a list of rows.
+def matrix_rank(rows: Iterable[dict]) -> int:
+    """Rank over Q of a matrix given as sparse rows.
 
-    The rows must all have the same length and exact entries (``Fraction``
-    or ``int``); they are not modified.  Each row is reduced against the
-    pivot rows found so far, and one that does not reduce to zero becomes a
-    pivot row, scaled to 1 at its first nonzero entry.  Rank is invariant
-    under transposition, so a matrix may equally be passed by its columns.
+    Each row maps hashable column keys to exact entries (``Fraction`` or
+    ``int``); a missing key is a zero entry, and the rows are not modified.
+    Each row is reduced against the pivot rows found so far, keys that
+    cancel are deleted, and a row that does not reduce to zero becomes a
+    pivot row, scaled to 1 at its first key.  Rank is invariant under
+    transposition, so a matrix may equally be passed by its columns.
     """
-    pivots: list[tuple[int, list[Fraction]]] = []
+    pivots: list[tuple[Hashable, dict]] = []
     for row in rows:
-        for pc, pr in pivots:
-            if row[pc] != 0:
-                f = row[pc]
-                row = [a - f * b for a, b in zip(row, pr)]
-        lead = next((i for i, v in enumerate(row) if v != 0), None)
-        if lead is not None:
-            inv = Fraction(1) / row[lead]
-            pivots.append((lead, [v * inv for v in row]))
+        row = {k: v for k, v in row.items() if v != 0}
+        for pk, pr in pivots:
+            f = row.get(pk)
+            if f is None:
+                continue
+            for k, v in pr.items():
+                w = row.get(k, 0) - f * v
+                if w != 0:
+                    row[k] = w
+                else:
+                    row.pop(k, None)
+        if row:
+            lead, a = next(iter(row.items()))
+            inv = Fraction(1) / a
+            pivots.append((lead, {k: v * inv for k, v in row.items()}))
     return len(pivots)
 
 

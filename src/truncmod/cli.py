@@ -140,8 +140,17 @@ def _parse_frac(value, where: str) -> Fraction:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
+def _is_integer(value) -> bool:
+    """Whether a JSON value is an integer; ``true`` and ``false`` are not,
+    although Python's ``bool`` subclasses ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_int(value, where: str) -> int:
-    """``int(value)``, with what ``int`` rejects reported as a schema error."""
+    """``int(value)``, with what ``int`` rejects, and a JSON boolean, reported
+    as a schema error."""
+    if isinstance(value, bool):
+        raise SchemaError(f"{where}: expected an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -185,7 +194,7 @@ def _build_ring(job: dict, options: dict) -> TruncRing:
             or not all(isinstance(v, str) for v in variables)):
         raise SchemaError("ring.variables must be a nonempty list of names")
     n = _require(ring_doc, "n", "ring", 1)
-    if not isinstance(n, int) or not 1 <= n <= MAX_RING_N:
+    if not _is_integer(n) or not 1 <= n <= MAX_RING_N:
         raise SchemaError(f"ring.n must be an integer in 1..{MAX_RING_N}, got {n!r}")
     try:
         return TruncRing(tuple(variables), n, _order(options))
@@ -236,7 +245,7 @@ def _parse_presmod(tr: TruncRing, payload: dict, where: str = "payload") -> Pres
     if "presentation" in payload:
         pres, where = payload["presentation"], f"{where}.presentation"
         ngens = _require(pres, "generators", where)
-        if not isinstance(ngens, int) or not 0 <= ngens <= MAX_RANK:
+        if not _is_integer(ngens) or not 0 <= ngens <= MAX_RANK:
             raise SchemaError(
                 f"{where}.generators must be an integer in 0..{MAX_RANK}, got {ngens!r}")
         rels = _rows(_require(pres, "relations", where, []), f"{where}.relations",
@@ -459,7 +468,7 @@ def _cmd_ext1(ring, payload, options):
 def _cmd_extend(ring, payload, options):
     sigma = _parse_poly(ring, _require(payload, "sigma", "payload"), "sigma")
     level = _require(payload, "level", "payload")
-    if not isinstance(level, int):
+    if not _is_integer(level):
         raise SchemaError("payload.level must be an integer")
     res = extension_R_by_Ri(ring, sigma, level)
     return {"module": _ser_presmod(res.module),
@@ -698,7 +707,7 @@ def _run(args: argparse.Namespace) -> int:
             value = options.get(key)
             if value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_integer(value):
                 raise SchemaError(f"options.{key} must be an integer, got {value!r}")
             if not 0 <= value <= MAX_OPTION_BOUND:
                 raise SchemaError(

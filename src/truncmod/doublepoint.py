@@ -37,7 +37,7 @@ from .fpmod import (
     truncated_free,
     vanishes_locally,
 )
-from .hilbert import monomials_of_weighted_degree, presmod_dimension_by_enumeration
+from .hilbert import monomials_of_degree, presmod_dimension_by_enumeration
 from .multiring import TruncRing
 
 
@@ -85,9 +85,8 @@ class LocalDoubleRing:
 
     def jet_polys(self) -> list[Poly]:
         """All base monomials of total degree jet_order, injected into S."""
-        exps = monomials_of_weighted_degree(2, (1, 1), self.jet_order)
         return [self.trunc.inject(Poly(self.base, {e: Fraction(1)}))
-                for e in exps]
+                for e in monomials_of_degree(2, self.jet_order)]
 
     def class_coords(self, elem: Poly) -> tuple[Fraction, Fraction]:
         """Coordinates of an element of m*I in the basis (x*t, y*t) of
@@ -324,50 +323,33 @@ def affine_difference(J1: PointIdeal, J2: PointIdeal,
 
 def _double_monomials(d: int) -> list[tuple[int, int, int]]:
     """Exponent triples (i, j, k) with k <= 1 and i + j + k = d."""
-    out = []
-    for k in (0, 1):
-        if d - k < 0:
-            continue
-        for i in range(d - k + 1):
-            out.append((i, d - k - i, k))
-    return out
+    return [e + (k,) for k in (0, 1) for e in monomials_of_degree(2, d - k)]
 
 
-def _degree_matrix(ring: LocalDoubleRing, cols: list[Column],
+def _degree_images(ring: LocalDoubleRing, cols: list[Column],
                    src_degs: tuple[int, ...], tgt_degs: tuple[int, ...],
-                   d: int, target_mod_t: bool = False
-                   ) -> list[list[Fraction]]:
-    """Dense matrix of the degree-d piece of the map given by the columns,
-    returned as its list of columns: one per source basis element, with
-    entries indexed by the target monomial basis.  A rank taken of this
-    list is the rank of the map, since rank ignores transposition."""
+                   d: int, target_mod_t: bool = False) -> list[dict]:
+    """The degree-d piece of the map given by the columns: one sparse image
+    per source basis element, keyed by (entry, exponents) of the target
+    monomial basis.  A rank taken of this list is the rank of the map."""
     tr = ring.trunc
-    row_index: dict[tuple[int, tuple[int, int, int]], int] = {}
-    for l, gd in enumerate(tgt_degs):
-        for e in _double_monomials(d - gd):
-            if target_mod_t and e[2]:
-                continue
-            row_index[(l, e)] = len(row_index)
-
-    columns: list[list[Fraction]] = []
+    images: list[dict] = []
     for i, gd in enumerate(src_degs):
         for e in _double_monomials(d - gd):
             mono = Poly(ring.S, {e: Fraction(1)})
-            col = [Fraction(0)] * len(row_index)
+            image: dict = {}
             for l, p in enumerate(cols[i]):
-                img = tr.truncate(mono * p)
-                for ee, c in img.terms.items():
+                for ee, c in tr.truncate(mono * p).terms.items():
                     if target_mod_t and ee[2]:
                         continue
-                    row = row_index.get((l, ee))
-                    if row is None:
+                    if sum(ee) != d - tgt_degs[l]:
                         term = Poly(ring.S, {tuple(a - b for a, b in zip(ee, e)): c})
                         raise DoublePointError(
                             f"column {i}: the term {term} of entry {l} maps outside "
                             f"the degree-{d} target basis")
-                    col[row] = col[row] + c
-            columns.append(col)
-    return columns
+                    image[(l, ee)] = c
+            images.append(image)
+    return images
 
 
 def _phi_defaults(ring: LocalDoubleRing):
@@ -436,13 +418,13 @@ def verify_maximal_ideal_resolution(ring: LocalDoubleRing, degree_bound: int,
     table: list[tuple[int, int, int, int, int]] = []
     phi0_cols: list[Column] = [(x,), (y,)]
     for d in range(2, degree_bound + 1):
-        cols0 = _degree_matrix(ring, phi0_cols, (1, 1), (0,), d,
-                               target_mod_t=True)
-        dim_ker0 = len(cols0) - matrix_rank(cols0)
-        cols1 = _degree_matrix(ring, phi1, (2, 2, 2), (1, 1), d)
-        dim_im1 = matrix_rank(cols1)
-        dim_ker1 = len(cols1) - dim_im1
-        dim_im2 = matrix_rank(_degree_matrix(ring, phi2, (3, 3, 3), (2, 2, 2), d))
+        images0 = _degree_images(ring, phi0_cols, (1, 1), (0,), d,
+                                 target_mod_t=True)
+        dim_ker0 = len(images0) - matrix_rank(images0)
+        images1 = _degree_images(ring, phi1, (2, 2, 2), (1, 1), d)
+        dim_im1 = matrix_rank(images1)
+        dim_ker1 = len(images1) - dim_im1
+        dim_im2 = matrix_rank(_degree_images(ring, phi2, (3, 3, 3), (2, 2, 2), d))
         table.append((d, dim_ker0, dim_im1, dim_ker1, dim_im2))
         if dim_ker0 != dim_im1:
             failures.append(
@@ -466,27 +448,20 @@ class ExtComplexReport:
 
 
 def _psi_slice(mat: list[list[Poly]], slots: int,
-               src_basis: list[tuple[int, int, int]]
-               ) -> tuple[list[list[Fraction]], int]:
-    """Dense matrix of a base-coefficient matrix acting on one degree slice
-    of (m*I)-tuples; the row space is built from the image terms, so entries
-    of any degree are handled exactly."""
-    cols: list[dict[tuple[int, tuple[int, int, int]], Fraction]] = []
+               src_basis: list[tuple[int, int, int]]) -> list[dict]:
+    """A base-coefficient matrix acting on one degree slice of
+    (m*I)-tuples: one sparse image per source basis element, keyed by
+    (slot, exponents), so entries of any degree are handled exactly."""
+    images: list[dict] = []
     for s in range(slots):
         for mono in src_basis:
-            col: dict[tuple[int, tuple[int, int, int]], Fraction] = {}
+            image: dict = {}
             for r in range(len(mat)):
                 for ee, c in mat[r][s].terms.items():
                     key = (r, (mono[0] + ee[0], mono[1] + ee[1], 1))
-                    col[key] = col.get(key, Fraction(0)) + c
-            cols.append({k: v for k, v in col.items() if v})
-    keys = sorted({k for col in cols for k in col})
-    pos = {k: i for i, k in enumerate(keys)}
-    rows = [[Fraction(0)] * len(cols) for _ in keys]
-    for ci, col in enumerate(cols):
-        for k, v in col.items():
-            rows[pos[k]][ci] = v
-    return rows, len(cols)
+                    image[key] = image.get(key, 0) + c
+            images.append(image)
+    return images
 
 
 def _mi_cube_presentation(ring: LocalDoubleRing, slots: int) -> PresMod:
@@ -574,12 +549,11 @@ def ext_complex_check(ring: LocalDoubleRing, degree_bound: int,
         for d in range(2, degree_bound + 1):
             # brute force in ambient coordinates: the degree-e slice of one
             # m*I slot has basis x^i y^j t with i + j = e - 1 >= 1
-            basis_d = [(i, d - 1 - i, 1) for i in range(d)]
-            basis_prev = [(i, d - 2 - i, 1) for i in range(d - 1)] if d >= 3 else []
-            rows2, n2 = _psi_slice(psi2, 3, basis_d)
-            dim_ker = n2 - matrix_rank(rows2)
-            rows1, _n1 = _psi_slice(psi1, 2, basis_prev)
-            dim_im = matrix_rank(rows1)
+            basis_d = [e + (1,) for e in monomials_of_degree(2, d - 1)]
+            basis_prev = [e + (1,) for e in monomials_of_degree(2, d - 2)] if d >= 3 else []
+            images2 = _psi_slice(psi2, 3, basis_d)
+            dim_ker = len(images2) - matrix_rank(images2)
+            dim_im = matrix_rank(_psi_slice(psi1, 2, basis_prev))
             via_pres = presmod_dimension_by_enumeration(quotient, d)
             expected = (2 if d == 2 else 0) + (d - 1)
             table.append((d, dim_ker, dim_im, via_pres, expected))

@@ -892,8 +892,8 @@ def generators_at_origin(Q: PresMod) -> int:
     """Minimal number of generators of Q localized at the origin: the
     generator count less the rank of the constant terms of the relations
     (Nakayama).  For a graded Q this is its minimal generator count."""
-    return Q.ngens - matrix_rank([[p.constant_term() for p in col]
-                                  for col in Q.relations])
+    return Q.ngens - matrix_rank({j: p.constant_term() for j, p in enumerate(col)}
+                                 for col in Q.relations)
 
 
 def vanishes_locally(Q: PresMod) -> bool:

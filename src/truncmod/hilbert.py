@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .arith import ArithError, Exponents, Poly, PolyRing, agree, matrix_rank
+from .arith import ArithError, Exponents, Poly, PolyRing, agree, matrix_rank, mono_mul
 from .groebner import SpanGB, VecT, vec_from_polys
 from . import fpmod
 
@@ -117,9 +117,7 @@ def monomial_quotient_numerator(gens: list[Exponents], weights: tuple[int, ...],
     return result
 
 
-def _validate_weights(ring: PolyRing, weights: tuple[int, ...] | None) -> tuple[int, ...]:
-    if weights is None:
-        weights = (1,) * ring.nvars
+def _validate_weights(ring: PolyRing, weights: tuple[int, ...]) -> tuple[int, ...]:
     if len(weights) != ring.nvars:
         raise HilbertError(f"expected {ring.nvars} weights, got {len(weights)}")
     if any(w <= 0 for w in weights):
@@ -127,10 +125,10 @@ def _validate_weights(ring: PolyRing, weights: tuple[int, ...] | None) -> tuple[
     return tuple(weights)
 
 
-def hilbert_series_ideal(ring: PolyRing, gens: list[Poly],
-                         weights: tuple[int, ...] | None = None) -> HilbertSeries:
-    """Series of S/(gens); a reduced Groebner basis is computed internally."""
-    weights = _validate_weights(ring, weights)
+def hilbert_series_ideal(ring: PolyRing, gens: list[Poly]) -> HilbertSeries:
+    """Series of S/(gens) under the standard grading; a reduced Groebner
+    basis is computed internally."""
+    weights = (1,) * ring.nvars
     vecs = [vec_from_polys((g,)) for g in gens if not g.is_zero()]
     gb = SpanGB(ring, 1, vecs).gb
     leads = [next(iter(v))[1] for v in gb]
@@ -282,15 +280,13 @@ def hilbert_polynomial(M) -> HilbertPolynomial:
     The extracted polynomial is checked against brute-force dimension counts
     at three degrees past the point where the series becomes polynomial."""
     base_ring, rank, cols, degrees = restricted_base_data(M)
-    weights = (1,) * base_ring.nvars
-    hs = module_series(SpanGB(base_ring, rank, cols), degrees, weights)
+    hs = module_series(SpanGB(base_ring, rank, cols), degrees, (1,) * base_ring.nvars)
     poly = polynomial_from_series(hs)
     start = max([j for j, _ in hs.numerator_coeffs] + [0])
     for d in range(start, start + 3):
         agree(HilbertError, f"dimension in degree {d}",
               series_polynomial=poly.evaluate(d),
-              direct_count=dimension_by_enumeration(base_ring, rank, cols,
-                                                    degrees, weights, d))
+              direct_count=dimension_by_enumeration(base_ring, cols, degrees, d))
     return poly
 
 
@@ -365,62 +361,32 @@ def rank_degree_reduced(p: HilbertPolynomial) -> ReducedRankDegree:
 # -- brute-force dimension counts (independent of the series machinery) ----
 
 
-def monomials_of_weighted_degree(nvars: int, weights: tuple[int, ...],
-                                 d: int) -> list[Exponents]:
-    if d < 0:
-        return []
-    out: list[Exponents] = []
-
-    def rec(i: int, remaining: int, acc: list[int]) -> None:
-        if i == nvars:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        w = weights[i]
-        top = remaining // w
-        for e in range(top + 1):
-            acc.append(e)
-            rec(i + 1, remaining - e * w, acc)
-            acc.pop()
-
-    rec(0, d, [])
-    return out
+def monomials_of_degree(nvars: int, d: int) -> list[Exponents]:
+    """Exponent tuples of total degree ``d`` in ``nvars`` variables, first
+    exponent ascending, then the rest in the same order recursively."""
+    if nvars == 0:
+        return [()] if d == 0 else []
+    return [(e,) + rest for e in range(d + 1)
+            for rest in monomials_of_degree(nvars - 1, d - e)]
 
 
-def dimension_by_enumeration(ring: PolyRing, rank: int, columns: list[VecT],
-                             gen_degrees: tuple[int, ...],
-                             weights: tuple[int, ...], d: int) -> int:
+def dimension_by_enumeration(ring: PolyRing, columns: list[VecT],
+                             gen_degrees: tuple[int, ...], d: int) -> int:
     """Dimension of the degree-d part of ring^rank (shifted) / span(columns),
-    by listing monomial basis vectors and row-reducing the span in that
-    degree.  Columns must be homogeneous."""
-    weights = _validate_weights(ring, weights)
-    basis: list[tuple[int, Exponents]] = []
-    index: dict[tuple[int, Exponents], int] = {}
-    for j in range(rank):
-        for e in monomials_of_weighted_degree(ring.nvars, weights, d - gen_degrees[j]):
-            index[(j, e)] = len(basis)
-            basis.append((j, e))
-    if not basis:
-        return 0
-
-    def wdeg(e: Exponents) -> int:
-        return sum(w * x for w, x in zip(weights, e))
-
-    span_rows: list[list[Fraction]] = []
+    where rank is ``len(gen_degrees)``: the count of target monomials less
+    the rank of the columns' degree-d multiples.  Columns must be
+    homogeneous."""
+    count = sum(len(monomials_of_degree(ring.nvars, d - g)) for g in gen_degrees)
+    images: list[dict] = []
     for col in columns:
         if not col:
             continue
-        degs = {wdeg(e) + gen_degrees[pos] for (pos, e) in col}
+        degs = {sum(e) + gen_degrees[pos] for (pos, e) in col}
         if len(degs) != 1:
             raise HilbertError("brute-force count needs homogeneous columns")
-        dc = degs.pop()
-        for m in monomials_of_weighted_degree(ring.nvars, weights, d - dc):
-            row = [Fraction(0)] * len(basis)
-            for (pos, e), c in col.items():
-                shifted = tuple(a + b for a, b in zip(e, m))
-                row[index[(pos, shifted)]] += c
-            span_rows.append(row)
-    return len(basis) - matrix_rank(span_rows)
+        for m in monomials_of_degree(ring.nvars, d - degs.pop()):
+            images.append({(pos, mono_mul(e, m)): c for (pos, e), c in col.items()})
+    return count - matrix_rank(images)
 
 
 def presmod_dimension_by_enumeration(M, d: int) -> int:
@@ -428,6 +394,5 @@ def presmod_dimension_by_enumeration(M, d: int) -> int:
     the base ring through restriction of scalars for every t-weight."""
     if M.grading is None:
         raise HilbertError("dimension count needs grading data")
-    base_ring, rank, cols, degrees = restricted_base_data(M)
-    return dimension_by_enumeration(base_ring, rank, cols, degrees,
-                                    (1,) * base_ring.nvars, d)
+    base_ring, _rank, cols, degrees = restricted_base_data(M)
+    return dimension_by_enumeration(base_ring, cols, degrees, d)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .arith import ArithError, Poly, PolyRing, agree
 from .fpmod import (PresMod, Submodule, free_module, graded_or_plain, infer_grading,
                     is_balanced)
-from .hilbert import monomials_of_weighted_degree
+from .hilbert import monomials_of_degree
 from .multiring import TruncElem, TruncRing
 
 
@@ -56,8 +56,7 @@ def _common_ring(seq: list[TruncElem]) -> TruncRing:
 def _jet_monomials(ring: PolyRing, order: int | None) -> list[Poly]:
     if order is None:
         return []
-    exps = monomials_of_weighted_degree(ring.nvars, (1,) * ring.nvars, order)
-    return [Poly(ring, {e: Fraction(1)}) for e in exps]
+    return [Poly(ring, {e: Fraction(1)}) for e in monomials_of_degree(ring.nvars, order)]
 
 
 def _ladder(ring: TruncRing, gens: list[Poly], ambient: list[Poly]

@@ -558,9 +558,34 @@ def test_negative_free_rank_is_a_schema_error():
 def test_shape_fields_accept_integer_strings_and_floats():
     code, out = run("module.filtration", {
         "ring": RING_DOUBLE,
-        "payload": {"free": {"rank": "2", "degrees": ["0", 1.0], "t_weight": True}},
+        "payload": {"free": {"rank": "2", "degrees": ["0", 1.0], "t_weight": "1"}},
     })
     assert code == 0
+
+
+@pytest.mark.parametrize("command, document, field", [
+    ("module.filtration", {"ring": {"variables": ["x", "y"], "n": True},
+                           "payload": {"free": {"rank": 1}}}, "ring.n"),
+    ("module.extend", {"ring": RING_DOUBLE, "payload": {"sigma": "x", "level": True}},
+     "payload.level"),
+    ("module.filtration", {"ring": RING_DOUBLE, "payload": {"free": {"rank": True}}},
+     "payload.free.rank"),
+    ("module.filtration", {"ring": RING_DOUBLE,
+                           "payload": {"free": {"rank": 1, "t_weight": True}}},
+     "payload.free.t_weight"),
+    ("module.filtration", {"ring": RING_DOUBLE, "payload": {"presentation": {
+        "generators": True, "degrees": [False]}}}, "payload.presentation.generators"),
+    ("module.filtration", {"ring": RING_DOUBLE, "payload": {"presentation": {
+        "generators": 1, "degrees": [False]}}}, "payload.presentation.degrees"),
+    ("module.filtration", {"ring": RING_DOUBLE,
+                           "payload": {"truncated_free": {"level": True}}},
+     "payload.truncated_free.level"),
+])
+def test_json_booleans_are_not_integers(command, document, field):
+    code, out = run(command, document)
+    assert code == 2
+    assert out["error"]["kind"] == "schema"
+    assert field in out["error"]["message"]
 
 
 @pytest.mark.parametrize("relations", [5, "x", {"0": ["x"]}, None])

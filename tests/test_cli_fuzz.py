@@ -213,13 +213,21 @@ def test_documents_that_once_were_internal_errors(command, document, field):
 
 
 @pytest.mark.parametrize("command", ["gb", "nf", "syz"])
-@pytest.mark.parametrize("rank", [1.0, True, "1"])
+@pytest.mark.parametrize("rank", [1.0, "1"])
 def test_span_rank_is_read_as_an_integer(command, rank):
     code, answer = check_answer(command, {"ring": RING, "payload": {
         "vectors": [["x"]], "rank": rank, "element": ["x"]}})
     assert code == 0
     if command == "gb":
         assert answer["rank"] == 1 and type(answer["rank"]) is int
+
+
+@pytest.mark.parametrize("command", ["gb", "nf", "syz"])
+def test_span_rank_refuses_a_boolean(command):
+    code, answer = check_answer(command, {"ring": RING, "payload": {
+        "vectors": [["x"]], "rank": True, "element": ["x"]}})
+    assert code == 2
+    assert "payload.rank" in answer["error"]["message"]
 
 
 def test_ring_n_up_to_the_bound_is_answered():

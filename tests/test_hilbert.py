@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from truncmod.arith import PolyRing
+from truncmod.doublepoint import LocalDoubleRing
 from truncmod.multiring import TruncRing
 from truncmod.fpmod import (
     FiltrationChain,
@@ -20,8 +22,9 @@ from truncmod.hilbert import (
     HilbertPolynomial,
     hilbert_polynomial,
     hilbert_series_ideal,
+    dimension_by_enumeration,
     hilbert_series_presmod,
-    monomials_of_weighted_degree,
+    monomials_of_degree,
     polynomial_from_series,
     presmod_dimension_by_enumeration,
     rank_degree_reduced,
@@ -227,14 +230,40 @@ def test_rank_of_finite_length_module_is_zero():
 
 
 def test_weighted_monomial_enumeration():
-    assert monomials_of_weighted_degree(2, (1, 1), 3) == [
+    assert monomials_of_degree(2, 3) == [
         (0, 3),
         (1, 2),
         (2, 1),
         (3, 0),
     ]
-    assert monomials_of_weighted_degree(2, (1, 2), 2) == [(0, 1), (2, 0)]
-    assert monomials_of_weighted_degree(1, (3,), 2) == []
+
+
+def test_monomial_order_and_edge_cases():
+    # first exponent ascending, the rest in the same order recursively:
+    # regseq's jets and LocalDoubleRing.jet_polys enter spans in this order
+    assert monomials_of_degree(3, 2) == [
+        (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+    assert [str(p) for p in LocalDoubleRing(3).jet_polys()] == [
+        "y^3", "x*y^2", "x^2*y", "x^3"]
+    assert monomials_of_degree(0, 0) == [()]
+    assert monomials_of_degree(0, 2) == []
+    assert monomials_of_degree(1, 0) == [(0,)]
+    assert monomials_of_degree(1, 4) == [(4,)]
+    for nvars in range(4):
+        assert monomials_of_degree(nvars, -1) == []
+
+
+def test_dimension_by_enumeration_counts_and_needs_homogeneous_columns():
+    R = PolyRing(("x", "y"))
+    one = Fraction(1)
+    # (R ⊕ R(-1)) / (x e_0) in degree 2: 3 + 2 monomials, x^2 e_0 and x*y e_0 vanish
+    assert dimension_by_enumeration(R, [{(0, (1, 0)): one}], (0, 1), 2) == 3
+    # the empty column and a degree with no monomials
+    assert dimension_by_enumeration(R, [{}], (0,), 2) == 3
+    assert dimension_by_enumeration(R, [{(0, (1, 0)): one}], (0,), -1) == 0
+    # x + 1 is not homogeneous
+    with pytest.raises(HilbertError, match="homogeneous columns"):
+        dimension_by_enumeration(R, [{(0, (1, 0)): one, (0, (0, 0)): one}], (0,), 2)
 
 
 def test_enumeration_of_graded_free_module():

@@ -1,6 +1,7 @@
-"""The exact rank helpers against sympy: ``arith.matrix_rank`` over Q, with
-its edge cases (empty matrices, zero rows, transposition and untouched
-input), and ``fpmod.generic_rank`` over the fraction field of Q[x, y]."""
+"""The exact rank helpers against sympy: ``arith.matrix_rank`` over Q on
+sparse rows, with its edge cases (empty matrices, zero rows, absent and
+zero entries, transposition and untouched input), and
+``fpmod.generic_rank`` over the fraction field of Q[x, y]."""
 
 import copy
 from fractions import Fraction
@@ -43,6 +44,11 @@ def transpose(ncols, rows):
     return [[r[j] for r in rows] for j in range(ncols)]
 
 
+def sparse(rows):
+    """Dense rows as the sparse rows ``matrix_rank`` takes, keyed by column."""
+    return [dict(enumerate(row)) for row in rows]
+
+
 @pytest.mark.skipif(sympy is None, reason="sympy is not installed")
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(matrices())
@@ -51,32 +57,57 @@ def test_rank_matches_sympy(case):
     oracle = sympy.Matrix(len(rows), ncols,
                           [sympy.Rational(v.numerator, v.denominator)
                            for r in rows for v in r])
-    assert matrix_rank(rows) == oracle.rank()
+    assert matrix_rank(sparse(rows)) == oracle.rank()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(matrices())
 def test_rank_is_invariant_under_transposition_and_leaves_rows_alone(case):
     ncols, rows = case
+    rows = sparse(rows)
     before = copy.deepcopy(rows)
     rank = matrix_rank(rows)
     assert rows == before
-    assert rank == matrix_rank(transpose(ncols, rows))
+    dense = [[r[j] for j in range(ncols)] for r in rows]
+    assert rank == matrix_rank(sparse(transpose(ncols, dense)))
     assert rank <= min(len(rows), ncols)
 
 
 def test_empty_and_zero_matrices():
     assert matrix_rank([]) == 0
-    assert matrix_rank([[], []]) == 0
-    assert matrix_rank([[Fraction(0)] * 3] * 2) == 0
-    assert matrix_rank([[0, 0], [1, 2], [0, 0], [2, 4]]) == 1
+    assert matrix_rank(sparse([[], []])) == 0
+    assert matrix_rank(sparse([[Fraction(0)] * 3] * 2)) == 0
+    assert matrix_rank(sparse([[0, 0], [1, 2], [0, 0], [2, 4]])) == 1
 
 
 def test_identity_and_integer_entries():
     identity = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-    assert matrix_rank(identity) == 4
-    assert matrix_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
-    assert matrix_rank([[0, 1], [1, 0]]) == 2
+    assert matrix_rank(sparse(identity)) == 4
+    assert matrix_rank(sparse([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
+    assert matrix_rank(sparse([[0, 1], [1, 0]])) == 2
+
+
+def test_sparse_rows_with_any_keys_absent_and_zero_entries():
+    e, a = (0, (1, 0)), "a"
+    rows = [
+        {e: Fraction(1), a: 2},
+        {},                                   # an empty row
+        {a: 0, "b": Fraction(0)},             # only explicit zeros
+        # reduces to 3*b: e and a cancel and their keys are deleted, so the
+        # pivot sits at a key the first row never had
+        {"b": 3, e: -1, a: -2},
+        {e: 2, a: 4, "b": Fraction(1, 2)},    # twice the first row plus b/2
+        {(1, (0, 0)): Fraction(-1, 3)},      # a key no other row has
+    ]
+    before = copy.deepcopy(rows)
+    assert matrix_rank(rows) == 3
+    assert rows == before
+    assert matrix_rank(rows[:3]) == 1
+    assert matrix_rank(iter(rows[3:5])) == 2
+    # the same matrix with every absent entry written out as a zero
+    keys = [e, a, "b", (1, (0, 0))]
+    dense = [{k: row.get(k, 0) for k in keys} for row in rows]
+    assert matrix_rank(dense) == 3
 
 
 # -- generic rank over Frac(Q[x, y]) ---------------------------------------
