@@ -407,11 +407,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def weighted_degree(self, weights: tuple[int, ...]) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(w * x for w, x in zip(weights, e)) for e in self.terms)
-
     def leading(self, order: MonomialOrder | None = None) -> tuple[Exponents, Fraction]:
         if not self.terms:
             raise ArithError("the zero polynomial has no leading term")
@@ -425,12 +420,8 @@ class Poly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.ring.nvars, Fraction(0))
 
-    def is_homogeneous(self, weights: tuple[int, ...] | None = None) -> bool:
-        if not self.terms:
-            return True
-        weights = weights or (1,) * self.ring.nvars
-        degs = {sum(w * x for w, x in zip(weights, e)) for e in self.terms}
-        return len(degs) == 1
+    def is_homogeneous(self) -> bool:
+        return len({sum(e) for e in self.terms}) <= 1
 
     # -- substitution --------------------------------------------------
 

@@ -673,7 +673,7 @@ def extension_R_by_Ri(ring: TruncRing, sigma: Poly, i: int) -> ExtensionResult:
     sigma = ring.inject(sigma) if sigma.ring == ring.base else sigma
     # R[i] sits in the degree that makes the relation (sigma, t) homogeneous
     # when sigma is; for any other sigma the extension comes out ungraded.
-    degree = 1 - sigma.weighted_degree((1,) * (ring.base.nvars + 1)) if sigma.terms else 0
+    degree = 1 - sigma.total_degree() if sigma.terms else 0
     return build_extension(truncated_free(ring, i, degree), truncated_free(ring, 1),
                            [(sigma,)])
 
@@ -914,7 +914,6 @@ def transformed_presentation(M: PresMod, seed: int, steps: int = 12) -> PresMod:
     rows = [[col[j] for col in M.relations] for j in range(g)]
     degs = list(M.grading.gen_degrees) if M.grading else [0] * g
     tw = M.grading.t_weight if M.grading else 1
-    weights = (1,) * ring.base.nvars + (tw,)
 
     def random_homog(target_deg: int) -> Poly | None:
         if target_deg < 0:

@@ -135,15 +135,12 @@ def vec_lead(v: VecT, morder: ModuleOrder) -> Term:
     return max(v, key=morder.key)
 
 
-def vec_scale(v: VecT, coeff: Fraction) -> VecT:
-    if coeff == 0:
-        return {}
-    return {t: coeff * c for t, c in v.items()}
-
-
 def _monic(v: VecT, lead: Term) -> VecT:
     c = v[lead]
-    return v if c == 1 else vec_scale(v, Fraction(1) / c)
+    if c == 1:
+        return v
+    inv = Fraction(1) / c
+    return {t: inv * a for t, a in v.items()}
 
 
 # -- division ------------------------------------------------------------

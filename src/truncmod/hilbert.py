@@ -1,19 +1,20 @@
 """Graded dimension counting for modules over Q[x..][t]/(t^n).
 
-Hilbert series are stored exactly as a numerator polynomial in z over the
-denominator prod_i (1 - z^(w_i)), one factor per ambient variable with its
-weight.  Numerators come from lead-term modules of a Groebner basis through
-the standard divide-and-conquer recursion on monomial ideals.  Polynomial
-extraction (dimension as a polynomial in the degree) is exact over the
-rationals and only defined when every weight involved is 1; modules whose
-t-weight differs are first restricted to the base ring, one generator copy
-per t-power.
+Every variable weighs 1 in a series: a Hilbert series is stored exactly as a
+numerator Laurent polynomial in z over (1 - z)^v, v the number of ambient
+variables.  Numerators come from lead-term modules of a Groebner basis
+through the standard divide-and-conquer recursion on monomial ideals.  A
+module whose t-weight is 1 is counted directly over Q[x.., t]; for any other
+t-weight (``fpmod.Grading`` holds it) the module is first restricted to the
+base ring, one generator copy per t-power.  Polynomial extraction (dimension
+as a polynomial in the degree) is exact over the rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
 from .arith import ArithError, Exponents, Poly, PolyRing, agree, matrix_rank, mono_mul
@@ -22,7 +23,7 @@ from . import fpmod
 
 
 class HilbertError(ArithError):
-    """Raised for ungraded input or unusable weight vectors."""
+    """Raised for ungraded or inhomogeneous input and disagreeing counts."""
 
 
 # -- series ---------------------------------------------------------------
@@ -30,32 +31,35 @@ class HilbertError(ArithError):
 
 @dataclass(frozen=True)
 class HilbertSeries:
-    """numerator / prod (1 - z^w) with integer numerator coefficients."""
+    """numerator / (1 - z)^nvars with integer numerator coefficients."""
 
     numerator_coeffs: tuple[tuple[int, int], ...]   # sorted (degree, coeff)
-    weights: tuple[int, ...]                        # sorted denominator weights
+    nvars: int
 
     @staticmethod
-    def make(num: dict[int, int], weights: tuple[int, ...]) -> HilbertSeries:
-        cleaned = tuple(sorted((d, c) for d, c in num.items() if c))
-        return HilbertSeries(cleaned, tuple(sorted(weights)))
+    def make(num: dict[int, int], nvars: int) -> HilbertSeries:
+        return HilbertSeries(tuple(sorted((d, c) for d, c in num.items() if c)), nvars)
+
+    def _expand(self, up_to: int) -> tuple[int, list[int]]:
+        """(low, dims): dims[k] is the dimension in degree low + k, through
+        degree up_to, where low is the lowest numerator degree or 0."""
+        low = min([0] + [d for d, _ in self.numerator_coeffs])
+        dims = [0] * max(up_to + 1 - low, 0)
+        for d, c in self.numerator_coeffs:
+            if d <= up_to:
+                dims[d - low] += c
+        for _ in range(self.nvars):
+            dims = list(accumulate(dims))
+        return low, dims
 
     def dimensions(self, up_to: int) -> list[int]:
-        arr = [0] * (up_to + 1)
-        for d, c in self.numerator_coeffs:
-            if 0 <= d <= up_to:
-                arr[d] += c
-        for w in self.weights:
-            if w <= 0:
-                raise HilbertError("cannot expand a series with non-positive weights")
-            for k in range(w, up_to + 1):
-                arr[k] += arr[k - w]
-        return arr
+        """The dimensions in degrees 0 .. up_to."""
+        low, dims = self._expand(up_to)
+        return dims[-low:]
 
     def dimension(self, d: int) -> int:
-        if d < 0:
-            return 0
-        return self.dimensions(d)[d]
+        low, dims = self._expand(d)
+        return dims[d - low] if d >= low else 0
 
     def __str__(self) -> str:
         if not self.numerator_coeffs:
@@ -69,12 +73,10 @@ class HilbertSeries:
                 mag = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
                 parts.append(f"-{mag}" if c < 0 else mag)
         num = " + ".join(parts).replace("+ -", "- ")
-        counts: dict[int, int] = {}
-        for w in self.weights:
-            counts[w] = counts.get(w, 0) + 1
-        den = "*".join(f"(1 - z^{w})^{m}" if m > 1 else f"(1 - z^{w})"
-                       for w, m in sorted(counts.items())).replace("z^1)", "z)")
-        return f"({num}) / ({den})" if den else f"({num})"
+        if not self.nvars:
+            return f"({num})"
+        den = "(1 - z)" if self.nvars == 1 else f"(1 - z)^{self.nvars}"
+        return f"({num}) / ({den})"
 
 
 def _interreduce_monomials(gens: list[Exponents]) -> list[Exponents]:
@@ -85,7 +87,7 @@ def _interreduce_monomials(gens: list[Exponents]) -> list[Exponents]:
     return out
 
 
-def monomial_quotient_numerator(gens: list[Exponents], weights: tuple[int, ...],
+def monomial_quotient_numerator(gens: list[Exponents],
                                 _memo: dict | None = None) -> dict[int, int]:
     """Numerator of the series of S/(monomial ideal), by recursion on one
     generator at a time: N(I) = N(I - m) - z^deg(m) * N((I - m) : m)."""
@@ -100,15 +102,14 @@ def monomial_quotient_numerator(gens: list[Exponents], weights: tuple[int, ...],
     elif any(sum(e) == 0 for e in gens):
         result = {}
     elif len(gens) == 1:
-        d = sum(w * a for w, a in zip(weights, gens[0]))
-        result = {0: 1, d: -1} if d else {}
+        result = {0: 1, sum(gens[0]): -1}
     else:
         m = gens[-1]
         rest = gens[:-1]
-        a = monomial_quotient_numerator(rest, weights, _memo)
+        a = monomial_quotient_numerator(rest, _memo)
         colon = [tuple(max(x - y, 0) for x, y in zip(e, m)) for e in rest]
-        b = monomial_quotient_numerator(colon, weights, _memo)
-        dm = sum(w * x for w, x in zip(weights, m))
+        b = monomial_quotient_numerator(colon, _memo)
+        dm = sum(m)
         result = dict(a)
         for d, c in b.items():
             result[d + dm] = result.get(d + dm, 0) - c
@@ -117,54 +118,36 @@ def monomial_quotient_numerator(gens: list[Exponents], weights: tuple[int, ...],
     return result
 
 
-def _validate_weights(ring: PolyRing, weights: tuple[int, ...]) -> tuple[int, ...]:
-    if len(weights) != ring.nvars:
-        raise HilbertError(f"expected {ring.nvars} weights, got {len(weights)}")
-    if any(w <= 0 for w in weights):
-        raise HilbertError("grading is not positive: all weights must be >= 1")
-    return tuple(weights)
-
-
 def hilbert_series_ideal(ring: PolyRing, gens: list[Poly]) -> HilbertSeries:
-    """Series of S/(gens) under the standard grading; a reduced Groebner
-    basis is computed internally."""
-    weights = (1,) * ring.nvars
+    """Series of S/(gens) under the standard grading."""
     vecs = [vec_from_polys((g,)) for g in gens if not g.is_zero()]
-    gb = SpanGB(ring, 1, vecs).gb
-    leads = [next(iter(v))[1] for v in gb]
-    num = monomial_quotient_numerator(leads, weights)
-    return HilbertSeries.make(num, weights)
+    return module_series(SpanGB(ring, 1, vecs), (0,))
 
 
-def module_series(span: SpanGB, gen_degrees: tuple[int, ...],
-                  weights: tuple[int, ...]) -> HilbertSeries:
+def module_series(span: SpanGB, gen_degrees: tuple[int, ...]) -> HilbertSeries:
     """Series of ring^rank (with generator degree shifts) modulo the span."""
-    weights = _validate_weights(span.ring, weights)
     leads_by_pos: dict[int, list[Exponents]] = {j: [] for j in range(span.rank)}
     for pos, exps in span.gb_leads:
         leads_by_pos[pos].append(exps)
     num: dict[int, int] = {}
     memo: dict = {}
     for j in range(span.rank):
-        kj = monomial_quotient_numerator(leads_by_pos[j], weights, memo)
+        kj = monomial_quotient_numerator(leads_by_pos[j], memo)
         for d, c in kj.items():
             dd = d + gen_degrees[j]
             num[dd] = num.get(dd, 0) + c
-    return HilbertSeries.make(num, weights)
+    return HilbertSeries.make(num, span.ring.nvars)
 
 
 def hilbert_series_presmod(M) -> HilbertSeries:
-    """Series of a graded module over R[n]; positive t-weight is handled
-    directly over S, weight zero through restriction to the base ring."""
+    """Series of a graded module over R[n]: directly over S when t weighs
+    1, through restriction to the base ring for any other t-weight."""
     if M.grading is None:
         raise HilbertError("hilbert series needs grading data")
-    w = M.grading.t_weight
-    ring = M.ring
-    if w >= 1:
-        weights = (1,) * ring.base.nvars + (w,)
-        return module_series(M.rel_span(), M.grading.gen_degrees, weights)
+    if M.grading.t_weight == 1:
+        return module_series(M.rel_span(), M.grading.gen_degrees)
     base_ring, rank, cols, degrees = restricted_base_data(M)
-    return module_series(SpanGB(base_ring, rank, cols), degrees, (1,) * base_ring.nvars)
+    return module_series(SpanGB(base_ring, rank, cols), degrees)
 
 
 def restricted_base_data(M) -> tuple[PolyRing, int, list[VecT], tuple[int, ...]]:
@@ -254,12 +237,10 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 def polynomial_from_series(hs: HilbertSeries) -> HilbertPolynomial:
-    """The eventual dimension polynomial of a series whose weights are all 1:
-    for numerator sum a_j z^j over (1-z)^v this is
-    sum a_j * binom(d - j + v - 1, v - 1), exact for d >= max j."""
-    if any(w != 1 for w in hs.weights):
-        raise HilbertError("polynomial extraction requires all weights equal to 1")
-    v = len(hs.weights)
+    """The eventual dimension polynomial of a series: for numerator
+    sum a_j z^j over (1-z)^v this is sum a_j * binom(d - j + v - 1, v - 1),
+    exact for d >= max j."""
+    v = hs.nvars
     k = v - 1
     total = [Fraction(0)] * max(k + 1, 1)
     for j, c in hs.numerator_coeffs:
@@ -275,12 +256,12 @@ def polynomial_from_series(hs: HilbertSeries) -> HilbertPolynomial:
 
 def hilbert_polynomial(M) -> HilbertPolynomial:
     """Dimension-in-degree polynomial of a graded module, through restriction
-    of scalars to the base ring (valid for any t-weight >= 0).
+    of scalars to the base ring (valid for every t-weight, negative ones too).
 
     The extracted polynomial is checked against brute-force dimension counts
     at three degrees past the point where the series becomes polynomial."""
     base_ring, rank, cols, degrees = restricted_base_data(M)
-    hs = module_series(SpanGB(base_ring, rank, cols), degrees, (1,) * base_ring.nvars)
+    hs = module_series(SpanGB(base_ring, rank, cols), degrees)
     poly = polynomial_from_series(hs)
     start = max([j for j, _ in hs.numerator_coeffs] + [0])
     for d in range(start, start + 3):
@@ -298,8 +279,7 @@ def layer_base_series(G) -> HilbertSeries:
         raise HilbertError("layer series needs grading data")
     base = G.ring.base
     cols = [vec_from_polys(col) for col in zip(*fpmod.base_relation_matrix(G))]
-    return module_series(SpanGB(base, G.ngens, cols), G.grading.gen_degrees,
-                         (1,) * base.nvars)
+    return module_series(SpanGB(base, G.ngens, cols), G.grading.gen_degrees)
 
 
 def _layer_sum(layers) -> HilbertPolynomial:

@@ -127,7 +127,6 @@ def test_degree_helpers():
     R = ring2()
     p = R.parse("x*y^2")
     assert p.total_degree() == 3
-    assert p.weighted_degree((1, 2)) == 5
     assert R.parse("x^2 + y^2").is_homogeneous()
     assert not R.parse("x + 1").is_homogeneous()
 

@@ -171,6 +171,15 @@ def test_balance_verdict_and_witness():
     assert out["witness"] is None
 
 
+def test_balance_at_n_1_is_immediate():
+    # no comparison maps exist for n = 1; the verdict needs no layers
+    code, out = run("module.balanced", {"ring": RING_PLAIN, "payload": {"free": {"rank": 1}}})
+    assert code == 0
+    assert out["balanced"] is True
+    assert out["witness"] is None
+    assert out["note"] == "all comparison kernels and cokernels vanish"
+
+
 def test_quasifree_and_generic_type():
     code, out = run("module.quasifree", {"ring": RING_DOUBLE, "payload": {"truncated_free": {"level": 1}}})
     assert code == 0
@@ -234,6 +243,23 @@ def test_refinement_matching():
     assert out["first_refined_members"] == 3
     assert out["second_refined_members"] == 3
     assert out["matched_layers"] == [[0, 0], [1, 1]]
+
+
+def test_refinement_is_the_same_at_every_t_weight():
+    # t-weight 1 compares series over Q[x, y, t]; 0 and 2 restrict to Q[x, y]
+    answers = []
+    for t_weight in (0, 1, 2):
+        code, out = run("module.refine", {
+            "ring": {"variables": ["x", "y"], "n": 3},
+            "payload": {"presentation": {
+                "generators": 2, "relations": [["t", "0"], ["0", "t^2"]],
+                "degrees": [0, 0], "t_weight": t_weight}},
+        })
+        assert code == 0
+        out.pop("meta")
+        answers.append(out)
+    assert answers[0]["matched_layers"] == [[0, 1], [0, 2], [1, 2]]
+    assert answers[0] == answers[1] == answers[2]
 
 
 def test_regular_sequence_check():

@@ -85,17 +85,54 @@ def test_series_match_enumeration():
         assert hs.dimension(d) == presmod_dimension_by_enumeration(M, d)
 
 
-@pytest.mark.parametrize("t_weight, relations", [
-    (1, [("x*y", "t"), ("t^2", "x")]),
-    (2, [("x*y + t", "x"), ("t*x", "y^2")]),
+# columns homogeneous under every t-weight once degree 1 = degree 0 + 1
+ANY_WEIGHT = [("x*y", "x"), ("t*x^2", "t*y"), ("t^2", "0")]
+
+
+@pytest.mark.parametrize("n, t_weight, degrees, relations", [
+    (3, 1, (0, 1), [("x*y", "t"), ("t^2", "x")]),
+    (3, 2, (0, 1), [("x*y + t", "x"), ("t*x", "y^2")]),
+    # the free R[2]: both series have a numerator term of degree -1
+    (2, 1, (-1,), []),
+    (2, -1, (0,), []),
+    *[(3, w, (d, d + 1), ANY_WEIGHT) for w in (0, -1, 1, 2) for d in (-2, 0, 1)],
 ])
-def test_enumeration_over_the_base_matches_series(t_weight, relations):
-    # the series reads leads over Q[x, y, t]; the count restricts to Q[x, y]
-    tr = TruncRing(("x", "y"), 3)
-    M = PresMod(tr, 2, [tuple(tr.S.parse(p) for p in col) for col in relations],
-                grading=Grading((0, 1), t_weight))
+def test_enumeration_over_the_base_matches_series(n, t_weight, degrees, relations):
+    # at t-weight 1 the series reads leads over Q[x, y, t], at any other
+    # t-weight it restricts to Q[x, y]; the count always restricts
+    tr = TruncRing(("x", "y"), n)
+    M = PresMod(tr, len(degrees), [tuple(tr.S.parse(p) for p in col) for col in relations],
+                grading=Grading(degrees, t_weight))
     hs = hilbert_series_presmod(M)
-    assert [presmod_dimension_by_enumeration(M, d) for d in range(8)] == hs.dimensions(7)
+    counts = [presmod_dimension_by_enumeration(M, d) for d in range(-5, 8)]
+    assert [hs.dimension(d) for d in range(-5, 8)] == counts
+    assert hs.dimensions(7) == counts[5:]
+
+
+def test_series_and_polynomial_text():
+    # agree writes these forms into the messages of disagreeing routes
+    tr = TruncRing(("x", "y"), 2)
+    S = tr.S
+    quotient = PresMod(tr, 1, [(S.parse("x^2"),), (S.parse("x*y"),)],
+                       grading=Grading((0,), 1))
+    assert str(hilbert_series_presmod(free_module(tr, 1))) == "(1 - z^2) / ((1 - z)^3)"
+    assert str(hilbert_series_presmod(quotient)) == (
+        "(1 - 3*z^2 + z^3 + 2*z^4 - z^5) / ((1 - z)^3)")
+    assert str(hilbert_series_presmod(free_module(tr, 1, gen_degrees=(-1,)))) == (
+        "(z^-1 - z) / ((1 - z)^3)")
+    line = PolyRing(("x",))
+    assert str(hilbert_series_ideal(line, [])) == "(1) / ((1 - z))"
+    assert str(hilbert_series_ideal(line, [line.parse("1")])) == "0"
+    assert str(HilbertPolynomial.make([Fraction(-1), Fraction(0), Fraction(1, 2)])) == (
+        "1/2*d^2 - 1")
+
+
+def test_series_at_other_t_weights_are_over_the_base_ring():
+    # restricted to Q[x, y]: R[2] is two copies of it, in degrees 0 and 2
+    tr = TruncRing(("x", "y"), 2)
+    assert str(hilbert_series_presmod(free_module(tr, 1, t_weight=2))) == (
+        "(1 + z^2) / ((1 - z)^2)")
+    assert str(hilbert_series_presmod(free_module(tr, 1, t_weight=0))) == "(2) / ((1 - z)^2)"
 
 
 # ---------------------------------------------------------------- polynomials
