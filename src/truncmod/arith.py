@@ -6,12 +6,16 @@ names and the active monomial order; every :class:`Poly` carries a reference
 to its ring.  The canonical text form (descending terms, reduced fraction
 coefficients, ``x^2*y`` monomials) round-trips through :meth:`PolyRing.parse`.
 
-Products are computed on integers: each factor is written as an integer
-polynomial over the lcm of its denominators, the integer numerators are
-convolved, and each nonzero output coefficient becomes one normalised
-``Fraction`` over the product of the two denominators.  Integer arithmetic is
-exact, so the result equals the term-by-term ``Fraction`` product.  Powers
-use binary exponentiation and square only while exponent bits remain.
+Products are computed on integers.  Inside the module a polynomial is carried
+in one integer form, ``(d, {exps: n})``, meaning the sum of ``n * x^exps / d``
+with ``d > 0``.  One convolution multiplies two such forms: it convolves the
+integer numerators and multiplies the denominators.  ``Poly.times``,
+``Poly.power``, ``Poly.substitute`` and every step of the parser stay in this
+form between products, and a normalised ``Fraction`` is built once per term,
+when a ``Poly`` leaves the module.  Integer arithmetic is exact, so every
+answer equals the term-by-term ``Fraction`` computation, with the same terms
+in the same order.  Powers use binary exponentiation and square only while
+exponent bits remain.
 
 A product, a power, a substitution and a parse can be bounded by
 ``(variable index, bound)``: terms whose exponent at that variable reaches
@@ -24,13 +28,16 @@ from __future__ import annotations
 import re
 from collections.abc import Hashable, Iterable
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, le, neg, sub
 
 Exponents = tuple[int, ...]
 # (variable index, bound): a product bounded by it keeps only the terms whose
 # exponent at that variable stays below the bound.
 Bound = tuple[int, int]
+# The integer form ``(d, {exps: n})`` of the polynomial sum(n * x^exps) / d:
+# ``d > 0`` and every ``n`` is a nonzero int.
+_IntPoly = tuple[int, dict[Exponents, int]]
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -180,11 +187,93 @@ def matrix_rank(rows: Iterable[dict]) -> int:
     return len(pivots)
 
 
-def _numerators(terms: dict[Exponents, Fraction]) -> tuple[int, list[tuple[Exponents, int]]]:
-    """``(d, [(exps, c * d), ...])`` where ``d`` is the lcm of the
-    denominators, so every ``c * d`` is an integer."""
+def _integer_form(terms: dict[Exponents, Fraction]) -> _IntPoly:
+    """The integer form of a ``Poly``'s terms over the lcm of their
+    denominators."""
     d = lcm(*[c.denominator for c in terms.values()])
-    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
+    return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
+
+
+def _leave(ring: PolyRing, form: _IntPoly) -> Poly:
+    """The ``Poly`` of an integer form, one normalised ``Fraction`` a term."""
+    d, nums = form
+    if d == 1:
+        return Poly(ring, {e: Fraction(n) for e, n in nums.items()})
+    return Poly(ring, {e: Fraction(n, d) for e, n in nums.items()})
+
+
+def _product(p: _IntPoly, q: _IntPoly, below: Bound | None) -> _IntPoly:
+    """The product of two integer forms; with ``below = (i, b)`` no pair of
+    terms whose exponents at variable ``i`` sum to ``b`` or more is formed.
+    Output terms keep the order in which the convolution first forms them,
+    and the result is divided by the gcd of its denominator and numerators."""
+    d1, nums1 = p
+    d2, nums2 = q
+    terms2 = list(nums2.items())
+    if below is None:
+        rows = [(e1, c1, terms2) for e1, c1 in nums1.items()]
+    else:
+        # Each left term meets only the right terms with room left below
+        # the bound, an order-keeping sublist shared by every left term
+        # with the same exponent at ``i``.
+        i, b = below
+        right: dict[int, list[tuple[Exponents, int]]] = {}
+        rows = []
+        for e1, c1 in nums1.items():
+            room = b - e1[i]
+            if room > 0:
+                if room not in right:
+                    right[room] = [t for t in terms2 if t[0][i] < room]
+                rows.append((e1, c1, right[room]))
+    acc: dict[Exponents, int] = {}
+    get = acc.get
+    for e1, c1, row in rows:
+        for e2, c2 in row:
+            e = tuple(map(add, e1, e2))
+            acc[e] = get(e, 0) + c1 * c2
+    nums = {e: c for e, c in acc.items() if c}
+    d = d1 * d2
+    if d > 1:
+        g = gcd(d, *nums.values())
+        if g > 1:
+            return d // g, {e: c // g for e, c in nums.items()}
+    return d, nums
+
+
+def _sum(p: _IntPoly, q: _IntPoly) -> _IntPoly:
+    """``p + q`` over the lcm of the denominators: the terms of ``p`` in
+    order, less those that cancel, then the new terms of ``q`` in order."""
+    d1, nums1 = p
+    d2, nums2 = q
+    d = lcm(d1, d2)
+    m1, m2 = d // d1, d // d2
+    nums = {e: c * m1 for e, c in nums1.items()} if m1 > 1 else dict(nums1)
+    for e, c in nums2.items():
+        s = nums.get(e, 0) + c * m2
+        if s:
+            nums[e] = s
+        else:
+            nums.pop(e, None)
+    return d, nums
+
+
+def _negative(p: _IntPoly) -> _IntPoly:
+    d, nums = p
+    return d, {e: -c for e, c in nums.items()}
+
+
+def _power(base: _IntPoly, k: int, below: Bound | None, nvars: int) -> _IntPoly:
+    """``base ** k``, every product bounded by ``below``."""
+    # Right-to-left binary method: bit_length(k) - 1 squarings and one
+    # product per set bit; the square after the top bit would go unread.
+    result = (1, {(0,) * nvars: 1})
+    while k:
+        if k & 1:
+            result = _product(result, base, below)
+        k >>= 1
+        if k:
+            base = _product(base, base, below)
+    return result
 
 
 class PolyRing:
@@ -343,33 +432,8 @@ class Poly:
         other = self._coerce(other)
         if not self.terms or not other.terms:
             return self.ring.zero()
-        # (p1 / d1) * (p2 / d2) with integer polynomials p1, p2: convolve the
-        # integer numerators exactly, then divide once per output term.
-        d1, nums1 = _numerators(self.terms)
-        d2, nums2 = _numerators(other.terms)
-        if below is None:
-            rows = [(e1, c1, nums2) for e1, c1 in nums1]
-        else:
-            # Each left term meets only the right terms with room left below
-            # the bound, an order-keeping sublist shared by every left term
-            # with the same exponent at ``i``.
-            i, b = below
-            right: dict[int, list[tuple[Exponents, int]]] = {}
-            rows = []
-            for e1, c1 in nums1:
-                room = b - e1[i]
-                if room > 0:
-                    if room not in right:
-                        right[room] = [t for t in nums2 if t[0][i] < room]
-                    rows.append((e1, c1, right[room]))
-        acc: dict[Exponents, int] = {}
-        get = acc.get
-        for e1, c1, terms2 in rows:
-            for e2, c2 in terms2:
-                e = tuple(map(add, e1, e2))
-                acc[e] = get(e, 0) + c1 * c2
-        d = d1 * d2
-        return Poly(self.ring, {e: Fraction(c, d) for e, c in acc.items() if c})
+        return _leave(self.ring, _product(_integer_form(self.terms),
+                                          _integer_form(other.terms), below))
 
     __mul__ = __rmul__ = times
 
@@ -381,17 +445,7 @@ class Poly:
         :meth:`times`."""
         if not isinstance(k, int) or k < 0:
             raise ArithError(f"polynomial power must be a nonnegative int, got {k!r}")
-        # Right-to-left binary method: bit_length(k) - 1 squarings and one
-        # product per set bit; the square after the top bit would go unread.
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result.times(base, below)
-            k >>= 1
-            if k:
-                base = base.times(base, below)
-        return result
+        return _leave(self.ring, _power(_integer_form(self.terms), k, below, self.ring.nvars))
 
     def scale(self, c) -> Poly:
         c = Fraction(c)
@@ -420,9 +474,6 @@ class Poly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.ring.nvars, Fraction(0))
 
-    def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
-
     # -- substitution --------------------------------------------------
 
     def substitute(self, images: dict[str, Poly], below: Bound | None = None) -> Poly:
@@ -436,19 +487,25 @@ class Poly:
         for v in self.ring.variables:
             if v not in images and any(e[self.ring._index[v]] for e in self.terms):
                 raise ArithError(f"no image supplied for variable {v!r}")
-        # powers[v][k - 1] is images[v] ** k, built up to the largest k needed
-        powers: dict[str, list[Poly]] = {}
-        out = target.zero()
+        # powers[v][k - 1] is the integer form of images[v] ** k, built up
+        # to the largest k needed
+        powers: dict[str, list[_IntPoly]] = {}
+        zero = (0,) * target.nvars
+        out: _IntPoly = (1, {})
         for e, c in self.terms.items():
-            term = target.const(c)
+            term = (c.denominator, {zero: c.numerator})
             for v, k in zip(self.ring.variables, e):
                 if k:
-                    ladder = powers.setdefault(v, [images[v]])
+                    ladder = powers.get(v)
+                    if ladder is None:
+                        if images[v].ring != target:
+                            raise ArithError("mixed rings in polynomial arithmetic")
+                        ladder = powers[v] = [_integer_form(images[v].terms)]
                     while len(ladder) < k:
-                        ladder.append(ladder[-1].times(ladder[0], below))
-                    term = term.times(ladder[k - 1], below)
-            out = out + term
-        return out
+                        ladder.append(_product(ladder[-1], ladder[0], below))
+                    term = _product(term, ladder[k - 1], below)
+            out = _sum(out, term)
+        return _leave(target, out)
 
     def evaluate(self, point: dict[str, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -468,12 +525,14 @@ class Poly:
 
 
 class _Parser:
-    """Recursive-descent parser for the canonical polynomial text form."""
+    """Recursive-descent parser for the canonical polynomial text form.
+    Every step works on integer forms; the result leaves as one ``Poly``."""
 
     def __init__(self, ring: PolyRing, text: str, below: Bound | None = None):
         self.ring = ring
         self.text = text
         self.below = below
+        self.zero = (0,) * ring.nvars
         self.tokens = self._tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -481,12 +540,13 @@ class _Parser:
     def _tokenize(self, text: str) -> list[str]:
         tokens = []
         i = 0
-        while i < len(text):
-            m = _TOKEN_RE.match(text, i)
-            if not m:
-                raise ArithError(f"bad character at position {i} in {text!r}")
-            tokens.append(m.group("int") or m.group("name") or m.group("op"))
+        for m in _TOKEN_RE.finditer(text):
+            if m.start() != i:
+                break
+            tokens.append(m.group(m.lastgroup))
             i = m.end()
+        if text[i:].strip():
+            raise ArithError(f"bad character at position {i} in {text!r}")
         return tokens
 
     def _peek(self) -> str | None:
@@ -503,36 +563,41 @@ class _Parser:
         p = self._expr()
         if self._peek() is not None:
             raise ArithError(f"trailing input {self.tokens[self.pos:]} in {self.text!r}")
-        return p
+        return _leave(self.ring, p)
 
-    def _expr(self) -> Poly:
+    def _expr(self) -> _IntPoly:
         negate = False
         while self._peek() in ("+", "-"):
             if self._next() == "-":
                 negate = not negate
         p = self._term()
         if negate:
-            p = -p
+            p = _negative(p)
         while self._peek() in ("+", "-"):
             op = self._next()
             q = self._term()
-            p = p + q if op == "+" else p - q
+            p = _sum(p, q if op == "+" else _negative(q))
         return p
 
-    def _term(self) -> Poly:
+    def _term(self) -> _IntPoly:
         p = self._factor()
         while self._peek() in ("*", "/"):
             op = self._next()
             q = self._factor()
             if op == "*":
-                p = p.times(q, self.below)
+                p = _product(p, q, self.below)
             else:
-                if q.total_degree() > 0 or q.is_zero():
+                dq, nq = q
+                if list(nq) != [self.zero]:
                     raise ArithError(f"division only by nonzero constants in {self.text!r}")
-                p = p.scale(1 / q.constant_term())
+                # (n / d) / (c / dq) = (n * dq) / (d * c), denominator kept positive
+                c = nq[self.zero]
+                m = dq if c > 0 else -dq
+                d, nums = p
+                p = d * abs(c), {e: n * m for e, n in nums.items()}
         return p
 
-    def _factor(self) -> Poly:
+    def _factor(self) -> _IntPoly:
         p = self._atom()
         while self._peek() in ("^", "**"):
             self._next()
@@ -548,10 +613,10 @@ class _Parser:
             digits = k.lstrip("0") or "0"
             if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
                 raise ArithError(f"exponent above the limit {_MAX_EXPONENT}")
-            p = p.power(int(digits), self.below)
+            p = _power(p, int(digits), self.below, self.ring.nvars)
         return p
 
-    def _atom(self) -> Poly:
+    def _atom(self) -> _IntPoly:
         tok = self._next()
         if tok in ("(", "-"):
             self.depth += 1
@@ -562,14 +627,18 @@ class _Parser:
                 if self._next() != ")":
                     raise ArithError(f"unbalanced parentheses in {self.text!r}")
             else:
-                p = -self._atom()
+                p = _negative(self._atom())
             self.depth -= 1
             return p
         if tok.isdigit():
             try:
-                return self.ring.const(int(tok))
+                n = int(tok)
             except ValueError as exc:  # more digits than int() converts
                 raise ArithError(f"integer constant of {len(tok)} digits") from exc
-        if tok in self.ring._index:
-            return self.ring.gen(tok)
+            return 1, ({self.zero: n} if n else {})
+        index = self.ring._index.get(tok)
+        if index is not None:
+            exps = [0] * self.ring.nvars
+            exps[index] = 1
+            return 1, {tuple(exps): 1}
         raise ArithError(f"unknown symbol {tok!r} (variables are {self.ring.variables})")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import factorial
 
-from .arith import ArithError, Exponents, Poly, PolyRing, agree, matrix_rank, mono_mul
+from .arith import ArithError, Exponents, PolyRing, agree, matrix_rank, mono_mul
 from .groebner import SpanGB, VecT, vec_from_polys
 from . import fpmod
 
@@ -116,12 +116,6 @@ def monomial_quotient_numerator(gens: list[Exponents],
         result = {d: c for d, c in result.items() if c}
     _memo[key] = dict(result)
     return result
-
-
-def hilbert_series_ideal(ring: PolyRing, gens: list[Poly]) -> HilbertSeries:
-    """Series of S/(gens) under the standard grading."""
-    vecs = [vec_from_polys((g,)) for g in gens if not g.is_zero()]
-    return module_series(SpanGB(ring, 1, vecs), (0,))
 
 
 def module_series(span: SpanGB, gen_degrees: tuple[int, ...]) -> HilbertSeries:

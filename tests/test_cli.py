@@ -90,6 +90,13 @@ def test_zero_divisor_command():
     assert out["witness"] is None
 
 
+def test_element_with_trailing_whitespace_is_read():
+    code, out = run("ring.zerodivisor", {"ring": RING_DOUBLE, "payload": {"element": "x*t "}})
+    assert code == 0
+    assert out["zerodivisor"] is True
+    assert out["witness"] == "t"
+
+
 def test_automorphism_composition():
     code, out = run("aut.compose", {
         "ring": RING_DOUBLE,

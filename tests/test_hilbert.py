@@ -8,6 +8,7 @@ import pytest
 from truncmod.arith import PolyRing
 from truncmod.doublepoint import LocalDoubleRing
 from truncmod.multiring import TruncRing
+from truncmod.groebner import SpanGB, vec_from_polys
 from truncmod.fpmod import (
     FiltrationChain,
     Grading,
@@ -21,9 +22,9 @@ from truncmod.hilbert import (
     HilbertError,
     HilbertPolynomial,
     hilbert_polynomial,
-    hilbert_series_ideal,
     dimension_by_enumeration,
     hilbert_series_presmod,
+    module_series,
     monomials_of_degree,
     polynomial_from_series,
     presmod_dimension_by_enumeration,
@@ -68,12 +69,17 @@ def test_series_of_fat_point_quotient():
     assert hilbert_series_presmod(Q).dimensions(4) == [1, 2, 0, 0, 0]
 
 
+def ideal_series(ring, gens):
+    """Series of ring/(gens) under the standard grading."""
+    return module_series(SpanGB(ring, 1, [vec_from_polys((g,)) for g in gens]), (0,))
+
+
 def test_quotient_ring_series_helper():
     R = TruncRing(("x", "y"), 1).base
-    assert hilbert_series_ideal(R, []).dimensions(4) == [1, 2, 3, 4, 5]
-    assert hilbert_series_ideal(R, [R.parse("x")]).dimensions(4) == [1, 1, 1, 1, 1]
+    assert ideal_series(R, []).dimensions(4) == [1, 2, 3, 4, 5]
+    assert ideal_series(R, [R.parse("x")]).dimensions(4) == [1, 1, 1, 1, 1]
     fat = [R.parse(s) for s in ("x^2", "x*y", "y^2")]
-    assert hilbert_series_ideal(R, fat).dimensions(4) == [1, 2, 0, 0, 0]
+    assert ideal_series(R, fat).dimensions(4) == [1, 2, 0, 0, 0]
 
 
 def test_series_match_enumeration():
@@ -121,8 +127,8 @@ def test_series_and_polynomial_text():
     assert str(hilbert_series_presmod(free_module(tr, 1, gen_degrees=(-1,)))) == (
         "(z^-1 - z) / ((1 - z)^3)")
     line = PolyRing(("x",))
-    assert str(hilbert_series_ideal(line, [])) == "(1) / ((1 - z))"
-    assert str(hilbert_series_ideal(line, [line.parse("1")])) == "0"
+    assert str(ideal_series(line, [])) == "(1) / ((1 - z))"
+    assert str(ideal_series(line, [line.parse("1")])) == "0"
     assert str(HilbertPolynomial.make([Fraction(-1), Fraction(0), Fraction(1, 2)])) == (
         "1/2*d^2 - 1")
 
