@@ -540,13 +540,13 @@ class _Parser:
     def _tokenize(self, text: str) -> list[str]:
         tokens = []
         i = 0
-        for m in _TOKEN_RE.finditer(text):
-            if m.start() != i:
-                break
+        end = len(text.rstrip())
+        while i < end:
+            m = _TOKEN_RE.match(text, i)
+            if not m:
+                raise ArithError(f"bad character at position {i} in {text!r}")
             tokens.append(m.group(m.lastgroup))
             i = m.end()
-        if text[i:].strip():
-            raise ArithError(f"bad character at position {i} in {text!r}")
         return tokens
 
     def _peek(self) -> str | None:
@@ -590,11 +590,8 @@ class _Parser:
                 dq, nq = q
                 if list(nq) != [self.zero]:
                     raise ArithError(f"division only by nonzero constants in {self.text!r}")
-                # (n / d) / (c / dq) = (n * dq) / (d * c), denominator kept positive
                 c = nq[self.zero]
-                m = dq if c > 0 else -dq
-                d, nums = p
-                p = d * abs(c), {e: n * m for e, n in nums.items()}
+                p = _product(p, (abs(c), {self.zero: dq if c > 0 else -dq}), None)
         return p
 
     def _factor(self) -> _IntPoly:

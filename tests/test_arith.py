@@ -1,6 +1,7 @@
 """Exact multivariate polynomial arithmetic over the rationals."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,22 @@ def test_parse_accepts_surrounding_whitespace():
     for text in ("", "   "):
         with pytest.raises(ArithError, match="unexpected end of input"):
             R.parse(text)
+
+
+def test_tokenizer_is_linear_in_whitespace_runs():
+    # A long run of whitespace, at the end or before a bad character, is
+    # scanned once: a tokenizer that searches ahead from every position of
+    # the run takes seconds here.
+    R = ring2()
+    x, _ = R.gens()
+    spaces = " " * 200_000
+    start = time.perf_counter()
+    assert R.parse("x" + spaces) == x
+    with pytest.raises(ArithError, match="bad character at position 0"):
+        R.parse("@" + spaces + "@")
+    with pytest.raises(ArithError, match="bad character at position 1"):
+        R.parse("x" + spaces + "@")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_parse_bounds_exponents_and_constants():
