@@ -634,7 +634,7 @@ def is_balanced_extension(ring: LocalDoubleRing, M: PresMod, rho) -> bool:
     primary = rho_p.constant_term() != 0
 
     ann_t = annihilator_kernel(M, 1)
-    t_gens = [tuple(ring.t * p for p in M.gen_column(j)) for j in range(M.ngens)]
+    t_gens = [M.gen_column(j, ring.t) for j in range(M.ngens)]
     gap = subquotient(M, ann_t + t_gens, t_gens)
     agree(DoublePointError, "is the extension balanced at the origin",
           formula=primary, local_test=vanishes_locally(gap))

@@ -115,13 +115,15 @@ class PresMod:
         return all(self.element_is_zero(self.gen_column(i)) for i in range(self.ngens))
 
     def is_t_annihilated(self) -> bool:
-        t = self.ring.t
-        return all(self.element_is_zero(tuple(t * p for p in self.gen_column(i)))
+        return all(self.element_is_zero(self.gen_column(i, self.ring.t))
                    for i in range(self.ngens))
 
-    def gen_column(self, i: int) -> Column:
-        return tuple(self.ring.S.one() if j == i else self.ring.S.zero()
-                     for j in range(self.ngens))
+    def gen_column(self, i: int, entry: Poly | None = None) -> Column:
+        """The column with ``entry`` (default 1) in slot ``i`` and 0 elsewhere:
+        ``entry`` times the i-th generator, with no product formed."""
+        S = self.ring.S
+        entry = S.one() if entry is None else entry
+        return tuple(entry if j == i else S.zero() for j in range(self.ngens))
 
     def zero_column(self) -> Column:
         return tuple(self.ring.S.zero() for _ in range(self.ngens))
@@ -233,7 +235,7 @@ class Submodule:
         current = self
         while True:
             colon = Submodule(M, current.kernel_through(
-                [tuple(f * p for p in M.gen_column(i)) for i in range(M.ngens)]))
+                [M.gen_column(i, f) for i in range(M.ngens)]))
             if current.contains_submodule(colon):
                 return current
             current = colon
@@ -262,7 +264,8 @@ def _combine(ring: TruncRing, coeffs: Column, columns: list[Column], width: int)
         if coeff.is_zero():
             continue
         for j, p in enumerate(col):
-            out[j] = out[j] + coeff * p
+            if p:
+                out[j] = out[j] + coeff * p
     return tuple(ring.truncate(p) for p in out)
 
 
@@ -315,16 +318,15 @@ def first_canonical_filtration(M: PresMod) -> FiltrationChain:
     ring = M.ring
     members = []
     for i in range(ring.n + 1):
-        gens = [tuple(ring.t ** i * p for p in M.gen_column(j)) for j in range(M.ngens)]
-        members.append(Submodule(M, gens))
+        t_i = ring.t ** i
+        members.append(Submodule(M, [M.gen_column(j, t_i) for j in range(M.ngens)]))
     return FiltrationChain(M, members, validate=False)
 
 
 def annihilator_kernel(M: PresMod, i: int) -> list[Column]:
     """Generators of {m in M : t^i m = 0}, via a syzygy computation."""
     t_i = M.ring.t ** i
-    return Submodule(M, []).kernel_through(
-        [tuple(t_i * p for p in M.gen_column(j)) for j in range(M.ngens)])
+    return Submodule(M, []).kernel_through([M.gen_column(j, t_i) for j in range(M.ngens)])
 
 
 def second_canonical_filtration(M: PresMod) -> FiltrationChain:
@@ -424,7 +426,7 @@ def _annihilator_side(M: PresMod) -> tuple[list[Submodule], list[ModMap]]:
     for i in range(1, M.ring.n):
         cols = []
         for g in members[i + 1].gens:
-            lifted = members[i].lift(tuple(t * p for p in g))
+            lifted = members[i].lift(tuple(t * p if p else p for p in g))
             if lifted is None:
                 raise ModuleError("t-image escaped the next annihilator (presentation bug)")
             cols.append(lifted)
@@ -878,7 +880,7 @@ def surjective_iff_restriction(phi: ModMap) -> bool:
     so a map onto M/tM is onto M)."""
     direct = phi.is_surjective()
     N = phi.target
-    t_cols = [tuple(N.ring.t * p for p in N.gen_column(j)) for j in range(N.ngens)]
+    t_cols = [N.gen_column(j, N.ring.t) for j in range(N.ngens)]
     image_mod_t = Submodule(N, list(phi.columns) + t_cols)
     via_reduction = all(image_mod_t.contains(N.gen_column(j)) for j in range(N.ngens))
     return agree(ModuleError, "is the map surjective",

@@ -1,11 +1,12 @@
 """Groebner bases for submodules of free modules over Q[x1..xd].
 
-Elements of S^r are stored sparsely as ``dict[(position, exponents)] ->
-Fraction``.  Positions may be grouped into blocks; terms in an earlier block
-dominate every term in a later block, which turns syzygy computation into an
-elimination problem: the basis of the span of ``(v_i, e_i)`` in S^(r+k),
-with the first r positions dominant, contains in its second block a
-generating set for the syzygies of ``(v_1..v_k)``, and its mixed elements
+Elements of S^r enter and leave sparsely as ``dict[(position, exponents)]
+-> Fraction`` (``VecT``).  Positions may be grouped into blocks; terms in an
+earlier block dominate every term in a later block, which turns syzygy
+computation into an
+elimination problem: the basis of the span of ``(v_i, e_i)`` in
+S^(r+k), with the first r positions dominant, contains in its second block
+a generating set for the syzygies of ``(v_1..v_k)``, and its mixed elements
 carry division lifts.  This graph basis costs several times a plain reduced
 basis, so it is built only for lifts and syzygies: ``SpanGB`` computes the
 plain basis the first time ``gb`` is read and the graph basis the first
@@ -34,22 +35,27 @@ basis and extended in place as the basis grows.  It buckets the leads by
 module position, in basis order within each bucket, so a term is tested
 only against the leads at its own position and the first divisor found is
 the first in the basis, as a scan over every lead would find.  The index
-also keeps each element split into integer lead and tail coefficients,
-made the first time the element is hit.  ``buchberger`` holds one index
-for its whole run, ``interreduce`` one over the elements it keeps (its
-minimality test is a lookup in it), and ``SpanGB`` one for ``gb`` and one
-for the graph basis, so no reduction re-reads a basis it has read before.
+also keeps each element split into its lead coefficient and a list of
+its other terms, made the first time the element is hit.  ``buchberger``
+holds one index for its whole run, ``_interreduce`` one over the elements
+it keeps (its minimality test is a lookup in it), and ``SpanGB`` one for
+``gb`` and one for the graph basis, so no reduction re-reads a basis it has
+read before.
 
-Reductions are computed on integers: the working vector holds each
-coefficient as a numerator/denominator pair in lowest terms, the index
-holds each basis element's coefficients as such pairs, and each updated
-coefficient costs a few integer products and one ``gcd``.  The
-step coefficient is the popped coefficient itself when the lead coefficient
-is 1, as it is for every element ``buchberger`` and ``interreduce`` hold.
-A ``Fraction`` is built only for a term that moves into the remainder.
-Integer arithmetic is exact, so the result equals the term-by-term
-``Fraction`` reduction.  ``_spair`` builds the S-vector from shifted copies
-of its two elements and divides by a lead coefficient only when it is not 1.
+Inside this module every vector is in one integer form (``PairVec``), each
+coefficient a ``(numerator, denominator)`` pair in lowest terms with a
+positive denominator: reductions, S-vectors, the elements ``buchberger`` and
+``_interreduce`` hold, both ``SpanGB`` indexes and the graph basis.  Each
+updated coefficient costs a few integer products and one ``gcd``; integer
+arithmetic is exact, so every result equals the term-by-term ``Fraction``
+computation.  A reduction step's coefficient is the popped one itself when
+the lead coefficient is 1, as it is for every element ``buchberger`` and
+``_interreduce`` hold.  Vectors enter with ``Fraction`` (or ``int``)
+coefficients and are converted once: by ``buchberger`` for its generators,
+by ``SpanGB`` for each vector it is asked about and for ``gb`` in its index.
+``_fractions`` alone builds ``Fraction``s, where a vector leaves:
+``SpanGB.gb``, ``normal_form``, ``lift``, ``syzygies`` (and so
+``kernel_through``), ``reduced_groebner`` and ``interreduce``.
 
 ``buchberger`` takes S-pairs by the sugar strategy (Giovini, Mora, Niesi,
 Robbiano and Traverso, ISSAC 1991), with the Gebauer-Moeller criteria.  An
@@ -62,10 +68,13 @@ the lcm that sorted the new pairs, and stored in the pair dict, so
 selection is ``min`` over its values.  Pairs are also held by position:
 pairs form only between leads at one position, so a newcomer is paired
 with its bucket of the index, and the Gebauer-Moeller B update walks only
-the pending pairs at its position.  Every element ``buchberger``
-and ``interreduce`` return has its lead as its first key: input elements
-are reordered once, and remainders come out of ``vec_reduce`` that way.
-So ``next(iter(v))`` reads the lead of any basis element, without a scan.
+the pending pairs at its position.  The generators enter in ascending
+order of their leads.  Every element ``buchberger`` and ``_interreduce``
+return has its terms in descending order, so its lead is its first key:
+generators are sorted once, and remainders come out of ``vec_reduce`` that
+way.  So ``next(iter(v))`` reads the lead of any basis element, without a
+scan, and ``_interreduce`` returns an element whose tail no kept lead
+divides as it is, without reducing it.
 """
 
 from __future__ import annotations
@@ -91,6 +100,9 @@ from .arith import (
 
 Term = tuple[int, Exponents]
 VecT = dict[Term, Fraction]
+# The integer form: term -> (numerator, denominator), in lowest terms with
+# the denominator positive.
+PairVec = dict[Term, tuple[int, int]]
 
 
 class ModuleOrder:
@@ -131,16 +143,37 @@ def vec_to_polys(ring: PolyRing, rank: int, v: VecT) -> tuple[Poly, ...]:
     return tuple(Poly(ring, t) for t in parts)
 
 
-def vec_lead(v: VecT, morder: ModuleOrder) -> Term:
+def vec_lead(v: VecT | PairVec, morder: ModuleOrder) -> Term:
     return max(v, key=morder.key)
 
 
-def _monic(v: VecT, lead: Term) -> VecT:
-    c = v[lead]
-    if c == 1:
+def _pairs(v: VecT) -> PairVec:
+    """The integer form of ``v``, whose coefficients are ``Fraction`` or
+    ``int``, in the same key order."""
+    return {t: (c.numerator, c.denominator) for t, c in v.items()}
+
+
+def _fractions(v: PairVec) -> VecT:
+    """The ``Fraction`` form of ``v``, in the same key order: the one place
+    this module builds a ``Fraction``."""
+    return {t: Fraction(n, d) for t, (n, d) in v.items()}
+
+
+def _over(n: int, d: int, qn: int, qd: int) -> tuple[int, int]:
+    """(n/d) / (qn/qd) in lowest terms, with the denominator positive."""
+    n *= qd
+    d *= qn
+    if d < 0:
+        n, d = -n, -d
+    k = gcd(n, d)
+    return n // k, d // k
+
+
+def _monic(v: PairVec, lead: Term) -> PairVec:
+    ln, ld = v[lead]
+    if ln == 1 and ld == 1:
         return v
-    inv = Fraction(1) / c
-    return {t: inv * a for t, a in v.items()}
+    return {t: _over(n, d, ln, ld) for t, (n, d) in v.items()}
 
 
 # -- division ------------------------------------------------------------
@@ -161,14 +194,14 @@ class _LeadIndex:
 
     def __init__(self, elements=()):
         """``elements`` yields ``(vector, lead)`` pairs."""
-        self.basis: list[VecT] = []
+        self.basis: list[PairVec] = []
         self.leads: list[Term] = []
         self.buckets: dict[int, list[tuple[Exponents, int]]] = {}
         self.splits: list[tuple[int, int, list[tuple[int, Exponents, int, int]]] | None] = []
         for g, lead in elements:
             self.append(g, lead)
 
-    def append(self, g: VecT, lead: Term) -> None:
+    def append(self, g: PairVec, lead: Term) -> None:
         self.buckets.setdefault(lead[0], []).append((lead[1], len(self.basis)))
         self.basis.append(g)
         self.leads.append(lead)
@@ -185,15 +218,13 @@ class _LeadIndex:
     def split(self, i: int) -> tuple[int, int, list[tuple[int, Exponents, int, int]]]:
         lead = self.leads[i]
         g = self.basis[i]
-        lc = g[lead]
-        out = self.splits[i] = (lc.numerator, lc.denominator,
-                                [(p, e, gc.numerator, gc.denominator)
-                                 for (p, e), gc in g.items() if (p, e) != lead])
+        out = self.splits[i] = (*g[lead], [(p, e, n, d) for (p, e), (n, d) in g.items()
+                                           if (p, e) != lead])
         return out
 
 
-def vec_reduce(v: VecT, basis: list[VecT] | _LeadIndex, morder: ModuleOrder) -> VecT:
-    """Full normal form of ``v`` modulo ``basis``.
+def vec_reduce(v: PairVec, basis: list[PairVec] | _LeadIndex, morder: ModuleOrder) -> PairVec:
+    """Full normal form of ``v`` modulo ``basis``, in the integer form.
 
     ``basis`` is a ``_LeadIndex`` or a list of vectors, which is indexed for
     this call only.  The remainder's terms are in descending order, so its
@@ -202,9 +233,8 @@ def vec_reduce(v: VecT, basis: list[VecT] | _LeadIndex, morder: ModuleOrder) -> 
     index = (basis if isinstance(basis, _LeadIndex)
              else _LeadIndex((g, vec_lead(g, morder)) for g in basis))
     divisor, splits, leads = index.divisor, index.splits, index.leads
-    remainder: VecT = {}
-    # term -> (numerator, denominator), in lowest terms, denominator > 0
-    work = {t: (c.numerator, c.denominator) for t, c in v.items()}
+    remainder: PairVec = {}
+    work = dict(v)
     heap_key = morder._heap_key
     heap = [(heap_key(t), t) for t in work]
     heapify(heap)
@@ -216,18 +246,10 @@ def vec_reduce(v: VecT, basis: list[VecT] | _LeadIndex, morder: ModuleOrder) -> 
         pos, exps = t
         hit = divisor(pos, exps)
         if hit < 0:
-            remainder[t] = Fraction(*work.pop(t))
+            remainder[t] = work.pop(t)
             continue
         ln, ld, tail = splits[hit] or index.split(hit)
-        qn, qd = c
-        if ln != 1 or ld != 1:
-            qn *= ld
-            qd *= ln
-            if qd < 0:
-                qn, qd = -qn, -qd
-            k = gcd(qn, qd)
-            qn //= k
-            qd //= k
+        qn, qd = c if ln == 1 and ld == 1 else _over(*c, ln, ld)
         mono = mono_div(exps, leads[hit][1])
         # work -= (qn/qd) * x^mono * g, in place; the lead term cancels t.
         del work[t]
@@ -254,43 +276,58 @@ def vec_reduce(v: VecT, basis: list[VecT] | _LeadIndex, morder: ModuleOrder) -> 
 # -- Buchberger ----------------------------------------------------------
 
 
-def _spair(f: VecT, g: VecT, lf: Term, lg: Term) -> VecT:
+def _spair(f: PairVec, g: PairVec, lf: Term, lg: Term) -> PairVec:
     """x^a f / f[lf] - x^b g / g[lg], where x^a lf = x^b lg is the lcm of the
     leads; the two lead terms cancel and are left out."""
     lcm = mono_lcm(lf[1], lg[1])
     a = mono_div(lcm, lf[1])
-    cf = f[lf]
-    out: VecT = {}
+    fn, fd = f[lf]
+    out: PairVec = {}
     for t, c in f.items():
         if t != lf:
-            out[(t[0], tuple(map(add, t[1], a)))] = c if cf == 1 else c / cf
+            out[(t[0], tuple(map(add, t[1], a)))] = (
+                c if fn == 1 and fd == 1 else _over(*c, fn, fd))
     b = mono_div(lcm, lg[1])
-    cg = g[lg]
+    gn, gd = g[lg]
     for t, c in g.items():
         if t == lg:
             continue
         s = (t[0], tuple(map(add, t[1], b)))
+        n, d = c if gn == 1 and gd == 1 else _over(*c, gn, gd)
         old = out.get(s)
-        c = c if cg == 1 else c / cg
         if old is None:
-            out[s] = -c
-        elif old == c:
+            out[s] = (-n, d)
+            continue
+        on, od = old
+        n = on * d - n * od
+        if not n:
             del out[s]
-        else:
-            out[s] = old - c
+            continue
+        d *= od
+        k = gcd(n, d)
+        out[s] = (n // k, d // k)
     return out
 
 
-def _top_degree(v: VecT) -> int:
+def _top_degree(v: VecT | PairVec) -> int:
     """Largest total degree among the terms of ``v``; positions add nothing."""
     return max(sum(e) for _pos, e in v)
 
 
-def buchberger(vecs: list[VecT], morder: ModuleOrder) -> list[VecT]:
+def _generator(v: VecT, morder: ModuleOrder) -> PairVec:
+    """The integer form of a nonzero generator, monic, with its terms in
+    descending order."""
+    terms = sorted(v, key=morder._heap_key)
+    return _monic({t: (v[t].numerator, v[t].denominator) for t in terms}, terms[0])
+
+
+def buchberger(vecs: list[VecT], morder: ModuleOrder) -> list[PairVec]:
     """Groebner basis of the span, via sugar pair selection with the
-    Gebauer-Moeller update.  Every returned element is monic and has its
-    lead as its first key.  The coprime-lead shortcut is sound only in
-    ambient rank one, that is when the order has a single position."""
+    Gebauer-Moeller update.  ``vecs`` have ``Fraction`` or ``int``
+    coefficients; every returned element is in the integer form, monic,
+    and has its terms in descending order.  The coprime-lead shortcut is
+    sound only in ambient rank one, that is when the order has a single
+    position."""
     rank_one = len(morder.blocks) == 1
     blocks, okey = morder.blocks, morder.order.key
     index = _LeadIndex()
@@ -302,8 +339,8 @@ def buchberger(vecs: list[VecT], morder: ModuleOrder) -> list[VecT]:
     pairs: dict[tuple[int, int], tuple] = {}
     pairs_at: dict[int, dict[tuple[int, int], tuple]] = {}
 
-    def add(v: VecT, lnew: Term, sugar: int) -> None:
-        v = _monic(v, lnew)
+    def add(v: PairVec, lnew: Term, sugar: int) -> None:
+        """Adds the monic ``v``, whose lead ``lnew`` is its first key."""
         new = len(basis)
         pos, enew = lnew
         here = pairs_at.setdefault(pos, {})
@@ -338,10 +375,10 @@ def buchberger(vecs: list[VecT], morder: ModuleOrder) -> list[VecT]:
         index.append(v, lnew)
         sugars.append(sugar)
 
-    for v in vecs:
-        if v:
-            lead = vec_lead(v, morder)
-            add({lead: v[lead], **v}, lead, _top_degree(v))
+    generators = sorted((_generator(v, morder) for v in vecs if v),
+                        key=lambda g: morder.key(next(iter(g))))
+    for g in generators:
+        add(g, next(iter(g)), _top_degree(g))
     while pairs:
         sugar, _key, i, j, _lcm = min(pairs.values())
         del pairs[(i, j)]
@@ -351,14 +388,17 @@ def buchberger(vecs: list[VecT], morder: ModuleOrder) -> list[VecT]:
             continue
         r = vec_reduce(s, index, morder)
         if r:
-            add(r, next(iter(r)), max(sugar, _top_degree(r)))
+            lead = next(iter(r))
+            add(_monic(r, lead), lead, max(sugar, _top_degree(r)))
     return basis
 
 
-def interreduce(basis: list[VecT], morder: ModuleOrder) -> list[VecT]:
+def _interreduce(basis: list[PairVec], morder: ModuleOrder) -> list[PairVec]:
     """Minimal, tail-reduced, monic basis (the unique reduced GB when the
-    input is a GB).  Every input element must have its lead as its first
-    key, as ``buchberger``'s do, and every returned element has too."""
+    input is a GB), in the integer form.  Every input element must have its
+    lead as its first key, as ``buchberger``'s do, and every returned element
+    has too.  An element whose tail no kept lead divides keeps its own key
+    order; every other element's tail is in descending order."""
     work = sorted(((next(iter(v)), v) for v in basis if v),
                   key=lambda lv: morder.key(lv[0]))
     # An element is kept when no kept lead at its position divides its lead.
@@ -366,54 +406,41 @@ def interreduce(basis: list[VecT], morder: ModuleOrder) -> list[VecT]:
     for lead, v in work:
         if kept.divisor(*lead) < 0:
             kept.append(v, lead)
-    if len(kept.basis) == 1:
-        # nothing to reduce against: the element keeps its own key order
-        return [_monic(kept.basis[0], kept.leads[0])]
     # Only v's own lead divides v's lead, and no lead divides a term below
     # its own, so reducing v's tail against every kept element keeps v's lead
     # as its lead.  The leads are distinct and ascending, so reversing the
     # list puts the basis in descending order.
+    divisor = kept.divisor
     reduced = []
     for v, lead in zip(kept.basis, kept.leads):
-        tail = vec_reduce(dict(islice(v.items(), 1, None)), kept, morder)
-        reduced.append(_monic({lead: v[lead], **tail}, lead))
+        if any(divisor(*t) >= 0 for t in islice(v, 1, None)):
+            v = {lead: v[lead], **vec_reduce(dict(islice(v.items(), 1, None)), kept, morder)}
+        reduced.append(_monic(v, lead))
     reduced.reverse()
     return reduced
 
 
+def interreduce(basis: list[VecT], morder: ModuleOrder) -> list[VecT]:
+    """``_interreduce`` on ``Fraction`` vectors."""
+    return [_fractions(g) for g in _interreduce([_pairs(v) for v in basis], morder)]
+
+
 def reduced_groebner(vecs: list[VecT], morder: ModuleOrder) -> list[VecT]:
-    return interreduce(buchberger(vecs, morder), morder)
-
-
-def is_groebner(basis: list[VecT], morder: ModuleOrder) -> bool:
-    """Direct Buchberger-criterion check; used by tests as an oracle."""
-    index = _LeadIndex((v, vec_lead(v, morder)) for v in basis if v)
-    basis, leads = index.basis, index.leads
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if leads[i][0] != leads[j][0]:
-                continue
-            s = _spair(basis[i], basis[j], leads[i], leads[j])
-            if s and vec_reduce(s, index, morder):
-                return False
-    return True
+    return [_fractions(g) for g in _interreduce(buchberger(vecs, morder), morder)]
 
 
 # -- spans with membership, lifts and syzygies ---------------------------
 
 
 def _graph_basis(rank: int, vecs: list[VecT], morder: ModuleOrder,
-                 nvars: int) -> tuple[list[VecT], list[VecT]]:
+                 nvars: int) -> tuple[list[PairVec], list[PairVec]]:
     """Reduced basis of span{(v_i, e_i)} in S^(rank+k) under ``morder``,
     whose first ``rank`` positions must form the dominant block, and the
-    syzygies of ``vecs`` it contains, as vectors in S^k."""
+    syzygies of ``vecs`` it contains, as vectors in S^k; both in the integer
+    form."""
     unit = (0,) * nvars
-    graph = []
-    for i, v in enumerate(vecs):
-        g = dict(v)
-        g[(rank + i, unit)] = Fraction(1)
-        graph.append(g)
-    gb = reduced_groebner(graph, morder)
+    graph = [{**v, (rank + i, unit): 1} for i, v in enumerate(vecs)]
+    gb = _interreduce(buchberger(graph, morder), morder)
     syz = [{(pos - rank, e): c for (pos, e), c in g.items()}
            for g in gb if all(pos >= rank for pos, _e in g)]
     return gb, syz
@@ -438,7 +465,7 @@ class SpanGB:
         self.vecs = list(vecs)
         # The graph order; on the first block it is the plain one.
         self.morder = ModuleOrder(ring.order, (0,) * rank + (1,) * len(self.vecs))
-        self._graph: tuple[_LeadIndex, list[VecT]] | None = None
+        self._graph: tuple[_LeadIndex, list[PairVec]] | None = None
 
     @cached_property
     def gb(self) -> list[VecT]:
@@ -446,13 +473,13 @@ class SpanGB:
 
     @cached_property
     def _gb_index(self) -> _LeadIndex:
-        return _LeadIndex((v, next(iter(v))) for v in self.gb)
+        return _LeadIndex((_pairs(v), next(iter(v))) for v in self.gb)
 
     @property
     def gb_leads(self) -> list[Term]:
         return self._gb_index.leads
 
-    def _graph_data(self) -> tuple[_LeadIndex, list[VecT]]:
+    def _graph_data(self) -> tuple[_LeadIndex, list[PairVec]]:
         """The graph basis, indexed, and the syzygies, built on first use."""
         if self._graph is None:
             gb, syz = _graph_basis(self.rank, self.vecs, self.morder, self.ring.nvars)
@@ -460,25 +487,40 @@ class SpanGB:
         return self._graph
 
     def normal_form(self, v: VecT) -> VecT:
-        return vec_reduce(v, self._gb_index, self.morder)
+        return _fractions(vec_reduce(_pairs(v), self._gb_index, self.morder))
 
     def contains(self, v: VecT) -> bool:
-        return not self.normal_form(v)
+        return not vec_reduce(_pairs(v), self._gb_index, self.morder)
 
     def lift(self, v: VecT) -> list[Poly] | None:
         """Coefficients ``c`` with ``v = sum(c_i * v_i)``, or None when ``v``
         is not in the span."""
-        r = vec_reduce(v, self._graph_data()[0], self.morder)
+        r = vec_reduce(_pairs(v), self._graph_data()[0], self.morder)
         if any(pos < self.rank for pos, _e in r):
             return None
         coeffs: list[dict[Exponents, Fraction]] = [{} for _ in self.vecs]
-        for (pos, e), c in r.items():
-            coeffs[pos - self.rank][e] = -c
+        for (pos, e), c in _fractions({t: (-n, d) for t, (n, d) in r.items()}).items():
+            coeffs[pos - self.rank][e] = c
         return [Poly(self.ring, c) for c in coeffs]
 
-    def syzygies(self) -> list[VecT]:
-        """Generators of {c in S^k : sum(c_i * v_i) = 0}."""
-        return [dict(s) for s in self._graph_data()[1]]
+    def syzygies(self, first: int | None = None) -> list[VecT]:
+        """Generators of {c in S^k : sum(c_i * v_i) = 0}, or with ``first``
+        their projections onto the first ``first`` coordinates, without
+        zeros and without repeats up to a constant factor.  The generators
+        are distinct and monic, so none of them is dropped."""
+        first = len(self.vecs) if first is None else first
+        out: list[VecT] = []
+        seen = set()
+        for s in self._graph_data()[1]:
+            # The syzygies are in descending order, so the projection's first
+            # key is its lead.
+            proj = {t: c for t, c in s.items() if t[0] < first}
+            if proj:
+                sig = frozenset(_monic(proj, next(iter(proj))).items())
+                if sig not in seen:
+                    seen.add(sig)
+                    out.append(_fractions(proj))
+        return out
 
 
 def kernel_through(ring: PolyRing, source_count: int, columns: list[VecT],
@@ -493,16 +535,4 @@ def kernel_through(ring: PolyRing, source_count: int, columns: list[VecT],
     for v in combined:
         for (pos, _e) in v:
             ambient_rank = max(ambient_rank, pos + 1)
-    syz = SpanGB(ring, ambient_rank, combined).syzygies()
-    out: list[VecT] = []
-    seen = set()
-    for s in syz:
-        proj = {t: c for t, c in s.items() if t[0] < source_count}
-        if proj:
-            lead = vec_lead(proj, module_order(ring, source_count))
-            sig = frozenset(_monic(proj, lead).items())
-            if sig not in seen:
-                seen.add(sig)
-                out.append(proj)
-    return out
-
+    return SpanGB(ring, ambient_rank, combined).syzygies(source_count)

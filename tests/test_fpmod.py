@@ -1,6 +1,10 @@
 """Finitely presented modules over truncated rings: filtrations, balance,
 quasi-freeness, extensions, Hom and Ext."""
 
+import contextlib
+import io
+import json
+
 import pytest
 
 from truncmod.multiring import TruncRing
@@ -512,6 +516,34 @@ def test_refinement_intersects_only_inner_members(monkeypatch):
         a, b = len(D), len(E)
         assert counts[-1] == (a - 1) * (b - 2) + (b - 1) * (a - 2)
     assert counts == [12, 7]
+
+
+def test_refine_forms_no_product_with_a_zero_operand(monkeypatch):
+    """Generator columns times a power of t are built in place and
+    ``_combine`` skips zero entries, so a ``module.refine`` job multiplies
+    no polynomial by zero."""
+    from truncmod import arith
+    from truncmod.cli import main
+
+    calls = []
+    times = arith.Poly.times
+
+    def counted(self, other, below=None):
+        calls.append(not self.terms or (isinstance(other, arith.Poly) and not other.terms)
+                     or (not isinstance(other, arith.Poly) and other == 0))
+        return times(self, other, below)
+
+    for name in ("times", "__mul__", "__rmul__"):
+        monkeypatch.setattr(arith.Poly, name, counted)
+    doc = {"ring": {"variables": ["x", "y"], "n": 2}, "payload": {"presentation": {
+        "generators": 4, "degrees": [1, 1, 2, 2], "t_weight": 1,
+        "relations": [["y", "-x", "1", "0"], ["t", "0", "1", "0"], ["0", "t", "0", "1"],
+                      ["0", "0", "y", "-x"], ["0", "0", "t", "0"], ["0", "0", "0", "t"]]}}}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["module.refine"]) == 0
+    assert json.loads(out.getvalue())["matched_layers"]
+    assert calls and sum(calls) == 0
 
 
 def test_intersection_of_principal_spans():

@@ -2,13 +2,15 @@
 S-vectors of ``groebner._spair``.
 
 The kernel takes terms from a heap of descending order keys and works on
-integer numerator/denominator pairs.  The oracle below is the plain loop it
-replaced: take the ``max`` term under ``ModuleOrder.key`` and subtract a
-scaled copy in ``Fraction`` arithmetic, with a local helper that shares no
-code with the kernel.  Both must take the same terms in the same order, so
-remainders agree as dicts and in key order, on plain module orders and on
-the blocked orders of the graph basis, and when one ``_LeadIndex`` serves
-every reduction while its basis grows."""
+integer numerator/denominator pairs.  The oracle (``groebner_oracle``) is
+the plain loop it replaced: take the ``max`` term under ``ModuleOrder.key``
+and subtract a scaled copy in ``Fraction`` arithmetic, with a helper that
+shares no code with the kernel.  Both must take the same terms in the same
+order, so remainders agree as dicts and in key order, on plain module orders
+and on the blocked orders of the graph basis, and when one ``_LeadIndex``
+serves every reduction while its basis grows.  The tests draw ``Fraction``
+vectors and convert them to the kernel's integer form and back at its
+boundary."""
 
 from copy import deepcopy
 from fractions import Fraction
@@ -19,12 +21,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from truncmod.arith import MonomialOrder, elim_block, grevlex, lex, mono_div, mono_divides
+from groebner_oracle import is_groebner, oracle_reduce, sub_scaled, to_fractions, to_pairs
+from truncmod.arith import (
+    MonomialOrder,
+    PolyRing,
+    elim_block,
+    grevlex,
+    lex,
+    mono_div,
+    mono_divides,
+)
 from truncmod.groebner import (
     ModuleOrder,
+    SpanGB,
     _LeadIndex,
     _spair,
-    is_groebner,
+    interreduce,
+    kernel_through,
+    module_order,
     reduced_groebner,
     vec_lead,
     vec_reduce,
@@ -35,41 +49,6 @@ COEFFS = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))
 BIG_COEFFS = st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool),
                        st.integers(1, 10**12))
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
-
-
-def sub_scaled(v, w, mono, coeff):
-    """v - coeff * x^mono * w, term by term in ``Fraction`` arithmetic."""
-    out = dict(v)
-    for (pos, e), c in w.items():
-        t = (pos, tuple(a + b for a, b in zip(e, mono)))
-        s = out.get(t, 0) - coeff * c
-        if s:
-            out[t] = s
-        else:
-            out.pop(t, None)
-    return out
-
-
-def oracle_reduce(v, basis, morder):
-    """Normal form by repeated ``max`` over the working vector."""
-    leads = [vec_lead(g, morder) for g in basis]
-    quotients = [{} for _ in basis]
-    remainder = {}
-    work = dict(v)
-    while work:
-        t = max(work, key=morder.key)
-        pos, exps = t
-        hit = next((i for i, (lp, le) in enumerate(leads)
-                    if lp == pos and mono_divides(le, exps)), -1)
-        if hit < 0:
-            remainder[t] = work.pop(t)
-            continue
-        mono = mono_div(exps, leads[hit][1])
-        coeff = work[t] / basis[hit][leads[hit]]
-        work = sub_scaled(work, basis[hit], mono, coeff)
-        q = quotients[hit]
-        q[mono] = q.get(mono, Fraction(0)) + coeff
-    return remainder, quotients
 
 
 def vectors(nvars, npos, max_terms, coeffs=COEFFS):
@@ -93,12 +72,17 @@ def problems(draw, coeffs=COEFFS, max_rank=2):
     return draw(vectors(nvars, npos, 8, coeffs)), basis, morder
 
 
+def reduce_fractions(v, basis, morder):
+    """``vec_reduce`` on ``Fraction`` vectors, converted at its boundary."""
+    return to_fractions(vec_reduce(to_pairs(v), [to_pairs(g) for g in basis], morder))
+
+
 @SETTINGS
 @given(st.one_of(problems(), problems(BIG_COEFFS)))
 def test_kernel_matches_max_scan_oracle(case):
     v, basis, morder = case
     want_r, _ = oracle_reduce(v, basis, morder)
-    r = vec_reduce(v, basis, morder)
+    r = reduce_fractions(v, basis, morder)
     assert r == want_r and list(r) == list(want_r)
 
 
@@ -106,7 +90,7 @@ def test_kernel_matches_max_scan_oracle(case):
 @given(problems())
 def test_division_identity_and_reduced_remainder(case):
     v, basis, morder = case
-    r = vec_reduce(v, basis, morder)
+    r = reduce_fractions(v, basis, morder)
     _, q = oracle_reduce(v, basis, morder)
     total = dict(r)
     for g, qi in zip(basis, q):
@@ -120,23 +104,26 @@ def test_division_identity_and_reduced_remainder(case):
         assert next(iter(r)) == vec_lead(r, morder)
 
 
-def assert_exact_fractions(v):
-    for c in v.values():
-        assert type(c) is Fraction
-        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+def assert_lowest_pairs(v):
+    for n, d in v.values():
+        assert type(n) is int and type(d) is int
+        assert n and d > 0 and gcd(n, d) == 1
 
 
 @SETTINGS
 @given(st.one_of(problems(), problems(BIG_COEFFS)))
 def test_kernel_returns_fractions_in_lowest_terms(case):
+    """Every remainder coefficient is a nonzero numerator/denominator pair
+    of ints in lowest terms with a positive denominator."""
     v, basis, morder = case
-    assert_exact_fractions(vec_reduce(v, basis, morder))
+    assert_lowest_pairs(vec_reduce(to_pairs(v), [to_pairs(g) for g in basis], morder))
 
 
 @SETTINGS
 @given(st.one_of(problems(), problems(BIG_COEFFS)))
 def test_kernel_leaves_its_inputs_alone(case):
     v, basis, morder = case
+    v, basis = to_pairs(v), [to_pairs(g) for g in basis]
     v_before, basis_before = deepcopy(v), deepcopy(basis)
     vec_reduce(v, basis, morder)
     assert v == v_before and list(v) == list(v_before)
@@ -165,11 +152,11 @@ def test_one_index_matches_the_oracle_while_it_grows(case):
     for k, probe in enumerate(probes):
         for w in (probe, probes[0]):
             want_r, _ = oracle_reduce(w, basis[:k], morder)
-            r = vec_reduce(w, index, morder)
+            r = to_fractions(vec_reduce(to_pairs(w), index, morder))
             assert r == want_r and list(r) == list(want_r)
         if k < len(basis):
-            index.append(basis[k], vec_lead(basis[k], morder))
-    assert index.basis == basis
+            index.append(to_pairs(basis[k]), vec_lead(basis[k], morder))
+    assert index.basis == [to_pairs(g) for g in basis]
 
 
 @st.composite
@@ -194,9 +181,9 @@ def test_spair_is_the_cancelling_combination(case):
     lcm = tuple(map(max, lf[1], lg[1]))
     want = sub_scaled({}, f, mono_div(lcm, lf[1]), Fraction(-1) / f[lf])
     want = sub_scaled(want, g, mono_div(lcm, lg[1]), Fraction(1) / g[lg])
-    s = _spair(f, g, lf, lg)
-    assert s == want
-    assert_exact_fractions(s)
+    s = _spair(to_pairs(f), to_pairs(g), lf, lg)
+    assert to_fractions(s) == want
+    assert_lowest_pairs(s)
 
 
 @SETTINGS
@@ -211,6 +198,39 @@ def test_is_groebner_ignores_scaling(vecs, order, scales):
     for candidate, verdict in ((basis, True), (vecs, is_groebner(vecs, morder))):
         scaled = [{t: k * c for t, c in v.items()} for v, k in zip(candidate, cycle(scales))]
         assert is_groebner(scaled, morder) is verdict
+
+
+@st.composite
+def big_spans(draw):
+    """(ring, rank, vecs, probe) with coefficients past 2^64."""
+    nvars = draw(st.integers(1, 2))
+    rank = draw(st.integers(1, 2))
+    ring = PolyRing(("x", "y")[:nvars], order=draw(st.sampled_from([lex(), grevlex()])))
+    vecs = draw(st.lists(vectors(nvars, rank, 3, BIG_COEFFS), min_size=2, max_size=3))
+    return ring, rank, vecs, draw(vectors(nvars, rank, 4, BIG_COEFFS))
+
+
+def assert_exact_fractions(v):
+    for c in v.values():
+        assert type(c) is Fraction
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(big_spans())
+def test_every_coefficient_that_leaves_groebner_is_a_fraction_in_lowest_terms(case):
+    ring, rank, vecs, probe = case
+    span = SpanGB(ring, rank, vecs)
+    lifted = span.lift(vecs[0])
+    assert lifted is not None
+    basis = reduced_groebner(vecs, module_order(ring, rank))
+    leaving = [*span.gb, span.normal_form(probe), *span.syzygies(), *basis,
+               *interreduce(basis, module_order(ring, rank)),
+               *kernel_through(ring, 1, vecs[:1], vecs[1:]),
+               *(p.terms for p in lifted)]
+    assert any(leaving)
+    for v in leaving:
+        assert_exact_fractions(v)
 
 
 @st.composite

@@ -3,6 +3,7 @@ agrees with the graph basis that is built only for lifts and syzygies."""
 
 from fractions import Fraction
 
+from groebner_oracle import is_groebner, to_fractions, to_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,6 @@ from truncmod.groebner import (
     ModuleOrder,
     SpanGB,
     _graph_basis,
-    is_groebner,
     vec_from_polys,
     vec_reduce,
 )
@@ -80,13 +80,15 @@ def spans(draw):
 def test_plain_basis_matches_graph_basis(case):
     tr, rank, vecs, element, multipliers = case
     span = SpanGB(tr.S, rank, vecs)
-    graph_gb, _syz = _graph_basis(rank, vecs, span.morder, tr.S.nvars)
+    # the graph basis is in groebner's integer form; read it as Fractions
+    graph_pairs, _syz = _graph_basis(rank, vecs, span.morder, tr.S.nvars)
+    graph_gb = [to_fractions(g) for g in graph_pairs]
 
     first_parts = [{t: c for t, c in g.items() if t[0] < rank} for g in graph_gb]
     assert span.gb == [f for f in first_parts if f]
     assert is_groebner(span.gb, ModuleOrder(tr.S.order, (0,) * rank))
 
-    graph_nf = vec_reduce(element, graph_gb, span.morder)
+    graph_nf = to_fractions(vec_reduce(to_pairs(element), graph_pairs, span.morder))
     assert span.normal_form(element) == {t: c for t, c in graph_nf.items() if t[0] < rank}
 
     member = {}
