@@ -322,12 +322,6 @@ class PolyRing:
     def gens(self) -> list[Poly]:
         return [self.gen(v) for v in self.variables]
 
-    def monomial(self, exps: Exponents, coeff=1) -> Poly:
-        if len(exps) != self.nvars:
-            raise ArithError(f"expected {self.nvars} exponents, got {exps}")
-        c = Fraction(coeff)
-        return Poly(self, {tuple(exps): c} if c else {})
-
     def from_terms(self, terms: dict[Exponents, Fraction]) -> Poly:
         clean = {tuple(e): Fraction(c) for e, c in terms.items() if c != 0}
         for e in clean:
@@ -446,12 +440,6 @@ class Poly:
         if not isinstance(k, int) or k < 0:
             raise ArithError(f"polynomial power must be a nonnegative int, got {k!r}")
         return _leave(self.ring, _power(_integer_form(self.terms), k, below, self.ring.nvars))
-
-    def scale(self, c) -> Poly:
-        c = Fraction(c)
-        if c == 0:
-            return self.ring.zero()
-        return Poly(self.ring, {e: c * v for e, v in self.terms.items()})
 
     # -- inspection ----------------------------------------------------
 

@@ -212,17 +212,6 @@ def lambda_coord(J: PointIdeal) -> LambdaCoord:
     return LambdaCoord((cls.c_y, -cls.c_x))
 
 
-def lambda_to_ideal(ring: LocalDoubleRing, coords) -> PointIdeal:
-    """The inverse construction: constant representatives recovering the
-    given tangent coordinates.  The roundtrip is verified."""
-    lx, ly = (Fraction(c) for c in coords)
-    J = PointIdeal(ring, Poly(ring.base, {(0, 0): -lx} if lx else {}),
-                   Poly(ring.base, {(0, 0): -ly} if ly else {}))
-    agree(DoublePointError, "tangent coordinates of the constructed ideal",
-          requested=(lx, ly), recomputed=lambda_coord(J).coords)
-    return J
-
-
 @dataclass(frozen=True)
 class ChartChange:
     """New generating pair x' = alpha*(x + u*t) + beta*(y + v*t),

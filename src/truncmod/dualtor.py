@@ -115,25 +115,3 @@ def torsion(M: PresMod) -> TorsionReport:
 
 def is_torsion_free(M: PresMod) -> bool:
     return torsion(M).is_torsion_free
-
-
-def torsion_free_quotient(M: PresMod) -> PresMod:
-    """M modulo its torsion submodule."""
-    from .fpmod import quotient_by_submodule
-
-    return quotient_by_submodule(M, torsion(M).submodule.gens)
-
-
-def free_embedding(M: PresMod) -> ModMap:
-    """An injection of a torsion-free module into a free module: send m to
-    the vector of values of all dual generators at m.  Raises when M has
-    torsion, since then no embedding into a free module exists."""
-    dh = dual_hom(M)
-    h = dh.presentation.ngens
-    target = free_module(M.ring, h)
-    cols = [tuple(dh.gen_matrices[a][i][0] for a in range(h))
-            for i in range(M.ngens)]
-    emb = ModMap(M, target, cols)
-    if not emb.is_injective():
-        raise ModuleError("module has torsion; it does not embed in a free module")
-    return emb

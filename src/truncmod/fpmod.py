@@ -27,10 +27,8 @@ coinciding.  A module where they coincide is called balanced here.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .arith import ArithError, Poly, PolyRing, agree, grevlex, matrix_rank
 from .groebner import SpanGB, VecT, kernel_through, vec_from_polys, vec_to_polys
@@ -809,21 +807,6 @@ class HomModule:
     target: PresMod
     gen_matrices: list[list[Column]]    # per Hom generator: images of source gens
 
-    def as_map(self, coefficients: list[Poly]) -> ModMap:
-        ring = self.source.ring
-        if len(coefficients) != len(self.gen_matrices):
-            raise ModuleError("one coefficient per Hom generator required")
-        cols = [[ring.S.zero()] * self.target.ngens for _ in range(self.source.ngens)]
-        for c, mat in zip(coefficients, self.gen_matrices):
-            if c.is_zero():
-                continue
-            cf = ring.inject(c) if c.ring == ring.base else c
-            for i in range(self.source.ngens):
-                for l in range(self.target.ngens):
-                    cols[i][l] = cols[i][l] + cf * mat[i][l]
-        return ModMap(self.source, self.target,
-                      [tuple(ring.truncate(p) for p in col) for col in cols])
-
 
 def hom_module(M: PresMod, N: PresMod) -> HomModule:
     """Present Hom_{R[n]}(M, N): the maps from coker(M's relations) into N,
@@ -871,22 +854,6 @@ def ext1_module(M: PresMod, N: PresMod) -> PresMod:
     return graded_or_plain(ring, len(z_gens), relations, grading)
 
 
-# -- reduction-to-base surjectivity test ----------------------------------
-
-
-def surjective_iff_restriction(phi: ModMap) -> bool:
-    """Surjectivity of phi decided on the t = 0 reduction, cross-checked
-    against the direct cokernel test; the two must agree (t is nilpotent,
-    so a map onto M/tM is onto M)."""
-    direct = phi.is_surjective()
-    N = phi.target
-    t_cols = [N.gen_column(j, N.ring.t) for j in range(N.ngens)]
-    image_mod_t = Submodule(N, list(phi.columns) + t_cols)
-    via_reduction = all(image_mod_t.contains(N.gen_column(j)) for j in range(N.ngens))
-    return agree(ModuleError, "is the map surjective",
-                 direct=direct, reduction=via_reduction)
-
-
 # -- local (at the origin) vanishing --------------------------------------
 
 
@@ -902,94 +869,3 @@ def vanishes_locally(Q: PresMod) -> bool:
     """Whether Q localizes to zero at the origin (x.., t)."""
     return generators_at_origin(Q) == 0
 
-
-# -- presentation obfuscation (for type-recovery tests) -------------------
-
-
-def transformed_presentation(M: PresMod, seed: int, steps: int = 12) -> PresMod:
-    """An equivalent presentation of M produced by random invertible row and
-    column operations (degree-compatible when M is graded), plus redundant
-    relation columns; the presented module is unchanged."""
-    rng = random.Random(seed)
-    ring = M.ring
-    g = M.ngens
-    rows = [[col[j] for col in M.relations] for j in range(g)]
-    degs = list(M.grading.gen_degrees) if M.grading else [0] * g
-    tw = M.grading.t_weight if M.grading else 1
-
-    def random_homog(target_deg: int) -> Poly | None:
-        if target_deg < 0:
-            return None
-        if target_deg == 0:
-            return ring.S.const(rng.choice([1, -1, 2]))
-        # monomial x^a * t^k of weighted degree target_deg with k < n
-        for _ in range(8):
-            k = rng.randrange(0, ring.n) if tw else 0
-            if tw and k * tw > target_deg:
-                continue
-            rest = target_deg - k * tw
-            exps = [0] * ring.base.nvars
-            for _ in range(rest):
-                exps[rng.randrange(ring.base.nvars)] += 1
-            e = tuple(exps) + (k,)
-            return ring.S.monomial(e, rng.choice([1, -1, 2]))
-        return None
-
-    ncols = lambda: len(rows[0]) if rows and rows[0] else 0
-
-    for _ in range(steps):
-        op = rng.choice(["row_add", "col_add", "row_scale", "col_scale",
-                         "row_swap", "col_swap", "redundant"])
-        nc = ncols()
-        if op == "row_add" and g >= 2:
-            i, j = rng.sample(range(g), 2)
-            q = random_homog(degs[i] - degs[j]) if M.grading else random_homog(rng.randrange(3))
-            if q is None:
-                continue
-            for c in range(nc):
-                rows[j][c] = ring.truncate(rows[j][c] + q * rows[i][c])
-        elif op == "col_add" and nc >= 2:
-            a, b = rng.sample(range(nc), 2)
-            if M.grading:
-                da = column_degree(ring, tuple(rows[r][a] for r in range(g)),
-                                   Grading(tuple(degs), tw))
-                db = column_degree(ring, tuple(rows[r][b] for r in range(g)),
-                                   Grading(tuple(degs), tw))
-                if da is None or db is None:
-                    continue
-                q = random_homog(db - da)
-            else:
-                q = random_homog(rng.randrange(3))
-            if q is None:
-                continue
-            for r in range(g):
-                rows[r][b] = ring.truncate(rows[r][b] + q * rows[r][a])
-        elif op == "row_scale" and g >= 1:
-            i = rng.randrange(g)
-            c = Fraction(rng.choice([1, -1, 2, 3]))
-            for cc in range(nc):
-                rows[i][cc] = rows[i][cc].scale(c)
-        elif op == "col_scale" and nc >= 1:
-            a = rng.randrange(nc)
-            c = Fraction(rng.choice([1, -1, 2, 3]))
-            for r in range(g):
-                rows[r][a] = rows[r][a].scale(c)
-        elif op == "row_swap" and g >= 2:
-            i, j = rng.sample(range(g), 2)
-            for cc in range(nc):
-                rows[i][cc], rows[j][cc] = rows[j][cc], rows[i][cc]
-            degs[i], degs[j] = degs[j], degs[i]
-        elif op == "col_swap" and nc >= 2:
-            a, b = rng.sample(range(nc), 2)
-            for r in range(g):
-                rows[r][a], rows[r][b] = rows[r][b], rows[r][a]
-        elif op == "redundant" and nc >= 1:
-            a = rng.randrange(nc)
-            q = random_homog(tw) or ring.S.one()
-            for r in range(g):
-                rows[r].append(ring.truncate(q * rows[r][a]))
-
-    cols = [tuple(rows[r][c] for r in range(g)) for c in range(ncols())]
-    grading = Grading(tuple(degs), tw) if M.grading else None
-    # row scaling by constants keeps homogeneity; row_add was degree-matched
-    return PresMod(ring, g, cols, grading)

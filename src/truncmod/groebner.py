@@ -52,7 +52,7 @@ computation.  A reduction step's coefficient is the popped one itself when
 the lead coefficient is 1, as it is for every element ``buchberger`` and
 ``_interreduce`` hold.  Vectors enter with ``Fraction`` (or ``int``)
 coefficients and are converted once: by ``buchberger`` for its generators,
-by ``SpanGB`` for each vector it is asked about and for ``gb`` in its index.
+and by ``SpanGB`` for each vector it is asked about.
 ``_fractions`` alone builds ``Fraction``s, where a vector leaves:
 ``SpanGB.gb``, ``normal_form``, ``lift``, ``syzygies`` (and so
 ``kernel_through``), ``reduced_groebner`` and ``interreduce``.
@@ -449,14 +449,16 @@ def _graph_basis(rank: int, vecs: list[VecT], morder: ModuleOrder,
 class SpanGB:
     """Groebner data for the span of ``vecs`` inside S^rank.
 
-    ``gb`` is the reduced Groebner basis of the span, computed on first
-    use and kept; ``normal_form`` and ``contains`` use only it.  Lifts and
-    syzygies come from the graph trick: a basis of span{(v_i, e_i)} in
-    S^(rank+k) with the first block dominant.  Every element ``(h, c)`` of
-    the graph span satisfies ``h = sum(c_i * v_i)``, so reduction of ``(v,
-    0)`` to ``(0, c)`` certifies ``v = -sum(c_i * v_i)``, and the elements
-    with ``h = 0`` generate the syzygies.  The graph basis is built the
-    first time ``lift`` or ``syzygies`` needs it, and kept.
+    The reduced Groebner basis of the span is computed on first use and
+    kept in the integer form, in the lead index that ``normal_form`` and
+    ``contains`` use; ``gb`` is its ``Fraction`` form, built when first
+    asked for.  Lifts and syzygies come from the graph trick: a basis of
+    span{(v_i, e_i)} in S^(rank+k) with the first block dominant.  Every
+    element ``(h, c)`` of the graph span satisfies ``h = sum(c_i * v_i)``,
+    so reduction of ``(v, 0)`` to ``(0, c)`` certifies ``v = -sum(c_i *
+    v_i)``, and the elements with ``h = 0`` generate the syzygies.  The
+    graph basis is built the first time ``lift`` or ``syzygies`` needs it,
+    and kept.
     """
 
     def __init__(self, ring: PolyRing, rank: int, vecs: list[VecT]):
@@ -469,11 +471,13 @@ class SpanGB:
 
     @cached_property
     def gb(self) -> list[VecT]:
-        return reduced_groebner(self.vecs, module_order(self.ring, self.rank))
+        return [_fractions(g) for g in self._gb_index.basis]
 
     @cached_property
     def _gb_index(self) -> _LeadIndex:
-        return _LeadIndex((_pairs(v), next(iter(v))) for v in self.gb)
+        morder = module_order(self.ring, self.rank)
+        return _LeadIndex((g, next(iter(g)))
+                          for g in _interreduce(buchberger(self.vecs, morder), morder))
 
     @property
     def gb_leads(self) -> list[Term]:

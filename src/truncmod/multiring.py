@@ -165,38 +165,6 @@ def zero_divisor_witness(u: TruncElem) -> TruncElem | None:
     return TruncElem(ring, ring.t ** (ring.n - 1))
 
 
-def in_multiplicative_system(u: TruncElem) -> bool:
-    """Membership in S_n = {u : t-free part nonzero}."""
-    return not is_zero_divisor(u)
-
-
-def invert_local(u: TruncElem, jet_order: int = 6) -> TruncElem:
-    """Inverse of a local unit (nonzero constant term), correct modulo
-    t^n and modulo (base maximal ideal)^jet_order.  Plain Neumann series:
-    u = c(1 - h) with h in the ideal (x1..xd, t), so 1/u = (1/c) * sum h^k,
-    and the sum stabilizes once k exceeds both bounds.
-    """
-    c = u.poly.constant_term()
-    if c == 0:
-        raise ArithError("not a unit at the origin (zero constant term)")
-    ring = u.ring
-    h = ring.elem(1) - TruncElem(ring, u.poly.scale(Fraction(1) / c))
-    acc = ring.elem(1)
-    power = ring.elem(1)
-    for _ in range(max(jet_order, ring.n) + 1):
-        power = power * h
-        power = TruncElem(ring, _drop_high_base_degree(power.poly, jet_order))
-        if power.is_zero():
-            break
-        acc = acc + power
-    return TruncElem(ring, acc.poly.scale(Fraction(1) / c))
-
-
-def _drop_high_base_degree(p: Poly, bound: int) -> Poly:
-    nb = p.ring.nvars - 1  # last variable is t
-    return Poly(p.ring, {e: c for e, c in p.terms.items() if sum(e[:nb]) < bound})
-
-
 class AutMap:
     """A substitution endomorphism of R[n]: every base variable maps to
     itself plus a multiple of t, and t maps to alpha*t with alpha a unit at

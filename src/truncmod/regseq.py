@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import ArithError, Poly, PolyRing, agree
-from .fpmod import (PresMod, Submodule, free_module, graded_or_plain, infer_grading,
-                    is_balanced)
+from .fpmod import PresMod, Submodule, free_module, graded_or_plain, infer_grading
 from .hilbert import monomials_of_degree
 from .multiring import TruncElem, TruncRing
 
@@ -141,34 +140,3 @@ def ideal_presentation(seq: list[TruncElem]) -> PresMod:
     grading = (infer_grading(ring, cols, 1, lambda pos: 0)
                if all(u.poly for u in seq) else None)
     return graded_or_plain(ring, len(seq), relations, grading)
-
-
-def balanced_ideal(seq: list[TruncElem],
-                   jet_order: int | None = None) -> PresMod:
-    """The ideal of a regular sequence as a presented module, with the
-    balance property asserted on the result."""
-    report = is_regular_sequence(seq, jet_order)
-    if not report.regular:
-        raise SequenceError(
-            f"sequence is not regular (fails at position {report.witness_index})")
-    M = ideal_presentation(seq)
-    verdict = is_balanced(M)
-    if not verdict.balanced:
-        raise SequenceError("ideal of a regular sequence failed the balance check")
-    return M
-
-
-def koszul_h1_vanishes(seq: list[TruncElem]) -> bool:
-    """Whether the first homology of the length-one Koszul layer vanishes:
-    every coefficient vector killing the sequence is generated by the
-    trivial pairwise relations.  Agrees with regularity for homogeneous
-    sequences in the irrelevant ideal; intended as a cross-check for short
-    sequences."""
-    ring = _common_ring(seq)
-    p = len(seq)
-    cycles = Submodule(free_module(ring, 1), []).kernel_through([(u.poly,) for u in seq])
-    zero = ring.S.zero()
-    boundaries = Submodule(free_module(ring, p), [
-        tuple(seq[i].poly if k == j else -seq[j].poly if k == i else zero for k in range(p))
-        for i in range(p) for j in range(i + 1, p)])
-    return all(boundaries.contains(z) for z in cycles)

@@ -165,7 +165,7 @@ def test_coefficient_extraction():
     R = ring2()
     p = R.parse("3*x*y + 2*x + 5")
     assert p.coefficient((1, 1)) == 3
-    assert p.scale(2) == R.parse("6*x*y + 4*x + 10")
+    assert p * 2 == R.parse("6*x*y + 4*x + 10")
 
 
 def test_monomial_helpers():

@@ -18,7 +18,6 @@ from truncmod.doublepoint import (
     ideals_equal,
     is_balanced_extension,
     lambda_coord,
-    lambda_to_ideal,
     make_chart,
     recover_ideal,
     tau,
@@ -26,7 +25,7 @@ from truncmod.doublepoint import (
 )
 from truncmod.fpmod import ModMap, Submodule, free_module, is_balanced
 from truncmod.groebner import SpanGB, vec_from_polys
-from truncmod.regseq import balanced_ideal
+from truncmod.regseq import ideal_presentation, is_regular_sequence
 
 
 def the_ring():
@@ -113,7 +112,8 @@ def test_point_ideals_are_balanced_modules():
     tr = ring.trunc
     for a, b in (("0", "0"), ("1", "0"), ("y", "x")):
         seq = [tr.elem(f"x + ({a})*t"), tr.elem(f"y + ({b})*t")]
-        assert is_balanced(balanced_ideal(seq)).balanced
+        assert is_regular_sequence(seq).regular
+        assert is_balanced(ideal_presentation(seq)).balanced
 
 
 # ----------------------------------------------------------- the coordinate map
@@ -123,9 +123,11 @@ def test_lambda_examples_and_roundtrip():
     ring = the_ring()
     assert lambda_coord(PointIdeal(ring, "0", "0")).coords == (0, 0)
     assert lambda_coord(PointIdeal(ring, "1", "0")).coords == (-1, 0)
+    # constant representatives a = -lambda_x, b = -lambda_y give back the
+    # requested coordinates
     for coords in (("-1", "0"), ("2", "5"), ("0", "-3")):
-        J = lambda_to_ideal(ring, coords)
         expected = tuple(Fraction(c) for c in coords)
+        J = PointIdeal(ring, *(ring.base.const(-c) for c in expected))
         assert lambda_coord(J).coords == expected
 
 

@@ -3,22 +3,23 @@
 from truncmod.multiring import TruncRing
 from truncmod.fpmod import (
     Grading,
+    ModMap,
     PresMod,
     direct_sum,
     ext1_module,
     free_module,
     quasi_free_type,
+    quotient_by_submodule,
     second_canonical_filtration,
     truncated_free,
 )
 from truncmod.dualtor import (
     annihilator_ideal,
     dual,
-    free_embedding,
+    dual_hom,
     is_torsion_free,
     natural_map,
     torsion,
-    torsion_free_quotient,
 )
 from truncmod.hilbert import hilbert_series_presmod
 from truncmod.regseq import ideal_presentation
@@ -184,19 +185,17 @@ def test_cokernel_of_natural_map_is_torsion():
 
 def test_quotient_by_torsion_is_torsion_free():
     for M in sample_modules():
-        Q = torsion_free_quotient(M)
+        Q = quotient_by_submodule(M, torsion(M).submodule.gens)
         assert is_torsion_free(Q)
 
 
 def test_torsion_free_modules_embed_in_free():
+    # m goes to the values of all dual generators at m; the map into the
+    # free module is injective exactly when M has no torsion
     for M in sample_modules():
-        if not torsion(M).is_torsion_free:
-            continue
-        emb = free_embedding(M)
-        assert emb.is_injective()
-        # the target is an honest free module: no relations beyond t-power ones
-        assert all(
-            emb.target.ring.drop_t(p).is_zero()
-            for col in emb.target.relations
-            for p in col
-        )
+        dh = dual_hom(M)
+        h = dh.presentation.ngens
+        cols = [tuple(dh.gen_matrices[a][i][0] for a in range(h))
+                for i in range(M.ngens)]
+        emb = ModMap(M, free_module(M.ring, h), cols)
+        assert emb.is_injective() == torsion(M).is_torsion_free

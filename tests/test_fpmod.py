@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from module_oracles import transformed_presentation
 from truncmod.multiring import TruncRing
 from truncmod.fpmod import (
     FiltrationChain,
@@ -31,8 +32,6 @@ from truncmod.fpmod import (
     refine_filtrations,
     second_canonical_filtration,
     subquotient,
-    surjective_iff_restriction,
-    transformed_presentation,
     truncated_free,
     vanishes_locally,
 )
@@ -310,15 +309,21 @@ def test_hom_from_torsion_into_free_vanishes():
 
 
 def test_hom_evaluation_gives_module_maps():
+    # every Hom generator's matrix respects the source relations, which
+    # ModMap checks on construction
     tr = ring(2)
-    N = truncated_free(tr, 1)
-    H = hom_module(free_module(tr, 1), N)
-    if H.presentation.ngens:
-        coeffs = [tr.base.parse("1")] + [tr.base.parse("0")] * (
-            len(H.gen_matrices) - 1
-        )
-        phi = H.as_map(coeffs)
-        assert phi.source.ngens == 1 and phi.target.ngens == N.ngens
+    pairs = [
+        (free_module(tr, 1), truncated_free(tr, 1)),
+        (truncated_free(tr, 1), free_module(tr, 1)),
+        (truncated_free(tr, 1), truncated_free(tr, 1)),
+        (ideal_presentation([tr.elem("x"), tr.elem("y")]), free_module(tr, 2)),
+    ]
+    for M, N in pairs:
+        H = hom_module(M, N)
+        assert H.gen_matrices
+        for mat in H.gen_matrices:
+            phi = ModMap(M, N, mat, check=True)
+            assert phi.source.ngens == M.ngens and phi.target.ngens == N.ngens
 
 
 def test_ext_from_free_vanishes():
@@ -343,15 +348,21 @@ def test_ext_of_line_by_full_ring_vanishes():
 
 
 def test_surjectivity_detected_on_restriction():
+    # t is nilpotent, so a map onto N/tN is onto N
+    def onto_mod_t(phi):
+        N = phi.target
+        t_cols = [N.gen_column(j, N.ring.t) for j in range(N.ngens)]
+        image_mod_t = Submodule(N, list(phi.columns) + t_cols)
+        return all(image_mod_t.contains(N.gen_column(j)) for j in range(N.ngens))
+
     tr = ring(2)
     S = tr.S
     F1 = free_module(tr, 1)
     F2 = free_module(tr, 2)
-    assert surjective_iff_restriction(ModMap(F1, F1, [(S.parse("1"),)]))
-    assert not surjective_iff_restriction(ModMap(F1, F1, [(S.parse("t"),)]))
-    assert surjective_iff_restriction(
-        ModMap(F2, F1, [(S.parse("1"),), (S.parse("t"),)])
-    )
+    for phi, onto in ((ModMap(F1, F1, [(S.parse("1"),)]), True),
+                      (ModMap(F1, F1, [(S.parse("t"),)]), False),
+                      (ModMap(F2, F1, [(S.parse("1"),), (S.parse("t"),)]), True)):
+        assert phi.is_surjective() == onto_mod_t(phi) == onto
 
 
 # ----------------------------------------------------------------- refinement

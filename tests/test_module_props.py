@@ -21,6 +21,7 @@ answers that do not depend on the generating set:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from module_oracles import transformed_presentation
 from truncmod.fpmod import (
     FiltrationChain,
     Grading,
@@ -33,7 +34,6 @@ from truncmod.fpmod import (
     quasi_free_type,
     refine_filtrations,
     second_canonical_filtration,
-    transformed_presentation,
 )
 from truncmod.hilbert import hilbert_series_presmod, reduced_hilbert_polynomial
 from truncmod.multiring import TruncRing
