@@ -51,6 +51,7 @@ from .fpmod import (
     free_module,
     generic_type,
     is_balanced,
+    layer_quotients,
     quasi_free_type,
     refine_filtrations,
     second_canonical_filtration,
@@ -240,8 +241,7 @@ def _parse_presmod(tr: TruncRing, payload: dict, where: str = "payload") -> Pres
     _object(payload, where)
     if "ideal" in payload:
         gens = _list(payload["ideal"], f"{where}.ideal", nonempty=True)
-        return ideal_presentation(
-            [tr.elem(_parse_poly(tr, g, f"{where}.ideal")) for g in gens])
+        return ideal_presentation(tr, [_parse_poly(tr, g, f"{where}.ideal") for g in gens])
     if "presentation" in payload:
         pres, where = payload["presentation"], f"{where}.presentation"
         ngens = _require(pres, "generators", where)
@@ -338,7 +338,7 @@ def _point_ideal(ring: LocalDoubleRing, doc, where: str) -> PointIdeal:
 def _sequence(tr: TruncRing, payload: dict) -> list:
     seq = _list(_require(payload, "sequence", "payload"), "payload.sequence",
                 nonempty=True)
-    return [tr.elem(_parse_poly(tr, s, "payload.sequence")) for s in seq]
+    return [_parse_poly(tr, s, "payload.sequence") for s in seq]
 
 
 # -- command handlers -------------------------------------------------------
@@ -366,16 +366,15 @@ def _cmd_nf(ring, payload, options):
 
 def _cmd_syz(ring, payload, options):
     rank, cols = _parse_span(ring, payload)
-    syz = Submodule(free_module(ring, rank), []).kernel_through(cols)
+    syz = free_module(ring, rank).zero_submodule().kernel_through(cols)
     return {"syzygies": [_ser_col(c) for c in syz]}
 
 
 def _cmd_zerodivisor(ring, payload, options):
-    u = ring.elem(_parse_poly(ring, _require(payload, "element", "payload"),
-                              "element"))
-    witness = zero_divisor_witness(u)
-    return {"zerodivisor": is_zero_divisor(u),
-            "witness": str(witness.poly) if witness is not None else None}
+    u = _parse_poly(ring, _require(payload, "element", "payload"), "element")
+    witness = zero_divisor_witness(ring, u)
+    return {"zerodivisor": is_zero_divisor(ring, u),
+            "witness": str(witness) if witness is not None else None}
 
 
 def _cmd_aut_compose(ring, payload, options):
@@ -394,16 +393,16 @@ def _cmd_aut_cocycle(ring, payload, options):
 def _cmd_filtration(ring, payload, options):
     M = _parse_presmod(ring, payload)
 
-    def chain_doc(chain):
+    def chain_doc(members):
         layers = []
-        for Q in chain.quotients():
+        for Q in layer_quotients(M, members):
             layers.append({
                 "generators": Q.ngens,
                 "relations": len(Q.relations),
                 "t_annihilated": Q.is_t_annihilated(),
                 "zero": Q.is_zero_module(),
             })
-        return {"members": len(chain.members), "layers": layers}
+        return {"members": len(members), "layers": layers}
 
     return {"first": chain_doc(first_canonical_filtration(M)),
             "second": chain_doc(second_canonical_filtration(M))}
@@ -477,16 +476,15 @@ def _cmd_extend(ring, payload, options):
 
 def _cmd_refine(ring, payload, options):
     M = _parse_presmod(ring, payload)
-    D = first_canonical_filtration(M)
-    F = second_canonical_filtration(M)
-    Dr, Fr, pairs = refine_filtrations(D, F)
-    return {"first_refined_members": len(Dr.members),
-            "second_refined_members": len(Fr.members),
+    Dr, Fr, pairs = refine_filtrations(M, first_canonical_filtration(M),
+                                       second_canonical_filtration(M))
+    return {"first_refined_members": len(Dr),
+            "second_refined_members": len(Fr),
             "matched_layers": [list(p[0]) for p in pairs]}
 
 
 def _cmd_regseq_check(ring, payload, options):
-    rep = is_regular_sequence(_sequence(ring, payload),
+    rep = is_regular_sequence(ring, _sequence(ring, payload),
                               jet_order=options.get("jet_order"))
     return {"regular": rep.regular,
             "witness_index": rep.witness_index,
@@ -496,7 +494,7 @@ def _cmd_regseq_check(ring, payload, options):
 
 def _cmd_regseq_shadow(ring, payload, options):
     y = _parse_poly(ring.base, _require(payload, "element", "payload"), "element")
-    member = shadow_membership(y, _sequence(ring, payload),
+    member = shadow_membership(ring, y, _sequence(ring, payload),
                                jet_order=options.get("jet_order"))
     return {"member": member}
 

@@ -390,7 +390,7 @@ def verify_maximal_ideal_resolution(ring: LocalDoubleRing, degree_bound: int,
 
     F2, F3 = free_module(tr, 2), free_module(tr, 3)
     # phi0 maps onto the reduced ring R[2]/(t)
-    ker0 = Submodule(F2, Submodule(truncated_free(tr, 1), []).kernel_through([(x,), (y,)]))
+    ker0 = Submodule(F2, truncated_free(tr, 1).zero_submodule().kernel_through([(x,), (y,)]))
     if not ker0.equals(Submodule(F2, phi1)):
         failures.append("ker(phi0) differs from im(phi1)")
 
@@ -400,7 +400,7 @@ def verify_maximal_ideal_resolution(ring: LocalDoubleRing, degree_bound: int,
     if not ker0.contains_submodule(displayed):
         failures.append("displayed kernel not inside the computed kernel")
 
-    ker1 = Submodule(F2, []).kernel_through(phi1)
+    ker1 = F2.zero_submodule().kernel_through(phi1)
     if not Submodule(F3, ker1).equals(Submodule(F3, phi2)):
         failures.append("ker(phi1) differs from im(phi2)")
 
@@ -459,7 +459,7 @@ def _mi_cube_presentation(ring: LocalDoubleRing, slots: int) -> PresMod:
     zero = ring.S.zero()
     gens = [tuple(m if r == s else zero for r in range(slots))
             for s in range(slots) for m in (ring.x * ring.t, ring.y * ring.t)]
-    rels = Submodule(free_module(tr, slots), []).kernel_through(gens)
+    rels = free_module(tr, slots).zero_submodule().kernel_through(gens)
     return PresMod(tr, 2 * slots, rels, Grading((2,) * (2 * slots), 1))
 
 

@@ -75,7 +75,7 @@ class TorsionReport:
 
 def annihilator_ideal(M: PresMod, g: Column) -> list[Poly]:
     """Generators of {s : s*g = 0 in M}, by a syzygy computation."""
-    return [c[0] for c in Submodule(M, []).kernel_through([g])]
+    return [c[0] for c in M.zero_submodule().kernel_through([g])]
 
 
 def torsion(M: PresMod) -> TorsionReport:
@@ -89,7 +89,7 @@ def torsion(M: PresMod) -> TorsionReport:
     """
     ring = M.ring
     tmap = natural_map(M)
-    ker = [g for g in tmap.kernel_gens() if not M.element_is_zero(g)]
+    ker = [g for g in tmap.kernel_gens() if not M.zero_submodule().contains(g)]
 
     witnesses: list[tuple[Column, Poly]] = []
     for g in ker:
@@ -99,7 +99,7 @@ def torsion(M: PresMod) -> TorsionReport:
             raise ModuleError(
                 "double-dual kernel element has no annihilator outside (t)")
         s = ring.truncate(s)
-        if not M.element_is_zero(tuple(s * p for p in g)):
+        if not M.zero_submodule().contains(tuple(s * p for p in g)):
             raise ModuleError("annihilator witness fails to kill its generator")
         witnesses.append((g, s))
 
@@ -107,7 +107,7 @@ def torsion(M: PresMod) -> TorsionReport:
     for _g, s in witnesses:
         s_star = ring.truncate(s_star * s)
     submodule = Submodule(M, ker)
-    if not submodule.equals(Submodule(M, []).saturation(s_star)):
+    if not submodule.equals(M.zero_submodule().saturation(s_star)):
         raise ModuleError("saturation oracle disagrees with the double-dual kernel")
 
     return TorsionReport(submodule, witnesses, not ker)

@@ -4,15 +4,16 @@ A module is a cokernel presentation: a free cover S^g together with relation
 columns.  This module is the one owner of the R[n] encoding: an R[n]-module
 is an S-module plus the truncation relations t^n*e_i, where S = Q[x.., t] is
 the plain polynomial ring all Groebner computations run over, and
-``PresMod.effective_relations`` is the one place those relations are
-adjoined.  It is the one door to ``groebner`` for R[n]-module data: other
-modules work in columns and ask ``Submodule``, which pairs generators with
-its ambient module's relations and builds their Groebner data once, for
-membership, normal forms, reduced bases, lifts, kernels, intersections and
-saturations; ``Submodule.kernel_through`` is the one kernel route.  Where
-no module exists yet, ``free_module`` or ``truncated_free`` serves as the
-ambient one, and Hom and Ext take their kernels inside a direct sum of
-copies of the target.
+``PresMod.effective_relations`` is the one place those relations are made
+and adjoined; ``PresMod.zero_submodule`` holds the span of a module's
+relations, built once.  It is the one door to ``groebner`` for R[n]-module
+data: other modules work in columns and ask ``Submodule``, which pairs
+generators with its ambient module's relations and builds their Groebner
+data once, for membership, normal forms, reduced bases, lifts, kernels,
+intersections and saturations; ``Submodule.kernel_through`` is the one
+kernel route.  Where no module exists yet, ``free_module`` or
+``truncated_free`` serves as the ambient one, and Hom and Ext take their
+kernels inside a direct sum of copies of the target.
 
 The t-power filtrations are the organizing structure:
 
@@ -23,12 +24,18 @@ with layer quotients G_i = M_i / M_{i+1} and G^(i) = A_i / A_{i-1}, the
 comparison maps between consecutive layers induced by multiplication by t,
 and their kernels/cokernels measuring how far the two filtrations are from
 coinciding.  A module where they coincide is called balanced here.
+
+A filtration is a plain list of ``Submodule``s of M, descending from M to
+zero; both canonical filtrations are stored that way, the kernels
+descending from A_n, and ``layer_quotients`` presents the layers one at a
+time, so a caller that stops at a layer builds no later one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .arith import ArithError, Poly, PolyRing, agree, grevlex, matrix_rank
 from .groebner import SpanGB, VecT, kernel_through, vec_from_polys, vec_to_polys
@@ -90,7 +97,7 @@ class PresMod:
             for col in cleaned:
                 column_degree(ring, col, grading)
         self.grading = grading
-        self._span: SpanGB | None = None
+        self._zero: Submodule | None = None
 
     def __repr__(self) -> str:
         return f"<PresMod {self.ngens} gens, {len(self.relations)} relations over {self.ring!r}>"
@@ -98,22 +105,23 @@ class PresMod:
     # -- spans ----------------------------------------------------------
 
     def effective_relations(self) -> list[VecT]:
-        rels = [vec_from_polys(c) for c in self.relations]
-        return rels + self.ring.t_power_relations(self.ngens)
+        """The relation columns, then the silent relations t^n * e_i that
+        realize R[n]-semantics inside the free cover over S."""
+        t_n = (0,) * self.ring.base.nvars + (self.ring.n,)
+        return ([vec_from_polys(c) for c in self.relations]
+                + [{(i, t_n): Fraction(1)} for i in range(self.ngens)])
 
-    def rel_span(self) -> SpanGB:
-        if self._span is None:
-            self._span = SpanGB(self.ring.S, self.ngens, self.effective_relations())
-        return self._span
-
-    def element_is_zero(self, vec: Column) -> bool:
-        return self.rel_span().contains(vec_from_polys(vec))
+    def zero_submodule(self) -> Submodule:
+        """The zero submodule, made once: its span is the relation span."""
+        if self._zero is None:
+            self._zero = Submodule(self, [])
+        return self._zero
 
     def is_zero_module(self) -> bool:
-        return all(self.element_is_zero(self.gen_column(i)) for i in range(self.ngens))
+        return all(self.zero_submodule().contains(self.gen_column(i)) for i in range(self.ngens))
 
     def is_t_annihilated(self) -> bool:
-        return all(self.element_is_zero(self.gen_column(i, self.ring.t))
+        return all(self.zero_submodule().contains(self.gen_column(i, self.ring.t))
                    for i in range(self.ngens))
 
     def gen_column(self, i: int, entry: Poly | None = None) -> Column:
@@ -222,8 +230,8 @@ class Submodule:
         """Generators of {c : sum(c_i * columns_i) lies in the submodule},
         the columns given in the ambient free cover."""
         S = self.ambient.ring.S
-        ker = kernel_through(S, len(columns), [vec_from_polys(c) for c in columns],
-                             self._vecs())
+        ker = kernel_through(S, self.ambient.ngens, len(columns),
+                             [vec_from_polys(c) for c in columns], self._vecs())
         return [vec_to_polys(S, len(columns), v) for v in ker]
 
     def saturation(self, f: Poly) -> Submodule:
@@ -245,7 +253,7 @@ class Submodule:
         return self.contains_submodule(other) and other.contains_submodule(self)
 
     def is_zero(self) -> bool:
-        return all(self.ambient.element_is_zero(g) for g in self.gens)
+        return self.ambient.zero_submodule().contains_submodule(self)
 
     def intersection_gens(self, other: Submodule) -> list[Column]:
         """Generators of the intersection: the combinations of this
@@ -267,33 +275,6 @@ def _combine(ring: TruncRing, coeffs: Column, columns: list[Column], width: int)
     return tuple(ring.truncate(p) for p in out)
 
 
-class FiltrationChain:
-    """A descending chain of submodules from the ambient module to zero."""
-
-    def __init__(self, ambient: PresMod, members: list[Submodule], validate: bool = True):
-        self.ambient = ambient
-        self.members = members
-        if validate:
-            full = Submodule(ambient, [ambient.gen_column(i) for i in range(ambient.ngens)])
-            if not members or not members[0].equals(full):
-                raise ModuleError("chain must start at the ambient module")
-            if not members[-1].is_zero():
-                raise ModuleError("chain must end at zero")
-            for a, b in zip(members, members[1:]):
-                if not a.contains_submodule(b):
-                    raise ModuleError("chain members must descend")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def quotient(self, k: int) -> PresMod:
-        """Presentation of members[k]/members[k+1]."""
-        return subquotient(self.ambient, self.members[k].gens, self.members[k + 1].gens)
-
-    def quotients(self) -> list[PresMod]:
-        return [self.quotient(k) for k in range(len(self.members) - 1)]
-
-
 def subquotient(M: PresMod, a_gens: list[Column], b_gens: list[Column]) -> PresMod:
     """Present span(a_gens)/(span(b_gens) + 0) inside M; generators are the
     classes of a_gens, relations are complete by the syzygy computation."""
@@ -301,6 +282,13 @@ def subquotient(M: PresMod, a_gens: list[Column], b_gens: list[Column]) -> PresM
     grading = None if M.grading is None else infer_grading(
         M.ring, a_gens, M.grading.t_weight, M.grading.gen_degrees.__getitem__)
     return PresMod(M.ring, len(a_gens), cols, grading)
+
+
+def layer_quotients(M: PresMod, members: list[Submodule]) -> Iterator[PresMod]:
+    """The layers members[k]/members[k+1] of a filtration of M, presented
+    one at a time as they are asked for."""
+    for a, b in zip(members, members[1:]):
+        yield subquotient(M, a.gens, b.gens)
 
 
 def quotient_by_submodule(M: PresMod, gens: list[Column]) -> PresMod:
@@ -311,28 +299,23 @@ def quotient_by_submodule(M: PresMod, gens: list[Column]) -> PresMod:
 # -- canonical filtrations ------------------------------------------------
 
 
-def first_canonical_filtration(M: PresMod) -> FiltrationChain:
-    """The descending chain of images of multiplication by t^i."""
+def first_canonical_filtration(M: PresMod) -> list[Submodule]:
+    """The descending chain of images of multiplication by t^i, i = 0..n."""
     ring = M.ring
-    members = []
-    for i in range(ring.n + 1):
-        t_i = ring.t ** i
-        members.append(Submodule(M, [M.gen_column(j, t_i) for j in range(M.ngens)]))
-    return FiltrationChain(M, members, validate=False)
+    return [Submodule(M, [M.gen_column(j, t_i) for j in range(M.ngens)])
+            for t_i in (ring.t ** i for i in range(ring.n + 1))]
 
 
 def annihilator_kernel(M: PresMod, i: int) -> list[Column]:
     """Generators of {m in M : t^i m = 0}, via a syzygy computation."""
     t_i = M.ring.t ** i
-    return Submodule(M, []).kernel_through([M.gen_column(j, t_i) for j in range(M.ngens)])
+    return M.zero_submodule().kernel_through([M.gen_column(j, t_i) for j in range(M.ngens)])
 
 
-def second_canonical_filtration(M: PresMod) -> FiltrationChain:
+def second_canonical_filtration(M: PresMod) -> list[Submodule]:
     """The chain of t-power annihilators, stored descending:
     M = ann(t^n) ⊇ ann(t^(n-1)) ⊇ ... ⊇ ann(t^0) = 0."""
-    members = [Submodule(M, annihilator_kernel(M, i))
-               for i in range(M.ring.n, -1, -1)]
-    return FiltrationChain(M, members, validate=False)
+    return [Submodule(M, annihilator_kernel(M, i)) for i in range(M.ring.n, -1, -1)]
 
 
 # -- maps -----------------------------------------------------------------
@@ -355,7 +338,7 @@ class ModMap:
         if check:
             for rel in source.relations:
                 img = self.apply_cover(rel)
-                if not target.element_is_zero(img):
+                if not target.zero_submodule().contains(img):
                     raise ModuleError("images do not respect a source relation")
 
     def apply_cover(self, vec: Column) -> Column:
@@ -370,13 +353,13 @@ class ModMap:
         return ModMap(inner.source, self.target, cols, check=False)
 
     def kernel_gens(self) -> list[Column]:
-        return Submodule(self.target, []).kernel_through(self.columns)
+        return self.target.zero_submodule().kernel_through(self.columns)
 
     def kernel_presentation(self) -> PresMod:
         return subquotient(self.source, self.kernel_gens(), [])
 
     def is_injective(self) -> bool:
-        return all(self.source.element_is_zero(g) for g in self.kernel_gens())
+        return all(self.source.zero_submodule().contains(g) for g in self.kernel_gens())
 
     def image_submodule(self) -> Submodule:
         return Submodule(self.target, list(self.columns))
@@ -417,8 +400,8 @@ def _annihilator_side(M: PresMod) -> tuple[list[Submodule], list[ModMap]]:
     (i = 0..n) and the injections lambdas, each checked injective; the
     layers G^(i) are the lambdas' sources and targets."""
     second = second_canonical_filtration(M)
-    members = second.members[::-1]       # index i = ann(t^i)
-    layers = second.quotients()[::-1]    # index i = layer^(i+1)
+    members = second[::-1]                           # index i = ann(t^i)
+    layers = list(layer_quotients(M, second))[::-1]  # index i = layer^(i+1)
     t = M.ring.t
     lambdas: list[ModMap] = []
     for i in range(1, M.ring.n):
@@ -438,7 +421,7 @@ def _annihilator_side(M: PresMod) -> tuple[list[Submodule], list[ModMap]]:
 def comparison_maps(M: PresMod) -> ComparisonData:
     upper_members, lambdas = _annihilator_side(M)
     first = first_canonical_filtration(M)
-    lower_layers = first.quotients()
+    lower_layers = list(layer_quotients(M, first))
 
     mus: list[ModMap] = []
     for src, tgt in zip(lower_layers, lower_layers[1:]):
@@ -448,7 +431,7 @@ def comparison_maps(M: PresMod) -> ComparisonData:
         mus.append(mu)
 
     return ComparisonData(
-        lower_members=first.members,
+        lower_members=first,
         upper_members=upper_members,
         lambdas=lambdas,
         mus=mus,
@@ -480,7 +463,7 @@ def is_balanced(M: PresMod) -> BalancedReport:
         return BalancedReport(True, True, True,
                               note="all comparison kernels and cokernels vanish")
     upper_members, lambdas = _annihilator_side(M)
-    lower_members = first_canonical_filtration(M).members
+    lower_members = first_canonical_filtration(M)
     composite = lambdas[0]
     for lam in lambdas[1:]:
         composite = composite.compose(lam)
@@ -538,10 +521,8 @@ def quasi_free_type(M: PresMod) -> QuasiFreeReport:
     if M.grading is None:
         raise ModuleError("quasi_free_type needs grading data")
     n = M.ring.n
-    chain = first_canonical_filtration(M)
     ranks: list[int] = []
-    for i in range(n):
-        layer = chain.quotient(i)
+    for i, layer in enumerate(layer_quotients(M, first_canonical_filtration(M))):
         if layer.grading is None:
             raise ModuleError("filtration layer lost its grading")
         rank = generators_at_origin(layer)
@@ -581,12 +562,8 @@ def generic_rank(matrix: list[list[Poly]]) -> int:
 def generic_type(M: PresMod) -> tuple[int, ...]:
     """Type of the generic fiber M ⊗ K[n]: layer ranks over Frac(base)."""
     n = M.ring.n
-    chain = first_canonical_filtration(M)
-    ranks = []
-    for i in range(n):
-        layer = chain.quotient(i)
-        matrix = base_relation_matrix(layer)
-        ranks.append(layer.ngens - generic_rank(matrix))
+    ranks = [layer.ngens - generic_rank(base_relation_matrix(layer))
+             for layer in layer_quotients(M, first_canonical_filtration(M))]
     ranks.append(0)
     return tuple(ranks[i - 1] - ranks[i] for i in range(1, n + 1))
 
@@ -612,7 +589,7 @@ def check_exact(incl: ModMap, proj: ModMap, error: type[ArithError]) -> None:
         raise error("extension inclusion failed injectivity")
     if not proj.is_surjective():
         raise error("extension projection failed surjectivity")
-    if not all(proj.target.element_is_zero(proj.apply_cover(c)) for c in incl.columns):
+    if not all(proj.target.zero_submodule().contains(proj.apply_cover(c)) for c in incl.columns):
         raise error("extension composite is nonzero")
     image = incl.image_submodule()
     if not all(image.contains(g) for g in proj.kernel_gens()):
@@ -637,9 +614,9 @@ def build_extension(N: PresMod, M: PresMod, f1_columns: list[Column]
         raise ModuleError(f"need one image per relation column ({q}), got {len(f1_columns)}")
     # The map must kill the relations among the relation columns, computed
     # over R[n]; otherwise it does not descend to im(F1 -> F0).
-    syz2 = Submodule(free_module(ring, M.ngens), []).kernel_through(M.relations) if q else []
+    syz2 = free_module(ring, M.ngens).zero_submodule().kernel_through(M.relations) if q else []
     for polys in syz2:
-        if not N.element_is_zero(_combine(ring, polys, f1_columns, N.ngens)):
+        if not N.zero_submodule().contains(_combine(ring, polys, f1_columns, N.ngens)):
             raise ModuleError("descent condition fails: images do not kill relation syzygies")
 
     total = N.ngens + M.ngens
@@ -681,9 +658,10 @@ def extension_R_by_Ri(ring: TruncRing, sigma: Poly, i: int) -> ExtensionResult:
 # -- filtration refinement ------------------------------------------------
 
 
-def refine_filtrations(D: FiltrationChain, F: FiltrationChain
-                       ) -> tuple[FiltrationChain, FiltrationChain, list[tuple]]:
-    """Common-refinement chains with matched layer quotients.
+def refine_filtrations(M: PresMod, D: list[Submodule], F: list[Submodule]
+                       ) -> tuple[list[Submodule], list[Submodule], list[tuple]]:
+    """Common-refinement chains of two filtrations of M, with matched layer
+    quotients.
 
     Between consecutive members of D, the members of F are threaded through
     by D_{i+1} + (D_i ∩ F_j); dually for F.  The crosswise layer quotients
@@ -691,21 +669,14 @@ def refine_filtrations(D: FiltrationChain, F: FiltrationChain
     Hilbert series; the returned pairing lists ((i,j), series) entries for
     the nonzero layers.
 
-    Both chains must run from the whole module to zero, as
-    ``FiltrationChain`` validates: then member (i, 0) is D_i and member
-    (i, m) is D_{i+1}, so only the inner members F_1 .. F_(m-1) are
-    intersected.
+    Both chains must descend from the whole module to zero, as the
+    canonical filtrations do: then member (i, 0) is D_i and member (i, m)
+    is D_{i+1}, so only the inner members F_1 .. F_(m-1) are intersected.
     """
     from .hilbert import hilbert_series_presmod
 
-    M = D.ambient
-    if M is not F.ambient and M.ngens != F.ambient.ngens:
-        raise ModuleError("refinement needs a common ambient module")
     if M.grading is None:
         raise ModuleError("refinement requires a graded ambient module")
-
-    d_members = D.members
-    f_members = F.members
 
     def thread(outer: list[Submodule], inner: list[Submodule]) -> list[Submodule]:
         # member (i, j) sits at index i*m + j, for m = len(inner) - 1
@@ -718,9 +689,9 @@ def refine_filtrations(D: FiltrationChain, F: FiltrationChain
         chain.append(outer[-1])
         return chain
 
-    d_chain = thread(d_members, f_members)
-    f_chain = thread(f_members, d_members)
-    m_d, m_f = len(d_members) - 1, len(f_members) - 1
+    d_chain = thread(D, F)
+    f_chain = thread(F, D)
+    m_d, m_f = len(D) - 1, len(F) - 1
 
     pairing = []
     for i in range(m_d):
@@ -741,9 +712,7 @@ def refine_filtrations(D: FiltrationChain, F: FiltrationChain
                 out.append(sub)
         return out
 
-    d_ref = FiltrationChain(M, collapse(d_chain), validate=False)
-    f_ref = FiltrationChain(M, collapse(f_chain), validate=False)
-    return d_ref, f_ref, pairing
+    return collapse(d_chain), collapse(f_chain), pairing
 
 
 # -- Hom and Ext ----------------------------------------------------------
@@ -775,7 +744,7 @@ def _maps_into(N: PresMod, rows: int, relations: list[Column]) -> list[Column]:
     """Generators of Hom(coker(relations), N) for relation columns of
     ``rows`` entries, as tuples in N^rows (slot i*N.ngens + l is entry l of
     the image of generator i) that every relation sends to zero."""
-    return Submodule(_power(N, len(relations)), []).kernel_through(
+    return _power(N, len(relations)).zero_submodule().kernel_through(
         _pullback_columns(N, rows, relations))
 
 
@@ -814,7 +783,7 @@ def hom_module(M: PresMod, N: PresMod) -> HomModule:
     ring = M.ring
     g, p = M.ngens, N.ngens
     gens = _maps_into(N, g, M.relations)
-    relations = Submodule(_power(N, g), []).kernel_through(gens)
+    relations = _power(N, g).zero_submodule().kernel_through(gens)
     gen_matrices = [[gf[i * p:(i + 1) * p] for i in range(g)] for gf in gens]
 
     grading = None
@@ -837,7 +806,7 @@ def ext1_module(M: PresMod, N: PresMod) -> PresMod:
     q = len(M.relations)
     if q == 0:
         return PresMod(ring, 0, [])
-    phi2 = Submodule(free_module(ring, g), []).kernel_through(M.relations)
+    phi2 = free_module(ring, g).zero_submodule().kernel_through(M.relations)
     z_gens = _maps_into(N, q, phi2)
     b_cols = [col for col in _pullback_columns(N, g, M.relations) if any(col)]
     relations = Submodule(_power(N, q), b_cols).kernel_through(z_gens)

@@ -527,16 +527,11 @@ class SpanGB:
         return out
 
 
-def kernel_through(ring: PolyRing, source_count: int, columns: list[VecT],
+def kernel_through(ring: PolyRing, rank: int, source_count: int, columns: list[VecT],
                    target_relations: list[VecT]) -> list[VecT]:
     """Generators of {c in S^p : sum(c_i * columns_i) in span(target_relations)}.
 
-    The columns and relations live in a common free module; syzygies of the
-    concatenated list are projected onto the column block.
+    The columns and relations live in a common free module of rank ``rank``;
+    syzygies of the concatenated list are projected onto the column block.
     """
-    combined = list(columns) + list(target_relations)
-    ambient_rank = 0
-    for v in combined:
-        for (pos, _e) in v:
-            ambient_rank = max(ambient_rank, pos + 1)
-    return SpanGB(ring, ambient_rank, combined).syzygies(source_count)
+    return SpanGB(ring, rank, list(columns) + list(target_relations)).syzygies(source_count)

@@ -139,7 +139,7 @@ def hilbert_series_presmod(M) -> HilbertSeries:
     if M.grading is None:
         raise HilbertError("hilbert series needs grading data")
     if M.grading.t_weight == 1:
-        return module_series(M.rel_span(), M.grading.gen_degrees)
+        return module_series(M.zero_submodule().span(), M.grading.gen_degrees)
     base_ring, rank, cols, degrees = restricted_base_data(M)
     return module_series(SpanGB(base_ring, rank, cols), degrees)
 
@@ -290,21 +290,21 @@ def reduced_hilbert_polynomial(M, filtration=None) -> HilbertPolynomial:
     annihilator-filtration layers and the direct restriction of scalars
     must give the same answer.
 
-    A caller-supplied FiltrationChain may be passed as well; its quotients
-    must all be annihilated by t, and its layer sum must agree with the
-    canonical value."""
+    A caller-supplied filtration, a descending list of ``Submodule``s of M
+    from M to zero, may be passed as well; its quotients must all be
+    annihilated by t, and its layer sum must agree with the canonical
+    value."""
     if M.grading is None:
         raise HilbertError("reduced hilbert polynomial needs grading data")
-    image = fpmod.first_canonical_filtration(M)
-    annihilator = fpmod.second_canonical_filtration(M)
     total = agree(
         HilbertError, "reduced hilbert polynomial",
-        image_layers=_layer_sum(image.quotient(i) for i in range(M.ring.n)),
+        image_layers=_layer_sum(
+            fpmod.layer_quotients(M, fpmod.first_canonical_filtration(M))),
         annihilator_layers=_layer_sum(
-            annihilator.quotient(k) for k in range(len(annihilator.members) - 1)),
+            fpmod.layer_quotients(M, fpmod.second_canonical_filtration(M))),
         restriction=hilbert_polynomial(M))
     if filtration is not None:
-        layers = [filtration.quotient(k) for k in range(len(filtration.members) - 1)]
+        layers = list(fpmod.layer_quotients(M, filtration))
         for k, layer in enumerate(layers):
             if not layer.is_t_annihilated():
                 raise HilbertError(

@@ -1,7 +1,8 @@
 """The truncated extension R[t]/(t^n) of a polynomial base ring R = Q[x1..xd].
 
-Elements are polynomials in the base variables and t, reduced so that no
-term carries t^n or higher.  An element is a zero divisor exactly when its
+Elements are plain ``Poly``s of ``TruncRing.S``, in the base variables and
+t, reduced so that no term carries t^n or higher: ``parse`` and ``truncate``
+make them, and products pass ``below`` to arith.  An element is a zero divisor exactly when its
 t-free part vanishes; the complement (elements with nonzero t-free part) is
 the multiplicative system used for generic-fiber arguments.
 
@@ -14,10 +15,7 @@ D_inner.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .arith import ArithError, MonomialOrder, Poly, PolyRing, grevlex
-from .groebner import VecT
 
 T_NAME = "t"
 
@@ -73,96 +71,27 @@ class TruncRing:
         ti = self.S._index[T_NAME]
         return Poly(self.base, {e[:-1]: c for e, c in p.terms.items() if e[ti] == k})
 
-    def t_power_relations(self, rank: int) -> list[VecT]:
-        """The silent relations t^n * e_i that realize R[n]-semantics inside
-        free modules over S."""
-        exps = (0,) * self.base.nvars + (self.n,)
-        return [{(i, exps): Fraction(1)} for i in range(rank)]
-
     def parse(self, text: str) -> Poly:
         """Parse over S with every product truncated as it is formed; the
         final ``truncate`` drops what no product made, such as ``t`` when
         n = 1."""
         return self.truncate(self.S.parse(text, self.below))
 
-    def elem(self, value) -> TruncElem:
-        if isinstance(value, TruncElem):
-            return value
-        if isinstance(value, str):
-            return TruncElem(self, self.parse(value))
-        if isinstance(value, Poly):
-            if value.ring == self.base:
-                value = self.inject(value)
-            return TruncElem(self, self.truncate(value))
-        return TruncElem(self, self.S.const(value))
 
-
-class TruncElem:
-    """An element of R[n], kept reduced mod t^n."""
-
-    __slots__ = ("ring", "poly")
-
-    def __init__(self, ring: TruncRing, poly: Poly):
-        self.ring = ring
-        self.poly = ring.truncate(poly)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TruncElem):
-            return self.ring == other.ring and self.poly == other.poly
-        return self.poly == other
-
-    def _coerce(self, other) -> TruncElem:
-        return other if isinstance(other, TruncElem) else self.ring.elem(other)
-
-    def __add__(self, other):
-        return TruncElem(self.ring, self.poly + self._coerce(other).poly)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncElem(self.ring, -self.poly)
-
-    def __sub__(self, other):
-        return TruncElem(self.ring, self.poly - self._coerce(other).poly)
-
-    def __rsub__(self, other):
-        return TruncElem(self.ring, self._coerce(other).poly - self.poly)
-
-    def __mul__(self, other):
-        return TruncElem(self.ring, self.poly.times(self._coerce(other).poly, self.ring.below))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return TruncElem(self.ring, self.poly.power(k, self.ring.below))
-
-    def is_zero(self) -> bool:
-        return self.poly.is_zero()
-
-    def __str__(self) -> str:
-        return str(self.poly)
-
-    def __repr__(self) -> str:
-        return f"<TruncElem {self.poly} (n={self.ring.n})>"
-
-
-def is_zero_divisor(u: TruncElem) -> bool:
+def is_zero_divisor(ring: TruncRing, u: Poly) -> bool:
     """True iff the t-free part of u vanishes (0 counts as a zero divisor)."""
-    return u.ring.t_coefficient(u.poly, 0).is_zero()
+    return ring.t_coefficient(u, 0).is_zero()
 
 
-def zero_divisor_witness(u: TruncElem) -> TruncElem | None:
+def zero_divisor_witness(ring: TruncRing, u: Poly) -> Poly | None:
     """A nonzero v with u*v = 0, when u is a zero divisor; None otherwise.
 
     For u with vanishing t-free part, t^(n-1) works; in the n = 1 case only
     u = 0 qualifies and any nonzero v annihilates it.
     """
-    if not is_zero_divisor(u):
+    if not is_zero_divisor(ring, u):
         return None
-    ring = u.ring
-    if ring.n == 1:
-        return ring.elem(1)  # u must be 0 here
-    return TruncElem(ring, ring.t ** (ring.n - 1))
+    return ring.t ** (ring.n - 1)
 
 
 class AutMap:

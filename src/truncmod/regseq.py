@@ -10,6 +10,9 @@ multiplies into the partial ideal without belonging to it.
 Passing ``jet_order=N`` adjoins all base monomials of degree N to every
 ideal, which turns the global tests into tests at the origin up to N-jets;
 by default everything is exact over the polynomial ring.
+
+Every function takes the ``TruncRing`` and the sequence as ``Poly``s of its
+``S``, reduced mod t^n as ``TruncRing.parse`` returns them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from .arith import ArithError, Poly, PolyRing, agree
 from .fpmod import PresMod, Submodule, free_module, graded_or_plain, infer_grading
 from .hilbert import monomials_of_degree
-from .multiring import TruncElem, TruncRing
+from .multiring import TruncRing
 
 
 class SequenceError(ArithError):
@@ -36,20 +39,11 @@ class SequenceReport:
     both are None for a regular sequence.
     """
 
-    elements: list[TruncElem]
+    elements: list[Poly]
     reductions: list[Poly]
     regular: bool
     witness_index: int | None = None
     witness: Poly | None = None
-
-
-def _common_ring(seq: list[TruncElem]) -> TruncRing:
-    if not seq:
-        raise SequenceError("empty sequence")
-    ring = seq[0].ring
-    if any(u.ring != ring for u in seq):
-        raise SequenceError("sequence elements live in different rings")
-    return ring
 
 
 def _jet_monomials(ring: PolyRing, order: int | None) -> list[Poly]:
@@ -75,18 +69,19 @@ def _ladder(ring: TruncRing, gens: list[Poly], ambient: list[Poly]
     return None, None
 
 
-def is_regular_sequence(seq: list[TruncElem],
+def is_regular_sequence(ring: TruncRing, seq: list[Poly],
                         jet_order: int | None = None) -> SequenceReport:
     """Two-route regularity test; raises SequenceError when the direct R[n]
     ladder and the reduced base-ring ladder disagree."""
-    ring = _common_ring(seq)
-    reductions = [ring.drop_t(u.poly) for u in seq]
+    if not seq:
+        raise SequenceError("empty sequence")
+    reductions = [ring.drop_t(u) for u in seq]
 
     base_jets = _jet_monomials(ring.base, jet_order)
     # the reductions run in R[1] = R[n]/(t), the base ring
     k_base, _ = _ladder(TruncRing(ring.base.variables, 1, ring.base.order),
                         reductions, base_jets)
-    k_direct, witness = _ladder(ring, [u.poly for u in seq], base_jets)
+    k_direct, witness = _ladder(ring, seq, base_jets)
 
     # the verdicts must agree; the failure positions may differ
     regular = agree(SequenceError, "is the sequence regular",
@@ -96,27 +91,26 @@ def is_regular_sequence(seq: list[TruncElem],
 
     # re-verify the witness by explicit membership
     prior = Submodule(free_module(ring, 1), [(ring.inject(m),) for m in base_jets]
-                      + [(u.poly,) for u in seq[:k_direct]])
+                      + [(u,) for u in seq[:k_direct]])
     w = ring.truncate(witness)
-    if prior.contains((w,)) or not prior.contains((ring.truncate(w * seq[k_direct].poly),)):
+    if prior.contains((w,)) or not prior.contains((ring.truncate(w * seq[k_direct]),)):
         raise SequenceError("failure witness does not verify")
     return SequenceReport(list(seq), reductions, False, k_direct + 1, w)
 
 
-def shadow_membership(y: Poly, seq: list[TruncElem],
+def shadow_membership(ring: TruncRing, y: Poly, seq: list[Poly],
                       jet_order: int | None = None) -> bool:
     """Whether t^(n-1)*y lands in the sequence ideal; equivalently (for a
     regular sequence, and checked both ways) whether y lies in the ideal of
     the t = 0 reductions."""
-    ring = _common_ring(seq)
     if y.ring != ring.base:
         raise SequenceError("shadow element must live in the base ring")
-    report = is_regular_sequence(seq, jet_order)
+    report = is_regular_sequence(ring, seq, jet_order)
     if not report.regular:
         raise SequenceError("shadow test requires a regular sequence")
 
     base_jets = _jet_monomials(ring.base, jet_order)
-    ideal = Submodule(free_module(ring, 1), [(u.poly,) for u in seq]
+    ideal = Submodule(free_module(ring, 1), [(u,) for u in seq]
                       + [(ring.inject(m),) for m in base_jets])
     probe = ring.truncate(ring.t ** (ring.n - 1) * ring.inject(y))
     in_ideal = ideal.contains((probe,))
@@ -129,14 +123,15 @@ def shadow_membership(y: Poly, seq: list[TruncElem],
                  reduction_membership=reduced_ideal.contains((r1.inject(y),)))
 
 
-def ideal_presentation(seq: list[TruncElem]) -> PresMod:
+def ideal_presentation(ring: TruncRing, seq: list[Poly]) -> PresMod:
     """The ideal generated by the sequence, as a module: one generator per
     element, relations the complete syzygy module over R[n]."""
-    ring = _common_ring(seq)
-    cols = [(u.poly,) for u in seq]
-    relations = Submodule(free_module(ring, 1), []).kernel_through(cols)
+    if not seq:
+        raise SequenceError("empty sequence")
+    cols = [(u,) for u in seq]
+    relations = free_module(ring, 1).zero_submodule().kernel_through(cols)
 
     # a zero element leaves the ideal ungraded
     grading = (infer_grading(ring, cols, 1, lambda pos: 0)
-               if all(u.poly for u in seq) else None)
+               if all(seq) else None)
     return graded_or_plain(ring, len(seq), relations, grading)

@@ -4,7 +4,8 @@
 so an answer that must not depend on the generating set can be compared
 across the two.  ``koszul_h1_vanishes`` decides regularity of a short
 sequence by first Koszul homology, a route independent of
-``regseq``'s colon ladders."""
+``regseq``'s colon ladders.  ``assert_filtration`` checks that a list of
+submodules is a filtration."""
 
 import random
 from fractions import Fraction
@@ -102,17 +103,26 @@ def transformed_presentation(M: PresMod, seed: int, steps: int = 12) -> PresMod:
     return PresMod(ring, g, cols, grading)
 
 
-def koszul_h1_vanishes(seq) -> bool:
+def assert_filtration(M, members) -> None:
+    """Assert that ``members`` is a filtration of M: it starts at M, ends at
+    zero and descends."""
+    full = Submodule(M, [M.gen_column(i) for i in range(M.ngens)])
+    assert members and members[0].equals(full), "the chain does not start at M"
+    assert members[-1].is_zero(), "the chain does not end at zero"
+    for k, (a, b) in enumerate(zip(members, members[1:])):
+        assert a.contains_submodule(b), f"member {k + 1} is not inside member {k}"
+
+
+def koszul_h1_vanishes(ring, seq) -> bool:
     """Whether the first homology of the length-one Koszul layer vanishes:
     every coefficient vector killing the sequence is generated by the
     trivial pairwise relations.  Agrees with regularity for homogeneous
     sequences in the irrelevant ideal; a cross-check for short sequences
     over one ring."""
-    ring = seq[0].ring
     p = len(seq)
-    cycles = Submodule(free_module(ring, 1), []).kernel_through([(u.poly,) for u in seq])
+    cycles = free_module(ring, 1).zero_submodule().kernel_through([(u,) for u in seq])
     zero = ring.S.zero()
     boundaries = Submodule(free_module(ring, p), [
-        tuple(seq[i].poly if k == j else -seq[j].poly if k == i else zero for k in range(p))
+        tuple(seq[i] if k == j else -seq[j] if k == i else zero for k in range(p))
         for i in range(p) for j in range(i + 1, p)])
     return all(boundaries.contains(z) for z in cycles)

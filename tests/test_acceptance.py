@@ -23,6 +23,7 @@ from truncmod.fpmod import (
     first_canonical_filtration,
     free_module,
     is_balanced,
+    layer_quotients,
     quasi_free_type,
     quotient_by_submodule,
     second_canonical_filtration,
@@ -64,7 +65,7 @@ from truncmod.hilbert import (
 
 def ideal_mod(tr, *texts):
     """Present the ideal spanned by the given elements, one generator each."""
-    return ideal_presentation([tr.elem(s) for s in texts])
+    return ideal_presentation(tr, [tr.parse(s) for s in texts])
 
 
 def quotient_line(tr, *texts):
@@ -158,7 +159,7 @@ def test_criterion_02_balance_routes_agree_on_module_pool():
             rep.balanced,
             rep.by_composite,
             rep.by_filtration,
-            all(a.equals(b) for a, b in zip(lower.members, upper.members)),
+            all(a.equals(b) for a, b in zip(lower, upper)),
             all(g.is_zero_module() for g in data.gamma_ker),
             all(g.is_zero_module() for g in data.gamma_coker),
         ]
@@ -187,10 +188,10 @@ def test_criterion_03_regularity_two_paths_and_shadow_oracle():
     outcomes = set()
     for tr in (A, C):
         for texts in sequences:
-            seq = [tr.elem(s) for s in texts]
-            rep = is_regular_sequence(seq)
+            seq = [tr.parse(s) for s in texts]
+            rep = is_regular_sequence(tr, seq)
             # route one: colon ladder verdict; route two: first Koszul homology
-            assert koszul_h1_vanishes(seq) == rep.regular, (tr.n, texts)
+            assert koszul_h1_vanishes(tr, seq) == rep.regular, (tr.n, texts)
             outcomes.add(rep.regular)
             checked += 1
     assert checked >= 20
@@ -203,14 +204,14 @@ def test_criterion_03_regularity_two_paths_and_shadow_oracle():
     ]
     pairs = 0
     for texts, elements in shadow_cases:
-        seq = [A.elem(s) for s in texts]
-        rep = is_regular_sequence(seq)
+        seq = [A.parse(s) for s in texts]
+        rep = is_regular_sequence(A, seq)
         assert rep.regular
         # independent oracle: membership in the base ideal of the reductions
         oracle = SpanGB(A.base, 1, [vec_from_polys((r,)) for r in rep.reductions])
         for text in elements:
             y = A.base.parse(text)
-            assert shadow_membership(y, seq) == oracle.contains(vec_from_polys((y,)))
+            assert shadow_membership(A, y, seq) == oracle.contains(vec_from_polys((y,)))
             pairs += 1
     assert pairs >= 10
 
@@ -274,7 +275,7 @@ def test_criterion_05_torsion_routes_and_structure_facts():
         assert rep.is_torsion_free == is_torsion_free(M) == rep.submodule.is_zero()
         for gen, scalar in rep.witnesses:
             product = tuple(tr.truncate(scalar * p) for p in gen)
-            assert M.element_is_zero(product)
+            assert M.zero_submodule().contains(product)
             assert not tr.drop_t(scalar).is_zero()
         assert is_torsion_free(quotient_by_submodule(M, rep.submodule.gens))
         kinds.add(rep.is_torsion_free)
@@ -292,7 +293,7 @@ def test_criterion_05_torsion_routes_and_structure_facts():
     # torsion freeness is detected by the first upper layer
     for tr, M in pool:
         upper = second_canonical_filtration(M)
-        M1 = subquotient(M, upper.members[1].gens, [M.zero_column()])
+        M1 = subquotient(M, upper[1].gens, [M.zero_column()])
         assert torsion(M).is_torsion_free == torsion(M1).is_torsion_free
 
     # the cokernel of the double-dual map is pure torsion
@@ -467,7 +468,7 @@ def test_criterion_10_reduced_polynomial_routes_and_additivity():
             M, filtration=second_canonical_filtration(M)
         ).coeffs
         layer_sum = ()
-        for layer in first_canonical_filtration(M).quotients():
+        for layer in layer_quotients(M, first_canonical_filtration(M)):
             layer_sum = pad_sum(layer_sum, hilbert_polynomial(layer).coeffs)
         assert route1 == route2 == layer_sum
 

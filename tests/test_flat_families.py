@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncmod.arith import Poly
-from truncmod.fpmod import Grading, PresMod, first_canonical_filtration
+from truncmod.fpmod import Grading, PresMod, first_canonical_filtration, layer_quotients
 from truncmod.hilbert import (
     layer_base_series,
     polynomial_from_series,
@@ -72,9 +72,8 @@ def initial_module(tr, rels):
 
 
 def layer_polynomials(M):
-    first = first_canonical_filtration(M)
-    return [polynomial_from_series(layer_base_series(first.quotient(i)))
-            for i in range(M.ring.n)]
+    return [polynomial_from_series(layer_base_series(layer))
+            for layer in layer_quotients(M, first_canonical_filtration(M))]
 
 
 def test_reduced_hilbert_polynomial_is_constant_in_groebner_degenerations():

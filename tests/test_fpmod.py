@@ -7,10 +7,9 @@ import json
 
 import pytest
 
-from module_oracles import transformed_presentation
+from module_oracles import assert_filtration, transformed_presentation
 from truncmod.multiring import TruncRing
 from truncmod.fpmod import (
-    FiltrationChain,
     Grading,
     ModMap,
     ModuleError,
@@ -27,6 +26,7 @@ from truncmod.fpmod import (
     generic_type,
     hom_module,
     is_balanced,
+    layer_quotients,
     quasi_free_type,
     quotient_by_submodule,
     refine_filtrations,
@@ -49,7 +49,7 @@ def dims(M, through=5):
 
 
 def flag_ideal(tr, texts):
-    return ideal_presentation([tr.elem(s) for s in texts])
+    return ideal_presentation(tr, [tr.parse(s) for s in texts])
 
 
 # ---------------------------------------------------------------- filtrations
@@ -59,19 +59,19 @@ def test_lower_filtration_of_free_module():
     tr = ring(3)
     F = free_module(tr, 2)
     chain = first_canonical_filtration(F)
-    assert len(chain.members) == 4
+    assert len(chain) == 4
     base = dims(free_module(ring(1), 2), 4)
     # layer k is a base-free module of the same rank, shifted k degrees by t
-    for k, quot in enumerate(chain.quotients()):
+    for k, quot in enumerate(layer_quotients(F, chain)):
         assert dims(quot, 4) == ([0] * k + base)[: len(base)]
-    assert chain.members[3].is_zero()
+    assert chain[3].is_zero()
 
 
 def test_lower_filtration_of_base_line_module():
     tr = ring(2)
     R_as_module = PresMod(tr, 1, [(tr.S.parse("t"),)])
     chain = first_canonical_filtration(R_as_module)
-    assert chain.members[1].is_zero()
+    assert chain[1].is_zero()
 
 
 def test_lower_filtration_with_twisted_relation():
@@ -79,11 +79,11 @@ def test_lower_filtration_with_twisted_relation():
     S = tr.S
     M = PresMod(tr, 1, [(S.parse("x*t"),)], grading=Grading((0,), 1))
     chain = first_canonical_filtration(M)
-    m1 = chain.members[1]
+    m1 = chain[1]
     assert m1.contains((S.parse("t"),))
     assert not m1.contains((S.parse("1"),))
     # the top layer is one copy of the base line modulo (x), sitting in degree 1
-    G1 = chain.quotient(1)
+    G1 = list(layer_quotients(M, chain))[1]
     assert dims(G1, 4) == [0, 1, 0, 0, 0]
 
 
@@ -93,7 +93,7 @@ def test_upper_filtration_of_mixed_sum():
     # generator 0 spans a copy of the base ring, generator 1 a full free layer
     M = PresMod(tr, 2, [(S.parse("t"), S.parse("0"))])
     chain = second_canonical_filtration(M)
-    up1 = chain.members[1]
+    up1 = chain[1]
     assert up1.contains((S.parse("1"), S.parse("0")))
     assert up1.contains((S.parse("0"), S.parse("t")))
     assert not up1.contains((S.parse("0"), S.parse("1")))
@@ -104,7 +104,7 @@ def test_upper_filtration_detects_hidden_annihilated_element():
     S = tr.S
     J = flag_ideal(tr, ("X^2", "Y^2 + t", "X*Y"))
     chain = second_canonical_filtration(J)
-    up1 = chain.members[1]
+    up1 = chain[1]
     # X*(Y^2 + t) - Y*(X*Y) = X*t is annihilated by t
     assert up1.contains((S.parse("0"), S.parse("X"), S.parse("-Y")))
 
@@ -120,7 +120,7 @@ def test_lower_always_inside_upper():
         lower = first_canonical_filtration(M)
         upper = second_canonical_filtration(M)
         for i in range(tr.n + 1):
-            assert upper.members[i].contains_submodule(lower.members[i])
+            assert upper[i].contains_submodule(lower[i])
 
 
 # ----------------------------------------------------------- comparison maps
@@ -196,7 +196,7 @@ def test_balanced_iff_filtrations_coincide():
         lower = first_canonical_filtration(M)
         upper = second_canonical_filtration(M)
         same = all(
-            lower.members[i].equals(upper.members[i]) for i in range(tr.n + 1)
+            lower[i].equals(upper[i]) for i in range(tr.n + 1)
         )
         assert same == is_balanced(M).balanced
 
@@ -280,7 +280,7 @@ def test_extension_maps_form_exact_sequence():
     assert res.projection.is_surjective()
     comp = res.projection.compose(res.inclusion)
     assert all(
-        res.projection.target.element_is_zero(col) for col in comp.columns
+        res.projection.target.zero_submodule().contains(col) for col in comp.columns
     )
 
 
@@ -316,7 +316,7 @@ def test_hom_evaluation_gives_module_maps():
         (free_module(tr, 1), truncated_free(tr, 1)),
         (truncated_free(tr, 1), free_module(tr, 1)),
         (truncated_free(tr, 1), truncated_free(tr, 1)),
-        (ideal_presentation([tr.elem("x"), tr.elem("y")]), free_module(tr, 2)),
+        (ideal_presentation(tr, [tr.parse("x"), tr.parse("y")]), free_module(tr, 2)),
     ]
     for M, N in pairs:
         H = hom_module(M, N)
@@ -370,10 +370,11 @@ def test_surjectivity_detected_on_restriction():
 
 def test_refining_a_chain_against_itself_is_stable():
     tr = ring(2)
-    chain = first_canonical_filtration(free_module(tr, 1))
-    D, F, pairs = refine_filtrations(chain, chain)
-    assert len(D.members) == len(chain.members)
-    assert len(F.members) == len(chain.members)
+    M = free_module(tr, 1)
+    chain = first_canonical_filtration(M)
+    D, F, pairs = refine_filtrations(M, chain, chain)
+    assert len(D) == len(chain)
+    assert len(F) == len(chain)
 
 
 def test_refinement_of_crossing_chains_matches_series():
@@ -382,11 +383,13 @@ def test_refinement_of_crossing_chains_matches_series():
     F = free_module(tr, 1)
     full = Submodule(F, [F.gen_column(0)])
     zero = Submodule(F, [F.zero_column()])
-    chainA = FiltrationChain(F, [full, Submodule(F, [(S.parse("x"),)]), zero])
-    chainB = FiltrationChain(F, [full, Submodule(F, [(S.parse("y"),)]), zero])
-    DA, FB, _ = refine_filtrations(chainA, chainB)
-    freqA = sorted(tuple(dims(q)) for q in DA.quotients())
-    freqB = sorted(tuple(dims(q)) for q in FB.quotients())
+    chainA = [full, Submodule(F, [(S.parse("x"),)]), zero]
+    chainB = [full, Submodule(F, [(S.parse("y"),)]), zero]
+    for chain in (chainA, chainB):
+        assert_filtration(F, chain)
+    DA, FB, _ = refine_filtrations(F, chainA, chainB)
+    freqA = sorted(tuple(dims(q)) for q in layer_quotients(F, DA))
+    freqB = sorted(tuple(dims(q)) for q in layer_quotients(F, FB))
     assert freqA == freqB
 
 
@@ -395,7 +398,7 @@ def test_refinement_requires_grading():
     M = PresMod(tr, 1, [(tr.S.parse("x + t"),)])
     chain = first_canonical_filtration(M)
     with pytest.raises(ModuleError):
-        refine_filtrations(chain, chain)
+        refine_filtrations(M, chain, chain)
 
 
 def test_canonical_chains_of_balanced_module_coincide():
@@ -403,14 +406,33 @@ def test_canonical_chains_of_balanced_module_coincide():
     I = flag_ideal(tr, ("X^2", "Y^2", "X*Y"))
     lower = first_canonical_filtration(I)
     upper = second_canonical_filtration(I)
-    D, F, _ = refine_filtrations(lower, upper)
-    assert len(D.members) == len(lower.members)
+    D, F, _ = refine_filtrations(I, lower, upper)
+    assert len(D) == len(lower)
     assert all(
-        D.members[i].equals(lower.members[i]) for i in range(len(D.members))
+        D[i].equals(lower[i]) for i in range(len(D))
     )
 
 
 # ------------------------------------------------------------------ plumbing
+
+
+def test_effective_relations_shape():
+    tr = ring(3)
+    S = tr.S
+    M = PresMod(tr, 2, [(S.parse("x"), S.parse("y"))])
+    # the relation column, then one relation t^n * e_i per free position
+    assert M.effective_relations() == [vec_from_polys((S.parse("x"), S.parse("y"))),
+                                       {(0, (0, 0, 3)): 1}, {(1, (0, 0, 3)): 1}]
+
+
+def test_zero_submodule_is_made_once_and_spans_the_relations():
+    tr = ring(2)
+    S = tr.S
+    M = PresMod(tr, 1, [(S.parse("x"),)])
+    zero = M.zero_submodule()
+    assert zero is M.zero_submodule() and zero.gens == []
+    assert zero.contains((S.parse("x*y + t^2"),))
+    assert not zero.contains((S.parse("y"),))
 
 
 def test_presentation_rejects_inhomogeneous_grading():
@@ -514,14 +536,15 @@ def test_refinement_intersects_only_inner_members(monkeypatch):
     tr = ring(3)
     I = flag_ideal(tr, ("x^2", "y^2", "x*y"))
     F = free_module(tr, 1)
-    line = FiltrationChain(F, [Submodule(F, [F.gen_column(0)]),
-                               Submodule(F, [(tr.S.parse("x"),)]),
-                               Submodule(F, [F.zero_column()])])
+    line = [Submodule(F, [F.gen_column(0)]),
+            Submodule(F, [(tr.S.parse("x"),)]),
+            Submodule(F, [F.zero_column()])]
+    assert_filtration(F, line)
     counts = []
-    for D, E in ((first_canonical_filtration(I), second_canonical_filtration(I)),
-                 (line, first_canonical_filtration(F))):
+    for M, D, E in ((I, first_canonical_filtration(I), second_canonical_filtration(I)),
+                    (F, line, first_canonical_filtration(F))):
         before = len(calls)
-        refine_filtrations(D, E)
+        refine_filtrations(M, D, E)
         counts.append(len(calls) - before)
         # the first and last member of each chain are the whole module and zero
         a, b = len(D), len(E)
@@ -582,7 +605,7 @@ def test_intersection_modulo_ambient_relations():
             probe = (a, b)
             if A.contains(probe) and B.contains(probe):
                 assert both.contains(probe)
-                in_both += not M.element_is_zero(probe)
+                in_both += not M.zero_submodule().contains(probe)
     assert in_both
 
 
@@ -598,9 +621,9 @@ def test_saturation_takes_colons_until_nothing_new_appears():
     assert I.saturation(x).equals(Submodule(F, [(y,), (t,)]))
     # in M, x^2*e_0 = 0 and t*e_1 = -x*y*e_0, so e_0 and t*e_1 die under x^2
     M = PresMod(tr, 2, [(x * x, zero), (x * y, t)])
-    sat = Submodule(M, []).saturation(x)
+    sat = M.zero_submodule().saturation(x)
     assert sat.equals(Submodule(M, [(one, zero), (zero, t)]))
-    assert all(M.element_is_zero(tuple(x * x * p for p in g)) for g in sat.gens)
+    assert all(M.zero_submodule().contains(tuple(x * x * p for p in g)) for g in sat.gens)
 
 
 def test_normal_form_and_basis_read_the_span():

@@ -23,7 +23,7 @@ TR = TruncRing(("x", "y"), 2)
 
 
 def ideal(*gens):
-    return ideal_presentation([TR.elem(TR.S.parse(g)) for g in gens])
+    return ideal_presentation(TR, [TR.parse(g) for g in gens])
 
 
 def grading_of(M):

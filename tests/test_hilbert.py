@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from module_oracles import assert_filtration
 from truncmod.arith import PolyRing
 from truncmod.doublepoint import LocalDoubleRing
 from truncmod.multiring import TruncRing
 from truncmod.groebner import SpanGB, vec_from_polys
 from truncmod.fpmod import (
-    FiltrationChain,
     Grading,
     PresMod,
     Submodule,
@@ -84,7 +84,7 @@ def test_quotient_ring_series_helper():
 
 def test_series_match_enumeration():
     tr = TruncRing(("x", "y"), 2)
-    M = ideal_presentation([tr.elem("x^2"), tr.elem("y^2"), tr.elem("x*y")])
+    M = ideal_presentation(tr, [tr.parse("x^2"), tr.parse("y^2"), tr.parse("x*y")])
     hs = hilbert_series_presmod(M)
     assert hs.dimensions(6) == [0, 0, 3, 7, 9, 11, 13]
     for d in range(7):
@@ -157,7 +157,7 @@ def test_hilbert_polynomial_of_twisted_plane():
 
 def test_hilbert_polynomial_of_point_ideal_sheaf():
     tr = plane()
-    I = ideal_presentation([tr.elem("x0"), tr.elem("x1")])
+    I = ideal_presentation(tr, [tr.parse("x0"), tr.parse("x1")])
     hp = hilbert_polynomial(I)
     assert hp.coeffs == F(0, "3/2", "1/2")
     assert [hp.evaluate(d) for d in range(4)] == [0, 2, 5, 9]
@@ -172,7 +172,7 @@ def test_polynomial_degree_and_evaluation():
 
 def test_polynomial_from_series_agrees_for_large_degrees():
     tr = plane()
-    I = ideal_presentation([tr.elem("x0"), tr.elem("x1")])
+    I = ideal_presentation(tr, [tr.parse("x0"), tr.parse("x1")])
     hs = hilbert_series_presmod(I)
     hp = polynomial_from_series(hs)
     for d in range(4, 9):
@@ -216,7 +216,8 @@ def test_reduced_polynomial_accepts_explicit_filtration():
     full = Submodule(S2, [S2.gen_column(0)])
     middle = Submodule(S2, [(tr.S.parse("t"),)])
     zero = Submodule(S2, [S2.zero_column()])
-    chain = FiltrationChain(S2, [full, middle, zero])
+    chain = [full, middle, zero]
+    assert_filtration(S2, chain)
     assert reduced_hilbert_polynomial(S2, filtration=chain).coeffs == F(1, 2, 1)
 
 
@@ -225,7 +226,8 @@ def test_reduced_polynomial_rejects_coarse_filtration():
     S2 = free_module(tr, 1)
     full = Submodule(S2, [S2.gen_column(0)])
     zero = Submodule(S2, [S2.zero_column()])
-    chain = FiltrationChain(S2, [full, zero])
+    chain = [full, zero]
+    assert_filtration(S2, chain)
     # the single quotient is the whole module, on which t acts nontrivially
     with pytest.raises(HilbertError):
         reduced_hilbert_polynomial(S2, filtration=chain)

@@ -7,8 +7,9 @@ answers that do not depend on the generating set:
 * a presentation of the same module from ``transformed_presentation`` gives
   the same balance verdict and witness level, and the same refined member
   counts and matched layers;
-* the refined chains pass ``FiltrationChain``'s own validation, and the
-  matched layers add up to the Hilbert series of the module;
+* both canonical chains and both refined chains are filtrations (they pass
+  ``assert_filtration``), and the matched layers add up to the Hilbert
+  series of the module;
 * at n = 2, ``is_balanced`` agrees with the definition: every kernel and
   cokernel of ``comparison_maps`` vanishes;
 * the quasi-free type (with its layer ranks and first non-free layer), the
@@ -21,9 +22,8 @@ answers that do not depend on the generating set:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from module_oracles import transformed_presentation
+from module_oracles import assert_filtration, transformed_presentation
 from truncmod.fpmod import (
-    FiltrationChain,
     Grading,
     PresMod,
     comparison_maps,
@@ -63,9 +63,12 @@ def presentations(draw, n=None):
     return PresMod(tr, len(degrees), relations, Grading(degrees, 1))
 
 
+def canonical(M):
+    return first_canonical_filtration(M), second_canonical_filtration(M)
+
+
 def refined(M):
-    return refine_filtrations(first_canonical_filtration(M),
-                              second_canonical_filtration(M))
+    return refine_filtrations(M, *canonical(M))
 
 
 def balance(M):
@@ -87,9 +90,10 @@ def test_another_presentation_gives_the_same_answers(M, seed):
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(M=presentations())
 def test_refined_chains_are_filtrations_whose_layers_add_up(M):
-    D, F, pairs = refined(M)
-    for chain in (D, F):
-        FiltrationChain(M, chain.members)
+    first, second = canonical(M)
+    D, F, pairs = refine_filtrations(M, first, second)
+    for chain in (first, second, D, F):
+        assert_filtration(M, chain)
     total = [0] * (THROUGH + 1)
     for _, series in pairs:
         total = [a + b for a, b in zip(total, series.dimensions(THROUGH))]

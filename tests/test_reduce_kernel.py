@@ -226,7 +226,7 @@ def test_every_coefficient_that_leaves_groebner_is_a_fraction_in_lowest_terms(ca
     basis = reduced_groebner(vecs, module_order(ring, rank))
     leaving = [*span.gb, span.normal_form(probe), *span.syzygies(), *basis,
                *interreduce(basis, module_order(ring, rank)),
-               *kernel_through(ring, 1, vecs[:1], vecs[1:]),
+               *kernel_through(ring, rank, 1, vecs[:1], vecs[1:]),
                *(p.terms for p in lifted)]
     assert any(leaving)
     for v in leaving:

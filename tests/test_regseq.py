@@ -6,7 +6,7 @@ import pytest
 
 from module_oracles import koszul_h1_vanishes
 from truncmod.multiring import TruncRing
-from truncmod.fpmod import is_balanced, quasi_free_type
+from truncmod.fpmod import free_module, is_balanced, quasi_free_type
 from truncmod.regseq import (
     SequenceError,
     ideal_presentation,
@@ -21,14 +21,14 @@ def ring(n=2, variables=("x", "y")):
 
 def test_coordinate_sequence_is_regular():
     tr = ring()
-    rep = is_regular_sequence([tr.elem("x"), tr.elem("y")])
+    rep = is_regular_sequence(tr, [tr.parse("x"), tr.parse("y")])
     assert rep.regular
     assert rep.witness is None
 
 
 def test_repeated_element_fails_with_witness():
     tr = ring()
-    rep = is_regular_sequence([tr.elem("x"), tr.elem("x")])
+    rep = is_regular_sequence(tr, [tr.parse("x"), tr.parse("x")])
     assert not rep.regular
     # positions are reported 1-based
     assert rep.witness_index == 2
@@ -38,31 +38,32 @@ def test_repeated_element_fails_with_witness():
 
     w = rep.witness
     S = tr.S
-    earlier = SpanGB(S, 1, [vec_from_polys((S.parse("x"),))] + tr.t_power_relations(1))
+    earlier = SpanGB(S, 1, [vec_from_polys((S.parse("x"),))]
+                     + free_module(tr, 1).effective_relations())
     assert not earlier.contains(vec_from_polys((w,)))
     assert earlier.contains(vec_from_polys((tr.truncate(w * S.parse("x")),)))
 
 
 def test_perturbed_coordinates_stay_regular():
     tr = ring()
-    rep = is_regular_sequence([tr.elem("x + t"), tr.elem("y + x*t")])
+    rep = is_regular_sequence(tr, [tr.parse("x + t"), tr.parse("y + x*t")])
     assert rep.regular
     assert [tr.base.format(r) for r in rep.reductions] == ["x", "y"]
 
 
 def test_weak_convention_ignores_unit_ideals():
     tr = ring()
-    rep = is_regular_sequence([tr.elem("1 + x")])
+    rep = is_regular_sequence(tr, [tr.parse("1 + x")])
     assert rep.regular
     # the colon-ladder criterion is the weak one: once the partial ideal
     # reaches the whole ring every later step passes vacuously
-    rep2 = is_regular_sequence([tr.elem("1 + x"), tr.elem("x")])
+    rep2 = is_regular_sequence(tr, [tr.parse("1 + x"), tr.parse("x")])
     assert rep2.regular
 
 
 def test_zero_divisor_first_element_fails():
     tr = ring()
-    rep = is_regular_sequence([tr.elem("t"), tr.elem("x")])
+    rep = is_regular_sequence(tr, [tr.parse("t"), tr.parse("x")])
     assert not rep.regular
     assert rep.witness_index == 1
 
@@ -70,42 +71,51 @@ def test_zero_divisor_first_element_fails():
 def test_shadow_membership_examples():
     tr = ring()
     B = tr.base
-    assert shadow_membership(B.parse("x"), [tr.elem("x")])
-    assert not shadow_membership(B.parse("1"), [tr.elem("x"), tr.elem("y")])
-    assert shadow_membership(B.parse("x^2"), [tr.elem("x + t"), tr.elem("y")])
+    assert shadow_membership(tr, B.parse("x"), [tr.parse("x")])
+    assert not shadow_membership(tr, B.parse("1"), [tr.parse("x"), tr.parse("y")])
+    assert shadow_membership(tr, B.parse("x^2"), [tr.parse("x + t"), tr.parse("y")])
 
 
 def test_shadow_membership_linear_cases():
     tr = ring()
     B = tr.base
-    seq = [tr.elem("x + t"), tr.elem("y + x*t")]
-    assert shadow_membership(B.parse("x"), seq)
-    assert shadow_membership(B.parse("y"), seq)
-    assert shadow_membership(B.parse("x*y - y^2"), seq)
-    assert not shadow_membership(B.parse("1"), seq)
-    assert not shadow_membership(B.parse("x + 1"), seq)
+    seq = [tr.parse("x + t"), tr.parse("y + x*t")]
+    assert shadow_membership(tr, B.parse("x"), seq)
+    assert shadow_membership(tr, B.parse("y"), seq)
+    assert shadow_membership(tr, B.parse("x*y - y^2"), seq)
+    assert not shadow_membership(tr, B.parse("1"), seq)
+    assert not shadow_membership(tr, B.parse("x + 1"), seq)
 
 
 def test_shadow_membership_requires_regular_sequence():
     tr = ring()
     with pytest.raises(SequenceError):
-        shadow_membership(tr.base.parse("x"), [tr.elem("x"), tr.elem("x")])
+        shadow_membership(tr, tr.base.parse("x"), [tr.parse("x"), tr.parse("x")])
+
+
+def test_empty_sequence_is_refused():
+    tr = ring()
+    for call in (lambda: is_regular_sequence(tr, []),
+                 lambda: shadow_membership(tr, tr.base.parse("x"), []),
+                 lambda: ideal_presentation(tr, [])):
+        with pytest.raises(SequenceError, match="empty sequence"):
+            call()
 
 
 def test_balanced_ideal_of_coordinates():
     tr = ring()
-    seq = [tr.elem("x"), tr.elem("y")]
-    assert is_regular_sequence(seq).regular
-    I = ideal_presentation(seq)
+    seq = [tr.parse("x"), tr.parse("y")]
+    assert is_regular_sequence(tr, seq).regular
+    I = ideal_presentation(tr, seq)
     assert is_balanced(I).balanced
     assert I.ngens == 2
 
 
 def test_balanced_ideal_principal_case_is_free():
     tr = ring()
-    seq = [tr.elem("x + t")]
-    assert is_regular_sequence(seq).regular
-    I = ideal_presentation(seq)
+    seq = [tr.parse("x + t")]
+    assert is_regular_sequence(tr, seq).regular
+    I = ideal_presentation(tr, seq)
     assert is_balanced(I).balanced
     assert quasi_free_type(I).type_vector == (0, 1)
 
@@ -113,9 +123,9 @@ def test_balanced_ideal_principal_case_is_free():
 def test_balanced_ideal_for_twisted_generators():
     tr = ring()
     for a, b in (("0", "0"), ("1", "0"), ("y", "x"), ("1 + x", "y^2")):
-        seq = [tr.elem(f"x + ({a})*t"), tr.elem(f"y + ({b})*t")]
-        assert is_regular_sequence(seq).regular
-        assert is_balanced(ideal_presentation(seq)).balanced
+        seq = [tr.parse(f"x + ({a})*t"), tr.parse(f"y + ({b})*t")]
+        assert is_regular_sequence(tr, seq).regular
+        assert is_balanced(ideal_presentation(tr, seq)).balanced
 
 
 def test_regularity_is_permutation_invariant_for_homogeneous_input():
@@ -128,7 +138,7 @@ def test_regularity_is_permutation_invariant_for_homogeneous_input():
     ]
     for texts, expected in homogeneous_cases:
         for perm in itertools.permutations(texts):
-            rep = is_regular_sequence([tr.elem(s) for s in perm])
+            rep = is_regular_sequence(tr, [tr.parse(s) for s in perm])
             assert rep.regular == expected
 
 
@@ -141,16 +151,16 @@ def test_koszul_cross_check_on_short_sequences():
         ["x^2", "y^2", "x*y"],
     ]
     for texts in cases:
-        seq = [tr.elem(s) for s in texts]
-        assert koszul_h1_vanishes(seq) == is_regular_sequence(seq).regular
+        seq = [tr.parse(s) for s in texts]
+        assert koszul_h1_vanishes(tr, seq) == is_regular_sequence(tr, seq).regular
 
 
 def test_monomial_triple_boundary_case():
     # three quadrics in two variables: never a regular sequence, yet the
     # ideal they span is balanced; the implication only runs one way
     tr = ring(2, ("X", "Y"))
-    seq = [tr.elem("X^2"), tr.elem("Y^2"), tr.elem("X*Y")]
-    rep = is_regular_sequence(seq)
+    seq = [tr.parse("X^2"), tr.parse("Y^2"), tr.parse("X*Y")]
+    rep = is_regular_sequence(tr, seq)
     assert not rep.regular
-    I = ideal_presentation(seq)
+    I = ideal_presentation(tr, seq)
     assert is_balanced(I).balanced

@@ -15,6 +15,7 @@ from truncmod.groebner import (
     vec_from_polys,
     vec_reduce,
 )
+from truncmod.fpmod import free_module
 from truncmod.multiring import TruncRing
 
 # exponents of (x, y, t); t stays below the smallest truncation order used
@@ -69,7 +70,7 @@ def spans(draw):
         return vec_from_polys(tuple(poly() for _ in range(rank)))
 
     vecs = [vector() for _ in range(draw(st.integers(1, size)))]
-    vecs += tr.t_power_relations(rank)
+    vecs += free_module(tr, rank).effective_relations()
     element = vector()
     multipliers = [poly() for _ in vecs]
     return tr, rank, vecs, element, multipliers
