@@ -319,9 +319,6 @@ class PolyRing:
         exps[self._index[name]] = 1
         return Poly(self, {tuple(exps): Fraction(1)})
 
-    def gens(self) -> list[Poly]:
-        return [self.gen(v) for v in self.variables]
-
     def from_terms(self, terms: dict[Exponents, Fraction]) -> Poly:
         clean = {tuple(e): Fraction(c) for e, c in terms.items() if c != 0}
         for e in clean:
@@ -414,9 +411,6 @@ class Poly:
     def __sub__(self, other) -> Poly:
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> Poly:
-        return self._coerce(other) - self
-
     def times(self, other, below: Bound | None = None) -> Poly:
         """The product with ``other``; with ``below = (i, b)`` every term
         whose exponent at variable ``i`` would reach ``b`` is left out, and
@@ -494,16 +488,6 @@ class Poly:
                     term = _product(term, ladder[k - 1], below)
             out = _sum(out, term)
         return _leave(target, out)
-
-    def evaluate(self, point: dict[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for name, k in zip(self.ring.variables, e):
-                if k:
-                    v *= Fraction(point[name]) ** k
-            total += v
-        return total
 
     def __str__(self) -> str:
         return self.ring.format(self)

@@ -148,9 +148,9 @@ def _is_integer(value) -> bool:
 
 
 def _parse_int(value, where: str) -> int:
-    """``int(value)``, with what ``int`` rejects, and a JSON boolean, reported
-    as a schema error."""
-    if isinstance(value, bool):
+    """``int(value)``, with what ``int`` rejects, a JSON boolean and a number
+    with a fractional part reported as a schema error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise SchemaError(f"{where}: expected an integer, got {value!r}")
     try:
         return int(value)
@@ -421,8 +421,9 @@ def _cmd_balanced(ring, payload, options):
             witness = str(ring.truncate(elem))
         else:
             witness = _ser_col(rep.witness)
-    return {"balanced": rep.balanced, "by_composite": rep.by_composite,
-            "by_filtration": rep.by_filtration, "witness": witness,
+    # is_balanced raises unless its two routes agree, so each equals the verdict
+    return {"balanced": rep.balanced, "by_composite": rep.balanced,
+            "by_filtration": rep.balanced, "witness": witness,
             "witness_level": rep.witness_level, "note": rep.note}
 
 

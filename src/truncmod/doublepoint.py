@@ -136,18 +136,15 @@ class PointIdeal:
         tr = ring.trunc
         self.gen_x = tr.truncate(ring.x + tr.inject(self.a) * ring.t)
         self.gen_y = tr.truncate(ring.y + tr.inject(self.b) * ring.t)
-        self._ideal = Submodule(free_module(tr, 1), [(self.gen_x,), (self.gen_y,)])
+        ideal = Submodule(free_module(tr, 1), [(self.gen_x,), (self.gen_y,)])
         x, y, t = ring.x, ring.y, ring.t
         for probe in (x * x, x * y, y * y, x * t, y * t):
-            if not self._ideal.contains((probe,)):
+            if not ideal.contains((probe,)):
                 raise DoublePointError(
                     f"ideal misses {probe}: not a double-point ideal")
 
     def __repr__(self) -> str:
         return f"PointIdeal(a={self.a}, b={self.b})"
-
-    def contains(self, elem: Poly) -> bool:
-        return self._ideal.contains((self.ring.trunc.truncate(elem),))
 
 
 @dataclass(frozen=True)
@@ -350,10 +347,10 @@ def _phi_defaults(ring: LocalDoubleRing):
 
 
 @dataclass
-class ResolutionReport:
-    """Outcome of the degree-bounded exactness checks for the standard
-    resolution of the reduced maximal ideal; ``dimension_table`` rows are
-    (degree, dim ker phi0, dim im phi1, dim ker phi1, dim im phi2)."""
+class TableReport:
+    """Outcome of a degree-bounded check: whether it passed, what failed,
+    and one ``dimension_table`` row of five integers per degree, whose
+    columns the check names."""
 
     ok: bool
     failures: list[str]
@@ -363,11 +360,12 @@ class ResolutionReport:
 def verify_maximal_ideal_resolution(ring: LocalDoubleRing, degree_bound: int,
                                     phi1_cols: list[Column] | None = None,
                                     phi2_cols: list[Column] | None = None
-                                    ) -> ResolutionReport:
+                                    ) -> TableReport:
     """Check the three-step resolution of (x, y) as a module over the
     double ring: composites vanish, kernels equal images (exact spans and a
     per-degree dimension table up to the bound), and the displayed kernel
-    of the first map is confirmed by double inclusion."""
+    of the first map is confirmed by double inclusion.  The table rows are
+    (degree, dim ker phi0, dim im phi1, dim ker phi1, dim im phi2)."""
     if degree_bound < 2:
         raise DoublePointError("degree bound must be at least 2")
     tr = ring.trunc
@@ -422,18 +420,7 @@ def verify_maximal_ideal_resolution(ring: LocalDoubleRing, degree_bound: int,
             failures.append(
                 f"degree {d}: dim ker(phi1) = {dim_ker1} but dim im(phi2) = {dim_im2}")
 
-    return ResolutionReport(not failures, failures, table)
-
-
-@dataclass
-class ExtComplexReport:
-    """Outcome of the derived-complex check; ``dimension_table`` rows are
-    (degree, dim ker psi2, dim im psi1, quotient dim via presentation,
-    expected dim)."""
-
-    ok: bool
-    failures: list[str]
-    dimension_table: list[tuple[int, int, int, int, int]]
+    return TableReport(not failures, failures, table)
 
 
 def _psi_slice(mat: list[list[Poly]], slots: int,
@@ -484,13 +471,14 @@ def _psi_map(ring: LocalDoubleRing, matrix: list[list[Poly]],
 def ext_complex_check(ring: LocalDoubleRing, degree_bound: int,
                       psi1: list[list[Poly]] | None = None,
                       psi2: list[list[Poly]] | None = None
-                      ) -> ExtComplexReport:
+                      ) -> TableReport:
     """Check the two derived-complex maps on (m*I)-tuples: the kernel of
     the second map is the first slot plus the diagonal copy, the image of
     the first is the square of the maximal ideal in the first slot, and the
     per-degree dimensions of kernel-mod-image match the expected count
     (two in degree 2 from the conormal part, plus a polynomial part of
-    dimension d - 1 for d >= 2)."""
+    dimension d - 1 for d >= 2).  The table rows are (degree, dim ker psi2,
+    dim im psi1, quotient dim via presentation, expected dim)."""
     if degree_bound < 2:
         raise DoublePointError("degree bound must be at least 2")
     x0, y0 = ring.base.gen("x"), ring.base.gen("y")
@@ -551,7 +539,7 @@ def ext_complex_check(ring: LocalDoubleRing, degree_bound: int,
                     f"degree {d}: quotient dims {dim_ker - dim_im} (count) / "
                     f"{via_pres} (presentation), expected {expected}")
 
-    return ExtComplexReport(not failures, failures, table)
+    return TableReport(not failures, failures, table)
 
 
 # -- extension modules from a class vector and a multiplier -----------------

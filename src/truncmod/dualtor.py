@@ -111,7 +111,3 @@ def torsion(M: PresMod) -> TorsionReport:
         raise ModuleError("saturation oracle disagrees with the double-dual kernel")
 
     return TorsionReport(submodule, witnesses, not ker)
-
-
-def is_torsion_free(M: PresMod) -> bool:
-    return torsion(M).is_torsion_free

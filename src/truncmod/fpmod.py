@@ -252,9 +252,6 @@ class Submodule:
     def equals(self, other: Submodule) -> bool:
         return self.contains_submodule(other) and other.contains_submodule(self)
 
-    def is_zero(self) -> bool:
-        return self.ambient.zero_submodule().contains_submodule(self)
-
     def intersection_gens(self, other: Submodule) -> list[Column]:
         """Generators of the intersection: the combinations of this
         submodule's generators that lie in ``other``."""
@@ -289,11 +286,6 @@ def layer_quotients(M: PresMod, members: list[Submodule]) -> Iterator[PresMod]:
     one at a time as they are asked for."""
     for a, b in zip(members, members[1:]):
         yield subquotient(M, a.gens, b.gens)
-
-
-def quotient_by_submodule(M: PresMod, gens: list[Column]) -> PresMod:
-    """M / span(gens): same generators, extra relations."""
-    return PresMod(M.ring, M.ngens, M.relations + [tuple(g) for g in gens], M.grading)
 
 
 # -- canonical filtrations ------------------------------------------------
@@ -355,17 +347,11 @@ class ModMap:
     def kernel_gens(self) -> list[Column]:
         return self.target.zero_submodule().kernel_through(self.columns)
 
-    def kernel_presentation(self) -> PresMod:
-        return subquotient(self.source, self.kernel_gens(), [])
-
     def is_injective(self) -> bool:
         return all(self.source.zero_submodule().contains(g) for g in self.kernel_gens())
 
     def image_submodule(self) -> Submodule:
         return Submodule(self.target, list(self.columns))
-
-    def cokernel_presentation(self) -> PresMod:
-        return quotient_by_submodule(self.target, list(self.columns))
 
     def is_surjective(self) -> bool:
         image = self.image_submodule()
@@ -373,26 +359,7 @@ class ModMap:
                    for j in range(self.target.ngens))
 
 
-# -- comparison maps between filtration layers ----------------------------
-
-
-@dataclass
-class ComparisonData:
-    """Members and comparison maps of both t-power filtrations; the layers
-    are the maps' sources and targets.
-
-    lambdas[i] is the injection layer^(i+2) -> layer^(i+1) of the annihilator
-    filtration (multiplication by t), mus[i] the surjection layer_i ->
-    layer_(i+1) of the image filtration, gamma_ker[i] = ker(mus[i]) and
-    gamma_coker[i] = coker(lambdas[i]); all lists run over i = 0..n-2.
-    """
-
-    lower_members: list[Submodule]   # M_i, i = 0..n
-    upper_members: list[Submodule]   # ann(t^i), i = 0..n
-    lambdas: list[ModMap]
-    mus: list[ModMap]
-    gamma_ker: list[PresMod]
-    gamma_coker: list[PresMod]
+# -- balanced test --------------------------------------------------------
 
 
 def _annihilator_side(M: PresMod) -> tuple[list[Submodule], list[ModMap]]:
@@ -418,36 +385,9 @@ def _annihilator_side(M: PresMod) -> tuple[list[Submodule], list[ModMap]]:
     return members, lambdas
 
 
-def comparison_maps(M: PresMod) -> ComparisonData:
-    upper_members, lambdas = _annihilator_side(M)
-    first = first_canonical_filtration(M)
-    lower_layers = list(layer_quotients(M, first))
-
-    mus: list[ModMap] = []
-    for src, tgt in zip(lower_layers, lower_layers[1:]):
-        mu = ModMap(src, tgt, [tgt.gen_column(j) for j in range(tgt.ngens)])
-        if not mu.is_surjective():
-            raise ModuleError("image layer map failed surjectivity")
-        mus.append(mu)
-
-    return ComparisonData(
-        lower_members=first,
-        upper_members=upper_members,
-        lambdas=lambdas,
-        mus=mus,
-        gamma_ker=[mu.kernel_presentation() for mu in mus],
-        gamma_coker=[lam.cokernel_presentation() for lam in lambdas],
-    )
-
-
-# -- balanced test --------------------------------------------------------
-
-
 @dataclass
 class BalancedReport:
     balanced: bool
-    by_composite: bool
-    by_filtration: bool
     witness_level: int | None = None    # i with ann(t^(n-i)) ⊄ t^i M
     witness: Column | None = None       # cover coordinates of an offender
     note: str = ""
@@ -456,12 +396,12 @@ class BalancedReport:
 def is_balanced(M: PresMod) -> BalancedReport:
     """Two independent routes: surjectivity of the composite of all
     annihilator layer injections, and levelwise equality t^i M = ann(t^(n-i));
-    the routes must agree.  Only the annihilator side of ``comparison_maps``
-    is built; of the image filtration only its members are read."""
+    the routes must agree.  Of the comparison maps only the annihilator
+    injections are built; of the image filtration only its members are
+    read."""
     n = M.ring.n
     if n <= 1:
-        return BalancedReport(True, True, True,
-                              note="all comparison kernels and cokernels vanish")
+        return BalancedReport(True, note="all comparison kernels and cokernels vanish")
     upper_members, lambdas = _annihilator_side(M)
     lower_members = first_canonical_filtration(M)
     composite = lambdas[0]
@@ -484,7 +424,7 @@ def is_balanced(M: PresMod) -> BalancedReport:
                      composite=by_composite, filtration=witness is None)
     note = ("all comparison kernels and cokernels vanish" if balanced
             else f"ann(t^{n - witness_level}) exceeds t^{witness_level} M")
-    return BalancedReport(balanced, balanced, balanced, witness_level, witness, note)
+    return BalancedReport(balanced, witness_level, witness, note)
 
 
 # -- freeness and types ---------------------------------------------------
@@ -672,6 +612,10 @@ def refine_filtrations(M: PresMod, D: list[Submodule], F: list[Submodule]
     Both chains must descend from the whole module to zero, as the
     canonical filtrations do: then member (i, 0) is D_i and member (i, m)
     is D_{i+1}, so only the inner members F_1 .. F_(m-1) are intersected.
+    The returned chains keep their first member and each member that ends
+    a nonzero layer: a graded layer is zero exactly when its series is, and
+    then its two ends are equal.  So each chain has one member more than
+    the pairing has entries.
     """
     from .hilbert import hilbert_series_presmod
 
@@ -694,6 +638,7 @@ def refine_filtrations(M: PresMod, D: list[Submodule], F: list[Submodule]
     m_d, m_f = len(D) - 1, len(F) - 1
 
     pairing = []
+    d_ends, f_ends = [], []
     for i in range(m_d):
         for j in range(m_f):
             k, l = i * m_f + j, j * m_d + i
@@ -704,15 +649,11 @@ def refine_filtrations(M: PresMod, D: list[Submodule], F: list[Submodule]
                          second_chain=hilbert_series_presmod(fq))
             if hs_d.numerator_coeffs:
                 pairing.append(((i, j), hs_d))
+                d_ends.append(k + 1)
+                f_ends.append(l + 1)
 
-    def collapse(chain: list[Submodule]) -> list[Submodule]:
-        out = [chain[0]]
-        for sub in chain[1:]:
-            if not out[-1].equals(sub):
-                out.append(sub)
-        return out
-
-    return collapse(d_chain), collapse(f_chain), pairing
+    return ([d_chain[0]] + [d_chain[k] for k in d_ends],
+            [f_chain[0]] + [f_chain[l] for l in sorted(f_ends)], pairing)
 
 
 # -- Hom and Ext ----------------------------------------------------------

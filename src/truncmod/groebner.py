@@ -54,8 +54,8 @@ the lead coefficient is 1, as it is for every element ``buchberger`` and
 coefficients and are converted once: by ``buchberger`` for its generators,
 and by ``SpanGB`` for each vector it is asked about.
 ``_fractions`` alone builds ``Fraction``s, where a vector leaves:
-``SpanGB.gb``, ``normal_form``, ``lift``, ``syzygies`` (and so
-``kernel_through``), ``reduced_groebner`` and ``interreduce``.
+``SpanGB.gb``, ``normal_form``, ``lift`` and ``syzygies`` (and so
+``kernel_through``).
 
 ``buchberger`` takes S-pairs by the sugar strategy (Giovini, Mora, Niesi,
 Robbiano and Traverso, ISSAC 1991), with the Gebauer-Moeller criteria.  An
@@ -143,10 +143,6 @@ def vec_to_polys(ring: PolyRing, rank: int, v: VecT) -> tuple[Poly, ...]:
     return tuple(Poly(ring, t) for t in parts)
 
 
-def vec_lead(v: VecT | PairVec, morder: ModuleOrder) -> Term:
-    return max(v, key=morder.key)
-
-
 def _pairs(v: VecT) -> PairVec:
     """The integer form of ``v``, whose coefficients are ``Fraction`` or
     ``int``, in the same key order."""
@@ -223,15 +219,11 @@ class _LeadIndex:
         return out
 
 
-def vec_reduce(v: PairVec, basis: list[PairVec] | _LeadIndex, morder: ModuleOrder) -> PairVec:
-    """Full normal form of ``v`` modulo ``basis``, in the integer form.
-
-    ``basis`` is a ``_LeadIndex`` or a list of vectors, which is indexed for
-    this call only.  The remainder's terms are in descending order, so its
+def vec_reduce(v: PairVec, index: _LeadIndex, morder: ModuleOrder) -> PairVec:
+    """Full normal form of ``v`` modulo the basis of ``index``, in the
+    integer form.  The remainder's terms are in descending order, so its
     first key is its lead.
     """
-    index = (basis if isinstance(basis, _LeadIndex)
-             else _LeadIndex((g, vec_lead(g, morder)) for g in basis))
     divisor, splits, leads = index.divisor, index.splits, index.leads
     remainder: PairVec = {}
     work = dict(v)
@@ -420,15 +412,6 @@ def _interreduce(basis: list[PairVec], morder: ModuleOrder) -> list[PairVec]:
     return reduced
 
 
-def interreduce(basis: list[VecT], morder: ModuleOrder) -> list[VecT]:
-    """``_interreduce`` on ``Fraction`` vectors."""
-    return [_fractions(g) for g in _interreduce([_pairs(v) for v in basis], morder)]
-
-
-def reduced_groebner(vecs: list[VecT], morder: ModuleOrder) -> list[VecT]:
-    return [_fractions(g) for g in _interreduce(buchberger(vecs, morder), morder)]
-
-
 # -- spans with membership, lifts and syzygies ---------------------------
 
 
@@ -507,12 +490,12 @@ class SpanGB:
             coeffs[pos - self.rank][e] = c
         return [Poly(self.ring, c) for c in coeffs]
 
-    def syzygies(self, first: int | None = None) -> list[VecT]:
-        """Generators of {c in S^k : sum(c_i * v_i) = 0}, or with ``first``
-        their projections onto the first ``first`` coordinates, without
-        zeros and without repeats up to a constant factor.  The generators
-        are distinct and monic, so none of them is dropped."""
-        first = len(self.vecs) if first is None else first
+    def syzygies(self, first: int) -> list[VecT]:
+        """The projections onto the first ``first`` coordinates of generators
+        of {c in S^k : sum(c_i * v_i) = 0}, without zeros and without repeats
+        up to a constant factor; with ``first = k`` they are the generators
+        themselves, which are distinct and monic, so none of them is
+        dropped."""
         out: list[VecT] = []
         seen = set()
         for s in self._graph_data()[1]:

@@ -87,16 +87,14 @@ def _interreduce_monomials(gens: list[Exponents]) -> list[Exponents]:
     return out
 
 
-def monomial_quotient_numerator(gens: list[Exponents],
-                                _memo: dict | None = None) -> dict[int, int]:
+def monomial_quotient_numerator(gens: list[Exponents], memo: dict) -> dict[int, int]:
     """Numerator of the series of S/(monomial ideal), by recursion on one
-    generator at a time: N(I) = N(I - m) - z^deg(m) * N((I - m) : m)."""
-    if _memo is None:
-        _memo = {}
+    generator at a time: N(I) = N(I - m) - z^deg(m) * N((I - m) : m).
+    ``memo`` holds the numerators already found, by interreduced generators."""
     gens = _interreduce_monomials(gens)
     key = tuple(gens)
-    if key in _memo:
-        return dict(_memo[key])
+    if key in memo:
+        return dict(memo[key])
     if not gens:
         result: dict[int, int] = {0: 1}
     elif any(sum(e) == 0 for e in gens):
@@ -106,15 +104,15 @@ def monomial_quotient_numerator(gens: list[Exponents],
     else:
         m = gens[-1]
         rest = gens[:-1]
-        a = monomial_quotient_numerator(rest, _memo)
+        a = monomial_quotient_numerator(rest, memo)
         colon = [tuple(max(x - y, 0) for x, y in zip(e, m)) for e in rest]
-        b = monomial_quotient_numerator(colon, _memo)
+        b = monomial_quotient_numerator(colon, memo)
         dm = sum(m)
         result = dict(a)
         for d, c in b.items():
             result[d + dm] = result.get(d + dm, 0) - c
         result = {d: c for d, c in result.items() if c}
-    _memo[key] = dict(result)
+    memo[key] = dict(result)
     return result
 
 
@@ -284,34 +282,20 @@ def _layer_sum(layers) -> HilbertPolynomial:
     return total
 
 
-def reduced_hilbert_polynomial(M, filtration=None) -> HilbertPolynomial:
+def reduced_hilbert_polynomial(M) -> HilbertPolynomial:
     """Hilbert polynomial through the t-power layer decomposition: the sum of
     the base-ring polynomials of the image-filtration layers.  The
     annihilator-filtration layers and the direct restriction of scalars
-    must give the same answer.
-
-    A caller-supplied filtration, a descending list of ``Submodule``s of M
-    from M to zero, may be passed as well; its quotients must all be
-    annihilated by t, and its layer sum must agree with the canonical
-    value."""
+    must give the same answer."""
     if M.grading is None:
         raise HilbertError("reduced hilbert polynomial needs grading data")
-    total = agree(
+    return agree(
         HilbertError, "reduced hilbert polynomial",
         image_layers=_layer_sum(
             fpmod.layer_quotients(M, fpmod.first_canonical_filtration(M))),
         annihilator_layers=_layer_sum(
             fpmod.layer_quotients(M, fpmod.second_canonical_filtration(M))),
         restriction=hilbert_polynomial(M))
-    if filtration is not None:
-        layers = list(fpmod.layer_quotients(M, filtration))
-        for k, layer in enumerate(layers):
-            if not layer.is_t_annihilated():
-                raise HilbertError(
-                    f"supplied filtration quotient {k} is not annihilated by t")
-        agree(HilbertError, "layer sum of the supplied filtration",
-              supplied=_layer_sum(layers), canonical=total)
-    return total
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,19 @@ Nothing here calls ``groebner``'s reduction or S-vector code: the normal
 form takes the ``max`` term under ``ModuleOrder.key`` and subtracts a scaled
 copy term by term, and ``is_groebner`` builds its own S-vectors.  The two
 conversions read and write ``groebner``'s integer form, ``term ->
-(numerator, denominator)``, for the tests that call its private parts."""
+(numerator, denominator)``, for the tests that call its private parts, and
+``lead_index`` indexes a basis for ``vec_reduce`` with leads found by
+``vec_lead``, a scan over every term."""
 
 from fractions import Fraction
 
 from truncmod.arith import mono_div, mono_divides, mono_lcm
-from truncmod.groebner import vec_lead
+from truncmod.groebner import _LeadIndex
+
+
+def vec_lead(v, morder):
+    """The largest term of ``v`` under ``morder.key``."""
+    return max(v, key=morder.key)
 
 
 def to_pairs(v):
@@ -21,6 +28,12 @@ def to_fractions(v):
     """A vector in the integer form as ``Fraction`` coefficients, in the
     same key order."""
     return {t: Fraction(n, d) for t, (n, d) in v.items()}
+
+
+def lead_index(basis, morder):
+    """A ``_LeadIndex`` over the integer forms of the ``Fraction`` vectors
+    ``basis``."""
+    return _LeadIndex((to_pairs(g), vec_lead(g, morder)) for g in basis)
 
 
 def sub_scaled(v, w, mono, coeff):

@@ -5,13 +5,35 @@ so an answer that must not depend on the generating set can be compared
 across the two.  ``koszul_h1_vanishes`` decides regularity of a short
 sequence by first Koszul homology, a route independent of
 ``regseq``'s colon ladders.  ``assert_filtration`` checks that a list of
-submodules is a filtration."""
+submodules is a filtration, and ``filtration_layer_sum`` adds up the reduced
+Hilbert polynomials of its layers.  ``comparison_maps`` builds every
+comparison map between consecutive layers of the two t-power filtrations,
+with their kernels and cokernels, as a second reading of balance."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from truncmod.arith import Poly
-from truncmod.fpmod import Grading, PresMod, Submodule, column_degree, free_module
+from truncmod.fpmod import (
+    Grading,
+    ModMap,
+    ModuleError,
+    PresMod,
+    Submodule,
+    _annihilator_side,
+    column_degree,
+    first_canonical_filtration,
+    free_module,
+    layer_quotients,
+    subquotient,
+)
+from truncmod.hilbert import (
+    HilbertError,
+    HilbertPolynomial,
+    layer_base_series,
+    polynomial_from_series,
+)
 
 
 def transformed_presentation(M: PresMod, seed: int, steps: int = 12) -> PresMod:
@@ -108,7 +130,7 @@ def assert_filtration(M, members) -> None:
     zero and descends."""
     full = Submodule(M, [M.gen_column(i) for i in range(M.ngens)])
     assert members and members[0].equals(full), "the chain does not start at M"
-    assert members[-1].is_zero(), "the chain does not end at zero"
+    assert M.zero_submodule().contains_submodule(members[-1]), "the chain does not end at zero"
     for k, (a, b) in enumerate(zip(members, members[1:])):
         assert a.contains_submodule(b), f"member {k + 1} is not inside member {k}"
 
@@ -126,3 +148,70 @@ def koszul_h1_vanishes(ring, seq) -> bool:
         tuple(seq[i] if k == j else -seq[j] if k == i else zero for k in range(p))
         for i in range(p) for j in range(i + 1, p)])
     return all(boundaries.contains(z) for z in cycles)
+
+
+def filtration_layer_sum(M, members) -> HilbertPolynomial:
+    """The sum of the base-ring Hilbert polynomials of the layers of the
+    filtration ``members`` of M; raises ``HilbertError`` when t does not
+    annihilate a layer.  For every such filtration the sum is the reduced
+    Hilbert polynomial of M."""
+    total = HilbertPolynomial.make([])
+    for k, layer in enumerate(layer_quotients(M, members)):
+        if not layer.is_t_annihilated():
+            raise HilbertError(f"filtration quotient {k} is not annihilated by t")
+        total = total + polynomial_from_series(layer_base_series(layer))
+    return total
+
+
+def quotient_by_submodule(M: PresMod, gens) -> PresMod:
+    """M / span(gens): same generators, extra relations."""
+    return PresMod(M.ring, M.ngens, M.relations + [tuple(g) for g in gens], M.grading)
+
+
+def kernel_presentation(f: ModMap) -> PresMod:
+    return subquotient(f.source, f.kernel_gens(), [])
+
+
+def cokernel_presentation(f: ModMap) -> PresMod:
+    return quotient_by_submodule(f.target, list(f.columns))
+
+
+@dataclass
+class ComparisonData:
+    """Members and comparison maps of both t-power filtrations; the layers
+    are the maps' sources and targets.
+
+    lambdas[i] is the injection layer^(i+2) -> layer^(i+1) of the annihilator
+    filtration (multiplication by t), mus[i] the surjection layer_i ->
+    layer_(i+1) of the image filtration, gamma_ker[i] = ker(mus[i]) and
+    gamma_coker[i] = coker(lambdas[i]); all lists run over i = 0..n-2.
+    """
+
+    lower_members: list   # M_i, i = 0..n
+    upper_members: list   # ann(t^i), i = 0..n
+    lambdas: list
+    mus: list
+    gamma_ker: list
+    gamma_coker: list
+
+
+def comparison_maps(M: PresMod) -> ComparisonData:
+    upper_members, lambdas = _annihilator_side(M)
+    first = first_canonical_filtration(M)
+    lower_layers = list(layer_quotients(M, first))
+
+    mus = []
+    for src, tgt in zip(lower_layers, lower_layers[1:]):
+        mu = ModMap(src, tgt, [tgt.gen_column(j) for j in range(tgt.ngens)])
+        if not mu.is_surjective():
+            raise ModuleError("image layer map failed surjectivity")
+        mus.append(mu)
+
+    return ComparisonData(
+        lower_members=first,
+        upper_members=upper_members,
+        lambdas=lambdas,
+        mus=mus,
+        gamma_ker=[kernel_presentation(mu) for mu in mus],
+        gamma_coker=[cokernel_presentation(lam) for lam in lambdas],
+    )

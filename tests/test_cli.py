@@ -613,6 +613,17 @@ def test_shape_fields_accept_integer_strings_and_floats():
     ("module.filtration", {"ring": RING_DOUBLE,
                            "payload": {"truncated_free": {"level": True}}},
      "payload.truncated_free.level"),
+    # nor are numbers with a fractional part, which int() would truncate
+    ("module.filtration", {"ring": RING_DOUBLE, "payload": {"free": {"rank": 2.7}}},
+     "payload.free.rank"),
+    ("module.filtration", {"ring": RING_DOUBLE,
+                           "payload": {"free": {"rank": 1, "degrees": [0.6]}}},
+     "payload.free.degrees"),
+    ("module.filtration", {"ring": RING_DOUBLE,
+                           "payload": {"truncated_free": {"level": 1.5}}},
+     "payload.truncated_free.level"),
+    ("gb", {"ring": RING_DOUBLE, "payload": {"vectors": [["x"]], "rank": 1.5}},
+     "payload.rank"),
 ])
 def test_json_booleans_are_not_integers(command, document, field):
     code, out = run(command, document)

@@ -71,10 +71,11 @@ def test_point_ideal_contains_square_of_maximal_ideal():
     ring = the_ring()
     S = ring.S
     J = PointIdeal(ring, "3", "y")
+    ideal = Submodule(free_module(ring.trunc, 1), [(J.gen_x,), (J.gen_y,)])
     for text in ("x^2", "x*y", "y^2", "x*t", "y*t", "t^2"):
-        assert J.contains(S.parse(text))
-    assert not J.contains(S.parse("1"))
-    assert not J.contains(S.parse("t"))
+        assert ideal.contains((S.parse(text),))
+    assert not ideal.contains((S.parse("1"),))
+    assert not ideal.contains((S.parse("t"),))
 
 
 def test_point_ideal_rejects_t_in_coefficients():

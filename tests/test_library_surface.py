@@ -17,9 +17,6 @@ ALLOWED = {
     "multiring.AutMap.identity": "tested API",
     "arith.PolyRing.from_terms": "the tests' input builder",
     "arith.elim_block": "perfbench's _span_key reads block_split",
-    "fpmod.comparison_maps": "the comparison-map oracle for balance",
-    "groebner.interreduce": "the Fraction door its test imports",
-    "groebner.reduced_groebner": "the Fraction door the tests call under an order of their own",
     "hilbert.HilbertSeries.dimension": "how tests read a series",
     "hilbert.HilbertSeries.dimensions": "how tests read a series",
 }

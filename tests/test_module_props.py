@@ -8,8 +8,9 @@ answers that do not depend on the generating set:
   the same balance verdict and witness level, and the same refined member
   counts and matched layers;
 * both canonical chains and both refined chains are filtrations (they pass
-  ``assert_filtration``), and the matched layers add up to the Hilbert
-  series of the module;
+  ``assert_filtration``), each refined chain has one member more than the
+  matched layers and no two equal neighbours, and the matched layers add up
+  to the Hilbert series of the module;
 * at n = 2, ``is_balanced`` agrees with the definition: every kernel and
   cokernel of ``comparison_maps`` vanishes;
 * the quasi-free type (with its layer ranks and first non-free layer), the
@@ -22,11 +23,10 @@ answers that do not depend on the generating set:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from module_oracles import assert_filtration, transformed_presentation
+from module_oracles import assert_filtration, comparison_maps, transformed_presentation
 from truncmod.fpmod import (
     Grading,
     PresMod,
-    comparison_maps,
     direct_sum,
     first_canonical_filtration,
     generic_type,
@@ -94,6 +94,10 @@ def test_refined_chains_are_filtrations_whose_layers_add_up(M):
     D, F, pairs = refine_filtrations(M, first, second)
     for chain in (first, second, D, F):
         assert_filtration(M, chain)
+    # one member more than nonzero layers: no refined layer is zero
+    assert len(D) == len(F) == len(pairs) + 1
+    for chain in (D, F):
+        assert not any(a.equals(b) for a, b in zip(chain, chain[1:]))
     total = [0] * (THROUGH + 1)
     for _, series in pairs:
         total = [a + b for a, b in zip(total, series.dimensions(THROUGH))]

@@ -21,7 +21,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from groebner_oracle import is_groebner, oracle_reduce, sub_scaled, to_fractions, to_pairs
+from groebner_oracle import (
+    is_groebner,
+    lead_index,
+    oracle_reduce,
+    sub_scaled,
+    to_fractions,
+    to_pairs,
+    vec_lead,
+)
 from truncmod.arith import (
     MonomialOrder,
     PolyRing,
@@ -36,11 +44,7 @@ from truncmod.groebner import (
     SpanGB,
     _LeadIndex,
     _spair,
-    interreduce,
     kernel_through,
-    module_order,
-    reduced_groebner,
-    vec_lead,
     vec_reduce,
 )
 
@@ -74,7 +78,7 @@ def problems(draw, coeffs=COEFFS, max_rank=2):
 
 def reduce_fractions(v, basis, morder):
     """``vec_reduce`` on ``Fraction`` vectors, converted at its boundary."""
-    return to_fractions(vec_reduce(to_pairs(v), [to_pairs(g) for g in basis], morder))
+    return to_fractions(vec_reduce(to_pairs(v), lead_index(basis, morder), morder))
 
 
 @SETTINGS
@@ -116,16 +120,17 @@ def test_kernel_returns_fractions_in_lowest_terms(case):
     """Every remainder coefficient is a nonzero numerator/denominator pair
     of ints in lowest terms with a positive denominator."""
     v, basis, morder = case
-    assert_lowest_pairs(vec_reduce(to_pairs(v), [to_pairs(g) for g in basis], morder))
+    assert_lowest_pairs(vec_reduce(to_pairs(v), lead_index(basis, morder), morder))
 
 
 @SETTINGS
 @given(st.one_of(problems(), problems(BIG_COEFFS)))
 def test_kernel_leaves_its_inputs_alone(case):
     v, basis, morder = case
-    v, basis = to_pairs(v), [to_pairs(g) for g in basis]
+    v, index = to_pairs(v), lead_index(basis, morder)
+    basis = index.basis
     v_before, basis_before = deepcopy(v), deepcopy(basis)
-    vec_reduce(v, basis, morder)
+    vec_reduce(v, index, morder)
     assert v == v_before and list(v) == list(v_before)
     assert basis == basis_before
     assert [list(g) for g in basis] == [list(g) for g in basis_before]
@@ -194,7 +199,7 @@ def test_is_groebner_ignores_scaling(vecs, order, scales):
     """``is_groebner`` takes S-vectors of the elements as given, so scaling
     them by constants must not change its verdict."""
     morder = ModuleOrder(order, (0, 0))
-    basis = reduced_groebner(vecs, morder)
+    basis = SpanGB(PolyRing(("x", "y"), order=order), 2, vecs).gb
     for candidate, verdict in ((basis, True), (vecs, is_groebner(vecs, morder))):
         scaled = [{t: k * c for t, c in v.items()} for v, k in zip(candidate, cycle(scales))]
         assert is_groebner(scaled, morder) is verdict
@@ -223,9 +228,7 @@ def test_every_coefficient_that_leaves_groebner_is_a_fraction_in_lowest_terms(ca
     span = SpanGB(ring, rank, vecs)
     lifted = span.lift(vecs[0])
     assert lifted is not None
-    basis = reduced_groebner(vecs, module_order(ring, rank))
-    leaving = [*span.gb, span.normal_form(probe), *span.syzygies(), *basis,
-               *interreduce(basis, module_order(ring, rank)),
+    leaving = [*span.gb, span.normal_form(probe), *span.syzygies(len(vecs)),
                *kernel_through(ring, rank, 1, vecs[:1], vecs[1:]),
                *(p.terms for p in lifted)]
     assert any(leaving)

@@ -3,7 +3,7 @@ agrees with the graph basis that is built only for lifts and syzygies."""
 
 from fractions import Fraction
 
-from groebner_oracle import is_groebner, to_fractions, to_pairs
+from groebner_oracle import is_groebner, lead_index, to_fractions, to_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,7 +89,8 @@ def test_plain_basis_matches_graph_basis(case):
     assert span.gb == [f for f in first_parts if f]
     assert is_groebner(span.gb, ModuleOrder(tr.S.order, (0,) * rank))
 
-    graph_nf = to_fractions(vec_reduce(to_pairs(element), graph_pairs, span.morder))
+    graph_nf = to_fractions(vec_reduce(to_pairs(element), lead_index(graph_gb, span.morder),
+                                       span.morder))
     assert span.normal_form(element) == {t: c for t, c in graph_nf.items() if t[0] < rank}
 
     member = {}
