@@ -379,8 +379,6 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
             return self.ring == other.ring and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == self.ring.const(other)
         return NotImplemented
 
     def _coerce(self, other) -> Poly:
@@ -388,8 +386,6 @@ class Poly:
             if other.ring != self.ring:
                 raise ArithError("mixed rings in polynomial arithmetic")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.const(other)
         raise ArithError(f"cannot coerce {other!r} into {self.ring!r}")
 
     def __add__(self, other) -> Poly:
@@ -402,8 +398,6 @@ class Poly:
             else:
                 terms.pop(e, None)
         return Poly(self.ring, terms)
-
-    __radd__ = __add__
 
     def __neg__(self) -> Poly:
         return Poly(self.ring, {e: -c for e, c in self.terms.items()})
@@ -423,7 +417,7 @@ class Poly:
         return _leave(self.ring, _product(_integer_form(self.terms),
                                           _integer_form(other.terms), below))
 
-    __mul__ = __rmul__ = times
+    __mul__ = times
 
     def __pow__(self, k: int) -> Poly:
         return self.power(k)

@@ -37,7 +37,6 @@ from .doublepoint import (
     change_chart,
     ideals_equal,
     lambda_coord,
-    make_chart,
     tau,
 )
 from .dualtor import dual, torsion
@@ -322,11 +321,11 @@ def _parse_tau(ring: LocalDoubleRing, data, where: str):
 
 
 def _parse_chart(ring: LocalDoubleRing, doc) -> ChartChange:
-    return make_chart(ring, **{
-        name: _parse_poly(ring.base, _require(doc, name, "payload.chart", default),
-                          f"payload.chart.{name}")
+    return ChartChange(*(
+        _parse_poly(ring.base, _require(doc, name, "payload.chart", default),
+                    f"payload.chart.{name}")
         for name, default in (("alpha", "1"), ("beta", "0"), ("gamma", "0"),
-                              ("delta", "1"), ("u", "0"), ("v", "0"))})
+                              ("delta", "1"), ("u", "0"), ("v", "0"))))
 
 
 def _point_ideal(ring: LocalDoubleRing, doc, where: str) -> PointIdeal:

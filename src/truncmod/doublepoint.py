@@ -13,6 +13,10 @@ maximal ideal and of the derived-complex dimension counts live here too,
 along with the construction of an extension module from a class vector and
 a multiplier rho, which is balanced exactly when rho does not vanish at the
 origin.
+
+Every function takes typed values and parses no text: a, b, rho, the chart
+entries and the psi matrices are ``Poly``s of ``LocalDoubleRing.base``, a
+class element and the phi columns are ``Poly``s of its ``S``.
 """
 
 from __future__ import annotations
@@ -70,19 +74,6 @@ class LocalDoubleRing:
             (self.x * self.x * self.t,), (self.x * self.y * self.t,),
             (self.y * self.y * self.t,)])
 
-    def coerce_base(self, value) -> Poly:
-        if isinstance(value, Poly):
-            if value.ring == self.base:
-                return value
-            if value.ring == self.S:
-                if any(e[-1] for e in value.terms):
-                    raise DoublePointError("expected a polynomial in x, y only")
-                return self.trunc.drop_t(value)
-            raise DoublePointError("polynomial from a foreign ring")
-        if isinstance(value, str):
-            return self.base.parse(value)
-        return self.base.parse(str(value))
-
     def jet_polys(self) -> list[Poly]:
         """All base monomials of total degree jet_order, injected into S."""
         return [self.trunc.inject(Poly(self.base, {e: Fraction(1)}))
@@ -126,13 +117,14 @@ def _split_m_tensor(ring: LocalDoubleRing, elem: Poly) -> tuple[Poly, Poly]:
 
 class PointIdeal:
     """The ideal (x + a*t, y + b*t) of O2, recorded by the base polynomials
-    a and b.  Such an ideal always contains x^2, x*y, y^2, x*t and y*t;
+    a and b, ``Poly``s of ``ring.base`` (``TruncRing.inject`` refuses any
+    other ring).  Such an ideal always contains x^2, x*y, y^2, x*t and y*t;
     construction re-verifies that by explicit membership."""
 
-    def __init__(self, ring: LocalDoubleRing, a, b):
+    def __init__(self, ring: LocalDoubleRing, a: Poly, b: Poly):
         self.ring = ring
-        self.a = ring.coerce_base(a)
-        self.b = ring.coerce_base(b)
+        self.a = a
+        self.b = b
         tr = ring.trunc
         self.gen_x = tr.truncate(ring.x + tr.inject(self.a) * ring.t)
         self.gen_y = tr.truncate(ring.y + tr.inject(self.b) * ring.t)
@@ -156,6 +148,10 @@ class TauClass:
 
     def as_pair(self) -> tuple[Fraction, Fraction]:
         return self.c_x, self.c_y
+
+
+# A class: its coordinates, an element of m*I in S, or the base pair (A, B) of x*A*t + y*B*t.
+TauData = TauClass | Poly | tuple[Poly, Poly]
 
 
 def tau(J: PointIdeal) -> TauClass:
@@ -222,13 +218,6 @@ class ChartChange:
     delta: Poly
     u: Poly
     v: Poly
-
-
-def make_chart(ring: LocalDoubleRing, alpha="1", beta="0", gamma="0",
-               delta="1", u="0", v="0") -> ChartChange:
-    return ChartChange(ring.coerce_base(alpha), ring.coerce_base(beta),
-                       ring.coerce_base(gamma), ring.coerce_base(delta),
-                       ring.coerce_base(u), ring.coerce_base(v))
 
 
 def _chart_matrix(ch: ChartChange) -> tuple[tuple[Fraction, ...], ...]:
@@ -487,8 +476,6 @@ def ext_complex_check(ring: LocalDoubleRing, degree_bound: int,
         psi1 = [[y0, -x0], [zero, zero], [zero, zero]]
     if psi2 is None:
         psi2 = [[zero, y0, -x0], [zero, zero, zero], [zero, zero, zero]]
-    psi1 = [[ring.coerce_base(e) for e in row] for row in psi1]
-    psi2 = [[ring.coerce_base(e) for e in row] for row in psi2]
     failures: list[str] = []
 
     pair = _mi_cube_presentation(ring, 2)
@@ -545,39 +532,32 @@ def ext_complex_check(ring: LocalDoubleRing, degree_bound: int,
 # -- extension modules from a class vector and a multiplier -----------------
 
 
-def _resolve_tau(ring: LocalDoubleRing, tau_data) -> tuple[Poly, Poly]:
+def _resolve_tau(ring: LocalDoubleRing, tau_data: TauData) -> tuple[Poly, Poly]:
     """Base-polynomial coordinates (coefficients of x*t and y*t) of a class
-    representative given as a TauClass, a coordinate pair, or an element of
-    m*I."""
+    representative given as a TauClass, an element of m*I in ``S``, or a
+    pair of base polynomials."""
     if isinstance(tau_data, TauClass):
         return (Poly(ring.base, {(0, 0): tau_data.c_x} if tau_data.c_x else {}),
                 Poly(ring.base, {(0, 0): tau_data.c_y} if tau_data.c_y else {}))
-    if isinstance(tau_data, str):
-        tau_data = ring.trunc.parse(tau_data)
     if isinstance(tau_data, Poly):
-        if tau_data.ring == ring.base:
-            tau_data = ring.trunc.inject(tau_data)
         return _split_m_tensor(ring, tau_data)
-    if isinstance(tau_data, (tuple, list)) and len(tau_data) == 2:
-        return ring.coerce_base(tau_data[0]), ring.coerce_base(tau_data[1])
-    raise DoublePointError("class data must be a TauClass, an element, or a pair")
+    return tau_data
 
 
-def extension_module(ring: LocalDoubleRing, tau_data, rho) -> ExtensionResult:
+def extension_module(ring: LocalDoubleRing, tau_data: TauData, rho: Poly) -> ExtensionResult:
     """The module extending the reduced maximal ideal by its twisted
     conormal part, presented on four generators (two covering the maximal
     ideal, two spanning the m*I part), with the inclusion and projection
     exhibited.  Exactness of the pair of maps is checked on every call."""
     tr = ring.trunc
     tau_a, tau_b = _resolve_tau(ring, tau_data)
-    rho_p = ring.coerce_base(rho)
     S = ring.S
     zero = S.zero()
     x, y, t = ring.x, ring.y, ring.t
     rels: list[Column] = [
         (y, -x, tr.inject(tau_a), tr.inject(tau_b)),
-        (t, zero, tr.inject(rho_p), zero),
-        (zero, t, zero, tr.inject(rho_p)),
+        (t, zero, tr.inject(rho), zero),
+        (zero, t, zero, tr.inject(rho)),
         (zero, zero, y, -x),
         (zero, zero, t, zero),
         (zero, zero, zero, t),
@@ -595,7 +575,7 @@ def extension_module(ring: LocalDoubleRing, tau_data, rho) -> ExtensionResult:
     return ExtensionResult(M, inclusion, projection)
 
 
-def is_balanced_extension(ring: LocalDoubleRing, M: PresMod, rho) -> bool:
+def is_balanced_extension(ring: LocalDoubleRing, M: PresMod, rho: Poly) -> bool:
     """Whether ``M``, the module of ``extension_module(ring, tau, rho)`` for
     some class tau, is balanced at the origin: true exactly when rho does
     not vanish there.
@@ -607,8 +587,7 @@ def is_balanced_extension(ring: LocalDoubleRing, M: PresMod, rho) -> bool:
     rho times it, zero exactly for nonzero constant rho; that verdict is
     checked too, and it coincides with the local one whenever rho is
     constant or vanishes at the origin."""
-    rho_p = ring.coerce_base(rho)
-    primary = rho_p.constant_term() != 0
+    primary = rho.constant_term() != 0
 
     ann_t = annihilator_kernel(M, 1)
     t_gens = [M.gen_column(j, ring.t) for j in range(M.ngens)]
@@ -616,13 +595,13 @@ def is_balanced_extension(ring: LocalDoubleRing, M: PresMod, rho) -> bool:
     agree(DoublePointError, "is the extension balanced at the origin",
           formula=primary, local_test=vanishes_locally(gap))
 
-    rho_constant = all(sum(e) == 0 for e in rho_p.terms)
+    rho_constant = all(sum(e) == 0 for e in rho.terms)
     agree(DoublePointError, "is the extension balanced on the whole plane",
           formula=primary and rho_constant, module_test=is_balanced(M).balanced)
     return primary
 
 
-def recover_ideal(ring: LocalDoubleRing, tau_data) -> PointIdeal:
+def recover_ideal(ring: LocalDoubleRing, tau_data: TauData) -> PointIdeal:
     """The point ideal whose class is the given one: constant
     representatives a = -c_y, b = c_x, verified by recomputing the class."""
     tau_a, tau_b = _resolve_tau(ring, tau_data)

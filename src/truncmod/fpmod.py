@@ -86,8 +86,7 @@ class PresMod:
         for col in relations:
             if len(col) != ngens:
                 raise ModuleError(f"relation of length {len(col)}, expected {ngens}")
-            col = tuple(ring.truncate(ring.inject(p) if p.ring == ring.base else p)
-                        for p in col)
+            col = tuple(ring.truncate(p) for p in col)
             if any(p for p in col):
                 cleaned.append(col)
         self.relations = cleaned
@@ -587,7 +586,6 @@ def extension_R_by_Ri(ring: TruncRing, sigma: Poly, i: int) -> ExtensionResult:
     generator.  Unit sigma at the origin gives R[i+1]; sigma = 0 splits."""
     if not 1 <= i <= ring.n - 1:
         raise ModuleError(f"level must satisfy 1 <= i <= n-1, got {i}")
-    sigma = ring.inject(sigma) if sigma.ring == ring.base else sigma
     # R[i] sits in the degree that makes the relation (sigma, t) homogeneous
     # when sigma is; for any other sigma the extension comes out ungraded.
     degree = 1 - sigma.total_degree() if sigma.terms else 0

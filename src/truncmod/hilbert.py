@@ -7,7 +7,9 @@ through the standard divide-and-conquer recursion on monomial ideals.  A
 module whose t-weight is 1 is counted directly over Q[x.., t]; for any other
 t-weight (``fpmod.Grading`` holds it) the module is first restricted to the
 base ring, one generator copy per t-power.  Polynomial extraction (dimension
-as a polynomial in the degree) is exact over the rationals.
+as a polynomial in the degree) is exact over the rationals.  A series or a
+polynomial has no text form: ``arith.agree`` writes one by its exact
+dataclass repr.
 """
 
 from __future__ import annotations
@@ -60,23 +62,6 @@ class HilbertSeries:
     def dimension(self, d: int) -> int:
         low, dims = self._expand(d)
         return dims[d - low] if d >= low else 0
-
-    def __str__(self) -> str:
-        if not self.numerator_coeffs:
-            return "0"
-        parts = []
-        for d, c in self.numerator_coeffs:
-            mono = "1" if d == 0 else ("z" if d == 1 else f"z^{d}")
-            if d == 0:
-                parts.append(str(c))
-            else:
-                mag = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-                parts.append(f"-{mag}" if c < 0 else mag)
-        num = " + ".join(parts).replace("+ -", "- ")
-        if not self.nvars:
-            return f"({num})"
-        den = "(1 - z)" if self.nvars == 1 else f"(1 - z)^{self.nvars}"
-        return f"({num}) / ({den})"
 
 
 def _interreduce_monomials(gens: list[Exponents]) -> list[Exponents]:
@@ -199,25 +184,6 @@ class HilbertPolynomial:
         for i, c in enumerate(b):
             out[i] += c
         return HilbertPolynomial.make(out)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mono = "1" if k == 0 else ("d" if k == 1 else f"d^{k}")
-            if k == 0:
-                body = f"{abs(c)}"
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else ("-" + s[2:] if s.startswith("- ") else s)
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -2,9 +2,11 @@
 
 Elements are plain ``Poly``s of ``TruncRing.S``, in the base variables and
 t, reduced so that no term carries t^n or higher: ``parse`` and ``truncate``
-make them, and products pass ``below`` to arith.  An element is a zero divisor exactly when its
-t-free part vanishes; the complement (elements with nonzero t-free part) is
-the multiplicative system used for generic-fiber arguments.
+make them, and products pass ``below`` to arith.  Each function takes one
+ring's ``Poly``s: ``inject`` those of ``base``, everything else those of
+``S``.  An element is a zero divisor exactly when its t-free part vanishes;
+the complement (elements with nonzero t-free part) is the multiplicative
+system used for generic-fiber arguments.
 
 Ring substitution maps that fix every variable mod t and scale t by a local
 unit form the automorphism groupoid used for double-structure gluing data;
@@ -53,16 +55,12 @@ class TruncRing:
 
     def inject(self, p: Poly) -> Poly:
         """Lift a base polynomial into S."""
-        if p.ring == self.S:
-            return p
         if p.ring != self.base:
             raise ArithError("polynomial from a foreign ring")
         return Poly(self.S, {e + (0,): c for e, c in p.terms.items()})
 
     def drop_t(self, p: Poly) -> Poly:
         """Image in the base ring under t -> 0."""
-        if p.ring == self.base:
-            return p
         ti = self.S._index[T_NAME]
         return Poly(self.base, {e[:-1]: c for e, c in p.terms.items() if e[ti] == 0})
 
@@ -121,10 +119,6 @@ class AutMap:
         self.t_image = t_image
 
     @classmethod
-    def identity(cls, ring: TruncRing) -> AutMap:
-        return cls(ring, {}, ring.t)
-
-    @classmethod
     def from_deriv(cls, ring: TruncRing, d_coeffs: dict[str, Poly], alpha: Poly) -> AutMap:
         """n = 2 form: x_k -> x_k + D(x_k) t and t -> alpha t, with D given
         by base polynomials and alpha a base polynomial, unit at origin."""
@@ -143,13 +137,10 @@ class AutMap:
         return self.ring.t_coefficient(self.t_image, 1)
 
     def apply(self, p: Poly) -> Poly:
-        """Image of a polynomial of S (or the base ring) under the map."""
-        ring = self.ring
-        if p.ring == ring.base:
-            p = ring.inject(p)
+        """Image of a polynomial of S under the map."""
         table = dict(self.var_images)
         table[T_NAME] = self.t_image
-        return p.substitute(table, ring.below)
+        return p.substitute(table, self.ring.below)
 
     def __eq__(self, other: object) -> bool:
         return (

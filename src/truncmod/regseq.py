@@ -56,11 +56,12 @@ def _ladder(ring: TruncRing, gens: list[Poly], ambient: list[Poly]
             ) -> tuple[int | None, Poly | None]:
     """First failure of the colon ladder in ``ring``: smallest 0-based k
     such that ((ambient, x_1..x_k) : x_{k+1}) exceeds the ideal, with an
-    offending colon generator; (None, None) when every step passes.  Base
-    polynomials are injected into ``ring``."""
+    offending colon generator; (None, None) when every step passes.  The
+    ``gens`` are elements of ``ring``; the ``ambient`` base polynomials are
+    injected into it."""
     free = free_module(ring, 1)
     prior = [(ring.inject(p),) for p in ambient]
-    for k, f in enumerate(map(ring.inject, gens)):
+    for k, f in enumerate(gens):
         ideal = Submodule(free, prior)
         for c in ideal.kernel_through([(f,)]):
             if not ideal.contains(c):
@@ -79,8 +80,8 @@ def is_regular_sequence(ring: TruncRing, seq: list[Poly],
 
     base_jets = _jet_monomials(ring.base, jet_order)
     # the reductions run in R[1] = R[n]/(t), the base ring
-    k_base, _ = _ladder(TruncRing(ring.base.variables, 1, ring.base.order),
-                        reductions, base_jets)
+    r1 = TruncRing(ring.base.variables, 1, ring.base.order)
+    k_base, _ = _ladder(r1, [r1.inject(u) for u in reductions], base_jets)
     k_direct, witness = _ladder(ring, seq, base_jets)
 
     # the verdicts must agree; the failure positions may differ

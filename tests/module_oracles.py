@@ -96,12 +96,12 @@ def transformed_presentation(M: PresMod, seed: int, steps: int = 12) -> PresMod:
                 rows[r][b] = ring.truncate(rows[r][b] + q * rows[r][a])
         elif op == "row_scale" and g >= 1:
             i = rng.randrange(g)
-            c = Fraction(rng.choice([1, -1, 2, 3]))
+            c = ring.S.const(rng.choice([1, -1, 2, 3]))
             for cc in range(nc):
                 rows[i][cc] = rows[i][cc] * c
         elif op == "col_scale" and nc >= 1:
             a = rng.randrange(nc)
-            c = Fraction(rng.choice([1, -1, 2, 3]))
+            c = ring.S.const(rng.choice([1, -1, 2, 3]))
             for r in range(g):
                 rows[r][a] = rows[r][a] * c
         elif op == "row_swap" and g >= 2:

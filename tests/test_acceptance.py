@@ -18,6 +18,7 @@ from module_oracles import (
     quotient_by_submodule,
     transformed_presentation,
 )
+from test_doublepoint import chart, point_ideal
 from truncmod.multiring import TruncRing, AutMap, compose, verify_cocycle
 from truncmod.groebner import SpanGB, vec_from_polys
 from truncmod.fpmod import (
@@ -47,7 +48,7 @@ from truncmod.regseq import (
 )
 from truncmod.doublepoint import (
     LocalDoubleRing,
-    PointIdeal,
+    TauClass,
     affine_difference,
     change_chart,
     ext_complex_check,
@@ -55,7 +56,6 @@ from truncmod.doublepoint import (
     ideals_equal,
     is_balanced_extension,
     lambda_coord,
-    make_chart,
     recover_ideal,
     tau,
     verify_maximal_ideal_resolution,
@@ -125,6 +125,7 @@ def test_criterion_02_balance_routes_agree_on_module_pool():
     B = TruncRing(("x",), 2)
     C = TruncRing(("x", "y"), 3)
     dpr = LocalDoubleRing()
+    unit_class = TauClass(Fraction(1), Fraction(0))
 
     pool = [
         free_module(A, 1),
@@ -141,13 +142,13 @@ def test_criterion_02_balance_routes_agree_on_module_pool():
         ideal_mod(A, "x*t"),
         ideal_mod(B, "x*t"),
         ideal_mod(C, "x^2", "y^2", "x*y"),
-        extension_R_by_Ri(A, A.base.parse("1"), 1).module,
-        extension_R_by_Ri(A, A.base.parse("0"), 1).module,
-        extension_R_by_Ri(A, A.base.parse("x"), 1).module,
-        extension_module(dpr, (1, 0), "1").module,
-        extension_module(dpr, (1, 0), "0").module,
-        extension_module(dpr, (1, 0), "x").module,
-        extension_module(dpr, (1, 0), "-1").module,
+        extension_R_by_Ri(A, A.parse("1"), 1).module,
+        extension_R_by_Ri(A, A.parse("0"), 1).module,
+        extension_R_by_Ri(A, A.parse("x"), 1).module,
+        extension_module(dpr, unit_class, dpr.base.parse("1")).module,
+        extension_module(dpr, unit_class, dpr.base.parse("0")).module,
+        extension_module(dpr, unit_class, dpr.base.parse("x")).module,
+        extension_module(dpr, unit_class, dpr.base.parse("-1")).module,
         quotient_line(A, "x", "t"),
         quotient_line(A, "x*t"),
     ]
@@ -358,7 +359,7 @@ def test_criterion_07_point_ideal_three_way_classification():
         ("1 + x", "y", (1, 0)),
         ("1 + x", "1", (1, 1)),
     ]
-    ideals = [(PointIdeal(ring, a, b), cls) for a, b, cls in pool]
+    ideals = [(point_ideal(ring, a, b), cls) for a, b, cls in pool]
 
     compared = 0
     for i in range(len(ideals)):
@@ -381,16 +382,16 @@ def test_criterion_08_chart_changes_and_difference_invariance():
     ring = LocalDoubleRing()
 
     charts = (
-        make_chart(ring),
-        make_chart(ring, alpha="0", beta="1", gamma="1", delta="0"),
-        make_chart(ring, alpha="1", beta="2", gamma="3", delta="7"),
-        make_chart(ring, alpha="1", beta="0", gamma="1", delta="1", u="x", v="y"),
-        make_chart(ring, alpha="2", beta="0", gamma="0", delta="1", u="x", v="0"),
+        chart(ring),
+        chart(ring, alpha="0", beta="1", gamma="1", delta="0"),
+        chart(ring, alpha="1", beta="2", gamma="3", delta="7"),
+        chart(ring, alpha="1", beta="0", gamma="1", delta="1", u="x", v="y"),
+        chart(ring, alpha="2", beta="0", gamma="0", delta="1", u="x", v="0"),
     )
-    J0 = PointIdeal(ring, "0", "0")
-    J1 = PointIdeal(ring, "1", "0")
-    J2 = PointIdeal(ring, "5", "11")
-    J3 = PointIdeal(ring, "2", "-1")
+    J0 = point_ideal(ring, "0", "0")
+    J1 = point_ideal(ring, "1", "0")
+    J2 = point_ideal(ring, "5", "11")
+    J3 = point_ideal(ring, "2", "-1")
 
     # every change_chart call recomputes the coordinate directly and through
     # the transformation law and raises on any disagreement
@@ -428,25 +429,27 @@ def test_criterion_09_extension_balance_grid_and_recovery():
     ]
     cells = 0
     for tau_pair in ((1, 0), (0, 0)):
-        for rho, expected, global_expected in grid:
-            module = extension_module(ring, tau_pair, rho).module
+        for rho_text, expected, global_expected in grid:
+            rho = ring.base.parse(rho_text)
+            module = extension_module(ring, TauClass(*map(Fraction, tau_pair)), rho).module
             flag = is_balanced_extension(ring, module, rho)
             data = comparison_maps(module)
             local = all(vanishes_locally(g) for g in data.gamma_ker) and all(
                 vanishes_locally(g) for g in data.gamma_coker
             )
-            assert flag == local == expected, (tau_pair, rho)
+            assert flag == local == expected, (tau_pair, rho_text)
             # over the whole plane the defect survives for nonconstant rho
-            assert is_balanced(module).balanced == global_expected, (tau_pair, rho)
+            assert is_balanced(module).balanced == global_expected, (tau_pair, rho_text)
             cells += 1
     assert cells >= 9
 
     for a, b in (("1", "0"), ("0", "1"), ("1", "1"), ("y^2", "1"), ("1 + x", "y")):
-        J = PointIdeal(ring, a, b)
+        J = point_ideal(ring, a, b)
         assert ideals_equal(J, recover_ideal(ring, tau(J)))
 
-    assert extension_module(ring, (1, 0), "0").module.is_t_annihilated()
-    assert not extension_module(ring, (1, 0), "1").module.is_t_annihilated()
+    unit_class = TauClass(Fraction(1), Fraction(0))
+    assert extension_module(ring, unit_class, ring.base.zero()).module.is_t_annihilated()
+    assert not extension_module(ring, unit_class, ring.base.one()).module.is_t_annihilated()
 
     elapsed = time.monotonic() - started
     done(9, f"{cells} balance grid cells match both routes, recovery round trips", elapsed)
@@ -501,8 +504,8 @@ def test_criterion_11_extension_classification_and_ext_dimensions():
     C = TruncRing(("x", "y"), 3)
 
     for tr, i in ((A, 1), (C, 1), (C, 2)):
-        one = tr.base.parse("1")
-        zero = tr.base.parse("0")
+        one = tr.parse("1")
+        zero = tr.parse("0")
         joined = extension_R_by_Ri(tr, one, i).module
         target = truncated_free(tr, i + 1)
         assert quasi_free_type(joined).type_vector == quasi_free_type(target).type_vector
@@ -511,7 +514,7 @@ def test_criterion_11_extension_classification_and_ext_dimensions():
         assert quasi_free_type(split).type_vector == quasi_free_type(model).type_vector
 
     # a class that is neither zero nor a unit yields no quasi free structure
-    twisted = extension_R_by_Ri(A, A.base.parse("x"), 1).module
+    twisted = extension_R_by_Ri(A, A.parse("x"), 1).module
     assert quasi_free_type(twisted).type_vector is None
 
     ext = ext1_module(truncated_free(A, 1), truncated_free(A, 1))

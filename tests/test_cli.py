@@ -456,6 +456,13 @@ def test_schema_errors_exit_two():
     assert code == 2
     assert out["error"]["kind"] == "schema"
 
+    # the twist coefficients of a point ideal live in the base plane ring,
+    # which has no t
+    code, out = run("ideal.tau", {"payload": {"a": "t", "b": "0"}})
+    assert code == 2
+    assert out["error"]["kind"] == "schema"
+    assert "payload.a" in out["error"]["message"]
+
 
 def test_deep_nesting_is_a_json_error():
     ring = {"variables": ["x"], "n": 1}

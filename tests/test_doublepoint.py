@@ -8,9 +8,11 @@ import pytest
 
 from truncmod.arith import ArithError
 from truncmod.doublepoint import (
+    ChartChange,
     DoublePointError,
     LocalDoubleRing,
     PointIdeal,
+    TauClass,
     affine_difference,
     change_chart,
     ext_complex_check,
@@ -18,7 +20,6 @@ from truncmod.doublepoint import (
     ideals_equal,
     is_balanced_extension,
     lambda_coord,
-    make_chart,
     recover_ideal,
     tau,
     verify_maximal_ideal_resolution,
@@ -32,15 +33,25 @@ def the_ring():
     return LocalDoubleRing()
 
 
+def point_ideal(ring, a, b):
+    """The point ideal (x + a*t, y + b*t), a and b given as text."""
+    return PointIdeal(ring, ring.base.parse(a), ring.base.parse(b))
+
+
+def chart(ring, alpha="1", beta="0", gamma="0", delta="1", u="0", v="0"):
+    """A chart change with its entries given as text."""
+    return ChartChange(*(ring.base.parse(p) for p in (alpha, beta, gamma, delta, u, v)))
+
+
 # ----------------------------------------------------------------- invariants
 
 
 def test_tau_examples():
     ring = the_ring()
-    assert tau(PointIdeal(ring, "0", "0")).as_pair() == (0, 0)
-    assert tau(PointIdeal(ring, "1", "0")).as_pair() == (0, -1)
-    assert tau(PointIdeal(ring, "y^2", "0")).as_pair() == (0, 0)
-    assert tau(PointIdeal(ring, "0", "1")).as_pair() == (1, 0)
+    assert tau(point_ideal(ring, "0", "0")).as_pair() == (0, 0)
+    assert tau(point_ideal(ring, "1", "0")).as_pair() == (0, -1)
+    assert tau(point_ideal(ring, "y^2", "0")).as_pair() == (0, 0)
+    assert tau(point_ideal(ring, "0", "1")).as_pair() == (1, 0)
 
 
 def test_tau_ignores_higher_order_representatives():
@@ -51,17 +62,17 @@ def test_tau_ignores_higher_order_representatives():
         a0, b0 = rng.randrange(-3, 4), rng.randrange(-3, 4)
         h = rng.choice(pool)
         k = rng.choice(pool)
-        J = PointIdeal(ring, str(a0), str(b0))
-        Jp = PointIdeal(ring, f"{a0} + {h}", f"{b0} + {k}")
+        J = point_ideal(ring, str(a0), str(b0))
+        Jp = point_ideal(ring, f"{a0} + {h}", f"{b0} + {k}")
         assert tau(J).as_pair() == tau(Jp).as_pair()
         assert ideals_equal(J, Jp)
 
 
 def test_ideal_equality_examples():
     ring = the_ring()
-    J0 = PointIdeal(ring, "0", "0")
-    J1 = PointIdeal(ring, "1", "0")
-    J2 = PointIdeal(ring, "y^2", "0")
+    J0 = point_ideal(ring, "0", "0")
+    J1 = point_ideal(ring, "1", "0")
+    J2 = point_ideal(ring, "y^2", "0")
     assert not ideals_equal(J1, J0)
     assert ideals_equal(J2, J0)
     assert ideals_equal(J1, J1)
@@ -70,7 +81,7 @@ def test_ideal_equality_examples():
 def test_point_ideal_contains_square_of_maximal_ideal():
     ring = the_ring()
     S = ring.S
-    J = PointIdeal(ring, "3", "y")
+    J = point_ideal(ring, "3", "y")
     ideal = Submodule(free_module(ring.trunc, 1), [(J.gen_x,), (J.gen_y,)])
     for text in ("x^2", "x*y", "y^2", "x*t", "y*t", "t^2"):
         assert ideal.contains((S.parse(text),))
@@ -82,14 +93,16 @@ def test_point_ideal_rejects_t_in_coefficients():
     # the twist coefficients live in the base plane ring, which has no t
     ring = the_ring()
     with pytest.raises(ArithError):
-        PointIdeal(ring, "t", "0")
+        point_ideal(ring, "t", "0")
+    with pytest.raises(ArithError):
+        PointIdeal(ring, ring.t, ring.base.parse("0"))
 
 
 def test_quotient_by_point_ideal_has_rank_two():
     ring = the_ring()
     S = ring.S
     for a, b in (("0", "0"), ("1", "0"), ("2", "y"), ("1 + x", "y^2")):
-        J = PointIdeal(ring, a, b)
+        J = point_ideal(ring, a, b)
         span = SpanGB(
             S, 1, [vec_from_polys((J.gen_x,)), vec_from_polys((J.gen_y,)),
                    vec_from_polys((S.parse("t^2"),))]
@@ -122,8 +135,8 @@ def test_point_ideals_are_balanced_modules():
 
 def test_lambda_examples_and_roundtrip():
     ring = the_ring()
-    assert lambda_coord(PointIdeal(ring, "0", "0")).coords == (0, 0)
-    assert lambda_coord(PointIdeal(ring, "1", "0")).coords == (-1, 0)
+    assert lambda_coord(point_ideal(ring, "0", "0")).coords == (0, 0)
+    assert lambda_coord(point_ideal(ring, "1", "0")).coords == (-1, 0)
     # constant representatives a = -lambda_x, b = -lambda_y give back the
     # requested coordinates
     for coords in (("-1", "0"), ("2", "5"), ("0", "-3")):
@@ -137,7 +150,7 @@ def test_lambda_separates_ideals():
     seen = {}
     for a in ("-1", "0", "2"):
         for b in ("0", "1"):
-            J = PointIdeal(ring, a, b)
+            J = point_ideal(ring, a, b)
             coords = lambda_coord(J).coords
             for other, prev in seen.items():
                 assert (coords == prev) == ideals_equal(J, other)
@@ -149,22 +162,22 @@ def test_lambda_separates_ideals():
 
 def test_identity_chart_is_neutral():
     ring = the_ring()
-    J = PointIdeal(ring, "4", "-7")
-    ch = make_chart(ring)
+    J = point_ideal(ring, "4", "-7")
+    ch = chart(ring)
     assert change_chart(J, ch).coords == lambda_coord(J).coords
 
 
 def test_swap_chart_swaps_and_negates():
     ring = the_ring()
-    J = PointIdeal(ring, "1", "0")
-    sw = make_chart(ring, alpha="0", beta="1", gamma="1", delta="0")
+    J = point_ideal(ring, "1", "0")
+    sw = chart(ring, alpha="0", beta="1", gamma="1", delta="0")
     assert change_chart(J, sw).coords == (0, -1)
 
 
 def test_general_linear_chart_frozen_value():
     ring = the_ring()
-    J = PointIdeal(ring, "5", "11")
-    ch = make_chart(ring, alpha="1", beta="2", gamma="3", delta="7")
+    J = point_ideal(ring, "5", "11")
+    ch = chart(ring, alpha="1", beta="2", gamma="3", delta="7")
     assert change_chart(J, ch).coords == (-27, -92)
 
 
@@ -172,36 +185,36 @@ def test_chart_with_shift_terms_agrees_both_routes():
     # the direct recomputation and the transformation law are compared
     # inside change_chart; a disagreement raises
     ring = the_ring()
-    J = PointIdeal(ring, "2", "-1")
-    ch = make_chart(ring, alpha="1", beta="0", gamma="1", delta="1", u="x", v="y")
+    J = point_ideal(ring, "2", "-1")
+    ch = chart(ring, alpha="1", beta="0", gamma="1", delta="1", u="x", v="y")
     coords = change_chart(J, ch).coords
     assert all(isinstance(c, Fraction) for c in coords)
 
 
 def test_singular_chart_rejected():
     ring = the_ring()
-    J = PointIdeal(ring, "1", "0")
-    ch = make_chart(ring, alpha="1", beta="2", gamma="2", delta="4")
+    J = point_ideal(ring, "1", "0")
+    ch = chart(ring, alpha="1", beta="2", gamma="2", delta="4")
     with pytest.raises(DoublePointError):
         change_chart(J, ch)
 
 
 def test_nonvanishing_shift_rejected():
     ring = the_ring()
-    J = PointIdeal(ring, "1", "0")
-    ch = make_chart(ring, u="1")
+    J = point_ideal(ring, "1", "0")
+    ch = chart(ring, u="1")
     with pytest.raises(DoublePointError):
         change_chart(J, ch)
 
 
 def test_affine_difference_is_chart_independent():
     ring = the_ring()
-    J1 = PointIdeal(ring, "1", "0")
-    J2 = PointIdeal(ring, "0", "0")
+    J1 = point_ideal(ring, "1", "0")
+    J2 = point_ideal(ring, "0", "0")
     charts = (
-        make_chart(ring, alpha="0", beta="1", gamma="1", delta="0"),
-        make_chart(ring, alpha="1", beta="2", gamma="3", delta="7"),
-        make_chart(ring, alpha="2", beta="0", gamma="0", delta="1", u="x", v="0"),
+        chart(ring, alpha="0", beta="1", gamma="1", delta="0"),
+        chart(ring, alpha="1", beta="2", gamma="3", delta="7"),
+        chart(ring, alpha="2", beta="0", gamma="0", delta="1", u="x", v="0"),
     )
     diff = affine_difference(J1, J2, charts=charts)
     assert diff == (-1, 0)
@@ -245,7 +258,7 @@ def test_ext_complex_table():
 
 def test_ext_complex_negative_control():
     ring = the_ring()
-    P = ring.S.parse
+    P = ring.base.parse
     broken = [[P("y"), P("-x")], [P("0"), P("x")], [P("0"), P("0")]]
     rep = ext_complex_check(ring, 3, psi1=broken)
     assert not rep.ok
@@ -257,7 +270,7 @@ def test_ext_complex_negative_control():
 
 def test_extension_module_exactness():
     ring = the_ring()
-    res = extension_module(ring, (1, 0), "-1")
+    res = extension_module(ring, TauClass(Fraction(1), Fraction(0)), ring.base.parse("-1"))
     assert res.inclusion.is_injective()
     assert res.projection.is_surjective()
     comp = res.projection.compose(res.inclusion)
@@ -275,18 +288,21 @@ def test_balance_of_extension_grid():
         "x": False,
         "y^2": False,
     }
-    for rho, expected in grid.items():
+    for rho_text, expected in grid.items():
+        rho = ring.base.parse(rho_text)
         for tau_pair in ((1, 0), (0, 0)):
-            module = extension_module(ring, tau_pair, rho).module
+            tau_class = TauClass(*map(Fraction, tau_pair))
+            module = extension_module(ring, tau_class, rho).module
             assert is_balanced_extension(ring, module, rho) == expected
 
 
 def test_zero_multiplier_extension_is_t_annihilated():
     ring = the_ring()
-    M = extension_module(ring, (1, 0), "0").module
+    tau_class = TauClass(Fraction(1), Fraction(0))
+    M = extension_module(ring, tau_class, ring.base.zero()).module
     assert M.is_t_annihilated()
     # contrast: a unit multiplier leaves t acting nontrivially
-    assert not extension_module(ring, (1, 0), "1").module.is_t_annihilated()
+    assert not extension_module(ring, tau_class, ring.base.one()).module.is_t_annihilated()
 
 
 def test_unit_multiplier_extension_matches_point_ideal():
@@ -296,8 +312,8 @@ def test_unit_multiplier_extension_matches_point_ideal():
     for a_txt, b_txt in (("2", "3"), ("y", "x"), ("1 + x", "y^2")):
         a = ring.base.parse(a_txt)
         b = ring.base.parse(b_txt)
-        J = PointIdeal(ring, a_txt, b_txt)
-        M = extension_module(ring, (b, -a), "-1").module
+        J = PointIdeal(ring, a, b)
+        M = extension_module(ring, (b, -a), ring.base.parse("-1")).module
         F = free_module(tr, 1)
         x, y, t = S.parse("x"), S.parse("y"), S.parse("t")
         cols = [
@@ -316,21 +332,22 @@ def test_unit_multiplier_extension_matches_point_ideal():
 def test_recover_ideal_examples():
     ring = the_ring()
     B = ring.base
-    rec = recover_ideal(ring, "-y*t")
+    rec = recover_ideal(ring, ring.trunc.parse("-y*t"))
     assert (B.format(rec.a), B.format(rec.b)) == ("1", "0")
-    rec2 = recover_ideal(ring, "x*t")
+    rec2 = recover_ideal(ring, ring.trunc.parse("x*t"))
     assert (B.format(rec2.a), B.format(rec2.b)) == ("0", "1")
 
 
 def test_recover_inverts_tau():
     ring = the_ring()
     for a, b in (("0", "0"), ("1", "0"), ("-2", "5"), ("3", "3"), ("0", "-1")):
-        J = PointIdeal(ring, a, b)
+        J = point_ideal(ring, a, b)
         assert ideals_equal(recover_ideal(ring, tau(J)), J)
 
 
 def test_tau_string_and_pair_inputs_agree():
     ring = the_ring()
-    via_string = extension_module(ring, "-y*t", "1").module
-    via_pair = extension_module(ring, (0, -1), "1").module
+    one = ring.base.one()
+    via_string = extension_module(ring, ring.trunc.parse("-y*t"), one).module
+    via_pair = extension_module(ring, (ring.base.zero(), -one), one).module
     assert via_string.relations == via_pair.relations

@@ -264,26 +264,26 @@ def test_extension_with_zero_cocycle_splits():
 
 def test_extension_of_line_by_layer_unit_case():
     tr = ring(2)
-    res = extension_R_by_Ri(tr, tr.base.parse("1"), 1)
+    res = extension_R_by_Ri(tr, tr.parse("1"), 1)
     assert quasi_free_type(res.module).type_vector == (0, 1)
 
 
 def test_extension_of_line_by_layer_zero_case():
     tr = ring(2)
-    res = extension_R_by_Ri(tr, tr.base.parse("0"), 1)
+    res = extension_R_by_Ri(tr, tr.parse("0"), 1)
     assert quasi_free_type(res.module).type_vector == (2, 0)
 
 
 def test_extension_of_line_by_layer_degenerate_case():
     tr = ring(2)
-    res = extension_R_by_Ri(tr, tr.base.parse("x"), 1)
+    res = extension_R_by_Ri(tr, tr.parse("x"), 1)
     rep = quasi_free_type(res.module)
     assert rep.type_vector is None
 
 
 def test_extension_maps_form_exact_sequence():
     tr = ring(3)
-    res = extension_R_by_Ri(tr, tr.base.parse("1"), 2)
+    res = extension_R_by_Ri(tr, tr.parse("1"), 2)
     assert res.inclusion.is_injective()
     assert res.projection.is_surjective()
     comp = res.projection.compose(res.inclusion)
@@ -571,11 +571,10 @@ def test_refine_forms_no_product_with_a_zero_operand(monkeypatch):
     times = arith.Poly.times
 
     def counted(self, other, below=None):
-        calls.append(not self.terms or (isinstance(other, arith.Poly) and not other.terms)
-                     or (not isinstance(other, arith.Poly) and other == 0))
+        calls.append(not self.terms or not other.terms)
         return times(self, other, below)
 
-    for name in ("times", "__mul__", "__rmul__"):
+    for name in ("times", "__mul__"):
         monkeypatch.setattr(arith.Poly, name, counted)
     doc = {"ring": {"variables": ["x", "y"], "n": 2}, "payload": {"presentation": {
         "generators": 4, "degrees": [1, 1, 2, 2], "t_weight": 1,

@@ -3,9 +3,11 @@ ideal presentations and both extension constructors, on homogeneous,
 inhomogeneous and zero-element inputs, plus the shared rule
 ``fpmod.infer_grading`` itself."""
 
+from fractions import Fraction
+
 import pytest
 
-from truncmod.doublepoint import LocalDoubleRing, extension_module
+from truncmod.doublepoint import LocalDoubleRing, TauClass, extension_module
 from truncmod.dualtor import dual
 from truncmod.fpmod import (
     Grading,
@@ -83,16 +85,21 @@ def test_extension_R_by_Ri_grading(sigma, expected):
 DOUBLE = LocalDoubleRing()
 
 
+def tau_class(c_x, c_y):
+    return TauClass(Fraction(c_x), Fraction(c_y))
+
+
 @pytest.mark.parametrize("tau, rho, expected", [
-    ((1, 0), "-1", ((1, 1, 2, 2), 1)),
-    ((0, 0), "0", ((1, 1, 2, 2), 1)),
-    ((2, -3), "5", ((1, 1, 2, 2), 1)),
-    ((1, 0), "x + 1", None),
-    (("x", "0"), "1", None),
-    ("x^2*t", "1", None),
+    (tau_class(1, 0), "-1", ((1, 1, 2, 2), 1)),
+    (tau_class(0, 0), "0", ((1, 1, 2, 2), 1)),
+    (tau_class(2, -3), "5", ((1, 1, 2, 2), 1)),
+    (tau_class(1, 0), "x + 1", None),
+    ((DOUBLE.base.parse("x"), DOUBLE.base.zero()), "1", None),
+    pytest.param(DOUBLE.trunc.parse("x^2*t"), "1", None, id="x^2*t-1-None"),
 ])
 def test_extension_module_grading(tau, rho, expected):
-    assert grading_of(extension_module(DOUBLE, tau, rho).module) == expected
+    M = extension_module(DOUBLE, tau, DOUBLE.base.parse(rho)).module
+    assert grading_of(M) == expected
 
 
 def test_infer_grading_rule():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from module_oracles import assert_filtration, filtration_layer_sum
-from truncmod.arith import PolyRing
+from truncmod.arith import PolyRing, agree
 from truncmod.doublepoint import LocalDoubleRing
 from truncmod.multiring import TruncRing
 from truncmod.groebner import SpanGB, vec_from_polys
@@ -21,6 +21,7 @@ from truncmod.fpmod import (
 from truncmod.hilbert import (
     HilbertError,
     HilbertPolynomial,
+    HilbertSeries,
     hilbert_polynomial,
     dimension_by_enumeration,
     hilbert_series_presmod,
@@ -116,29 +117,44 @@ def test_enumeration_over_the_base_matches_series(n, t_weight, degrees, relation
 
 
 def test_series_and_polynomial_text():
-    # agree writes these forms into the messages of disagreeing routes
+    # agree names every route of a disagreement and writes what each
+    # answered: a series or a polynomial by its exact dataclass form
     tr = TruncRing(("x", "y"), 2)
     S = tr.S
     quotient = PresMod(tr, 1, [(S.parse("x^2"),), (S.parse("x*y"),)],
                        grading=Grading((0,), 1))
-    assert str(hilbert_series_presmod(free_module(tr, 1))) == "(1 - z^2) / ((1 - z)^3)"
-    assert str(hilbert_series_presmod(quotient)) == (
-        "(1 - 3*z^2 + z^3 + 2*z^4 - z^5) / ((1 - z)^3)")
-    assert str(hilbert_series_presmod(free_module(tr, 1, gen_degrees=(-1,)))) == (
-        "(z^-1 - z) / ((1 - z)^3)")
+    whole = hilbert_series_presmod(free_module(tr, 1))
+    part = hilbert_series_presmod(quotient)
+    assert whole == HilbertSeries(((0, 1), (2, -1)), 3)
+    assert part == HilbertSeries(((0, 1), (2, -3), (3, 1), (4, 2), (5, -1)), 3)
+    with pytest.raises(HilbertError) as series_error:
+        agree(HilbertError, "series", whole=whole, quotient=part)
+    message = str(series_error.value)
+    assert "whole=" in message and "quotient=" in message
+    assert str(whole.numerator_coeffs) in message
+    assert str(part.numerator_coeffs) in message
+
+    half = HilbertPolynomial.make([Fraction(-1), Fraction(0), Fraction(1, 2)])
+    with pytest.raises(HilbertError) as polynomial_error:
+        agree(HilbertError, "polynomial", half=half, zero=HilbertPolynomial.make([]))
+    message = str(polynomial_error.value)
+    assert "half=" in message and "zero=" in message
+    assert str(half.coeffs) in message
+
+    shifted = hilbert_series_presmod(free_module(tr, 1, gen_degrees=(-1,)))
+    assert shifted == HilbertSeries(((-1, 1), (1, -1)), 3)
     line = PolyRing(("x",))
-    assert str(ideal_series(line, [])) == "(1) / ((1 - z))"
-    assert str(ideal_series(line, [line.parse("1")])) == "0"
-    assert str(HilbertPolynomial.make([Fraction(-1), Fraction(0), Fraction(1, 2)])) == (
-        "1/2*d^2 - 1")
+    assert ideal_series(line, []) == HilbertSeries(((0, 1),), 1)
+    assert ideal_series(line, [line.parse("1")]) == HilbertSeries((), 1)
 
 
 def test_series_at_other_t_weights_are_over_the_base_ring():
     # restricted to Q[x, y]: R[2] is two copies of it, in degrees 0 and 2
     tr = TruncRing(("x", "y"), 2)
-    assert str(hilbert_series_presmod(free_module(tr, 1, t_weight=2))) == (
-        "(1 + z^2) / ((1 - z)^2)")
-    assert str(hilbert_series_presmod(free_module(tr, 1, t_weight=0))) == "(2) / ((1 - z)^2)"
+    doubled = hilbert_series_presmod(free_module(tr, 1, t_weight=2))
+    assert (doubled.numerator_coeffs, doubled.nvars) == (((0, 1), (2, 1)), 2)
+    flat = hilbert_series_presmod(free_module(tr, 1, t_weight=0))
+    assert (flat.numerator_coeffs, flat.nvars) == (((0, 2),), 2)
 
 
 # ---------------------------------------------------------------- polynomials

@@ -137,8 +137,8 @@ def automorphisms(draw, tr):
     t = tr.t
     images = {v: tr.S.gen(v) + t * draw(s_polys(tr)) for v in ("x", "y")}
     r = draw(s_polys(tr))
-    r = r - r.constant_term()
-    return AutMap(tr, images, t * (draw(COEFFS) + r))
+    r = r - tr.S.const(r.constant_term())
+    return AutMap(tr, images, t * (tr.S.const(draw(COEFFS)) + r))
 
 
 @st.composite

@@ -11,11 +11,13 @@ import pytest
 from truncmod import doublepoint, fpmod
 from truncmod.arith import ArithError, agree
 from truncmod.cli import main
-from truncmod.doublepoint import DoublePointError, LocalDoubleRing, extension_module
+from truncmod.doublepoint import DoublePointError, LocalDoubleRing, TauClass, extension_module
 from truncmod.fpmod import ModuleError, extension_R_by_Ri
 from truncmod.hilbert import HilbertError
 from truncmod.multiring import TruncRing
 from truncmod.regseq import SequenceError
+
+UNIT_CLASS = TauClass(Fraction(1), Fraction(0))
 
 
 def test_agree_returns_the_common_answer_of_two_routes():
@@ -55,24 +57,25 @@ def test_extension_of_R_by_Ri_always_checks_exactness(monkeypatch):
     tr = TruncRing(("x", "y"), 3)
     _never_injective(monkeypatch)
     with pytest.raises(ModuleError):
-        extension_R_by_Ri(tr, tr.base.parse("1"), 1)
+        extension_R_by_Ri(tr, tr.parse("1"), 1)
 
 
 def test_double_point_extension_always_checks_exactness(monkeypatch):
     ring = LocalDoubleRing()
     _never_injective(monkeypatch)
     with pytest.raises(DoublePointError):
-        extension_module(ring, (1, 0), "-1")
+        extension_module(ring, UNIT_CLASS, ring.base.parse("-1"))
 
 
 def _joined_extension():
     tr = TruncRing(("x", "y"), 3)
-    return extension_R_by_Ri(tr, tr.base.parse("1"), 1)
+    return extension_R_by_Ri(tr, tr.parse("1"), 1)
 
 
 @pytest.mark.parametrize("build, error", [
     (_joined_extension, ModuleError),
-    (lambda: extension_module(LocalDoubleRing(), (1, 0), "-1"), DoublePointError),
+    (lambda: extension_module(LocalDoubleRing(), UNIT_CLASS, LocalDoubleRing().base.parse("-1")),
+     DoublePointError),
 ])
 def test_each_extension_reports_a_failed_surjectivity_in_its_own_error(
         monkeypatch, build, error):
