@@ -233,14 +233,19 @@ def _parse_span(tr: TruncRing, payload: dict) -> tuple[int, list]:
     return rank, _rows(vectors, "payload.vectors", None, rank, tr)
 
 
+def _ideal_gens(tr: TruncRing, payload: dict, where: str) -> list[Poly]:
+    """The parsed generators of an ``ideal`` payload."""
+    return [_parse_poly(tr, g, f"{where}.ideal")
+            for g in _list(payload["ideal"], f"{where}.ideal", nonempty=True)]
+
+
 def _parse_presmod(tr: TruncRing, payload: dict, where: str = "payload") -> PresMod:
     """A module from one of the accepted shapes: an ideal (syzygy
     presentation built here), an explicit presentation, a free module, or a
     truncated free module."""
     _object(payload, where)
     if "ideal" in payload:
-        gens = _list(payload["ideal"], f"{where}.ideal", nonempty=True)
-        return ideal_presentation(tr, [_parse_poly(tr, g, f"{where}.ideal") for g in gens])
+        return ideal_presentation(tr, _ideal_gens(tr, payload, where))
     if "presentation" in payload:
         pres, where = payload["presentation"], f"{where}.presentation"
         ngens = _require(pres, "generators", where)
@@ -408,12 +413,14 @@ def _cmd_filtration(ring, payload, options):
 
 
 def _cmd_balanced(ring, payload, options):
-    M = _parse_presmod(ring, payload)
+    # an ideal's witness is written through its generators, parsed once
+    _object(payload, "payload")
+    gens = _ideal_gens(ring, payload, "payload") if "ideal" in payload else None
+    M = _parse_presmod(ring, payload) if gens is None else ideal_presentation(ring, gens)
     rep = is_balanced(M)
     witness = None
     if rep.witness is not None:
-        if "ideal" in payload:
-            gens = [ring.parse(g) for g in payload["ideal"]]
+        if gens is not None:
             elem = ring.S.zero()
             for c, g in zip(rep.witness, gens):
                 elem = elem + c * g

@@ -280,6 +280,12 @@ def subquotient(M: PresMod, a_gens: list[Column], b_gens: list[Column]) -> PresM
     return PresMod(M.ring, len(a_gens), cols, grading)
 
 
+def quotient_by_submodule(M: PresMod, gens: list[Column]) -> PresMod:
+    """M / span(gens): M's generators and grading, with ``gens`` added to
+    the relations."""
+    return PresMod(M.ring, M.ngens, M.relations + [tuple(g) for g in gens], M.grading)
+
+
 def layer_quotients(M: PresMod, members: list[Submodule]) -> Iterator[PresMod]:
     """The layers members[k]/members[k+1] of a filtration of M, presented
     one at a time as they are asked for."""
@@ -607,6 +613,11 @@ def refine_filtrations(M: PresMod, D: list[Submodule], F: list[Submodule]
     Hilbert series; the returned pairing lists ((i,j), series) entries for
     the nonzero layers.
 
+    A layer's series is read off two quotients of M: for B ⊆ A the exact
+    sequence 0 -> A/B -> M/B -> M/A -> 0 gives HS(A/B) = HS(M/B) - HS(M/A).
+    So each member X of a threaded chain costs one series of M/X, presented
+    by M's relations and X's generators, and no layer is presented.
+
     Both chains must descend from the whole module to zero, as the
     canonical filtrations do: then member (i, 0) is D_i and member (i, m)
     is D_{i+1}, so only the inner members F_1 .. F_(m-1) are intersected.
@@ -631,8 +642,15 @@ def refine_filtrations(M: PresMod, D: list[Submodule], F: list[Submodule]
         chain.append(outer[-1])
         return chain
 
+    def layer_series(chain: list[Submodule]) -> list:
+        # layer k of the chain is chain[k] / chain[k + 1]
+        quotients = [hilbert_series_presmod(quotient_by_submodule(M, X.gens))
+                     for X in chain]
+        return [below - above for above, below in zip(quotients, quotients[1:])]
+
     d_chain = thread(D, F)
     f_chain = thread(F, D)
+    d_series, f_series = layer_series(d_chain), layer_series(f_chain)
     m_d, m_f = len(D) - 1, len(F) - 1
 
     pairing = []
@@ -640,11 +658,8 @@ def refine_filtrations(M: PresMod, D: list[Submodule], F: list[Submodule]
     for i in range(m_d):
         for j in range(m_f):
             k, l = i * m_f + j, j * m_d + i
-            dq = subquotient(M, d_chain[k].gens, d_chain[k + 1].gens)
-            fq = subquotient(M, f_chain[l].gens, f_chain[l + 1].gens)
             hs_d = agree(ModuleError, f"series of crosswise layer ({i},{j})",
-                         first_chain=hilbert_series_presmod(dq),
-                         second_chain=hilbert_series_presmod(fq))
+                         first_chain=d_series[k], second_chain=f_series[l])
             if hs_d.numerator_coeffs:
                 pairing.append(((i, j), hs_d))
                 d_ends.append(k + 1)

@@ -42,6 +42,13 @@ class HilbertSeries:
     def make(num: dict[int, int], nvars: int) -> HilbertSeries:
         return HilbertSeries(tuple(sorted((d, c) for d, c in num.items() if c)), nvars)
 
+    def __sub__(self, other: HilbertSeries) -> HilbertSeries:
+        """The difference of two series over the same (1 - z)^nvars."""
+        num = dict(self.numerator_coeffs)
+        for d, c in other.numerator_coeffs:
+            num[d] = num.get(d, 0) - c
+        return HilbertSeries.make(num, self.nvars)
+
     def _expand(self, up_to: int) -> tuple[int, list[int]]:
         """(low, dims): dims[k] is the dimension in degree low + k, through
         degree up_to, where low is the lowest numerator degree or 0."""

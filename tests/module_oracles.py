@@ -6,7 +6,8 @@ across the two.  ``koszul_h1_vanishes`` decides regularity of a short
 sequence by first Koszul homology, a route independent of
 ``regseq``'s colon ladders.  ``assert_filtration`` checks that a list of
 submodules is a filtration, and ``filtration_layer_sum`` adds up the reduced
-Hilbert polynomials of its layers.  ``comparison_maps`` builds every
+Hilbert polynomials of its layers, and ``presented_layer_series`` reads the
+series of each layer off its own presentation.  ``comparison_maps`` builds every
 comparison map between consecutive layers of the two t-power filtrations,
 with their kernels and cokernels, as a second reading of balance."""
 
@@ -26,11 +27,13 @@ from truncmod.fpmod import (
     first_canonical_filtration,
     free_module,
     layer_quotients,
+    quotient_by_submodule,
     subquotient,
 )
 from truncmod.hilbert import (
     HilbertError,
     HilbertPolynomial,
+    hilbert_series_presmod,
     layer_base_series,
     polynomial_from_series,
 )
@@ -163,9 +166,12 @@ def filtration_layer_sum(M, members) -> HilbertPolynomial:
     return total
 
 
-def quotient_by_submodule(M: PresMod, gens) -> PresMod:
-    """M / span(gens): same generators, extra relations."""
-    return PresMod(M.ring, M.ngens, M.relations + [tuple(g) for g in gens], M.grading)
+def presented_layer_series(M, chain) -> list:
+    """The Hilbert series of each layer chain[k]/chain[k+1] of a chain in
+    the graded module M, counted on the layer's ``subquotient``
+    presentation."""
+    return [hilbert_series_presmod(subquotient(M, a.gens, b.gens))
+            for a, b in zip(chain, chain[1:])]
 
 
 def kernel_presentation(f: ModMap) -> PresMod:

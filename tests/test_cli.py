@@ -178,6 +178,25 @@ def test_balance_verdict_and_witness():
     assert out["witness"] is None
 
 
+def test_an_unbalanced_ideal_parses_each_generator_once(monkeypatch):
+    # the witness is written through the generators the module was built from
+    from truncmod.multiring import TruncRing
+
+    parsed = []
+    parse = TruncRing.parse
+
+    def counted(self, text):
+        parsed.append(text)
+        return parse(self, text)
+
+    monkeypatch.setattr(TruncRing, "parse", counted)
+    gens = ["X^2", "Y^2 + t", "X*Y"]
+    code, out = run("module.balanced", {"ring": RING_UPPER, "payload": {"ideal": gens}})
+    assert code == 0
+    assert out["balanced"] is False and out["witness"] == "X*t"
+    assert parsed == gens
+
+
 def test_balance_at_n_1_is_immediate():
     # no comparison maps exist for n = 1; the verdict needs no layers
     code, out = run("module.balanced", {"ring": RING_PLAIN, "payload": {"free": {"rank": 1}}})

@@ -560,6 +560,12 @@ def test_refinement_intersects_only_inner_members(monkeypatch):
     assert counts == [12, 7]
 
 
+# a graded presentation of rank 4 over R[2]
+RANK_FOUR = {"generators": 4, "degrees": [1, 1, 2, 2], "t_weight": 1,
+             "relations": [["y", "-x", "1", "0"], ["t", "0", "1", "0"], ["0", "t", "0", "1"],
+                           ["0", "0", "y", "-x"], ["0", "0", "t", "0"], ["0", "0", "0", "t"]]}
+
+
 def test_refine_forms_no_product_with_a_zero_operand(monkeypatch):
     """Generator columns times a power of t are built in place and
     ``_combine`` skips zero entries, so a ``module.refine`` job multiplies
@@ -576,15 +582,42 @@ def test_refine_forms_no_product_with_a_zero_operand(monkeypatch):
 
     for name in ("times", "__mul__"):
         monkeypatch.setattr(arith.Poly, name, counted)
-    doc = {"ring": {"variables": ["x", "y"], "n": 2}, "payload": {"presentation": {
-        "generators": 4, "degrees": [1, 1, 2, 2], "t_weight": 1,
-        "relations": [["y", "-x", "1", "0"], ["t", "0", "1", "0"], ["0", "t", "0", "1"],
-                      ["0", "0", "y", "-x"], ["0", "0", "t", "0"], ["0", "0", "0", "t"]]}}}
+    doc = {"ring": {"variables": ["x", "y"], "n": 2},
+           "payload": {"presentation": RANK_FOUR}}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(["module.refine"]) == 0
     assert json.loads(out.getvalue())["matched_layers"]
     assert calls and sum(calls) == 0
+
+
+def test_refine_presents_no_layer_and_builds_a_graph_basis_per_intersection(monkeypatch):
+    """Each crosswise layer's series is read off two quotients of the
+    module, which take plain bases: refinement presents no layer, and its
+    only graph bases (lifts and kernels) are those of its intersections."""
+    from truncmod import fpmod, groebner
+
+    tr = ring(2)
+    M = PresMod(tr, 4, [tuple(tr.S.parse(p) for p in col) for col in RANK_FOUR["relations"]],
+                Grading(tuple(RANK_FOUR["degrees"]), 1))
+    D, F = first_canonical_filtration(M), second_canonical_filtration(M)
+    calls = {"subquotient": 0, "_graph_basis": 0, "intersection_gens": 0}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(fpmod, "subquotient")
+    counted(groebner, "_graph_basis")
+    counted(Submodule, "intersection_gens")
+    Dr, Fr, pairs = refine_filtrations(M, D, F)
+    assert pairs and len(Dr) == len(Fr) == len(pairs) + 1
+    assert calls["subquotient"] == 0
+    assert calls["_graph_basis"] == calls["intersection_gens"] > 0
 
 
 def test_intersection_of_principal_spans():

@@ -1,8 +1,9 @@
 """Property tests for the t-power filtrations of small graded modules.
 
 Random presentations over R[2] and R[3] (one or two generators, up to three
-homogeneous relations of degree at most 2 in x, y, t) are checked against
-answers that do not depend on the generating set:
+homogeneous relations of degree at most 2 in x, y, t, with t weighing 1
+unless a test says otherwise) are checked against answers that do not depend
+on the generating set:
 
 * a presentation of the same module from ``transformed_presentation`` gives
   the same balance verdict and witness level, and the same refined member
@@ -11,6 +12,10 @@ answers that do not depend on the generating set:
   ``assert_filtration``), each refined chain has one member more than the
   matched layers and no two equal neighbours, and the matched layers add up
   to the Hilbert series of the module;
+* at t-weights 1 and 2, the series ``refine_filtrations`` reads off two
+  quotients of the module, HS(A/B) = HS(M/B) - HS(M/A), equal the series of
+  the refined chains' layers counted on their own ``subquotient``
+  presentations (``presented_layer_series``), for both chains;
 * at n = 2, ``is_balanced`` agrees with the definition: every kernel and
   cokernel of ``comparison_maps`` vanishes;
 * the quasi-free type (with its layer ranks and first non-free layer), the
@@ -20,10 +25,16 @@ answers that do not depend on the generating set:
 * the reduced Hilbert polynomial is additive on direct sums.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from module_oracles import assert_filtration, comparison_maps, transformed_presentation
+from module_oracles import (
+    assert_filtration,
+    comparison_maps,
+    presented_layer_series,
+    transformed_presentation,
+)
 from truncmod.fpmod import (
     Grading,
     PresMod,
@@ -39,14 +50,16 @@ from truncmod.hilbert import hilbert_series_presmod, reduced_hilbert_polynomial
 from truncmod.multiring import TruncRing
 
 RINGS = {n: TruncRing(("x", "y"), n) for n in (2, 3)}
-# t-multiples first: a relation in t is what makes a module unbalanced
-MONOMIALS = {0: ("1",), 1: ("t", "x", "y"),
-             2: ("x*t", "t^2", "y*t", "x^2", "x*y", "y^2")}
+# the monomials of each degree, by the weight of t; t-multiples first: a
+# relation in t is what makes a module unbalanced
+MONOMIALS = {1: {0: ("1",), 1: ("t", "x", "y"),
+                 2: ("x*t", "t^2", "y*t", "x^2", "x*y", "y^2")},
+             2: {0: ("1",), 1: ("x", "y"), 2: ("t", "x^2", "x*y", "y^2")}}
 THROUGH = 6
 
 
 @st.composite
-def presentations(draw, n=None):
+def presentations(draw, n=None, t_weight=1):
     tr = RINGS[draw(st.sampled_from([2, 3])) if n is None else n]
     degrees = draw(st.sampled_from([(0,), (1,), (0, 0), (0, 1)]))
     relations = []
@@ -56,11 +69,11 @@ def presentations(draw, n=None):
         column = []
         for d in degrees:
             terms = draw(st.lists(st.tuples(st.integers(-2, 2).filter(bool),
-                                            st.sampled_from(MONOMIALS[column_degree - d])),
+                                            st.sampled_from(MONOMIALS[t_weight][column_degree - d])),
                                   max_size=2))
             column.append(tr.S.parse(" + ".join(f"({c})*{m}" for c, m in terms) or "0"))
         relations.append(tuple(column))
-    return PresMod(tr, len(degrees), relations, Grading(degrees, 1))
+    return PresMod(tr, len(degrees), relations, Grading(degrees, t_weight))
 
 
 def canonical(M):
@@ -102,6 +115,18 @@ def test_refined_chains_are_filtrations_whose_layers_add_up(M):
     for _, series in pairs:
         total = [a + b for a, b in zip(total, series.dimensions(THROUGH))]
     assert total == hilbert_series_presmod(M).dimensions(THROUGH)
+
+
+@pytest.mark.parametrize("t_weight", [1, 2])
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_pairing_series_are_the_series_of_the_presented_layers(t_weight, data):
+    M = data.draw(presentations(t_weight=t_weight))
+    D, F, pairs = refined(M)
+    assert presented_layer_series(M, D) == [series for _, series in pairs]
+    # F's members follow the second filtration: layer (i, j) in order of (j, i)
+    assert presented_layer_series(M, F) == [
+        series for _, series in sorted(pairs, key=lambda p: p[0][::-1])]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
