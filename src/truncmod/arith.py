@@ -437,16 +437,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def leading(self, order: MonomialOrder | None = None) -> tuple[Exponents, Fraction]:
-        if not self.terms:
-            raise ArithError("the zero polynomial has no leading term")
-        order = order or self.ring.order
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
-
-    def coefficient(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.ring.nvars, Fraction(0))
 

@@ -37,6 +37,7 @@ from .fpmod import (
     free_module,
     graded_or_plain,
     is_balanced,
+    quotient_by_submodule,
     subquotient,
     truncated_free,
     vanishes_locally,
@@ -296,45 +297,6 @@ def affine_difference(J1: PointIdeal, J2: PointIdeal,
 # -- degree-bounded homological checks -------------------------------------
 
 
-def _double_monomials(d: int) -> list[tuple[int, int, int]]:
-    """Exponent triples (i, j, k) with k <= 1 and i + j + k = d."""
-    return [e + (k,) for k in (0, 1) for e in monomials_of_degree(2, d - k)]
-
-
-def _degree_images(ring: LocalDoubleRing, cols: list[Column],
-                   src_degs: tuple[int, ...], tgt_degs: tuple[int, ...],
-                   d: int, target_mod_t: bool = False) -> list[dict]:
-    """The degree-d piece of the map given by the columns: one sparse image
-    per source basis element, keyed by (entry, exponents) of the target
-    monomial basis.  A rank taken of this list is the rank of the map."""
-    tr = ring.trunc
-    images: list[dict] = []
-    for i, gd in enumerate(src_degs):
-        for e in _double_monomials(d - gd):
-            mono = Poly(ring.S, {e: Fraction(1)})
-            image: dict = {}
-            for l, p in enumerate(cols[i]):
-                for ee, c in tr.truncate(mono * p).terms.items():
-                    if target_mod_t and ee[2]:
-                        continue
-                    if sum(ee) != d - tgt_degs[l]:
-                        term = Poly(ring.S, {tuple(a - b for a, b in zip(ee, e)): c})
-                        raise DoublePointError(
-                            f"column {i}: the term {term} of entry {l} maps outside "
-                            f"the degree-{d} target basis")
-                    image[(l, ee)] = c
-            images.append(image)
-    return images
-
-
-def _phi_defaults(ring: LocalDoubleRing):
-    x, y, t = ring.x, ring.y, ring.t
-    zero = ring.S.zero()
-    phi1 = [(y, -x), (t, zero), (zero, t)]
-    phi2 = [(t, -y, x), (zero, t, zero), (zero, zero, t)]
-    return phi1, phi2
-
-
 @dataclass
 class TableReport:
     """Outcome of a degree-bounded check: whether it passed, what failed,
@@ -354,12 +316,17 @@ def verify_maximal_ideal_resolution(ring: LocalDoubleRing, degree_bound: int,
     double ring: composites vanish, kernels equal images (exact spans and a
     per-degree dimension table up to the bound), and the displayed kernel
     of the first map is confirmed by double inclusion.  The table rows are
-    (degree, dim ker phi0, dim im phi1, dim ker phi1, dim im phi2)."""
+    (degree, dim ker phi0, dim im phi1, dim ker phi1, dim im phi2), counted
+    by ``presmod_dimension_by_enumeration`` on the free modules and the
+    maps' cokernels: no Groebner basis, so the table is independent of the
+    kernel checks.  A term off its column's source degree raises."""
     if degree_bound < 2:
         raise DoublePointError("degree bound must be at least 2")
     tr = ring.trunc
-    x, y = ring.x, ring.y
-    default1, default2 = _phi_defaults(ring)
+    x, y, t = ring.x, ring.y, ring.t
+    zero = ring.S.zero()
+    default1 = [(y, -x), (t, zero), (zero, t)]
+    default2 = [(t, -y, x), (zero, t, zero), (zero, zero, t)]
     phi1 = [tuple(tr.truncate(p) for p in c) for c in (phi1_cols or default1)]
     phi2 = [tuple(tr.truncate(p) for p in c) for c in (phi2_cols or default2)]
     failures: list[str] = []
@@ -370,14 +337,15 @@ def verify_maximal_ideal_resolution(ring: LocalDoubleRing, degree_bound: int,
         if r.terms:
             failures.append(f"phi0*phi1 nonzero at column {idx}: {r}")
     for idx, col in enumerate(phi2):
-        out = [tr.truncate(sum((col[i] * phi1[i][l] for i in range(3)),
-                               ring.S.zero())) for l in range(2)]
+        out = [tr.truncate(sum((col[i] * phi1[i][l] for i in range(3)), zero))
+               for l in range(2)]
         if any(p.terms for p in out):
             failures.append(f"phi1*phi2 nonzero at column {idx}")
 
-    F2, F3 = free_module(tr, 2), free_module(tr, 3)
-    # phi0 maps onto the reduced ring R[2]/(t)
-    ker0 = Submodule(F2, truncated_free(tr, 1).zero_submodule().kernel_through([(x,), (y,)]))
+    # graded as the sources of phi0: F2 -> R[2]/(t) and phi1: F3 -> F2
+    F2, F3 = free_module(tr, 2, (1, 1)), free_module(tr, 3, (2, 2, 2))
+    reduced = truncated_free(tr, 1)
+    ker0 = Submodule(F2, reduced.zero_submodule().kernel_through([(x,), (y,)]))
     if not ker0.equals(Submodule(F2, phi1)):
         failures.append("ker(phi0) differs from im(phi1)")
 
@@ -391,23 +359,30 @@ def verify_maximal_ideal_resolution(ring: LocalDoubleRing, degree_bound: int,
     if not Submodule(F3, ker1).equals(Submodule(F3, phi2)):
         failures.append("ker(phi1) differs from im(phi2)")
 
+    # dim im = dim target - dim coker, and dim ker = dim source - dim im
+    maps = [(F2, reduced, [(x,), (y,)]), (F3, F2, phi1),
+            (free_module(tr, 3, (3, 3, 3)), F3, phi2)]
+    for source, target, cols in maps:
+        src, tgt = source.grading.gen_degrees, target.grading.gen_degrees
+        for i, col in enumerate(cols):
+            for l, p in enumerate(col):
+                for e, c in p.terms.items():
+                    if sum(e) + tgt[l] != src[i]:
+                        raise DoublePointError(
+                            f"column {i}: the term {Poly(ring.S, {e: c})} of entry {l} "
+                            f"lies off the degree {src[i]} of its source generator")
+    spaces = [(source, target, quotient_by_submodule(target, cols))
+              for source, target, cols in maps]
+    dim = presmod_dimension_by_enumeration
     table: list[tuple[int, int, int, int, int]] = []
-    phi0_cols: list[Column] = [(x,), (y,)]
     for d in range(2, degree_bound + 1):
-        images0 = _degree_images(ring, phi0_cols, (1, 1), (0,), d,
-                                 target_mod_t=True)
-        dim_ker0 = len(images0) - matrix_rank(images0)
-        images1 = _degree_images(ring, phi1, (2, 2, 2), (1, 1), d)
-        dim_im1 = matrix_rank(images1)
-        dim_ker1 = len(images1) - dim_im1
-        dim_im2 = matrix_rank(_degree_images(ring, phi2, (3, 3, 3), (2, 2, 2), d))
-        table.append((d, dim_ker0, dim_im1, dim_ker1, dim_im2))
-        if dim_ker0 != dim_im1:
-            failures.append(
-                f"degree {d}: dim ker(phi0) = {dim_ker0} but dim im(phi1) = {dim_im1}")
-        if dim_ker1 != dim_im2:
-            failures.append(
-                f"degree {d}: dim ker(phi1) = {dim_ker1} but dim im(phi2) = {dim_im2}")
+        ims = [dim(target, d) - dim(coker, d) for _, target, coker in spaces]
+        kers = [dim(source, d) - im for (source, _, _), im in zip(spaces, ims)]
+        table.append((d, kers[0], ims[1], kers[1], ims[2]))
+        for k in (0, 1):
+            if kers[k] != ims[k + 1]:
+                failures.append(f"degree {d}: dim ker(phi{k}) = {kers[k]} "
+                                f"but dim im(phi{k + 1}) = {ims[k + 1]}")
 
     return TableReport(not failures, failures, table)
 
@@ -512,7 +487,10 @@ def ext_complex_check(ring: LocalDoubleRing, degree_bound: int,
         quotient = subquotient(triple, ker2, list(map1.columns))
         for d in range(2, degree_bound + 1):
             # brute force in ambient coordinates: the degree-e slice of one
-            # m*I slot has basis x^i y^j t with i + j = e - 1 >= 1
+            # m*I slot has basis x^i y^j t with i + j = e - 1 >= 1.  This
+            # count reads no presentation of (m*I)-tuples, so it stays apart
+            # from presmod_dimension_by_enumeration, which counts the
+            # presented quotient it is checked against.
             basis_d = [e + (1,) for e in monomials_of_degree(2, d - 1)]
             basis_prev = [e + (1,) for e in monomials_of_degree(2, d - 2)] if d >= 3 else []
             images2 = _psi_slice(psi2, 3, basis_d)

@@ -27,8 +27,9 @@ coinciding.  A module where they coincide is called balanced here.
 
 A filtration is a plain list of ``Submodule``s of M, descending from M to
 zero; both canonical filtrations are stored that way, the kernels
-descending from A_n, and ``layer_quotients`` presents the layers one at a
-time, so a caller that stops at a layer builds no later one.
+descending from A_n, each from the unit columns to ``M.zero_submodule()``,
+and ``layer_quotients`` presents the layers one at a time, so a caller that
+stops at a layer builds no later one.
 """
 
 from __future__ import annotations
@@ -297,10 +298,11 @@ def layer_quotients(M: PresMod, members: list[Submodule]) -> Iterator[PresMod]:
 
 
 def first_canonical_filtration(M: PresMod) -> list[Submodule]:
-    """The descending chain of images of multiplication by t^i, i = 0..n."""
+    """The descending chain of images of multiplication by t^i, i = 0..n;
+    t^n M = 0 is ``M.zero_submodule()``."""
     ring = M.ring
-    return [Submodule(M, [M.gen_column(j, t_i) for j in range(M.ngens)])
-            for t_i in (ring.t ** i for i in range(ring.n + 1))]
+    return ([Submodule(M, [M.gen_column(j, ring.t ** i) for j in range(M.ngens)])
+             for i in range(ring.n)] + [M.zero_submodule()])
 
 
 def annihilator_kernel(M: PresMod, i: int) -> list[Column]:
@@ -311,8 +313,12 @@ def annihilator_kernel(M: PresMod, i: int) -> list[Column]:
 
 def second_canonical_filtration(M: PresMod) -> list[Submodule]:
     """The chain of t-power annihilators, stored descending:
-    M = ann(t^n) ⊇ ann(t^(n-1)) ⊇ ... ⊇ ann(t^0) = 0."""
-    return [Submodule(M, annihilator_kernel(M, i)) for i in range(M.ring.n, -1, -1)]
+    M = ann(t^n) ⊇ ann(t^(n-1)) ⊇ ... ⊇ ann(t^0) = 0.  The ends are M and
+    ``M.zero_submodule()`` by definition; only the inner members take a
+    syzygy computation."""
+    return ([Submodule(M, [M.gen_column(j) for j in range(M.ngens)])]
+            + [Submodule(M, annihilator_kernel(M, i)) for i in range(M.ring.n - 1, 0, -1)]
+            + [M.zero_submodule()])
 
 
 # -- maps -----------------------------------------------------------------
@@ -549,7 +555,10 @@ def build_extension(N: PresMod, M: PresMod, f1_columns: list[Column]
     on the relation columns; f1_columns gives the image in N of each F1
     basis vector.  The result is the cokernel of the combined map into
     N ⊕ F0, with its inclusion of N and projection onto M; exactness of
-    0 -> N -> result -> M -> 0 is checked on every call.
+    0 -> N -> result -> M -> 0 is checked on every call.  That check also
+    refuses a map that does not descend to im(F1 -> F0): a syzygy s of the
+    relations with sum(s_r f1_r) nonzero in N makes (sum(s_r f1_r), 0) zero
+    in the result, so the inclusion fails injectivity.
     """
     ring = M.ring
     if N.ring != ring:
@@ -557,13 +566,6 @@ def build_extension(N: PresMod, M: PresMod, f1_columns: list[Column]
     q = len(M.relations)
     if len(f1_columns) != q:
         raise ModuleError(f"need one image per relation column ({q}), got {len(f1_columns)}")
-    # The map must kill the relations among the relation columns, computed
-    # over R[n]; otherwise it does not descend to im(F1 -> F0).
-    syz2 = free_module(ring, M.ngens).zero_submodule().kernel_through(M.relations) if q else []
-    for polys in syz2:
-        if not N.zero_submodule().contains(_combine(ring, polys, f1_columns, N.ngens)):
-            raise ModuleError("descent condition fails: images do not kill relation syzygies")
-
     total = N.ngens + M.ngens
     zero = ring.S.zero()
     rels: list[Column] = []
@@ -615,21 +617,26 @@ def refine_filtrations(M: PresMod, D: list[Submodule], F: list[Submodule]
 
     A layer's series is read off two quotients of M: for B ⊆ A the exact
     sequence 0 -> A/B -> M/B -> M/A -> 0 gives HS(A/B) = HS(M/B) - HS(M/A).
-    So each member X of a threaded chain costs one series of M/X, presented
-    by M's relations and X's generators, and no layer is presented.
+    So each inner member X of a threaded chain costs one series of M/X,
+    presented by M's relations and X's generators, and no layer is
+    presented.
 
     Both chains must descend from the whole module to zero, as the
     canonical filtrations do: then member (i, 0) is D_i and member (i, m)
-    is D_{i+1}, so only the inner members F_1 .. F_(m-1) are intersected.
+    is D_{i+1}, so only the inner members F_1 .. F_(m-1) are intersected,
+    and the ends need no quotient, HS(M/M) = 0 and HS(M/0) = HS(M).
     The returned chains keep their first member and each member that ends
     a nonzero layer: a graded layer is zero exactly when its series is, and
     then its two ends are equal.  So each chain has one member more than
     the pairing has entries.
     """
-    from .hilbert import hilbert_series_presmod
+    from .hilbert import HilbertSeries, hilbert_series_presmod
 
     if M.grading is None:
         raise ModuleError("refinement requires a graded ambient module")
+    # the series of M/M and of M/0, shared by both chains
+    whole = hilbert_series_presmod(M)
+    zero = HilbertSeries.make({}, whole.nvars)
 
     def thread(outer: list[Submodule], inner: list[Submodule]) -> list[Submodule]:
         # member (i, j) sits at index i*m + j, for m = len(inner) - 1
@@ -644,8 +651,10 @@ def refine_filtrations(M: PresMod, D: list[Submodule], F: list[Submodule]
 
     def layer_series(chain: list[Submodule]) -> list:
         # layer k of the chain is chain[k] / chain[k + 1]
-        quotients = [hilbert_series_presmod(quotient_by_submodule(M, X.gens))
-                     for X in chain]
+        quotients = ([zero]
+                     + [hilbert_series_presmod(quotient_by_submodule(M, X.gens))
+                        for X in chain[1:-1]]
+                     + [whole])
         return [below - above for above, below in zip(quotients, quotients[1:])]
 
     d_chain = thread(D, F)
@@ -726,8 +735,6 @@ class HomModule:
     matrices (source generator index major, target index minor)."""
 
     presentation: PresMod
-    source: PresMod
-    target: PresMod
     gen_matrices: list[list[Column]]    # per Hom generator: images of source gens
 
 
@@ -747,7 +754,7 @@ def hom_module(M: PresMod, N: PresMod) -> HomModule:
             ring, gens, M.grading.t_weight,
             lambda pos: (N.grading.gen_degrees[pos % p]
                          - M.grading.gen_degrees[pos // p]))
-    return HomModule(PresMod(ring, len(gens), relations, grading), M, N, gen_matrices)
+    return HomModule(PresMod(ring, len(gens), relations, grading), gen_matrices)
 
 
 def ext1_module(M: PresMod, N: PresMod) -> PresMod:

@@ -7,7 +7,9 @@ sequence by first Koszul homology, a route independent of
 ``regseq``'s colon ladders.  ``assert_filtration`` checks that a list of
 submodules is a filtration, and ``filtration_layer_sum`` adds up the reduced
 Hilbert polynomials of its layers, and ``presented_layer_series`` reads the
-series of each layer off its own presentation.  ``comparison_maps`` builds every
+series of each layer off its own presentation.  ``descends`` decides whether
+a map from a presentation's relation cover passes to the image of the
+relations, the condition ``build_extension`` needs.  ``comparison_maps`` builds every
 comparison map between consecutive layers of the two t-power filtrations,
 with their kernels and cokernels, as a second reading of balance."""
 
@@ -172,6 +174,17 @@ def presented_layer_series(M, chain) -> list:
     presentation."""
     return [hilbert_series_presmod(subquotient(M, a.gens, b.gens))
             for a, b in zip(chain, chain[1:])]
+
+
+def descends(N: PresMod, M: PresMod, f1_columns) -> bool:
+    """Whether the images ``f1_columns`` in N of M's relation columns kill
+    every syzygy among those columns over R[n], so that the map from the
+    relation cover descends to the span of the relations."""
+    if not M.relations:
+        return True
+    syzygies = free_module(M.ring, M.ngens).zero_submodule().kernel_through(M.relations)
+    f1 = ModMap(free_module(M.ring, len(M.relations)), N, list(f1_columns), check=False)
+    return all(N.zero_submodule().contains(f1.apply_cover(s)) for s in syzygies)
 
 
 def kernel_presentation(f: ModMap) -> PresMod:

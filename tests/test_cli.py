@@ -376,6 +376,15 @@ def test_resolution_map_outside_the_degree_basis_is_a_math_error():
     assert "x*t" in message
 
 
+def test_resolution_column_of_two_degrees_is_a_math_error():
+    code, out = run("ideal.resolution", {
+        "payload": {"phi1": [["y", "-x"], ["t", "0"], ["0", "t + x*y"]]},
+    })
+    assert code == 3
+    assert out["error"]["kind"] == "DoublePointError"
+    assert "column 2" in out["error"]["message"]
+
+
 @pytest.mark.parametrize("command, payload", [
     ("ideal.resolution", {"phi1": [["y", "-x"]]}),
     ("ideal.resolution", {"phi2": 5}),

@@ -281,6 +281,15 @@ def test_extension_of_line_by_layer_degenerate_case():
     assert rep.type_vector is None
 
 
+def test_an_extension_whose_map_does_not_descend_fails_injectivity():
+    """The relation t of R[1] has the syzygy t over R[2], and t * 1 is not
+    zero in R[2]: the map does not descend, so the included copy of R[2]
+    meets the relations and the inclusion is not injective."""
+    tr = ring(2)
+    with pytest.raises(ModuleError, match="injectivity"):
+        build_extension(free_module(tr, 1), truncated_free(tr, 1), [(tr.S.one(),)])
+
+
 def test_extension_maps_form_exact_sequence():
     tr = ring(3)
     res = extension_R_by_Ri(tr, tr.parse("1"), 2)
@@ -591,33 +600,59 @@ def test_refine_forms_no_product_with_a_zero_operand(monkeypatch):
     assert calls and sum(calls) == 0
 
 
+def rank_four(n):
+    tr = ring(n)
+    return PresMod(tr, 4, [tuple(tr.S.parse(p) for p in col) for col in RANK_FOUR["relations"]],
+                   Grading(tuple(RANK_FOUR["degrees"]), 1))
+
+
+def count_calls(monkeypatch, calls, owner, name):
+    """Count the calls of ``owner.<name>`` in ``calls[name]``."""
+    inner = getattr(owner, name)
+    calls[name] = 0
+
+    def wrapper(*args):
+        calls[name] += 1
+        return inner(*args)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 def test_refine_presents_no_layer_and_builds_a_graph_basis_per_intersection(monkeypatch):
     """Each crosswise layer's series is read off two quotients of the
     module, which take plain bases: refinement presents no layer, and its
     only graph bases (lifts and kernels) are those of its intersections."""
     from truncmod import fpmod, groebner
 
-    tr = ring(2)
-    M = PresMod(tr, 4, [tuple(tr.S.parse(p) for p in col) for col in RANK_FOUR["relations"]],
-                Grading(tuple(RANK_FOUR["degrees"]), 1))
+    M = rank_four(2)
     D, F = first_canonical_filtration(M), second_canonical_filtration(M)
-    calls = {"subquotient": 0, "_graph_basis": 0, "intersection_gens": 0}
-
-    def counted(owner, name):
-        inner = getattr(owner, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counted(fpmod, "subquotient")
-    counted(groebner, "_graph_basis")
-    counted(Submodule, "intersection_gens")
+    calls: dict = {}
+    for owner, name in ((fpmod, "subquotient"), (groebner, "_graph_basis"),
+                        (Submodule, "intersection_gens")):
+        count_calls(monkeypatch, calls, owner, name)
     Dr, Fr, pairs = refine_filtrations(M, D, F)
     assert pairs and len(Dr) == len(Fr) == len(pairs) + 1
     assert calls["subquotient"] == 0
     assert calls["_graph_basis"] == calls["intersection_gens"] > 0
+
+
+def test_canonical_ends_take_no_syzygy_and_refinement_no_end_quotient(monkeypatch):
+    """Both canonical filtrations run from the unit columns to
+    ``M.zero_submodule()``, so only the n - 1 inner annihilators take a
+    syzygy computation; refinement knows HS(M/M) = 0 and HS(M/0) = HS(M),
+    so of the n^2 + 1 members of each threaded chain it presents only the
+    n^2 - 1 inner ones as quotients of M."""
+    from truncmod import fpmod
+
+    n = 3
+    M = rank_four(n)
+    calls: dict = {}
+    for name in ("annihilator_kernel", "quotient_by_submodule"):
+        count_calls(monkeypatch, calls, fpmod, name)
+    D, F = first_canonical_filtration(M), second_canonical_filtration(M)
+    assert calls["annihilator_kernel"] == n - 1
+    assert D[-1] is M.zero_submodule() and F[-1] is M.zero_submodule()
+    refine_filtrations(M, D, F)
+    assert calls["quotient_by_submodule"] == 2 * (n * n - 1)
 
 
 def test_intersection_of_principal_spans():

@@ -12,8 +12,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "truncmod"
 
 ALLOWED = {
-    "arith.Poly.coefficient": "tested API",
-    "arith.Poly.leading": "tested API",
     "arith.PolyRing.from_terms": "the tests' input builder",
     "arith.elim_block": "perfbench's _span_key reads block_split",
     "hilbert.HilbertSeries.dimension": "how tests read a series",

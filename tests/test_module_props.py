@@ -22,7 +22,11 @@ on the generating set:
   generic type and the reduced Hilbert polynomial do not change under
   ``transformed_presentation``;
 * a quasi-free type, where one exists, is the generic type;
-* the reduced Hilbert polynomial is additive on direct sums.
+* the reduced Hilbert polynomial is additive on direct sums;
+* the annihilator kernels of t^n and t^0 are the whole module and zero,
+  the ends both canonical filtrations take without a syzygy computation;
+* ``build_extension`` succeeds exactly when its map descends
+  (``descends``), and refuses every other map for failed injectivity.
 """
 
 import pytest
@@ -32,12 +36,17 @@ from hypothesis import strategies as st
 from module_oracles import (
     assert_filtration,
     comparison_maps,
+    descends,
     presented_layer_series,
     transformed_presentation,
 )
 from truncmod.fpmod import (
     Grading,
+    ModuleError,
     PresMod,
+    Submodule,
+    annihilator_kernel,
+    build_extension,
     direct_sum,
     first_canonical_filtration,
     generic_type,
@@ -164,3 +173,36 @@ def test_reduced_hilbert_polynomial_is_additive_on_direct_sums(pair):
     M, N = pair
     assert (reduced_hilbert_polynomial(direct_sum(M, N))
             == reduced_hilbert_polynomial(M) + reduced_hilbert_polynomial(N))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(M=presentations())
+def test_the_outer_annihilator_kernels_are_the_whole_module_and_zero(M):
+    whole = Submodule(M, [M.gen_column(j) for j in range(M.ngens)])
+    assert Submodule(M, annihilator_kernel(M, M.ring.n)).equals(whole)
+    assert Submodule(M, annihilator_kernel(M, 0)).equals(M.zero_submodule())
+    for chain in canonical(M):
+        assert chain[0].equals(whole) and chain[-1] is M.zero_submodule()
+
+
+# images of relation columns: units and t-multiples, so that some maps kill
+# every relation syzygy and some do not
+IMAGES = ("0", "1", "t", "x", "y - t", "x*t", "t^2")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_an_extension_is_built_exactly_when_its_map_descends(data):
+    n = data.draw(st.sampled_from([2, 3]))
+    N = data.draw(presentations(n=n))
+    M = data.draw(presentations(n=n).filter(lambda M: M.relations))
+    f1 = [tuple(RINGS[n].S.parse(data.draw(st.sampled_from(IMAGES))) for _ in range(N.ngens))
+          for _ in M.relations]
+    try:
+        build_extension(N, M, f1)
+    except ModuleError as exc:
+        assert "injectivity" in str(exc)
+        built = False
+    else:
+        built = True
+    assert built == descends(N, M, f1)
