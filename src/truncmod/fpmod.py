@@ -331,18 +331,15 @@ class ModMap:
     every source relation maps into the target's relation span.
     """
 
-    def __init__(self, source: PresMod, target: PresMod, columns: list[Column],
-                 check: bool = True):
+    def __init__(self, source: PresMod, target: PresMod, columns: list[Column]):
         if len(columns) != source.ngens:
             raise ModuleError(f"{len(columns)} image columns for {source.ngens} generators")
         self.source = source
         self.target = target
         self.columns = [tuple(target.ring.truncate(p) for p in c) for c in columns]
-        if check:
-            for rel in source.relations:
-                img = self.apply_cover(rel)
-                if not target.zero_submodule().contains(img):
-                    raise ModuleError("images do not respect a source relation")
+        for rel in source.relations:
+            if not target.zero_submodule().contains(self.apply_cover(rel)):
+                raise ModuleError("images do not respect a source relation")
 
     def apply_cover(self, vec: Column) -> Column:
         """Image of an element given in source free-cover coordinates."""
@@ -350,10 +347,9 @@ class ModMap:
 
     def compose(self, inner: ModMap) -> ModMap:
         """self after inner (inner acts first)."""
-        if inner.target is not self.source and inner.target.ngens != self.source.ngens:
+        if inner.target is not self.source:
             raise ModuleError("composition mismatch")
-        cols = [self.apply_cover(c) for c in inner.columns]
-        return ModMap(inner.source, self.target, cols, check=False)
+        return ModMap(inner.source, self.target, [self.apply_cover(c) for c in inner.columns])
 
     def kernel_gens(self) -> list[Column]:
         return self.target.zero_submodule().kernel_through(self.columns)
@@ -581,9 +577,8 @@ def build_extension(N: PresMod, M: PresMod, f1_columns: list[Column]
                           N.grading.t_weight)
     P = graded_or_plain(ring, total, rels, grading)
 
-    incl = ModMap(N, P, [P.gen_column(k) for k in range(N.ngens)], check=False)
-    proj = ModMap(P, M, [M.zero_column()] * N.ngens
-                  + [M.gen_column(i) for i in range(M.ngens)], check=False)
+    incl = ModMap(N, P, [P.gen_column(k) for k in range(N.ngens)])
+    proj = ModMap(P, M, [M.zero_column()] * N.ngens + [M.gen_column(i) for i in range(M.ngens)])
     check_exact(incl, proj, ModuleError)
     return ExtensionResult(P, incl, proj)
 
@@ -703,10 +698,12 @@ def _pullback_columns(N: PresMod, rows: int, columns: list[Column]) -> list[Colu
     return out
 
 
-def _maps_into(N: PresMod, rows: int, relations: list[Column]) -> list[Column]:
+def maps_into(N: PresMod, rows: int, relations: list[Column]) -> list[Column]:
     """Generators of Hom(coker(relations), N) for relation columns of
     ``rows`` entries, as tuples in N^rows (slot i*N.ngens + l is entry l of
-    the image of generator i) that every relation sends to zero."""
+    the image of generator i) that every relation sends to zero.  The one
+    source of Hom generators: ``hom_module``, ``ext1_module`` and
+    ``dualtor.torsion`` read theirs here."""
     return _power(N, len(relations)).zero_submodule().kernel_through(
         _pullback_columns(N, rows, relations))
 
@@ -729,23 +726,14 @@ def infer_grading(ring: TruncRing, columns: list[Column], t_weight: int,
     return Grading(tuple(degs), t_weight)
 
 
-@dataclass
-class HomModule:
-    """Hom(M, N) presented as an R[n]-module; generators are stored as flat
-    matrices (source generator index major, target index minor)."""
-
-    presentation: PresMod
-    gen_matrices: list[list[Column]]    # per Hom generator: images of source gens
-
-
-def hom_module(M: PresMod, N: PresMod) -> HomModule:
+def hom_module(M: PresMod, N: PresMod) -> PresMod:
     """Present Hom_{R[n]}(M, N): the maps from coker(M's relations) into N,
-    inside N^(number of M generators), modulo maps with all images zero."""
+    inside N^(number of M generators), modulo maps with all images zero.
+    Generator k is ``maps_into(N, M.ngens, M.relations)[k]``."""
     ring = M.ring
     g, p = M.ngens, N.ngens
-    gens = _maps_into(N, g, M.relations)
+    gens = maps_into(N, g, M.relations)
     relations = _power(N, g).zero_submodule().kernel_through(gens)
-    gen_matrices = [[gf[i * p:(i + 1) * p] for i in range(g)] for gf in gens]
 
     grading = None
     if M.grading is not None and N.grading is not None \
@@ -754,7 +742,7 @@ def hom_module(M: PresMod, N: PresMod) -> HomModule:
             ring, gens, M.grading.t_weight,
             lambda pos: (N.grading.gen_degrees[pos % p]
                          - M.grading.gen_degrees[pos // p]))
-    return HomModule(PresMod(ring, len(gens), relations, grading), gen_matrices)
+    return PresMod(ring, len(gens), relations, grading)
 
 
 def ext1_module(M: PresMod, N: PresMod) -> PresMod:
@@ -768,7 +756,7 @@ def ext1_module(M: PresMod, N: PresMod) -> PresMod:
     if q == 0:
         return PresMod(ring, 0, [])
     phi2 = free_module(ring, g).zero_submodule().kernel_through(M.relations)
-    z_gens = _maps_into(N, q, phi2)
+    z_gens = maps_into(N, q, phi2)
     b_cols = [col for col in _pullback_columns(N, g, M.relations) if any(col)]
     relations = Submodule(_power(N, q), b_cols).kernel_through(z_gens)
 

@@ -11,7 +11,11 @@ series of each layer off its own presentation.  ``descends`` decides whether
 a map from a presentation's relation cover passes to the image of the
 relations, the condition ``build_extension`` needs.  ``comparison_maps`` builds every
 comparison map between consecutive layers of the two t-power filtrations,
-with their kernels and cokernels, as a second reading of balance."""
+with their kernels and cokernels, as a second reading of balance.
+``hom_matrices`` lists Hom generators as matrices of images, and
+``natural_map`` builds the comparison map into the double dual, whose kernel
+is the torsion ``dualtor.torsion`` reads off evaluation at the dual's
+generators."""
 
 import random
 from dataclasses import dataclass
@@ -28,10 +32,13 @@ from truncmod.fpmod import (
     column_degree,
     first_canonical_filtration,
     free_module,
+    hom_module,
     layer_quotients,
+    maps_into,
     quotient_by_submodule,
     subquotient,
 )
+from truncmod.dualtor import _rank_one_target
 from truncmod.hilbert import (
     HilbertError,
     HilbertPolynomial,
@@ -183,8 +190,35 @@ def descends(N: PresMod, M: PresMod, f1_columns) -> bool:
     if not M.relations:
         return True
     syzygies = free_module(M.ring, M.ngens).zero_submodule().kernel_through(M.relations)
-    f1 = ModMap(free_module(M.ring, len(M.relations)), N, list(f1_columns), check=False)
+    f1 = ModMap(free_module(M.ring, len(M.relations)), N, list(f1_columns))
     return all(N.zero_submodule().contains(f1.apply_cover(s)) for s in syzygies)
+
+
+def hom_matrices(M: PresMod, N: PresMod) -> list[list[tuple]]:
+    """The generators of Hom(M, N), generator k of ``hom_module(M, N)``
+    first: each as the list of images in N of M's generators."""
+    p = N.ngens
+    return [[f[i * p:(i + 1) * p] for i in range(M.ngens)]
+            for f in maps_into(N, M.ngens, M.relations)]
+
+
+def natural_map(M: PresMod) -> ModMap:
+    """The comparison map M -> M** sending m to evaluation at m, with the
+    double dual presented by ``hom_module``: each evaluation functional on
+    the dual's generators is lifted onto the double dual's generators."""
+    target = _rank_one_target(M)
+    D = hom_module(M, target)
+    # functionals on D, each by its values on D's generators
+    functionals = Submodule(free_module(M.ring, D.ngens), maps_into(target, D.ngens, D.relations))
+    funcs = maps_into(target, M.ngens, M.relations)
+    cols = []
+    for i in range(M.ngens):
+        # evaluation at generator i
+        lifted = functionals.lift(tuple(f[i] for f in funcs))
+        if lifted is None:
+            raise ModuleError("evaluation functional escaped the double dual")
+        cols.append(lifted)
+    return ModMap(M, hom_module(D, target), cols)
 
 
 def kernel_presentation(f: ModMap) -> PresMod:

@@ -15,6 +15,7 @@ from module_oracles import (
     comparison_maps,
     filtration_layer_sum,
     koszul_h1_vanishes,
+    natural_map,
     quotient_by_submodule,
     transformed_presentation,
 )
@@ -37,10 +38,7 @@ from truncmod.fpmod import (
     truncated_free,
     vanishes_locally,
 )
-from truncmod.dualtor import (
-    natural_map,
-    torsion,
-)
+from truncmod.dualtor import torsion
 from truncmod.regseq import (
     ideal_presentation,
     is_regular_sequence,

@@ -1,6 +1,12 @@
-"""Duality, the double-dual map, and torsion over truncated rings."""
+"""Duality and torsion over truncated rings, and the double-dual oracle
+``module_oracles.natural_map`` whose kernel the torsion must be."""
 
-from module_oracles import cokernel_presentation, quotient_by_submodule
+from module_oracles import (
+    cokernel_presentation,
+    hom_matrices,
+    natural_map,
+    quotient_by_submodule,
+)
 from truncmod.multiring import TruncRing
 from truncmod.fpmod import (
     Grading,
@@ -16,8 +22,6 @@ from truncmod.fpmod import (
 from truncmod.dualtor import (
     annihilator_ideal,
     dual,
-    dual_hom,
-    natural_map,
     torsion,
 )
 from truncmod.hilbert import hilbert_series_presmod
@@ -193,9 +197,7 @@ def test_torsion_free_modules_embed_in_free():
     # m goes to the values of all dual generators at m; the map into the
     # free module is injective exactly when M has no torsion
     for M in sample_modules():
-        dh = dual_hom(M)
-        h = dh.presentation.ngens
-        cols = [tuple(dh.gen_matrices[a][i][0] for a in range(h))
-                for i in range(M.ngens)]
-        emb = ModMap(M, free_module(M.ring, h), cols)
+        funcs = hom_matrices(M, free_module(M.ring, 1))
+        cols = [tuple(mat[i][0] for mat in funcs) for i in range(M.ngens)]
+        emb = ModMap(M, free_module(M.ring, len(funcs)), cols)
         assert emb.is_injective() == torsion(M).is_torsion_free

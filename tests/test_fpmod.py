@@ -10,6 +10,7 @@ import pytest
 from module_oracles import (
     assert_filtration,
     comparison_maps,
+    hom_matrices,
     quotient_by_submodule,
     transformed_presentation,
 )
@@ -290,6 +291,20 @@ def test_an_extension_whose_map_does_not_descend_fails_injectivity():
         build_extension(free_module(tr, 1), truncated_free(tr, 1), [(tr.S.one(),)])
 
 
+def test_maps_respect_relations_and_compose_through_one_module():
+    tr = ring(2)
+    F, T = free_module(tr, 1), truncated_free(tr, 1)
+    # 1 -> 1 sends the relation t of R[1] to t, which is not zero in R[2]
+    with pytest.raises(ModuleError, match="respect a source relation"):
+        ModMap(T, F, [(tr.S.one(),)])
+    times_t = ModMap(T, F, [(tr.t,)])
+    onto = ModMap(F, T, [(tr.S.one(),)])
+    assert all(T.zero_submodule().contains(c) for c in onto.compose(times_t).columns)
+    # a target with the right generator count is not the source
+    with pytest.raises(ModuleError, match="composition mismatch"):
+        onto.compose(ModMap(T, free_module(tr, 1), [(tr.t,)]))
+
+
 def test_extension_maps_form_exact_sequence():
     tr = ring(3)
     res = extension_R_by_Ri(tr, tr.parse("1"), 2)
@@ -308,21 +323,21 @@ def test_hom_from_free_module_recovers_target():
     tr = ring(2)
     N = truncated_free(tr, 1)
     H = hom_module(free_module(tr, 1), N)
-    assert dims(H.presentation) == dims(N)
+    assert dims(H) == dims(N)
 
 
 def test_hom_dual_of_layer_is_shifted_layer():
     tr = ring(2)
     H = hom_module(truncated_free(tr, 1), free_module(tr, 1))
-    assert dims(H.presentation) == [0, 1, 2, 3, 4, 5]
-    assert quasi_free_type(H.presentation).type_vector == (1, 0)
+    assert dims(H) == [0, 1, 2, 3, 4, 5]
+    assert quasi_free_type(H).type_vector == (1, 0)
 
 
 def test_hom_from_torsion_into_free_vanishes():
     tr = ring(2, ("x",))
     T = PresMod(tr, 1, [(tr.S.parse("x"),)], grading=Grading((0,), 1))
     H = hom_module(T, free_module(tr, 1))
-    assert H.presentation.is_zero_module()
+    assert H.is_zero_module()
 
 
 def test_hom_evaluation_gives_module_maps():
@@ -336,10 +351,10 @@ def test_hom_evaluation_gives_module_maps():
         (ideal_presentation(tr, [tr.parse("x"), tr.parse("y")]), free_module(tr, 2)),
     ]
     for M, N in pairs:
-        H = hom_module(M, N)
-        assert H.gen_matrices
-        for mat in H.gen_matrices:
-            phi = ModMap(M, N, mat, check=True)
+        mats = hom_matrices(M, N)
+        assert len(mats) == hom_module(M, N).ngens > 0
+        for mat in mats:
+            phi = ModMap(M, N, mat)
             assert phi.source.ngens == M.ngens and phi.target.ngens == N.ngens
 
 

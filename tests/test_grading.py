@@ -49,11 +49,11 @@ def test_ideal_presentation_grading(gens, expected):
     (lambda: dual(ideal("x + y^2")), None),
     (lambda: dual(ideal("x", "0")), None),
     (lambda: hom_module(free_module(TR, 2, (0, 1)),
-                        truncated_free(TR, 1, 2)).presentation, ((2, 1), 1)),
+                        truncated_free(TR, 1, 2)), ((2, 1), 1)),
     (lambda: hom_module(truncated_free(TR, 1, 1),
-                        free_module(TR, 2, (0, 3))).presentation, ((0, 3), 1)),
+                        free_module(TR, 2, (0, 3))), ((0, 3), 1)),
     (lambda: hom_module(free_module(TR, 1, (0,), 2),
-                        free_module(TR, 1, (0,), 1)).presentation, None),
+                        free_module(TR, 1, (0,), 1)), None),
 ])
 def test_hom_grading(make, expected):
     assert grading_of(make()) == expected

@@ -1,9 +1,10 @@
 """Property tests for the t-power filtrations of small graded modules.
 
-Random presentations over R[2] and R[3] (one or two generators, up to three
-homogeneous relations of degree at most 2 in x, y, t, with t weighing 1
-unless a test says otherwise) are checked against answers that do not depend
-on the generating set:
+Random presentations over R[2] and R[3] (one or two generators, one to
+three relations whose entries are homogeneous of degree 1 or 2 in x, y, t,
+with t weighing 1 unless a test says otherwise) are checked against answers
+that do not depend on the generating set.  No relation holds a unit, so a
+drawn module is free only when truncation kills every relation:
 
 * a presentation of the same module from ``transformed_presentation`` gives
   the same balance verdict and witness level, and the same refined member
@@ -26,7 +27,9 @@ on the generating set:
 * the annihilator kernels of t^n and t^0 are the whole module and zero,
   the ends both canonical filtrations take without a syzygy computation;
 * ``build_extension`` succeeds exactly when its map descends
-  (``descends``), and refuses every other map for failed injectivity.
+  (``descends``), and refuses every other map for failed injectivity;
+* the torsion submodule, read off evaluation at the dual's generators, is
+  the kernel of the map into the double dual (``natural_map``).
 """
 
 import pytest
@@ -37,9 +40,11 @@ from module_oracles import (
     assert_filtration,
     comparison_maps,
     descends,
+    natural_map,
     presented_layer_series,
     transformed_presentation,
 )
+from truncmod.dualtor import torsion
 from truncmod.fpmod import (
     Grading,
     ModuleError,
@@ -72,14 +77,19 @@ def presentations(draw, n=None, t_weight=1):
     tr = RINGS[draw(st.sampled_from([2, 3])) if n is None else n]
     degrees = draw(st.sampled_from([(0,), (1,), (0, 0), (0, 1)]))
     relations = []
-    for _ in range(draw(st.integers(0, 3))):
-        # every entry of the column is homogeneous of degree 0..2
-        column_degree = draw(st.integers(max(degrees), min(degrees) + 2))
+    for _ in range(draw(st.integers(1, 3))):
+        # every entry is homogeneous of degree 1 or 2, so no relation holds a
+        # unit, and the drawn slot ``lead`` holds a term: the presentation is
+        # minimal, and the module is free only when truncation kills every
+        # relation
+        column_degree = draw(st.integers(max(degrees) + 1, min(degrees) + 2))
+        lead = draw(st.sampled_from(range(len(degrees))))
         column = []
-        for d in degrees:
+        for slot, d in enumerate(degrees):
             terms = draw(st.lists(st.tuples(st.integers(-2, 2).filter(bool),
                                             st.sampled_from(MONOMIALS[t_weight][column_degree - d])),
-                                  max_size=2))
+                                  min_size=int(slot == lead), max_size=2,
+                                  unique_by=lambda term: term[1]))
             column.append(tr.S.parse(" + ".join(f"({c})*{m}" for c, m in terms) or "0"))
         relations.append(tuple(column))
     return PresMod(tr, len(degrees), relations, Grading(degrees, t_weight))
@@ -206,3 +216,12 @@ def test_an_extension_is_built_exactly_when_its_map_descends(data):
     else:
         built = True
     assert built == descends(N, M, f1)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(M=presentations())
+def test_torsion_is_the_kernel_of_the_map_into_the_double_dual(M):
+    found = torsion(M).submodule
+    kernel = Submodule(M, natural_map(M).kernel_gens())
+    assert found.contains_submodule(kernel)
+    assert kernel.contains_submodule(found)
