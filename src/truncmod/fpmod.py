@@ -9,9 +9,9 @@ and adjoined; ``PresMod.zero_submodule`` holds the span of a module's
 relations, built once.  It is the one door to ``groebner`` for R[n]-module
 data: other modules work in columns and ask ``Submodule``, which pairs
 generators with its ambient module's relations and builds their Groebner
-data once, for membership, normal forms, reduced bases, lifts, kernels,
-intersections and saturations; ``Submodule.kernel_through`` is the one
-kernel route.  Where no module exists yet, ``free_module`` or
+data once, for membership, normal forms, reduced bases, kernels,
+intersections and saturations (never lifts); ``Submodule.kernel_through``
+is the one kernel route.  Where no module exists yet, ``free_module`` or
 ``truncated_free`` serves as the ambient one, and Hom and Ext take their
 kernels inside a direct sum of copies of the target.
 
@@ -20,10 +20,12 @@ The t-power filtrations are the organizing structure:
 * descending images   M = M_0 ⊇ M_1 ⊇ ... ⊇ M_n = 0,   M_i = t^i M
 * ascending kernels   0 = A_0 ⊆ A_1 ⊆ ... ⊆ A_n = M,   A_i = ann(t^i)
 
-with layer quotients G_i = M_i / M_{i+1} and G^(i) = A_i / A_{i-1}, the
-comparison maps between consecutive layers induced by multiplication by t,
-and their kernels/cokernels measuring how far the two filtrations are from
-coinciding.  A module where they coincide is called balanced here.
+with layer quotients G_i = M_i / M_{i+1} and G^(i) = A_i / A_{i-1}.  A
+module where the two filtrations coincide, M_i = A_(n-i) for every i, is
+called balanced here.  ``is_balanced`` decides it from the two end image
+layers alone, by the one comparison map M/tM -> t^(n-1) M; the comparison
+maps between all consecutive layers, with their kernels and cokernels,
+are a test oracle.
 
 A filtration is a plain list of ``Submodule``s of M, descending from M to
 zero; both canonical filtrations are stored that way, the kernels
@@ -218,14 +220,6 @@ class Submodule:
         S = self.ambient.ring.S
         return [vec_to_polys(S, self.ambient.ngens, v) for v in self.span().gb]
 
-    def lift(self, vec: Column) -> Column | None:
-        """Coefficients writing ``vec`` as a combination of the generators
-        modulo the ambient relations; None when vec is not in the submodule."""
-        lifted = self.span().lift(vec_from_polys(vec))
-        if lifted is None:
-            return None
-        return tuple(self.ambient.ring.truncate(p) for p in lifted[: len(self.gens)])
-
     def kernel_through(self, columns: list[Column]) -> list[Column]:
         """Generators of {c : sum(c_i * columns_i) lies in the submodule},
         the columns given in the ambient free cover."""
@@ -345,12 +339,6 @@ class ModMap:
         """Image of an element given in source free-cover coordinates."""
         return _combine(self.target.ring, vec, self.columns, self.target.ngens)
 
-    def compose(self, inner: ModMap) -> ModMap:
-        """self after inner (inner acts first)."""
-        if inner.target is not self.source:
-            raise ModuleError("composition mismatch")
-        return ModMap(inner.source, self.target, [self.apply_cover(c) for c in inner.columns])
-
     def kernel_gens(self) -> list[Column]:
         return self.target.zero_submodule().kernel_through(self.columns)
 
@@ -369,29 +357,6 @@ class ModMap:
 # -- balanced test --------------------------------------------------------
 
 
-def _annihilator_side(M: PresMod) -> tuple[list[Submodule], list[ModMap]]:
-    """The annihilator filtration read ascending: the members ann(t^i)
-    (i = 0..n) and the injections lambdas, each checked injective; the
-    layers G^(i) are the lambdas' sources and targets."""
-    second = second_canonical_filtration(M)
-    members = second[::-1]                           # index i = ann(t^i)
-    layers = list(layer_quotients(M, second))[::-1]  # index i = layer^(i+1)
-    t = M.ring.t
-    lambdas: list[ModMap] = []
-    for i in range(1, M.ring.n):
-        cols = []
-        for g in members[i + 1].gens:
-            lifted = members[i].lift(tuple(t * p if p else p for p in g))
-            if lifted is None:
-                raise ModuleError("t-image escaped the next annihilator (presentation bug)")
-            cols.append(lifted)
-        lam = ModMap(layers[i], layers[i - 1], cols)
-        if not lam.is_injective():
-            raise ModuleError("annihilator layer map failed injectivity")
-        lambdas.append(lam)
-    return members, lambdas
-
-
 @dataclass
 class BalancedReport:
     balanced: bool
@@ -401,28 +366,34 @@ class BalancedReport:
 
 
 def is_balanced(M: PresMod) -> BalancedReport:
-    """Two independent routes: surjectivity of the composite of all
-    annihilator layer injections, and levelwise equality t^i M = ann(t^(n-i));
-    the routes must agree.  Of the comparison maps only the annihilator
-    injections are built; of the image filtration only its members are
-    read."""
+    """Whether t^i M = ann(t^(n-i)) for every i, by two routes that share
+    no layer presentation and must agree.
+
+    The composite route presents only the two end layers of the image
+    filtration, M/tM and t^(n-1) M, and tests the map e_j -> t^(n-1) e_j
+    between them for injectivity.  Each image-layer map t^i M / t^(i+1) M
+    -> t^(i+1) M / t^(i+2) M is multiplication by t and onto, and this map
+    is their composite, so it is injective exactly when ann(t^(n-1)) ⊆ tM.
+    That is balance: t^i M ⊆ ann(t^(n-i)) always, and for m in ann(t^(n-i))
+    with i >= 2, m lies in ann(t^(n-1)) ⊆ tM, so m = t m' with m' in
+    ann(t^(n-i+1)), which lies in t^(i-1) M by induction on i.
+
+    The filtration route compares the members levelwise, ann(t^(n-i))
+    against t^i M, and its first offending generator is the witness."""
     n = M.ring.n
     if n <= 1:
         return BalancedReport(True, note="all comparison kernels and cokernels vanish")
-    upper_members, lambdas = _annihilator_side(M)
-    lower_members = first_canonical_filtration(M)
-    composite = lambdas[0]
-    for lam in lambdas[1:]:
-        composite = composite.compose(lam)
-    # composite: layer^(n) -> layer^(1)
-    by_composite = composite.is_surjective()
+    lower = first_canonical_filtration(M)
+    top = subquotient(M, lower[0].gens, lower[1].gens)
+    bottom = subquotient(M, lower[n - 1].gens, lower[n].gens)
+    by_composite = ModMap(top, bottom, [bottom.gen_column(j)
+                                        for j in range(M.ngens)]).is_injective()
 
+    upper = second_canonical_filtration(M)
     witness_level = None
     witness = None
     for i in range(1, n):
-        lower = lower_members[i]
-        witness = next((g for g in upper_members[n - i].gens
-                        if not lower.contains(g)), None)
+        witness = next((g for g in upper[i].gens if not lower[i].contains(g)), None)
         if witness is not None:
             witness_level = i
             break

@@ -6,11 +6,12 @@ earlier block dominate every term in a later block, which turns syzygy
 computation into an
 elimination problem: the basis of the span of ``(v_i, e_i)`` in
 S^(r+k), with the first r positions dominant, contains in its second block
-a generating set for the syzygies of ``(v_1..v_k)``, and its mixed elements
-carry division lifts.  This graph basis costs several times a plain reduced
-basis, so it is built only for lifts and syzygies: ``SpanGB`` computes the
-plain basis the first time ``gb`` is read and the graph basis the first
-time a lift or syzygy is asked for.  ``SpanGB`` is the one builder of graph
+a generating set for the syzygies of ``(v_1..v_k)``.  This graph basis
+costs several times a plain reduced basis, so it is built only for
+syzygies: ``SpanGB`` computes the plain basis the first time ``gb`` is read
+and the graph basis the first time a syzygy is asked for, and keeps only
+the syzygies it holds.  Nothing leaves as a lift: no element is written as
+a combination of the generators.  ``SpanGB`` is the one builder of graph
 bases, ``kernel_through`` reads its syzygies, and no other module computes a
 basis except through ``SpanGB``.
 
@@ -20,7 +21,7 @@ the truncation relations added and colons taken as kernels.
 Within a block, terms compare by the ring's monomial order with ties broken
 toward earlier positions.
 
-Every normal form, lift and S-pair reduction runs through ``vec_reduce``.
+Every normal form and S-pair reduction runs through ``vec_reduce``.
 It keeps the working vector as a dict updated in place and a heap
 (``heapq``) of descending order keys of its terms, so the leading term is
 popped, not searched for; a popped term that has cancelled since it was
@@ -39,13 +40,12 @@ also keeps each element split into its lead coefficient and a list of
 its other terms, made the first time the element is hit.  ``buchberger``
 holds one index for its whole run, ``_interreduce`` one over the elements
 it keeps (its minimality test is a lookup in it), and ``SpanGB`` one for
-``gb`` and one for the graph basis, so no reduction re-reads a basis it has
-read before.
+``gb``, so no reduction re-reads a basis it has read before.
 
 Inside this module every vector is in one integer form (``PairVec``), each
 coefficient a ``(numerator, denominator)`` pair in lowest terms with a
 positive denominator: reductions, S-vectors, the elements ``buchberger`` and
-``_interreduce`` hold, both ``SpanGB`` indexes and the graph basis.  Each
+``_interreduce`` hold, the ``SpanGB`` index and the graph basis.  Each
 updated coefficient costs a few integer products and one ``gcd``; integer
 arithmetic is exact, so every result equals the term-by-term ``Fraction``
 computation.  A reduction step's coefficient is the popped one itself when
@@ -54,7 +54,7 @@ the lead coefficient is 1, as it is for every element ``buchberger`` and
 coefficients and are converted once: by ``buchberger`` for its generators,
 and by ``SpanGB`` for each vector it is asked about.
 ``_fractions`` alone builds ``Fraction``s, where a vector leaves:
-``SpanGB.gb``, ``normal_form``, ``lift`` and ``syzygies`` (and so
+``SpanGB.gb``, ``normal_form`` and ``syzygies`` (and so
 ``kernel_through``).
 
 ``buchberger`` takes S-pairs by the sugar strategy (Giovini, Mora, Niesi,
@@ -412,7 +412,7 @@ def _interreduce(basis: list[PairVec], morder: ModuleOrder) -> list[PairVec]:
     return reduced
 
 
-# -- spans with membership, lifts and syzygies ---------------------------
+# -- spans with membership and syzygies ----------------------------------
 
 
 def _graph_basis(rank: int, vecs: list[VecT], morder: ModuleOrder,
@@ -435,13 +435,12 @@ class SpanGB:
     The reduced Groebner basis of the span is computed on first use and
     kept in the integer form, in the lead index that ``normal_form`` and
     ``contains`` use; ``gb`` is its ``Fraction`` form, built when first
-    asked for.  Lifts and syzygies come from the graph trick: a basis of
+    asked for.  Syzygies come from the graph trick: a basis of
     span{(v_i, e_i)} in S^(rank+k) with the first block dominant.  Every
     element ``(h, c)`` of the graph span satisfies ``h = sum(c_i * v_i)``,
-    so reduction of ``(v, 0)`` to ``(0, c)`` certifies ``v = -sum(c_i *
-    v_i)``, and the elements with ``h = 0`` generate the syzygies.  The
-    graph basis is built the first time ``lift`` or ``syzygies`` needs it,
-    and kept.
+    and the basis elements with ``h = 0`` generate the syzygies.  The graph
+    basis is built the first time ``syzygies`` needs it; only those
+    syzygies are kept, and no index is built over the graph basis.
     """
 
     def __init__(self, ring: PolyRing, rank: int, vecs: list[VecT]):
@@ -450,7 +449,6 @@ class SpanGB:
         self.vecs = list(vecs)
         # The graph order; on the first block it is the plain one.
         self.morder = ModuleOrder(ring.order, (0,) * rank + (1,) * len(self.vecs))
-        self._graph: tuple[_LeadIndex, list[PairVec]] | None = None
 
     @cached_property
     def gb(self) -> list[VecT]:
@@ -466,29 +464,16 @@ class SpanGB:
     def gb_leads(self) -> list[Term]:
         return self._gb_index.leads
 
-    def _graph_data(self) -> tuple[_LeadIndex, list[PairVec]]:
-        """The graph basis, indexed, and the syzygies, built on first use."""
-        if self._graph is None:
-            gb, syz = _graph_basis(self.rank, self.vecs, self.morder, self.ring.nvars)
-            self._graph = (_LeadIndex((g, next(iter(g))) for g in gb), syz)
-        return self._graph
+    @cached_property
+    def _syzygies(self) -> list[PairVec]:
+        """The syzygies in the graph basis, in the integer form."""
+        return _graph_basis(self.rank, self.vecs, self.morder, self.ring.nvars)[1]
 
     def normal_form(self, v: VecT) -> VecT:
         return _fractions(vec_reduce(_pairs(v), self._gb_index, self.morder))
 
     def contains(self, v: VecT) -> bool:
         return not vec_reduce(_pairs(v), self._gb_index, self.morder)
-
-    def lift(self, v: VecT) -> list[Poly] | None:
-        """Coefficients ``c`` with ``v = sum(c_i * v_i)``, or None when ``v``
-        is not in the span."""
-        r = vec_reduce(_pairs(v), self._graph_data()[0], self.morder)
-        if any(pos < self.rank for pos, _e in r):
-            return None
-        coeffs: list[dict[Exponents, Fraction]] = [{} for _ in self.vecs]
-        for (pos, e), c in _fractions({t: (-n, d) for t, (n, d) in r.items()}).items():
-            coeffs[pos - self.rank][e] = c
-        return [Poly(self.ring, c) for c in coeffs]
 
     def syzygies(self, first: int) -> list[VecT]:
         """The projections onto the first ``first`` coordinates of generators
@@ -498,7 +483,7 @@ class SpanGB:
         dropped."""
         out: list[VecT] = []
         seen = set()
-        for s in self._graph_data()[1]:
+        for s in self._syzygies:
             # The syzygies are in descending order, so the projection's first
             # key is its lead.
             proj = {t: c for t, c in s.items() if t[0] < first}

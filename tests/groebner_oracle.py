@@ -6,12 +6,15 @@ copy term by term, and ``is_groebner`` builds its own S-vectors.  The two
 conversions read and write ``groebner``'s integer form, ``term ->
 (numerator, denominator)``, for the tests that call its private parts, and
 ``lead_index`` indexes a basis for ``vec_reduce`` with leads found by
-``vec_lead``, a scan over every term."""
+``vec_lead``, a scan over every term.  ``lift`` writes a member of a span as
+a combination of its generators; the library computes no lifts, so this
+one takes ``groebner``'s graph basis of the span and reduces by
+``oracle_reduce``, apart from ``vec_reduce``."""
 
 from fractions import Fraction
 
-from truncmod.arith import mono_div, mono_divides, mono_lcm
-from truncmod.groebner import _LeadIndex
+from truncmod.arith import Poly, mono_div, mono_divides, mono_lcm
+from truncmod.groebner import _LeadIndex, _graph_basis
 
 
 def vec_lead(v, morder):
@@ -86,3 +89,21 @@ def is_groebner(basis, morder):
             if oracle_reduce(s, basis, morder)[0]:
                 return False
     return True
+
+
+def lift(span, v):
+    """Coefficients ``c`` with ``v = sum(c_i * span.vecs[i])``, as ``Poly``s
+    over ``span.ring``, or None when ``v`` is not in the span.
+
+    Every element ``(h, c)`` of the graph span of ``(v_i, e_i)`` has ``h =
+    sum(c_i * v_i)``, and the first block dominates, so ``(v, 0)`` reduces
+    modulo the graph basis to some ``(0, r)`` exactly when ``v`` is in the
+    span, and then ``v = -sum(r_i * v_i)``."""
+    graph, _syz = _graph_basis(span.rank, span.vecs, span.morder, span.ring.nvars)
+    remainder, _quotients = oracle_reduce(v, [to_fractions(g) for g in graph], span.morder)
+    if any(pos < span.rank for pos, _e in remainder):
+        return None
+    coeffs = [{} for _ in span.vecs]
+    for (pos, e), c in remainder.items():
+        coeffs[pos - span.rank][e] = -c
+    return [Poly(span.ring, c) for c in coeffs]

@@ -9,18 +9,24 @@ submodules is a filtration, and ``filtration_layer_sum`` adds up the reduced
 Hilbert polynomials of its layers, and ``presented_layer_series`` reads the
 series of each layer off its own presentation.  ``descends`` decides whether
 a map from a presentation's relation cover passes to the image of the
-relations, the condition ``build_extension`` needs.  ``comparison_maps`` builds every
-comparison map between consecutive layers of the two t-power filtrations,
-with their kernels and cokernels, as a second reading of balance.
-``hom_matrices`` lists Hom generators as matrices of images, and
-``natural_map`` builds the comparison map into the double dual, whose kernel
-is the torsion ``dualtor.torsion`` reads off evaluation at the dual's
-generators."""
+relations, the condition ``build_extension`` needs.  ``lift`` writes an
+element of a submodule as a combination of its generators, through
+``groebner_oracle.lift``; the library computes no lifts.
+``annihilator_side`` presents every layer of the annihilator filtration
+and lifts each t-image onto the next member's generators, giving the
+injections between consecutive layers; ``comparison_maps`` adds the
+surjections between the image layers, with the kernels and cokernels of
+both, as a second reading of balance, apart from ``is_balanced``'s one map
+between the end image layers.  ``hom_matrices`` lists Hom generators as
+matrices of images, and ``natural_map`` builds the comparison map into the
+double dual, whose kernel is the torsion ``dualtor.torsion`` reads off
+evaluation at the dual's generators."""
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import groebner_oracle
 from truncmod.arith import Poly
 from truncmod.fpmod import (
     Grading,
@@ -28,7 +34,6 @@ from truncmod.fpmod import (
     ModuleError,
     PresMod,
     Submodule,
-    _annihilator_side,
     column_degree,
     first_canonical_filtration,
     free_module,
@@ -36,9 +41,11 @@ from truncmod.fpmod import (
     layer_quotients,
     maps_into,
     quotient_by_submodule,
+    second_canonical_filtration,
     subquotient,
 )
 from truncmod.dualtor import _rank_one_target
+from truncmod.groebner import vec_from_polys
 from truncmod.hilbert import (
     HilbertError,
     HilbertPolynomial,
@@ -202,6 +209,16 @@ def hom_matrices(M: PresMod, N: PresMod) -> list[list[tuple]]:
             for f in maps_into(N, M.ngens, M.relations)]
 
 
+def lift(sub: Submodule, col):
+    """Coefficients writing ``col`` as a combination of ``sub``'s generators
+    modulo the ambient relations, truncated; None when ``col`` is not in
+    ``sub``."""
+    lifted = groebner_oracle.lift(sub.span(), vec_from_polys(col))
+    if lifted is None:
+        return None
+    return tuple(sub.ambient.ring.truncate(p) for p in lifted[: len(sub.gens)])
+
+
 def natural_map(M: PresMod) -> ModMap:
     """The comparison map M -> M** sending m to evaluation at m, with the
     double dual presented by ``hom_module``: each evaluation functional on
@@ -214,7 +231,7 @@ def natural_map(M: PresMod) -> ModMap:
     cols = []
     for i in range(M.ngens):
         # evaluation at generator i
-        lifted = functionals.lift(tuple(f[i] for f in funcs))
+        lifted = lift(functionals, tuple(f[i] for f in funcs))
         if lifted is None:
             raise ModuleError("evaluation functional escaped the double dual")
         cols.append(lifted)
@@ -248,8 +265,31 @@ class ComparisonData:
     gamma_coker: list
 
 
+def annihilator_side(M: PresMod) -> tuple[list, list]:
+    """The annihilator filtration read ascending: the members ann(t^i)
+    (i = 0..n) and the injections lambdas, each checked injective; the
+    layers G^(i) are the lambdas' sources and targets."""
+    second = second_canonical_filtration(M)
+    members = second[::-1]                           # index i = ann(t^i)
+    layers = list(layer_quotients(M, second))[::-1]  # index i = layer^(i+1)
+    t = M.ring.t
+    lambdas = []
+    for i in range(1, M.ring.n):
+        cols = []
+        for g in members[i + 1].gens:
+            lifted = lift(members[i], tuple(t * p if p else p for p in g))
+            if lifted is None:
+                raise ModuleError("t-image escaped the next annihilator (presentation bug)")
+            cols.append(lifted)
+        lam = ModMap(layers[i], layers[i - 1], cols)
+        if not lam.is_injective():
+            raise ModuleError("annihilator layer map failed injectivity")
+        lambdas.append(lam)
+    return members, lambdas
+
+
 def comparison_maps(M: PresMod) -> ComparisonData:
-    upper_members, lambdas = _annihilator_side(M)
+    upper_members, lambdas = annihilator_side(M)
     first = first_canonical_filtration(M)
     lower_layers = list(layer_quotients(M, first))
 

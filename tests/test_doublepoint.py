@@ -273,8 +273,8 @@ def test_extension_module_exactness():
     res = extension_module(ring, TauClass(Fraction(1), Fraction(0)), ring.base.parse("-1"))
     assert res.inclusion.is_injective()
     assert res.projection.is_surjective()
-    comp = res.projection.compose(res.inclusion)
-    assert all(res.projection.target.zero_submodule().contains(c) for c in comp.columns)
+    comp = [res.projection.apply_cover(c) for c in res.inclusion.columns]
+    assert all(res.projection.target.zero_submodule().contains(c) for c in comp)
 
 
 def test_balance_of_extension_grid():

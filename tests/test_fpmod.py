@@ -11,6 +11,7 @@ from module_oracles import (
     assert_filtration,
     comparison_maps,
     hom_matrices,
+    lift,
     quotient_by_submodule,
     transformed_presentation,
 )
@@ -299,10 +300,8 @@ def test_maps_respect_relations_and_compose_through_one_module():
         ModMap(T, F, [(tr.S.one(),)])
     times_t = ModMap(T, F, [(tr.t,)])
     onto = ModMap(F, T, [(tr.S.one(),)])
-    assert all(T.zero_submodule().contains(c) for c in onto.compose(times_t).columns)
-    # a target with the right generator count is not the source
-    with pytest.raises(ModuleError, match="composition mismatch"):
-        onto.compose(ModMap(T, free_module(tr, 1), [(tr.t,)]))
+    # onto after times_t: each image column of times_t carried through onto
+    assert all(T.zero_submodule().contains(onto.apply_cover(c)) for c in times_t.columns)
 
 
 def test_extension_maps_form_exact_sequence():
@@ -310,10 +309,8 @@ def test_extension_maps_form_exact_sequence():
     res = extension_R_by_Ri(tr, tr.parse("1"), 2)
     assert res.inclusion.is_injective()
     assert res.projection.is_surjective()
-    comp = res.projection.compose(res.inclusion)
-    assert all(
-        res.projection.target.zero_submodule().contains(col) for col in comp.columns
-    )
+    comp = [res.projection.apply_cover(c) for c in res.inclusion.columns]
+    assert all(res.projection.target.zero_submodule().contains(col) for col in comp)
 
 
 # ------------------------------------------------------------------- Hom, Ext
@@ -494,44 +491,24 @@ def test_membership_coefficients_reconstruct_element():
     tr = ring(2)
     S = tr.S
     F = free_module(tr, 1)
-    coeffs = Submodule(F, [(S.parse("x"),), (S.parse("y"),)]).lift((S.parse("x*y"),))
+    coeffs = lift(Submodule(F, [(S.parse("x"),), (S.parse("y"),)]), (S.parse("x*y"),))
     assert coeffs is not None
     value = tr.truncate(coeffs[0] * S.parse("x") + coeffs[1] * S.parse("y"))
     assert value == S.parse("x*y")
-    assert Submodule(F, [(S.parse("x"),)]).lift((S.parse("1"),)) is None
-
-
-def test_lifts_through_one_submodule_share_one_graph_basis(monkeypatch):
-    from truncmod import groebner
-
-    builds = []
-    graph_basis = groebner._graph_basis
-
-    def counted(*args):
-        builds.append(args)
-        return graph_basis(*args)
-
-    monkeypatch.setattr(groebner, "_graph_basis", counted)
-    tr = ring(2)
-    S = tr.S
-    sub = Submodule(free_module(tr, 1), [(S.parse("x"),), (S.parse("y"),)])
-    for text in ("x*y", "x^2 + y", "x*t", "y^3"):
-        assert sub.lift((S.parse(text),)) is not None
-    assert sub.lift((S.parse("1"),)) is None
-    assert len(builds) == 1
+    assert lift(Submodule(F, [(S.parse("x"),)]), (S.parse("1"),)) is None
 
 
 def test_comparison_maps_build_each_lifted_through_span_once(monkeypatch):
-    from truncmod import groebner
+    import groebner_oracle
 
     lifted = {}
-    lift = groebner.SpanGB.lift
+    oracle_lift = groebner_oracle.lift
 
-    def counted(self, v):
-        lifted[self] = (self.rank, tuple(tuple(sorted(w.items())) for w in self.vecs))
-        return lift(self, v)
+    def counted(span, v):
+        lifted[span] = (span.rank, tuple(tuple(sorted(w.items())) for w in span.vecs))
+        return oracle_lift(span, v)
 
-    monkeypatch.setattr(groebner.SpanGB, "lift", counted)
+    monkeypatch.setattr(groebner_oracle, "lift", counted)
     tr = ring(3)
     comparison_maps(flag_ideal(tr, ("x", "y")))
     keys = list(lifted.values())
@@ -539,7 +516,7 @@ def test_comparison_maps_build_each_lifted_through_span_once(monkeypatch):
     assert len(keys) == len(set(keys))
 
 
-def test_balance_builds_only_the_annihilator_layers(monkeypatch):
+def test_balance_builds_only_the_two_end_image_layers(monkeypatch):
     from truncmod import fpmod
 
     calls = []
@@ -550,10 +527,15 @@ def test_balance_builds_only_the_annihilator_layers(monkeypatch):
         return subquotient_(*args)
 
     monkeypatch.setattr(fpmod, "subquotient", counted)
-    rep = is_balanced(flag_ideal(ring(3), ("x^2", "y^2", "x*y")))
-    assert rep.balanced and rep.witness_level is None
-    # the n layers of the annihilator filtration, and nothing of the images
-    assert len(calls) == 3
+    for n in (2, 3, 4):
+        calls.clear()
+        M = flag_ideal(ring(n), ("x^2", "y^2", "x*y"))
+        rep = is_balanced(M)
+        assert rep.balanced and rep.witness_level is None
+        # M/tM and t^(n-1) M, and nothing of the annihilator filtration
+        lower = first_canonical_filtration(M)
+        assert [(a, b) for _M, a, b in calls] == [(lower[0].gens, lower[1].gens),
+                                                  (lower[n - 1].gens, [])]
 
 
 def test_refinement_intersects_only_inner_members(monkeypatch):

@@ -17,8 +17,12 @@ drawn module is free only when truncation kills every relation:
   quotients of the module, HS(A/B) = HS(M/B) - HS(M/A), equal the series of
   the refined chains' layers counted on their own ``subquotient``
   presentations (``presented_layer_series``), for both chains;
-* at n = 2, ``is_balanced`` agrees with the definition: every kernel and
-  cokernel of ``comparison_maps`` vanishes;
+* at n = 2 and n = 3, ``is_balanced``, which reads one map between the end
+  image layers, agrees with the definition: every kernel and cokernel of
+  ``comparison_maps``, built from every layer of both filtrations,
+  vanishes (18 of the 40 draws at n = 2 are balanced, 20 of the 40 at
+  n = 3; at n = 2 the end layers are the only layers, so only n = 3 tells
+  the end layers from adjacent ones);
 * the quasi-free type (with its layer ranks and first non-free layer), the
   generic type and the reduced Hilbert polynomial do not change under
   ``transformed_presentation``;
@@ -148,11 +152,13 @@ def test_pairing_series_are_the_series_of_the_presented_layers(t_weight, data):
         series for _, series in sorted(pairs, key=lambda p: p[0][::-1])]
 
 
+@pytest.mark.parametrize("n", [2, 3])
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(M=presentations(n=2))
-def test_balance_is_the_vanishing_of_every_comparison_kernel(M):
-    data = comparison_maps(M)
-    vanish = all(G.is_zero_module() for G in data.gamma_ker + data.gamma_coker)
+@given(data=st.data())
+def test_balance_is_the_vanishing_of_every_comparison_kernel(n, data):
+    M = data.draw(presentations(n=n))
+    maps = comparison_maps(M)
+    vanish = all(G.is_zero_module() for G in maps.gamma_ker + maps.gamma_coker)
     assert is_balanced(M).balanced == vanish
 
 

@@ -226,11 +226,9 @@ def assert_exact_fractions(v):
 def test_every_coefficient_that_leaves_groebner_is_a_fraction_in_lowest_terms(case):
     ring, rank, vecs, probe = case
     span = SpanGB(ring, rank, vecs)
-    lifted = span.lift(vecs[0])
-    assert lifted is not None
+    assert span.contains(vecs[0])
     leaving = [*span.gb, span.normal_form(probe), *span.syzygies(len(vecs)),
-               *kernel_through(ring, rank, 1, vecs[:1], vecs[1:]),
-               *(p.terms for p in lifted)]
+               *kernel_through(ring, rank, 1, vecs[:1], vecs[1:])]
     assert any(leaving)
     for v in leaving:
         assert_exact_fractions(v)
