@@ -29,7 +29,7 @@ import re
 from collections.abc import Hashable, Iterable
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le, neg, sub
+from operator import add, neg
 
 Exponents = tuple[int, ...]
 # (variable index, bound): a product bounded by it keeps only the terms whose
@@ -74,20 +74,6 @@ def _grevlex_key(exps: Exponents) -> tuple:
     # Larger total degree wins; ties broken by the smaller exponent at the
     # last position where they differ (classic graded reverse lex).
     return (sum(exps), tuple(map(neg, reversed(exps))))
-
-
-def _descending_key(order: MonomialOrder):
-    """A key function on exponents that sorts ascending exactly when
-    ``order.key`` sorts descending, so a ``heapq`` keyed by it pops the
-    leading monomial first.  Each branch mirrors the matching branch of
-    ``MonomialOrder.key`` with every comparison reversed."""
-    if order.kind == "lex":
-        return lambda exps: tuple(map(neg, exps))
-    if order.kind == "grevlex":
-        return lambda exps: (-sum(exps), exps[::-1])
-    k = order.block_split
-    return lambda exps: ((-sum(exps[:k]), exps[:k][::-1]),
-                         (-sum(exps[k:]), exps[k:][::-1]))
 
 
 class MonomialOrder:
@@ -142,19 +128,6 @@ def elim_block(split: int) -> MonomialOrder:
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(add, a, b))
-
-
-def mono_divides(a: Exponents, b: Exponents) -> bool:
-    """True when the monomial with exponents ``a`` divides the one with ``b``."""
-    return all(map(le, a, b))
-
-
-def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(sub, a, b))
-
-
-def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
 
 
 def matrix_rank(rows: Iterable[dict]) -> int:

@@ -645,22 +645,25 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+# Built once per process: parsing reads it and leaves it as it was.
+_PARSER = argparse.ArgumentParser(
+    prog="truncmod",
+    description="Decision procedures for modules over Q[x..][t]/(t^n); "
+                "one JSON job in, one JSON result out.")
+_PARSER.add_argument("command", choices=COMMANDS, metavar="command",
+                     help="one of: " + ", ".join(COMMANDS))
+_PARSER.add_argument("input", nargs="?", default="-",
+                     help="job document path, '-' for stdin (default)")
+_PARSER.add_argument("--jet-order", type=int, default=None,
+                     help="truncation order for origin-local questions")
+_PARSER.add_argument("--order", choices=("grevlex", "lex"), default=None,
+                     help="monomial order for all rings")
+_PARSER.add_argument("--degree-bound", type=int, default=None,
+                     help="bound for degree-by-degree checks")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="truncmod",
-        description="Decision procedures for modules over Q[x..][t]/(t^n); "
-                    "one JSON job in, one JSON result out.")
-    parser.add_argument("command", choices=COMMANDS, metavar="command",
-                        help="one of: " + ", ".join(COMMANDS))
-    parser.add_argument("input", nargs="?", default="-",
-                        help="job document path, '-' for stdin (default)")
-    parser.add_argument("--jet-order", type=int, default=None,
-                        help="truncation order for origin-local questions")
-    parser.add_argument("--order", choices=("grevlex", "lex"), default=None,
-                        help="monomial order for all rings")
-    parser.add_argument("--degree-bound", type=int, default=None,
-                        help="bound for degree-by-degree checks")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _run(args)
     except Exception as exc:  # noqa: BLE001 - a fault of the program, reported as one

@@ -9,11 +9,14 @@ S^(r+k), with the first r positions dominant, contains in its second block
 a generating set for the syzygies of ``(v_1..v_k)``.  This graph basis
 costs several times a plain reduced basis, so it is built only for
 syzygies: ``SpanGB`` computes the plain basis the first time ``gb`` is read
-and the graph basis the first time a syzygy is asked for, and keeps only
-the syzygies it holds.  Nothing leaves as a lift: no element is written as
-a combination of the generators.  ``SpanGB`` is the one builder of graph
-bases, ``kernel_through`` reads its syzygies, and no other module computes a
-basis except through ``SpanGB``.
+and the graph basis the first time a syzygy is asked for.  Only the graph
+basis's syzygy part, its elements whose every term lies in the second
+block, is interreduced and kept: no lead in the first block divides a term
+in the second, so that part comes out as the full reduction would give it.
+Nothing leaves as a lift: no element is written as a combination of the
+generators.  ``SpanGB`` is the one builder of graph bases,
+``kernel_through`` reads its syzygies, and no other module computes a basis
+except through ``SpanGB``.
 
 Nothing here knows about t: ``fpmod`` alone hands it R[n]-module data, with
 the truncation relations added and colons taken as kernels.
@@ -21,19 +24,37 @@ the truncation relations added and colons taken as kernels.
 Within a block, terms compare by the ring's monomial order with ties broken
 toward earlier positions.
 
+Inside this module a term is one ``int`` (Monagan and Pearce, J. Symb.
+Comput. 46, 2011), packed by a ``_Codec`` made once per span and order.
+Its fields, from high to low, are the block (reversed), the order's weight
+rows (lex: ``e_1..e_d``; grevlex: ``deg, e_1+..+e_(d-1), .., e_1``; the
+block order: grevlex's rows of each block in turn), the position
+(reversed), the total degree and the exponents, each ``width`` bits wide
+under a guard bit.  So comparing two packed terms is comparing their
+``ModuleOrder.key``s, multiplying a term by a monomial is one ``+`` of the
+monomial's packing, and the lead ``l`` divides ``t`` at one position
+exactly when ``((t | G) - l) & G == G`` for the mask ``G`` of the guard
+bits: a field of ``t`` below the one of ``l`` borrows its guard bit.  Every
+field is at most the term's degree, so a product outgrows its fields
+exactly when its degree does, which sets the degree's guard bit; a product
+that does raises ``_Overflow``, and ``SpanGB`` redoes the computation with
+fields twice as wide.  A vector is packed once, where it enters
+(``buchberger`` packs its generators, ``SpanGB`` each vector it is asked
+about), and unpacked only where it leaves (``SpanGB.gb``, ``gb_leads``,
+``normal_form`` and ``syzygies``).
+
 Every normal form and S-pair reduction runs through ``vec_reduce``.
 It keeps the working vector as a dict updated in place and a heap
-(``heapq``) of descending order keys of its terms, so the leading term is
-popped, not searched for; a popped term that has cancelled since it was
-pushed is skipped.  Each step subtracts a multiple of a basis element whose
-lead is the popped term, so every term it adds is smaller and the terms come
-off the heap in the order repeated ``max`` would take them (Monagan and
-Pearce, J. Symb. Comput. 46, 2011).  The remainder is built in descending
-order, so its first key is its lead.
+(``heapq``) of its negated packed terms, so the leading term is popped, not
+searched for; a popped term that has cancelled since it was pushed is
+skipped.  Each step subtracts a multiple of a basis element whose lead is
+the popped term, so every term it adds is smaller and the terms come off the
+heap in the order repeated ``max`` would take them.  The remainder is built
+in descending order, so its first key is its lead.
 
 ``vec_reduce`` finds divisors through a ``_LeadIndex``, built once per
 basis and extended in place as the basis grows.  It buckets the leads by
-module position, in basis order within each bucket, so a term is tested
+their position bits, in basis order within each bucket, so a term is tested
 only against the leads at its own position and the first divisor found is
 the first in the basis, as a scan over every lead would find.  The index
 also keeps each element split into its lead coefficient and a list of
@@ -42,39 +63,32 @@ holds one index for its whole run, ``_interreduce`` one over the elements
 it keeps (its minimality test is a lookup in it), and ``SpanGB`` one for
 ``gb``, so no reduction re-reads a basis it has read before.
 
-Inside this module every vector is in one integer form (``PairVec``), each
-coefficient a ``(numerator, denominator)`` pair in lowest terms with a
-positive denominator: reductions, S-vectors, the elements ``buchberger`` and
-``_interreduce`` hold, the ``SpanGB`` index and the graph basis.  Each
-updated coefficient costs a few integer products and one ``gcd``; integer
+Every coefficient inside this module is a ``(numerator, denominator)`` pair
+in lowest terms with a positive denominator (``PairVec``).  Each updated
+coefficient costs a few integer products and one ``gcd``; integer
 arithmetic is exact, so every result equals the term-by-term ``Fraction``
 computation.  A reduction step's coefficient is the popped one itself when
 the lead coefficient is 1, as it is for every element ``buchberger`` and
-``_interreduce`` hold.  Vectors enter with ``Fraction`` (or ``int``)
-coefficients and are converted once: by ``buchberger`` for its generators,
-and by ``SpanGB`` for each vector it is asked about.
-``_fractions`` alone builds ``Fraction``s, where a vector leaves:
-``SpanGB.gb``, ``normal_form`` and ``syzygies`` (and so
-``kernel_through``).
+``_interreduce`` hold.  ``_Codec.fractions`` alone builds ``Fraction``s,
+where a vector leaves.
 
 ``buchberger`` takes S-pairs by the sugar strategy (Giovini, Mora, Niesi,
 Robbiano and Traverso, ISSAC 1991), with the Gebauer-Moeller criteria.  An
 input element's sugar is its largest term degree, a pair's is the larger
 of ``s_i + deg lcm - deg lead_i`` over its two elements, and a new element's
 is the larger of its pair's and its own largest term degree; positions add
-no weight.  Each pair's selection key, ``(sugar, order key of the lcm term,
-i, j)``, is computed once when the pair is made, from the same order key of
-the lcm that sorted the new pairs, and stored in the pair dict, so
-selection is ``min`` over its values.  Pairs are also held by position:
-pairs form only between leads at one position, so a newcomer is paired
-with its bucket of the index, and the Gebauer-Moeller B update walks only
-the pending pairs at its position.  The generators enter in ascending
-order of their leads.  Every element ``buchberger`` and ``_interreduce``
-return has its terms in descending order, so its lead is its first key:
-generators are sorted once, and remainders come out of ``vec_reduce`` that
-way.  So ``next(iter(v))`` reads the lead of any basis element, without a
-scan, and ``_interreduce`` returns an element whose tail no kept lead
-divides as it is, without reducing it.
+no weight.  Each pair's selection key, ``(sugar, packed lcm term, i, j)``,
+is made once with the pair and stored in the pair dict, so selection is
+``min`` over its values.  Pairs are also held by position: pairs form only
+between leads at one position, so a newcomer is paired with its bucket of
+the index, and the Gebauer-Moeller B update walks only the pending pairs at
+its position, against the lcms the newcomer's own pairs are made of.  The
+generators enter in ascending order of their leads.  Every element
+``buchberger`` and ``_interreduce`` return has its terms in descending
+order, so its lead is its first key: generators are sorted once, and
+remainders come out of ``vec_reduce`` that way.  So ``next(iter(v))`` reads
+the lead of any basis element, without a scan, and ``_interreduce`` returns
+an element whose tail no kept lead divides as it is, without reducing it.
 """
 
 from __future__ import annotations
@@ -84,45 +98,122 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import gcd
-from operator import add
+from operator import mul
 
-from .arith import (
-    Exponents,
-    MonomialOrder,
-    Poly,
-    PolyRing,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    _descending_key,
-)
+from .arith import Exponents, MonomialOrder, Poly, PolyRing
 
 Term = tuple[int, Exponents]
 VecT = dict[Term, Fraction]
-# The integer form: term -> (numerator, denominator), in lowest terms with
-# the denominator positive.
-PairVec = dict[Term, tuple[int, int]]
+# The integer form: packed term -> (numerator, denominator), in lowest terms
+# with the denominator positive.
+PairVec = dict[int, tuple[int, int]]
+
+# Bits per packed field of a span's first attempt: terms of total degree
+# below 2^_WIDTH fit.
+_WIDTH = 15
 
 
 class ModuleOrder:
     def __init__(self, order: MonomialOrder, blocks: tuple[int, ...]):
         self.order = order
         self.blocks = blocks
-        self._descending = _descending_key(order)
 
     def key(self, term: Term):
         pos, exps = term
         return (-self.blocks[pos], self.order.key(exps), -pos)
 
-    def _heap_key(self, term: Term):
-        """Sorts ascending exactly when ``key`` sorts descending."""
-        pos, exps = term
-        return (self.blocks[pos], self._descending(exps), pos)
-
 
 def module_order(ring: PolyRing, rank: int) -> ModuleOrder:
     return ModuleOrder(ring.order, (0,) * rank)
+
+
+# -- packed terms --------------------------------------------------------
+
+
+class _Overflow(Exception):
+    """A packed term outgrew its fields."""
+
+
+def _weight_rows(order: MonomialOrder, nvars: int) -> list[range]:
+    """The variables each weight row of ``order`` sums, most significant
+    first: two monomials compare under ``order.key`` as their lists of row
+    sums compare."""
+    if order.kind == "lex":
+        return [range(k, k + 1) for k in range(nvars)]
+    split = order.block_split if order.kind == "block" else 0
+    # grevlex within [lo, hi): the sums over [lo, m) for m = hi down to lo + 1
+    return ([range(0, m) for m in range(split, 0, -1)]
+            + [range(split, m) for m in range(nvars, split, -1)])
+
+
+class _Codec:
+    """The packing of the terms of ``morder`` in ``nvars`` variables into
+    ints, with fields of ``width`` bits (more if the positions or blocks
+    need them).
+
+    Field ``f`` holds bits ``f * (width + 1)`` up, with its guard bit on
+    top: the exponents in fields ``0..nvars-1``, the degree in ``nvars``,
+    the reversed position in ``nvars + 1``, the weight rows above it and
+    the reversed block highest.  ``units[k]`` is the packing of the k-th
+    variable and ``places[pos]`` the one of the unit vector at ``pos``, so
+    the term ``(pos, e)`` is ``places[pos] + sum(e_k * units[k])``."""
+
+    __slots__ = ("width", "mask", "guard", "top", "pmask", "pshift", "dshift",
+                 "bshift", "units", "places", "shifts")
+
+    def __init__(self, morder: ModuleOrder, nvars: int, width: int):
+        blocks = morder.blocks
+        last = max(blocks, default=0)
+        width = max(width, (len(blocks) - 1).bit_length(), last.bit_length())
+        step = width + 1
+        rows = _weight_rows(morder.order, nvars)
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.shifts = range(0, nvars * step, step)
+        self.dshift = nvars * step
+        self.pshift = self.dshift + step
+        self.bshift = self.pshift + step * (len(rows) + 1)
+        self.guard = sum(1 << (f + width) for f in range(0, self.bshift + step, step))
+        self.top = 1 << (self.dshift + width)
+        self.pmask = self.mask << self.pshift
+        row_bits = [1 << (self.bshift - step * (r + 1)) for r in range(len(rows))]
+        self.units = [(1 << shift) + (1 << self.dshift)
+                      + sum(bit for bit, row in zip(row_bits, rows) if k in row)
+                      for k, shift in enumerate(self.shifts)]
+        self.places = [((last - b) << self.bshift) + ((len(blocks) - 1 - pos) << self.pshift)
+                       for pos, b in enumerate(blocks)]
+
+    def pack(self, term: Term) -> int:
+        pos, exps = term
+        if sum(exps) > self.mask:
+            raise _Overflow
+        return self.places[pos] + sum(map(mul, exps, self.units))
+
+    def unpack(self, t: int) -> Term:
+        mask = self.mask
+        return (len(self.places) - 1 - ((t >> self.pshift) & mask),
+                tuple([(t >> shift) & mask for shift in self.shifts]))
+
+    def top_degree(self, v: PairVec) -> int:
+        """Largest total degree among the terms of ``v``."""
+        dshift, mask = self.dshift, self.mask
+        return max((t >> dshift) & mask for t in v)
+
+    def vector(self, v: VecT) -> PairVec:
+        """The integer form of ``v``, whose coefficients are ``Fraction`` or
+        ``int``, in the same key order."""
+        pack = self.pack
+        return {pack(t): (c.numerator, c.denominator) for t, c in v.items()}
+
+    def fractions(self, v: PairVec, shift: int = 0) -> VecT:
+        """The ``Fraction`` form of ``v``, with its terms unpacked and their
+        positions less ``shift``, in the same key order: the one place this
+        module builds a ``Fraction``."""
+        out: VecT = {}
+        for t, (n, d) in v.items():
+            pos, exps = self.unpack(t)
+            out[(pos - shift, exps)] = Fraction(n, d)
+        return out
 
 
 # -- vector helpers ------------------------------------------------------
@@ -143,18 +234,6 @@ def vec_to_polys(ring: PolyRing, rank: int, v: VecT) -> tuple[Poly, ...]:
     return tuple(Poly(ring, t) for t in parts)
 
 
-def _pairs(v: VecT) -> PairVec:
-    """The integer form of ``v``, whose coefficients are ``Fraction`` or
-    ``int``, in the same key order."""
-    return {t: (c.numerator, c.denominator) for t, c in v.items()}
-
-
-def _fractions(v: PairVec) -> VecT:
-    """The ``Fraction`` form of ``v``, in the same key order: the one place
-    this module builds a ``Fraction``."""
-    return {t: Fraction(n, d) for t, (n, d) in v.items()}
-
-
 def _over(n: int, d: int, qn: int, qd: int) -> tuple[int, int]:
     """(n/d) / (qn/qd) in lowest terms, with the denominator positive."""
     n *= qd
@@ -165,7 +244,7 @@ def _over(n: int, d: int, qn: int, qd: int) -> tuple[int, int]:
     return n // k, d // k
 
 
-def _monic(v: PairVec, lead: Term) -> PairVec:
+def _monic(v: PairVec, lead: int) -> PairVec:
     ln, ld = v[lead]
     if ln == 1 and ld == 1:
         return v
@@ -176,82 +255,86 @@ def _monic(v: PairVec, lead: Term) -> PairVec:
 
 
 class _LeadIndex:
-    """The leads of a basis, bucketed by module position, for finding a
+    """The leads of a basis, bucketed by their position bits, for finding a
     divisor of a term.
 
-    Each bucket lists ``(lead exponents, basis index)`` in basis order, so
-    the first divisor found is the first one in the basis.  The index grows
-    with ``append`` and never reorders.  ``splits[i]`` is element ``i`` read
-    as ``(lead numerator, lead denominator, [(pos, exps, n, d)] over the
-    non-lead terms)``; it is made the first time the element is hit and kept
-    as long as the index."""
+    Each bucket lists ``(lead, basis index)`` in basis order, so the first
+    divisor found is the first one in the basis.  The index grows with
+    ``append`` and never reorders.  ``splits[i]`` is element ``i`` read as
+    ``(lead numerator, lead denominator, [(term, n, d)] over the non-lead
+    terms)``; it is made the first time the element is hit and kept as long
+    as the index."""
 
-    __slots__ = ("basis", "leads", "buckets", "splits")
+    __slots__ = ("codec", "guard", "pmask", "basis", "leads", "buckets", "splits")
 
-    def __init__(self, elements=()):
+    def __init__(self, codec: _Codec, elements=()):
         """``elements`` yields ``(vector, lead)`` pairs."""
+        self.codec = codec
+        self.guard = codec.guard
+        self.pmask = codec.pmask
         self.basis: list[PairVec] = []
-        self.leads: list[Term] = []
-        self.buckets: dict[int, list[tuple[Exponents, int]]] = {}
-        self.splits: list[tuple[int, int, list[tuple[int, Exponents, int, int]]] | None] = []
+        self.leads: list[int] = []
+        self.buckets: dict[int, list[tuple[int, int]]] = {}
+        self.splits: list[tuple[int, int, list[tuple[int, int, int]]] | None] = []
         for g, lead in elements:
             self.append(g, lead)
 
-    def append(self, g: PairVec, lead: Term) -> None:
-        self.buckets.setdefault(lead[0], []).append((lead[1], len(self.basis)))
+    def append(self, g: PairVec, lead: int) -> None:
+        self.buckets.setdefault(lead & self.pmask, []).append((lead, len(self.basis)))
         self.basis.append(g)
         self.leads.append(lead)
         self.splits.append(None)
 
-    def divisor(self, pos: int, exps: Exponents) -> int:
-        """Index of the first element whose lead divides ``(pos, exps)``,
-        or -1."""
-        for le, i in self.buckets.get(pos, ()):
-            if mono_divides(le, exps):
+    def divisor(self, t: int) -> int:
+        """Index of the first element whose lead divides ``t``, or -1."""
+        guard = self.guard
+        tg = t | guard
+        for lead, i in self.buckets.get(t & self.pmask, ()):
+            if (tg - lead) & guard == guard:
                 return i
         return -1
 
-    def split(self, i: int) -> tuple[int, int, list[tuple[int, Exponents, int, int]]]:
+    def split(self, i: int) -> tuple[int, int, list[tuple[int, int, int]]]:
         lead = self.leads[i]
         g = self.basis[i]
-        out = self.splits[i] = (*g[lead], [(p, e, n, d) for (p, e), (n, d) in g.items()
-                                           if (p, e) != lead])
+        out = self.splits[i] = (*g[lead], [(t, n, d) for t, (n, d) in g.items() if t != lead])
         return out
 
 
-def vec_reduce(v: PairVec, index: _LeadIndex, morder: ModuleOrder) -> PairVec:
+def vec_reduce(v: PairVec, index: _LeadIndex) -> PairVec:
     """Full normal form of ``v`` modulo the basis of ``index``, in the
-    integer form.  The remainder's terms are in descending order, so its
-    first key is its lead.
+    integer form packed by ``index.codec``.  The remainder's terms are in
+    descending order, so its first key is its lead.
     """
     divisor, splits, leads = index.divisor, index.splits, index.leads
+    top = index.codec.top
     remainder: PairVec = {}
     work = dict(v)
-    heap_key = morder._heap_key
-    heap = [(heap_key(t), t) for t in work]
+    heap = [-t for t in work]
     heapify(heap)
     while work:
-        t = heappop(heap)[1]
+        t = -heappop(heap)
         c = work.get(t)
         if c is None:
             continue  # cancelled since it was pushed
-        pos, exps = t
-        hit = divisor(pos, exps)
+        hit = divisor(t)
         if hit < 0:
             remainder[t] = work.pop(t)
             continue
         ln, ld, tail = splits[hit] or index.split(hit)
         qn, qd = c if ln == 1 and ld == 1 else _over(*c, ln, ld)
-        mono = mono_div(exps, leads[hit][1])
+        mono = t - leads[hit]
         # work -= (qn/qd) * x^mono * g, in place; the lead term cancels t.
         del work[t]
-        for p, e, gn, gd in tail:
-            s = (p, tuple(map(add, e, mono)))
+        for e, gn, gd in tail:
+            s = e + mono
             old = work.get(s)
             if old is None:
+                if s & top:
+                    raise _Overflow
                 n = -qn * gn
                 d = qd * gd
-                heappush(heap, (heap_key(s), s))
+                heappush(heap, -s)
             else:
                 on, od = old
                 m = qd * gd
@@ -268,26 +351,29 @@ def vec_reduce(v: PairVec, index: _LeadIndex, morder: ModuleOrder) -> PairVec:
 # -- Buchberger ----------------------------------------------------------
 
 
-def _spair(f: PairVec, g: PairVec, lf: Term, lg: Term) -> PairVec:
-    """x^a f / f[lf] - x^b g / g[lg], where x^a lf = x^b lg is the lcm of the
-    leads; the two lead terms cancel and are left out."""
-    lcm = mono_lcm(lf[1], lg[1])
-    a = mono_div(lcm, lf[1])
-    fn, fd = f[lf]
+def _spair(f: PairVec, g: PairVec, a: int, b: int, top: int) -> PairVec:
+    """x^a f / f[lf] - x^b g / g[lg], where lf and lg, the first keys of
+    ``f`` and ``g``, are their leads and x^a lf = x^b lg is their lcm; the
+    two lead terms cancel and are left out.  ``a`` and ``b`` are packed
+    monomials, and a term whose degree guard bit ``top`` is set raises
+    ``_Overflow``."""
+    terms = iter(f.items())
+    _lf, (fn, fd) = next(terms)
     out: PairVec = {}
-    for t, c in f.items():
-        if t != lf:
-            out[(t[0], tuple(map(add, t[1], a)))] = (
-                c if fn == 1 and fd == 1 else _over(*c, fn, fd))
-    b = mono_div(lcm, lg[1])
-    gn, gd = g[lg]
-    for t, c in g.items():
-        if t == lg:
-            continue
-        s = (t[0], tuple(map(add, t[1], b)))
+    for t, c in terms:
+        s = t + a
+        if s & top:
+            raise _Overflow
+        out[s] = c if fn == 1 and fd == 1 else _over(*c, fn, fd)
+    terms = iter(g.items())
+    _lg, (gn, gd) = next(terms)
+    for t, c in terms:
+        s = t + b
         n, d = c if gn == 1 and gd == 1 else _over(*c, gn, gd)
         old = out.get(s)
         if old is None:
+            if s & top:
+                raise _Overflow
             out[s] = (-n, d)
             continue
         on, od = old
@@ -301,102 +387,110 @@ def _spair(f: PairVec, g: PairVec, lf: Term, lg: Term) -> PairVec:
     return out
 
 
-def _top_degree(v: VecT | PairVec) -> int:
-    """Largest total degree among the terms of ``v``; positions add nothing."""
-    return max(sum(e) for _pos, e in v)
-
-
-def _generator(v: VecT, morder: ModuleOrder) -> PairVec:
+def _generator(v: VecT, codec: _Codec) -> PairVec:
     """The integer form of a nonzero generator, monic, with its terms in
     descending order."""
-    terms = sorted(v, key=morder._heap_key)
-    return _monic({t: (v[t].numerator, v[t].denominator) for t in terms}, terms[0])
+    g = dict(sorted(codec.vector(v).items(), reverse=True))
+    return _monic(g, next(iter(g)))
 
 
-def buchberger(vecs: list[VecT], morder: ModuleOrder) -> list[PairVec]:
+def buchberger(vecs: list[VecT], codec: _Codec) -> list[PairVec]:
     """Groebner basis of the span, via sugar pair selection with the
     Gebauer-Moeller update.  ``vecs`` have ``Fraction`` or ``int``
-    coefficients; every returned element is in the integer form, monic,
-    and has its terms in descending order.  The coprime-lead shortcut is
-    sound only in ambient rank one, that is when the order has a single
-    position."""
-    rank_one = len(morder.blocks) == 1
-    blocks, okey = morder.blocks, morder.order.key
-    index = _LeadIndex()
-    basis, leads, buckets = index.basis, index.leads, index.buckets
+    coefficients and are packed by ``codec``; every returned element is in
+    the integer form, monic, and has its terms in descending order.  The
+    coprime-lead shortcut is sound only in ambient rank one, that is when
+    the order has a single position."""
+    guard, top, mask, units = codec.guard, codec.top, codec.mask, codec.units
+    shifts, dshift = codec.shifts, codec.dshift
+    # the block and position fields, which a term shares with its lead
+    place_mask = codec.pmask | (codec.mask << codec.bshift)
+    rank_one = len(codec.places) == 1
+    index = _LeadIndex(codec)
+    basis, leads, buckets, pmask = index.basis, index.leads, index.buckets, index.pmask
+    # per element: its sugar, and its lead's exponents and degree
     sugars: list[int] = []
-    # (i, j) -> (sugar, order key of the lcm term, i, j, lcm); the first four
-    # entries are the selection key and are unique, so ``min`` never compares
-    # two lcms.  ``pairs_at`` holds the same entries by the pair's position.
-    pairs: dict[tuple[int, int], tuple] = {}
-    pairs_at: dict[int, dict[tuple[int, int], tuple]] = {}
+    lead_exps: list[list[int]] = []
+    lead_degrees: list[int] = []
+    # (i, j) -> (sugar, packed lcm term, i, j), the selection key; its
+    # entries are unique.  ``pairs_at`` holds the same entries by the
+    # position bits of the pair.
+    pairs: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+    pairs_at: dict[int, dict[tuple[int, int], tuple[int, int, int, int]]] = {}
 
-    def add(v: PairVec, lnew: Term, sugar: int) -> None:
+    def add(v: PairVec, lnew: int, sugar: int) -> None:
         """Adds the monic ``v``, whose lead ``lnew`` is its first key."""
         new = len(basis)
-        pos, enew = lnew
-        here = pairs_at.setdefault(pos, {})
-        # Gebauer-Moeller B: discard old pairs strictly refined by the newcomer.
-        for _sugar, _key, i, j, lcm_ij in list(here.values()):
-            if (
-                mono_divides(enew, lcm_ij)
-                and mono_lcm(leads[i][1], enew) != lcm_ij
-                and mono_lcm(leads[j][1], enew) != lcm_ij
-            ):
-                del here[(i, j)]
-                del pairs[(i, j)]
-        # (deg lcm, order key of lcm, i, lcm) with every element at the
-        # newcomer's position; i is unique, so sorting never compares lcms.
+        enew = [(lnew >> shift) & mask for shift in shifts]
+        dnew = (lnew >> dshift) & mask
+        place = lnew & place_mask
+        # (deg lcm, packed lcm, i) with every element at the newcomer's
+        # position; i is unique.  The lcm's degree is at most twice the
+        # widest a field holds, so an overflow sets its guard bit.
         fresh = []
-        for e, i in buckets.get(pos, ()):
-            lcm = mono_lcm(e, enew)
-            fresh.append((sum(lcm), okey(lcm), i, lcm))
+        for _lead, i in buckets.get(lnew & pmask, ()):
+            lcm = place + sum(map(mul, map(max, lead_exps[i], enew), units))
+            if lcm & top:
+                raise _Overflow
+            fresh.append(((lcm >> dshift) & mask, lcm, i))
+        here = pairs_at.setdefault(lnew & pmask, {})
+        if here:
+            # Gebauer-Moeller B: discard old pairs strictly refined by the
+            # newcomer, whose lcms with elements i and j are in ``fresh``.
+            with_new = {i: lcm for _d, lcm, i in fresh}
+            for _sugar, lcm_ij, i, j in list(here.values()):
+                if (
+                    ((lcm_ij | guard) - lnew) & guard == guard
+                    and with_new[i] != lcm_ij
+                    and with_new[j] != lcm_ij
+                ):
+                    del here[(i, j)]
+                    del pairs[(i, j)]
         fresh.sort()
-        kept: list[Exponents] = []
-        dnew = sum(enew)
-        for d, lcm_key, i, lcm in fresh:
-            if any(mono_divides(k, lcm) for k in kept):
+        kept: list[int] = []
+        for d, lcm, i in fresh:
+            lcm_g = lcm | guard
+            if any((lcm_g - k) & guard == guard for k in kept):
                 continue
             kept.append(lcm)
-            if rank_one and mono_mul(leads[i][1], enew) == lcm:
+            if rank_one and d == lead_degrees[i] + dnew:
                 continue  # coprime leads, S-pair reduces to zero
-            pair_sugar = max(sugars[i] + d - sum(leads[i][1]), sugar + d - dnew)
-            # ``morder.key((pos, lcm))``, from the order key made for sorting
-            here[(i, new)] = pairs[(i, new)] = (
-                pair_sugar, (-blocks[pos], lcm_key, -pos), i, new, lcm)
+            pair_sugar = max(sugars[i] + d - lead_degrees[i], sugar + d - dnew)
+            here[(i, new)] = pairs[(i, new)] = (pair_sugar, lcm, i, new)
         index.append(v, lnew)
         sugars.append(sugar)
+        lead_exps.append(enew)
+        lead_degrees.append(dnew)
 
-    generators = sorted((_generator(v, morder) for v in vecs if v),
-                        key=lambda g: morder.key(next(iter(g))))
-    for g in generators:
-        add(g, next(iter(g)), _top_degree(g))
+    for g in sorted((_generator(v, codec) for v in vecs if v), key=lambda g: next(iter(g))):
+        add(g, next(iter(g)), codec.top_degree(g))
     while pairs:
-        sugar, _key, i, j, _lcm = min(pairs.values())
+        sugar, lcm, i, j = min(pairs.values())
         del pairs[(i, j)]
-        del pairs_at[leads[i][0]][(i, j)]
-        s = _spair(basis[i], basis[j], leads[i], leads[j])
+        del pairs_at[lcm & pmask][(i, j)]
+        s = _spair(basis[i], basis[j], lcm - leads[i], lcm - leads[j], top)
         if not s:
             continue
-        r = vec_reduce(s, index, morder)
+        r = vec_reduce(s, index)
         if r:
             lead = next(iter(r))
-            add(_monic(r, lead), lead, max(sugar, _top_degree(r)))
+            add(_monic(r, lead), lead, max(sugar, codec.top_degree(r)))
     return basis
 
 
-def _interreduce(basis: list[PairVec], morder: ModuleOrder) -> list[PairVec]:
+def _interreduce(basis: list[PairVec], codec: _Codec) -> list[PairVec]:
     """Minimal, tail-reduced, monic basis (the unique reduced GB when the
-    input is a GB), in the integer form.  Every input element must have its
-    lead as its first key, as ``buchberger``'s do, and every returned element
-    has too.  An element whose tail no kept lead divides keeps its own key
-    order; every other element's tail is in descending order."""
-    work = sorted(((next(iter(v)), v) for v in basis if v),
-                  key=lambda lv: morder.key(lv[0]))
+    input is a GB), in the integer form packed by ``codec``.  Every input
+    element must have its lead as its first key, as ``buchberger``'s do, and
+    every returned element has too.  An element whose tail no kept lead
+    divides keeps its own key order; every other element's tail is in
+    descending order."""
+    work = sorted((v for v in basis if v), key=lambda v: next(iter(v)))
     # An element is kept when no kept lead at its position divides its lead.
-    kept = _LeadIndex()
-    for lead, v in work:
-        if kept.divisor(*lead) < 0:
+    kept = _LeadIndex(codec)
+    for v in work:
+        lead = next(iter(v))
+        if kept.divisor(lead) < 0:
             kept.append(v, lead)
     # Only v's own lead divides v's lead, and no lead divides a term below
     # its own, so reducing v's tail against every kept element keeps v's lead
@@ -405,8 +499,8 @@ def _interreduce(basis: list[PairVec], morder: ModuleOrder) -> list[PairVec]:
     divisor = kept.divisor
     reduced = []
     for v, lead in zip(kept.basis, kept.leads):
-        if any(divisor(*t) >= 0 for t in islice(v, 1, None)):
-            v = {lead: v[lead], **vec_reduce(dict(islice(v.items(), 1, None)), kept, morder)}
+        if any(divisor(t) >= 0 for t in islice(v, 1, None)):
+            v = {lead: v[lead], **vec_reduce(dict(islice(v.items(), 1, None)), kept)}
         reduced.append(_monic(v, lead))
     reduced.reverse()
     return reduced
@@ -415,18 +509,17 @@ def _interreduce(basis: list[PairVec], morder: ModuleOrder) -> list[PairVec]:
 # -- spans with membership and syzygies ----------------------------------
 
 
-def _graph_basis(rank: int, vecs: list[VecT], morder: ModuleOrder,
-                 nvars: int) -> tuple[list[PairVec], list[PairVec]]:
-    """Reduced basis of span{(v_i, e_i)} in S^(rank+k) under ``morder``,
-    whose first ``rank`` positions must form the dominant block, and the
-    syzygies of ``vecs`` it contains, as vectors in S^k; both in the integer
-    form."""
-    unit = (0,) * nvars
+def _graph_basis(rank: int, vecs: list[VecT], codec: _Codec) -> list[PairVec]:
+    """The syzygy part of the reduced basis of span{(v_i, e_(rank+i))} in
+    S^(rank+k), packed by ``codec``, whose order must make the first
+    ``rank`` positions the dominant block: the elements whose every term
+    lies in the last block, interreduced among themselves.  No lead in the
+    first block divides a term in the last, so they come out as the
+    reduction of the whole basis gives them."""
+    unit = (0,) * len(codec.units)
     graph = [{**v, (rank + i, unit): 1} for i, v in enumerate(vecs)]
-    gb = _interreduce(buchberger(graph, morder), morder)
-    syz = [{(pos - rank, e): c for (pos, e), c in g.items()}
-           for g in gb if all(pos >= rank for pos, _e in g)]
-    return gb, syz
+    return _interreduce([g for g in buchberger(graph, codec)
+                         if next(iter(g)) >> codec.bshift == 0], codec)
 
 
 class SpanGB:
@@ -441,6 +534,11 @@ class SpanGB:
     and the basis elements with ``h = 0`` generate the syzygies.  The graph
     basis is built the first time ``syzygies`` needs it; only those
     syzygies are kept, and no index is built over the graph basis.
+
+    Each computation packs terms with fields ``_width`` bits wide; when a
+    term outgrows them, the width doubles and the computation starts over,
+    the plain basis too when a vector reduced modulo it is what outgrew
+    them.
     """
 
     def __init__(self, ring: PolyRing, rank: int, vecs: list[VecT]):
@@ -449,31 +547,58 @@ class SpanGB:
         self.vecs = list(vecs)
         # The graph order; on the first block it is the plain one.
         self.morder = ModuleOrder(ring.order, (0,) * rank + (1,) * len(self.vecs))
+        self._width = _WIDTH
+
+    def _packed(self, morder: ModuleOrder, build):
+        """``build(codec)`` for a packing of ``morder`` wide enough for
+        every term it makes."""
+        while True:
+            codec = _Codec(morder, self.ring.nvars, self._width)
+            try:
+                return build(codec)
+            except _Overflow:
+                self._width = 2 * codec.width
 
     @cached_property
     def gb(self) -> list[VecT]:
-        return [_fractions(g) for g in self._gb_index.basis]
+        index = self._gb_index
+        return [index.codec.fractions(g) for g in index.basis]
 
     @cached_property
     def _gb_index(self) -> _LeadIndex:
-        morder = module_order(self.ring, self.rank)
-        return _LeadIndex((g, next(iter(g)))
-                          for g in _interreduce(buchberger(self.vecs, morder), morder))
+        def build(codec):
+            return _LeadIndex(codec, ((g, next(iter(g))) for g in
+                                      _interreduce(buchberger(self.vecs, codec), codec)))
+        return self._packed(module_order(self.ring, self.rank), build)
 
     @property
     def gb_leads(self) -> list[Term]:
-        return self._gb_index.leads
+        index = self._gb_index
+        return [index.codec.unpack(lead) for lead in index.leads]
 
     @cached_property
-    def _syzygies(self) -> list[PairVec]:
-        """The syzygies in the graph basis, in the integer form."""
-        return _graph_basis(self.rank, self.vecs, self.morder, self.ring.nvars)[1]
+    def _syzygies(self) -> tuple[_Codec, list[PairVec]]:
+        """The syzygies in the graph basis, packed, and their packing."""
+        return self._packed(self.morder,
+                            lambda codec: (codec, _graph_basis(self.rank, self.vecs, codec)))
+
+    def _remainder(self, v: VecT) -> tuple[_Codec, PairVec]:
+        """The packing of the plain basis and the normal form of ``v`` in
+        it."""
+        index = self._gb_index
+        try:
+            return index.codec, vec_reduce(index.codec.vector(v), index)
+        except _Overflow:
+            self._width = 2 * index.codec.width
+            del self._gb_index
+            return self._remainder(v)
 
     def normal_form(self, v: VecT) -> VecT:
-        return _fractions(vec_reduce(_pairs(v), self._gb_index, self.morder))
+        codec, r = self._remainder(v)
+        return codec.fractions(r)
 
     def contains(self, v: VecT) -> bool:
-        return not vec_reduce(_pairs(v), self._gb_index, self.morder)
+        return not self._remainder(v)[1]
 
     def syzygies(self, first: int) -> list[VecT]:
         """The projections onto the first ``first`` coordinates of generators
@@ -481,17 +606,20 @@ class SpanGB:
         up to a constant factor; with ``first = k`` they are the generators
         themselves, which are distinct and monic, so none of them is
         dropped."""
+        codec, syzygies = self._syzygies
+        # graph positions below rank + first have reversed positions from here up
+        floor, pmask = (len(codec.places) - self.rank - first) << codec.pshift, codec.pmask
         out: list[VecT] = []
         seen = set()
-        for s in self._syzygies:
+        for s in syzygies:
             # The syzygies are in descending order, so the projection's first
             # key is its lead.
-            proj = {t: c for t, c in s.items() if t[0] < first}
+            proj = {t: c for t, c in s.items() if t & pmask >= floor}
             if proj:
                 sig = frozenset(_monic(proj, next(iter(proj))).items())
                 if sig not in seen:
                     seen.add(sig)
-                    out.append(_fractions(proj))
+                    out.append(codec.fractions(proj, self.rank))
         return out
 
 

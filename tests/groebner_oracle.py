@@ -2,19 +2,42 @@
 
 Nothing here calls ``groebner``'s reduction or S-vector code: the normal
 form takes the ``max`` term under ``ModuleOrder.key`` and subtracts a scaled
-copy term by term, and ``is_groebner`` builds its own S-vectors.  The two
-conversions read and write ``groebner``'s integer form, ``term ->
-(numerator, denominator)``, for the tests that call its private parts, and
+copy term by term, and ``is_groebner`` builds its own S-vectors, with the
+monomial helpers below on exponent tuples.  Tests that call ``groebner``'s
+private parts pack their vectors with ``codec``, into ``packed term ->
+(numerator, denominator)``, and read them back with its ``fractions``;
 ``lead_index`` indexes a basis for ``vec_reduce`` with leads found by
-``vec_lead``, a scan over every term.  ``lift`` writes a member of a span as
-a combination of its generators; the library computes no lifts, so this
-one takes ``groebner``'s graph basis of the span and reduces by
-``oracle_reduce``, apart from ``vec_reduce``."""
+``vec_lead``, a scan over every term.  ``graph_basis`` is the full reduced
+basis of the graph span, built from ``buchberger`` and ``_interreduce``,
+where ``SpanGB`` keeps only its syzygy part.  ``lift`` writes a member of a
+span as a combination of its generators; the library computes no lifts, so
+this one reduces by ``oracle_reduce`` modulo the graph basis, apart from
+``vec_reduce``."""
 
 from fractions import Fraction
+from operator import le, sub
 
-from truncmod.arith import Poly, mono_div, mono_divides, mono_lcm
-from truncmod.groebner import _LeadIndex, _graph_basis
+from truncmod.arith import Poly
+from truncmod.groebner import _WIDTH, _Codec, _interreduce, _LeadIndex, buchberger
+
+
+def mono_divides(a, b):
+    """True when the monomial with exponents ``a`` divides the one with ``b``."""
+    return all(map(le, a, b))
+
+
+def mono_div(a, b):
+    return tuple(map(sub, a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def codec(morder, nvars):
+    """The packing of ``morder``'s terms in ``nvars`` variables, as a span
+    first makes it: wide enough for every term the tests draw."""
+    return _Codec(morder, nvars, _WIDTH)
 
 
 def vec_lead(v, morder):
@@ -22,21 +45,20 @@ def vec_lead(v, morder):
     return max(v, key=morder.key)
 
 
-def to_pairs(v):
-    """``v`` in the integer form, in the same key order."""
-    return {t: (c.numerator, c.denominator) for t, c in v.items()}
-
-
-def to_fractions(v):
-    """A vector in the integer form as ``Fraction`` coefficients, in the
-    same key order."""
-    return {t: Fraction(n, d) for t, (n, d) in v.items()}
-
-
-def lead_index(basis, morder):
+def lead_index(basis, morder, packing):
     """A ``_LeadIndex`` over the integer forms of the ``Fraction`` vectors
     ``basis``."""
-    return _LeadIndex((to_pairs(g), vec_lead(g, morder)) for g in basis)
+    return _LeadIndex(packing, ((packing.vector(g), packing.pack(vec_lead(g, morder)))
+                                for g in basis))
+
+
+def graph_basis(span):
+    """The reduced basis of span{(v_i, e_(rank+i))} under ``span.morder``,
+    as ``Fraction`` vectors."""
+    packing = codec(span.morder, span.ring.nvars)
+    unit = (0,) * span.ring.nvars
+    graph = [{**v, (span.rank + i, unit): 1} for i, v in enumerate(span.vecs)]
+    return [packing.fractions(g) for g in _interreduce(buchberger(graph, packing), packing)]
 
 
 def sub_scaled(v, w, mono, coeff):
@@ -61,8 +83,8 @@ def oracle_reduce(v, basis, morder):
     while work:
         t = max(work, key=morder.key)
         pos, exps = t
-        hit = next((i for i, (lp, le) in enumerate(leads)
-                    if lp == pos and mono_divides(le, exps)), -1)
+        hit = next((i for i, (lp, le_) in enumerate(leads)
+                    if lp == pos and mono_divides(le_, exps)), -1)
         if hit < 0:
             remainder[t] = work.pop(t)
             continue
@@ -99,8 +121,7 @@ def lift(span, v):
     sum(c_i * v_i)``, and the first block dominates, so ``(v, 0)`` reduces
     modulo the graph basis to some ``(0, r)`` exactly when ``v`` is in the
     span, and then ``v = -sum(r_i * v_i)``."""
-    graph, _syz = _graph_basis(span.rank, span.vecs, span.morder, span.ring.nvars)
-    remainder, _quotients = oracle_reduce(v, [to_fractions(g) for g in graph], span.morder)
+    remainder, _quotients = oracle_reduce(v, graph_basis(span), span.morder)
     if any(pos < span.rank for pos, _e in remainder):
         return None
     coeffs = [{} for _ in span.vecs]

@@ -1,5 +1,6 @@
 """End-to-end checks for the JSON command line interface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -44,6 +45,23 @@ def test_groebner_basis_command():
     assert out["rank"] == 1
     assert out["meta"]["command"] == "gb"
     assert isinstance(out["meta"]["elapsed_ms"], (int, float))
+
+
+def test_calls_share_the_parser_built_at_import(monkeypatch):
+    """``main`` builds no argument parser per call, and flags still parse."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an argument parser was built per call")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    doc = {"ring": RING_PLAIN, "payload": {"generators": ["x^2 - 1", "x*y - 1"]}}
+    for _ in range(2):
+        code, out = run("gb", doc, "--order", "lex")
+        assert code == 0
+        assert out["basis"] == [["x - y"], ["y^2 - 1"], ["t"]]
+    with pytest.raises(SystemExit) as exit_info, \
+            contextlib.redirect_stderr(io.StringIO()):
+        main(["gb", "-", "--order", "revlex"])
+    assert exit_info.value.code == 2
 
 
 def test_order_flag_overrides_document():

@@ -11,7 +11,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groebner_oracle import is_groebner, lift, to_fractions, to_pairs, vec_lead
+from groebner_oracle import codec, graph_basis, is_groebner, lift, vec_lead
 from truncmod import groebner
 from truncmod.arith import PolyRing, grevlex, lex
 from truncmod.cli import main
@@ -63,7 +63,9 @@ def reduced_basis(order, rank, vecs):
 
 def interreduce(basis, morder):
     """``_interreduce`` on ``Fraction`` vectors whose first key is their lead."""
-    return [to_fractions(g) for g in _interreduce([to_pairs(v) for v in basis], morder)]
+    packing = codec(morder, len(next(iter(basis[0]))[1]))
+    return [packing.fractions(g)
+            for g in _interreduce([packing.vector(v) for v in basis], packing)]
 
 
 def fmt_span(ring, rank, vecs):
@@ -237,12 +239,16 @@ def test_reduced_basis_ignores_order_and_scaling_of_generators(order, vecs, rng,
 @given(ORDERS, FEW_VECS)
 def test_every_returned_element_has_its_lead_first(order, vecs):
     morder = ModuleOrder(order(), (0, 0))
-    graph_order = ModuleOrder(order(), (0, 0) + (1,) * len(vecs))
-    returned = buchberger(vecs, morder) + reduced_basis(order(), 2, vecs)
+    packing = codec(morder, 3)
+    returned = ([packing.fractions(g) for g in buchberger(vecs, packing)]
+                + reduced_basis(order(), 2, vecs))
     for v in returned:
         assert next(iter(v)) == vec_lead(v, morder)
-    for g in _graph_basis(2, vecs, graph_order, 3)[0]:
-        assert next(iter(g)) == vec_lead(g, graph_order)
+    span = SpanGB(PolyRing(("x", "y", "t"), order=order()), 2, vecs)
+    graph_packing = codec(span.morder, 3)
+    syzygies = [graph_packing.fractions(g) for g in _graph_basis(2, vecs, graph_packing)]
+    for g in graph_basis(span) + syzygies:
+        assert next(iter(g)) == vec_lead(g, span.morder)
 
 
 CYCLIC4 = ["z0 + z1 + z2 + z3", "z0*z1 + z1*z2 + z2*z3 + z3*z0",

@@ -1,7 +1,7 @@
 """Property tests for the reduction kernel ``groebner.vec_reduce`` and the
 S-vectors of ``groebner._spair``.
 
-The kernel takes terms from a heap of descending order keys and works on
+The kernel takes packed terms from a heap of their negations and works on
 integer numerator/denominator pairs.  The oracle (``groebner_oracle``) is
 the plain loop it replaced: take the ``max`` term under ``ModuleOrder.key``
 and subtract a scaled copy in ``Fraction`` arithmetic, with a helper that
@@ -9,7 +9,7 @@ shares no code with the kernel.  Both must take the same terms in the same
 order, so remainders agree as dicts and in key order, on plain module orders
 and on the blocked orders of the graph basis, and when one ``_LeadIndex``
 serves every reduction while its basis grows.  The tests draw ``Fraction``
-vectors and convert them to the kernel's integer form and back at its
+vectors and pack them into the kernel's integer form and back at its
 boundary."""
 
 from copy import deepcopy
@@ -17,28 +17,20 @@ from fractions import Fraction
 from itertools import cycle
 from math import gcd
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from groebner_oracle import (
+    codec,
     is_groebner,
     lead_index,
-    oracle_reduce,
-    sub_scaled,
-    to_fractions,
-    to_pairs,
-    vec_lead,
-)
-from truncmod.arith import (
-    MonomialOrder,
-    PolyRing,
-    elim_block,
-    grevlex,
-    lex,
     mono_div,
     mono_divides,
+    oracle_reduce,
+    sub_scaled,
+    vec_lead,
 )
+from truncmod.arith import PolyRing, grevlex, lex
 from truncmod.groebner import (
     ModuleOrder,
     SpanGB,
@@ -63,8 +55,8 @@ def vectors(nvars, npos, max_terms, coeffs=COEFFS):
 
 @st.composite
 def problems(draw, coeffs=COEFFS, max_rank=2):
-    """(v, basis, morder): rank 1 to ``max_rank``, lex or grevlex, and
-    either a plain order or a graph order with up to two dominated tag
+    """(v, basis, morder, packing): rank 1 to ``max_rank``, lex or grevlex,
+    and either a plain order or a graph order with up to two dominated tag
     positions.  The basis elements are not monic."""
     nvars = draw(st.integers(1, 3))
     rank = draw(st.integers(1, max_rank))
@@ -73,28 +65,28 @@ def problems(draw, coeffs=COEFFS, max_rank=2):
     morder = ModuleOrder(order, (0,) * rank + (1,) * tags)
     npos = rank + tags
     basis = draw(st.lists(vectors(nvars, npos, 4, coeffs), min_size=0, max_size=4))
-    return draw(vectors(nvars, npos, 8, coeffs)), basis, morder
+    return draw(vectors(nvars, npos, 8, coeffs)), basis, morder, codec(morder, nvars)
 
 
-def reduce_fractions(v, basis, morder):
-    """``vec_reduce`` on ``Fraction`` vectors, converted at its boundary."""
-    return to_fractions(vec_reduce(to_pairs(v), lead_index(basis, morder), morder))
+def reduce_fractions(v, basis, morder, packing):
+    """``vec_reduce`` on ``Fraction`` vectors, packed at its boundary."""
+    return packing.fractions(vec_reduce(packing.vector(v), lead_index(basis, morder, packing)))
 
 
 @SETTINGS
 @given(st.one_of(problems(), problems(BIG_COEFFS)))
 def test_kernel_matches_max_scan_oracle(case):
-    v, basis, morder = case
+    v, basis, morder, packing = case
     want_r, _ = oracle_reduce(v, basis, morder)
-    r = reduce_fractions(v, basis, morder)
+    r = reduce_fractions(v, basis, morder, packing)
     assert r == want_r and list(r) == list(want_r)
 
 
 @SETTINGS
 @given(problems())
 def test_division_identity_and_reduced_remainder(case):
-    v, basis, morder = case
-    r = reduce_fractions(v, basis, morder)
+    v, basis, morder, packing = case
+    r = reduce_fractions(v, basis, morder, packing)
     _, q = oracle_reduce(v, basis, morder)
     total = dict(r)
     for g, qi in zip(basis, q):
@@ -119,18 +111,18 @@ def assert_lowest_pairs(v):
 def test_kernel_returns_fractions_in_lowest_terms(case):
     """Every remainder coefficient is a nonzero numerator/denominator pair
     of ints in lowest terms with a positive denominator."""
-    v, basis, morder = case
-    assert_lowest_pairs(vec_reduce(to_pairs(v), lead_index(basis, morder), morder))
+    v, basis, morder, packing = case
+    assert_lowest_pairs(vec_reduce(packing.vector(v), lead_index(basis, morder, packing)))
 
 
 @SETTINGS
 @given(st.one_of(problems(), problems(BIG_COEFFS)))
 def test_kernel_leaves_its_inputs_alone(case):
-    v, basis, morder = case
-    v, index = to_pairs(v), lead_index(basis, morder)
+    v, basis, morder, packing = case
+    v, index = packing.vector(v), lead_index(basis, morder, packing)
     basis = index.basis
     v_before, basis_before = deepcopy(v), deepcopy(basis)
-    vec_reduce(v, index, morder)
+    vec_reduce(v, index)
     assert v == v_before and list(v) == list(v_before)
     assert basis == basis_before
     assert [list(g) for g in basis] == [list(g) for g in basis_before]
@@ -138,13 +130,14 @@ def test_kernel_leaves_its_inputs_alone(case):
 
 @st.composite
 def growing(draw):
-    """(basis, probes, morder): a basis to append one element at a time and
-    a vector to reduce before each append and after the last."""
-    v, basis, morder = draw(problems(draw(st.sampled_from([COEFFS, BIG_COEFFS])), max_rank=3))
+    """(basis, probes, morder, packing): a basis to append one element at a
+    time and a vector to reduce before each append and after the last."""
+    v, basis, morder, packing = draw(problems(draw(st.sampled_from([COEFFS, BIG_COEFFS])),
+                                              max_rank=3))
     nvars = len(next(iter(v))[1])
     more = draw(st.lists(vectors(nvars, len(morder.blocks), 8), min_size=len(basis),
                          max_size=len(basis)))
-    return basis, [v, *more], morder
+    return basis, [v, *more], morder, packing
 
 
 @SETTINGS
@@ -152,21 +145,22 @@ def growing(draw):
 def test_one_index_matches_the_oracle_while_it_grows(case):
     """One ``_LeadIndex`` serves every reduction as the basis grows; the
     splits it keeps from earlier calls must not change a later answer."""
-    basis, probes, morder = case
-    index = _LeadIndex()
+    basis, probes, morder, packing = case
+    index = _LeadIndex(packing)
     for k, probe in enumerate(probes):
         for w in (probe, probes[0]):
             want_r, _ = oracle_reduce(w, basis[:k], morder)
-            r = to_fractions(vec_reduce(to_pairs(w), index, morder))
+            r = packing.fractions(vec_reduce(packing.vector(w), index))
             assert r == want_r and list(r) == list(want_r)
         if k < len(basis):
-            index.append(to_pairs(basis[k]), vec_lead(basis[k], morder))
-    assert index.basis == [to_pairs(g) for g in basis]
+            index.append(packing.vector(basis[k]), packing.pack(vec_lead(basis[k], morder)))
+    assert index.basis == [packing.vector(g) for g in basis]
 
 
 @st.composite
 def pairs(draw):
-    """(f, g, morder) with f and g not monic and their leads at one position."""
+    """(f, g, morder, packing) with f and g not monic and their leads at one
+    position."""
     coeffs = draw(st.sampled_from([COEFFS, BIG_COEFFS]))
     nvars = draw(st.integers(1, 3))
     rank = draw(st.integers(1, 2))
@@ -175,19 +169,28 @@ def pairs(draw):
     f = draw(vectors(nvars, rank, 5, coeffs))
     g = draw(vectors(nvars, rank, 5, coeffs))
     assume(vec_lead(f, morder)[0] == vec_lead(g, morder)[0])
-    return f, g, morder
+    return f, g, morder, codec(morder, nvars)
+
+
+def lead_first(v, lead, packing):
+    """``v`` packed, with its lead as its first key."""
+    packed = packing.vector(v)
+    lead = packing.pack(lead)
+    return {lead: packed[lead], **packed}
 
 
 @SETTINGS
 @given(pairs())
 def test_spair_is_the_cancelling_combination(case):
-    f, g, morder = case
+    f, g, morder, packing = case
     lf, lg = vec_lead(f, morder), vec_lead(g, morder)
     lcm = tuple(map(max, lf[1], lg[1]))
     want = sub_scaled({}, f, mono_div(lcm, lf[1]), Fraction(-1) / f[lf])
     want = sub_scaled(want, g, mono_div(lcm, lg[1]), Fraction(1) / g[lg])
-    s = _spair(to_pairs(f), to_pairs(g), lf, lg)
-    assert to_fractions(s) == want
+    packed_lcm = packing.pack((lf[0], lcm))
+    s = _spair(lead_first(f, lf, packing), lead_first(g, lg, packing),
+               packed_lcm - packing.pack(lf), packed_lcm - packing.pack(lg), packing.top)
+    assert packing.fractions(s) == want
     assert_lowest_pairs(s)
 
 
@@ -232,24 +235,3 @@ def test_every_coefficient_that_leaves_groebner_is_a_fraction_in_lowest_terms(ca
     assert any(leaving)
     for v in leaving:
         assert_exact_fractions(v)
-
-
-@st.composite
-def ordered_terms(draw, kind):
-    """(ModuleOrder, distinct terms) for one ``MonomialOrder`` kind."""
-    nvars = draw(st.integers(2, 4))
-    order = elim_block(draw(st.integers(0, nvars))) if kind == "block" else MonomialOrder(kind)
-    blocks = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
-    terms = st.tuples(st.integers(0, len(blocks) - 1),
-                      st.tuples(*[st.integers(0, 3)] * nvars))
-    return ModuleOrder(order, blocks), draw(st.lists(terms, min_size=2, max_size=12,
-                                                     unique=True))
-
-
-@pytest.mark.parametrize("kind", ["lex", "grevlex", "block"])
-@SETTINGS
-@given(data=st.data())
-def test_descending_key_reverses_the_order(kind, data):
-    morder, terms = data.draw(ordered_terms(kind))
-    assert (sorted(terms, key=morder._heap_key)
-            == sorted(terms, key=morder.key, reverse=True))

@@ -3,7 +3,7 @@ agrees with the graph basis that is built only for syzygies."""
 
 from fractions import Fraction
 
-from groebner_oracle import is_groebner, lead_index, lift, to_fractions, to_pairs
+from groebner_oracle import codec, graph_basis, is_groebner, lead_index, lift
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,16 +81,15 @@ def spans(draw):
 def test_plain_basis_matches_graph_basis(case):
     tr, rank, vecs, element, multipliers = case
     span = SpanGB(tr.S, rank, vecs)
-    # the graph basis is in groebner's integer form; read it as Fractions
-    graph_pairs, _syz = _graph_basis(rank, vecs, span.morder, tr.S.nvars)
-    graph_gb = [to_fractions(g) for g in graph_pairs]
+    graph_gb = graph_basis(span)
 
     first_parts = [{t: c for t, c in g.items() if t[0] < rank} for g in graph_gb]
     assert span.gb == [f for f in first_parts if f]
     assert is_groebner(span.gb, ModuleOrder(tr.S.order, (0,) * rank))
 
-    graph_nf = to_fractions(vec_reduce(to_pairs(element), lead_index(graph_gb, span.morder),
-                                       span.morder))
+    packing = codec(span.morder, tr.S.nvars)
+    graph_nf = packing.fractions(vec_reduce(packing.vector(element),
+                                            lead_index(graph_gb, span.morder, packing)))
     assert span.normal_form(element) == {t: c for t, c in graph_nf.items() if t[0] < rank}
 
     member = {}
@@ -98,6 +97,12 @@ def test_plain_basis_matches_graph_basis(case):
         member = add(member, vec_mul_poly(v, p))
     assert span.contains(member)
     assert "_syzygies" not in span.__dict__
+    # the syzygy part, interreduced apart from the first block, is the
+    # full graph basis's last block
+    syzygies = [packing.fractions(g) for g in _graph_basis(rank, vecs, packing)]
+    assert syzygies == [g for g in graph_gb if all(pos >= rank for pos, _e in g)]
+    assert [list(g) for g in syzygies] == [list(g) for g in graph_gb
+                                            if all(pos >= rank for pos, _e in g)]
     span.syzygies(len(vecs))
     assert "_syzygies" in span.__dict__
 
