@@ -427,7 +427,7 @@ def _cmd_balanced(ring, payload, options):
             witness = str(ring.truncate(elem))
         else:
             witness = _ser_col(rep.witness)
-    # is_balanced raises unless its two routes agree, so each equals the verdict
+    # both route keys stay for the answer format, and each equals the verdict
     return {"balanced": rep.balanced, "by_composite": rep.balanced,
             "by_filtration": rep.balanced, "witness": witness,
             "witness_level": rep.witness_level, "note": rep.note}

@@ -22,10 +22,10 @@ The t-power filtrations are the organizing structure:
 
 with layer quotients G_i = M_i / M_{i+1} and G^(i) = A_i / A_{i-1}.  A
 module where the two filtrations coincide, M_i = A_(n-i) for every i, is
-called balanced here.  ``is_balanced`` decides it from the two end image
-layers alone, by the one comparison map M/tM -> t^(n-1) M; the comparison
-maps between all consecutive layers, with their kernels and cokernels,
-are a test oracle.
+called balanced here.  ``is_balanced`` decides it by the one inclusion
+ann(t^(n-1)) ⊆ tM, and a graded module also by the Hilbert series of
+M/tM, M and M/t^(n-1) M; the comparison maps between all consecutive
+layers, with their kernels and cokernels, are a test oracle.
 
 A filtration is a plain list of ``Submodule``s of M, descending from M to
 zero; both canonical filtrations are stored that way, the kernels
@@ -360,49 +360,49 @@ class ModMap:
 @dataclass
 class BalancedReport:
     balanced: bool
-    witness_level: int | None = None    # i with ann(t^(n-i)) ⊄ t^i M
+    witness_level: int | None = None    # 1 whenever unbalanced: tM ⊊ ann(t^(n-1))
     witness: Column | None = None       # cover coordinates of an offender
     note: str = ""
 
 
 def is_balanced(M: PresMod) -> BalancedReport:
-    """Whether t^i M = ann(t^(n-i)) for every i, by two routes that share
-    no layer presentation and must agree.
+    """Whether t^i M = ann(t^(n-i)) for every i: exactly when ann(t^(n-1))
+    ⊆ tM, and the first generator of ann(t^(n-1)) outside tM is the witness.
 
-    The composite route presents only the two end layers of the image
-    filtration, M/tM and t^(n-1) M, and tests the map e_j -> t^(n-1) e_j
-    between them for injectivity.  Each image-layer map t^i M / t^(i+1) M
-    -> t^(i+1) M / t^(i+2) M is multiplication by t and onto, and this map
-    is their composite, so it is injective exactly when ann(t^(n-1)) ⊆ tM.
-    That is balance: t^i M ⊆ ann(t^(n-i)) always, and for m in ann(t^(n-i))
-    with i >= 2, m lies in ann(t^(n-1)) ⊆ tM, so m = t m' with m' in
-    ann(t^(n-i+1)), which lies in t^(i-1) M by induction on i.
+    t^i M ⊆ ann(t^(n-i)) always, so level 1 is that inclusion.  Given it,
+    m in ann(t^(n-i)) with i >= 2 lies in ann(t^(n-1)) ⊆ tM, so m = t m'
+    with m' in ann(t^(n-i+1)) ⊆ t^(i-1) M by induction on i.  Conversely,
+    filtrations that differ at some level differ at level 1, the
+    ``witness_level`` of every unbalanced module.
 
-    The filtration route compares the members levelwise, ann(t^(n-i))
-    against t^i M, and its first offending generator is the witness."""
-    n = M.ring.n
+    A graded M takes a second route, with no kernel.  The map M/tM ->
+    t^(n-1) M, e_j -> t^(n-1) e_j (the composite of the image-layer maps)
+    is onto with kernel (ann(t^(n-1)) + tM)/tM and raises degrees by
+    (n-1)w, w the t-weight; being graded and onto, it is injective exactly
+    when z^((n-1)w) HS(M/tM) = HS(M) - HS(M/t^(n-1) M)."""
+    n, t = M.ring.n, M.ring.t
     if n <= 1:
         return BalancedReport(True, note="all comparison kernels and cokernels vanish")
-    lower = first_canonical_filtration(M)
-    top = subquotient(M, lower[0].gens, lower[1].gens)
-    bottom = subquotient(M, lower[n - 1].gens, lower[n].gens)
-    by_composite = ModMap(top, bottom, [bottom.gen_column(j)
-                                        for j in range(M.ngens)]).is_injective()
+    # m lies in tM exactly when it is zero in M/tM; a t-weight-1 series reads that span
+    top = quotient_by_submodule(M, [M.gen_column(j, t) for j in range(M.ngens)])
+    witness = next((g for g in Submodule(M, annihilator_kernel(M, n - 1)).gens
+                    if not top.zero_submodule().contains(g)), None)
+    balanced = witness is None
+    if M.grading is not None:
+        from .hilbert import HilbertSeries, hilbert_series_presmod
 
-    upper = second_canonical_filtration(M)
-    witness_level = None
-    witness = None
-    for i in range(1, n):
-        witness = next((g for g in upper[i].gens if not lower[i].contains(g)), None)
-        if witness is not None:
-            witness_level = i
-            break
-
-    balanced = agree(ModuleError, "is the module balanced",
-                     composite=by_composite, filtration=witness is None)
-    note = ("all comparison kernels and cokernels vanish" if balanced
-            else f"ann(t^{n - witness_level}) exceeds t^{witness_level} M")
-    return BalancedReport(balanced, witness_level, witness, note)
+        top_hs = hilbert_series_presmod(top)
+        bottom_hs = top_hs if n == 2 else hilbert_series_presmod(quotient_by_submodule(
+            M, [M.gen_column(j, t ** (n - 1)) for j in range(M.ngens)]))
+        shift = (n - 1) * M.grading.t_weight
+        source = HilbertSeries.make({d + shift: c for d, c in top_hs.numerator_coeffs},
+                                    top_hs.nvars)
+        balanced = agree(ModuleError, "is the module balanced",
+                         series=source == hilbert_series_presmod(M) - bottom_hs,
+                         inclusion=balanced)
+    if balanced:
+        return BalancedReport(True, note="all comparison kernels and cokernels vanish")
+    return BalancedReport(False, 1, witness, f"ann(t^{n - 1}) exceeds t^1 M")
 
 
 # -- freeness and types ---------------------------------------------------

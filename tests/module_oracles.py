@@ -16,8 +16,8 @@ element of a submodule as a combination of its generators, through
 and lifts each t-image onto the next member's generators, giving the
 injections between consecutive layers; ``comparison_maps`` adds the
 surjections between the image layers, with the kernels and cokernels of
-both, as a second reading of balance, apart from ``is_balanced``'s one map
-between the end image layers.  ``hom_matrices`` lists Hom generators as
+both, as a reading of balance independent of ``is_balanced``'s inclusion
+ann(t^(n-1)) ⊆ tM and its Hilbert series.  ``hom_matrices`` lists Hom generators as
 matrices of images, and ``natural_map`` builds the comparison map into the
 double dual, whose kernel is the torsion ``dualtor.torsion`` reads off
 evaluation at the dual's generators."""

@@ -158,8 +158,8 @@ def test_criterion_02_balance_routes_agree_on_module_pool():
         data = comparison_maps(M)
         lower = first_canonical_filtration(M)
         upper = second_canonical_filtration(M)
-        # is_balanced itself raises unless its composite and filtration
-        # routes agree
+        # on a graded module is_balanced itself raises unless its inclusion
+        # and Hilbert series routes agree
         routes = [
             rep.balanced,
             all(a.equals(b) for a, b in zip(lower, upper)),
@@ -172,7 +172,7 @@ def test_criterion_02_balance_routes_agree_on_module_pool():
 
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"criterion 2 took {elapsed:.1f}s"
-    done(2, f"six balance routes agree on {len(pool)} modules", elapsed)
+    done(2, f"balance routes agree on {len(pool)} modules", elapsed)
 
 
 def test_criterion_03_regularity_two_paths_and_shadow_oracle():

@@ -17,12 +17,15 @@ drawn module is free only when truncation kills every relation:
   quotients of the module, HS(A/B) = HS(M/B) - HS(M/A), equal the series of
   the refined chains' layers counted on their own ``subquotient``
   presentations (``presented_layer_series``), for both chains;
-* at n = 2 and n = 3, ``is_balanced``, which reads one map between the end
-  image layers, agrees with the definition: every kernel and cokernel of
-  ``comparison_maps``, built from every layer of both filtrations,
-  vanishes (18 of the 40 draws at n = 2 are balanced, 20 of the 40 at
-  n = 3; at n = 2 the end layers are the only layers, so only n = 3 tells
-  the end layers from adjacent ones);
+* at n = 2 and n = 3 and t-weights 1 and 2, ``is_balanced``, which tests
+  the one inclusion ann(t^(n-1)) ⊆ tM and, on graded input, the Hilbert
+  series of M/tM, M and M/t^(n-1) M, agrees with the definition: every
+  kernel and cokernel of ``comparison_maps``, built from every layer of
+  both filtrations, vanishes (at weight 1, 32 of the 40 draws at n = 2
+  are balanced and 19 at n = 3; at weight 2, 30 and 30; only the weight-2
+  draws tell the series shift (n-1)w from (n-1)); the same module with no
+  grading gets the same verdict, witness level and witness from the
+  inclusion alone;
 * the quasi-free type (with its layer ranks and first non-free layer), the
   generic type and the reduced Hilbert polynomial do not change under
   ``transformed_presentation``;
@@ -152,14 +155,21 @@ def test_pairing_series_are_the_series_of_the_presented_layers(t_weight, data):
         series for _, series in sorted(pairs, key=lambda p: p[0][::-1])]
 
 
-@pytest.mark.parametrize("n", [2, 3])
+# the weight-1 ids stay the plain n, so records that name them still match
+@pytest.mark.parametrize("n, t_weight", [(2, 1), (3, 1), (2, 2), (3, 2)],
+                         ids=["2", "3", "2-weight2", "3-weight2"])
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(data=st.data())
-def test_balance_is_the_vanishing_of_every_comparison_kernel(n, data):
-    M = data.draw(presentations(n=n))
+def test_balance_is_the_vanishing_of_every_comparison_kernel(n, t_weight, data):
+    M = data.draw(presentations(n=n, t_weight=t_weight))
     maps = comparison_maps(M)
     vanish = all(G.is_zero_module() for G in maps.gamma_ker + maps.gamma_coker)
-    assert is_balanced(M).balanced == vanish
+    rep = is_balanced(M)
+    assert rep.balanced == vanish
+    # without its grading the module keeps the inclusion route alone
+    plain = is_balanced(PresMod(M.ring, M.ngens, M.relations))
+    assert (plain.balanced, plain.witness_level, plain.witness) == (
+        rep.balanced, rep.witness_level, rep.witness)
 
 
 def types(M):
