@@ -476,9 +476,8 @@ def _cmd_extend(ring, payload, options):
     level = _require(payload, "level", "payload")
     if not _is_integer(level):
         raise SchemaError("payload.level must be an integer")
-    res = extension_R_by_Ri(ring, sigma, level)
-    return {"module": _ser_presmod(res.module),
-            "generic_type": list(generic_type(res.module))}
+    E = extension_R_by_Ri(ring, sigma, level)
+    return {"module": _ser_presmod(E), "generic_type": list(generic_type(E))}
 
 
 def _cmd_refine(ring, payload, options):
@@ -554,7 +553,7 @@ def _cmd_extcheck(ring, payload, options):
 def _cmd_ideal_extend(ring, payload, options):
     tau_data = _parse_tau(ring, _require(payload, "tau", "payload"), "tau")
     rho = _parse_poly(ring.base, _require(payload, "rho", "payload"), "rho")
-    M = extension_module(ring, tau_data, rho).module
+    M = extension_module(ring, tau_data, rho)
     return {"module": _ser_presmod(M), "balanced": is_balanced_extension(ring, M, rho)}
 
 

@@ -27,13 +27,11 @@ from fractions import Fraction
 from .arith import ArithError, MonomialOrder, Poly, agree, matrix_rank
 from .fpmod import (
     Column,
-    ExtensionResult,
     Grading,
-    ModMap,
     PresMod,
     Submodule,
     annihilator_kernel,
-    check_exact,
+    check_inclusion,
     free_module,
     graded_or_plain,
     is_balanced,
@@ -414,22 +412,24 @@ def _mi_cube_presentation(ring: LocalDoubleRing, slots: int) -> PresMod:
     return PresMod(tr, 2 * slots, rels, Grading((2,) * (2 * slots), 1))
 
 
-def _psi_map(ring: LocalDoubleRing, matrix: list[list[Poly]],
-             source: PresMod, target: PresMod) -> ModMap:
-    """The map induced on (m*I)-tuples by a base-coefficient matrix; the
-    generator (slot s, monomial m) goes to sum_r matrix[r][s] * (slot r, m)."""
+def _psi_map(ring: LocalDoubleRing, matrix: list[list[Poly]]) -> list[Column]:
+    """The image columns, in (m*I)^len(matrix), of the map a base-coefficient
+    matrix induces on (m*I)-tuples: the generator (slot s, monomial m) goes
+    to sum_r matrix[r][s] * (slot r, m).  The map is well defined by
+    construction, so nothing is checked: every relation of (m*I)-tuples is a
+    sum of relations of single slots, and the relations of one slot are
+    those of every other."""
     tr = ring.trunc
-    slots_src = source.ngens // 2
     cols: list[Column] = []
-    for s in range(slots_src):
+    for s in range(len(matrix[0])):
         for m_idx in range(2):
-            col = [ring.S.zero()] * target.ngens
+            col = [ring.S.zero()] * (2 * len(matrix))
             for r in range(len(matrix)):
                 entry = matrix[r][s]
                 if entry.terms:
                     col[2 * r + m_idx] = tr.inject(entry)
             cols.append(tuple(col))
-    return ModMap(source, target, cols)
+    return cols
 
 
 def ext_complex_check(ring: LocalDoubleRing, degree_bound: int,
@@ -453,12 +453,9 @@ def ext_complex_check(ring: LocalDoubleRing, degree_bound: int,
         psi2 = [[zero, y0, -x0], [zero, zero, zero], [zero, zero, zero]]
     failures: list[str] = []
 
-    pair = _mi_cube_presentation(ring, 2)
     triple = _mi_cube_presentation(ring, 3)
-    map1 = _psi_map(ring, psi1, pair, triple)
-    map2 = _psi_map(ring, psi2, triple, triple)
-
-    ker2 = map2.kernel_gens()
+    cols1 = _psi_map(ring, psi1)
+    ker2 = triple.zero_submodule().kernel_through(_psi_map(ring, psi2))
     e = [triple.gen_column(i) for i in range(6)]
     diag = tuple(p + q for p, q in zip(e[2], e[5]))
     claimed_ker = [e[0], e[1], diag]
@@ -469,7 +466,7 @@ def ext_complex_check(ring: LocalDoubleRing, degree_bound: int,
     if not claimed_sub.contains_submodule(ker_sub):
         failures.append("ker(psi2) exceeds the first slot plus the diagonal")
 
-    im1 = map1.image_submodule()
+    im1 = Submodule(triple, cols1)
     x, y = ring.x, ring.y
     claimed_im = [tuple(x * p for p in e[0]), tuple(y * p for p in e[0]),
                   tuple(x * p for p in e[1]), tuple(y * p for p in e[1])]
@@ -480,11 +477,11 @@ def ext_complex_check(ring: LocalDoubleRing, degree_bound: int,
         failures.append("im(psi1) exceeds the first-slot square ideal")
 
     table: list[tuple[int, int, int, int, int]] = []
-    quotient_ok = all(ker_sub.contains(c) for c in map1.columns)
+    quotient_ok = all(ker_sub.contains(c) for c in cols1)
     if not quotient_ok:
         failures.append("im(psi1) is not contained in ker(psi2); no quotient")
     else:
-        quotient = subquotient(triple, ker2, list(map1.columns))
+        quotient = subquotient(triple, ker2, cols1)
         for d in range(2, degree_bound + 1):
             # brute force in ambient coordinates: the degree-e slice of one
             # m*I slot has basis x^i y^j t with i + j = e - 1 >= 1.  This
@@ -522,11 +519,16 @@ def _resolve_tau(ring: LocalDoubleRing, tau_data: TauData) -> tuple[Poly, Poly]:
     return tau_data
 
 
-def extension_module(ring: LocalDoubleRing, tau_data: TauData, rho: Poly) -> ExtensionResult:
-    """The module extending the reduced maximal ideal by its twisted
+def extension_module(ring: LocalDoubleRing, tau_data: TauData, rho: Poly) -> PresMod:
+    """The module E extending the reduced maximal ideal by its twisted
     conormal part, presented on four generators (two covering the maximal
-    ideal, two spanning the m*I part), with the inclusion and projection
-    exhibited.  Exactness of the pair of maps is checked on every call."""
+    ideal, two spanning the m*I part).  E is glued as ``build_extension``
+    glues, with the maximal-ideal block first: the conormal part's relations
+    sit in the last two slots, and each relation of the maximal ideal
+    carries its image under tau and rho there.  So the projection onto the
+    maximal ideal and the rest of exactness hold by construction
+    (``check_inclusion``), and the inclusion of the conormal part is checked
+    injective on every call."""
     tr = ring.trunc
     tau_a, tau_b = _resolve_tau(ring, tau_data)
     S = ring.S
@@ -540,17 +542,10 @@ def extension_module(ring: LocalDoubleRing, tau_data: TauData, rho: Poly) -> Ext
         (zero, zero, t, zero),
         (zero, zero, zero, t),
     ]
-    M = graded_or_plain(tr, 4, rels, Grading((1, 1, 2, 2), 1))
-
-    part_rels = [(y, -x), (t, zero), (zero, t)]
-    conormal = PresMod(tr, 2, part_rels, Grading((2, 2), 1))
-    maxideal = PresMod(tr, 2, part_rels, Grading((1, 1), 1))
-    inclusion = ModMap(conormal, M, [M.gen_column(2), M.gen_column(3)])
-    projection = ModMap(M, maxideal,
-                        [maxideal.gen_column(0), maxideal.gen_column(1),
-                         maxideal.zero_column(), maxideal.zero_column()])
-    check_exact(inclusion, projection, DoublePointError)
-    return ExtensionResult(M, inclusion, projection)
+    E = graded_or_plain(tr, 4, rels, Grading((1, 1, 2, 2), 1))
+    conormal = PresMod(tr, 2, [(y, -x), (t, zero), (zero, t)], Grading((2, 2), 1))
+    check_inclusion(E, 2, conormal, DoublePointError)
+    return E
 
 
 def is_balanced_extension(ring: LocalDoubleRing, M: PresMod, rho: Poly) -> bool:

@@ -20,20 +20,27 @@ both, as a reading of balance independent of ``is_balanced``'s inclusion
 ann(t^(n-1)) ⊆ tM and its Hilbert series.  ``hom_matrices`` lists Hom generators as
 matrices of images, and ``natural_map`` builds the comparison map into the
 double dual, whose kernel is the torsion ``dualtor.torsion`` reads off
-evaluation at the dual's generators."""
+evaluation at the dual's generators.  ``ModMap`` is the maps' type; the
+library builds no map.  ``extension_maps`` gives an extension's inclusion
+and projection, and ``assert_exact`` checks the exactness the extension
+constructors hold by construction.  ``slice_kernel_dimension`` counts a
+kernel through graded columns degree by degree with ``arith.matrix_rank``,
+for comparison with ``span_dimension`` of ``Submodule.kernel_through``'s
+answer."""
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import groebner_oracle
-from truncmod.arith import Poly
+from truncmod.arith import Poly, matrix_rank
 from truncmod.fpmod import (
+    Column,
     Grading,
-    ModMap,
     ModuleError,
     PresMod,
     Submodule,
+    _combine,
     column_degree,
     first_canonical_filtration,
     free_module,
@@ -51,8 +58,45 @@ from truncmod.hilbert import (
     HilbertPolynomial,
     hilbert_series_presmod,
     layer_base_series,
+    monomials_of_degree,
     polynomial_from_series,
 )
+
+
+class ModMap:
+    """A homomorphism between presented modules, as images of generators.
+
+    Columns live in the target's free cover; construction verifies that
+    every source relation maps into the target's relation span.
+    """
+
+    def __init__(self, source: PresMod, target: PresMod, columns: list[Column]):
+        if len(columns) != source.ngens:
+            raise ModuleError(f"{len(columns)} image columns for {source.ngens} generators")
+        self.source = source
+        self.target = target
+        self.columns = [tuple(target.ring.truncate(p) for p in c) for c in columns]
+        for rel in source.relations:
+            if not target.zero_submodule().contains(self.apply_cover(rel)):
+                raise ModuleError("images do not respect a source relation")
+
+    def apply_cover(self, vec: Column) -> Column:
+        """Image of an element given in source free-cover coordinates."""
+        return _combine(self.target.ring, vec, self.columns, self.target.ngens)
+
+    def kernel_gens(self) -> list[Column]:
+        return self.target.zero_submodule().kernel_through(self.columns)
+
+    def is_injective(self) -> bool:
+        return all(self.source.zero_submodule().contains(g) for g in self.kernel_gens())
+
+    def image_submodule(self) -> Submodule:
+        return Submodule(self.target, list(self.columns))
+
+    def is_surjective(self) -> bool:
+        image = self.image_submodule()
+        return all(image.contains(self.target.gen_column(j))
+                   for j in range(self.target.ngens))
 
 
 def transformed_presentation(M: PresMod, seed: int, steps: int = 12) -> PresMod:
@@ -199,6 +243,79 @@ def descends(N: PresMod, M: PresMod, f1_columns) -> bool:
     syzygies = free_module(M.ring, M.ngens).zero_submodule().kernel_through(M.relations)
     f1 = ModMap(free_module(M.ring, len(M.relations)), N, list(f1_columns))
     return all(N.zero_submodule().contains(f1.apply_cover(s)) for s in syzygies)
+
+
+def extension_maps(E: PresMod, first: int, N: PresMod, M: PresMod) -> tuple[ModMap, ModMap]:
+    """The inclusion N -> E onto E's generators ``first`` .. ``first +
+    N.ngens - 1`` and the projection E -> M that kills those generators and
+    sends the others, in order, to M's; each map checks on construction
+    that it respects its source's relations."""
+    block = range(first, first + N.ngens)
+    rest = iter(range(M.ngens))
+    zero = tuple(M.ring.S.zero() for _ in range(M.ngens))
+    incl = ModMap(N, E, [E.gen_column(k) for k in block])
+    proj = ModMap(E, M, [zero if k in block else M.gen_column(next(rest))
+                         for k in range(E.ngens)])
+    return incl, proj
+
+
+def assert_exact(incl: ModMap, proj: ModMap) -> None:
+    """Assert that ``0 -> N -> E -> M -> 0`` is exact at E and M for the
+    inclusion ``incl: N -> E`` and the projection ``proj: E -> M``: the
+    projection is onto, the composite is zero, and the projection's kernel
+    lies in the inclusion's image (the zero composite gives the other
+    inclusion).  Injectivity is the library's own check."""
+    assert proj.is_surjective(), "the projection is not onto"
+    assert all(proj.target.zero_submodule().contains(proj.apply_cover(c))
+               for c in incl.columns), "the composite is not zero"
+    image = incl.image_submodule()
+    assert all(image.contains(g) for g in proj.kernel_gens()), \
+        "the projection's kernel exceeds the included copy"
+
+
+def _slice(ring, columns, degrees, d: int) -> list[dict]:
+    """The products m * c, truncated at t^n, of each column c of degree
+    ``degrees[i]`` with each monomial m of degree d - degrees[i] that is not
+    zero in R[n], t weighing 1: sparse vectors keyed by (slot, exponent).
+    One vector for each such pair, so for unit columns the count is the
+    degree-d dimension of R[n]^len(columns)."""
+    out = []
+    for col, degree in zip(columns, degrees):
+        for m in monomials_of_degree(ring.base.nvars + 1, d - degree):
+            if m[-1] >= ring.n:
+                continue
+            vec = {}
+            for slot, p in enumerate(col):
+                for e, c in p.terms.items():
+                    f = tuple(a + b for a, b in zip(e, m))
+                    if f[-1] < ring.n:
+                        vec[(slot, f)] = c
+            out.append(vec)
+    return out
+
+
+def slice_kernel_dimension(target: Submodule, columns, degrees, d: int) -> int:
+    """The dimension over Q of the degree-d part of the kernel {a in R[n]^k :
+    sum(a_i columns_i) lies in ``target``}, for columns of degrees
+    ``degrees`` in a graded ambient module with t weighing 1, counted by
+    ``arith.matrix_rank`` on the degree slices: the degree-d multiples of
+    the columns, against those of the target's generators and the ambient
+    relations."""
+    M = target.ambient
+    held = [g for g in target.gens + M.relations if any(g)]
+    held_slice = _slice(M.ring, held, [column_degree(M.ring, g, M.grading) for g in held], d)
+    images = _slice(M.ring, columns, degrees, d)
+    return len(images) - (matrix_rank(held_slice + images) - matrix_rank(held_slice))
+
+
+def span_dimension(ring, gens, gen_degrees, d: int) -> int:
+    """The degree-d dimension over Q of the span of ``gens`` in R[n]^k with
+    generator degrees ``gen_degrees`` and t weighing 1; every generator must
+    be homogeneous once truncated."""
+    truncated = [tuple(ring.truncate(p) for p in g) for g in gens]
+    gens = [g for g in truncated if any(g)]
+    grading = Grading(tuple(gen_degrees), 1)
+    return matrix_rank(_slice(ring, gens, [column_degree(ring, g, grading) for g in gens], d))
 
 
 def hom_matrices(M: PresMod, N: PresMod) -> list[list[tuple]]:

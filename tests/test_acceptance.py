@@ -140,13 +140,13 @@ def test_criterion_02_balance_routes_agree_on_module_pool():
         ideal_mod(A, "x*t"),
         ideal_mod(B, "x*t"),
         ideal_mod(C, "x^2", "y^2", "x*y"),
-        extension_R_by_Ri(A, A.parse("1"), 1).module,
-        extension_R_by_Ri(A, A.parse("0"), 1).module,
-        extension_R_by_Ri(A, A.parse("x"), 1).module,
-        extension_module(dpr, unit_class, dpr.base.parse("1")).module,
-        extension_module(dpr, unit_class, dpr.base.parse("0")).module,
-        extension_module(dpr, unit_class, dpr.base.parse("x")).module,
-        extension_module(dpr, unit_class, dpr.base.parse("-1")).module,
+        extension_R_by_Ri(A, A.parse("1"), 1),
+        extension_R_by_Ri(A, A.parse("0"), 1),
+        extension_R_by_Ri(A, A.parse("x"), 1),
+        extension_module(dpr, unit_class, dpr.base.parse("1")),
+        extension_module(dpr, unit_class, dpr.base.parse("0")),
+        extension_module(dpr, unit_class, dpr.base.parse("x")),
+        extension_module(dpr, unit_class, dpr.base.parse("-1")),
         quotient_line(A, "x", "t"),
         quotient_line(A, "x*t"),
     ]
@@ -296,7 +296,7 @@ def test_criterion_05_torsion_routes_and_structure_facts():
     # torsion freeness is detected by the first upper layer
     for tr, M in pool:
         upper = second_canonical_filtration(M)
-        M1 = subquotient(M, upper[1].gens, [M.zero_column()])
+        M1 = subquotient(M, upper[1].gens, [])
         assert torsion(M).is_torsion_free == torsion(M1).is_torsion_free
 
     # the cokernel of the double-dual map is pure torsion
@@ -429,7 +429,7 @@ def test_criterion_09_extension_balance_grid_and_recovery():
     for tau_pair in ((1, 0), (0, 0)):
         for rho_text, expected, global_expected in grid:
             rho = ring.base.parse(rho_text)
-            module = extension_module(ring, TauClass(*map(Fraction, tau_pair)), rho).module
+            module = extension_module(ring, TauClass(*map(Fraction, tau_pair)), rho)
             flag = is_balanced_extension(ring, module, rho)
             data = comparison_maps(module)
             local = all(vanishes_locally(g) for g in data.gamma_ker) and all(
@@ -446,8 +446,8 @@ def test_criterion_09_extension_balance_grid_and_recovery():
         assert ideals_equal(J, recover_ideal(ring, tau(J)))
 
     unit_class = TauClass(Fraction(1), Fraction(0))
-    assert extension_module(ring, unit_class, ring.base.zero()).module.is_t_annihilated()
-    assert not extension_module(ring, unit_class, ring.base.one()).module.is_t_annihilated()
+    assert extension_module(ring, unit_class, ring.base.zero()).is_t_annihilated()
+    assert not extension_module(ring, unit_class, ring.base.one()).is_t_annihilated()
 
     elapsed = time.monotonic() - started
     done(9, f"{cells} balance grid cells match both routes, recovery round trips", elapsed)
@@ -504,15 +504,15 @@ def test_criterion_11_extension_classification_and_ext_dimensions():
     for tr, i in ((A, 1), (C, 1), (C, 2)):
         one = tr.parse("1")
         zero = tr.parse("0")
-        joined = extension_R_by_Ri(tr, one, i).module
+        joined = extension_R_by_Ri(tr, one, i)
         target = truncated_free(tr, i + 1)
         assert quasi_free_type(joined).type_vector == quasi_free_type(target).type_vector
-        split = extension_R_by_Ri(tr, zero, i).module
+        split = extension_R_by_Ri(tr, zero, i)
         model = direct_sum(truncated_free(tr, 1), truncated_free(tr, i))
         assert quasi_free_type(split).type_vector == quasi_free_type(model).type_vector
 
     # a class that is neither zero nor a unit yields no quasi free structure
-    twisted = extension_R_by_Ri(A, A.parse("x"), 1).module
+    twisted = extension_R_by_Ri(A, A.parse("x"), 1)
     assert quasi_free_type(twisted).type_vector is None
 
     ext = ext1_module(truncated_free(A, 1), truncated_free(A, 1))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from module_oracles import ModMap, assert_exact, extension_maps
 from truncmod.arith import ArithError
 from truncmod.doublepoint import (
     ChartChange,
@@ -24,7 +25,7 @@ from truncmod.doublepoint import (
     tau,
     verify_maximal_ideal_resolution,
 )
-from truncmod.fpmod import ModMap, Submodule, free_module, is_balanced
+from truncmod.fpmod import Grading, PresMod, Submodule, free_module, is_balanced
 from truncmod.groebner import SpanGB, vec_from_polys
 from truncmod.regseq import ideal_presentation, is_regular_sequence
 
@@ -270,11 +271,16 @@ def test_ext_complex_negative_control():
 
 def test_extension_module_exactness():
     ring = the_ring()
-    res = extension_module(ring, TauClass(Fraction(1), Fraction(0)), ring.base.parse("-1"))
-    assert res.inclusion.is_injective()
-    assert res.projection.is_surjective()
-    comp = [res.projection.apply_cover(c) for c in res.inclusion.columns]
-    assert all(res.projection.target.zero_submodule().contains(c) for c in comp)
+    tr, t, zero = ring.trunc, ring.t, ring.S.zero()
+    E = extension_module(ring, TauClass(Fraction(1), Fraction(0)), ring.base.parse("-1"))
+    # the conormal part and the maximal ideal share one presentation, on
+    # generators of degree 2 and 1
+    part_rels = [(ring.y, -ring.x), (t, zero), (zero, t)]
+    conormal = PresMod(tr, 2, part_rels, Grading((2, 2), 1))
+    maxideal = PresMod(tr, 2, part_rels, Grading((1, 1), 1))
+    incl, proj = extension_maps(E, 2, conormal, maxideal)
+    assert incl.is_injective()
+    assert_exact(incl, proj)
 
 
 def test_balance_of_extension_grid():
@@ -292,17 +298,17 @@ def test_balance_of_extension_grid():
         rho = ring.base.parse(rho_text)
         for tau_pair in ((1, 0), (0, 0)):
             tau_class = TauClass(*map(Fraction, tau_pair))
-            module = extension_module(ring, tau_class, rho).module
+            module = extension_module(ring, tau_class, rho)
             assert is_balanced_extension(ring, module, rho) == expected
 
 
 def test_zero_multiplier_extension_is_t_annihilated():
     ring = the_ring()
     tau_class = TauClass(Fraction(1), Fraction(0))
-    M = extension_module(ring, tau_class, ring.base.zero()).module
+    M = extension_module(ring, tau_class, ring.base.zero())
     assert M.is_t_annihilated()
     # contrast: a unit multiplier leaves t acting nontrivially
-    assert not extension_module(ring, tau_class, ring.base.one()).module.is_t_annihilated()
+    assert not extension_module(ring, tau_class, ring.base.one()).is_t_annihilated()
 
 
 def test_unit_multiplier_extension_matches_point_ideal():
@@ -313,7 +319,7 @@ def test_unit_multiplier_extension_matches_point_ideal():
         a = ring.base.parse(a_txt)
         b = ring.base.parse(b_txt)
         J = PointIdeal(ring, a, b)
-        M = extension_module(ring, (b, -a), ring.base.parse("-1")).module
+        M = extension_module(ring, (b, -a), ring.base.parse("-1"))
         F = free_module(tr, 1)
         x, y, t = S.parse("x"), S.parse("y"), S.parse("t")
         cols = [
@@ -348,6 +354,6 @@ def test_recover_inverts_tau():
 def test_tau_string_and_pair_inputs_agree():
     ring = the_ring()
     one = ring.base.one()
-    via_string = extension_module(ring, ring.trunc.parse("-y*t"), one).module
-    via_pair = extension_module(ring, (ring.base.zero(), -one), one).module
+    via_string = extension_module(ring, ring.trunc.parse("-y*t"), one)
+    via_pair = extension_module(ring, (ring.base.zero(), -one), one)
     assert via_string.relations == via_pair.relations

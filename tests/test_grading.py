@@ -79,7 +79,7 @@ def test_ext1_grading(make, expected):
     ("x^2 + y", None),
 ])
 def test_extension_R_by_Ri_grading(sigma, expected):
-    assert grading_of(extension_R_by_Ri(TR, TR.S.parse(sigma), 1).module) == expected
+    assert grading_of(extension_R_by_Ri(TR, TR.S.parse(sigma), 1)) == expected
 
 
 DOUBLE = LocalDoubleRing()
@@ -98,7 +98,7 @@ def tau_class(c_x, c_y):
     pytest.param(DOUBLE.trunc.parse("x^2*t"), "1", None, id="x^2*t-1-None"),
 ])
 def test_extension_module_grading(tau, rho, expected):
-    M = extension_module(DOUBLE, tau, DOUBLE.base.parse(rho)).module
+    M = extension_module(DOUBLE, tau, DOUBLE.base.parse(rho))
     assert grading_of(M) == expected
 
 

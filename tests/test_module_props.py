@@ -34,7 +34,10 @@ drawn module is free only when truncation kills every relation:
 * the annihilator kernels of t^n and t^0 are the whole module and zero,
   the ends both canonical filtrations take without a syzygy computation;
 * ``build_extension`` succeeds exactly when its map descends
-  (``descends``), and refuses every other map for failed injectivity;
+  (``descends``), and refuses every other map for failed injectivity; what
+  it builds is exact at E and M under the oracle maps of
+  ``extension_maps``: the projection is well defined and onto, the
+  composite is zero and the projection's kernel lies in N's image;
 * the torsion submodule, read off evaluation at the dual's generators, is
   the kernel of the map into the double dual (``natural_map``).
 """
@@ -44,11 +47,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from module_oracles import (
+    assert_exact,
     assert_filtration,
     comparison_maps,
     descends,
+    extension_maps,
     natural_map,
     presented_layer_series,
+    slice_kernel_dimension,
+    span_dimension,
     transformed_presentation,
 )
 from truncmod.dualtor import torsion
@@ -79,26 +86,32 @@ MONOMIALS = {1: {0: ("1",), 1: ("t", "x", "y"),
 THROUGH = 6
 
 
+def homogeneous_column(draw, tr, degrees, column_degree, t_weight=1):
+    """A column whose entry in slot j is homogeneous of degree
+    ``column_degree - degrees[j]`` (0, 1 or 2), with a term in one drawn
+    slot."""
+    lead = draw(st.sampled_from(range(len(degrees))))
+    column = []
+    for slot, d in enumerate(degrees):
+        terms = draw(st.lists(st.tuples(st.integers(-2, 2).filter(bool),
+                                        st.sampled_from(MONOMIALS[t_weight][column_degree - d])),
+                              min_size=int(slot == lead), max_size=2,
+                              unique_by=lambda term: term[1]))
+        column.append(tr.S.parse(" + ".join(f"({c})*{m}" for c, m in terms) or "0"))
+    return tuple(column)
+
+
 @st.composite
 def presentations(draw, n=None, t_weight=1):
     tr = RINGS[draw(st.sampled_from([2, 3])) if n is None else n]
     degrees = draw(st.sampled_from([(0,), (1,), (0, 0), (0, 1)]))
-    relations = []
-    for _ in range(draw(st.integers(1, 3))):
-        # every entry is homogeneous of degree 1 or 2, so no relation holds a
-        # unit, and the drawn slot ``lead`` holds a term: the presentation is
-        # minimal, and the module is free only when truncation kills every
-        # relation
-        column_degree = draw(st.integers(max(degrees) + 1, min(degrees) + 2))
-        lead = draw(st.sampled_from(range(len(degrees))))
-        column = []
-        for slot, d in enumerate(degrees):
-            terms = draw(st.lists(st.tuples(st.integers(-2, 2).filter(bool),
-                                            st.sampled_from(MONOMIALS[t_weight][column_degree - d])),
-                                  min_size=int(slot == lead), max_size=2,
-                                  unique_by=lambda term: term[1]))
-            column.append(tr.S.parse(" + ".join(f"({c})*{m}" for c, m in terms) or "0"))
-        relations.append(tuple(column))
+    # every entry is homogeneous of degree 1 or 2, so no relation holds a
+    # unit, and a drawn slot holds a term: the presentation is minimal, and
+    # the module is free only when truncation kills every relation
+    relations = [homogeneous_column(draw, tr, degrees,
+                                    draw(st.integers(max(degrees) + 1, min(degrees) + 2)),
+                                    t_weight)
+                 for _ in range(draw(st.integers(1, 3)))]
     return PresMod(tr, len(degrees), relations, Grading(degrees, t_weight))
 
 
@@ -225,12 +238,15 @@ def test_an_extension_is_built_exactly_when_its_map_descends(data):
     f1 = [tuple(RINGS[n].S.parse(data.draw(st.sampled_from(IMAGES))) for _ in range(N.ngens))
           for _ in M.relations]
     try:
-        build_extension(N, M, f1)
+        E = build_extension(N, M, f1)
     except ModuleError as exc:
         assert "injectivity" in str(exc)
         built = False
     else:
         built = True
+        # what the library does not check: E -> M is well defined and
+        # onto, N -> E -> M is zero, and ker(E -> M) lies in N's image
+        assert_exact(*extension_maps(E, 0, N, M))
     assert built == descends(N, M, f1)
 
 
@@ -241,3 +257,28 @@ def test_torsion_is_the_kernel_of_the_map_into_the_double_dual(M):
     kernel = Submodule(M, natural_map(M).kernel_gens())
     assert found.contains_submodule(kernel)
     assert kernel.contains_submodule(found)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_kernel_through_is_the_kernel_on_every_low_degree_slice(data):
+    M = data.draw(presentations())
+    gen_degrees = M.grading.gen_degrees
+
+    def columns(count):
+        degrees = [data.draw(st.integers(max(gen_degrees), min(gen_degrees) + 2))
+                   for _ in range(count)]
+        return [homogeneous_column(data.draw, M.ring, gen_degrees, d) for d in degrees], degrees
+
+    target_gens, _ = columns(data.draw(st.integers(0, 2)))
+    cols, degrees = columns(data.draw(st.integers(1, 3)))
+    target = Submodule(M, target_gens)
+    answer = target.kernel_through(cols)
+    S = M.ring.S
+    for a in answer:
+        combination = tuple(sum((a_i * c[j] for a_i, c in zip(a, cols)), S.zero())
+                            for j in range(M.ngens))
+        assert target.contains(combination)
+    for d in range(4):
+        assert span_dimension(M.ring, answer, degrees, d) == \
+            slice_kernel_dimension(target, cols, degrees, d)

@@ -49,22 +49,36 @@ def test_agree_names_unequal_values_of_any_type():
     assert "reduction=(0, 1)" in str(caught.value)
 
 
-def _never_injective(monkeypatch):
-    monkeypatch.setattr(fpmod.ModMap, "is_injective", lambda self: False)
+def _failing_inclusion(monkeypatch):
+    """Make ``check_inclusion`` fail wherever a constructor reaches it, and
+    record the error type each call was given."""
+    errors = []
+
+    def fail(E, first, N, error):
+        errors.append(error)
+        raise error("extension inclusion failed injectivity")
+
+    for module in (fpmod, doublepoint):
+        monkeypatch.setattr(module, "check_inclusion", fail)
+    return errors
 
 
 def test_extension_of_R_by_Ri_always_checks_exactness(monkeypatch):
     tr = TruncRing(("x", "y"), 3)
-    _never_injective(monkeypatch)
-    with pytest.raises(ModuleError):
-        extension_R_by_Ri(tr, tr.parse("1"), 1)
+    errors = _failing_inclusion(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(ModuleError, match="injectivity"):
+            extension_R_by_Ri(tr, tr.parse("1"), 1)
+    assert errors == [ModuleError, ModuleError]
 
 
 def test_double_point_extension_always_checks_exactness(monkeypatch):
     ring = LocalDoubleRing()
-    _never_injective(monkeypatch)
-    with pytest.raises(DoublePointError):
-        extension_module(ring, UNIT_CLASS, ring.base.parse("-1"))
+    errors = _failing_inclusion(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(DoublePointError, match="injectivity"):
+            extension_module(ring, UNIT_CLASS, ring.base.parse("-1"))
+    assert errors == [DoublePointError, DoublePointError]
 
 
 def _joined_extension():
@@ -72,17 +86,24 @@ def _joined_extension():
     return extension_R_by_Ri(tr, tr.parse("1"), 1)
 
 
-@pytest.mark.parametrize("build, error", [
-    (_joined_extension, ModuleError),
+@pytest.mark.parametrize("build, block", [
+    (_joined_extension, 1),
     (lambda: extension_module(LocalDoubleRing(), UNIT_CLASS, LocalDoubleRing().base.parse("-1")),
-     DoublePointError),
-])
-def test_each_extension_reports_a_failed_surjectivity_in_its_own_error(
-        monkeypatch, build, error):
-    monkeypatch.setattr(fpmod.ModMap, "is_surjective", lambda self: False)
-    with pytest.raises(ArithError) as caught:
-        build()
-    assert type(caught.value) is error
+     2),
+], ids=["extension_R_by_Ri", "extension_module"])
+def test_each_extension_takes_one_kernel(monkeypatch, build, block):
+    """Exactness is one injectivity certificate: the kernel through the
+    included block's unit columns, and no kernel of a projection."""
+    kernels = []
+    kernel_through = fpmod.Submodule.kernel_through
+
+    def counted(self, columns):
+        kernels.append(len(columns))
+        return kernel_through(self, columns)
+
+    monkeypatch.setattr(fpmod.Submodule, "kernel_through", counted)
+    build()
+    assert kernels == [block]
 
 
 def test_cli_reports_a_route_disagreement_as_a_math_error(monkeypatch):
