@@ -7,20 +7,36 @@ to its ring.  The canonical text form (descending terms, reduced fraction
 coefficients, ``x^2*y`` monomials) round-trips through :meth:`PolyRing.parse`.
 
 Products are computed on integers.  Inside the module a polynomial is carried
-in one integer form, ``(d, {exps: n})``, meaning the sum of ``n * x^exps / d``
-with ``d > 0``.  One convolution multiplies two such forms: it convolves the
-integer numerators and multiplies the denominators.  ``Poly.times``,
-``Poly.power``, ``Poly.substitute`` and every step of the parser stay in this
-form between products, and a normalised ``Fraction`` is built once per term,
-when a ``Poly`` leaves the module.  Integer arithmetic is exact, so every
-answer equals the term-by-term ``Fraction`` computation, with the same terms
-in the same order.  Powers use binary exponentiation and square only while
-exponent bits remain.
+in one integer form, ``(d, {m: n})``, meaning the sum of ``n * x^m / d`` with
+``d > 0``, where each monomial ``m`` is packed into one int by the ring's
+``_Packing``: the exponent of the k-th variable in field ``k`` and the total
+degree in the top field, each field under a guard bit.  A polynomial is
+packed once, where it enters the form (``_integer_form``, and the parser's
+atoms), and unpacked once, in ``_leave``, where it leaves as a ``Poly`` with
+one normalised ``Fraction`` a term.  One convolution, ``_product``, multiplies
+two forms: it adds packed monomials, reads a bounded variable's exponent
+from its field, convolves the integer numerators and multiplies the
+denominators.  ``Poly.times``, ``Poly.power``, ``Poly.substitute`` and every
+step of the parser stay in this form between products.  Integer arithmetic
+is exact, so every answer equals the term-by-term ``Fraction`` computation,
+with the same terms in the same order.  Powers use binary exponentiation and
+square only while exponent bits remain.
+
+A product outgrows its fields exactly when its degree does, which one test
+of its largest monomial against the degree's guard bit finds; the product
+then raises ``_Overflow``, and the ring redoes the whole operation with
+fields twice as wide and keeps the wider packing.
 
 A product, a power, a substitution and a parse can be bounded by
 ``(variable index, bound)``: terms whose exponent at that variable reaches
 the bound are never formed.  This is how the truncated ring ``R[t]/(t^n)``
 multiplies without building the terms it would drop.
+
+The parser checks its text with one regex ``match``, splits it with one
+``findall`` and reads the token list, which ends in the sentinel ``None``.
+Most of its products have one term a side: it multiplies two one-term forms
+with one int add and raises a one-term form to a power with one int
+multiply, bounded and divided by the gcd as ``_product`` would.
 """
 
 from __future__ import annotations
@@ -29,20 +45,24 @@ import re
 from collections.abc import Hashable, Iterable
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, neg
+from operator import mul, neg
 
 Exponents = tuple[int, ...]
 # (variable index, bound): a product bounded by it keeps only the terms whose
 # exponent at that variable stays below the bound.
 Bound = tuple[int, int]
-# The integer form ``(d, {exps: n})`` of the polynomial sum(n * x^exps) / d:
-# ``d > 0`` and every ``n`` is a nonzero int.
-_IntPoly = tuple[int, dict[Exponents, int]]
+# The integer form ``(d, {m: n})`` of the polynomial sum(n * x^m) / d: each
+# monomial ``m`` is packed by the ring's ``_Packing``, ``d > 0`` and every
+# ``n`` is a nonzero int.
+_IntPoly = tuple[int, dict[int, int]]
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>\*\*|[-+*/^()]))"
-)
+_TOKEN = r"\d+|[A-Za-z_][A-Za-z0-9_]*|\*\*|[-+*/^()]"
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
+# The longest run of tokens from the start, then whitespace: a text is valid
+# when the match reaches its end, and group 1 ends where its last token does.
+# Nothing after the greedy ``*`` can fail, so the match never backtracks into
+# a token it has read, and it is linear in the text.
+_TEXT_RE = re.compile(rf"(\s*(?:{_TOKEN}))*\s*")
 # Deepest nesting of parentheses and prefix minus signs the parser accepts;
 # each level costs a few Python frames, so this keeps far below the
 # interpreter's recursion limit.
@@ -51,6 +71,9 @@ _MAX_NESTING = 100
 # unbounded exponent would run without bound; the largest exponent any test
 # or benchmark job uses is 12.
 _MAX_EXPONENT = 1000
+# Bits per packed field of a ring's first packing: monomials of total degree
+# below 2^_WIDTH fit.
+_WIDTH = 15
 
 
 class ArithError(ValueError):
@@ -127,7 +150,7 @@ def elim_block(split: int) -> MonomialOrder:
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(add, a, b))
+    return tuple([x + y for x, y in zip(a, b)])
 
 
 def matrix_rank(rows: Iterable[dict]) -> int:
@@ -160,97 +183,146 @@ def matrix_rank(rows: Iterable[dict]) -> int:
     return len(pivots)
 
 
-def _integer_form(terms: dict[Exponents, Fraction]) -> _IntPoly:
+class _Overflow(Exception):
+    """A packed monomial outgrew its fields."""
+
+
+class _Packing:
+    """The packing of the monomials in ``nvars`` variables into ints, with
+    fields ``width`` bits wide, as in the low fields of ``groebner._Codec``.
+
+    Field ``k`` holds bits ``k * (width + 1)`` up, with its guard bit on
+    top: the exponent of the k-th variable in fields ``0..nvars-1`` and the
+    total degree in field ``nvars``.  ``units[k]`` is the packing of the
+    k-th variable, so ``x^e`` packs to ``sum(e_k * units[k])``, the constant
+    monomial to 0, and a product of monomials to the sum of their packings.
+    Every field is at most the degree, so a sum of packings outgrows its
+    fields exactly when its degree does, and then it is ``top`` or more."""
+
+    __slots__ = ("width", "mask", "top", "shifts", "units")
+
+    def __init__(self, nvars: int, width: int):
+        step = width + 1
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.shifts = range(0, nvars * step, step)
+        dshift = nvars * step
+        self.top = 1 << (dshift + width)
+        self.units = [(1 << shift) + (1 << dshift) for shift in self.shifts]
+
+    def pack(self, exps: Exponents) -> int:
+        if sum(exps) > self.mask:
+            raise _Overflow
+        return sum(map(mul, exps, self.units))
+
+    def unpack(self, m: int) -> Exponents:
+        mask = self.mask
+        return tuple([(m >> shift) & mask for shift in self.shifts])
+
+
+def _integer_form(terms: dict[Exponents, Fraction], packing: _Packing) -> _IntPoly:
     """The integer form of a ``Poly``'s terms over the lcm of their
-    denominators."""
+    denominators, each monomial packed."""
     d = lcm(*[c.denominator for c in terms.values()])
-    return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
+    pack = packing.pack
+    return d, {pack(e): c.numerator * (d // c.denominator) for e, c in terms.items()}
 
 
-def _leave(ring: PolyRing, form: _IntPoly) -> Poly:
-    """The ``Poly`` of an integer form, one normalised ``Fraction`` a term."""
+def _leave(ring: PolyRing, form: _IntPoly, packing: _Packing) -> Poly:
+    """The ``Poly`` of an integer form, each monomial unpacked and one
+    normalised ``Fraction`` a term."""
     d, nums = form
+    unpack = packing.unpack
     if d == 1:
-        return Poly(ring, {e: Fraction(n) for e, n in nums.items()})
-    return Poly(ring, {e: Fraction(n, d) for e, n in nums.items()})
+        return Poly(ring, {unpack(m): Fraction(n) for m, n in nums.items()})
+    return Poly(ring, {unpack(m): Fraction(n, d) for m, n in nums.items()})
 
 
-def _product(p: _IntPoly, q: _IntPoly, below: Bound | None) -> _IntPoly:
+def _product(p: _IntPoly, q: _IntPoly, below: Bound | None, packing: _Packing) -> _IntPoly:
     """The product of two integer forms; with ``below = (i, b)`` no pair of
     terms whose exponents at variable ``i`` sum to ``b`` or more is formed.
     Output terms keep the order in which the convolution first forms them,
-    and the result is divided by the gcd of its denominator and numerators."""
+    and the result is divided by the gcd of its denominator and numerators.
+    Raises ``_Overflow`` when a monomial it forms outgrows ``packing``."""
     d1, nums1 = p
     d2, nums2 = q
     terms2 = list(nums2.items())
     if below is None:
-        rows = [(e1, c1, terms2) for e1, c1 in nums1.items()]
+        rows = [(m1, c1, terms2) for m1, c1 in nums1.items()]
     else:
         # Each left term meets only the right terms with room left below
         # the bound, an order-keeping sublist shared by every left term
         # with the same exponent at ``i``.
-        i, b = below
-        right: dict[int, list[tuple[Exponents, int]]] = {}
+        shift, mask = packing.shifts[below[0]], packing.mask
+        b = below[1]
+        right: dict[int, list[tuple[int, int]]] = {}
         rows = []
-        for e1, c1 in nums1.items():
-            room = b - e1[i]
+        for m1, c1 in nums1.items():
+            room = b - ((m1 >> shift) & mask)
             if room > 0:
                 if room not in right:
-                    right[room] = [t for t in terms2 if t[0][i] < room]
-                rows.append((e1, c1, right[room]))
-    acc: dict[Exponents, int] = {}
+                    right[room] = [t for t in terms2 if ((t[0] >> shift) & mask) < room]
+                rows.append((m1, c1, right[room]))
+    acc: dict[int, int] = {}
     get = acc.get
-    for e1, c1, row in rows:
-        for e2, c2 in row:
-            e = tuple(map(add, e1, e2))
-            acc[e] = get(e, 0) + c1 * c2
-    nums = {e: c for e, c in acc.items() if c}
+    for m1, c1, row in rows:
+        for m2, c2 in row:
+            m = m1 + m2
+            acc[m] = get(m, 0) + c1 * c2
+    if acc and max(acc) >= packing.top:
+        raise _Overflow
+    nums = {m: c for m, c in acc.items() if c}
     d = d1 * d2
     if d > 1:
         g = gcd(d, *nums.values())
         if g > 1:
-            return d // g, {e: c // g for e, c in nums.items()}
+            return d // g, {m: c // g for m, c in nums.items()}
     return d, nums
 
 
 def _sum(p: _IntPoly, q: _IntPoly) -> _IntPoly:
     """``p + q`` over the lcm of the denominators: the terms of ``p`` in
-    order, less those that cancel, then the new terms of ``q`` in order."""
-    d1, nums1 = p
+    order, less those that cancel, then the new terms of ``q`` in order.
+    The dict of ``p`` is updated in place, so a sum of n terms costs O(n),
+    not O(n^2); every caller passes a ``p`` that nothing else holds."""
+    d1, nums = p
     d2, nums2 = q
     d = lcm(d1, d2)
     m1, m2 = d // d1, d // d2
-    nums = {e: c * m1 for e, c in nums1.items()} if m1 > 1 else dict(nums1)
-    for e, c in nums2.items():
-        s = nums.get(e, 0) + c * m2
+    if m1 > 1:
+        for m in nums:
+            nums[m] *= m1
+    for m, c in nums2.items():
+        s = nums.get(m, 0) + c * m2
         if s:
-            nums[e] = s
+            nums[m] = s
         else:
-            nums.pop(e, None)
+            nums.pop(m, None)
     return d, nums
 
 
 def _negative(p: _IntPoly) -> _IntPoly:
     d, nums = p
-    return d, {e: -c for e, c in nums.items()}
+    return d, {m: -c for m, c in nums.items()}
 
 
-def _power(base: _IntPoly, k: int, below: Bound | None, nvars: int) -> _IntPoly:
+def _power(base: _IntPoly, k: int, below: Bound | None, packing: _Packing) -> _IntPoly:
     """``base ** k``, every product bounded by ``below``."""
     # Right-to-left binary method: bit_length(k) - 1 squarings and one
     # product per set bit; the square after the top bit would go unread.
-    result = (1, {(0,) * nvars: 1})
+    result = (1, {0: 1})
     while k:
         if k & 1:
-            result = _product(result, base, below)
+            result = _product(result, base, below, packing)
         k >>= 1
         if k:
-            base = _product(base, base, below)
+            base = _product(base, base, below, packing)
     return result
 
 
 class PolyRing:
-    """Q[variables] with a fixed monomial order."""
+    """Q[variables] with a fixed monomial order, and the packing of its
+    monomials that products inside this module use."""
 
     def __init__(self, variables: tuple[str, ...] | list[str], order: MonomialOrder | None = None):
         variables = tuple(variables)
@@ -260,6 +332,18 @@ class PolyRing:
         self.nvars = len(variables)
         self.order = order if order is not None else grevlex()
         self._index = {v: i for i, v in enumerate(variables)}
+        self._packing = _Packing(self.nvars, _WIDTH)
+
+    def _packed(self, operation):
+        """``operation(packing)`` with fields wide enough for every monomial
+        it forms: when one outgrows them, the ring's packing doubles its
+        width and the operation starts over."""
+        while True:
+            packing = self._packing
+            try:
+                return operation(packing)
+            except _Overflow:
+                self._packing = _Packing(self.nvars, 2 * packing.width)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -331,7 +415,8 @@ class PolyRing:
         and power is bounded by ``below`` as in :meth:`Poly.times`.  Terms
         that come from no product, such as a lone variable, are kept, so a
         caller that needs the bound everywhere still drops those."""
-        return _Parser(self, text, below).parse()
+        tokens = _tokenize(text)
+        return self._packed(lambda packing: _Parser(self, text, tokens, below, packing).parse())
 
 
 class Poly:
@@ -387,8 +472,10 @@ class Poly:
         other = self._coerce(other)
         if not self.terms or not other.terms:
             return self.ring.zero()
-        return _leave(self.ring, _product(_integer_form(self.terms),
-                                          _integer_form(other.terms), below))
+        ring = self.ring
+        return ring._packed(lambda packing: _leave(ring, _product(
+            _integer_form(self.terms, packing), _integer_form(other.terms, packing),
+            below, packing), packing))
 
     __mul__ = times
 
@@ -400,7 +487,9 @@ class Poly:
         :meth:`times`."""
         if not isinstance(k, int) or k < 0:
             raise ArithError(f"polynomial power must be a nonnegative int, got {k!r}")
-        return _leave(self.ring, _power(_integer_form(self.terms), k, below, self.ring.nvars))
+        ring = self.ring
+        return ring._packed(lambda packing: _leave(
+            ring, _power(_integer_form(self.terms, packing), k, below, packing), packing))
 
     # -- inspection ----------------------------------------------------
 
@@ -426,25 +515,28 @@ class Poly:
         for v in self.ring.variables:
             if v not in images and any(e[self.ring._index[v]] for e in self.terms):
                 raise ArithError(f"no image supplied for variable {v!r}")
-        # powers[v][k - 1] is the integer form of images[v] ** k, built up
-        # to the largest k needed
-        powers: dict[str, list[_IntPoly]] = {}
-        zero = (0,) * target.nvars
-        out: _IntPoly = (1, {})
-        for e, c in self.terms.items():
-            term = (c.denominator, {zero: c.numerator})
-            for v, k in zip(self.ring.variables, e):
-                if k:
-                    ladder = powers.get(v)
-                    if ladder is None:
-                        if images[v].ring != target:
-                            raise ArithError("mixed rings in polynomial arithmetic")
-                        ladder = powers[v] = [_integer_form(images[v].terms)]
-                    while len(ladder) < k:
-                        ladder.append(_product(ladder[-1], ladder[0], below))
-                    term = _product(term, ladder[k - 1], below)
-            out = _sum(out, term)
-        return _leave(target, out)
+
+        def evaluate(packing: _Packing) -> Poly:
+            # powers[v][k - 1] is the integer form of images[v] ** k, built
+            # up to the largest k needed
+            powers: dict[str, list[_IntPoly]] = {}
+            out: _IntPoly = (1, {})
+            for e, c in self.terms.items():
+                term = (c.denominator, {0: c.numerator})
+                for v, k in zip(self.ring.variables, e):
+                    if k:
+                        ladder = powers.get(v)
+                        if ladder is None:
+                            if images[v].ring != target:
+                                raise ArithError("mixed rings in polynomial arithmetic")
+                            ladder = powers[v] = [_integer_form(images[v].terms, packing)]
+                        while len(ladder) < k:
+                            ladder.append(_product(ladder[-1], ladder[0], below, packing))
+                        term = _product(term, ladder[k - 1], below, packing)
+                out = _sum(out, term)
+            return _leave(target, out, packing)
+
+        return target._packed(evaluate)
 
     def __str__(self) -> str:
         return self.ring.format(self)
@@ -453,36 +545,35 @@ class Poly:
         return f"<Poly {self.ring.format(self)}>"
 
 
-class _Parser:
-    """Recursive-descent parser for the canonical polynomial text form.
-    Every step works on integer forms; the result leaves as one ``Poly``."""
+def _tokenize(text: str) -> list[str | None]:
+    """The tokens of ``text``, then the sentinel ``None``."""
+    m = _TEXT_RE.match(text)
+    end = max(m.end(1), 0)
+    if m.end() != len(text):
+        raise ArithError(f"bad character at position {end} in {text!r}")
+    tokens: list[str | None] = _TOKEN_RE.findall(text, 0, end)
+    tokens.append(None)
+    return tokens
 
-    def __init__(self, ring: PolyRing, text: str, below: Bound | None = None):
+
+class _Parser:
+    """Recursive-descent parser for the canonical polynomial text form, over
+    a token list that ends in ``None``.  Every step works on integer forms
+    packed by ``packing``; the result leaves as one ``Poly``."""
+
+    def __init__(self, ring: PolyRing, text: str, tokens: list[str | None],
+                 below: Bound | None, packing: _Packing):
         self.ring = ring
         self.text = text
+        self.tokens = tokens
         self.below = below
-        self.zero = (0,) * ring.nvars
-        self.tokens = self._tokenize(text)
+        self.packing = packing
         self.pos = 0
         self.depth = 0
 
-    def _tokenize(self, text: str) -> list[str]:
-        tokens = []
-        i = 0
-        end = len(text.rstrip())
-        while i < end:
-            m = _TOKEN_RE.match(text, i)
-            if not m:
-                raise ArithError(f"bad character at position {i} in {text!r}")
-            tokens.append(m.group(m.lastgroup))
-            i = m.end()
-        return tokens
-
-    def _peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self) -> str:
-        tok = self._peek()
+    def _take(self) -> str:
+        """The next token, which must exist."""
+        tok = self.tokens[self.pos]
         if tok is None:
             raise ArithError(f"unexpected end of input in {self.text!r}")
         self.pos += 1
@@ -490,48 +581,77 @@ class _Parser:
 
     def parse(self) -> Poly:
         p = self._expr()
-        if self._peek() is not None:
-            raise ArithError(f"trailing input {self.tokens[self.pos:]} in {self.text!r}")
-        return _leave(self.ring, p)
+        if self.tokens[self.pos] is not None:
+            raise ArithError(f"trailing input {self.tokens[self.pos:-1]} in {self.text!r}")
+        return _leave(self.ring, p, self.packing)
 
     def _expr(self) -> _IntPoly:
+        tokens = self.tokens
         negate = False
-        while self._peek() in ("+", "-"):
-            if self._next() == "-":
+        while (tok := tokens[self.pos]) in ("+", "-"):
+            self.pos += 1
+            if tok == "-":
                 negate = not negate
         p = self._term()
         if negate:
             p = _negative(p)
-        while self._peek() in ("+", "-"):
-            op = self._next()
+        while (tok := tokens[self.pos]) in ("+", "-"):
+            self.pos += 1
             q = self._term()
-            p = _sum(p, q if op == "+" else _negative(q))
+            p = _sum(p, q if tok == "+" else _negative(q))
         return p
 
     def _term(self) -> _IntPoly:
+        tokens = self.tokens
         p = self._factor()
-        while self._peek() in ("*", "/"):
-            op = self._next()
+        while (tok := tokens[self.pos]) in ("*", "/"):
+            self.pos += 1
             q = self._factor()
-            if op == "*":
-                p = _product(p, q, self.below)
+            if tok == "*":
+                p = self._times(p, q, self.below)
             else:
                 dq, nq = q
-                if list(nq) != [self.zero]:
+                if len(nq) != 1 or 0 not in nq:
                     raise ArithError(f"division only by nonzero constants in {self.text!r}")
-                c = nq[self.zero]
-                p = _product(p, (abs(c), {self.zero: dq if c > 0 else -dq}), None)
+                c = nq[0]
+                p = self._times(p, (abs(c), {0: dq if c > 0 else -dq}), None)
         return p
 
+    def _times(self, p: _IntPoly, q: _IntPoly, below: Bound | None) -> _IntPoly:
+        """``_product(p, q, below, packing)``: two one-term forms multiply
+        with one int add, then one read of the bounded field."""
+        d1, nums1 = p
+        d2, nums2 = q
+        if len(nums1) != 1 or len(nums2) != 1:
+            return _product(p, q, below, self.packing)
+        [(m1, c1)] = nums1.items()
+        [(m2, c2)] = nums2.items()
+        return self._monomial(m1 + m2, d1 * d2, c1 * c2, below)
+
+    def _monomial(self, m: int, d: int, c: int, below: Bound | None) -> _IntPoly:
+        """The form of ``c * x^m / d`` as ``_product`` leaves a one-term
+        product: empty when the exponent at a bounded variable reaches the
+        bound, and divided by ``gcd(d, c)``."""
+        packing = self.packing
+        if m >= packing.top:
+            raise _Overflow
+        if below is not None and ((m >> packing.shifts[below[0]]) & packing.mask) >= below[1]:
+            return 1, {}
+        if d > 1:
+            g = gcd(d, c)
+            return d // g, {m: c // g}
+        return d, {m: c}
+
     def _factor(self) -> _IntPoly:
+        tokens = self.tokens
         p = self._atom()
-        while self._peek() in ("^", "**"):
-            self._next()
+        while tokens[self.pos] in ("^", "**"):
+            self.pos += 1
             sign = 1
-            while self._peek() == "-":
-                self._next()
+            while tokens[self.pos] == "-":
+                self.pos += 1
                 sign = -sign
-            k = self._next()
+            k = self._take()
             if not k.isdigit():
                 raise ArithError(f"exponent must be an integer, got {k!r}")
             if sign < 0:
@@ -539,18 +659,27 @@ class _Parser:
             digits = k.lstrip("0") or "0"
             if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
                 raise ArithError(f"exponent above the limit {_MAX_EXPONENT}")
-            p = _power(p, int(digits), self.below, self.ring.nvars)
+            p = self._power(p, int(digits))
         return p
 
+    def _power(self, p: _IntPoly, k: int) -> _IntPoly:
+        """``_power(p, k, below, packing)``: a one-term form's power is one
+        int multiply, then one read of the bounded field."""
+        d, nums = p
+        if len(nums) != 1 or not k:
+            return _power(p, k, self.below, self.packing)
+        [(m, c)] = nums.items()
+        return self._monomial(m * k, d ** k, c ** k, self.below)
+
     def _atom(self) -> _IntPoly:
-        tok = self._next()
+        tok = self._take()
         if tok in ("(", "-"):
             self.depth += 1
             if self.depth > _MAX_NESTING:
                 raise ArithError(f"polynomial nested deeper than {_MAX_NESTING} levels")
             if tok == "(":
                 p = self._expr()
-                if self._next() != ")":
+                if self._take() != ")":
                     raise ArithError(f"unbalanced parentheses in {self.text!r}")
             else:
                 p = _negative(self._atom())
@@ -561,10 +690,8 @@ class _Parser:
                 n = int(tok)
             except ValueError as exc:  # more digits than int() converts
                 raise ArithError(f"integer constant of {len(tok)} digits") from exc
-            return 1, ({self.zero: n} if n else {})
+            return 1, ({0: n} if n else {})
         index = self.ring._index.get(tok)
         if index is not None:
-            exps = [0] * self.ring.nvars
-            exps[index] = 1
-            return 1, {tuple(exps): 1}
+            return 1, {self.packing.units[index]: 1}
         raise ArithError(f"unknown symbol {tok!r} (variables are {self.ring.variables})")

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import arith_oracle
 from groebner_oracle import mono_div, mono_divides, mono_lcm
+from truncmod import arith
 from truncmod.arith import ArithError, PolyRing, grevlex, lex, mono_mul
 
 
@@ -122,6 +124,60 @@ def test_tokenizer_is_linear_in_whitespace_runs():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("text, position", [
+    ("x + $", 3),
+    ("x + 1 #", 5),
+    ("é", 0),
+    ("x + $  ", 3),
+    ("x + 1 # \t\n", 5),
+    ("é ", 0),
+    ("  é", 0),
+    ("x*yé", 3),
+    ("(x + 1)^2 ;", 9),
+])
+def test_bad_character_positions(text, position):
+    # the position is where the last token before the bad character ends,
+    # whitespace after it included, with or without trailing whitespace
+    message = f"bad character at position {position} in {text!r}"
+    with pytest.raises(ArithError) as exc:
+        ring2().parse(text)
+    assert str(exc.value) == message
+    with pytest.raises(ArithError) as exc:
+        arith_oracle.parse(ring2(), text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("x+" * 50_000 + "$", id="long-token-run"),
+    pytest.param("9" * 4_000 + " $", id="long-constant"),
+])
+def test_tokenizer_rejects_long_texts_in_linear_time(text):
+    # the validating match reads each token once and never backtracks into it
+    start = time.perf_counter()
+    with pytest.raises(ArithError, match="bad character at position"):
+        ring2().parse(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_flat_sum_adds_each_term_in_place(monkeypatch):
+    # a sum of n terms costs O(n): each term is added into the running sum's
+    # dict, which is never copied, with the oracle's terms in its order
+    text = " + ".join(f"{i}*x^{i}" for i in range(1, 200)) + " - 1/2*y + 3/4*x"
+    calls = []
+    add = arith._sum
+
+    def recorded(p, q):
+        out = add(p, q)
+        calls.append(out[1] is p[1])
+        return out
+
+    monkeypatch.setattr(arith, "_sum", recorded)
+    p = ring2().parse(text)
+    monkeypatch.undo()
+    assert len(calls) == 200 and all(calls)
+    assert items(p) == items(arith_oracle.parse(ring2(), text))
+
+
 def test_parse_bounds_exponents_and_constants():
     R = ring2()
     x = R.gen("x")
@@ -198,3 +254,58 @@ def test_leading_terms_under_each_order():
     for R, lead in ((Rg, (0, 3)), (Rl, (2, 0))):
         p = R.parse("x^2 + y^3")
         assert max(p.terms, key=R.order.key) == lead and p.terms[lead] == Fraction(1)
+
+
+# -- results past the first field width ------------------------------------------
+#
+# A monomial of total degree 2^15 or more outgrows the first packing; the
+# operation is redone with fields twice as wide, and the answer, terms and
+# their order alike, is the tuple-keyed oracle's.
+
+
+def items(p):
+    return list(p.terms.items())
+
+
+def test_nested_power_past_the_first_field_width():
+    R = ring2()
+    assert items(R.parse("(x^1000)^40")) == [((40000, 0), Fraction(1))]
+    assert items(R.parse("(x^1000)^40 - y*(y^1000)^32 + 1/2")) == \
+        items(arith_oracle.parse(R, "(x^1000)^40 - y*(y^1000)^32 + 1/2"))
+    # the degree 2^15 - 1 fits the first fields and 2^15 does not
+    for text in ("x^1000^32*y^767", "x^1000^32*y^768", "((x^512)^32 + y)^2"):
+        assert items(R.parse(text)) == items(arith_oracle.parse(R, text))
+
+
+@pytest.mark.parametrize("below", [None, (1, 3), (1, 40_000), (0, 16_385)])
+def test_products_past_the_first_field_width_match_the_oracle(below):
+    R = PolyRing(("x", "t"))
+    p = R.from_terms({(16_384, 2): Fraction(1), (0, 20_000): Fraction(2),
+                      (1, 0): Fraction(-1, 3), (0, 1): Fraction(1)})
+    q = R.from_terms({(0, 20_000): Fraction(1), (2, 19_999): Fraction(-5),
+                      (16_384, 0): Fraction(7), (0, 0): Fraction(3, 2)})
+    assert items(p.times(q, below)) == items(arith_oracle.times(p, q, below))
+    assert items(q.power(3, below)) == items(arith_oracle.power(q, 3, below))
+    s = R.parse("x^2*t + 3*t^2 - x + 1/5")
+    images = {"x": R.from_terms({(0, 17_000): Fraction(1), (1, 0): Fraction(1)}),
+              "t": R.from_terms({(16_000, 0): Fraction(2), (0, 1): Fraction(-1)})}
+    assert items(s.substitute(images, below)) == \
+        items(arith_oracle.substitute(s, images, below))
+    # the ring keeps its wider packing, and small products still agree
+    small = R.parse("x + t - 1")
+    assert items(small.power(4, below)) == items(arith_oracle.power(small, 4, below))
+
+
+def test_bound_reached_in_a_widened_field_drops_the_term():
+    R = PolyRing(("x", "t"))
+    p = R.from_terms({(0, 20_000): Fraction(1), (1, 0): Fraction(1)})
+    q = R.from_terms({(0, 20_000): Fraction(1), (0, 19_999): Fraction(1), (0, 0): Fraction(1)})
+    below = (1, 40_000)
+    product = p.times(q, below)
+    assert items(product) == items(arith_oracle.times(p, q, below))
+    # t^40000 reaches the bound and is dropped; t^39999 lies past the first
+    # field width and is kept
+    assert (0, 40_000) not in product.terms
+    assert product.terms[(0, 39_999)] == 1
+    assert items(R.parse("(t^1000)^40 + t*(t^1000)^39 + (x*t^999)^40", below)) == \
+        items(arith_oracle.parse(R, "(t^1000)^40 + t*(t^1000)^39 + (x*t^999)^40", below))

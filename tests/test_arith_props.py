@@ -2,16 +2,19 @@
 normalised coefficients and the text round trip, on random polynomials in
 two to four variables with non-integer rational coefficients; and parse,
 products, powers and substitution against a term-by-term ``Fraction``
-reference, terms and their order alike."""
+reference, terms and their order alike; and parse against the tuple-keyed
+kernel of ``arith_oracle``, error messages included."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arith_oracle
 from truncmod import arith
-from truncmod.arith import PolyRing, grevlex, lex
+from truncmod.arith import ArithError, PolyRing, grevlex, lex
 
 VARIABLES = ("x", "y", "z", "w")
 COEFFS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
@@ -86,9 +89,9 @@ def test_power_makes_no_unread_products(monkeypatch):
     calls = []
     product = arith._product
 
-    def counted(a, b, below):
+    def counted(*args):
         calls.append(None)
-        return product(a, b, below)
+        return product(*args)
 
     # every product of the power loop goes through the one integer kernel
     monkeypatch.setattr(arith, "_product", counted)
@@ -270,3 +273,68 @@ def test_substitute_matches_fraction_reference(data):
     reference = ref_substitute(p.terms, ring.variables,
                                {v: q.terms for v, q in images.items()}, below, ring.nvars)
     assert_same_terms(p.substitute(images, below), reference)
+
+
+# -- the tuple-keyed kernel as a differential oracle ------------------------------
+#
+# ``arith_oracle`` holds the parser and kernel that keyed terms by exponent
+# tuples.  Packing monomials into ints must change no answer, no dict order and
+# no error message, on valid and invalid texts alike.
+
+
+def random_text(rng, variables, depth=5):
+    """Expression text: nested parentheses, chains of unary minus, ``^`` and
+    ``**``, and division by constants.  The operands of products, powers and
+    quotients are grouped or not, at random, so precedence is exercised too.
+    Only the last two levels may stop early, so most texts are long."""
+    if depth == 0 or (depth <= 2 and rng.random() < 0.3):
+        return rng.choice(variables + ("0", "1", "2", "3", "12"))
+    kind = rng.choice(["sum", "product", "sum", "product", "power", "paren", "neg", "divide"])
+    a = random_text(rng, variables, depth - 1)
+    if kind in ("power", "divide", "product") and rng.random() < 0.5:
+        a = f"({a})"
+    if kind == "paren":
+        return f"({a})"
+    if kind == "neg":
+        return "-" * rng.randint(1, 3) + a
+    if kind == "power":
+        return f"{a}{rng.choice(['^', '**', ' ^ '])}{rng.randint(0, 3)}"
+    if kind == "divide":
+        return f"{a}/{rng.choice(['1', '2', '3', '12', '(-2)', '(3)', '0'])}"
+    b = random_text(rng, variables, depth - 1)
+    if kind == "sum":
+        return f"{a} {rng.choice(['+', '-'])} {b}"
+    if rng.random() < 0.5:
+        b = f"({b})"
+    return f"{a}*{b}"
+
+
+def maybe_broken(rng, text):
+    """``text``, or ``text`` with one character put in or the text cut short,
+    so that some draws are invalid."""
+    how = rng.choice(["keep", "keep", "keep", "insert", "cut"])
+    if how == "keep" or not text:
+        return text
+    at = rng.randrange(len(text))
+    if how == "cut":
+        return text[:at]
+    return text[:at] + rng.choice(list("$@é)(^*/+- 0x") + ["**", "^-"]) + text[at:]
+
+
+def outcome(parse, ring, text, below):
+    """The parse's terms in order, or the message of its ``ArithError``."""
+    try:
+        return list(parse(ring, text, below).terms.items())
+    except ArithError as exc:
+        return str(exc)
+
+
+@settings(SETTINGS, max_examples=500)
+@given(st.data())
+def test_parse_matches_tuple_oracle(data):
+    ring = data.draw(rings())
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    text = maybe_broken(rng, random_text(rng, ring.variables)) + rng.choice(["", " ", " \t"])
+    for below in (None, (data.draw(st.integers(0, ring.nvars - 1)), data.draw(st.integers(1, 3)))):
+        assert outcome(PolyRing.parse, ring, text, below) == \
+            outcome(arith_oracle.parse, ring, text, below), (text, below)

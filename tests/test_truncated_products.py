@@ -81,20 +81,24 @@ def test_parse_truncates_like_full_parse(text, n, order):
 
 
 def test_parse_forms_no_product_term_at_or_above_n(monkeypatch):
-    """Every exponent tuple ``arith`` builds while parsing the power stays
-    below t^2; the first one that does not fails the test at once."""
+    """Every monomial ``arith`` forms while parsing the power stays below
+    t^2; the first one that does not fails the test at once.  The
+    convolution tests its overflow with ``max`` over every packed monomial
+    it formed, so a guard in place of ``max`` sees each of them."""
     tr = TruncRing(("x", "y"), 2)
-    ti = tr.S.variables.index("t")
+    packing = tr.S._packing
+    shift = packing.shifts[tr.S.variables.index("t")]
     formed = []
 
-    def counted(iterable=()):
-        e = builtins.tuple(iterable)
-        if len(e) == tr.S.nvars:
-            assert e[ti] < 2, f"formed the term exponent {e}"
-            formed.append(e)
-        return e
+    def seen(*args):
+        # the convolution's call is the one on a dict of formed monomials
+        if len(args) == 1 and isinstance(args[0], dict):
+            for m in args[0]:
+                assert (m >> shift) & packing.mask < 2, f"formed the monomial {packing.unpack(m)}"
+            formed.extend(args[0])
+        return builtins.max(*args)
 
-    monkeypatch.setattr(arith, "tuple", counted, raising=False)
+    monkeypatch.setattr(arith, "max", seen, raising=False)
     p = tr.parse("(x+y+t+1)^60")
     monkeypatch.undo()
     # the guard saw the convolution's terms, so it was not vacuous
