@@ -35,8 +35,8 @@ multiplies without building the terms it would drop.
 The parser checks its text with one regex ``match``, splits it with one
 ``findall`` and reads the token list, which ends in the sentinel ``None``.
 Most of its products have one term a side: it multiplies two one-term forms
-with one int add and raises a one-term form to a power with one int
-multiply, bounded and divided by the gcd as ``_product`` would.
+with one int add, bounded and divided by the gcd as ``_product`` would.
+It raises to a power with ``_power``, as ``Poly.power`` does.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import re
 from collections.abc import Hashable, Iterable
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, neg
+from operator import add, mul, neg
 
 Exponents = tuple[int, ...]
 # (variable index, bound): a product bounded by it keeps only the terms whose
@@ -71,8 +71,8 @@ _MAX_NESTING = 100
 # unbounded exponent would run without bound; the largest exponent any test
 # or benchmark job uses is 12.
 _MAX_EXPONENT = 1000
-# Bits per packed field of a ring's first packing: monomials of total degree
-# below 2^_WIDTH fit.
+# Bits per packed field of the first packing a ring, or a ``groebner`` span,
+# tries: monomials of total degree below 2^_WIDTH fit.
 _WIDTH = 15
 
 
@@ -150,7 +150,7 @@ def elim_block(split: int) -> MonomialOrder:
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple([x + y for x, y in zip(a, b)])
+    return tuple(map(add, a, b))
 
 
 def matrix_rank(rows: Iterable[dict]) -> int:
@@ -184,31 +184,33 @@ def matrix_rank(rows: Iterable[dict]) -> int:
 
 
 class _Overflow(Exception):
-    """A packed monomial outgrew its fields."""
+    """A packed monomial, or a ``groebner`` term, outgrew its fields."""
 
 
 class _Packing:
     """The packing of the monomials in ``nvars`` variables into ints, with
-    fields ``width`` bits wide, as in the low fields of ``groebner._Codec``.
+    fields ``width`` bits wide; the ``groebner`` codec builds its order,
+    position and block fields above these.
 
     Field ``k`` holds bits ``k * (width + 1)`` up, with its guard bit on
     top: the exponent of the k-th variable in fields ``0..nvars-1`` and the
-    total degree in field ``nvars``.  ``units[k]`` is the packing of the
-    k-th variable, so ``x^e`` packs to ``sum(e_k * units[k])``, the constant
-    monomial to 0, and a product of monomials to the sum of their packings.
-    Every field is at most the degree, so a sum of packings outgrows its
-    fields exactly when its degree does, and then it is ``top`` or more."""
+    total degree in field ``nvars``, from bit ``dshift``.  ``units[k]`` is
+    the packing of the k-th variable, so ``x^e`` packs to
+    ``sum(e_k * units[k])``, the constant monomial to 0, and a product of
+    monomials to the sum of their packings.  Every field is at most the
+    degree, so a sum of packings outgrows its fields exactly when its degree
+    does, and then it is ``top`` or more."""
 
-    __slots__ = ("width", "mask", "top", "shifts", "units")
+    __slots__ = ("width", "mask", "top", "dshift", "shifts", "units")
 
     def __init__(self, nvars: int, width: int):
         step = width + 1
         self.width = width
         self.mask = (1 << width) - 1
         self.shifts = range(0, nvars * step, step)
-        dshift = nvars * step
-        self.top = 1 << (dshift + width)
-        self.units = [(1 << shift) + (1 << dshift) for shift in self.shifts]
+        self.dshift = nvars * step
+        self.top = 1 << (self.dshift + width)
+        self.units = [(1 << shift) + (1 << self.dshift) for shift in self.shifts]
 
     def pack(self, exps: Exponents) -> int:
         if sum(exps) > self.mask:
@@ -622,17 +624,12 @@ class _Parser:
         with one int add, then one read of the bounded field."""
         d1, nums1 = p
         d2, nums2 = q
+        packing = self.packing
         if len(nums1) != 1 or len(nums2) != 1:
-            return _product(p, q, below, self.packing)
+            return _product(p, q, below, packing)
         [(m1, c1)] = nums1.items()
         [(m2, c2)] = nums2.items()
-        return self._monomial(m1 + m2, d1 * d2, c1 * c2, below)
-
-    def _monomial(self, m: int, d: int, c: int, below: Bound | None) -> _IntPoly:
-        """The form of ``c * x^m / d`` as ``_product`` leaves a one-term
-        product: empty when the exponent at a bounded variable reaches the
-        bound, and divided by ``gcd(d, c)``."""
-        packing = self.packing
+        m, d, c = m1 + m2, d1 * d2, c1 * c2
         if m >= packing.top:
             raise _Overflow
         if below is not None and ((m >> packing.shifts[below[0]]) & packing.mask) >= below[1]:
@@ -659,17 +656,8 @@ class _Parser:
             digits = k.lstrip("0") or "0"
             if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
                 raise ArithError(f"exponent above the limit {_MAX_EXPONENT}")
-            p = self._power(p, int(digits))
+            p = _power(p, int(digits), self.below, self.packing)
         return p
-
-    def _power(self, p: _IntPoly, k: int) -> _IntPoly:
-        """``_power(p, k, below, packing)``: a one-term form's power is one
-        int multiply, then one read of the bounded field."""
-        d, nums = p
-        if len(nums) != 1 or not k:
-            return _power(p, k, self.below, self.packing)
-        [(m, c)] = nums.items()
-        return self._monomial(m * k, d ** k, c ** k, self.below)
 
     def _atom(self) -> _IntPoly:
         tok = self._take()

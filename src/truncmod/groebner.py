@@ -30,9 +30,11 @@ Its fields, from high to low, are the block (reversed), the order's weight
 rows (lex: ``e_1..e_d``; grevlex: ``deg, e_1+..+e_(d-1), .., e_1``; the
 block order: grevlex's rows of each block in turn), the position
 (reversed), the total degree and the exponents, each ``width`` bits wide
-under a guard bit.  So comparing two packed terms is comparing their
-``ModuleOrder.key``s, multiplying a term by a monomial is one ``+`` of the
-monomial's packing, and the lead ``l`` divides ``t`` at one position
+under a guard bit; the degree and exponent fields, the overflow rule and
+the first width are ``arith``'s, whose ``_Packing`` the codec extends.  So
+comparing two packed terms is comparing their ``ModuleOrder.key``s,
+multiplying a term by a monomial is one ``+`` of the monomial's packing,
+and the lead ``l`` divides ``t`` at one position
 exactly when ``((t | G) - l) & G == G`` for the mask ``G`` of the guard
 bits: a field of ``t`` below the one of ``l`` borrows its guard bit.  Every
 field is at most the term's degree, so a product outgrows its fields
@@ -100,17 +102,13 @@ from itertools import islice
 from math import gcd
 from operator import mul
 
-from .arith import Exponents, MonomialOrder, Poly, PolyRing
+from .arith import _WIDTH, Exponents, MonomialOrder, Poly, PolyRing, _Overflow, _Packing
 
 Term = tuple[int, Exponents]
 VecT = dict[Term, Fraction]
 # The integer form: packed term -> (numerator, denominator), in lowest terms
 # with the denominator positive.
 PairVec = dict[int, tuple[int, int]]
-
-# Bits per packed field of a span's first attempt: terms of total degree
-# below 2^_WIDTH fit.
-_WIDTH = 15
 
 
 class ModuleOrder:
@@ -130,10 +128,6 @@ def module_order(ring: PolyRing, rank: int) -> ModuleOrder:
 # -- packed terms --------------------------------------------------------
 
 
-class _Overflow(Exception):
-    """A packed term outgrew its fields."""
-
-
 def _weight_rows(order: MonomialOrder, nvars: int) -> list[range]:
     """The variables each weight row of ``order`` sums, most significant
     first: two monomials compare under ``order.key`` as their lists of row
@@ -146,53 +140,43 @@ def _weight_rows(order: MonomialOrder, nvars: int) -> list[range]:
             + [range(split, m) for m in range(nvars, split, -1)])
 
 
-class _Codec:
+class _Codec(_Packing):
     """The packing of the terms of ``morder`` in ``nvars`` variables into
     ints, with fields of ``width`` bits (more if the positions or blocks
     need them).
 
-    Field ``f`` holds bits ``f * (width + 1)`` up, with its guard bit on
-    top: the exponents in fields ``0..nvars-1``, the degree in ``nvars``,
-    the reversed position in ``nvars + 1``, the weight rows above it and
-    the reversed block highest.  ``units[k]`` is the packing of the k-th
-    variable and ``places[pos]`` the one of the unit vector at ``pos``, so
+    The exponent and degree fields are ``arith._Packing``'s, fields
+    ``0..nvars``; above them come the reversed position in field
+    ``nvars + 1``, the weight rows and the reversed block highest.
+    ``units[k]`` is the packing of the k-th variable, its weight rows
+    included, and ``places[pos]`` the one of the unit vector at ``pos``, so
     the term ``(pos, e)`` is ``places[pos] + sum(e_k * units[k])``."""
 
-    __slots__ = ("width", "mask", "guard", "top", "pmask", "pshift", "dshift",
-                 "bshift", "units", "places", "shifts")
+    __slots__ = ("guard", "pmask", "pshift", "bshift", "places")
 
     def __init__(self, morder: ModuleOrder, nvars: int, width: int):
         blocks = morder.blocks
         last = max(blocks, default=0)
-        width = max(width, (len(blocks) - 1).bit_length(), last.bit_length())
-        step = width + 1
+        super().__init__(nvars, max(width, (len(blocks) - 1).bit_length(), last.bit_length()))
+        step = self.width + 1
         rows = _weight_rows(morder.order, nvars)
-        self.width = width
-        self.mask = (1 << width) - 1
-        self.shifts = range(0, nvars * step, step)
-        self.dshift = nvars * step
         self.pshift = self.dshift + step
         self.bshift = self.pshift + step * (len(rows) + 1)
-        self.guard = sum(1 << (f + width) for f in range(0, self.bshift + step, step))
-        self.top = 1 << (self.dshift + width)
+        self.guard = sum(1 << (f + self.width) for f in range(0, self.bshift + step, step))
         self.pmask = self.mask << self.pshift
         row_bits = [1 << (self.bshift - step * (r + 1)) for r in range(len(rows))]
-        self.units = [(1 << shift) + (1 << self.dshift)
-                      + sum(bit for bit, row in zip(row_bits, rows) if k in row)
-                      for k, shift in enumerate(self.shifts)]
+        self.units = [unit + sum(bit for bit, row in zip(row_bits, rows) if k in row)
+                      for k, unit in enumerate(self.units)]
         self.places = [((last - b) << self.bshift) + ((len(blocks) - 1 - pos) << self.pshift)
                        for pos, b in enumerate(blocks)]
 
     def pack(self, term: Term) -> int:
         pos, exps = term
-        if sum(exps) > self.mask:
-            raise _Overflow
-        return self.places[pos] + sum(map(mul, exps, self.units))
+        return self.places[pos] + _Packing.pack(self, exps)
 
     def unpack(self, t: int) -> Term:
-        mask = self.mask
-        return (len(self.places) - 1 - ((t >> self.pshift) & mask),
-                tuple([(t >> shift) & mask for shift in self.shifts]))
+        return (len(self.places) - 1 - ((t >> self.pshift) & self.mask),
+                _Packing.unpack(self, t))
 
     def top_degree(self, v: PairVec) -> int:
         """Largest total degree among the terms of ``v``."""

@@ -272,8 +272,12 @@ def test_nested_power_past_the_first_field_width():
     assert items(R.parse("(x^1000)^40")) == [((40000, 0), Fraction(1))]
     assert items(R.parse("(x^1000)^40 - y*(y^1000)^32 + 1/2")) == \
         items(arith_oracle.parse(R, "(x^1000)^40 - y*(y^1000)^32 + 1/2"))
-    # the degree 2^15 - 1 fits the first fields and 2^15 does not
-    for text in ("x^1000^32*y^767", "x^1000^32*y^768", "((x^512)^32 + y)^2"):
+    # the degree 2^15 - 1 fits the first fields and 2^15 does not, also when
+    # one exponent field holds it; each text starts from a fresh ring, whose
+    # fields are the first width
+    for text in ("x^1000^32*y^767", "x^1000^32*y^768", "x^1000^32*x^767", "x^1000^32*x^768",
+                 "((x^512)^32 + y)^2"):
+        R = ring2()
         assert items(R.parse(text)) == items(arith_oracle.parse(R, text))
 
 
