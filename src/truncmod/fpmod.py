@@ -106,6 +106,7 @@ class PresMod:
                 column_degree(ring, col, grading)
         self.grading = grading
         self._zero: Submodule | None = None
+        self._effective: list[VecT] | None = None
 
     def __repr__(self) -> str:
         return f"<PresMod {self.ngens} gens, {len(self.relations)} relations over {self.ring!r}>"
@@ -114,10 +115,13 @@ class PresMod:
 
     def effective_relations(self) -> list[VecT]:
         """The relation columns, then the silent relations t^n * e_i that
-        realize R[n]-semantics inside the free cover over S."""
-        t_n = (0,) * self.ring.base.nvars + (self.ring.n,)
-        return ([vec_from_polys(c) for c in self.relations]
-                + [{(i, t_n): Fraction(1)} for i in range(self.ngens)])
+        realize R[n]-semantics inside the free cover over S.  Built once and
+        shared by every span over this module, so no caller changes it."""
+        if self._effective is None:
+            t_n = (0,) * self.ring.base.nvars + (self.ring.n,)
+            self._effective = ([vec_from_polys(c) for c in self.relations]
+                               + [{(i, t_n): Fraction(1)} for i in range(self.ngens)])
+        return self._effective
 
     def zero_submodule(self) -> Submodule:
         """The zero submodule, made once: its span is the relation span."""
@@ -198,11 +202,16 @@ class Submodule:
         self.ambient = ambient
         self.gens = [tuple(ambient.ring.truncate(p) for p in g) for g in gens]
         self._span: SpanGB | None = None
+        self._preimage: list[VecT] | None = None
 
     def _vecs(self) -> list[VecT]:
-        # The generators, then the ambient relations: together they span the
-        # full preimage of the submodule in the free cover.
-        return [vec_from_polys(g) for g in self.gens] + self.ambient.effective_relations()
+        """The generators, then the ambient relations: together they span
+        the full preimage of the submodule in the free cover.  Built once and
+        shared by the span and every kernel through this submodule."""
+        if self._preimage is None:
+            self._preimage = ([vec_from_polys(g) for g in self.gens]
+                              + self.ambient.effective_relations())
+        return self._preimage
 
     def span(self) -> SpanGB:
         if self._span is None:
@@ -227,7 +236,7 @@ class Submodule:
         """Generators of {c : sum(c_i * columns_i) lies in the submodule},
         the columns given in the ambient free cover."""
         S = self.ambient.ring.S
-        ker = kernel_through(S, self.ambient.ngens, len(columns),
+        ker = kernel_through(S, self.ambient.ngens,
                              [vec_from_polys(c) for c in columns], self._vecs())
         return [vec_to_polys(S, len(columns), v) for v in ker]
 

@@ -25,10 +25,11 @@ Within a block, terms compare by the ring's monomial order with ties broken
 toward earlier positions.
 
 Inside this module a term is one ``int`` (Monagan and Pearce, J. Symb.
-Comput. 46, 2011), packed by a ``_Codec`` made once per span and order.
-Its fields, from high to low, are the block (reversed), the order's weight
-rows (lex: ``e_1..e_d``; grevlex: ``deg, e_1+..+e_(d-1), .., e_1``; the
-block order: grevlex's rows of each block in turn), the position
+Comput. 46, 2011), packed by the ``_Codec`` of its layout, which
+``_codec`` makes once and keeps for the process.  Its fields, from high to
+low, are the block (reversed), the order's weight rows (lex:
+``e_1..e_d``; grevlex: ``deg, e_1+..+e_(d-1), .., e_1``; the block order:
+grevlex's rows of each block in turn), the position
 (reversed), the total degree and the exponents, each ``width`` bits wide
 under a guard bit; the degree and exponent fields, the overflow rule and
 the first width are ``arith``'s, whose ``_Packing`` the codec extends.  So
@@ -40,8 +41,9 @@ bits: a field of ``t`` below the one of ``l`` borrows its guard bit.  Every
 field is at most the term's degree, so a product outgrows its fields
 exactly when its degree does, which sets the degree's guard bit; a product
 that does raises ``_Overflow``, and ``SpanGB`` redoes the computation with
-fields twice as wide.  A vector is packed once, where it enters
-(``buchberger`` packs its generators, ``SpanGB`` each vector it is asked
+fields twice as wide, under the codec of the wider layout.  A vector is
+packed once, where it enters (``buchberger`` packs, sorts and makes monic
+each generator in one pass, ``SpanGB`` packs each vector it is asked
 about), and unpacked only where it leaves (``SpanGB.gb``, ``gb_leads``,
 ``normal_form`` and ``syzygies``).
 
@@ -84,8 +86,10 @@ is made once with the pair and stored in the pair dict, so selection is
 ``min`` over its values.  Pairs are also held by position: pairs form only
 between leads at one position, so a newcomer is paired with its bucket of
 the index, and the Gebauer-Moeller B update walks only the pending pairs at
-its position, against the lcms the newcomer's own pairs are made of.  The
-generators enter in ascending order of their leads.  Every element
+its position, against the lcms the newcomer's own pairs are made of.  A
+lead's exponents are unpacked only once a second lead shares its bucket.
+The generators enter as one batch, in ascending order of their leads.
+Every element
 ``buchberger`` and ``_interreduce`` return has its terms in descending
 order, so its lead is its first key: generators are sorted once, and
 remainders come out of ``vec_reduce`` that way.  So ``next(iter(v))`` reads
@@ -100,7 +104,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 from .arith import _WIDTH, Exponents, MonomialOrder, Poly, PolyRing, _Overflow, _Packing
 
@@ -150,7 +154,9 @@ class _Codec(_Packing):
     ``nvars + 1``, the weight rows and the reversed block highest.
     ``units[k]`` is the packing of the k-th variable, its weight rows
     included, and ``places[pos]`` the one of the unit vector at ``pos``, so
-    the term ``(pos, e)`` is ``places[pos] + sum(e_k * units[k])``."""
+    the term ``(pos, e)`` is ``places[pos] + sum(e_k * units[k])``.  A
+    codec is a pure function of its layout and never changes, so spans
+    share the one ``_codec`` keeps."""
 
     __slots__ = ("guard", "pmask", "pshift", "bshift", "places")
 
@@ -200,6 +206,24 @@ class _Codec(_Packing):
         return out
 
 
+# Process-wide state, declared: every codec made, by layout (order kind,
+# order split, blocks, variable count, width).  It outlives every span (a
+# module-questions pass asks 1,680 spans for 42 layouts) and is never
+# pruned, so it grows with the distinct layouts a process meets.
+_CODECS: dict[tuple, _Codec] = {}
+
+
+def _codec(morder: ModuleOrder, nvars: int, width: int) -> _Codec:
+    """The packing of ``morder``'s terms in ``nvars`` variables with fields
+    ``width`` bits wide, made the first time its layout is asked for."""
+    order = morder.order
+    key = (order.kind, order.block_split, morder.blocks, nvars, width)
+    codec = _CODECS.get(key)
+    if codec is None:
+        codec = _CODECS[key] = _Codec(morder, nvars, width)
+    return codec
+
+
 # -- vector helpers ------------------------------------------------------
 
 
@@ -244,10 +268,10 @@ class _LeadIndex:
 
     Each bucket lists ``(lead, basis index)`` in basis order, so the first
     divisor found is the first one in the basis.  The index grows with
-    ``append`` and never reorders.  ``splits[i]`` is element ``i`` read as
-    ``(lead numerator, lead denominator, [(term, n, d)] over the non-lead
-    terms)``; it is made the first time the element is hit and kept as long
-    as the index."""
+    ``append`` (``buchberger`` takes its steps inline) and never reorders.
+    ``splits[i]`` is element ``i`` read as ``(lead numerator, lead
+    denominator, [(term, n, d)] over the non-lead terms)``; it is made the
+    first time the element is hit and kept as long as the index."""
 
     __slots__ = ("codec", "guard", "pmask", "basis", "leads", "buckets", "splits")
 
@@ -371,11 +395,35 @@ def _spair(f: PairVec, g: PairVec, a: int, b: int, top: int) -> PairVec:
     return out
 
 
-def _generator(v: VecT, codec: _Codec) -> PairVec:
-    """The integer form of a nonzero generator, monic, with its terms in
-    descending order."""
-    g = dict(sorted(codec.vector(v).items(), reverse=True))
-    return _monic(g, next(iter(g)))
+def _generators(vecs: list[VecT], codec: _Codec) -> list[tuple[int, int, PairVec]]:
+    """``(lead, largest term degree, vector)`` for each nonzero vector of
+    ``vecs``, in ascending order of leads (ties in input order); each vector
+    is in the integer form, monic, with its terms in descending order, and
+    is packed, sorted and made monic in one pass."""
+    places, units, mask = codec.places, codec.units, codec.mask
+    out = []
+    for v in vecs:
+        if not v:
+            continue
+        terms = []
+        widest = 0
+        for (pos, exps), c in v.items():
+            d = sum(exps)
+            if d > widest:
+                widest = d
+            terms.append((places[pos] + sum(map(mul, exps, units)), c))
+        if widest > mask:
+            raise _Overflow
+        terms.sort(reverse=True)
+        lead, c = terms[0]
+        ln, ld = c.as_integer_ratio()
+        if ln == 1 and ld == 1:
+            g = {t: c.as_integer_ratio() for t, c in terms}
+        else:
+            g = {t: _over(*c.as_integer_ratio(), ln, ld) for t, c in terms}
+        out.append((lead, widest, g))
+    out.sort(key=itemgetter(0))
+    return out
 
 
 def buchberger(vecs: list[VecT], codec: _Codec) -> list[PairVec]:
@@ -390,12 +438,15 @@ def buchberger(vecs: list[VecT], codec: _Codec) -> list[PairVec]:
     # the block and position fields, which a term shares with its lead
     place_mask = codec.pmask | (codec.mask << codec.bshift)
     rank_one = len(codec.places) == 1
+    # grown in ``add`` by the steps of ``_LeadIndex.append``
     index = _LeadIndex(codec)
-    basis, leads, buckets, pmask = index.basis, index.leads, index.buckets, index.pmask
-    # per element: its sugar, and its lead's exponents and degree
-    sugars: list[int] = []
-    lead_exps: list[list[int]] = []
-    lead_degrees: list[int] = []
+    basis, leads, buckets, splits = index.basis, index.leads, index.buckets, index.splits
+    pmask = index.pmask
+    # Per element: its sugar less its lead's degree, so a pair's sugar is its
+    # lcm's degree plus the larger of its elements'; and its lead's
+    # exponents, or None while it is alone in its bucket.
+    excess: list[int] = []
+    lead_exps: list[list[int] | None] = []
     # (i, j) -> (sugar, packed lcm term, i, j), the selection key; its
     # entries are unique.  ``pairs_at`` holds the same entries by the
     # position bits of the pair.
@@ -405,49 +456,68 @@ def buchberger(vecs: list[VecT], codec: _Codec) -> list[PairVec]:
     def add(v: PairVec, lnew: int, sugar: int) -> None:
         """Adds the monic ``v``, whose lead ``lnew`` is its first key."""
         new = len(basis)
-        enew = [(lnew >> shift) & mask for shift in shifts]
+        key = lnew & pmask
         dnew = (lnew >> dshift) & mask
-        place = lnew & place_mask
-        # (deg lcm, packed lcm, i) with every element at the newcomer's
-        # position; i is unique.  The lcm's degree is at most twice the
-        # widest a field holds, so an overflow sets its guard bit.
-        fresh = []
-        for _lead, i in buckets.get(lnew & pmask, ()):
-            lcm = place + sum(map(mul, map(max, lead_exps[i], enew), units))
-            if lcm & top:
-                raise _Overflow
-            fresh.append(((lcm >> dshift) & mask, lcm, i))
-        here = pairs_at.setdefault(lnew & pmask, {})
-        if here:
-            # Gebauer-Moeller B: discard old pairs strictly refined by the
-            # newcomer, whose lcms with elements i and j are in ``fresh``.
-            with_new = {i: lcm for _d, lcm, i in fresh}
-            for _sugar, lcm_ij, i, j in list(here.values()):
-                if (
-                    ((lcm_ij | guard) - lnew) & guard == guard
-                    and with_new[i] != lcm_ij
-                    and with_new[j] != lcm_ij
-                ):
-                    del here[(i, j)]
-                    del pairs[(i, j)]
-        fresh.sort()
-        kept: list[int] = []
-        for d, lcm, i in fresh:
-            lcm_g = lcm | guard
-            if any((lcm_g - k) & guard == guard for k in kept):
-                continue
-            kept.append(lcm)
-            if rank_one and d == lead_degrees[i] + dnew:
-                continue  # coprime leads, S-pair reduces to zero
-            pair_sugar = max(sugars[i] + d - lead_degrees[i], sugar + d - dnew)
-            here[(i, new)] = pairs[(i, new)] = (pair_sugar, lcm, i, new)
-        index.append(v, lnew)
-        sugars.append(sugar)
-        lead_exps.append(enew)
-        lead_degrees.append(dnew)
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [(lnew, new)]
+            lead_exps.append(None)
+        else:
+            enew = [(lnew >> shift) & mask for shift in shifts]
+            lead_exps.append(enew)
+            if len(bucket) == 1:
+                lead, i = bucket[0]
+                lead_exps[i] = [(lead >> shift) & mask for shift in shifts]
+            place = lnew & place_mask
+            # (deg lcm, packed lcm, i) with every element at the newcomer's
+            # position; i is unique.  The lcm's degree is at most twice the
+            # widest a field holds, so an overflow sets its guard bit.
+            fresh = []
+            for _lead, i in bucket:
+                lcm = place + sum(map(mul, map(max, lead_exps[i], enew), units))
+                if lcm & top:
+                    raise _Overflow
+                fresh.append(((lcm >> dshift) & mask, lcm, i))
+            here = pairs_at.get(key)
+            if here:
+                # Gebauer-Moeller B: discard old pairs strictly refined by
+                # the newcomer, whose lcms with elements i and j are in
+                # ``fresh``.
+                with_new = {i: lcm for _d, lcm, i in fresh}
+                for _sugar, lcm_ij, i, j in list(here.values()):
+                    if (
+                        ((lcm_ij | guard) - lnew) & guard == guard
+                        and with_new[i] != lcm_ij
+                        and with_new[j] != lcm_ij
+                    ):
+                        del here[(i, j)]
+                        del pairs[(i, j)]
+            elif here is None:
+                here = pairs_at[key] = {}
+            # With one lead in the bucket no pair was pending, and its one
+            # lcm needs no sort and meets no chain test.
+            if len(fresh) > 1:
+                fresh.sort()
+            kept: list[int] = []
+            mine = sugar - dnew
+            for d, lcm, i in fresh:
+                lcm_g = lcm | guard
+                for k in kept:
+                    if (lcm_g - k) & guard == guard:
+                        break
+                else:
+                    kept.append(lcm)
+                    if rank_one and d == ((leads[i] >> dshift) & mask) + dnew:
+                        continue  # coprime leads, S-pair reduces to zero
+                    here[(i, new)] = pairs[(i, new)] = (d + max(excess[i], mine), lcm, i, new)
+            bucket.append((lnew, new))
+        basis.append(v)
+        leads.append(lnew)
+        splits.append(None)
+        excess.append(sugar - dnew)
 
-    for g in sorted((_generator(v, codec) for v in vecs if v), key=lambda g: next(iter(g))):
-        add(g, next(iter(g)), codec.top_degree(g))
+    for lead, sugar, g in _generators(vecs, codec):
+        add(g, lead, sugar)
     while pairs:
         sugar, lcm, i, j = min(pairs.values())
         del pairs[(i, j)]
@@ -537,7 +607,7 @@ class SpanGB:
         """``build(codec)`` for a packing of ``morder`` wide enough for
         every term it makes."""
         while True:
-            codec = _Codec(morder, self.ring.nvars, self._width)
+            codec = _codec(morder, self.ring.nvars, self._width)
             try:
                 return build(codec)
             except _Overflow:
@@ -607,11 +677,12 @@ class SpanGB:
         return out
 
 
-def kernel_through(ring: PolyRing, rank: int, source_count: int, columns: list[VecT],
+def kernel_through(ring: PolyRing, rank: int, columns: list[VecT],
                    target_relations: list[VecT]) -> list[VecT]:
-    """Generators of {c in S^p : sum(c_i * columns_i) in span(target_relations)}.
+    """Generators of {c in S^p : sum(c_i * columns_i) in span(target_relations)},
+    p the number of columns.
 
     The columns and relations live in a common free module of rank ``rank``;
     syzygies of the concatenated list are projected onto the column block.
     """
-    return SpanGB(ring, rank, list(columns) + list(target_relations)).syzygies(source_count)
+    return SpanGB(ring, rank, list(columns) + list(target_relations)).syzygies(len(columns))

@@ -181,7 +181,7 @@ def test_kernel_through_target_relations():
     R = PolyRing(("x", "y"))
     x = R.gen("x")
     # kernel of R -> R/(x^2) given by multiplication with x
-    ker = kernel_through(R, 1, 1, [vec(x)], [vec(x * x)])
+    ker = kernel_through(R, 1, [vec(x)], [vec(x * x)])
     assert spans_equal(R, 1, ker, [vec(x)])
 
 

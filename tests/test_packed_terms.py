@@ -115,17 +115,18 @@ def test_a_term_too_wide_for_its_fields_overflows():
 
 
 def answer(command, document):
-    """(exit code, answer, the field widths of every packing made)."""
+    """(exit code, answer, the field widths of every packing asked for)."""
     widths = []
+    lookup = groebner._codec
 
     def recording(morder, nvars, width):
         widths.append(width)
-        return _Codec(morder, nvars, width)
+        return lookup(morder, nvars, width)
 
     with contextlib.redirect_stdout(io.StringIO()) as out, \
             pytest.MonkeyPatch.context() as patch:
         patch.setattr("sys.stdin", io.StringIO(json.dumps(document)))
-        patch.setattr(groebner, "_Codec", recording)
+        patch.setattr(groebner, "_codec", recording)
         code = main([command])
     return code, json.loads(out.getvalue()), widths
 

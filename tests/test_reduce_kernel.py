@@ -231,7 +231,7 @@ def test_every_coefficient_that_leaves_groebner_is_a_fraction_in_lowest_terms(ca
     span = SpanGB(ring, rank, vecs)
     assert span.contains(vecs[0])
     leaving = [*span.gb, span.normal_form(probe), *span.syzygies(len(vecs)),
-               *kernel_through(ring, rank, 1, vecs[:1], vecs[1:])]
+               *kernel_through(ring, rank, vecs[:1], vecs[1:])]
     assert any(leaving)
     for v in leaving:
         assert_exact_fractions(v)
