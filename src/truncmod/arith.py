@@ -27,10 +27,11 @@ of its largest monomial against the degree's guard bit finds; the product
 then raises ``_Overflow``, and the ring redoes the whole operation with
 fields twice as wide and keeps the wider packing.
 
-A product, a power, a substitution and a parse can be bounded by
-``(variable index, bound)``: terms whose exponent at that variable reaches
-the bound are never formed.  This is how the truncated ring ``R[t]/(t^n)``
-multiplies without building the terms it would drop.
+A ring may carry a bound ``(variable index, bound)``, and then every
+product, power, substitution into it and parse in it leaves out the terms
+whose exponent at that variable reaches the bound, without forming them.
+This is how the truncated ring ``R[t]/(t^n)`` multiplies without building
+the terms it would drop.
 
 The parser checks its text with one regex ``match``, splits it with one
 ``findall`` and reads the token list, which ends in the sentinel ``None``.
@@ -48,8 +49,8 @@ from math import gcd, lcm
 from operator import add, mul, neg
 
 Exponents = tuple[int, ...]
-# (variable index, bound): a product bounded by it keeps only the terms whose
-# exponent at that variable stays below the bound.
+# (variable index, bound): a product in a ring with this bound keeps only the
+# terms whose exponent at that variable stays below the bound.
 Bound = tuple[int, int]
 # The integer form ``(d, {m: n})`` of the polynomial sum(n * x^m) / d: each
 # monomial ``m`` is packed by the ring's ``_Packing``, ``d > 0`` and every
@@ -142,11 +143,6 @@ def lex() -> MonomialOrder:
 
 def grevlex() -> MonomialOrder:
     return MonomialOrder("grevlex")
-
-
-def elim_block(split: int) -> MonomialOrder:
-    """Elimination order: the first ``split`` variables dominate the rest."""
-    return MonomialOrder("block", block_split=split)
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
@@ -324,15 +320,19 @@ def _power(base: _IntPoly, k: int, below: Bound | None, packing: _Packing) -> _I
 
 class PolyRing:
     """Q[variables] with a fixed monomial order, and the packing of its
-    monomials that products inside this module use."""
+    monomials that products inside this module use.  With ``below = (i, b)``
+    every product in the ring leaves out the terms whose exponent at
+    variable ``i`` reaches ``b``."""
 
-    def __init__(self, variables: tuple[str, ...] | list[str], order: MonomialOrder | None = None):
+    def __init__(self, variables: tuple[str, ...] | list[str], order: MonomialOrder | None = None,
+                 below: Bound | None = None):
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ArithError(f"duplicate variable names in {variables}")
         self.variables = variables
         self.nvars = len(variables)
         self.order = order if order is not None else grevlex()
+        self.below = below
         self._index = {v: i for i, v in enumerate(variables)}
         self._packing = _Packing(self.nvars, _WIDTH)
 
@@ -352,9 +352,12 @@ class PolyRing:
             isinstance(other, PolyRing)
             and self.variables == other.variables
             and self.order == other.order
+            and self.below == other.below
         )
 
     def __repr__(self) -> str:
+        if self.below is not None:
+            return f"PolyRing({self.variables}, {self.order!r}, below={self.below})"
         return f"PolyRing({self.variables}, {self.order!r})"
 
     # -- constructors -------------------------------------------------
@@ -411,14 +414,14 @@ class PolyRing:
                 parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(parts)
 
-    def parse(self, text: str, below: Bound | None = None) -> Poly:
+    def parse(self, text: str) -> Poly:
         """Parse ``+ - * / ^`` expressions (also ``**``) over the ring
         variables; division is only by nonzero constants.  Every product
-        and power is bounded by ``below`` as in :meth:`Poly.times`.  Terms
-        that come from no product, such as a lone variable, are kept, so a
-        caller that needs the bound everywhere still drops those."""
+        and power is bounded by the ring's bound as in :meth:`Poly.times`.
+        Terms that come from no product, such as a lone variable, are kept,
+        so a caller that needs the bound everywhere still drops those."""
         tokens = _tokenize(text)
-        return self._packed(lambda packing: _Parser(self, text, tokens, below, packing).parse())
+        return self._packed(lambda packing: _Parser(self, text, tokens, packing).parse())
 
 
 class Poly:
@@ -465,33 +468,33 @@ class Poly:
     def __sub__(self, other) -> Poly:
         return self + (-self._coerce(other))
 
-    def times(self, other, below: Bound | None = None) -> Poly:
-        """The product with ``other``; with ``below = (i, b)`` every term
-        whose exponent at variable ``i`` would reach ``b`` is left out, and
-        no pair of factor terms that would make one is ever formed.  This
-        is ``p * q`` followed by dropping those terms, with the kept terms
-        in the same order."""
+    def times(self, other) -> Poly:
+        """The product with ``other``; when the ring's bound is ``(i, b)``
+        every term whose exponent at variable ``i`` would reach ``b`` is
+        left out, and no pair of factor terms that would make one is ever
+        formed.  This is the unbounded product followed by dropping those
+        terms, with the kept terms in the same order."""
         other = self._coerce(other)
         if not self.terms or not other.terms:
             return self.ring.zero()
         ring = self.ring
         return ring._packed(lambda packing: _leave(ring, _product(
             _integer_form(self.terms, packing), _integer_form(other.terms, packing),
-            below, packing), packing))
+            ring.below, packing), packing))
 
     __mul__ = times
 
     def __pow__(self, k: int) -> Poly:
         return self.power(k)
 
-    def power(self, k: int, below: Bound | None = None) -> Poly:
-        """``self ** k``, every product bounded by ``below`` as in
+    def power(self, k: int) -> Poly:
+        """``self ** k``, every product bounded by the ring's bound as in
         :meth:`times`."""
         if not isinstance(k, int) or k < 0:
             raise ArithError(f"polynomial power must be a nonnegative int, got {k!r}")
         ring = self.ring
         return ring._packed(lambda packing: _leave(
-            ring, _power(_integer_form(self.terms, packing), k, below, packing), packing))
+            ring, _power(_integer_form(self.terms, packing), k, ring.below, packing), packing))
 
     # -- inspection ----------------------------------------------------
 
@@ -506,17 +509,18 @@ class Poly:
 
     # -- substitution --------------------------------------------------
 
-    def substitute(self, images: dict[str, Poly], below: Bound | None = None) -> Poly:
+    def substitute(self, images: dict[str, Poly]) -> Poly:
         """Evaluate the polynomial at ``var -> image`` (images live in the
         target ring; unmapped variables must not occur).  Each image's
-        powers are built once, and every product is bounded by ``below`` as
-        in :meth:`times`."""
+        powers are built once, and every product is bounded by the target
+        ring's bound as in :meth:`times`."""
         if not self.terms:
             return next(iter(images.values())).ring.zero() if images else self
         target = next(iter(images.values())).ring if images else self.ring
         for v in self.ring.variables:
             if v not in images and any(e[self.ring._index[v]] for e in self.terms):
                 raise ArithError(f"no image supplied for variable {v!r}")
+        below = target.below
 
         def evaluate(packing: _Packing) -> Poly:
             # powers[v][k - 1] is the integer form of images[v] ** k, built
@@ -563,12 +567,11 @@ class _Parser:
     a token list that ends in ``None``.  Every step works on integer forms
     packed by ``packing``; the result leaves as one ``Poly``."""
 
-    def __init__(self, ring: PolyRing, text: str, tokens: list[str | None],
-                 below: Bound | None, packing: _Packing):
+    def __init__(self, ring: PolyRing, text: str, tokens: list[str | None], packing: _Packing):
         self.ring = ring
         self.text = text
         self.tokens = tokens
-        self.below = below
+        self.below = ring.below
         self.packing = packing
         self.pos = 0
         self.depth = 0

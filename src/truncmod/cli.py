@@ -221,7 +221,8 @@ def _double_ring(job: dict, options: dict) -> LocalDoubleRing:
 
 def _parse_span(tr: TruncRing, payload: dict) -> tuple[int, list]:
     """Rank and columns of a span: either 'generators' (rank 1 strings) or
-    'vectors' (lists of strings, one entry per component)."""
+    'vectors' (lists of strings, one entry per component).  The rank, given
+    or read off the first vector, lies in 0..``MAX_RANK``."""
     if "generators" in payload:
         return 1, [(_parse_poly(tr, g, "payload.generators"),)
                    for g in _list(payload["generators"], "payload.generators")]
@@ -230,6 +231,9 @@ def _parse_span(tr: TruncRing, payload: dict) -> tuple[int, list]:
     rank = _require(payload, "rank", "payload", None)
     rank = (len(_list(vectors[0], "payload.vectors[0]")) if rank is None
             else _parse_int(rank, "payload.rank"))
+    if not 0 <= rank <= MAX_RANK:
+        raise SchemaError(f"payload.rank (given or the width of payload.vectors[0]) "
+                          f"must lie in 0..{MAX_RANK}, got {rank}")
     return rank, _rows(vectors, "payload.vectors", None, rank, tr)
 
 
@@ -424,7 +428,7 @@ def _cmd_balanced(ring, payload, options):
             elem = ring.S.zero()
             for c, g in zip(rep.witness, gens):
                 elem = elem + c * g
-            witness = str(ring.truncate(elem))
+            witness = str(elem)
         else:
             witness = _ser_col(rep.witness)
     # both route keys stay for the answer format, and each equals the verdict
@@ -618,10 +622,12 @@ COMMANDS = tuple(_HANDLERS)
 # bound.  The largest value any test or benchmark job uses is 5.
 MAX_OPTION_BOUND = 16
 
-# Largest ``free.rank`` and ``presentation.generators`` accepted.  Every
-# filtration and refinement builds bases over that many generators, so
+# Largest ``free.rank``, ``presentation.generators`` and span rank (the
+# ``payload.rank`` of ``gb``, ``nf`` and ``syz``, given or read off the first
+# vector) accepted.  Every filtration and refinement builds bases over that
+# many generators, and a span's work grows with the square of its rank, so
 # without a limit one job runs without bound; ``module.refine`` on 64 free
-# generators at n = 2 takes about a second.  The largest value any test or
+# generators at n = 2 takes about a second.  The largest value any
 # benchmark job uses is 4.
 MAX_RANK = 64
 

@@ -81,7 +81,7 @@ class LocalDoubleRing:
     def class_coords(self, elem: Poly) -> tuple[Fraction, Fraction]:
         """Coordinates of an element of m*I in the basis (x*t, y*t) of
         m*I/m^2*I, by normal-form reduction."""
-        (nf,) = self._classes.normal_form((self.trunc.truncate(elem),))
+        (nf,) = self._classes.normal_form((elem,))
         c_x = Fraction(0)
         c_y = Fraction(0)
         for e, c in nf.terms.items():
@@ -98,10 +98,9 @@ class LocalDoubleRing:
 def _split_m_tensor(ring: LocalDoubleRing, elem: Poly) -> tuple[Poly, Poly]:
     """Write an element of m*I as x*A*t + y*B*t with base polynomials A, B
     (monomials with positive x-exponent go to A)."""
-    p = ring.trunc.truncate(elem)
-    if ring.trunc.drop_t(p).terms:
+    if ring.trunc.drop_t(elem).terms:
         raise DoublePointError("element of m*I must be a multiple of t")
-    tc = ring.trunc.t_coefficient(p, 1)
+    tc = ring.trunc.t_coefficient(elem, 1)
     a_terms: dict = {}
     b_terms: dict = {}
     for e, c in tc.terms.items():
@@ -125,8 +124,8 @@ class PointIdeal:
         self.a = a
         self.b = b
         tr = ring.trunc
-        self.gen_x = tr.truncate(ring.x + tr.inject(self.a) * ring.t)
-        self.gen_y = tr.truncate(ring.y + tr.inject(self.b) * ring.t)
+        self.gen_x = ring.x + tr.inject(self.a) * ring.t
+        self.gen_y = ring.y + tr.inject(self.b) * ring.t
         ideal = Submodule(free_module(tr, 1), [(self.gen_x,), (self.gen_y,)])
         x, y, t = ring.x, ring.y, ring.t
         for probe in (x * x, x * y, y * y, x * t, y * t):
@@ -325,18 +324,17 @@ def verify_maximal_ideal_resolution(ring: LocalDoubleRing, degree_bound: int,
     zero = ring.S.zero()
     default1 = [(y, -x), (t, zero), (zero, t)]
     default2 = [(t, -y, x), (zero, t, zero), (zero, zero, t)]
-    phi1 = [tuple(tr.truncate(p) for p in c) for c in (phi1_cols or default1)]
-    phi2 = [tuple(tr.truncate(p) for p in c) for c in (phi2_cols or default2)]
+    phi1 = phi1_cols or default1
+    phi2 = phi2_cols or default2
     failures: list[str] = []
 
     # composites: phi0 lands in the reduced ring, so reduce mod t on top of t^2
     for idx, (c1, c2) in enumerate(phi1):
-        r = tr.drop_t(tr.truncate(x * c1 + y * c2))
+        r = tr.drop_t(x * c1 + y * c2)
         if r.terms:
             failures.append(f"phi0*phi1 nonzero at column {idx}: {r}")
     for idx, col in enumerate(phi2):
-        out = [tr.truncate(sum((col[i] * phi1[i][l] for i in range(3)), zero))
-               for l in range(2)]
+        out = [sum((col[i] * phi1[i][l] for i in range(3)), zero) for l in range(2)]
         if any(p.terms for p in out):
             failures.append(f"phi1*phi2 nonzero at column {idx}")
 

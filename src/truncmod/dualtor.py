@@ -84,7 +84,7 @@ def torsion(M: PresMod) -> TorsionReport:
 
     s_star = ring.S.one()
     for _g, s in witnesses:
-        s_star = ring.truncate(s_star * s)
+        s_star = s_star * s
     submodule = Submodule(M, ker)
     if not submodule.equals(M.zero_submodule().saturation(s_star)):
         raise ModuleError("saturation oracle disagrees with the evaluation kernel")

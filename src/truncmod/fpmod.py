@@ -267,7 +267,7 @@ class Submodule:
 
 
 def _combine(ring: TruncRing, coeffs: Column, columns: list[Column], width: int) -> Column:
-    """sum(coeffs[i] * columns[i]) truncated, for columns of ``width`` entries."""
+    """sum(coeffs[i] * columns[i]) in R[n], for columns of ``width`` entries."""
     out = [ring.S.zero()] * width
     for coeff, col in zip(coeffs, columns):
         if coeff.is_zero():
@@ -275,7 +275,7 @@ def _combine(ring: TruncRing, coeffs: Column, columns: list[Column], width: int)
         for j, p in enumerate(col):
             if p:
                 out[j] = out[j] + coeff * p
-    return tuple(ring.truncate(p) for p in out)
+    return tuple(out)
 
 
 def subquotient(M: PresMod, a_gens: list[Column], b_gens: list[Column]) -> PresMod:

@@ -1,8 +1,12 @@
 """The truncated extension R[t]/(t^n) of a polynomial base ring R = Q[x1..xd].
 
 Elements are plain ``Poly``s of ``TruncRing.S``, in the base variables and
-t, reduced so that no term carries t^n or higher: ``parse`` and ``truncate``
-make them, and products pass ``below`` to arith.  Each function takes one
+t, reduced so that no term carries t^n or higher.  ``S`` carries the bound
+t^n, so every product, power, parse and ``AutMap`` substitution in it
+truncates as it is formed, and no term of t-degree n or more is built.
+``truncate`` is left for values that come from no product in ``S``: kernel
+outputs, a lone ``t`` at n = 1, and polynomials handed in from outside,
+such as an ``AutMap``'s images.  Each function takes one
 ring's ``Poly``s: ``inject`` those of ``base``, everything else those of
 ``S``.  An element is a zero divisor exactly when its t-free part vanishes;
 the complement (elements with nonzero t-free part) is the multiplicative
@@ -35,13 +39,11 @@ class TruncRing:
             raise ArithError(f"{T_NAME!r} is reserved for the truncation variable")
         self.n = n
         self.base = PolyRing(base_vars, order or grevlex())
-        self.S = PolyRing(base_vars + (T_NAME,), order or grevlex())
+        self.S = PolyRing(base_vars + (T_NAME,), order or grevlex(), below=(len(base_vars), n))
         self.t = self.S.gen(T_NAME)
-        # the bound every product in R[n] passes to arith: t-degree below n
-        self.below = (self.S._index[T_NAME], n)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, TruncRing) and self.S == other.S and self.n == other.n
+        return isinstance(other, TruncRing) and self.S == other.S
 
     def __repr__(self) -> str:
         return f"TruncRing({self.base.variables}, n={self.n})"
@@ -70,10 +72,10 @@ class TruncRing:
         return Poly(self.base, {e[:-1]: c for e, c in p.terms.items() if e[ti] == k})
 
     def parse(self, text: str) -> Poly:
-        """Parse over S with every product truncated as it is formed; the
+        """Parse over S, whose products truncate as they are formed; the
         final ``truncate`` drops what no product made, such as ``t`` when
         n = 1."""
-        return self.truncate(self.S.parse(text, self.below))
+        return self.truncate(self.S.parse(text))
 
 
 def is_zero_divisor(ring: TruncRing, u: Poly) -> bool:
@@ -140,7 +142,7 @@ class AutMap:
         """Image of a polynomial of S under the map."""
         table = dict(self.var_images)
         table[T_NAME] = self.t_image
-        return p.substitute(table, self.ring.below)
+        return p.substitute(table)
 
     def __eq__(self, other: object) -> bool:
         return (

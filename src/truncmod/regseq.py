@@ -94,7 +94,7 @@ def is_regular_sequence(ring: TruncRing, seq: list[Poly],
     prior = Submodule(free_module(ring, 1), [(ring.inject(m),) for m in base_jets]
                       + [(u,) for u in seq[:k_direct]])
     w = ring.truncate(witness)
-    if prior.contains((w,)) or not prior.contains((ring.truncate(w * seq[k_direct]),)):
+    if prior.contains((w,)) or not prior.contains((w * seq[k_direct],)):
         raise SequenceError("failure witness does not verify")
     return SequenceReport(list(seq), reductions, False, k_direct + 1, w)
 
@@ -113,7 +113,7 @@ def shadow_membership(ring: TruncRing, y: Poly, seq: list[Poly],
     base_jets = _jet_monomials(ring.base, jet_order)
     ideal = Submodule(free_module(ring, 1), [(u,) for u in seq]
                       + [(ring.inject(m),) for m in base_jets])
-    probe = ring.truncate(ring.t ** (ring.n - 1) * ring.inject(y))
+    probe = ring.t ** (ring.n - 1) * ring.inject(y)
     in_ideal = ideal.contains((probe,))
 
     r1 = TruncRing(ring.base.variables, 1, ring.base.order)

@@ -283,33 +283,33 @@ def test_nested_power_past_the_first_field_width():
 
 @pytest.mark.parametrize("below", [None, (1, 3), (1, 40_000), (0, 16_385)])
 def test_products_past_the_first_field_width_match_the_oracle(below):
-    R = PolyRing(("x", "t"))
+    R = PolyRing(("x", "t"), below=below)
     p = R.from_terms({(16_384, 2): Fraction(1), (0, 20_000): Fraction(2),
                       (1, 0): Fraction(-1, 3), (0, 1): Fraction(1)})
     q = R.from_terms({(0, 20_000): Fraction(1), (2, 19_999): Fraction(-5),
                       (16_384, 0): Fraction(7), (0, 0): Fraction(3, 2)})
-    assert items(p.times(q, below)) == items(arith_oracle.times(p, q, below))
-    assert items(q.power(3, below)) == items(arith_oracle.power(q, 3, below))
+    assert items(p.times(q)) == items(arith_oracle.times(p, q, below))
+    assert items(q.power(3)) == items(arith_oracle.power(q, 3, below))
     s = R.parse("x^2*t + 3*t^2 - x + 1/5")
     images = {"x": R.from_terms({(0, 17_000): Fraction(1), (1, 0): Fraction(1)}),
               "t": R.from_terms({(16_000, 0): Fraction(2), (0, 1): Fraction(-1)})}
-    assert items(s.substitute(images, below)) == \
+    assert items(s.substitute(images)) == \
         items(arith_oracle.substitute(s, images, below))
     # the ring keeps its wider packing, and small products still agree
     small = R.parse("x + t - 1")
-    assert items(small.power(4, below)) == items(arith_oracle.power(small, 4, below))
+    assert items(small.power(4)) == items(arith_oracle.power(small, 4, below))
 
 
 def test_bound_reached_in_a_widened_field_drops_the_term():
-    R = PolyRing(("x", "t"))
+    below = (1, 40_000)
+    R = PolyRing(("x", "t"), below=below)
     p = R.from_terms({(0, 20_000): Fraction(1), (1, 0): Fraction(1)})
     q = R.from_terms({(0, 20_000): Fraction(1), (0, 19_999): Fraction(1), (0, 0): Fraction(1)})
-    below = (1, 40_000)
-    product = p.times(q, below)
+    product = p.times(q)
     assert items(product) == items(arith_oracle.times(p, q, below))
     # t^40000 reaches the bound and is dropped; t^39999 lies past the first
     # field width and is kept
     assert (0, 40_000) not in product.terms
     assert product.terms[(0, 39_999)] == 1
-    assert items(R.parse("(t^1000)^40 + t*(t^1000)^39 + (x*t^999)^40", below)) == \
+    assert items(R.parse("(t^1000)^40 + t*(t^1000)^39 + (x*t^999)^40")) == \
         items(arith_oracle.parse(R, "(t^1000)^40 + t*(t^1000)^39 + (x*t^999)^40", below))

@@ -266,6 +266,10 @@ HUGE = 10 ** 30
      "presentation.t_weight"),
     ("hilbert.pred", {"truncated_free": {"level": 1, "degree": 65}},
      "truncated_free.degree"),
+    # a span's rank is given or read off its first vector
+    ("gb", {"vectors": [["x"] * 65]}, "payload.rank"),
+    ("syz", {"rank": 65, "vectors": [["x"] * 65]}, "payload.rank"),
+    ("nf", {"rank": HUGE, "vectors": [["x"]], "element": ["x"]}, "payload.rank"),
 ])
 def test_a_size_beyond_its_bound_is_a_schema_error(command, payload, field):
     code, answer = check_answer(command, {"ring": RING, "payload": payload})
@@ -280,6 +284,7 @@ def test_a_size_beyond_its_bound_is_a_schema_error(command, payload, field):
     ("hilbert.pred", {"presentation": {"generators": 2, "relations": [["x", "y"]],
                                        "degrees": [64, 64], "t_weight": -64}}),
     ("hilbert.poly", {"truncated_free": {"level": 1, "degree": -64, "t_weight": 64}}),
+    ("gb", {"vectors": [["x"] * 64]}),
 ])
 def test_a_size_at_its_bound_is_answered(command, payload):
     code, _ = check_answer(command, {"ring": RING, "payload": payload})

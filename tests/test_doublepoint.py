@@ -106,7 +106,8 @@ def test_quotient_by_point_ideal_has_rank_two():
         J = point_ideal(ring, a, b)
         span = SpanGB(
             S, 1, [vec_from_polys((J.gen_x,)), vec_from_polys((J.gen_y,)),
-                   vec_from_polys((S.parse("t^2"),))]
+                   # t^2 is no product in R[2], so it enters as a term
+                   vec_from_polys((S.from_terms({(0, 0, 2): 1}),))]
         )
         seen = set()
         for i in range(4):

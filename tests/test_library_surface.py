@@ -17,7 +17,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "truncmod"
 
 ALLOWED = {
     "arith.PolyRing.from_terms": "the tests' input builder",
-    "arith.elim_block": "perfbench's _span_key reads block_split",
     "hilbert.HilbertSeries.dimension": "how tests read a series",
     "hilbert.HilbertSeries.dimensions": "how tests read a series",
 }

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from groebner_oracle import mono_divides
 from truncmod import groebner
-from truncmod.arith import MonomialOrder, elim_block, mono_mul
+from truncmod.arith import MonomialOrder, mono_mul
 from truncmod.cli import main
 from truncmod.groebner import _WIDTH, ModuleOrder, _Codec, _Overflow
 
@@ -33,7 +33,8 @@ def packings(draw, kind):
     """(ModuleOrder, codec, nvars, terms): distinct terms over 1 to 4
     variables at positions in up to three blocks."""
     nvars = draw(st.integers(1, 4))
-    order = elim_block(draw(st.integers(0, nvars))) if kind == "block" else MonomialOrder(kind)
+    split = draw(st.integers(0, nvars)) if kind == "block" else None
+    order = MonomialOrder(kind, block_split=split)
     blocks = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)))
     morder = ModuleOrder(order, blocks)
     width = draw(st.integers(3, 8))

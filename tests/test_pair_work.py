@@ -1,4 +1,4 @@
-"""The work ``buchberger`` does, pinned on three fixed spans, and the table
+"""The work ``buchberger`` does, pinned on four fixed spans, and the table
 of codecs that spans share.
 
 Each span below runs one basis.  Its work is the sequence of S-pairs taken,
@@ -101,6 +101,18 @@ def test_an_annihilator_kernel_of_rank_two_takes_its_pairs(monkeypatch):
         (3, 0, 3), (3, 1, 4), (3, 1, 5), (4, 0, 8), (5, 0, 9), (5, 2, 9), (5, 8, 9),
         (6, 6, 11), (6, 1, 12), (7, 6, 13), (7, 11, 13), (8, 10, 15),
     ], 2)]
+
+
+def test_a_remainder_takes_the_sugar_of_its_largest_term(monkeypatch):
+    """A syzygy basis whose remainders carry tag terms above their lead's
+    degree: each takes the larger of its pair's sugar and its largest term
+    degree, which a sugar read off the lead alone would lower to
+    (7, 0, 2), (8, 0, 3), (8, 2, 3)."""
+    ring = PolyRing(("x", "y"), lex())
+    vecs = spans_of(ring, ["1 - x*y + y^3", "-x^3*y^2 - x^3*y"])
+    syzygies, runs = work(monkeypatch, lambda: SpanGB(ring, 1, vecs).syzygies(len(vecs)))
+    assert len(syzygies) == 1
+    assert runs == [([(6, 0, 1), (9, 0, 2), (10, 0, 3), (10, 2, 3), (12, 0, 4)], 1)]
 
 
 # -- the codec table -------------------------------------------------------

@@ -19,11 +19,16 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=N
 ORDERS = st.sampled_from([lex(), grevlex()])
 
 
-def drop(p, below):
-    """``p`` without the terms whose exponent at ``below[0]`` reaches
-    ``below[1]``, kept terms in their order."""
-    i, b = below
-    return arith.Poly(p.ring, {e: c for e, c in p.terms.items() if e[i] < b})
+def drop(p, ring):
+    """``p`` as a ``Poly`` of ``ring`` without the terms whose exponent at
+    ``ring.below[0]`` reaches ``ring.below[1]``, kept terms in their order."""
+    i, b = ring.below
+    return arith.Poly(ring, {e: c for e, c in p.terms.items() if e[i] < b})
+
+
+def unbounded(tr):
+    """``Q[x.., t]``: the variables and order of ``tr.S`` without its bound."""
+    return PolyRing(tr.S.variables, tr.S.order)
 
 
 def polys(ring, max_terms=5, max_exp=3):
@@ -42,11 +47,14 @@ def bounded_pairs(draw):
 @given(bounded_pairs())
 def test_bounded_product_is_truncated_product(case):
     p, q, below = case
-    bounded, full = p.times(q, below), drop(p * q, below)
+    # the same terms in the ring with the bound
+    ring = PolyRing(p.ring.variables, p.ring.order, below)
+    bp, bq = ring.from_terms(p.terms), ring.from_terms(q.terms)
+    bounded, full = bp.times(bq), drop(p * q, ring)
     assert bounded == full
     assert list(bounded.terms) == list(full.terms)
-    power = p.power(3, below)
-    assert list(power.terms.items()) == list(drop(p ** 3, below).terms.items())
+    power = bp.power(3)
+    assert list(power.terms.items()) == list(drop(p ** 3, ring).terms.items())
 
 
 # -- parsing -------------------------------------------------------------------
@@ -75,7 +83,7 @@ def expressions(draw):
 @given(expressions(), st.integers(1, 4), ORDERS)
 def test_parse_truncates_like_full_parse(text, n, order):
     tr = TruncRing(("x", "y"), n, order)
-    parsed, full = tr.parse(text), tr.truncate(tr.S.parse(text))
+    parsed, full = tr.parse(text), tr.truncate(unbounded(tr).parse(text))
     assert parsed == full
     assert list(parsed.terms) == list(full.terms)
 
@@ -110,14 +118,15 @@ def test_parse_forms_no_product_term_at_or_above_n(monkeypatch):
 
 def full_apply(phi, p):
     """phi(p) by term-by-term substitution with plain powers and products
-    over S, truncated once at the end."""
+    over Q[x.., t], truncated once at the end."""
     ring = phi.ring
-    table = dict(phi.var_images)
-    table["t"] = phi.t_image
-    out = ring.S.zero()
+    full = unbounded(ring)
+    table = {v: full.from_terms(img.terms) for v, img in phi.var_images.items()}
+    table["t"] = full.from_terms(phi.t_image.terms)
+    out = full.zero()
     for e, c in p.terms.items():
-        term = ring.S.const(c)
-        for v, k in zip(ring.S.variables, e):
+        term = full.const(c)
+        for v, k in zip(full.variables, e):
             term = term * table[v] ** k
         out = out + term
     return ring.truncate(out)
