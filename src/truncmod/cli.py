@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -216,7 +217,7 @@ def _double_ring(job: dict, options: dict) -> LocalDoubleRing:
             raise SchemaError("point-ideal commands fix the ring Q[x,y][t]/(t^2)")
         if _require(ring_doc, "n", "ring", None) not in (None, 2):
             raise SchemaError("point-ideal commands require n = 2")
-    return LocalDoubleRing(_option(options, "jet_order", 6), _order(options))
+    return LocalDoubleRing(_order(options))
 
 
 def _parse_span(tr: TruncRing, payload: dict) -> tuple[int, list]:
@@ -493,9 +494,19 @@ def _cmd_refine(ring, payload, options):
             "matched_layers": [list(p[0]) for p in pairs]}
 
 
+def _jet_order(ring: TruncRing, options: dict) -> int | None:
+    """``options.jet_order``, which only the ``regseq`` commands read, with
+    at most ``MAX_JETS`` jets (base monomials of that degree)."""
+    order = options.get("jet_order")
+    if order is not None and math.comb(order + ring.base.nvars - 1, order) > MAX_JETS:
+        raise SchemaError(f"options.jet_order {order} adjoins more than {MAX_JETS} "
+                          f"jets over {ring.base.nvars} variables")
+    return order
+
+
 def _cmd_regseq_check(ring, payload, options):
     rep = is_regular_sequence(ring, _sequence(ring, payload),
-                              jet_order=options.get("jet_order"))
+                              jet_order=_jet_order(ring, options))
     return {"regular": rep.regular,
             "witness_index": rep.witness_index,
             "witness": str(rep.witness) if rep.witness is not None else None,
@@ -505,7 +516,7 @@ def _cmd_regseq_check(ring, payload, options):
 def _cmd_regseq_shadow(ring, payload, options):
     y = _parse_poly(ring.base, _require(payload, "element", "payload"), "element")
     member = shadow_membership(ring, y, _sequence(ring, payload),
-                               jet_order=options.get("jet_order"))
+                               jet_order=_jet_order(ring, options))
     return {"member": member}
 
 
@@ -622,6 +633,11 @@ COMMANDS = tuple(_HANDLERS)
 # bound.  The largest value any test or benchmark job uses is 5.
 MAX_OPTION_BOUND = 16
 
+# Largest number of jets, the C(jet_order + d - 1, d - 1) base monomials of
+# degree ``options.jet_order`` over d variables, that ``regseq.*`` adjoins;
+# ``MAX_OPTION_BOUND`` alone allows 969 over four variables.
+MAX_JETS = 200
+
 # Largest ``free.rank``, ``presentation.generators`` and span rank (the
 # ``payload.rank`` of ``gb``, ``nf`` and ``syz``, given or read off the first
 # vector) accepted.  Every filtration and refinement builds bases over that
@@ -660,7 +676,7 @@ _PARSER.add_argument("command", choices=COMMANDS, metavar="command",
 _PARSER.add_argument("input", nargs="?", default="-",
                      help="job document path, '-' for stdin (default)")
 _PARSER.add_argument("--jet-order", type=int, default=None,
-                     help="truncation order for origin-local questions")
+                     help="jet order of the origin-local regseq.* tests")
 _PARSER.add_argument("--order", choices=("grevlex", "lex"), default=None,
                      help="monomial order for all rings")
 _PARSER.add_argument("--degree-bound", type=int, default=None,

@@ -1,12 +1,12 @@
 """Ideals of embedded double points on a doubled plane.
 
 The ambient ring is O2 = Q[x,y][t]/(t^2).  The objects classified here are
-the ideals J = (x + a*t, y + b*t) with polynomial a, b; each contains the
-square of the maximal ideal (x, y, t), so every question about J is decided
-by finitely many jet coefficients.  The classifying invariant is the class
-of -y*(a*t) + x*(b*t) in m*I/m^2*I, a two-dimensional rational vector, and
-the tangent-vector form of that class is what transforms cleanly under a
-change of the generating pair.
+the ideals J = (x + a*t, y + b*t) with polynomial a, b; each lies between
+the maximal ideal m = (x, y, t) and m^2, so exact Groebner work on its two
+generators answers every local question with no jets adjoined.  The
+classifying invariant is the class of -y*(a*t) + x*(b*t) in m*I/m^2*I, a
+two-dimensional rational vector, and the tangent-vector form of that class
+is what transforms cleanly under a change of the generating pair.
 
 Degree-bounded checks of the standard free resolution of the reduced
 maximal ideal and of the derived-complex dimension counts live here too,
@@ -49,20 +49,12 @@ class DoublePointError(ArithError):
 
 
 class LocalDoubleRing:
-    """Q[x,y][t]/(t^2) with a jet order for computations at the origin.
+    """Q[x,y][t]/(t^2), the ring of the point ideals, with the reduction
+    basis of their classes; ``order`` is its monomial order, grevlex by
+    default.  A point ideal contains (x, y, t)^2, so no jet is adjoined."""
 
-    Global Groebner computations stay exact; whenever a statement is local
-    (ideal equality, balancedness), monomials of total degree ``jet_order``
-    are adjoined, which is harmless because every ideal in play contains all
-    monomials of degree two.  ``order`` is the monomial order of the ring,
-    grevlex by default.
-    """
-
-    def __init__(self, jet_order: int = 6, order: MonomialOrder | None = None):
-        if jet_order < 3:
-            raise DoublePointError("jet order below 3 cannot separate the invariants")
+    def __init__(self, order: MonomialOrder | None = None):
         self.trunc = TruncRing(("x", "y"), 2, order)
-        self.jet_order = jet_order
         self.S = self.trunc.S
         self.base = self.trunc.base
         self.x = self.S.gen("x")
@@ -73,26 +65,13 @@ class LocalDoubleRing:
             (self.x * self.x * self.t,), (self.x * self.y * self.t,),
             (self.y * self.y * self.t,)])
 
-    def jet_polys(self) -> list[Poly]:
-        """All base monomials of total degree jet_order, injected into S."""
-        return [self.trunc.inject(Poly(self.base, {e: Fraction(1)}))
-                for e in monomials_of_degree(2, self.jet_order)]
-
     def class_coords(self, elem: Poly) -> tuple[Fraction, Fraction]:
         """Coordinates of an element of m*I in the basis (x*t, y*t) of
         m*I/m^2*I, by normal-form reduction."""
         (nf,) = self._classes.normal_form((elem,))
-        c_x = Fraction(0)
-        c_y = Fraction(0)
-        for e, c in nf.terms.items():
-            if e == (1, 0, 1):
-                c_x = c
-            elif e == (0, 1, 1):
-                c_y = c
-            else:
-                raise DoublePointError(
-                    "reduction left a term outside the class basis")
-        return c_x, c_y
+        if set(nf.terms) - {(1, 0, 1), (0, 1, 1)}:
+            raise DoublePointError("reduction left a term outside the class basis")
+        return nf.terms.get((1, 0, 1), Fraction(0)), nf.terms.get((0, 1, 1), Fraction(0))
 
 
 def _split_m_tensor(ring: LocalDoubleRing, elem: Poly) -> tuple[Poly, Poly]:
@@ -166,18 +145,16 @@ def tau(J: PointIdeal) -> TauClass:
 
 def ideals_equal(J: PointIdeal, K: PointIdeal) -> bool:
     """Equality of point ideals, evaluated three independent ways (Groebner
-    membership, class equality, constant-term equality); any disagreement is
-    an internal error.  The module-isomorphism formulation is intentionally
-    not implemented separately: it is equivalent to class equality."""
+    equality of the generators' spans, class equality, constant-term
+    equality); any disagreement is an internal error.  The module-isomorphism
+    formulation is not implemented apart: it is equivalent to class equality."""
     if J.ring is not K.ring:
         raise DoublePointError("ideals over different rings")
-    ring = J.ring
-    F = free_module(ring.trunc, 1)
-    jets = [(p,) for p in ring.jet_polys()]
-    local_j = Submodule(F, [(J.gen_x,), (J.gen_y,)] + jets)
-    local_k = Submodule(F, [(K.gen_x,), (K.gen_y,)] + jets)
+    F = free_module(J.ring.trunc, 1)
+    span_j = Submodule(F, [(J.gen_x,), (J.gen_y,)])
+    span_k = Submodule(F, [(K.gen_x,), (K.gen_y,)])
     return agree(DoublePointError, "are the ideals equal",
-                 groebner=local_j.equals(local_k),
+                 groebner=span_j.equals(span_k),
                  classes=tau(J).as_pair() == tau(K).as_pair(),
                  constants=(K.a - J.a).constant_term() == 0
                  and (K.b - J.b).constant_term() == 0)
@@ -510,8 +487,7 @@ def _resolve_tau(ring: LocalDoubleRing, tau_data: TauData) -> tuple[Poly, Poly]:
     representative given as a TauClass, an element of m*I in ``S``, or a
     pair of base polynomials."""
     if isinstance(tau_data, TauClass):
-        return (Poly(ring.base, {(0, 0): tau_data.c_x} if tau_data.c_x else {}),
-                Poly(ring.base, {(0, 0): tau_data.c_y} if tau_data.c_y else {}))
+        return ring.base.const(tau_data.c_x), ring.base.const(tau_data.c_y)
     if isinstance(tau_data, Poly):
         return _split_m_tensor(ring, tau_data)
     return tau_data
@@ -579,9 +555,7 @@ def recover_ideal(ring: LocalDoubleRing, tau_data: TauData) -> PointIdeal:
     tau_a, tau_b = _resolve_tau(ring, tau_data)
     c_x = tau_a.constant_term()
     c_y = tau_b.constant_term()
-    J = PointIdeal(ring,
-                   Poly(ring.base, {(0, 0): -c_y} if c_y else {}),
-                   Poly(ring.base, {(0, 0): c_x} if c_x else {}))
+    J = PointIdeal(ring, ring.base.const(-c_y), ring.base.const(c_x))
     agree(DoublePointError, "class of the recovered ideal",
           requested=(c_x, c_y), recomputed=tau(J).as_pair())
     return J

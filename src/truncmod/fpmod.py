@@ -107,6 +107,7 @@ class PresMod:
         self.grading = grading
         self._zero: Submodule | None = None
         self._effective: list[VecT] | None = None
+        self._annihilators: dict[int, list[Column]] = {}
 
     def __repr__(self) -> str:
         return f"<PresMod {self.ngens} gens, {len(self.relations)} relations over {self.ring!r}>"
@@ -312,9 +313,13 @@ def first_canonical_filtration(M: PresMod) -> list[Submodule]:
 
 
 def annihilator_kernel(M: PresMod, i: int) -> list[Column]:
-    """Generators of {m in M : t^i m = 0}, via a syzygy computation."""
-    t_i = M.ring.t ** i
-    return M.zero_submodule().kernel_through([M.gen_column(j, t_i) for j in range(M.ngens)])
+    """Generators of {m in M : t^i m = 0}, via a syzygy computation made
+    once per level and kept on ``M``."""
+    if i not in M._annihilators:
+        t_i = M.ring.t ** i
+        M._annihilators[i] = M.zero_submodule().kernel_through(
+            [M.gen_column(j, t_i) for j in range(M.ngens)])
+    return M._annihilators[i]
 
 
 def second_canonical_filtration(M: PresMod) -> list[Submodule]:

@@ -140,7 +140,7 @@ def transformed_presentation(M: PresMod, seed: int, steps: int = 12) -> PresMod:
             if q is None:
                 continue
             for c in range(nc):
-                rows[j][c] = ring.truncate(rows[j][c] + q * rows[i][c])
+                rows[j][c] = rows[j][c] + q * rows[i][c]
         elif op == "col_add" and nc >= 2:
             a, b = rng.sample(range(nc), 2)
             if M.grading:
@@ -156,7 +156,7 @@ def transformed_presentation(M: PresMod, seed: int, steps: int = 12) -> PresMod:
             if q is None:
                 continue
             for r in range(g):
-                rows[r][b] = ring.truncate(rows[r][b] + q * rows[r][a])
+                rows[r][b] = rows[r][b] + q * rows[r][a]
         elif op == "row_scale" and g >= 1:
             i = rng.randrange(g)
             c = ring.S.const(rng.choice([1, -1, 2, 3]))
@@ -180,7 +180,7 @@ def transformed_presentation(M: PresMod, seed: int, steps: int = 12) -> PresMod:
             a = rng.randrange(nc)
             q = random_homog(tw) or ring.S.one()
             for r in range(g):
-                rows[r].append(ring.truncate(q * rows[r][a]))
+                rows[r].append(q * rows[r][a])
 
     cols = [tuple(rows[r][c] for r in range(g)) for c in range(ncols())]
     grading = Grading(tuple(degs), tw) if M.grading else None

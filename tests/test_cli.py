@@ -434,6 +434,28 @@ def test_ideal_extend_builds_its_extension_module_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_ideal_extend_computes_the_kernel_of_t_once(monkeypatch):
+    """The gap route and ``is_balanced`` both read ann(t) at n = 2; the
+    module keeps it, so its graph basis is built once per job."""
+    from truncmod import fpmod
+
+    t_columns = [{(j, (0, 0, 1)): 1} for j in range(4)]
+    kernels = []
+    inner = fpmod.kernel_through
+
+    def counted(ring, rank, columns, relations):
+        kernels.append(columns == t_columns)
+        return inner(ring, rank, columns, relations)
+
+    monkeypatch.setattr(fpmod, "kernel_through", counted)
+    for rho, balanced in (("-1", True), ("x", False)):
+        kernels.clear()
+        code, out = run("ideal.extend", {"payload": {"tau": [1, 0], "rho": rho}})
+        assert code == 0
+        assert out["balanced"] is balanced
+        assert kernels.count(True) == 1
+
+
 def test_double_point_extension_balance():
     code, out = run("ideal.extend", {"payload": {"tau": [1, 0], "rho": "-1"}})
     assert code == 0
@@ -610,8 +632,6 @@ def test_bad_options_are_schema_errors(command, document):
 
 
 @pytest.mark.parametrize("command, document, message", [
-    ("ideal.tau", {"payload": {"a": "1", "b": "0"}, "options": {"jet_order": 0}},
-     "jet order below 3"),
     ("ideal.resolution", {"payload": {}, "options": {"degree_bound": 0}},
      "degree bound must be at least 2"),
     ("ideal.extcheck", {"payload": {}, "options": {"degree_bound": 0}},
@@ -622,6 +642,23 @@ def test_explicit_zero_option_is_not_the_default(command, document, message):
     assert code == 3
     assert out["error"]["kind"] == "DoublePointError"
     assert message in out["error"]["message"]
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("ideal.tau", {"a": "1 + x", "b": "-2"}),
+    ("ideal.eq", {"first": {"a": "1", "b": "x"}, "second": {"a": "1 + y^2", "b": "x*y"}}),
+    ("ideal.eq", {"first": {"a": "1", "b": "0"}, "second": {"a": "0", "b": "0"}}),
+])
+def test_point_ideal_commands_read_no_jet_order(command, payload):
+    """A point ideal contains (x, y, t)^2, so no jet is adjoined: the answer
+    is the same with the option absent, 0, 3 or at its bound."""
+    answers = set()
+    for options in ({}, {"jet_order": 0}, {"jet_order": 3}, {"jet_order": 16}):
+        code, out = run(command, {"payload": payload, "options": options})
+        out.pop("meta")
+        answers.add((code, json.dumps(out, indent=2, sort_keys=True)))
+    assert len(answers) == 1
+    assert answers.pop()[0] == 0
 
 
 def test_huge_exponent_is_a_schema_error():

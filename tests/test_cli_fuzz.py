@@ -277,6 +277,33 @@ def test_a_size_beyond_its_bound_is_a_schema_error(command, payload, field):
     assert field in answer["error"]["message"]
 
 
+# A jet order lies in 0..cli.MAX_OPTION_BOUND, and its jets, the
+# C(jet_order + d - 1, d - 1) base monomials of that degree over d
+# variables, number at most cli.MAX_JETS (200).
+RING_4 = {"variables": ["a", "b", "c", "d"], "n": 2}
+
+
+@pytest.mark.parametrize("command, payload", [
+    # order 9 over four variables: 220 jets
+    ("regseq.check", {"sequence": ["a", "b"]}),
+    ("regseq.shadow", {"element": "a", "sequence": ["a", "b"]}),
+])
+def test_a_jet_count_beyond_its_bound_is_a_schema_error(command, payload):
+    code, answer = check_answer(command, {"ring": RING_4, "payload": payload,
+                                          "options": {"jet_order": 9}})
+    assert code == 2
+    assert "options.jet_order" in answer["error"]["message"]
+
+
+def test_a_jet_count_at_its_bound_is_answered():
+    # order 8 over four variables: 165 jets, the most that four variables
+    # reach within the bound
+    code, _ = check_answer("regseq.check", {"ring": RING_4,
+                                            "payload": {"sequence": ["a", "b"]},
+                                            "options": {"jet_order": 8}})
+    assert code == 0
+
+
 @pytest.mark.parametrize("command, payload", [
     ("module.filtration", {"free": {"rank": 64}}),
     ("module.filtration", {"presentation": {"generators": 64, "relations": []}}),

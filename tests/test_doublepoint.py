@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from module_oracles import ModMap, assert_exact, extension_maps
 from truncmod.arith import ArithError
@@ -27,6 +29,7 @@ from truncmod.doublepoint import (
 )
 from truncmod.fpmod import Grading, PresMod, Submodule, free_module, is_balanced
 from truncmod.groebner import SpanGB, vec_from_polys
+from truncmod.hilbert import monomials_of_degree
 from truncmod.regseq import ideal_presentation, is_regular_sequence
 
 
@@ -77,6 +80,38 @@ def test_ideal_equality_examples():
     assert not ideals_equal(J1, J0)
     assert ideals_equal(J2, J0)
     assert ideals_equal(J1, J1)
+
+
+# higher terms of a or b: monomials of degree 1 to 3 with small coefficients
+HIGHER = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: 1 <= sum(e) <= 3),
+    st.integers(-2, 2).filter(bool), max_size=3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+       st.tuples(st.sampled_from([0, 0, 0, 1, -1]), st.sampled_from([0, 0, 0, 1, -1])),
+       HIGHER, HIGHER, HIGHER, HIGHER)
+def test_ideal_equality_matches_the_spans_with_jets_adjoined(
+        constants, shifts, ja, jb, ka, kb):
+    """The verdict on the two generators equals that of both spans with
+    every base monomial of degree 6 adjoined: the jets lie in every point
+    ideal.  Most pairs share their constants and differ in higher terms;
+    the rest differ in one constant or both."""
+    ring = the_ring()
+    B, S = ring.base, ring.S
+
+    def ideal(a0, b0, a_high, b_high):
+        return PointIdeal(ring, B.from_terms({**a_high, (0, 0): a0}),
+                          B.from_terms({**b_high, (0, 0): b0}))
+
+    (a0, b0), (da, db) = constants, shifts
+    J = ideal(a0, b0, ja, jb)
+    K = ideal(a0 + da, b0 + db, ka, kb)
+    F = free_module(ring.trunc, 1)
+    jets = [(S.from_terms({(i, j, 0): 1}),) for i, j in monomials_of_degree(2, 6)]
+    with_jets = [Submodule(F, [(I.gen_x,), (I.gen_y,)] + jets) for I in (J, K)]
+    assert ideals_equal(J, K) == with_jets[0].equals(with_jets[1])
 
 
 def test_point_ideal_contains_square_of_maximal_ideal():
@@ -324,8 +359,8 @@ def test_unit_multiplier_extension_matches_point_ideal():
         F = free_module(tr, 1)
         x, y, t = S.parse("x"), S.parse("y"), S.parse("t")
         cols = [
-            (tr.truncate(x + tr.inject(a) * t),),
-            (tr.truncate(y + tr.inject(b) * t),),
+            (x + tr.inject(a) * t,),
+            (y + tr.inject(b) * t,),
             (x * t,),
             (y * t,),
         ]

@@ -34,7 +34,7 @@ def test_zero_divisor_witness_annihilates():
     u = tr.parse("x*t")
     w = zero_divisor_witness(tr, u)
     assert w is not None and not w.is_zero()
-    assert tr.truncate(w * u).is_zero()
+    assert (w * u).is_zero()
     assert zero_divisor_witness(tr, tr.parse("1 + t")) is None
     # over R[1] only 0 is a zero divisor, and 1 annihilates it
     r1 = ring(1)
