@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -194,6 +193,9 @@ def _build_ring(job: dict, options: dict) -> TruncRing:
     if (not isinstance(variables, list) or not variables
             or not all(isinstance(v, str) for v in variables)):
         raise SchemaError("ring.variables must be a nonempty list of names")
+    if len(variables) > MAX_VARIABLES:
+        raise SchemaError(f"ring.variables must name at most {MAX_VARIABLES} "
+                          f"variables, got {len(variables)}")
     n = _require(ring_doc, "n", "ring", 1)
     if not _is_integer(n) or not 1 <= n <= MAX_RING_N:
         raise SchemaError(f"ring.n must be an integer in 1..{MAX_RING_N}, got {n!r}")
@@ -494,19 +496,8 @@ def _cmd_refine(ring, payload, options):
             "matched_layers": [list(p[0]) for p in pairs]}
 
 
-def _jet_order(ring: TruncRing, options: dict) -> int | None:
-    """``options.jet_order``, which only the ``regseq`` commands read, with
-    at most ``MAX_JETS`` jets (base monomials of that degree)."""
-    order = options.get("jet_order")
-    if order is not None and math.comb(order + ring.base.nvars - 1, order) > MAX_JETS:
-        raise SchemaError(f"options.jet_order {order} adjoins more than {MAX_JETS} "
-                          f"jets over {ring.base.nvars} variables")
-    return order
-
-
 def _cmd_regseq_check(ring, payload, options):
-    rep = is_regular_sequence(ring, _sequence(ring, payload),
-                              jet_order=_jet_order(ring, options))
+    rep = is_regular_sequence(ring, _sequence(ring, payload))
     return {"regular": rep.regular,
             "witness_index": rep.witness_index,
             "witness": str(rep.witness) if rep.witness is not None else None,
@@ -515,8 +506,7 @@ def _cmd_regseq_check(ring, payload, options):
 
 def _cmd_regseq_shadow(ring, payload, options):
     y = _parse_poly(ring.base, _require(payload, "element", "payload"), "element")
-    member = shadow_membership(ring, y, _sequence(ring, payload),
-                               jet_order=_jet_order(ring, options))
+    member = shadow_membership(ring, y, _sequence(ring, payload))
     return {"member": member}
 
 
@@ -627,16 +617,11 @@ _HANDLERS = {
 
 COMMANDS = tuple(_HANDLERS)
 
-# Largest ``options.jet_order`` and ``options.degree_bound`` accepted.  The
-# work grows steeply with either: ``module.ext1`` enumerates a dimension for
-# every degree up to the bound, so without a limit one job runs without
-# bound.  The largest value any test or benchmark job uses is 5.
+# Largest ``options.degree_bound`` accepted.  The work grows steeply with
+# it: ``module.ext1`` enumerates a dimension for every degree up to the
+# bound, so without a limit one job runs without bound.  The largest value
+# any test or benchmark job uses is 5.
 MAX_OPTION_BOUND = 16
-
-# Largest number of jets, the C(jet_order + d - 1, d - 1) base monomials of
-# degree ``options.jet_order`` over d variables, that ``regseq.*`` adjoins;
-# ``MAX_OPTION_BOUND`` alone allows 969 over four variables.
-MAX_JETS = 200
 
 # Largest ``free.rank``, ``presentation.generators`` and span rank (the
 # ``payload.rank`` of ``gb``, ``nf`` and ``syz``, given or read off the first
@@ -653,6 +638,12 @@ MAX_RANK = 64
 # degrees, so without a limit one job runs without bound.  The largest
 # value any test or benchmark job uses is 2.
 MAX_DEGREE = 64
+
+# Largest number of ``ring.variables`` accepted.  Every basis and every
+# dimension count grows with the number of variables: ``hilbert.poly`` on
+# the ideal (x0, x1) at n = 2 takes about 0.3 s over 16 variables and 24 s
+# over 40.  The most any test or benchmark job uses is 5.
+MAX_VARIABLES = 16
 
 # Largest ``ring.n`` accepted.  Module questions walk every power of t up to
 # n, so without a limit one job runs without bound.  The largest value any
@@ -675,8 +666,6 @@ _PARSER.add_argument("command", choices=COMMANDS, metavar="command",
                      help="one of: " + ", ".join(COMMANDS))
 _PARSER.add_argument("input", nargs="?", default="-",
                      help="job document path, '-' for stdin (default)")
-_PARSER.add_argument("--jet-order", type=int, default=None,
-                     help="jet order of the origin-local regseq.* tests")
 _PARSER.add_argument("--order", choices=("grevlex", "lex"), default=None,
                      help="monomial order for all rings")
 _PARSER.add_argument("--degree-bound", type=int, default=None,
@@ -725,22 +714,20 @@ def _run(args: argparse.Namespace) -> int:
                 f"document says command {declared!r}, invoked as {args.command!r}")
         options = job.get("options")
         options = {} if options is None else dict(_object(options, "options"))
-        for key, value in (("jet_order", args.jet_order),
-                           ("order", args.order),
-                           ("degree_bound", args.degree_bound)):
+        for key in sorted(options.keys() - {"order", "degree_bound"}):
+            raise SchemaError(f"options.{key} is not an option")
+        for key, value in (("order", args.order), ("degree_bound", args.degree_bound)):
             if value is not None:
                 options[key] = value
         if options.get("order") not in (None, "grevlex", "lex"):
             raise SchemaError("options.order must be 'grevlex' or 'lex'")
-        for key in ("jet_order", "degree_bound"):
-            value = options.get(key)
-            if value is None:
-                continue
-            if not _is_integer(value):
-                raise SchemaError(f"options.{key} must be an integer, got {value!r}")
-            if not 0 <= value <= MAX_OPTION_BOUND:
+        bound = options.get("degree_bound")
+        if bound is not None:
+            if not _is_integer(bound):
+                raise SchemaError(f"options.degree_bound must be an integer, got {bound!r}")
+            if not 0 <= bound <= MAX_OPTION_BOUND:
                 raise SchemaError(
-                    f"options.{key} must lie in 0..{MAX_OPTION_BOUND}, got {value}")
+                    f"options.degree_bound must lie in 0..{MAX_OPTION_BOUND}, got {bound}")
         payload = _object(job.get("payload"), "payload")
         # the point-ideal commands are exactly the ideal.* ones
         build = _double_ring if args.command.startswith("ideal.") else _build_ring

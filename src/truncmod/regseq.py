@@ -7,9 +7,8 @@ same ladder in R[1] = R[n]/(t), the base ring; ``Submodule`` supplies t^n
 or t.  The two runs must agree; a failure comes with a witness element that
 multiplies into the partial ideal without belonging to it.
 
-Passing ``jet_order=N`` adjoins all base monomials of degree N to every
-ideal, which turns the global tests into tests at the origin up to N-jets;
-by default everything is exact over the polynomial ring.
+The test is global: every colon is taken in R[n] itself, exactly over the
+polynomial ring, not in a localisation at the origin.
 
 Every function takes the ``TruncRing`` and the sequence as ``Poly``s of its
 ``S``, reduced mod t^n as ``TruncRing.parse`` returns them.
@@ -18,11 +17,9 @@ Every function takes the ``TruncRing`` and the sequence as ``Poly``s of its
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .arith import ArithError, Poly, PolyRing, agree
+from .arith import ArithError, Poly, agree
 from .fpmod import PresMod, Submodule, free_module, graded_or_plain, infer_grading
-from .hilbert import monomials_of_degree
 from .multiring import TruncRing
 
 
@@ -46,21 +43,13 @@ class SequenceReport:
     witness: Poly | None = None
 
 
-def _jet_monomials(ring: PolyRing, order: int | None) -> list[Poly]:
-    if order is None:
-        return []
-    return [Poly(ring, {e: Fraction(1)}) for e in monomials_of_degree(ring.nvars, order)]
-
-
-def _ladder(ring: TruncRing, gens: list[Poly], ambient: list[Poly]
-            ) -> tuple[int | None, Poly | None]:
+def _ladder(ring: TruncRing, gens: list[Poly]) -> tuple[int | None, Poly | None]:
     """First failure of the colon ladder in ``ring``: smallest 0-based k
-    such that ((ambient, x_1..x_k) : x_{k+1}) exceeds the ideal, with an
-    offending colon generator; (None, None) when every step passes.  The
-    ``gens`` are elements of ``ring``; the ``ambient`` base polynomials are
-    injected into it."""
+    such that ((x_1..x_k) : x_{k+1}) exceeds the ideal, with an offending
+    colon generator; (None, None) when every step passes.  The ``gens`` are
+    elements of ``ring``."""
     free = free_module(ring, 1)
-    prior = [(ring.inject(p),) for p in ambient]
+    prior = []
     for k, f in enumerate(gens):
         ideal = Submodule(free, prior)
         for c in ideal.kernel_through([(f,)]):
@@ -70,19 +59,17 @@ def _ladder(ring: TruncRing, gens: list[Poly], ambient: list[Poly]
     return None, None
 
 
-def is_regular_sequence(ring: TruncRing, seq: list[Poly],
-                        jet_order: int | None = None) -> SequenceReport:
+def is_regular_sequence(ring: TruncRing, seq: list[Poly]) -> SequenceReport:
     """Two-route regularity test; raises SequenceError when the direct R[n]
     ladder and the reduced base-ring ladder disagree."""
     if not seq:
         raise SequenceError("empty sequence")
     reductions = [ring.drop_t(u) for u in seq]
 
-    base_jets = _jet_monomials(ring.base, jet_order)
     # the reductions run in R[1] = R[n]/(t), the base ring
     r1 = TruncRing(ring.base.variables, 1, ring.base.order)
-    k_base, _ = _ladder(r1, [r1.inject(u) for u in reductions], base_jets)
-    k_direct, witness = _ladder(ring, seq, base_jets)
+    k_base, _ = _ladder(r1, [r1.inject(u) for u in reductions])
+    k_direct, witness = _ladder(ring, seq)
 
     # the verdicts must agree; the failure positions may differ
     regular = agree(SequenceError, "is the sequence regular",
@@ -91,34 +78,30 @@ def is_regular_sequence(ring: TruncRing, seq: list[Poly],
         return SequenceReport(list(seq), reductions, True)
 
     # re-verify the witness by explicit membership
-    prior = Submodule(free_module(ring, 1), [(ring.inject(m),) for m in base_jets]
-                      + [(u,) for u in seq[:k_direct]])
+    prior = Submodule(free_module(ring, 1), [(u,) for u in seq[:k_direct]])
     w = ring.truncate(witness)
     if prior.contains((w,)) or not prior.contains((w * seq[k_direct],)):
         raise SequenceError("failure witness does not verify")
     return SequenceReport(list(seq), reductions, False, k_direct + 1, w)
 
 
-def shadow_membership(ring: TruncRing, y: Poly, seq: list[Poly],
-                      jet_order: int | None = None) -> bool:
+def shadow_membership(ring: TruncRing, y: Poly, seq: list[Poly]) -> bool:
     """Whether t^(n-1)*y lands in the sequence ideal; equivalently (for a
     regular sequence, and checked both ways) whether y lies in the ideal of
     the t = 0 reductions."""
     if y.ring != ring.base:
         raise SequenceError("shadow element must live in the base ring")
-    report = is_regular_sequence(ring, seq, jet_order)
+    report = is_regular_sequence(ring, seq)
     if not report.regular:
         raise SequenceError("shadow test requires a regular sequence")
 
-    base_jets = _jet_monomials(ring.base, jet_order)
-    ideal = Submodule(free_module(ring, 1), [(u,) for u in seq]
-                      + [(ring.inject(m),) for m in base_jets])
+    ideal = Submodule(free_module(ring, 1), [(u,) for u in seq])
     probe = ring.t ** (ring.n - 1) * ring.inject(y)
     in_ideal = ideal.contains((probe,))
 
     r1 = TruncRing(ring.base.variables, 1, ring.base.order)
-    reduced_ideal = Submodule(free_module(r1, 1), [(r1.inject(p),) for p in
-                                                   report.reductions + base_jets])
+    reduced_ideal = Submodule(free_module(r1, 1),
+                              [(r1.inject(p),) for p in report.reductions])
     return agree(SequenceError, "is t^(n-1)*y in the sequence ideal",
                  t_power_membership=in_ideal,
                  reduction_membership=reduced_ideal.contains((r1.inject(y),)))

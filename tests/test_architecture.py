@@ -3,7 +3,9 @@
 The import graph of ``src/truncmod`` is built from every ``import`` and
 ``from .. import`` statement, at any depth of a module, relative or
 spelled ``truncmod.``; a guarded module may be imported only by the
-modules listed for it."""
+modules listed for it.  A guarded name may be used only by the modules
+that own it, where a use is a name, an attribute, an import or its alias,
+or a ``def`` or ``class`` name; comments and strings are not read."""
 
 import ast
 from pathlib import Path
@@ -15,6 +17,26 @@ IMPORTERS = {
     # fpmod is the one door to groebner for R[n]-module data; hilbert counts
     # base-ring modules
     "groebner": {"fpmod", "hilbert"},
+}
+
+# A guarded name and the package modules that may use it.
+OWNERS = {
+    # one Groebner entry point: outside groebner every basis is built
+    # through SpanGB, every reduction runs through its indexes, and no
+    # packed term is read
+    **dict.fromkeys(("buchberger", "vec_reduce", "_LeadIndex", "_interreduce", "_Codec",
+                     "ModuleOrder", "reduced_groebner"), {"groebner"}),
+    # text enters through the CLI: the library takes typed values, and only
+    # cli parses job text, with arith's grammar and TruncRing.parse
+    "parse": {"cli", "arith", "multiring"},
+    "coerce_base": set(),
+    "make_chart": set(),
+    # the double dual is a test oracle: torsion reads its kernel off
+    # evaluation at the dual's generators, and the map into the double dual
+    # lives in tests/module_oracles.py
+    "natural_map": set(),
+    "dual_hom": set(),
+    "HomModule": set(),
 }
 
 
@@ -43,6 +65,22 @@ def import_graph() -> dict[str, set[str]]:
             for path in sorted(SRC.glob("*.py"))}
 
 
+def identifiers(tree: ast.Module) -> set[str]:
+    """Every identifier that a module uses or defines."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+            found.add(node.asname)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found - {None}
+
+
 def test_the_reader_sees_every_spelling_of_an_import():
     spellings = ["from .groebner import SpanGB", "from . import groebner",
                  "from truncmod.groebner import SpanGB", "from truncmod import groebner",
@@ -58,3 +96,21 @@ def test_a_guarded_module_is_imported_only_where_allowed():
         importers = {module for module, imports in graph.items()
                      if guarded in imports and module != guarded}
         assert importers <= allowed, f"{sorted(importers - allowed)} import {guarded}"
+
+
+def test_the_reader_sees_every_use_of_a_name():
+    spellings = ["from .groebner import vec_reduce", "import truncmod.groebner.vec_reduce",
+                 "from .arith import x as vec_reduce", "groebner.vec_reduce(v)",
+                 "f = vec_reduce", "def vec_reduce():\n    pass",
+                 "class vec_reduce:\n    pass", "async def vec_reduce():\n    pass"]
+    for text in spellings:
+        assert "vec_reduce" in identifiers(ast.parse(text)), text
+    assert "vec_reduce" not in identifiers(ast.parse("# vec_reduce\nx = 'vec_reduce'"))
+
+
+def test_a_guarded_name_is_used_only_by_its_owners():
+    misplaced = [f"{path.stem} uses {name}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for name in sorted(identifiers(ast.parse(path.read_text())) & OWNERS.keys())
+                 if path.stem not in OWNERS[name]]
+    assert not misplaced, misplaced

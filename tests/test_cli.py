@@ -644,21 +644,37 @@ def test_explicit_zero_option_is_not_the_default(command, document, message):
     assert message in out["error"]["message"]
 
 
-@pytest.mark.parametrize("command, payload", [
-    ("ideal.tau", {"a": "1 + x", "b": "-2"}),
-    ("ideal.eq", {"first": {"a": "1", "b": "x"}, "second": {"a": "1 + y^2", "b": "x*y"}}),
-    ("ideal.eq", {"first": {"a": "1", "b": "0"}, "second": {"a": "0", "b": "0"}}),
+@pytest.mark.parametrize("command, document", [
+    ("ideal.tau", {"payload": {"a": "1 + x", "b": "-2"}}),
+    ("ideal.eq", {"payload": {"first": {"a": "1", "b": "x"},
+                              "second": {"a": "1 + y^2", "b": "x*y"}}}),
+    ("ideal.eq", {"payload": {"first": {"a": "1", "b": "0"}, "second": {"a": "0", "b": "0"}}}),
+    ("regseq.check", {"ring": RING_DOUBLE, "payload": {"sequence": ["x", "y"]}}),
+    ("regseq.shadow", {"ring": RING_DOUBLE,
+                       "payload": {"sequence": ["x", "y"], "element": "x"}}),
 ])
-def test_point_ideal_commands_read_no_jet_order(command, payload):
-    """A point ideal contains (x, y, t)^2, so no jet is adjoined: the answer
-    is the same with the option absent, 0, 3 or at its bound."""
-    answers = set()
-    for options in ({}, {"jet_order": 0}, {"jet_order": 3}, {"jet_order": 16}):
-        code, out = run(command, {"payload": payload, "options": options})
-        out.pop("meta")
-        answers.add((code, json.dumps(out, indent=2, sort_keys=True)))
-    assert len(answers) == 1
-    assert answers.pop()[0] == 0
+def test_an_unknown_option_is_a_schema_error(command, document):
+    """``options`` holds ``order`` and ``degree_bound`` only: a jet order
+    (which no command reads) or a misspelled key is refused by name, not
+    ignored."""
+    code, out = run(command, document)
+    assert code == 0
+    for options in ({"jet_order": 0}, {"jet_order": 3}, {"degre_bound": 4},
+                    {"degree_bound": 4, "jet_order": None}):
+        code, out = run(command, {**document, "options": options})
+        assert code == 2
+        assert out["error"]["kind"] == "schema"
+        key = next(k for k in options if k != "degree_bound")
+        assert out["error"]["message"] == f"options.{key} is not an option"
+
+
+def test_the_jet_order_flag_is_gone(tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"ring": RING_DOUBLE, "payload": {"sequence": ["x", "y"]}}))
+    with pytest.raises(SystemExit) as exit_info, \
+            contextlib.redirect_stderr(io.StringIO()):
+        main(["regseq.check", str(path), "--jet-order", "3"])
+    assert exit_info.value.code == 2
 
 
 def test_huge_exponent_is_a_schema_error():

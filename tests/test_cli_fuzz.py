@@ -49,8 +49,7 @@ VALID = {
         "options": {"degree_bound": 2}},
     "module.extend": {"ring": RING, "payload": {"sigma": "x", "level": 1}},
     "module.refine": {"ring": RING, "payload": {"ideal": ["x", "y + t"]}},
-    "regseq.check": {"ring": RING, "payload": {"sequence": ["x", "y"]},
-                     "options": {"jet_order": 4}},
+    "regseq.check": {"ring": RING, "payload": {"sequence": ["x", "y"]}},
     "regseq.shadow": {"ring": RING, "payload": {"element": "x", "sequence": ["x + t", "y"]}},
     "ideal.tau": {"ring": RING, "payload": {"a": "1", "b": "0"}},
     "ideal.eq": {"payload": {"first": {"a": "1", "b": "x"}, "second": {"a": "1", "b": "x"}}},
@@ -277,30 +276,21 @@ def test_a_size_beyond_its_bound_is_a_schema_error(command, payload, field):
     assert field in answer["error"]["message"]
 
 
-# A jet order lies in 0..cli.MAX_OPTION_BOUND, and its jets, the
-# C(jet_order + d - 1, d - 1) base monomials of that degree over d
-# variables, number at most cli.MAX_JETS (200).
-RING_4 = {"variables": ["a", "b", "c", "d"], "n": 2}
+# A ring has at most cli.MAX_VARIABLES (16) variables.
+def ring_over(count):
+    return {"variables": [f"x{i}" for i in range(count)], "n": 2}
 
 
-@pytest.mark.parametrize("command, payload", [
-    # order 9 over four variables: 220 jets
-    ("regseq.check", {"sequence": ["a", "b"]}),
-    ("regseq.shadow", {"element": "a", "sequence": ["a", "b"]}),
-])
-def test_a_jet_count_beyond_its_bound_is_a_schema_error(command, payload):
-    code, answer = check_answer(command, {"ring": RING_4, "payload": payload,
-                                          "options": {"jet_order": 9}})
+def test_a_variable_count_beyond_its_bound_is_a_schema_error():
+    code, answer = check_answer("hilbert.poly", {"ring": ring_over(17),
+                                                 "payload": {"ideal": ["x0", "x1"]}})
     assert code == 2
-    assert "options.jet_order" in answer["error"]["message"]
+    assert "ring.variables" in answer["error"]["message"]
 
 
-def test_a_jet_count_at_its_bound_is_answered():
-    # order 8 over four variables: 165 jets, the most that four variables
-    # reach within the bound
-    code, _ = check_answer("regseq.check", {"ring": RING_4,
-                                            "payload": {"sequence": ["a", "b"]},
-                                            "options": {"jet_order": 8}})
+def test_a_variable_count_at_its_bound_is_answered():
+    code, _ = check_answer("hilbert.poly", {"ring": ring_over(16),
+                                            "payload": {"ideal": ["x0", "x1"]}})
     assert code == 0
 
 

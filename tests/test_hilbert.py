@@ -300,8 +300,7 @@ def test_weighted_monomial_enumeration():
 
 
 def test_monomial_order_and_edge_cases():
-    # first exponent ascending, the rest in the same order recursively:
-    # regseq's jets enter spans in this order
+    # first exponent ascending, the rest in the same order recursively
     assert monomials_of_degree(3, 2) == [
         (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
     assert monomials_of_degree(0, 0) == [()]

@@ -1,8 +1,11 @@
 """Regular sequences in truncated rings and the balanced-ideal connection."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from module_oracles import koszul_h1_vanishes
 from truncmod.multiring import TruncRing
@@ -164,3 +167,31 @@ def test_monomial_triple_boundary_case():
     assert not rep.regular
     I = ideal_presentation(tr, seq)
     assert is_balanced(I).balanced
+
+
+# The monomials x^i y^j of degree at most 2, the constant first.
+QUADRATIC = [(i, j) for i in range(3) for j in range(3 - i)]
+coefficients = st.lists(st.integers(-2, 2), min_size=len(QUADRATIC), max_size=len(QUADRATIC))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(h=st.one_of(st.integers(1, 3).map(lambda c: [c] + [0] * (len(QUADRATIC) - 1)),
+                   coefficients.filter(any)),
+       a=coefficients.filter(any), b=coefficients, n=st.sampled_from([1, 2, 3]))
+def test_a_pair_is_regular_exactly_when_its_gcd_is_constant(h, a, b, n):
+    """R[n] is free over Q[x, y], so a pair (f, g) of base polynomials with
+    f nonzero is regular in R[n] exactly when gcd(f, g) is a constant, for
+    every n; sympy computes the gcd.  f = h*a and g = h*b share the factor h,
+    which is often a constant."""
+    sympy = pytest.importorskip("sympy")
+    tr = ring(n)
+    x, y = sympy.symbols("x y")
+
+    def both(coeffs):
+        return (tr.base.from_terms({e: Fraction(c) for e, c in zip(QUADRATIC, coeffs) if c}),
+                sum(c * x ** i * y ** j for (i, j), c in zip(QUADRATIC, coeffs)))
+
+    (h, sh), (a, sa), (b, sb) = both(h), both(a), both(b)
+    common = sympy.Poly(sympy.gcd(sympy.expand(sh * sa), sympy.expand(sh * sb)), x, y)
+    rep = is_regular_sequence(tr, [tr.inject(h * a), tr.inject(h * b)])
+    assert rep.regular == (common.total_degree() == 0)
