@@ -77,7 +77,6 @@ def torsion(M: PresMod) -> TorsionReport:
         if s is None:
             raise ModuleError(
                 "evaluation kernel element has no annihilator outside (t)")
-        s = ring.truncate(s)
         if not M.zero_submodule().contains(tuple(s * p for p in g)):
             raise ModuleError("annihilator witness fails to kill its generator")
         witnesses.append((g, s))

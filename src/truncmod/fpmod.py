@@ -11,9 +11,11 @@ data: other modules work in columns and ask ``Submodule``, which pairs
 generators with its ambient module's relations and builds their Groebner
 data once, for membership, normal forms, reduced bases, kernels,
 intersections and saturations (never lifts); ``Submodule.kernel_through``
-is the one kernel route.  Where no module exists yet, ``free_module`` or
-``truncated_free`` serves as the ambient one, and Hom and Ext take their
-kernels inside a direct sum of copies of the target.
+is the one kernel route, where vectors over S become columns of R[n] with
+no zero column and no term of t-degree n, and no constructor truncates.
+Where no module exists yet, ``free_module`` or ``truncated_free`` serves as
+the ambient one, and Hom and Ext take their kernels inside a direct sum of
+copies of the target.
 
 The t-power filtrations are the organizing structure:
 
@@ -91,18 +93,14 @@ class PresMod:
                  grading: Grading | None = None):
         self.ring = ring
         self.ngens = ngens
-        cleaned: list[Column] = []
         for col in relations:
             if len(col) != ngens:
                 raise ModuleError(f"relation of length {len(col)}, expected {ngens}")
-            col = tuple(ring.truncate(p) for p in col)
-            if any(p for p in col):
-                cleaned.append(col)
-        self.relations = cleaned
+        self.relations = [tuple(col) for col in relations if any(col)]
         if grading is not None:
             if len(grading.gen_degrees) != ngens:
                 raise ModuleError("grading length does not match generator count")
-            for col in cleaned:
+            for col in self.relations:
                 column_degree(ring, col, grading)
         self.grading = grading
         self._zero: Submodule | None = None
@@ -201,7 +199,7 @@ class Submodule:
 
     def __init__(self, ambient: PresMod, gens: list[Column]):
         self.ambient = ambient
-        self.gens = [tuple(ambient.ring.truncate(p) for p in g) for g in gens]
+        self.gens = [tuple(g) for g in gens]
         self._span: SpanGB | None = None
         self._preimage: list[VecT] | None = None
 
@@ -234,12 +232,14 @@ class Submodule:
         return [vec_to_polys(S, self.ambient.ngens, v) for v in self.span().gb]
 
     def kernel_through(self, columns: list[Column]) -> list[Column]:
-        """Generators of {c : sum(c_i * columns_i) lies in the submodule},
-        the columns given in the ambient free cover."""
-        S = self.ambient.ring.S
-        ker = kernel_through(S, self.ambient.ngens,
+        """Generators of {c in R[n]^k : sum(c_i * columns_i) lies in the
+        submodule}, the k columns given in the ambient free cover: the
+        kernel's vectors over S, truncated mod t^n, the zero ones dropped."""
+        ring, k = self.ambient.ring, len(columns)
+        ker = kernel_through(ring.S, self.ambient.ngens,
                              [vec_from_polys(c) for c in columns], self._vecs())
-        return [vec_to_polys(S, len(columns), v) for v in ker]
+        return [col for v in ker
+                if any(col := tuple(map(ring.truncate, vec_to_polys(ring.S, k, v))))]
 
     def saturation(self, f: Poly) -> Submodule:
         """(self : f^∞), the elements that some power of ``f`` moves into

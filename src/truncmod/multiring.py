@@ -4,9 +4,10 @@ Elements are plain ``Poly``s of ``TruncRing.S``, in the base variables and
 t, reduced so that no term carries t^n or higher.  ``S`` carries the bound
 t^n, so every product, power, parse and ``AutMap`` substitution in it
 truncates as it is formed, and no term of t-degree n or more is built.
-``truncate`` is left for values that come from no product in ``S``: kernel
-outputs, a lone ``t`` at n = 1, and polynomials handed in from outside,
-such as an ``AutMap``'s images.  Each function takes one
+``truncate`` is left for three things that come from no product in ``S``:
+kernel outputs, where ``fpmod`` turns a kernel's vectors into columns;
+text (``TruncRing.parse``); and the images an ``AutMap`` is given.
+``TruncRing.t`` is 0 at n = 1.  Each function takes one
 ring's ``Poly``s: ``inject`` those of ``base``, everything else those of
 ``S``.  An element is a zero divisor exactly when its t-free part vanishes;
 the complement (elements with nonzero t-free part) is the multiplicative
@@ -40,7 +41,7 @@ class TruncRing:
         self.n = n
         self.base = PolyRing(base_vars, order or grevlex())
         self.S = PolyRing(base_vars + (T_NAME,), order or grevlex(), below=(len(base_vars), n))
-        self.t = self.S.gen(T_NAME)
+        self.t = self.truncate(self.S.gen(T_NAME))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TruncRing) and self.S == other.S

@@ -79,10 +79,9 @@ def is_regular_sequence(ring: TruncRing, seq: list[Poly]) -> SequenceReport:
 
     # re-verify the witness by explicit membership
     prior = Submodule(free_module(ring, 1), [(u,) for u in seq[:k_direct]])
-    w = ring.truncate(witness)
-    if prior.contains((w,)) or not prior.contains((w * seq[k_direct],)):
+    if prior.contains((witness,)) or not prior.contains((witness * seq[k_direct],)):
         raise SequenceError("failure witness does not verify")
-    return SequenceReport(list(seq), reductions, False, k_direct + 1, w)
+    return SequenceReport(list(seq), reductions, False, k_direct + 1, witness)
 
 
 def shadow_membership(ring: TruncRing, y: Poly, seq: list[Poly]) -> bool:

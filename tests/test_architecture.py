@@ -5,7 +5,10 @@ The import graph of ``src/truncmod`` is built from every ``import`` and
 spelled ``truncmod.``; a guarded module may be imported only by the
 modules listed for it.  A guarded name may be used only by the modules
 that own it, where a use is a name, an attribute, an import or its alias,
-or a ``def`` or ``class`` name; comments and strings are not read."""
+or a ``def`` or ``class`` name; comments and strings are not read.  A
+product in R[n] truncates as it is formed, so no ``truncate`` call wraps a
+product and no product, power, substitution or parse takes a bound of its
+own."""
 
 import ast
 from pathlib import Path
@@ -37,6 +40,18 @@ OWNERS = {
     "natural_map": set(),
     "dual_hom": set(),
     "HomModule": set(),
+    # fpmod owns the R[n] encoding: PresMod.effective_relations alone makes
+    # the relations t^n*e_i, and only fpmod and groebner read the raw span
+    # vectors that carry them
+    "t_power_relations": set(),
+    "effective_relations": {"fpmod"},
+    "vecs": {"fpmod", "groebner"},
+    # every variable weighs 1 in a series; only fpmod weighs t, by its Grading
+    **dict.fromkeys(("weights", "weighted_degree"), {"fpmod"}),
+    # an element of R[n] has no term t^n: multiring truncates text and the
+    # images of an AutMap, and fpmod a kernel's vectors where they become
+    # columns; nothing downstream truncates again
+    "truncate": {"multiring", "fpmod"},
 }
 
 
@@ -114,3 +129,36 @@ def test_a_guarded_name_is_used_only_by_its_owners():
                  for name in sorted(identifiers(ast.parse(path.read_text())) & OWNERS.keys())
                  if path.stem not in OWNERS[name]]
     assert not misplaced, misplaced
+
+
+def own_bounds(tree: ast.Module) -> list[str]:
+    """The ``truncate`` calls of a module that wrap a product or a power,
+    and its product functions that take a ``below`` bound of their own."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "truncate"
+                and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, (ast.Mult, ast.Pow))
+                        for arg in node.args for sub in ast.walk(arg))):
+            found.append(f"line {node.lineno}: truncate of a product")
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name in ("times", "power", "substitute", "parse")
+                and "below" in [a.arg for a in
+                                node.args.posonlyargs + node.args.args + node.args.kwonlyargs]):
+            found.append(f"line {node.lineno}: {node.name} takes a below parameter")
+    return found
+
+
+def test_the_reader_sees_every_own_bound():
+    spellings = ["ring.truncate(a * b)", "ring.truncate(p ** 2)", "ring.truncate(f(a) + b * c)",
+                 "def times(self, other, below=None):\n    pass",
+                 "def power(self, k, *, below):\n    pass"]
+    for text in spellings:
+        assert own_bounds(ast.parse(text)), text
+    assert not own_bounds(ast.parse("ring.truncate(a + b)\ndef times(self, other):\n    pass"))
+
+
+def test_every_product_in_R_n_truncates_as_it_is_formed():
+    found = [f"{path.stem} {where}" for path in sorted(SRC.glob("*.py"))
+             for where in own_bounds(ast.parse(path.read_text()))]
+    assert not found, found

@@ -89,11 +89,17 @@ def test_normal_form_and_membership():
     assert out["member"] is True
 
 
-def test_syzygies_include_truncation_rows():
-    code, out = run("syz", {"ring": RING_PLAIN, "payload": {"generators": ["x", "y"]}})
+@pytest.mark.parametrize("ring, generators, expected", [
+    # at n = 1 the rows t*e_i are zero in R[1]^2
+    (RING_PLAIN, ["x", "y"], {("-y", "x")}),
+    # over S the kernel also holds t^2*e_1, which is zero in R[2]^2; t*e_2
+    # is not zero there, and t*t = t^2 = 0
+    (RING_DOUBLE, ["x", "t"], {("-t", "x"), ("0", "t")}),
+], ids=["n1", "n2"])
+def test_syzygies_are_nonzero_vectors_of_R_n(ring, generators, expected):
+    code, out = run("syz", {"ring": ring, "payload": {"generators": generators}})
     assert code == 0
-    rows = {tuple(row) for row in out["syzygies"]}
-    assert rows == {("-y", "x"), ("-t", "0"), ("0", "-t")}
+    assert {tuple(row) for row in out["syzygies"]} == expected
 
 
 def test_zero_divisor_command():

@@ -39,7 +39,10 @@ drawn module is free only when truncation kills every relation:
   ``extension_maps``: the projection is well defined and onto, the
   composite is zero and the projection's kernel lies in N's image;
 * the torsion submodule, read off evaluation at the dual's generators, is
-  the kernel of the map into the double dual (``natural_map``).
+  the kernel of the map into the double dual (``natural_map``);
+* ``Submodule.kernel_through`` hands out nonzero columns of R[n]^k with no
+  term of t-degree n or more, each in the kernel, and their span holds
+  every truncated generator of the kernel over S that ``SpanGB`` gives.
 """
 
 import pytest
@@ -68,12 +71,14 @@ from truncmod.fpmod import (
     build_extension,
     direct_sum,
     first_canonical_filtration,
+    free_module,
     generic_type,
     is_balanced,
     quasi_free_type,
     refine_filtrations,
     second_canonical_filtration,
 )
+from truncmod.groebner import SpanGB, vec_from_polys, vec_to_polys
 from truncmod.hilbert import hilbert_series_presmod, reduced_hilbert_polynomial
 from truncmod.multiring import TruncRing
 
@@ -259,9 +264,9 @@ def test_torsion_is_the_kernel_of_the_map_into_the_double_dual(M):
     assert kernel.contains_submodule(found)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(data=st.data())
-def test_kernel_through_is_the_kernel_on_every_low_degree_slice(data):
+def kernel_case(data):
+    """A drawn module M, a submodule of it on zero to two homogeneous
+    columns, and one to three homogeneous columns with their degrees."""
     M = data.draw(presentations())
     gen_degrees = M.grading.gen_degrees
 
@@ -272,7 +277,13 @@ def test_kernel_through_is_the_kernel_on_every_low_degree_slice(data):
 
     target_gens, _ = columns(data.draw(st.integers(0, 2)))
     cols, degrees = columns(data.draw(st.integers(1, 3)))
-    target = Submodule(M, target_gens)
+    return M, Submodule(M, target_gens), cols, degrees
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_kernel_through_is_the_kernel_on_every_low_degree_slice(data):
+    M, target, cols, degrees = kernel_case(data)
     answer = target.kernel_through(cols)
     S = M.ring.S
     for a in answer:
@@ -282,3 +293,25 @@ def test_kernel_through_is_the_kernel_on_every_low_degree_slice(data):
     for d in range(4):
         assert span_dimension(M.ring, answer, degrees, d) == \
             slice_kernel_dimension(target, cols, degrees, d)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_kernel_through_hands_out_the_kernel_in_R_n(data):
+    """Every column a kernel hands out is a nonzero vector of R[n]^k with no
+    term of t-degree n or more, and lies in the kernel; every generator of
+    the kernel over S, truncated mod t^n, lies in the span of the answer."""
+    M, target, cols, _ = kernel_case(data)
+    ring = M.ring
+    answer = target.kernel_through(cols)
+    ti = ring.S.variables.index("t")
+    for a in answer:
+        assert any(a)
+        assert all(e[ti] < ring.n for p in a for e in p.terms)
+        assert target.contains(tuple(sum((a_i * c[j] for a_i, c in zip(a, cols)), ring.S.zero())
+                                     for j in range(M.ngens)))
+    raw = SpanGB(ring.S, M.ngens, [vec_from_polys(c) for c in cols + target.gens]
+                 + M.effective_relations()).syzygies(len(cols))
+    span = Submodule(free_module(ring, len(cols)), answer)
+    for v in raw:
+        assert span.contains(tuple(map(ring.truncate, vec_to_polys(ring.S, len(cols), v))))

@@ -71,6 +71,12 @@ def test_truncation_and_projection():
     assert tr.t_coefficient(tr.S.parse("x + 3*y*t"), 1) == tr.base.parse("3*y")
 
 
+def test_t_is_zero_at_n_1():
+    # no value leaves the ring with a term t^n, t itself included
+    assert TruncRing(("x",), 1).t.is_zero()
+    assert ring(2).t == ring(2).S.gen("t")
+
+
 def test_compose_combines_derivations():
     tr = ring()
     B = tr.base
