@@ -248,16 +248,25 @@ def _product(p: _IntPoly, q: _IntPoly, below: Bound | None, packing: _Packing) -
     if below is None:
         rows = [(m1, c1, terms2) for m1, c1 in nums1.items()]
     else:
-        # Each left term meets only the right terms with room left below
-        # the bound, an order-keeping sublist shared by every left term
-        # with the same exponent at ``i``.
+        # A left term that cannot reach the bound with the right factor's
+        # largest exponent at ``i`` meets all of ``terms2``, as in the plain
+        # convolution; one that can meets only the right terms with room
+        # left below the bound, an order-keeping sublist shared by every
+        # left term with the same exponent at ``i``.
         shift, mask = packing.shifts[below[0]], packing.mask
         b = below[1]
+        top2 = 0
+        for m2 in nums2:
+            e = (m2 >> shift) & mask
+            if e > top2:
+                top2 = e
         right: dict[int, list[tuple[int, int]]] = {}
         rows = []
         for m1, c1 in nums1.items():
             room = b - ((m1 >> shift) & mask)
-            if room > 0:
+            if room > top2:
+                rows.append((m1, c1, terms2))
+            elif room > 0:
                 if room not in right:
                     right[room] = [t for t in terms2 if ((t[0] >> shift) & mask) < room]
                 rows.append((m1, c1, right[room]))

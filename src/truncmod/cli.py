@@ -489,8 +489,7 @@ def _cmd_extend(ring, payload, options):
 
 def _cmd_refine(ring, payload, options):
     M = _parse_presmod(ring, payload)
-    Dr, Fr, pairs = refine_filtrations(M, first_canonical_filtration(M),
-                                       second_canonical_filtration(M))
+    Dr, Fr, pairs = refine_filtrations(M)
     return {"first_refined_members": len(Dr),
             "second_refined_members": len(Fr),
             "matched_layers": [list(p[0]) for p in pairs]}

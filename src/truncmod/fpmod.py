@@ -9,10 +9,10 @@ and adjoined; ``PresMod.zero_submodule`` holds the span of a module's
 relations, built once.  It is the one door to ``groebner`` for R[n]-module
 data: other modules work in columns and ask ``Submodule``, which pairs
 generators with its ambient module's relations and builds their Groebner
-data once, for membership, normal forms, reduced bases, kernels,
-intersections and saturations (never lifts); ``Submodule.kernel_through``
-is the one kernel route, where vectors over S become columns of R[n] with
-no zero column and no term of t-degree n, and no constructor truncates.
+data once, for membership, normal forms, reduced bases, kernels and
+saturations (never lifts); ``Submodule.kernel_through`` is the one kernel
+route, where vectors over S become columns of R[n] with no zero column and
+no term of t-degree n, and no constructor truncates.
 Where no module exists yet, ``free_module`` or ``truncated_free`` serves as
 the ambient one, and Hom and Ext take their kernels inside a direct sum of
 copies of the target.
@@ -33,7 +33,10 @@ A filtration is a plain list of ``Submodule``s of M, descending from M to
 zero; both canonical filtrations are stored that way, the kernels
 descending from A_n, each from the unit columns to ``M.zero_submodule()``,
 and ``layer_quotients`` presents the layers one at a time, so a caller that
-stops at a layer builds no later one.
+stops at a layer builds no later one.  ``refine_filtrations`` meets the two
+chains in closed form, M_i ∩ A_k = t^i A_(i+k), and ``generic_type`` reads
+each layer rank off the generic ranks of M/M_(i+1) and M/M_i over the base
+ring (``unfold``): neither presents a layer.
 
 An extension 0 -> N -> E -> M -> 0 is glued as one cokernel, and only the
 one condition of its exactness that can fail, the injectivity of N -> E,
@@ -234,12 +237,14 @@ class Submodule:
     def kernel_through(self, columns: list[Column]) -> list[Column]:
         """Generators of {c in R[n]^k : sum(c_i * columns_i) lies in the
         submodule}, the k columns given in the ambient free cover: the
-        kernel's vectors over S, truncated mod t^n, the zero ones dropped."""
+        kernel's vectors over S less their terms of t-degree n or more (t is
+        the last variable of S), the zero ones dropped, each entry built
+        once."""
         ring, k = self.ambient.ring, len(columns)
         ker = kernel_through(ring.S, self.ambient.ngens,
                              [vec_from_polys(c) for c in columns], self._vecs())
-        return [col for v in ker
-                if any(col := tuple(map(ring.truncate, vec_to_polys(ring.S, k, v))))]
+        kept = ({term: c for term, c in v.items() if term[1][-1] < ring.n} for v in ker)
+        return [vec_to_polys(ring.S, k, v) for v in kept if v]
 
     def saturation(self, f: Poly) -> Submodule:
         """(self : f^∞), the elements that some power of ``f`` moves into
@@ -258,25 +263,6 @@ class Submodule:
 
     def equals(self, other: Submodule) -> bool:
         return self.contains_submodule(other) and other.contains_submodule(self)
-
-    def intersection_gens(self, other: Submodule) -> list[Column]:
-        """Generators of the intersection: the combinations of this
-        submodule's generators that lie in ``other``."""
-        ring, width = self.ambient.ring, self.ambient.ngens
-        met = [_combine(ring, c, self.gens, width) for c in other.kernel_through(self.gens)]
-        return [g for g in met if any(g)]
-
-
-def _combine(ring: TruncRing, coeffs: Column, columns: list[Column], width: int) -> Column:
-    """sum(coeffs[i] * columns[i]) in R[n], for columns of ``width`` entries."""
-    out = [ring.S.zero()] * width
-    for coeff, col in zip(coeffs, columns):
-        if coeff.is_zero():
-            continue
-        for j, p in enumerate(col):
-            if p:
-                out[j] = out[j] + coeff * p
-    return tuple(out)
 
 
 def subquotient(M: PresMod, a_gens: list[Column], b_gens: list[Column]) -> PresMod:
@@ -449,18 +435,49 @@ def generic_rank(matrix: list[list[Poly]]) -> int:
     larger."""
     if not matrix or not matrix[0]:
         return 0
-    base = matrix[0][0].ring
-    span = SpanGB(PolyRing(base.variables, grevlex()), len(matrix),
-                  [vec_from_polys(col) for col in zip(*matrix)])
+    return _span_rank(matrix[0][0].ring, len(matrix),
+                      [vec_from_polys(col) for col in zip(*matrix)])
+
+
+def _span_rank(base: PolyRing, rank: int, cols: list[VecT]) -> int:
+    """``generic_rank`` of the span of ``cols`` in base^rank."""
+    if not cols:
+        return 0
+    span = SpanGB(PolyRing(base.variables, grevlex()), rank, cols)
     return len({pos for pos, _e in span.gb_leads})
 
 
+def unfold(M: PresMod, k: int) -> list[VecT]:
+    """Relation columns of M/t^k M as a module over the base ring, for
+    0 <= k <= n: generator ``j*k + l`` is t^l e_j (l < k), and each relation
+    c of M gives the columns t^s c, s < k, with their terms of t-degree k
+    or more dropped.  The zero columns are left out."""
+    ring, g = M.ring, M.ngens
+    cols: list[VecT] = []
+    for col in M.relations:
+        parts = [[ring.t_coefficient(p, l) for l in range(k)] for p in col]
+        for s in range(k):
+            vec: VecT = {}
+            for j in range(g):
+                for l in range(k - s):
+                    for e, c in parts[j][l].terms.items():
+                        vec[(j * k + l + s, e)] = c
+            if vec:
+                cols.append(vec)
+    return cols
+
+
 def generic_type(M: PresMod) -> tuple[int, ...]:
-    """Type of the generic fiber M ⊗ K[n]: layer ranks over Frac(base)."""
-    n = M.ring.n
-    ranks = [layer.ngens - generic_rank(base_relation_matrix(layer))
-             for layer in layer_quotients(M, first_canonical_filtration(M))]
-    ranks.append(0)
+    """Type of the generic fiber M ⊗ K[n]: layer ranks over K = Frac(base).
+
+    0 -> t^i M/t^(i+1) M -> M/t^(i+1) M -> M/t^i M -> 0 is exact, so layer
+    i has rank r(i+1) - r(i), where r(k) is the rank over K of M/t^k M, read
+    off its relations over the base ring (``unfold``); no layer is
+    presented."""
+    n, g = M.ring.n, M.ngens
+    quotient_ranks = [0] + [g * k - _span_rank(M.ring.base, g * k, unfold(M, k))
+                            for k in range(1, n + 1)]
+    ranks = [b - a for a, b in zip(quotient_ranks, quotient_ranks[1:])] + [0]
     return tuple(ranks[i - 1] - ranks[i] for i in range(1, n + 1))
 
 
@@ -538,10 +555,10 @@ def extension_R_by_Ri(ring: TruncRing, sigma: Poly, i: int) -> PresMod:
 # -- filtration refinement ------------------------------------------------
 
 
-def refine_filtrations(M: PresMod, D: list[Submodule], F: list[Submodule]
-                       ) -> tuple[list[Submodule], list[Submodule], list[tuple]]:
-    """Common-refinement chains of two filtrations of M, with matched layer
-    quotients.
+def refine_filtrations(M: PresMod) -> tuple[list[Submodule], list[Submodule], list[tuple]]:
+    """Common-refinement chains of the two canonical filtrations of M, the
+    images D_i = t^i M and the annihilators F_j = ann(t^(n-j)), with
+    matched layer quotients.
 
     Between consecutive members of D, the members of F are threaded through
     by D_{i+1} + (D_i ∩ F_j); dually for F.  The crosswise layer quotients
@@ -549,38 +566,51 @@ def refine_filtrations(M: PresMod, D: list[Submodule], F: list[Submodule]
     Hilbert series; the returned pairing lists ((i,j), series) entries for
     the nonzero layers.
 
+    m = t^i a lies in ann(t^k) exactly when a lies in ann(t^(i+k)), so
+    t^i M ∩ ann(t^k) = t^i·ann(t^(i+k)): the generators of
+    ``annihilator_kernel(M, i + k)`` (the unit columns when i + k >= n)
+    times t^i, and no kernel beyond the n - 1 inner annihilators is built.
+
     A layer's series is read off two quotients of M: for B ⊆ A the exact
     sequence 0 -> A/B -> M/B -> M/A -> 0 gives HS(A/B) = HS(M/B) - HS(M/A).
     So each inner member X of a threaded chain costs one series of M/X,
     presented by M's relations and X's generators, and no layer is
-    presented.
-
-    Both chains must descend from the whole module to zero, as the
-    canonical filtrations do: then member (i, 0) is D_i and member (i, m)
-    is D_{i+1}, so only the inner members F_1 .. F_(m-1) are intersected,
-    and the ends need no quotient, HS(M/M) = 0 and HS(M/0) = HS(M).
-    The returned chains keep their first member and each member that ends
-    a nonzero layer: a graded layer is zero exactly when its series is, and
-    then its two ends are equal.  So each chain has one member more than
-    the pairing has entries.
+    presented.  Member (i, 0) is D_i and member (i, n) is D_{i+1}, so only
+    the inner members F_1 .. F_(n-1) are intersected, and the ends need no
+    quotient, HS(M/M) = 0 and HS(M/0) = HS(M).  The returned chains keep
+    their first member and each member that ends a nonzero layer: a graded
+    layer is zero exactly when its series is, and then its two ends are
+    equal.  So each chain has one member more than the pairing has entries.
     """
     from .hilbert import HilbertSeries, hilbert_series_presmod
 
     if M.grading is None:
         raise ModuleError("refinement requires a graded ambient module")
+    n, t = M.ring.n, M.ring.t
+    D, F = first_canonical_filtration(M), second_canonical_filtration(M)
     # the series of M/M and of M/0, shared by both chains
     whole = hilbert_series_presmod(M)
     zero = HilbertSeries.make({}, whole.nvars)
 
-    def thread(outer: list[Submodule], inner: list[Submodule]) -> list[Submodule]:
-        # member (i, j) sits at index i*m + j, for m = len(inner) - 1
+    def meet(i: int, k: int) -> list[Column]:
+        # t^i M ∩ ann(t^k), for 0 <= i < n and 0 < k < n
+        if i + k >= n:
+            return [M.gen_column(j, t ** i) for j in range(M.ngens)]
+        gens = annihilator_kernel(M, i + k)
+        if i == 0:
+            return gens
+        t_i = t ** i
+        moved = (tuple(p * t_i if p else p for p in g) for g in gens)
+        return [g for g in moved if any(g)]
+
+    def members(outer: list[Submodule], inner_meet: Callable[[int, int], list[Column]]
+                ) -> list[Submodule]:
+        # member (a, b) = outer[a+1] + (outer[a] ∩ inner[b]) sits at index a*n + b
         chain: list[Submodule] = []
-        for i in range(len(outer) - 1):
-            chain.append(outer[i])
-            for j in range(1, len(inner) - 1):
-                inter = outer[i].intersection_gens(inner[j])
-                chain.append(Submodule(M, list(outer[i + 1].gens) + inter))
-        chain.append(outer[-1])
+        for a in range(n):
+            chain.append(outer[a])
+            chain += [Submodule(M, outer[a + 1].gens + inner_meet(a, b)) for b in range(1, n)]
+        chain.append(outer[n])
         return chain
 
     def layer_series(chain: list[Submodule]) -> list:
@@ -591,16 +621,16 @@ def refine_filtrations(M: PresMod, D: list[Submodule], F: list[Submodule]
                      + [whole])
         return [below - above for above, below in zip(quotients, quotients[1:])]
 
-    d_chain = thread(D, F)
-    f_chain = thread(F, D)
+    # D_i ∩ F_j and F_j ∩ D_i are both t^i M ∩ ann(t^(n-j))
+    d_chain = members(D, lambda i, j: meet(i, n - j))
+    f_chain = members(F, lambda j, i: meet(i, n - j))
     d_series, f_series = layer_series(d_chain), layer_series(f_chain)
-    m_d, m_f = len(D) - 1, len(F) - 1
 
     pairing = []
     d_ends, f_ends = [], []
-    for i in range(m_d):
-        for j in range(m_f):
-            k, l = i * m_f + j, j * m_d + i
+    for i in range(n):
+        for j in range(n):
+            k, l = i * n + j, j * n + i
             hs_d = agree(ModuleError, f"series of crosswise layer ({i},{j})",
                          first_chain=d_series[k], second_chain=f_series[l])
             if hs_d.numerator_coeffs:

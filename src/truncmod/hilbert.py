@@ -136,27 +136,15 @@ def hilbert_series_presmod(M) -> HilbertSeries:
 
 def restricted_base_data(M) -> tuple[PolyRing, int, list[VecT], tuple[int, ...]]:
     """M as a module over the base ring: one generator per (original
-    generator, t-power) pair, each S-relation unfolded across t-powers."""
+    generator, t-power) pair, each S-relation unfolded across t-powers
+    (``fpmod.unfold`` at k = n)."""
     if M.grading is None:
         raise HilbertError("restriction of scalars needs grading data")
-    ring = M.ring
-    n, g = ring.n, M.ngens
+    n, g = M.ring.n, M.ngens
     w = M.grading.t_weight
     degrees = tuple(M.grading.gen_degrees[j] + k * w
                     for j in range(g) for k in range(n))
-    cols: list[VecT] = []
-    for col in M.relations:
-        parts = [[ring.t_coefficient(p, l) for l in range(n)] for p in col]
-        for k in range(n):
-            vec: VecT = {}
-            for j in range(g):
-                for l in range(n - k):
-                    q = parts[j][l]
-                    for e, c in q.terms.items():
-                        vec[(j * n + (l + k), e)] = c
-            if vec:
-                cols.append(vec)
-    return ring.base, g * n, cols, degrees
+    return M.ring.base, g * n, fpmod.unfold(M, n), degrees
 
 
 # -- polynomials ----------------------------------------------------------

@@ -4,14 +4,14 @@ Elements are plain ``Poly``s of ``TruncRing.S``, in the base variables and
 t, reduced so that no term carries t^n or higher.  ``S`` carries the bound
 t^n, so every product, power, parse and ``AutMap`` substitution in it
 truncates as it is formed, and no term of t-degree n or more is built.
-``truncate`` is left for three things that come from no product in ``S``:
-kernel outputs, where ``fpmod`` turns a kernel's vectors into columns;
-text (``TruncRing.parse``); and the images an ``AutMap`` is given.
-``TruncRing.t`` is 0 at n = 1.  Each function takes one
-ring's ``Poly``s: ``inject`` those of ``base``, everything else those of
-``S``.  An element is a zero divisor exactly when its t-free part vanishes;
-the complement (elements with nonzero t-free part) is the multiplicative
-system used for generic-fiber arguments.
+``truncate`` is left for what comes from no product in ``S``: text
+(``TruncRing.parse``), the images an ``AutMap`` is given, and ``t``
+itself, so ``TruncRing.t`` is 0 at n = 1; ``fpmod`` drops a kernel's
+terms of t-degree n from its vectors, before they become columns.  Each
+function takes one ring's ``Poly``s: ``inject`` those of ``base``,
+everything else those of ``S``.  An element is a zero divisor exactly when
+its t-free part vanishes; the complement (elements with nonzero t-free
+part) is the multiplicative system used for generic-fiber arguments.
 
 Ring substitution maps that fix every variable mod t and scale t by a local
 unit form the automorphism groupoid used for double-structure gluing data;

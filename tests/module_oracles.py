@@ -26,24 +26,30 @@ and projection, and ``assert_exact`` checks the exactness the extension
 constructors hold by construction.  ``slice_kernel_dimension`` counts a
 kernel through graded columns degree by degree with ``arith.matrix_rank``,
 for comparison with ``span_dimension`` of ``Submodule.kernel_through``'s
-answer."""
+answer.  ``intersection_gens`` meets two submodules through a kernel, and
+``refine_chains`` threads any two filtrations through each other by those
+intersections, the general route that ``fpmod.refine_filtrations`` takes
+in closed form for the canonical pair.  ``layer_generic_type`` reads the
+generic type off each presented layer of the image filtration, the route
+``fpmod.generic_type`` takes through quotient ranks instead."""
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import groebner_oracle
-from truncmod.arith import Poly, matrix_rank
+from truncmod.arith import Poly, agree, matrix_rank
 from truncmod.fpmod import (
     Column,
     Grading,
     ModuleError,
     PresMod,
     Submodule,
-    _combine,
+    base_relation_matrix,
     column_degree,
     first_canonical_filtration,
     free_module,
+    generic_rank,
     hom_module,
     layer_quotients,
     maps_into,
@@ -56,11 +62,24 @@ from truncmod.groebner import vec_from_polys
 from truncmod.hilbert import (
     HilbertError,
     HilbertPolynomial,
+    HilbertSeries,
     hilbert_series_presmod,
     layer_base_series,
     monomials_of_degree,
     polynomial_from_series,
 )
+
+
+def _combine(ring, coeffs: Column, columns: list[Column], width: int) -> Column:
+    """sum(coeffs[i] * columns[i]) in R[n], for columns of ``width`` entries."""
+    out = [ring.S.zero()] * width
+    for coeff, col in zip(coeffs, columns):
+        if coeff.is_zero():
+            continue
+        for j, p in enumerate(col):
+            if p:
+                out[j] = out[j] + coeff * p
+    return tuple(out)
 
 
 class ModMap:
@@ -425,3 +444,71 @@ def comparison_maps(M: PresMod) -> ComparisonData:
         gamma_ker=[kernel_presentation(mu) for mu in mus],
         gamma_coker=[cokernel_presentation(lam) for lam in lambdas],
     )
+
+
+def intersection_gens(A: Submodule, B: Submodule) -> list[Column]:
+    """Generators of A ∩ B: the combinations of A's generators that lie in
+    B, one for each column of the kernel of A's generators through B."""
+    ring, width = A.ambient.ring, A.ambient.ngens
+    met = [_combine(ring, c, A.gens, width) for c in B.kernel_through(A.gens)]
+    return [g for g in met if any(g)]
+
+
+def refine_chains(M: PresMod, D: list, F: list) -> tuple[list, list, list]:
+    """Common-refinement chains of any two filtrations D and F of a graded
+    M, each descending from M to zero, by kernel intersections, with the
+    answer shape of ``fpmod.refine_filtrations``: member (i, j) of the
+    first chain is D_(i+1) + (D_i ∩ F_j) and member (j, i) of the second
+    F_(j+1) + (F_j ∩ D_i); crosswise layers are matched by Hilbert series,
+    HS(A/B) = HS(M/B) - HS(M/A), and each returned chain keeps its first
+    member and each member that ends a nonzero layer."""
+    if M.grading is None:
+        raise ModuleError("refinement requires a graded ambient module")
+    whole = hilbert_series_presmod(M)
+    zero = HilbertSeries.make({}, whole.nvars)
+
+    def thread(outer, inner):
+        # member (i, j) sits at index i*m + j, for m = len(inner) - 1
+        chain = []
+        for i in range(len(outer) - 1):
+            chain.append(outer[i])
+            for j in range(1, len(inner) - 1):
+                chain.append(Submodule(M, list(outer[i + 1].gens)
+                                       + intersection_gens(outer[i], inner[j])))
+        chain.append(outer[-1])
+        return chain
+
+    def layer_series(chain):
+        quotients = ([zero]
+                     + [hilbert_series_presmod(quotient_by_submodule(M, X.gens))
+                        for X in chain[1:-1]]
+                     + [whole])
+        return [below - above for above, below in zip(quotients, quotients[1:])]
+
+    d_chain, f_chain = thread(D, F), thread(F, D)
+    d_series, f_series = layer_series(d_chain), layer_series(f_chain)
+    m_d, m_f = len(D) - 1, len(F) - 1
+    pairing, d_ends, f_ends = [], [], []
+    for i in range(m_d):
+        for j in range(m_f):
+            k, l = i * m_f + j, j * m_d + i
+            hs = agree(ModuleError, f"series of crosswise layer ({i},{j})",
+                       first_chain=d_series[k], second_chain=f_series[l])
+            if hs.numerator_coeffs:
+                pairing.append(((i, j), hs))
+                d_ends.append(k + 1)
+                f_ends.append(l + 1)
+    return ([d_chain[0]] + [d_chain[k] for k in d_ends],
+            [f_chain[0]] + [f_chain[l] for l in sorted(f_ends)], pairing)
+
+
+def layer_generic_type(M: PresMod) -> tuple:
+    """The generic type of M read off each layer t^i M/t^(i+1) M of the
+    image filtration, presented by ``subquotient``: its rank over the
+    fraction field of the base ring is its generator count less the
+    ``generic_rank`` of its relations with t killed."""
+    n = M.ring.n
+    ranks = [layer.ngens - generic_rank(base_relation_matrix(layer))
+             for layer in layer_quotients(M, first_canonical_filtration(M))]
+    ranks.append(0)
+    return tuple(ranks[i - 1] - ranks[i] for i in range(1, n + 1))

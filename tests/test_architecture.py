@@ -8,7 +8,9 @@ that own it, where a use is a name, an attribute, an import or its alias,
 or a ``def`` or ``class`` name; comments and strings are not read.  A
 product in R[n] truncates as it is formed, so no ``truncate`` call wraps a
 product and no product, power, substitution or parse takes a bound of its
-own."""
+own.  Lifts and composites are test oracles: ``fpmod`` and ``groebner``
+define no ``lift`` or ``compose``, and ``is_balanced`` presents no layer,
+builds no map and reads no annihilator chain."""
 
 import ast
 from pathlib import Path
@@ -48,11 +50,31 @@ OWNERS = {
     "vecs": {"fpmod", "groebner"},
     # every variable weighs 1 in a series; only fpmod weighs t, by its Grading
     **dict.fromkeys(("weights", "weighted_degree"), {"fpmod"}),
-    # an element of R[n] has no term t^n: multiring truncates text and the
-    # images of an AutMap, and fpmod a kernel's vectors where they become
-    # columns; nothing downstream truncates again
-    "truncate": {"multiring", "fpmod"},
+    # an element of R[n] has no term t^n: multiring truncates text, t and
+    # the images of an AutMap; fpmod drops a kernel's terms of t-degree n
+    # before its vectors become columns, and nothing downstream truncates
+    "truncate": {"multiring"},
+    # lifts and composites are test oracles: the layer maps between both
+    # filtrations, their lifts and their composites live in
+    # tests/module_oracles.py and tests/groebner_oracle.py, and no library
+    # code builds a map (an extension checks the injectivity of its included
+    # block, check_inclusion, and the rest of exactness holds by
+    # construction)
+    **dict.fromkeys(("_annihilator_side", "ModMap", "check_exact", "ExtensionResult",
+                     "zero_column"), set()),
+    # the canonical filtrations meet in closed form, t^i M ∩ ann(t^k) =
+    # t^i·ann(t^(i+k)); the intersection through a kernel is the oracle's
+    "intersection_gens": set(),
 }
+
+# A module and the names no function or class of it may be defined as:
+# multiring.compose, the automorphism law, is the one composite.
+NOT_DEFINED = {module: {"lift", "compose"} for module in ("fpmod", "groebner")}
+
+# A function of fpmod and the names its body may not use: balance is the one
+# inclusion ann(t^(n-1)) ⊆ tM plus the Hilbert series of a graded module, so
+# it presents no layer, builds no map and no annihilator chain.
+NOT_USED_IN = {"is_balanced": {"subquotient", "ModMap", "second_canonical_filtration"}}
 
 
 def package_imports(tree: ast.Module) -> set[str]:
@@ -94,6 +116,20 @@ def identifiers(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             found.add(node.name)
     return found - {None}
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """The names of the functions and classes a module defines, at any depth."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def body_identifiers(tree: ast.Module, function: str) -> set[str]:
+    """The identifiers that the top-level function ``function`` of a module
+    uses or defines."""
+    return set().union(*(identifiers(node) for node in tree.body
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and node.name == function))
 
 
 def test_the_reader_sees_every_spelling_of_an_import():
@@ -161,4 +197,30 @@ def test_the_reader_sees_every_own_bound():
 def test_every_product_in_R_n_truncates_as_it_is_formed():
     found = [f"{path.stem} {where}" for path in sorted(SRC.glob("*.py"))
              for where in own_bounds(ast.parse(path.read_text()))]
+    assert not found, found
+
+
+def test_the_reader_sees_every_definition_and_every_use_in_a_body():
+    for text in ["def lift(v):\n    pass", "class Span:\n    def lift(self):\n        pass",
+                 "async def lift():\n    pass", "def f():\n    class lift:\n        pass"]:
+        assert "lift" in defined_names(ast.parse(text)), text
+    assert "lift" not in defined_names(ast.parse("lift = 1\nspan.lift(v)"))
+    body = ast.parse("def is_balanced(M):\n    return [ModMap(M), fpmod.subquotient]\n"
+                     "def other():\n    second_canonical_filtration(M)")
+    assert body_identifiers(body, "is_balanced") >= {"ModMap", "subquotient"}
+    assert "second_canonical_filtration" not in body_identifiers(body, "is_balanced")
+
+
+def test_no_lift_or_composite_is_defined_in_the_module_layer():
+    found = [f"{module} defines {name}" for module, names in NOT_DEFINED.items()
+             for name in sorted(defined_names(ast.parse((SRC / f"{module}.py").read_text()))
+                                & names)]
+    assert not found, found
+
+
+def test_balance_presents_no_layer_and_builds_no_map_or_annihilator_chain():
+    tree = ast.parse((SRC / "fpmod.py").read_text())
+    assert body_identifiers(tree, "is_balanced"), "fpmod has no is_balanced"
+    found = [f"{function} uses {name}" for function, names in NOT_USED_IN.items()
+             for name in sorted(body_identifiers(tree, function) & names)]
     assert not found, found

@@ -14,8 +14,10 @@ from module_oracles import (
     comparison_maps,
     extension_maps,
     hom_matrices,
+    intersection_gens,
     lift,
     quotient_by_submodule,
+    refine_chains,
     transformed_presentation,
 )
 from truncmod.multiring import TruncRing
@@ -412,7 +414,7 @@ def test_refining_a_chain_against_itself_is_stable():
     tr = ring(2)
     M = free_module(tr, 1)
     chain = first_canonical_filtration(M)
-    D, F, pairs = refine_filtrations(M, chain, chain)
+    D, F, pairs = refine_chains(M, chain, chain)
     assert len(D) == len(chain)
     assert len(F) == len(chain)
 
@@ -427,7 +429,7 @@ def test_refinement_of_crossing_chains_matches_series():
     chainB = [full, Submodule(F, [(S.parse("y"),)]), zero]
     for chain in (chainA, chainB):
         assert_filtration(F, chain)
-    DA, FB, _ = refine_filtrations(F, chainA, chainB)
+    DA, FB, _ = refine_chains(F, chainA, chainB)
     freqA = sorted(tuple(dims(q)) for q in layer_quotients(F, DA))
     freqB = sorted(tuple(dims(q)) for q in layer_quotients(F, FB))
     assert freqA == freqB
@@ -436,9 +438,8 @@ def test_refinement_of_crossing_chains_matches_series():
 def test_refinement_requires_grading():
     tr = ring(2)
     M = PresMod(tr, 1, [(tr.S.parse("x + t"),)])
-    chain = first_canonical_filtration(M)
     with pytest.raises(ModuleError):
-        refine_filtrations(M, chain, chain)
+        refine_filtrations(M)
 
 
 def test_canonical_chains_of_balanced_module_coincide():
@@ -446,7 +447,7 @@ def test_canonical_chains_of_balanced_module_coincide():
     I = flag_ideal(tr, ("X^2", "Y^2", "X*Y"))
     lower = first_canonical_filtration(I)
     upper = second_canonical_filtration(I)
-    D, F, _ = refine_filtrations(I, lower, upper)
+    D, F, _ = refine_filtrations(I)
     assert len(D) == len(lower)
     assert all(
         D[i].equals(lower[i]) for i in range(len(D))
@@ -554,14 +555,18 @@ def test_balance_reads_one_annihilator_kernel(monkeypatch):
 
 
 def test_refinement_intersects_only_inner_members(monkeypatch):
+    """The chain refinement of any two filtrations meets only inner members:
+    the first and last member of each chain are the whole module and zero."""
+    import module_oracles
+
     calls = []
-    intersection_gens = Submodule.intersection_gens
+    inner = module_oracles.intersection_gens
 
-    def counted(self, other):
-        calls.append(other)
-        return intersection_gens(self, other)
+    def counted(A, B):
+        calls.append(B)
+        return inner(A, B)
 
-    monkeypatch.setattr(Submodule, "intersection_gens", counted)
+    monkeypatch.setattr(module_oracles, "intersection_gens", counted)
     tr = ring(3)
     I = flag_ideal(tr, ("x^2", "y^2", "x*y"))
     F = free_module(tr, 1)
@@ -573,9 +578,8 @@ def test_refinement_intersects_only_inner_members(monkeypatch):
     for M, D, E in ((I, first_canonical_filtration(I), second_canonical_filtration(I)),
                     (F, line, first_canonical_filtration(F))):
         before = len(calls)
-        refine_filtrations(M, D, E)
+        refine_chains(M, D, E)
         counts.append(len(calls) - before)
-        # the first and last member of each chain are the whole module and zero
         a, b = len(D), len(E)
         assert counts[-1] == (a - 1) * (b - 2) + (b - 1) * (a - 2)
     assert counts == [12, 7]
@@ -588,9 +592,9 @@ RANK_FOUR = {"generators": 4, "degrees": [1, 1, 2, 2], "t_weight": 1,
 
 
 def test_refine_forms_no_product_with_a_zero_operand(monkeypatch):
-    """Generator columns times a power of t are built in place and
-    ``_combine`` skips zero entries, so a ``module.refine`` job multiplies
-    no polynomial by zero."""
+    """Generator columns times a power of t are built in place, and an
+    annihilator's columns are moved by t^i entry by entry, skipping zero
+    entries, so a ``module.refine`` job multiplies no polynomial by zero."""
     from truncmod import arith
     from truncmod.cli import main
 
@@ -603,12 +607,15 @@ def test_refine_forms_no_product_with_a_zero_operand(monkeypatch):
 
     for name in ("times", "__mul__"):
         monkeypatch.setattr(arith.Poly, name, counted)
-    doc = {"ring": {"variables": ["x", "y"], "n": 2},
-           "payload": {"presentation": RANK_FOUR}}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert main(["module.refine"]) == 0
-    assert json.loads(out.getvalue())["matched_layers"]
+    # at n = 2 every intersection is an annihilator or a t-image, and no
+    # product is formed; at n = 3 the annihilators are moved by t
+    for n in (2, 3):
+        doc = {"ring": {"variables": ["x", "y"], "n": n},
+               "payload": {"presentation": RANK_FOUR}}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["module.refine"]) == 0
+        assert json.loads(out.getvalue())["matched_layers"]
     assert calls and sum(calls) == 0
 
 
@@ -630,21 +637,53 @@ def count_calls(monkeypatch, calls, owner, name):
 
 
 def test_refine_presents_no_layer_and_builds_a_graph_basis_per_intersection(monkeypatch):
-    """Each crosswise layer's series is read off two quotients of the
-    module, which take plain bases: refinement presents no layer, and its
-    only graph bases (lifts and kernels) are those of its intersections."""
+    """The chain refinement reads each crosswise layer's series off two
+    quotients of the module, which take plain bases: it presents no layer,
+    and its only graph bases (lifts and kernels) are those of its
+    intersections."""
+    import module_oracles
     from truncmod import fpmod, groebner
 
     M = rank_four(2)
     D, F = first_canonical_filtration(M), second_canonical_filtration(M)
     calls: dict = {}
     for owner, name in ((fpmod, "subquotient"), (groebner, "_graph_basis"),
-                        (Submodule, "intersection_gens")):
+                        (module_oracles, "intersection_gens")):
         count_calls(monkeypatch, calls, owner, name)
-    Dr, Fr, pairs = refine_filtrations(M, D, F)
+    Dr, Fr, pairs = refine_chains(M, D, F)
     assert pairs and len(Dr) == len(Fr) == len(pairs) + 1
     assert calls["subquotient"] == 0
     assert calls["_graph_basis"] == calls["intersection_gens"] > 0
+
+
+def test_refine_builds_only_the_inner_annihilators_and_generic_type_no_kernel(monkeypatch):
+    """Refinement meets t^i M and ann(t^k) in closed form, t^i·ann(t^(i+k)),
+    so a ``module.refine`` job at n = 3 builds the graph bases of the n - 1
+    inner annihilators and no other; ``module.generictype`` reads its layer
+    ranks off quotient ranks and builds none.  Neither presents a layer."""
+    from truncmod import fpmod, groebner
+    from truncmod.cli import main
+
+    n = 3
+    doc = {"ring": {"variables": ["x", "y"], "n": n}, "payload": {"presentation": RANK_FOUR}}
+    calls: dict = {}
+    for owner, name in ((fpmod, "subquotient"), (groebner, "_graph_basis")):
+        count_calls(monkeypatch, calls, owner, name)
+    answers = {}
+    for command in ("module.refine", "module.generictype"):
+        calls.update(subquotient=0, _graph_basis=0)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main([command]) == 0
+        answers[command] = (json.loads(out.getvalue()), dict(calls))
+    refine, refine_calls = answers["module.refine"]
+    assert refine["matched_layers"]
+    assert (refine["first_refined_members"] == refine["second_refined_members"]
+            == len(refine["matched_layers"]) + 1)
+    assert refine_calls == {"subquotient": 0, "_graph_basis": n - 1}
+    generic, generic_calls = answers["module.generictype"]
+    assert len(generic["type"]) == n
+    assert generic_calls == {"subquotient": 0, "_graph_basis": 0}
 
 
 def test_canonical_ends_take_no_syzygy_and_refinement_no_end_quotient(monkeypatch):
@@ -663,7 +702,7 @@ def test_canonical_ends_take_no_syzygy_and_refinement_no_end_quotient(monkeypatc
     D, F = first_canonical_filtration(M), second_canonical_filtration(M)
     assert calls["annihilator_kernel"] == n - 1
     assert D[-1] is M.zero_submodule() and F[-1] is M.zero_submodule()
-    refine_filtrations(M, D, F)
+    refine_filtrations(M)
     assert calls["quotient_by_submodule"] == 2 * (n * n - 1)
 
 
@@ -671,7 +710,7 @@ def test_intersection_of_principal_spans():
     tr = ring(2)
     S = tr.S
     F = free_module(tr, 1)
-    met = Submodule(F, [(S.parse("x"),)]).intersection_gens(Submodule(F, [(S.parse("y"),)]))
+    met = intersection_gens(Submodule(F, [(S.parse("x"),)]), Submodule(F, [(S.parse("y"),)]))
     assert Submodule(F, met).equals(Submodule(F, [(S.parse("x*y"),)]))
 
 
@@ -682,7 +721,7 @@ def test_intersection_modulo_ambient_relations():
     M = PresMod(tr, 2, [(x, y), (t, zero)])
     A = Submodule(M, [(x, zero), (zero, t)])
     B = Submodule(M, [(y, zero), (t, x)])
-    met = A.intersection_gens(B)
+    met = intersection_gens(A, B)
     assert all(A.contains(g) and B.contains(g) for g in met)
     both = Submodule(M, met)
     in_both = 0

@@ -17,6 +17,14 @@ drawn module is free only when truncation kills every relation:
   quotients of the module, HS(A/B) = HS(M/B) - HS(M/A), equal the series of
   the refined chains' layers counted on their own ``subquotient``
   presentations (``presented_layer_series``), for both chains;
+* at t-weights 1 and 2 and n = 2 and n = 3, ``refine_filtrations``, which
+  meets t^i M and ann(t^k) as t^i·ann(t^(i+k)), gives the member counts,
+  the matched layers with their series and the members (``Submodule.equals``)
+  of ``refine_chains``, the general refinement by kernel intersections;
+* the generic type, read off the ranks of the quotients M/t^k M, is the one
+  read off the presented layers of the image filtration
+  (``layer_generic_type``), on graded draws and on the same relations with
+  no grading;
 * at n = 2 and n = 3 and t-weights 1 and 2, ``is_balanced``, which tests
   the one inclusion ann(t^(n-1)) ⊆ tM and, on graded input, the Hilbert
   series of M/tM, M and M/t^(n-1) M, agrees with the definition: every
@@ -55,8 +63,10 @@ from module_oracles import (
     comparison_maps,
     descends,
     extension_maps,
+    layer_generic_type,
     natural_map,
     presented_layer_series,
+    refine_chains,
     slice_kernel_dimension,
     span_dimension,
     transformed_presentation,
@@ -125,7 +135,7 @@ def canonical(M):
 
 
 def refined(M):
-    return refine_filtrations(M, *canonical(M))
+    return refine_filtrations(M)
 
 
 def balance(M):
@@ -148,7 +158,7 @@ def test_another_presentation_gives_the_same_answers(M, seed):
 @given(M=presentations())
 def test_refined_chains_are_filtrations_whose_layers_add_up(M):
     first, second = canonical(M)
-    D, F, pairs = refine_filtrations(M, first, second)
+    D, F, pairs = refine_filtrations(M)
     for chain in (first, second, D, F):
         assert_filtration(M, chain)
     # one member more than nonzero layers: no refined layer is zero
@@ -171,6 +181,28 @@ def test_pairing_series_are_the_series_of_the_presented_layers(t_weight, data):
     # F's members follow the second filtration: layer (i, j) in order of (j, i)
     assert presented_layer_series(M, F) == [
         series for _, series in sorted(pairs, key=lambda p: p[0][::-1])]
+
+
+@pytest.mark.parametrize("n, t_weight", [(2, 1), (3, 1), (2, 2), (3, 2)])
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_refinement_in_closed_form_is_the_refinement_by_kernels(n, t_weight, data):
+    M = data.draw(presentations(n=n, t_weight=t_weight))
+    D, F, pairs = refine_filtrations(M)
+    D2, F2, pairs2 = refine_chains(M, *canonical(M))
+    assert (len(D), len(F)) == (len(D2), len(F2))
+    assert pairs == pairs2
+    for chain, oracle in ((D, D2), (F, F2)):
+        assert all(a.equals(b) for a, b in zip(chain, oracle))
+
+
+@pytest.mark.parametrize("graded", [True, False], ids=["graded", "ungraded"])
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(M=presentations())
+def test_generic_type_from_quotient_ranks_is_the_type_of_the_layers(graded, M):
+    if not graded:
+        M = PresMod(M.ring, M.ngens, M.relations)
+    assert generic_type(M) == layer_generic_type(M)
 
 
 # the weight-1 ids stay the plain n, so records that name them still match

@@ -57,6 +57,19 @@ def test_bounded_product_is_truncated_product(case):
     assert list(power.terms.items()) == list(drop(p ** 3, ring).terms.items())
 
 
+@SETTINGS
+@given(bounded_pairs(), st.integers(1, 3))
+def test_a_product_that_cannot_reach_the_bound_is_the_unbounded_product(case, room):
+    """When the largest exponents of the two factors at the bounded variable
+    sum to less than the bound, the bounded product is the unbounded one,
+    term for term and in the same order."""
+    p, q, (i, _) = case
+    top = sum(max((e[i] for e in f.terms), default=0) for f in (p, q))
+    ring = PolyRing(p.ring.variables, p.ring.order, (i, top + room))
+    bounded = ring.from_terms(p.terms).times(ring.from_terms(q.terms))
+    assert list(bounded.terms.items()) == list((p * q).terms.items())
+
+
 # -- parsing -------------------------------------------------------------------
 
 ATOMS = st.sampled_from(["x", "y", "t", "1", "2", "3/2", "-1/3", "5"])
